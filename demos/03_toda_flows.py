@@ -14,7 +14,7 @@ rational-function identities that reduce to zero exactly.
 from random import Random
 
 from askeykit.algebra import Rational
-from askeykit.families import make_point
+from askeykit.families import deformation, make_point
 from askeykit.functional import toda_orthogonality_check
 from askeykit.sampling import sample_extras, sample_point
 from askeykit.toda import (
@@ -26,6 +26,9 @@ from askeykit.toda import (
 )
 
 Q = Rational
+
+# what each deformation scalar stands for
+SCALAR_MEANING = {"t": "t", "u": "e^(-t)", "r": "tan(t/4)"}
 
 print("== The six closed-form flows ==")
 points = {
@@ -51,15 +54,9 @@ print()
 print("== Two independent routes to the flowed coefficients agree ==")
 rng = Random(7)
 for tag, pt in points.items():
-    if tag in ("hermite", "laguerre"):
-        extra = sample_extras(("t",), rng, pt)["t"]
-        label = f"t = {extra}"
-    elif tag == "meixner-pollaczek":
-        extra = sample_extras(("r",), rng, pt)["r"]
-        label = f"tan(t/4) = {extra}"
-    else:
-        extra = sample_extras(("u",), rng, pt)["u"]
-        label = f"e^(-t) = {extra}"
+    name = deformation(tag).scalar.name
+    extra = sample_extras((name,), rng, pt)[name]
+    label = f"{SCALAR_MEANING[name]} = {extra}"
     gaps = [toda_from_recurrence_crosscheck(tag, pt, extra, n) for n in range(1, 5)]
     ok = all(not b and not c for b, c in gaps)
     print(f"  {tag:18s} recurrence extraction vs closed form at {label}: {'agree' if ok else 'DISAGREE'}")

@@ -6,8 +6,9 @@ floating point.  Polynomials in x are dense coefficient tuples; the
 Askey-Wilson layer works with Laurent polynomials in z carrying the
 substitution x = (z + 1/z)/2.
 
-gmpy2 supplies the rational type when available (the q-series identities
-grow very deep coefficients); fractions.Fraction is the drop-in fallback.
+gmpy2 supplies the rational type when it is installed (the optional
+`gmpy2` extra; the q-series identities grow very deep coefficients);
+fractions.Fraction is the drop-in fallback.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import comb, factorial
 
 try:
     from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional
     from fractions import Fraction as Rational
 
 __all__ = [

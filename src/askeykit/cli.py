@@ -29,7 +29,7 @@ from .algebra import (
     chebyshev_lift,
     rational_str,
 )
-from .families import FAMILIES, make_point
+from .families import FAMILIES, deformation, make_point
 from .burchnall import (
     EXPANSIONS,
     closed_expansion_residual,
@@ -137,6 +137,12 @@ def _random_poly(rng: Random, degree: int, kind: str) -> object:
     return f
 
 
+def _flow_index(family: str, point, n: int) -> int:
+    """n, kept below the top index of a finite family (the flow at n reads c_(n+1))."""
+    top = TODA_SOLUTIONS[family].max_n(point)
+    return n if top is None else min(n, top - 1)
+
+
 def _run_case(kind: str, ident: str, family: str, n: int, m, rng: Random):
     """Returns (point_dict, extras_dict, residual)."""
     if kind == "expansion":
@@ -150,27 +156,15 @@ def _run_case(kind: str, ident: str, family: str, n: int, m, rng: Random):
         return _point_dict(point), {k: _serialize_value(v) for k, v in extras.items()}, res
     if kind == "toda":
         point = sample_point(family, rng)
-        top = TODA_SOLUTIONS[family].max_n(point)
-        nn = min(n, top - 1) if top is not None else n
-        nn = max(nn, 1)
+        nn = max(_flow_index(family, point, n), 1)
         res = toda_residuals(TODA_SOLUTIONS[family], nn, point)
         return _point_dict(point), {"n_used": str(nn)}, res
     if kind == "crosscheck":
         point = sample_point(family, rng)
-        sol = TODA_SOLUTIONS[family]
-        if family in ("hermite", "laguerre"):
-            extras = sample_extras(("t",), rng, point)
-            extra = extras["t"]
-        elif family == "meixner-pollaczek":
-            extras = sample_extras(("r",), rng, point)
-            extra = extras["r"]
-        else:
-            extras = sample_extras(("u",), rng, point)
-            extra = extras["u"]
-        top = sol.max_n(point)
-        nn = min(n, top - 1) if top is not None else n
-        nn = max(nn, 1)
-        res = toda_from_recurrence_crosscheck(family, point, extra, nn)
+        name = deformation(family).scalar.name
+        extras = sample_extras((name,), rng, point)
+        nn = max(_flow_index(family, point, n), 1)
+        res = toda_from_recurrence_crosscheck(family, point, extras[name], nn)
         ser = {k: _serialize_value(v) for k, v in extras.items()}
         ser["n_used"] = str(nn)
         return _point_dict(point), ser, res
@@ -182,8 +176,7 @@ def _run_case(kind: str, ident: str, family: str, n: int, m, rng: Random):
     if kind == "operational":
         spec = FAMILIES[family]
         point = sample_point(family, rng)
-        carrier = "laurent" if spec.carrier == "laurent" else ("even" if family == "wilson" else "poly")
-        f = _random_poly(rng, 4, carrier)
+        f = _random_poly(rng, 4, spec.carrier)
         worst = None
         for var in spec.variants:
             res = operational_residual(family, point, n, f, var.name)
@@ -204,9 +197,8 @@ def _run_case(kind: str, ident: str, family: str, n: int, m, rng: Random):
         q = sample_rational(rng, 0, 1)
         p = sample_rational(rng, 0, 1)
         for name, spec in operator_catalog(q, p).items():
-            kind2 = "laurent" if spec.carrier == "laurent" else ("even" if name == "delta-x2" else "poly")
-            f = _random_poly(rng, 5, kind2)
-            g = _random_poly(rng, 5, kind2)
+            f = _random_poly(rng, 5, spec.carrier)
+            g = _random_poly(rng, 5, spec.carrier)
             r = leibniz_check(spec, f, g, n)
             if r:
                 residuals.append((name, r))
@@ -329,17 +321,25 @@ def _parse_params(pairs: list) -> dict:
     return out
 
 
-def _point_from_args(family: str, raw: dict):
-    spec = FAMILIES[family]
-    vals = {}
-    for name in spec.param_names:
-        if name not in raw:
-            raise UsageError(f"{family} needs --param {name}=...")
-        vals[name] = int(raw[name]) if name == "N" else Rational(raw[name])
-    point = make_point(family, **vals)
-    if not spec.admissible(point):
-        raise UsageError(f"inadmissible parameter point {point}")
-    return point
+def _values_from_args(ident: str, params: tuple, raw: dict) -> dict:
+    """Each --param value parsed and checked against its domain, in domain order."""
+    names = [p.name for p in params]
+    unknown = [k for k in raw if k not in names]
+    if unknown:
+        raise UsageError(f"{ident} takes no parameter {unknown[0]!r}")
+    values = {}
+    for p in params:
+        text = raw.get(p.name)
+        if text is None:
+            raise UsageError(f"{ident} needs --param {p.name}=...")
+        try:
+            v = int(text) if p.integer else Rational(text)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"--param {p.name}={text} is not a valid number") from None
+        if not p.admits(v, values):
+            raise UsageError(f"inadmissible parameter {p.name}={text} for {ident}")
+        values[p.name] = v
+    return values
 
 
 def cmd_verify(args) -> int:
@@ -373,21 +373,20 @@ def _term_lines(terms) -> list:
 
 def cmd_expand(args) -> int:
     ident = args.identity
-    raw = _parse_params(args.param or [])
-    if ident in EXPANSIONS:
-        e = EXPANSIONS[ident]
-        point = _point_from_args(e.family, raw)
-        lhs, terms = e.build(point, args.n, args.m if args.m is not None else 0)
-    elif ident in MODIFIED_EXPANSIONS:
-        e = MODIFIED_EXPANSIONS[ident]
-        point = _point_from_args(e.family, raw)
-        extras = {k: Rational(raw[k]) for k in e.extras if k in raw}
-        missing = [k for k in e.extras if k not in extras]
-        if missing:
-            raise UsageError(f"{ident} needs --param {missing[0]}=...")
-        lhs, terms = e.build(point, args.n, extras)
-    else:
+    if args.n < 0 or (args.m or 0) < 0:
+        raise UsageError("--n and --m must be >= 0")
+    e = EXPANSIONS.get(ident) or MODIFIED_EXPANSIONS.get(ident)
+    if e is None:
         raise UsageError(f"unknown identity {ident!r}; see `list`")
+    domain = FAMILIES[e.family].domain
+    extras = e.extras if ident in MODIFIED_EXPANSIONS else ()
+    scalars = (deformation(e.family).scalar,) if extras else ()
+    values = _values_from_args(ident, domain + scalars, _parse_params(args.param or []))
+    point = make_point(e.family, **{p.name: values.pop(p.name) for p in domain})
+    if ident in EXPANSIONS:
+        lhs, terms = e.build(point, args.n, args.m or 0)
+    else:
+        lhs, terms = e.build(point, args.n, values)  # what is left are the deformation scalars
     rhs = None
     for t in terms:
         rhs = t if rhs is None else rhs + t
@@ -413,8 +412,7 @@ def cmd_toda(args) -> int:
         sol = TODA_SOLUTIONS[family]
         rng = Random(_subseed(args.seed, f"toda/{family}"))
         point = sample_point(family, rng)
-        top = sol.max_n(point)
-        nmax = args.max_n if top is None else min(args.max_n, top - 1)
+        nmax = _flow_index(family, point, args.max_n)
         print(f"{family} at {point} (variable: {sol.variable.tag})")
         for n in range(1, nmax + 1):
             rc, rb = toda_residuals(sol, n, point)

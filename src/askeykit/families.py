@@ -3,14 +3,19 @@ construction, closed hypergeometric forms, and exact recurrence extraction.
 
 A family bundles everything the identity engines need:
 
-  * an admissibility predicate on the parameter point and the shift nu -> nu+sigma
-    (additive for the classical families, multiplicative by q for the q-families),
-  * the raising operator R_nu acting on the carrier (polynomials in x, or
-    symmetric Laurent polynomials in z for the Askey-Wilson level),
+  * the parameter domain (the orthogonality conditions of Koekoek, Lesky &
+    Swarttouw, 2010) with the windows parameters are sampled from, and the
+    shift nu -> nu+sigma (additive for the classical families,
+    multiplicative by q for the q-families),
+  * the carrier the raising operator R_nu acts on: polynomials in x, even
+    polynomials in x (Wilson, graded by x^2), or symmetric Laurent
+    polynomials in z for the Askey-Wilson level,
   * one or more Leibniz "variants", each pairing an operator scheme with the
     closed-form weight-ratio polynomial eta^k(w_{nu+k sigma}) / w_nu,
   * the scalar relating the raising chain applied to 1 to the standard
-    (basic) hypergeometric form of the polynomials.
+    (basic) hypergeometric form of the polynomials,
+  * for the six lattice families, the image of the weight deformation
+    w(x) -> e^(-xt) w(x).
 
 Weight ratios are stored as closed-form polynomial factories, never as
 quotients of actual weights: the weights involve Gamma factors and infinite
@@ -27,6 +32,7 @@ from .algebra import (
     GR_I,
     GR_ONE,
     GR_ZERO,
+    SYM_X,
     GaussianRational,
     Laurent,
     Poly,
@@ -36,16 +42,20 @@ from .algebra import (
     factorial,
     pochhammer,
     q_pochhammer,
+    tangent_subtract,
 )
 from . import ops
 
 __all__ = [
     "ParamPoint",
+    "Param",
+    "Deformation",
     "Variant",
     "FamilySpec",
     "MonicRecurrence",
     "FAMILIES",
     "make_point",
+    "deformation",
     "shifted_point",
     "falling_poch_poly",
     "rising_poch_poly",
@@ -101,6 +111,77 @@ class ParamPoint:
         return f"{self.family}({inner})"
 
 
+def _bound(b, values: dict):
+    return b(values) if callable(b) else b
+
+
+@dataclass(frozen=True)
+class Param:
+    """One coordinate of a parameter domain.
+
+    The domain is the open interval (lo, hi).  A bound is a constant, None
+    (unbounded), or a function of the dict of the coordinates declared
+    before this one.  `integer` restricts the domain to integers, `nonzero`
+    removes 0 from it.  Samples are drawn from `window` intersected with the
+    domain, never equal to `skip` (a constant or a function, like a bound).
+    """
+
+    name: str
+    lo: object = None
+    hi: object = None
+    window: tuple = (None, None)
+    integer: bool = False
+    nonzero: bool = False
+    skip: object = None
+
+    def admits(self, v, values: dict) -> bool:
+        lo = _bound(self.lo, values)
+        hi = _bound(self.hi, values)
+        return (
+            (lo is None or lo < v)
+            and (hi is None or v < hi)
+            and not (self.nonzero and not v)
+            and not (self.integer and v != int(v))
+        )
+
+    def sampling_window(self, values: dict) -> tuple:
+        """(lo, hi, skip): the open interval samples come from and the value they avoid."""
+        lo = _bound(self.lo, values)
+        hi = _bound(self.hi, values)
+        wlo, whi = self.window
+        lo = wlo if lo is None else lo if wlo is None else max(lo, wlo)
+        hi = whi if hi is None else hi if whi is None else min(hi, whi)
+        return lo, hi, 0 if self.nonzero else _bound(self.skip, values)
+
+
+@dataclass(frozen=True)
+class Deformation:
+    """The weight deformation w(x) -> e^(-xt) w(x) of a lattice family.
+
+    `scalar` names the number carrying t (t itself, u = e^(-t) or
+    r = tan(t/4)) and gives its domain, whose bounds read the family's
+    parameters.  The deformed measure is the base measure at the point
+    `params(point, s)` pushed forward by x -> alpha x + beta, where
+    (alpha, beta) = `affine(point, s)`; a family uses one map or the other.
+    `flow(image, s)` reads the variable of the closed-form lattice flow off
+    the image point.
+    """
+
+    scalar: Param
+    params: Callable = lambda point, s: point
+    affine: Callable = lambda point, s: (1, 0)
+    flow: Callable = lambda image, s: s
+
+    def image(self, point: ParamPoint, s) -> tuple:
+        """(point', alpha, beta) for the deformation scalar s."""
+        if not self.scalar.admits(s, point.as_dict()):
+            raise ValueError(f"{self.scalar.name}={s} is outside the deformation domain at {point}")
+        return (self.params(point, s), *self.affine(point, s))
+
+    def flow_variable(self, point: ParamPoint, s):
+        return self.flow(self.image(point, s)[0], s)
+
+
 @dataclass(frozen=True)
 class Variant:
     """One Leibniz factorization of a family: operator scheme plus weight ratio."""
@@ -113,9 +194,8 @@ class Variant:
 @dataclass(frozen=True)
 class FamilySpec:
     tag: str
-    param_names: tuple
-    carrier: str  # "poly" | "laurent"
-    admissible: Callable[[ParamPoint], bool]
+    domain: tuple  # Param entries, in sampling order
+    carrier: str  # "poly" | "even" | "laurent"
     shift: Callable[[ParamPoint], ParamPoint]
     raising: Optional[Callable[[ParamPoint], Callable]]
     variants: tuple
@@ -124,10 +204,24 @@ class FamilySpec:
     adjoint: Optional[Callable[[ParamPoint], Callable]]
     normalization: Callable[[ParamPoint, int], GaussianRational]
     standard: Callable[[ParamPoint, int], object]
-    fdegree: Callable[[object], int]
+    deformation: Optional[Deformation] = None
+
+    @property
+    def param_names(self) -> tuple:
+        return tuple(p.name for p in self.domain)
+
+    def admissible(self, point: ParamPoint) -> bool:
+        values = point.as_dict()
+        return all(p.admits(values[p.name], values) for p in self.domain)
 
     def one(self):
         return SymLaurent.one() if self.carrier == "laurent" else Poly.one()
+
+    def fdegree(self, f) -> int:
+        """Degree in the family's grading: x^2 has degree 1 on the even carrier."""
+        if not f:
+            return -1
+        return f.degree // 2 if self.carrier == "even" else f.degree
 
     def default_variant(self) -> Variant:
         return self.variants[0]
@@ -357,18 +451,6 @@ def krawtchouk_poly(pp, N: int, n: int) -> Poly:
 # ---------------------------------------------------------------------------
 # family catalog
 # ---------------------------------------------------------------------------
-
-def _poly_degree(f: Poly) -> int:
-    return f.degree
-
-
-def _even_degree(f: Poly) -> int:
-    return f.degree // 2 if f else -1
-
-
-def _laurent_degree(f) -> int:
-    return f.degree if f else -1
-
 
 def _hermite_raise(pt):
     m2x = Poly([0, -2])
@@ -662,8 +744,18 @@ def _sh_mul_p(names):
     return sh
 
 
-def _in_open(v, lo, hi) -> bool:
-    return lo < v < hi
+def _inv_q(values):
+    return 1 / values["q"]
+
+
+def _tan_from_half(s):
+    """tan(A) from tan(A/2) = s."""
+    return 2 * s / (1 - s * s)
+
+
+def _krawtchouk_deformed(pt, u):
+    p = pt.get("p")
+    return pt.replace(p=p * u / (1 + p * (u - 1)))
 
 
 FAMILIES: dict = {}
@@ -675,9 +767,8 @@ def _register(spec: FamilySpec):
 
 _register(FamilySpec(
     tag="hermite",
-    param_names=(),
+    domain=(),
     carrier="poly",
-    admissible=lambda pt: True,
     shift=_sh_ident,
     raising=_hermite_raise,
     variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _ratio_one),),
@@ -686,14 +777,13 @@ _register(FamilySpec(
     adjoint=_adj_neg_derivative,
     normalization=_norm_hermite,
     standard=lambda pt, n: hermite_poly(n),
-    fdegree=_poly_degree,
+    deformation=Deformation(Param("t", window=(-2, 2)), affine=lambda pt, t: (1, -t / 2)),
 ))
 
 _register(FamilySpec(
     tag="laguerre",
-    param_names=("nu",),
+    domain=(Param("nu", -1, window=(-1, 3)),),
     carrier="poly",
-    admissible=lambda pt: pt.get("nu") > -1,
     shift=_sh_add(("nu",), 1),
     raising=_laguerre_raise,
     variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _ratio_x_pow),),
@@ -702,14 +792,15 @@ _register(FamilySpec(
     adjoint=_adj_neg_derivative,
     normalization=_norm_laguerre,
     standard=lambda pt, n: laguerre_poly(pt.get("nu"), n),
-    fdegree=_poly_degree,
+    deformation=Deformation(
+        Param("t", -1, window=(Rational(-3, 4), 2)), affine=lambda pt, t: (1 / (1 + t), 0)
+    ),
 ))
 
 _register(FamilySpec(
     tag="jacobi",
-    param_names=("alpha", "beta"),
+    domain=(Param("alpha", -1, window=(-1, 3)), Param("beta", -1, window=(-1, 3))),
     carrier="poly",
-    admissible=lambda pt: pt.get("alpha") > -1 and pt.get("beta") > -1,
     shift=_sh_add(("alpha", "beta"), 1),
     raising=_jacobi_raise,
     variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _ratio_jacobi),),
@@ -718,14 +809,12 @@ _register(FamilySpec(
     adjoint=_adj_neg_derivative,
     normalization=_norm_jacobi,
     standard=lambda pt, n: jacobi_poly(pt.get("alpha"), pt.get("beta"), n),
-    fdegree=_poly_degree,
 ))
 
 _register(FamilySpec(
     tag="meixner",
-    param_names=("beta", "c"),
+    domain=(Param("beta", 0, window=(0, 4)), Param("c", 0, 1)),
     carrier="poly",
-    admissible=lambda pt: pt.get("beta") > 0 and _in_open(pt.get("c"), 0, 1),
     shift=_sh_add(("beta",), 1),
     raising=_meixner_raise,
     variants=(
@@ -737,14 +826,16 @@ _register(FamilySpec(
     adjoint=_low_neg_forward,
     normalization=_norm_unit,
     standard=lambda pt, n: meixner_poly(pt.get("beta"), pt.get("c"), n),
-    fdegree=_poly_degree,
+    deformation=Deformation(
+        Param("u", 0, lambda v: 1 / v["c"], window=(0, 3)),
+        params=lambda pt, u: pt.replace(c=pt.get("c") * u),
+    ),
 ))
 
 _register(FamilySpec(
     tag="charlier",
-    param_names=("a",),
+    domain=(Param("a", 0, window=(0, 4)),),
     carrier="poly",
-    admissible=lambda pt: pt.get("a") > 0,
     shift=_sh_ident,
     raising=_charlier_raise,
     variants=(
@@ -756,14 +847,15 @@ _register(FamilySpec(
     adjoint=_low_neg_forward,
     normalization=_norm_unit,
     standard=lambda pt, n: charlier_poly(pt.get("a"), n),
-    fdegree=_poly_degree,
+    deformation=Deformation(
+        Param("u", 0, window=(0, 3)), params=lambda pt, u: pt.replace(a=pt.get("a") * u)
+    ),
 ))
 
 _register(FamilySpec(
     tag="meixner-pollaczek",
-    param_names=("lam", "phi"),
+    domain=(Param("lam", 0, window=(0, 3)), Param("phi", 0, window=(0, 4))),
     carrier="poly",
-    admissible=lambda pt: pt.get("lam") > 0 and pt.get("phi") > 0,
     shift=lambda pt: pt.replace(lam=pt.get("lam") + _half),
     raising=_mp_raise,
     variants=(Variant("", lambda pt: ops.DELTA_X_SPEC, _ratio_mp),),
@@ -772,14 +864,19 @@ _register(FamilySpec(
     adjoint=_adj_neg_delta_x,
     normalization=_norm_mp,
     standard=lambda pt, n: mp_poly(pt.get("lam"), pt.get("phi"), n),
-    fdegree=_poly_degree,
+    # r = tan(t/4) keeps phi - t/2 in (0, pi); samples also avoid phi - t/2 = pi/2,
+    # the pole of the flow variable T = tan(phi - t/2)
+    deformation=Deformation(
+        Param("r", lambda v: -1 / v["phi"], lambda v: v["phi"], skip=lambda v: tangent_subtract(v["phi"], 1)),
+        params=lambda pt, r: pt.replace(phi=tangent_subtract(pt.get("phi"), r)),
+        flow=lambda image, r: _tan_from_half(image.get("phi")),
+    ),
 ))
 
 _register(FamilySpec(
     tag="wilson",
-    param_names=("a", "b", "c", "d"),
-    carrier="poly",
-    admissible=lambda pt: all(pt.get(k) > 0 for k in ("a", "b", "c", "d")),
+    domain=tuple(Param(k, 0, window=(0, 2)) for k in "abcd"),
+    carrier="even",
     shift=_sh_add(("a", "b", "c", "d"), _half),
     raising=_wilson_raise,
     variants=(Variant("", lambda pt: ops.DELTA_X2_SPEC, _ratio_wilson),),
@@ -788,17 +885,14 @@ _register(FamilySpec(
     adjoint=None,
     normalization=_norm_unit,
     standard=lambda pt, n: wilson_poly(pt.get("a"), pt.get("b"), pt.get("c"), pt.get("d"), n),
-    fdegree=_even_degree,
 ))
 
 _register(FamilySpec(
     tag="big-q-jacobi",
-    param_names=("a", "b", "c", "q"),
+    domain=(
+        Param("q", 0, 1), *(Param(k, 0, _inv_q, window=(0, 2)) for k in "ab"), Param("c", None, 0, window=(-4, 0))
+    ),
     carrier="poly",
-    admissible=lambda pt: _in_open(pt.get("q"), 0, 1)
-    and _in_open(pt.get("a"), 0, 1 / pt.get("q"))
-    and _in_open(pt.get("b"), 0, 1 / pt.get("q"))
-    and pt.get("c") < 0,
     shift=_sh_mul_q(("a", "b", "c")),
     raising=_bqj_raise,
     variants=(
@@ -810,16 +904,12 @@ _register(FamilySpec(
     adjoint=_low_qinv,
     normalization=_norm_bqj,
     standard=lambda pt, n: big_q_jacobi_poly(pt.get("a"), pt.get("b"), pt.get("c"), pt.get("q"), n),
-    fdegree=_poly_degree,
 ))
 
 _register(FamilySpec(
     tag="big-q-laguerre",
-    param_names=("a", "c", "q"),
+    domain=(Param("q", 0, 1), Param("a", 0, _inv_q, window=(0, 2)), Param("c", None, 0, window=(-4, 0))),
     carrier="poly",
-    admissible=lambda pt: _in_open(pt.get("q"), 0, 1)
-    and _in_open(pt.get("a"), 0, 1 / pt.get("q"))
-    and pt.get("c") < 0,
     shift=_sh_mul_q(("a", "c")),
     raising=_bql_raise,
     variants=(
@@ -831,16 +921,12 @@ _register(FamilySpec(
     adjoint=_low_qinv,
     normalization=_norm_bqj,
     standard=lambda pt, n: big_q_jacobi_poly(pt.get("a"), 0, pt.get("c"), pt.get("q"), n),
-    fdegree=_poly_degree,
 ))
 
 _register(FamilySpec(
     tag="askey-wilson",
-    param_names=("a", "b", "c", "d", "p"),
+    domain=(Param("a", -1, 1, nonzero=True), *(Param(k, -1, 1, skip=0) for k in "bcd"), Param("p", 0, 1)),
     carrier="laurent",
-    admissible=lambda pt: _in_open(pt.get("p"), 0, 1)
-    and max(abs(pt.get(k)) for k in ("a", "b", "c", "d")) < 1
-    and pt.get("a") != 0,
     shift=_sh_mul_p(("a", "b", "c", "d")),
     raising=_aw_raise,
     variants=(Variant("", lambda pt: ops.aw_spec(pt.get("p")), _ratio_aw),),
@@ -849,14 +935,12 @@ _register(FamilySpec(
     adjoint=None,
     normalization=_norm_aw,
     standard=lambda pt, n: askey_wilson_poly(pt.get("a"), pt.get("b"), pt.get("c"), pt.get("d"), pt.get("p"), n),
-    fdegree=_laurent_degree,
 ))
 
 _register(FamilySpec(
     tag="continuous-q-hermite",
-    param_names=("p",),
+    domain=(Param("p", 0, 1),),
     carrier="laurent",
-    admissible=lambda pt: _in_open(pt.get("p"), 0, 1),
     shift=_sh_ident,
     raising=_cqh_raise,
     variants=(Variant("", lambda pt: ops.aw_spec(pt.get("p")), _ratio_cqh),),
@@ -865,14 +949,12 @@ _register(FamilySpec(
     adjoint=None,
     normalization=_norm_aw,
     standard=lambda pt, n: cq_hermite_poly(pt.get("p"), n),
-    fdegree=_laurent_degree,
 ))
 
 _register(FamilySpec(
     tag="krawtchouk",
-    param_names=("p", "N"),
+    domain=(Param("p", 0, 1), Param("N", 0, window=(3, 9), integer=True)),
     carrier="poly",
-    admissible=lambda pt: _in_open(pt.get("p"), 0, 1) and pt.get("N") >= 1,
     shift=_sh_ident,
     raising=None,  # finite family: only the closed form and its recurrence are used
     variants=(),
@@ -881,8 +963,15 @@ _register(FamilySpec(
     adjoint=None,
     normalization=_norm_unit,
     standard=lambda pt, n: krawtchouk_poly(pt.get("p"), pt.get("N"), n),
-    fdegree=_poly_degree,
+    deformation=Deformation(Param("u", 0, window=(0, 3)), params=_krawtchouk_deformed),
 ))
+
+
+def deformation(tag: str) -> Deformation:
+    d = FAMILIES[tag].deformation
+    if d is None:
+        raise KeyError(f"no e^(-xt) deformation registered for {tag}")
+    return d
 
 
 def shifted_point(point: ParamPoint, k: int) -> ParamPoint:
@@ -901,9 +990,7 @@ def make_point(tag: str, **values) -> ParamPoint:
     extra = [k for k in values if k not in spec.param_names]
     if extra:
         raise KeyError(f"{tag} got unknown parameters {extra}")
-    vals = tuple(
-        (k, values[k] if k == "N" else _Q(values[k])) for k in spec.param_names
-    )
+    vals = tuple((p.name, values[p.name] if p.integer else _Q(values[p.name])) for p in spec.domain)
     return ParamPoint(tag, vals)
 
 
@@ -998,12 +1085,8 @@ def recurrence_extract(tag: str, point: ParamPoint, N: int) -> MonicRecurrence:
     spec = FAMILIES[tag]
     polys = _basis_polys(tag, point, N + 1)
     ms = [monic(f) for f in polys]
-    if spec.carrier == "laurent":
-        xm = SymLaurent([0, _half])
-    elif spec.fdegree(Poly.x()) != 1:
-        xm = Poly.monomial(2)  # even carrier: the recurrence variable is x^2
-    else:
-        xm = Poly.x()
+    # the recurrence variable: x^2 on the even carrier, (z + 1/z)/2 on the Laurent one
+    xm = SYM_X if spec.carrier == "laurent" else Poly.monomial(2 if spec.carrier == "even" else 1)
     bs, cs = [], []
     for n in range(N + 1):
         coeffs = expand_in_basis(xm * ms[n], ms[: n + 2])

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GR_ZERO, GaussianRational, Poly, Rational
-from .families import FAMILIES, ParamPoint, expand_in_basis, raise_chain
+from .families import FAMILIES, ParamPoint, deformation, expand_in_basis, raise_chain
 from .burchnall import operational_rhs
 from .toda import MODIFIED_EXPANSIONS
 
@@ -71,7 +71,7 @@ def build_functional(tag: str, point: ParamPoint, order: int) -> MomentFunctiona
     (gram_offdiagonal).
     """
     spec = FAMILIES[tag]
-    if spec.carrier != "poly" or spec.fdegree(Poly.x()) != 1:
+    if spec.carrier != "poly":
         raise ValueError(f"moment functionals need the full polynomial ladder; {tag} lacks it")
     key = (tag, point, order)
     hit = _functional_cache.get(key)
@@ -175,32 +175,13 @@ def adjointness_check(tag: str, point: ParamPoint, n: int, D: int, variant: str 
 def modified_functional(tag: str, point: ParamPoint, extra, order: int) -> MomentFunctional:
     """Moment functional of the e^(-xt)-deformed measure.
 
-    Parameter-absorbing families rebuild at the deformed point; Hermite and
-    Laguerre compose the base moments with the affine change of variable.
+    The base functional is rebuilt at the image point and composed with the
+    image's affine change of variable: L~[x^k] = L'[(alpha x + beta)^k].
     """
-    extra = _Q(extra)
-    if tag == "hermite":
-        base = build_functional(tag, point, order)
-        t = extra
-        moments = []
-        for k in range(order + 1):
-            # L~[x^k] = L[(x + t/2)^k]
-            moments.append(base.apply(Poly([t / 2, 1]) ** k))
-        return MomentFunctional(tag, point, tuple(moments))
-    if tag == "laguerre":
-        base = build_functional(tag, point, order)
-        s = 1 + extra
-        moments = [base.moments[k] / GaussianRational(s ** k) for k in range(order + 1)]
-        return MomentFunctional(tag, point, tuple(moments))
-    if tag == "meixner":
-        return build_functional(tag, point.replace(c=point.get("c") * extra), order)
-    if tag == "charlier":
-        return build_functional(tag, point.replace(a=point.get("a") * extra), order)
-    if tag == "meixner-pollaczek":
-        from .algebra import tangent_subtract
-
-        return build_functional(tag, point.replace(phi=tangent_subtract(point.get("phi"), extra)), order)
-    raise KeyError(f"no modified measure registered for {tag}")
+    image, alpha, beta = deformation(tag).image(point, _Q(extra))
+    base = build_functional(tag, image, order)
+    x = Poly([beta, alpha])
+    return MomentFunctional(tag, image, tuple(base.apply(x ** k) for k in range(order + 1)))
 
 
 def toda_orthogonality_check(identity: str, point: ParamPoint, n: int, extras) -> list:

@@ -136,7 +136,7 @@ class OperatorSpec:
     """One Leibniz factorization: the operator, its twist and its g-side operators."""
 
     name: str
-    carrier: str  # "poly" | "laurent"
+    carrier: str  # "poly" | "even" | "laurent"
     partial: Callable
     eta: Callable  # eta(f, k): k-th power of the twist, k may be negative
     alpha: Callable[[int, int], object]  # alpha(n, k)
@@ -211,10 +211,10 @@ def _spec_delta_x() -> OperatorSpec:
 
 
 def _spec_delta_x2() -> OperatorSpec:
-    # Same shape for the Wilson operator; f and g must be even polynomials.
+    # Same shape for the Wilson operator, on even polynomials.
     return OperatorSpec(
         name="delta-x2",
-        carrier="poly",
+        carrier="even",
         partial=delta_x2,
         eta=lambda f, k: translate(f, GR_HALF_I * (-k)),
         alpha=binomial,

@@ -1,25 +1,29 @@
 """Seeded rational sampling of admissible parameter points.
 
 Samples are rationals with numerator and denominator bounded by 64, drawn
-from each family's admissibility window, with rejection where a sampled
-deformation scalar must keep the shifted point admissible.  Everything is
-driven by random.Random so a fixed seed reproduces the exact suite.
+from the sampling windows of each family's parameter domain, coordinate by
+coordinate in the domain's order, so a bound may read the coordinates drawn
+before it.  Deformation scalars are drawn the same way from the domain of
+the family's deformation.  Everything is driven by random.Random so a fixed
+seed reproduces the exact suite.
 """
 
 from __future__ import annotations
 
+from math import ceil, floor
 from random import Random
 
-from .algebra import Rational, tangent_subtract
-from .families import ParamPoint, make_point
+from .algebra import Rational
+from .families import FAMILIES, Param, ParamPoint, deformation, make_point
 
 __all__ = ["sample_rational", "sample_point", "sample_extras"]
 
 MAX_DEN = 64
 
 
-def sample_rational(rng: Random, lo, hi, nonzero: bool = False) -> Rational:
-    """Uniform-ish rational strictly inside (lo, hi) with small numerator/denominator."""
+def sample_rational(rng: Random, lo, hi, skip=None) -> Rational:
+    """Uniform-ish rational strictly inside (lo, hi) with small numerator/denominator,
+    never equal to `skip`."""
     lo = Rational(lo)
     hi = Rational(hi)
     for _ in range(10_000):
@@ -34,82 +38,33 @@ def sample_rational(rng: Random, lo, hi, nonzero: bool = False) -> Rational:
         v = Rational(num, den)
         if not (lo < v < hi):
             continue
-        if nonzero and not v:
+        if v == skip:
             continue
         return v
     raise RuntimeError(f"could not sample a rational in ({lo}, {hi})")
 
 
+def _sample(rng: Random, param: Param, values: dict):
+    lo, hi, skip = param.sampling_window(values)
+    if param.integer:
+        return rng.randrange(floor(lo) + 1, ceil(hi))
+    return sample_rational(rng, lo, hi, skip=skip)
+
+
 def sample_point(tag: str, rng: Random) -> ParamPoint:
-    if tag == "hermite":
-        return make_point(tag)
-    if tag == "laguerre":
-        return make_point(tag, nu=sample_rational(rng, -1, 3))
-    if tag == "jacobi":
-        return make_point(tag, alpha=sample_rational(rng, -1, 3), beta=sample_rational(rng, -1, 3))
-    if tag == "meixner":
-        return make_point(tag, beta=sample_rational(rng, 0, 4), c=sample_rational(rng, 0, 1))
-    if tag == "charlier":
-        return make_point(tag, a=sample_rational(rng, 0, 4))
-    if tag == "meixner-pollaczek":
-        return make_point(tag, lam=sample_rational(rng, 0, 3), phi=sample_rational(rng, 0, 4))
-    if tag == "wilson":
-        return make_point(tag, **{k: sample_rational(rng, 0, 2) for k in ("a", "b", "c", "d")})
-    if tag == "big-q-jacobi":
-        q = sample_rational(rng, 0, 1)
-        top = min(Rational(2), 1 / q)
-        return make_point(
-            tag,
-            a=sample_rational(rng, 0, top),
-            b=sample_rational(rng, 0, top),
-            c=sample_rational(rng, -4, 0),
-            q=q,
-        )
-    if tag == "big-q-laguerre":
-        q = sample_rational(rng, 0, 1)
-        top = min(Rational(2), 1 / q)
-        return make_point(tag, a=sample_rational(rng, 0, top), c=sample_rational(rng, -4, 0), q=q)
-    if tag == "askey-wilson":
-        return make_point(
-            tag,
-            a=sample_rational(rng, -1, 1, nonzero=True),
-            b=sample_rational(rng, -1, 1, nonzero=True),
-            c=sample_rational(rng, -1, 1, nonzero=True),
-            d=sample_rational(rng, -1, 1, nonzero=True),
-            p=sample_rational(rng, 0, 1),
-        )
-    if tag == "continuous-q-hermite":
-        return make_point(tag, p=sample_rational(rng, 0, 1))
-    if tag == "krawtchouk":
-        return make_point(tag, p=sample_rational(rng, 0, 1), N=rng.randrange(4, 9))
-    raise KeyError(f"unknown family {tag!r}")
+    values = {}
+    for param in FAMILIES[tag].domain:
+        values[param.name] = _sample(rng, param, values)
+    return make_point(tag, **values)
 
 
 def sample_extras(names: tuple, rng: Random, point: ParamPoint) -> dict:
-    """Deformation scalars within the windows forced by the modified weight."""
+    """Deformation scalars from the domain of the family's e^(-xt) deformation."""
+    values = point.as_dict()
     out = {}
     for name in names:
-        if name == "t":
-            if point.family == "laguerre":
-                out["t"] = sample_rational(rng, Rational(-3, 4), 2)  # keep 1 + t > 0
-            else:
-                out["t"] = sample_rational(rng, -2, 2)
-        elif name == "u":
-            if point.family == "meixner":
-                top = min(Rational(3), 1 / point.get("c"))  # keep c e^(-t) < 1
-                out["u"] = sample_rational(rng, 0, top)
-            else:
-                out["u"] = sample_rational(rng, 0, 3)
-        elif name == "r":
-            s = point.get("phi")
-            for _ in range(10_000):
-                r = sample_rational(rng, -1 / s, s)
-                s_mod = tangent_subtract(s, r)
-                if 0 < s_mod != 1:  # modified angle in (0, pi), tangent finite
-                    out["r"] = r
-                    break
-            else:
-                raise RuntimeError("could not sample an admissible deformation angle")
-        else:
-            raise KeyError(f"unknown deformation scalar {name!r}")
+        scalar = deformation(point.family).scalar
+        if scalar.name != name:
+            raise KeyError(f"{point.family} has no deformation scalar {name!r}")
+        out[name] = _sample(rng, scalar, values)
     return out

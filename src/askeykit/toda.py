@@ -36,6 +36,7 @@ from .algebra import (
 from .families import (
     ParamPoint,
     MonicRecurrence,
+    deformation,
     big_q_jacobi_poly,
     falling_poch_poly,
     mp_poly,
@@ -293,12 +294,12 @@ class ModifiedExpansion:
 
 
 def _build_hermite_toda(point, n, extras):
-    # H_n(x - t/2) = sum_k (-t)^k binom(n,k) H_(n-k)(x)
+    # H_n(x + t/2) = sum_k t^k binom(n,k) H_(n-k)(x)
     t = _Q(extras["t"])
-    lhs = standard_poly("hermite", point, n).compose_affine(1, -t / 2)
+    lhs = standard_poly("hermite", point, n).compose_affine(1, t / 2)
     terms = []
     for k in range(n + 1):
-        coef = _Q(binomial(n, k)) * (-t) ** k
+        coef = _Q(binomial(n, k)) * t ** k
         terms.append(standard_poly("hermite", point, n - k) * coef)
     return lhs, terms
 
@@ -492,60 +493,26 @@ def modified_expansion_residual(identity: str, point: ParamPoint, n: int, extras
 def modified_recurrence(tag: str, point: ParamPoint, extra, N: int) -> MonicRecurrence:
     """Monic recurrence of the orthogonal family for the e^(-xt)-deformed weight.
 
-    Meixner, Charlier, Meixner-Pollaczek and Krawtchouk absorb the deformation
-    into their parameters; Hermite and Laguerre absorb it into an affine change
-    of variable, which maps (b, c) to ((b - beta0)/alpha0, c/alpha0^2).
+    The recurrence is extracted at the deformation's image point; the image's
+    affine change of variable x -> alpha x + beta then maps (b, c) to
+    (alpha b + beta, alpha^2 c).
     """
-    extra = _Q(extra)
-    if tag == "hermite":
-        rec = recurrence_extract(tag, point, N)
-        t = extra
-        return MonicRecurrence(tuple(b - _Q(t) / 2 for b in rec.b), rec.c)
-    if tag == "laguerre":
-        rec = recurrence_extract(tag, point, N)
-        s = 1 + extra  # x -> (1+t) x
-        if not s:
-            raise ValueError("laguerre deformation needs t > -1")
-        return MonicRecurrence(
-            tuple(b / s for b in rec.b), tuple(c / (s * s) for c in rec.c)
-        )
-    if tag == "meixner":
-        return recurrence_extract(tag, _modified_meixner_point(point, extra), N)
-    if tag == "charlier":
-        return recurrence_extract(tag, point.replace(a=point.get("a") * extra), N)
-    if tag == "meixner-pollaczek":
-        s_mod = tangent_subtract(point.get("phi"), extra)
-        return recurrence_extract(tag, point.replace(phi=s_mod), N)
-    if tag == "krawtchouk":
-        p = point.get("p")
-        p_mod = p * extra / (1 + p * (extra - 1))
-        return recurrence_extract(tag, point.replace(p=p_mod), N)
-    raise KeyError(f"no modified-weight image registered for {tag}")
-
-
-def _solution_value(tag: str, point: ParamPoint, extra, n: int, which: str) -> GaussianRational:
-    sol = TODA_SOLUTIONS[tag]
-    fn = sol.b if which == "b" else sol.c
-    rf = fn(n, point)
-    if tag in ("hermite", "laguerre"):
-        return rf(_Q(extra))
-    if tag == "meixner-pollaczek":
-        s_mod = tangent_subtract(point.get("phi"), _Q(extra))
-        denom = 1 - s_mod * s_mod
-        if not denom:
-            raise ZeroDivisionError("tan(phi - t/2) has a pole at this sample")
-        return rf(2 * s_mod / denom)  # T = tan(phi - t/2) from its half-tangent
-    return rf(_Q(extra))  # u = e^(-t)
+    image, alpha, beta = deformation(tag).image(point, _Q(extra))
+    rec = recurrence_extract(tag, image, N)
+    return MonicRecurrence(
+        tuple(b * alpha + beta for b in rec.b), tuple(c * (alpha * alpha) for c in rec.c)
+    )
 
 
 def toda_from_recurrence_crosscheck(tag: str, point: ParamPoint, extra, n: int):
     """Recurrence extraction at the deformed point vs. the closed-form solution.
 
-    For Meixner-Pollaczek the deformation scalar is r = tan(t/4); for Hermite
-    and Laguerre it is t itself; otherwise u = e^(-t).  Returns the pair of
-    differences (b-route gap, c-route gap), both exactly zero.
+    The deformation scalar is the one the family's deformation names (t,
+    u = e^(-t) or r = tan(t/4)); the closed form is evaluated at the flow
+    variable read off the image.  Returns the pair of differences (b-route
+    gap, c-route gap), both exactly zero.
     """
     rec = modified_recurrence(tag, point, extra, n)
-    b_gap = rec.b[n] - _solution_value(tag, point, extra, n, "b")
-    c_gap = rec.c[n] - _solution_value(tag, point, extra, n, "c")
-    return b_gap, c_gap
+    sol = TODA_SOLUTIONS[tag]
+    v = deformation(tag).flow_variable(point, _Q(extra))
+    return rec.b[n] - sol.b(n, point)(v), rec.c[n] - sol.c(n, point)(v)

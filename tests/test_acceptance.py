@@ -19,7 +19,7 @@ from askeykit.burchnall import (
     zassenhaus_series_residual,
 )
 from askeykit.cli import SuiteConfig, render_report, run_verify
-from askeykit.families import FAMILIES
+from askeykit.families import FAMILIES, deformation
 from askeykit.functional import adjointness_check
 from askeykit.ops import leibniz_check, operator_catalog
 from askeykit.sampling import sample_extras, sample_point, sample_rational
@@ -74,7 +74,7 @@ def test_criterion_2_generic_engine_agreement():
             continue
         pt = sample_point(tag, rng)
         coeffs = [sample_rational(rng, -3, 3) for _ in range(5)]
-        if tag == "wilson":
+        if spec.carrier == "even":
             coeffs = [c if k % 2 == 0 else 0 for k, c in enumerate(coeffs)]
         f = Poly(coeffs)
         if spec.carrier == "laurent":
@@ -101,9 +101,9 @@ def test_criterion_3_leibniz_engines():
     failures = []
     rng = Random(3_000_003)
 
-    def rand_input(spec_name, carrier):
+    def rand_input(carrier):
         coeffs = [sample_rational(rng, -3, 3) for _ in range(6)]
-        if spec_name == "delta-x2":
+        if carrier == "even":
             coeffs = [c if k % 2 == 0 else 0 for k, c in enumerate(coeffs)]
         f = Poly(coeffs)
         return chebyshev_lift(f) if carrier == "laurent" else f
@@ -113,8 +113,8 @@ def test_criterion_3_leibniz_engines():
         p = sample_rational(rng, 0, 1)
         for name, spec in operator_catalog(q, p).items():
             for n in range(7):
-                f = rand_input(name, spec.carrier)
-                g = rand_input(name, spec.carrier)
+                f = rand_input(spec.carrier)
+                g = rand_input(spec.carrier)
                 if leibniz_check(spec, f, g, n):
                     failures.append((name, n))
     _report("criterion 3: all operator schemes pass leibniz_check, n <= 6", not failures, str(failures[:3]) if failures else "")
@@ -137,12 +137,8 @@ def test_criterion_4_toda():
     for tag in sorted(TODA_SOLUTIONS):
         for _ in range(5):
             pt = sample_point(tag, rng)
-            if tag in ("hermite", "laguerre"):
-                extra = sample_extras(("t",), rng, pt)["t"]
-            elif tag == "meixner-pollaczek":
-                extra = sample_extras(("r",), rng, pt)["r"]
-            else:
-                extra = sample_extras(("u",), rng, pt)["u"]
+            name = deformation(tag).scalar.name
+            extra = sample_extras((name,), rng, pt)[name]
             top = TODA_SOLUTIONS[tag].max_n(pt)
             nmax = 6 if top is None else min(6, top - 1)
             for n in range(1, nmax + 1):

@@ -1,6 +1,12 @@
 """CLI harness: determinism, exit codes, report shape."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from askeykit.cli import SuiteConfig, main, render_report, run_verify
 
@@ -166,3 +172,33 @@ def test_full_default_suite_small():
     idents = {c["identity"] for c in report["cases"]}
     assert len(idents) == len(json.loads(json.dumps(sorted(idents))))
     assert "adjointness" in idents and "leibniz" in idents
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "laguerre-expansion", "--n", "1", "--m", "1", "--param", "nu=abc"],
+        ["expand", "laguerre-expansion", "--n", "-1", "--m", "1", "--param", "nu=1/2"],
+        ["expand", "charlier-toda-eta1", "--n", "2", "--param", "a=3", "--param", "u=0"],
+        ["expand", "laguerre-toda", "--n", "2", "--param", "nu=1/2", "--param", "t=-1"],
+        ["expand", "laguerre-expansion", "--n", "1", "--m", "1", "--param", "nu=1/2", "--param", "zz=1"],
+    ],
+    ids=["not-a-rational", "negative-n", "u-zero", "t-outside-domain", "unknown-param"],
+)
+def test_bad_expand_input_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "askeykit", "list"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "askey-wilson" in proc.stdout
+    assert "carrier: even" in proc.stdout

@@ -61,7 +61,7 @@ def test_normalization_identity_random_points():
     rng = Random(91)
     for tag in CHAIN_FAMILIES:
         spec = FAMILIES[tag]
-        upto = 6 if spec.carrier == "laurent" or tag == "wilson" else 8
+        upto = 6 if spec.carrier != "poly" else 8
         for _ in range(10):
             pt = sample_point(tag, rng)
             for n in range(upto + 1):
@@ -84,7 +84,7 @@ def test_adjoint_annihilation():
     rng = Random(23)
     for tag in CHAIN_FAMILIES:
         spec = FAMILIES[tag]
-        if spec.carrier != "poly" or tag == "wilson":
+        if spec.carrier != "poly":
             continue
         pt = sample_point(tag, rng)
         low = spec.lowering(pt)

@@ -1,0 +1,141 @@
+"""Pinned contracts: the report bytes of a small full suite, and the
+admissibility verdicts at the edges of every family's parameter domain."""
+
+import hashlib
+
+import pytest
+
+from askeykit.algebra import Rational
+from askeykit.cli import SuiteConfig, render_report, run_verify
+from askeykit.families import FAMILIES, make_point
+
+Q = Rational
+EPS = Q(1, 64)
+
+GOLDEN_SHA256 = "c3ac0579e8b01f92774ad7335f1c8782943d6be937328aa9ba1252b98235a551"
+
+
+def test_golden_report_bytes():
+    # 320 cases over all 13 families; any change in sampling, admissibility or
+    # residual evaluation shows up here
+    report = run_verify(SuiteConfig(seed=7, max_n=2, max_m=2))
+    assert report["totals"] == {"cases": 320, "passed": 320, "failed": 0}
+    text = render_report(report, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
+
+
+# An interior point of each family; each row below moves one parameter.
+BASE = {
+    "hermite": {},
+    "laguerre": {"nu": Q(1, 2)},
+    "jacobi": {"alpha": Q(1, 2), "beta": Q(1, 3)},
+    "meixner": {"beta": Q(2), "c": Q(1, 2)},
+    "charlier": {"a": Q(2)},
+    "meixner-pollaczek": {"lam": Q(1), "phi": Q(1, 2)},
+    "wilson": {"a": Q(1, 2), "b": Q(1, 3), "c": Q(1, 4), "d": Q(1, 5)},
+    "big-q-jacobi": {"a": Q(1, 2), "b": Q(1, 3), "c": Q(-1), "q": Q(1, 2)},
+    "big-q-laguerre": {"a": Q(1, 2), "c": Q(-1), "q": Q(1, 2)},
+    "askey-wilson": {"a": Q(1, 2), "b": Q(1, 3), "c": Q(-1, 4), "d": Q(1, 5), "p": Q(1, 2)},
+    "continuous-q-hermite": {"p": Q(1, 2)},
+    "krawtchouk": {"p": Q(1, 2), "N": 4},
+}
+
+# (family, overrides, admissible): inside, on and just outside every bound
+BOUNDARY_TABLE = [
+    ("hermite", {}, True),
+    ("laguerre", {"nu": Q(-1) + EPS}, True),
+    ("laguerre", {"nu": Q(-1)}, False),
+    ("laguerre", {"nu": Q(-1) - EPS}, False),
+    ("laguerre", {"nu": Q(1000)}, True),
+    ("jacobi", {"alpha": Q(-1) + EPS}, True),
+    ("jacobi", {"alpha": Q(-1)}, False),
+    ("jacobi", {"alpha": Q(-1) - EPS}, False),
+    ("jacobi", {"beta": Q(-1) + EPS}, True),
+    ("jacobi", {"beta": Q(-1)}, False),
+    ("jacobi", {"beta": Q(-1) - EPS}, False),
+    ("meixner", {"beta": EPS}, True),
+    ("meixner", {"beta": Q(0)}, False),
+    ("meixner", {"beta": -EPS}, False),
+    ("meixner", {"c": EPS}, True),
+    ("meixner", {"c": Q(0)}, False),
+    ("meixner", {"c": -EPS}, False),
+    ("meixner", {"c": 1 - EPS}, True),
+    ("meixner", {"c": Q(1)}, False),
+    ("meixner", {"c": 1 + EPS}, False),
+    ("charlier", {"a": EPS}, True),
+    ("charlier", {"a": Q(0)}, False),
+    ("charlier", {"a": -EPS}, False),
+    ("meixner-pollaczek", {"lam": EPS}, True),
+    ("meixner-pollaczek", {"lam": Q(0)}, False),
+    ("meixner-pollaczek", {"lam": -EPS}, False),
+    ("meixner-pollaczek", {"phi": EPS}, True),
+    ("meixner-pollaczek", {"phi": Q(0)}, False),
+    ("meixner-pollaczek", {"phi": -EPS}, False),
+    ("meixner-pollaczek", {"phi": Q(1000)}, True),
+    ("wilson", {"a": EPS}, True),
+    ("wilson", {"a": Q(0)}, False),
+    ("wilson", {"b": Q(0)}, False),
+    ("wilson", {"c": Q(0)}, False),
+    ("wilson", {"d": Q(0)}, False),
+    ("wilson", {"d": -EPS}, False),
+    ("big-q-jacobi", {"q": EPS}, True),
+    ("big-q-jacobi", {"q": Q(0)}, False),
+    ("big-q-jacobi", {"q": 1 - EPS}, True),
+    ("big-q-jacobi", {"q": Q(1)}, False),
+    ("big-q-jacobi", {"q": 1 + EPS}, False),
+    ("big-q-jacobi", {"a": Q(2) - EPS}, True),
+    ("big-q-jacobi", {"a": Q(2)}, False),  # a = 1/q
+    ("big-q-jacobi", {"a": Q(2) + EPS}, False),
+    ("big-q-jacobi", {"a": Q(0)}, False),
+    ("big-q-jacobi", {"a": EPS}, True),
+    ("big-q-jacobi", {"b": Q(2) - EPS}, True),
+    ("big-q-jacobi", {"b": Q(2)}, False),
+    ("big-q-jacobi", {"b": Q(0)}, False),
+    ("big-q-jacobi", {"q": Q(3, 4), "a": Q(4, 3)}, False),  # a = 1/q at another q
+    ("big-q-jacobi", {"q": Q(3, 4), "a": Q(5, 4)}, True),
+    ("big-q-jacobi", {"c": -EPS}, True),
+    ("big-q-jacobi", {"c": Q(0)}, False),
+    ("big-q-jacobi", {"c": EPS}, False),
+    ("big-q-jacobi", {"c": Q(-1000)}, True),
+    ("big-q-laguerre", {"q": Q(0)}, False),
+    ("big-q-laguerre", {"q": Q(1)}, False),
+    ("big-q-laguerre", {"a": Q(2) - EPS}, True),
+    ("big-q-laguerre", {"a": Q(2)}, False),
+    ("big-q-laguerre", {"a": Q(0)}, False),
+    ("big-q-laguerre", {"c": -EPS}, True),
+    ("big-q-laguerre", {"c": Q(0)}, False),
+    ("askey-wilson", {"p": EPS}, True),
+    ("askey-wilson", {"p": Q(0)}, False),
+    ("askey-wilson", {"p": 1 - EPS}, True),
+    ("askey-wilson", {"p": Q(1)}, False),
+    ("askey-wilson", {"a": Q(0)}, False),
+    ("askey-wilson", {"b": Q(0)}, True),
+    ("askey-wilson", {"c": Q(0)}, True),
+    ("askey-wilson", {"d": Q(0)}, True),
+    ("askey-wilson", {"a": 1 - EPS}, True),
+    ("askey-wilson", {"a": Q(1)}, False),
+    ("askey-wilson", {"a": -1 + EPS}, True),
+    ("askey-wilson", {"a": Q(-1)}, False),
+    ("askey-wilson", {"b": Q(-1)}, False),
+    ("askey-wilson", {"c": Q(1)}, False),
+    ("askey-wilson", {"d": -1 - EPS}, False),
+    ("continuous-q-hermite", {"p": EPS}, True),
+    ("continuous-q-hermite", {"p": Q(0)}, False),
+    ("continuous-q-hermite", {"p": Q(1)}, False),
+    ("krawtchouk", {"p": EPS}, True),
+    ("krawtchouk", {"p": Q(0)}, False),
+    ("krawtchouk", {"p": Q(1)}, False),
+    ("krawtchouk", {"N": 0}, False),
+    ("krawtchouk", {"N": 1}, True),
+    ("krawtchouk", {"N": -1}, False),
+]
+
+
+def test_boundary_table_covers_every_family():
+    assert {row[0] for row in BOUNDARY_TABLE} == set(FAMILIES) == set(BASE)
+
+
+@pytest.mark.parametrize("family,overrides,verdict", BOUNDARY_TABLE)
+def test_admissibility_boundary(family, overrides, verdict):
+    point = make_point(family, **{**BASE[family], **overrides})
+    assert FAMILIES[family].admissible(point) is verdict

@@ -5,7 +5,8 @@ from random import Random
 import pytest
 
 from askeykit.algebra import GaussianRational, Poly, Rational
-from askeykit.families import make_point
+from askeykit.families import FAMILIES, deformation, make_point
+from askeykit.functional import modified_functional
 from askeykit.sampling import sample_extras, sample_point
 from askeykit.toda import (
     MODIFIED_EXPANSIONS,
@@ -75,7 +76,7 @@ def test_flow_index_bounds():
 def test_hermite_toda_example():
     pt = make_point("hermite")
     lhs, terms = MODIFIED_EXPANSIONS["hermite-toda"].build(pt, 1, {"t": Q(1)})
-    assert lhs == Poly([-1, 2])  # H_1(x - 1/2) = 2x - 1
+    assert lhs == Poly([1, 2])  # H_1(x + 1/2) = 2x + 1
     assert not modified_expansion_residual("hermite-toda", pt, 1, {"t": Q(1)})
 
 
@@ -146,14 +147,36 @@ def test_crosscheck_all_families():
     for tag in TODA_SOLUTIONS:
         for _ in range(3):
             pt = sample_point(tag, rng)
-            if tag in ("hermite", "laguerre"):
-                extra = sample_extras(("t",), rng, pt)["t"]
-            elif tag == "meixner-pollaczek":
-                extra = sample_extras(("r",), rng, pt)["r"]
-            else:
-                extra = sample_extras(("u",), rng, pt)["u"]
+            name = deformation(tag).scalar.name
+            extra = sample_extras((name,), rng, pt)[name]
             top = TODA_SOLUTIONS[tag].max_n(pt)
             nmax = 5 if top is None else min(5, top - 1)
             for n in range(1, nmax + 1):
                 bg, cg = toda_from_recurrence_crosscheck(tag, pt, extra, n)
                 assert not bg and not cg, (tag, n)
+
+
+def test_deformation_registry_matches_flows():
+    # the six lattice families are exactly the ones with a registered deformation,
+    # and each literal deformed expansion names that deformation's scalar
+    deformed = {tag for tag, spec in FAMILIES.items() if spec.deformation is not None}
+    assert deformed == set(TODA_SOLUTIONS)
+    for e in MODIFIED_EXPANSIONS.values():
+        if e.extras:
+            assert e.extras == (deformation(e.family).scalar.name,), e.id
+
+
+def test_first_moment_routes_agree():
+    # L~[x], b_0 of the deformed recurrence and b_0 of the closed-form flow are
+    # one number; Krawtchouk has no raising chain, hence no moment functional
+    rng = Random(1212)
+    for tag, sol in TODA_SOLUTIONS.items():
+        d = deformation(tag)
+        for _ in range(4):
+            pt = sample_point(tag, rng)
+            s = sample_extras((d.scalar.name,), rng, pt)[d.scalar.name]
+            b_rec = modified_recurrence(tag, pt, s, 1).b[0]
+            b_flow = sol.b(0, pt)(d.flow_variable(pt, s))
+            assert b_rec == b_flow, (tag, pt, s)
+            if FAMILIES[tag].raising is not None:
+                assert modified_functional(tag, pt, s, 1).moments[1] == b_rec, (tag, pt, s)
