@@ -2,9 +2,17 @@
 
 Everything in this package computes over the Gaussian rationals Q(i):
 arbitrary-precision rationals for the real and imaginary parts, never
-floating point.  Polynomials in x are dense coefficient tuples; the
-Askey-Wilson layer works with Laurent polynomials in z carrying the
-substitution x = (z + 1/z)/2.
+floating point.  Polynomials in x are dense; the Askey-Wilson layer works
+with Laurent polynomials in z carrying the substitution x = (z + 1/z)/2.
+
+Scalars are GaussianRational values.  Polynomials are held fraction-free,
+in the fmpq_poly layout of FLINT: a Poly keeps integer numerators for the
+real and imaginary parts over one shared positive denominator, in a
+canonical form (content 1, top coefficient nonzero), so products, sums,
+affine substitutions and exact division run on Python ints and cancel
+common factors once per result instead of once per coefficient.  Laurent
+and SymLaurent wrap a Poly body and use the same kernels.  Coefficients
+are turned back into GaussianRational values only where they are read.
 
 gmpy2 supplies the rational type when it is installed (the optional
 `gmpy2` extra; the q-series identities grow very deep coefficients);
@@ -13,7 +21,7 @@ fractions.Fraction is the drop-in fallback.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 try:
     from gmpy2 import mpq as Rational
@@ -37,7 +45,6 @@ __all__ = [
     "pochhammer",
     "q_pochhammer",
     "q_binomial",
-    "q_integer",
     "tangent_subtract",
     "chebyshev_lift",
     "chebyshev_project",
@@ -215,17 +222,6 @@ def q_pochhammer(a, q, k: int):
     return out
 
 
-def q_integer(n: int, q) -> Rational:
-    """[n]_q = 1 + q + ... + q^(n-1)."""
-    q = Rational(q)
-    out = _R0
-    pw = _R1
-    for _ in range(n):
-        out += pw
-        pw *= q
-    return out
-
-
 def q_binomial(n: int, k: int, q) -> Rational:
     """Gaussian binomial (q;q)_n / ((q;q)_k (q;q)_(n-k))."""
     if k < 0 or k > n:
@@ -293,30 +289,104 @@ class UnitPhase:
         return f"UnitPhase({self.half_tangent})"
 
 
-def _trim(coeffs: list) -> tuple:
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
+def _parts(c) -> tuple:
+    """(re, im, den) integers with c = (re + im*i)/den and den > 0."""
+    if type(c) is int:
+        return c, 0, 1
+    c = GaussianRational.coerce(c)
+    r, i = c.re, c.im
+    if not i:
+        return r.numerator, 0, r.denominator
+    den = lcm(r.denominator, i.denominator)
+    return r.numerator * (den // r.denominator), i.numerator * (den // i.denominator), den
+
+
+def _poly(re: tuple, im, den: int) -> "Poly":
+    """A Poly from parts already in canonical form."""
+    p = Poly.__new__(Poly)
+    p.re = re
+    p.im = im
+    p.den = den
+    return p
+
+
+def _canon(re, im, den: int) -> "Poly":
+    """The Poly (re + im*i)/den in canonical form.
+
+    re and im are integer sequences of one length (im may be None) and
+    den > 0: trailing zeros go, an all-zero im becomes None and the content
+    gcd(den, *re, *im) is divided out, once for the whole polynomial.
+    """
+    n = len(re)
+    while n and not re[n - 1] and not (im and im[n - 1]):
         n -= 1
-    return tuple(coeffs[:n])
+    if not n:
+        return _P_ZERO
+    re = re[:n]
+    if im is not None:
+        im = im[:n]
+        if not any(im):
+            im = None
+    g = gcd(den, *re, *(im or ()))
+    if g == 1:
+        return _poly(tuple(re), im and tuple(im), den)
+    return _poly(tuple(c // g for c in re), im and tuple(c // g for c in im), den // g)
+
+
+def _axpy(x, fx: int, y, fy: int) -> list:
+    """fx*x + fy*y elementwise; the shorter sequence is padded with zeros."""
+    if len(x) < len(y):
+        x, fx, y, fy = y, fy, x, fx
+    out = [c * fx for c in x]
+    for i, c in enumerate(y):
+        out[i] += c * fy
+    return out
+
+
+def _conv(a, b) -> list:
+    """Product of two integer coefficient sequences."""
+    if len(b) == 1:
+        y = b[0]
+        return [x * y for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _cmul(ar, ai, br, bi) -> tuple:
+    """(ar + ai*i)(br + bi*i) on coefficient sequences; None is a zero imaginary part."""
+    re = _conv(ar, br)
+    if ai is None:
+        return re, None if bi is None else _conv(ar, bi)
+    if bi is None:
+        return re, _conv(ai, br)
+    im = _axpy(_conv(ar, bi), 1, _conv(ai, br), 1)
+    return _axpy(re, 1, _conv(ai, bi), -1), im
 
 
 class Poly:
-    """Dense univariate polynomial over Q(i); coeffs[k] is the x^k coefficient.
+    """Dense univariate polynomial over Q(i), held fraction-free.
 
-    The zero polynomial is the empty tuple; otherwise the top coefficient is
-    nonzero.
+    The x^k coefficient is (re[k] + im[k]*i)/den: `re` and `im` are tuples
+    of Python ints and `den` one shared positive denominator (the fmpq_poly
+    layout of FLINT).  `im` is None exactly when every coefficient is real.
+    The form is canonical: den > 0, gcd(den, *re, *im) == 1, and the top
+    coefficient is nonzero (the zero polynomial has re == ()).  So equal
+    polynomials have equal parts, and every kernel below works on integers
+    and divides the content out once per result.  `coeffs` is a view of the
+    coefficients as GaussianRational values, built on each access.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("re", "im", "den")
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trim([GaussianRational.coerce(c) for c in coeffs])
-
-    @staticmethod
-    def _raw(coeffs: list) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.coeffs = _trim(coeffs)
-        return p
+        parts = [_parts(c) for c in coeffs]
+        den = lcm(*(d for _, _, d in parts))
+        p = _canon([r * (den // d) for r, _, d in parts], [i * (den // d) for _, i, d in parts], den)
+        self.re, self.im, self.den = p.re, p.im, p.den
 
     @staticmethod
     def zero() -> "Poly":
@@ -332,79 +402,88 @@ class Poly:
 
     @staticmethod
     def constant(c) -> "Poly":
-        return Poly([c])
+        return Poly.monomial(0, c)
 
     @staticmethod
     def monomial(k: int, c=1) -> "Poly":
-        return Poly([0] * k + [c])
+        cr, ci, cd = _parts(c)
+        zeros = [0] * k
+        return _canon(zeros + [cr], zeros + [ci] if ci else None, cd)
 
     @property
     def degree(self) -> int:
         """-1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
+
+    @property
+    def is_real(self) -> bool:
+        return self.im is None
+
+    def _coef(self, k: int) -> GaussianRational:
+        d = self.den
+        return _gr(Rational(self.re[k], d), _R0 if self.im is None else Rational(self.im[k], d))
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self._coef(k) for k in range(len(self.re)))
 
     @property
     def lead(self) -> GaussianRational:
-        if not self.coeffs:
+        if not self.re:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._coef(-1)
 
     def coefficient(self, k: int) -> GaussianRational:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.re):
+            return self._coef(k)
         return GR_ZERO
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.re)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.re == other.re and self.im == other.im and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.re, self.im, self.den))
 
     def __neg__(self):
-        return Poly._raw([-c for c in self.coeffs])
+        im = self.im
+        return _poly(tuple(-c for c in self.re), im and tuple(-c for c in im), self.den)
 
-    def __add__(self, other):
+    def _add(self, other, sign: int) -> "Poly":
         if not isinstance(other, Poly):
             other = Poly.constant(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly._raw(out)
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        re = _axpy(self.re, fa, other.re, sign * fb)
+        im = None
+        if self.im is not None or other.im is not None:
+            im = _axpy(self.im or (), fa, other.im or (), sign * fb)
+            im += [0] * (len(re) - len(im))
+        return _canon(re, im, da * fa)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.constant(other)
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            c = GaussianRational.coerce(other)
-            if not c:
-                return _P_ZERO
-            return Poly._raw([a * c for a in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _P_ZERO
-        out = [GR_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return Poly._raw(out)
+        if isinstance(other, Poly):
+            re, im = _cmul(self.re, self.im, other.re, other.im)
+            return _canon(re, im, self.den * other.den)
+        sr, si, sd = _parts(other)
+        re, im = _cmul(self.re, self.im, (sr,), (si,) if si else None)
+        return _canon(re, im, self.den * sd)
 
     __rmul__ = __mul__
 
@@ -421,54 +500,137 @@ class Poly:
         return out
 
     def __call__(self, value):
-        value = GaussianRational.coerce(value)
-        out = GR_ZERO
-        for c in reversed(self.coeffs):
-            out = out * value + c
-        return out
+        return self.compose_affine(0, value).coefficient(0)
 
     def compose_affine(self, alpha, beta) -> "Poly":
-        """x |-> f(alpha*x + beta), by Horner over the polynomial ring."""
-        alpha = GaussianRational.coerce(alpha)
-        beta = GaussianRational.coerce(beta)
-        arg = Poly([beta, alpha])
-        out = _P_ZERO
-        for c in reversed(self.coeffs):
-            out = out * arg + c
-        return out
+        """x |-> f(alpha*x + beta), by Horner on integer numerators.
+
+        With alpha = a/e and beta = b/e over one denominator e (Gaussian
+        integers a, b), f(alpha*x + beta) = sum_k F_k (b + a*x)^k e^(n-k) / (den*e^n)
+        for f = sum_k F_k x^k / den of degree n.
+        """
+        if not self.re:
+            return _P_ZERO
+        ar, ai, ad = _parts(alpha)
+        br, bi, bd = _parts(beta)
+        e = lcm(ad, bd)
+        ar, ai, br, bi = ar * (e // ad), ai * (e // ad), br * (e // bd), bi * (e // bd)
+        n = len(self.re) - 1
+        fr, fi = self.re, self.im
+        if not br and not bi and not ai:  # f(alpha*x), alpha real: F_k gains a^k e^(n-k)
+            pa, pe = [1], [1]
+            for _ in range(n):
+                pa.append(pa[-1] * ar)
+                pe.append(pe[-1] * e)
+            scale = [x * y for x, y in zip(pa, reversed(pe))]
+            re = [c * s for c, s in zip(fr, scale)]
+            return _canon(re, fi and [c * s for c, s in zip(fi, scale)], self.den * pe[-1])
+        if not ai and not bi and fi is None:
+            out = [fr[n]]
+            epow = 1
+            for k in range(n - 1, -1, -1):
+                epow *= e
+                nxt = [c * br for c in out]
+                nxt.append(0)
+                for j, c in enumerate(out, 1):
+                    nxt[j] += c * ar
+                nxt[0] += fr[k] * epow
+                out = nxt
+            return _canon(out, None, self.den * epow)
+        if fi is None:
+            fi = (0,) * (n + 1)
+        outr, outi = [fr[n]], [fi[n]]
+        epow = 1
+        for k in range(n - 1, -1, -1):
+            epow *= e
+            nr = [c * br - d * bi for c, d in zip(outr, outi)]
+            ni = [c * bi + d * br for c, d in zip(outr, outi)]
+            nr.append(0)
+            ni.append(0)
+            for j, (c, d) in enumerate(zip(outr, outi), 1):
+                nr[j] += c * ar - d * ai
+                ni[j] += c * ai + d * ar
+            nr[0] += fr[k] * epow
+            ni[0] += fi[k] * epow
+            outr, outi = nr, ni
+        return _canon(outr, outi, self.den * epow)
 
     def derivative(self) -> "Poly":
-        return Poly._raw([c * k for k, c in enumerate(self.coeffs)][1:])
+        im = self.im
+        return _canon(
+            [k * c for k, c in enumerate(self.re[1:], 1)],
+            im and [k * c for k, c in enumerate(im[1:], 1)],
+            self.den,
+        )
+
+    def _divmod(self, other: "Poly") -> tuple:
+        """Quotient and remainder by pseudo-division on integer numerators.
+
+        A complex lead of the divisor is made real first by multiplying both
+        sides by its conjugate c.  With L the (real) lead and k the number of
+        quotient terms, |L|^k c N = Q' (c D) + R' has integer Q', R', and every
+        step divides the top coefficient by L exactly.
+        """
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        nr, ni, dr, di = self.re, self.im, other.re, other.im
+        d = len(dr) - 1
+        cr, ci = 1, 0
+        if di is not None and di[d]:
+            cr, ci = dr[d], -di[d]
+            nr, ni = _cmul(nr, ni, (cr,), (ci,))
+            dr, di = _cmul(dr, di, (cr,), (ci,))
+        lead = dr[d]
+        k = max(len(nr) - d, 0)
+        lk = abs(lead) ** k
+        nr = [c * lk for c in nr]
+        if ni is None and di is None:
+            q = [0] * k
+            for i in range(len(nr) - 1, d - 1, -1):
+                t = nr[i]
+                if t:
+                    t //= lead
+                    q[i - d] = t
+                    for j, c in enumerate(dr, i - d):
+                        nr[j] -= t * c
+            qi = ri = None
+        else:
+            ni = [c * lk for c in ni] if ni is not None else [0] * len(nr)
+            di = di or (0,) * (d + 1)
+            q, qi = [0] * k, [0] * k
+            for i in range(len(nr) - 1, d - 1, -1):
+                tr, ti = nr[i], ni[i]
+                if tr or ti:
+                    tr //= lead
+                    ti //= lead
+                    q[i - d], qi[i - d] = tr, ti
+                    for j, (c, s) in enumerate(zip(dr, di), i - d):
+                        nr[j] -= tr * c - ti * s
+                        ni[j] -= tr * s + ti * c
+            ri = ni[:d]
+        den, dd = self.den * lk, other.den
+        quot = _canon([c * dd for c in q], qi and [c * dd for c in qi], den)
+        rem = _canon(nr[:d], ri, den)
+        if rem and ci:
+            rem = rem * GaussianRational(cr, ci).inverse()
+        return quot, rem
 
     def exact_div(self, other: "Poly") -> "Poly":
         """Exact quotient; a nonzero remainder is a correctness tripwire."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        inv_lead = other.lead.inverse()
-        out = [GR_ZERO] * max(len(rem) - d, 0)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            q = c * inv_lead
-            out[i - d] = q
-            for j, oc in enumerate(other.coeffs):
-                rem[i - d + j] = rem[i - d + j] - q * oc
-        if any(rem):
-            raise ValueError(f"nonzero remainder in exact division: {Poly._raw(rem)}")
-        return Poly._raw(out)
+        quot, rem = self._divmod(other)
+        if rem:
+            raise ValueError(f"nonzero remainder in exact division: {rem}")
+        return quot
 
     def is_even(self) -> bool:
-        return all(not c for c in self.coeffs[1::2])
+        return not any(self.re[1::2]) and not (self.im and any(self.im[1::2]))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.re:
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(self.re) - 1, -1, -1):
+            c = self._coef(k)
             if not c:
                 continue
             if k == 0:
@@ -480,34 +642,37 @@ class Poly:
         return " + ".join(parts)
 
 
-_P_ZERO = Poly.__new__(Poly)
-_P_ZERO.coeffs = ()
-_P_ONE = Poly.__new__(Poly)
-_P_ONE.coeffs = (GR_ONE,)
-_P_X = Poly.__new__(Poly)
-_P_X.coeffs = (GR_ZERO, GR_ONE)
+_P_ZERO = _poly((), None, 1)
+_P_ONE = _poly((1,), None, 1)
+_P_X = _poly((0, 1), None, 1)
+
+
+def _laurent(low: int, body: Poly) -> "Laurent":
+    """z^low * body, with the body's zero low-order coefficients moved into low."""
+    re, im = body.re, body.im
+    j = 0
+    while j < len(re) and not re[j] and not (im and im[j]):
+        j += 1
+    if j:
+        body = _poly(re[j:], im and im[j:], body.den)
+    f = Laurent.__new__(Laurent)
+    f.low = low + j if re else 0
+    f.body = body
+    return f
 
 
 class Laurent:
-    """General Laurent polynomial in z, dense between its lowest and highest power."""
+    """Laurent polynomial in z: z^low times a Poly body with a nonzero constant term.
 
-    __slots__ = ("low", "coeffs")
+    The body carries the fraction-free layout and kernels of Poly, so equal
+    Laurent polynomials have equal (low, body); zero has low == 0.
+    """
+
+    __slots__ = ("low", "body")
 
     def __init__(self, low: int = 0, coeffs=()):
-        cs = [GaussianRational.coerce(c) for c in coeffs]
-        lead = 0
-        while lead < len(cs) and not cs[lead]:
-            lead += 1
-        cs = cs[lead:]
-        self.coeffs = _trim(cs)
-        self.low = low + lead if self.coeffs else 0
-
-    @staticmethod
-    def _raw(low: int, coeffs: tuple) -> "Laurent":
-        f = Laurent.__new__(Laurent)
-        f.low = low if coeffs else 0
-        f.coeffs = coeffs
-        return f
+        f = _laurent(low, Poly(coeffs))
+        self.low, self.body = f.low, f.body
 
     @staticmethod
     def coerce(v) -> "Laurent":
@@ -530,43 +695,37 @@ class Laurent:
         return Laurent(k, (c,))
 
     @property
+    def coeffs(self) -> tuple:
+        return self.body.coeffs
+
+    @property
     def high(self) -> int:
-        return self.low + len(self.coeffs) - 1
+        return self.low + self.body.degree
 
     def coefficient(self, k: int) -> GaussianRational:
-        i = k - self.low
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return GR_ZERO
+        return self.body.coefficient(k - self.low)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.body)
 
     def __eq__(self, other):
         o = Laurent.coerce(other)
-        return self.low == o.low and self.coeffs == o.coeffs
+        return self.low == o.low and self.body == o.body
 
     def __hash__(self):
-        return hash((self.low, self.coeffs))
+        return hash((self.low, self.body))
 
     def __neg__(self):
-        return Laurent._raw(self.low, tuple(-c for c in self.coeffs))
+        return _laurent(self.low, -self.body)
 
     def __add__(self, other):
         o = Laurent.coerce(other)
-        if not self.coeffs:
+        if not self.body:
             return o
-        if not o.coeffs:
+        if not o.body:
             return self
         low = min(self.low, o.low)
-        high = max(self.high, o.high)
-        out = [GR_ZERO] * (high - low + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.low - low + i] = c
-        for i, c in enumerate(o.coeffs):
-            j = o.low - low + i
-            out[j] = out[j] + c
-        return Laurent(low, out)
+        return _laurent(low, _shift(self.body, self.low - low) + _shift(o.body, o.low - low))
 
     __radd__ = __add__
 
@@ -578,20 +737,9 @@ class Laurent:
 
     def __mul__(self, other):
         if isinstance(other, (int, Rational, GaussianRational, UnitPhase)):
-            c = GaussianRational.coerce(other)
-            if not c:
-                return Laurent.zero()
-            return Laurent._raw(self.low, tuple(a * c for a in self.coeffs))
+            return _laurent(self.low, self.body * other)
         o = Laurent.coerce(other)
-        if not self.coeffs or not o.coeffs:
-            return Laurent.zero()
-        out = [GR_ZERO] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, ai in enumerate(self.coeffs):
-            if not ai:
-                continue
-            for j, bj in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + ai * bj
-        return Laurent(self.low + o.low, out)
+        return _laurent(self.low + o.low, self.body * o.body)
 
     __rmul__ = __mul__
 
@@ -600,25 +748,18 @@ class Laurent:
         p = GaussianRational.coerce(p)
         if not p:
             raise ZeroDivisionError("scale_var needs p != 0")
-        out = []
-        pw = p ** self.low
-        for c in self.coeffs:
-            out.append(c * pw)
-            pw = pw * p
-        return Laurent(self.low, out)
+        return _laurent(self.low, self.body.compose_affine(p, 0) * p ** self.low)
 
     def invert_var(self) -> "Laurent":
         """z |-> 1/z."""
-        return Laurent(-self.high, tuple(reversed(self.coeffs)))
+        b = self.body
+        return _laurent(-self.high, _poly(b.re[::-1], b.im and b.im[::-1], b.den))
 
     def exact_div(self, other: "Laurent") -> "Laurent":
         o = Laurent.coerce(other)
         if not o:
             raise ZeroDivisionError("Laurent division by zero")
-        num = Poly(self.coeffs)
-        den = Poly(o.coeffs)
-        quot = num.exact_div(den)
-        return Laurent(self.low - o.low, quot.coeffs)
+        return _laurent(self.low - o.low, self.body.exact_div(o.body))
 
     def is_symmetric(self) -> bool:
         return self == self.invert_var()
@@ -626,14 +767,14 @@ class Laurent:
     def to_sym(self) -> "SymLaurent":
         if not self.is_symmetric():
             raise ValueError("Laurent polynomial is not z <-> 1/z symmetric")
-        return SymLaurent([self.coefficient(k) for k in range(self.high + 1)])
+        b = self.body
+        return _sym(_poly(b.re[-self.low:], b.im and b.im[-self.low:], b.den))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.body:
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if not c:
                 continue
             k = self.low + i
@@ -646,16 +787,31 @@ class Laurent:
         return " + ".join(parts)
 
 
+def _shift(p: Poly, k: int) -> Poly:
+    """x^k * p for k >= 0."""
+    if not k:
+        return p
+    zeros = (0,) * k
+    return _poly(zeros + p.re, p.im and zeros + p.im, p.den)
+
+
+def _sym(body: Poly) -> "SymLaurent":
+    f = SymLaurent.__new__(SymLaurent)
+    f.body = body
+    return f
+
+
 class SymLaurent:
     """Laurent polynomial with f(z) = f(1/z), stored on the k >= 0 side only.
 
-    coeffs[k] is the shared coefficient of z^k and z^(-k).
+    The x^k coefficient of the Poly `body` is the shared coefficient of z^k
+    and z^(-k).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("body",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trim([GaussianRational.coerce(c) for c in coeffs])
+        self.body = Poly(coeffs)
 
     @staticmethod
     def zero() -> "SymLaurent":
@@ -666,67 +822,55 @@ class SymLaurent:
         return SymLaurent([1])
 
     @property
+    def coeffs(self) -> tuple:
+        return self.body.coeffs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.body.degree
 
     @property
     def lead(self) -> GaussianRational:
-        if not self.coeffs:
+        if not self.body:
             raise ValueError("zero element has no leading coefficient")
-        return self.coeffs[-1]
+        return self.body.lead
 
     def coefficient(self, k: int) -> GaussianRational:
-        k = abs(k)
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        return GR_ZERO
+        return self.body.coefficient(abs(k))
 
     def to_laurent(self) -> Laurent:
-        if not self.coeffs:
-            return Laurent.zero()
-        d = len(self.coeffs) - 1
-        cs = list(reversed(self.coeffs[1:])) + list(self.coeffs)
-        return Laurent(-d, cs)
+        b = self.body
+        return _laurent(-b.degree, _poly(b.re[:0:-1] + b.re, b.im and b.im[:0:-1] + b.im, b.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.body)
 
     def __eq__(self, other):
         if isinstance(other, SymLaurent):
-            return self.coeffs == other.coeffs
+            return self.body == other.body
         if isinstance(other, Laurent):
             return self.to_laurent() == other
         return NotImplemented
 
     def __hash__(self):
-        return hash(("sym", self.coeffs))
+        return hash(("sym", self.body))
 
     def __neg__(self):
-        out = SymLaurent.__new__(SymLaurent)
-        out.coeffs = tuple(-c for c in self.coeffs)
-        return out
+        return _sym(-self.body)
 
     def __add__(self, other):
         if isinstance(other, SymLaurent):
-            a, b = self.coeffs, other.coeffs
-            if len(a) < len(b):
-                a, b = b, a
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] = out[i] + c
-            res = SymLaurent.__new__(SymLaurent)
-            res.coeffs = _trim(out)
-            return res
+            return _sym(self.body + other.body)
         if isinstance(other, Laurent):
             return self.to_laurent() + other
-        return self + SymLaurent([other])
+        return _sym(self.body + other)  # a scalar is the z^0 coefficient
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (SymLaurent, Laurent)):
             return self + (-other)
-        return self + SymLaurent([-GaussianRational.coerce(other)])
+        return _sym(self.body - other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -736,12 +880,7 @@ class SymLaurent:
             return (self.to_laurent() * other.to_laurent()).to_sym()
         if isinstance(other, Laurent):
             return self.to_laurent() * other
-        c = GaussianRational.coerce(other)
-        if not c:
-            return SymLaurent.zero()
-        out = SymLaurent.__new__(SymLaurent)
-        out.coeffs = tuple(a * c for a in self.coeffs)
-        return out
+        return _sym(self.body * other)
 
     __rmul__ = __mul__
 
@@ -768,7 +907,7 @@ def chebyshev_lift(f: Poly) -> SymLaurent:
     """Substitute x = (z + 1/z)/2 into f."""
     out = SymLaurent.zero()
     for c in reversed(f.coeffs):
-        out = out * SYM_X + SymLaurent([c])
+        out = out * SYM_X + c
     return out
 
 
@@ -795,21 +934,7 @@ def laurent_scale(f: SymLaurent, p) -> Laurent:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q(i) by the Euclidean algorithm."""
     while b:
-        a, b = b, _poly_mod(a, b)
+        a, b = b, a._divmod(b)[1]
     if a:
         a = a * a.lead.inverse()
     return a
-
-
-def _poly_mod(a: Poly, b: Poly) -> Poly:
-    rem = list(a.coeffs)
-    d = b.degree
-    inv_lead = b.lead.inverse()
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if not c:
-            continue
-        q = c * inv_lead
-        for j, oc in enumerate(b.coeffs):
-            rem[i - d + j] = rem[i - d + j] - q * oc
-    return Poly(rem[:d] if d > 0 else [])

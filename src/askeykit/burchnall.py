@@ -44,7 +44,6 @@ from .families import (
     make_point,
     normalization,
     q_poch_poly,
-    q_poch_scalar,
     raise_chain,
     rising_poch_poly,
     shifted_point,
@@ -300,10 +299,10 @@ def _build_bqj_Tq(point, n, m):
     qn = _Q(1) / q ** n
     qm = _Q(1) / q ** m
     for k in range(min(n, m) + 1):
-        num = q_poch_scalar(qn, q, k) * q_poch_scalar(qm, q, k) * q_poch_scalar(a * b * q ** (2 * n + m + 1), q, k)
+        num = q_pochhammer(qn, q, k) * q_pochhammer(qm, q, k) * q_pochhammer(a * b * q ** (2 * n + m + 1), q, k)
         den = (
-            q_poch_scalar(q, q, k) * q_poch_scalar(a * q, q, k) * q_poch_scalar(c * q, q, k)
-            * q_poch_scalar(a * q ** (n + 1), q, k) * q_poch_scalar(c * q ** (n + 1), q, k)
+            q_pochhammer(q, q, k) * q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k)
+            * q_pochhammer(a * q ** (n + 1), q, k) * q_pochhammer(c * q ** (n + 1), q, k)
         )
         coef = num * den.inverse() * ((a * c) ** k * q ** (k * k + 2 * k + n * k))
         t = q_poch_poly(1, q, k) * q_poch_poly(b / c, q, k) * coef
@@ -320,10 +319,10 @@ def _build_bqj_I(point, n, m):
     qn = _Q(1) / q ** n
     qm = _Q(1) / q ** m
     for k in range(min(n, m) + 1):
-        num = q_poch_scalar(qn, q, k) * q_poch_scalar(qm, q, k) * q_poch_scalar(a * b * q ** (2 * n + m + 1), q, k)
+        num = q_pochhammer(qn, q, k) * q_pochhammer(qm, q, k) * q_pochhammer(a * b * q ** (2 * n + m + 1), q, k)
         den = (
-            q_poch_scalar(q, q, k) * q_poch_scalar(a * q, q, k) * q_poch_scalar(c * q, q, k)
-            * q_poch_scalar(a * q ** (n + 1), q, k) * q_poch_scalar(c * q ** (n + 1), q, k)
+            q_pochhammer(q, q, k) * q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k)
+            * q_pochhammer(a * q ** (n + 1), q, k) * q_pochhammer(c * q ** (n + 1), q, k)
         )
         coef = num * den.inverse() * ((a * c) ** k * q ** (k * (k + n + 2)))
         qmk = _Q(1) / q ** k
@@ -357,8 +356,8 @@ def _build_aw(point, n, m):
     abcd = a * b * c * d
     for k in range(min(n, m) + 1):
         coef = (
-            q_poch_scalar(qn, q, k) * q_poch_scalar(qm, q, k) * q_poch_scalar(abcd * q ** (2 * n + m - 1), q, k)
-            * q_poch_scalar(q, q, k).inverse()
+            q_pochhammer(qn, q, k) * q_pochhammer(qm, q, k) * q_pochhammer(abcd * q ** (2 * n + m - 1), q, k)
+            * q_pochhammer(q, q, k).inverse()
         )
         # q^(-k^2 + k + nm/2 + km/2 + nk), integral in the base p
         coef = coef * GaussianRational.coerce(p) ** (
@@ -382,7 +381,7 @@ def _build_cqh(point, n, m):
     qn = _Q(1) / q ** n
     qm = _Q(1) / q ** m
     for k in range(min(n, m) + 1):
-        coef = q_poch_scalar(qn, q, k) * q_poch_scalar(qm, q, k) * q_poch_scalar(q, q, k).inverse()
+        coef = q_pochhammer(qn, q, k) * q_pochhammer(qm, q, k) * q_pochhammer(q, q, k).inverse()
         coef = coef * GaussianRational.coerce(p) ** (
             -2 * k * k + 2 * k + n * m + k * m + 2 * n * k
         )

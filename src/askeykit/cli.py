@@ -268,6 +268,8 @@ def run_verify(config: SuiteConfig) -> dict:
                     if config.timings:
                         case["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
                     cases.append(case)
+    if not cases:
+        raise UsageError("the selected identities and families have no case in common; see `list`")
     cases.sort(key=lambda c: c["id"])
     report = {
         "schema": SCHEMA_VERSION,

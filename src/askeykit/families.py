@@ -60,7 +60,6 @@ __all__ = [
     "falling_poch_poly",
     "rising_poch_poly",
     "q_poch_poly",
-    "q_poch_scalar",
     "raise_chain",
     "standard_poly",
     "normalization",
@@ -352,7 +351,7 @@ def mp_poly(lam, phi_s, n: int) -> Poly:
             coef = coef * _Q(k - n) * zarg / ((2 * lam + k) * (k + 1))
             rising = rising * Poly([lam + k, GR_I])
     out = out * (pochhammer(2 * lam, n) * _Q(Rational(1, factorial(n))) * u.power(n))
-    if any(c.im for c in out.coeffs):
+    if not out.is_real:
         raise AssertionError("Meixner-Pollaczek polynomial came out non-real")
     return out
 
@@ -373,11 +372,6 @@ def wilson_poly(a, b, c, d, n: int) -> Poly:
     return out * pref
 
 
-def q_poch_scalar(a, q, k):
-    """Scalar (a; q)_k as a GaussianRational."""
-    return q_pochhammer(a, q, k)
-
-
 def big_q_jacobi_poly(a, b, c, q, n: int) -> Poly:
     """P_n(x; a, b, c; q) = 3phi2(q^-n, a b q^(n+1), x; aq, cq; q, q)."""
     a, b, c, q = map(_Q, (a, b, c, q))
@@ -386,8 +380,8 @@ def big_q_jacobi_poly(a, b, c, q, n: int) -> Poly:
     out = Poly.zero()
     xpoch = Poly.one()
     for k in range(n + 1):
-        scal = q_poch_scalar(qinv_n, q, k) * q_poch_scalar(abq, q, k) * q ** k / (
-            q_poch_scalar(a * q, q, k) * q_poch_scalar(c * q, q, k) * q_poch_scalar(q, q, k)
+        scal = q_pochhammer(qinv_n, q, k) * q_pochhammer(abq, q, k) * q ** k / (
+            q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k) * q_pochhammer(q, q, k)
         )
         out = out + xpoch * scal
         xpoch = xpoch * Poly([1, -(q ** k)])
@@ -402,12 +396,12 @@ def askey_wilson_poly(a, b, c, d, p, n: int) -> SymLaurent:
     q = p * p
     qinv_n = _Q(1) / q ** n
     abcd = a * b * c * d * q ** (n - 1)
-    pref = q_poch_scalar(a * b, q, n) * q_poch_scalar(a * c, q, n) * q_poch_scalar(a * d, q, n) / a ** n
+    pref = q_pochhammer(a * b, q, n) * q_pochhammer(a * c, q, n) * q_pochhammer(a * d, q, n) / a ** n
     out = Laurent.zero()
     zpoch = Laurent.one()
     for k in range(n + 1):
-        scal = q_poch_scalar(qinv_n, q, k) * q_poch_scalar(abcd, q, k) * q ** k / (
-            q_poch_scalar(a * b, q, k) * q_poch_scalar(a * c, q, k) * q_poch_scalar(a * d, q, k) * q_poch_scalar(q, q, k)
+        scal = q_pochhammer(qinv_n, q, k) * q_pochhammer(abcd, q, k) * q ** k / (
+            q_pochhammer(a * b, q, k) * q_pochhammer(a * c, q, k) * q_pochhammer(a * d, q, k) * q_pochhammer(q, q, k)
         )
         out = out + zpoch * scal
         # next factor of (az; q)_k (a/z; q)_k

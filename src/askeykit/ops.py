@@ -24,7 +24,6 @@ from .algebra import (
     SymLaurent,
     binomial,
     q_binomial,
-    q_integer,
 )
 
 __all__ = [
@@ -98,7 +97,7 @@ def q_shift(f: Poly, q) -> Poly:
 def q_derivative(f: Poly, q) -> Poly:
     """(f(x) - f(qx)) / ((1-q)x); sends x^n to [n]_q x^(n-1)."""
     q = Rational(q)
-    return Poly([c * q_integer(k, q) for k, c in enumerate(f.coeffs)][1:])
+    return (f - q_shift(f, q)).exact_div(Poly.x()) * (1 / (1 - q))
 
 
 def q_derivative_inverse(f: Poly, q) -> Poly:
@@ -152,9 +151,12 @@ def _iterate(op: Callable, f, n: int):
 def leibniz_check(spec: OperatorSpec, f, g, n: int):
     """partial^n(fg) minus its Leibniz expansion; exactly zero when the rule holds."""
     lhs = _iterate(spec.partial, f * g, n)
+    ladder = [f]  # partial^j f for j = 0..n
+    for _ in range(n):
+        ladder.append(spec.partial(ladder[-1]))
     rhs = None
     for k in range(n + 1):
-        term = (spec.eta(_iterate(spec.partial, f, n - k), k) * spec.t_op(k, n)(g)) * spec.alpha(n, k)
+        term = (spec.eta(ladder[n - k], k) * spec.t_op(k, n)(g)) * spec.alpha(n, k)
         rhs = term if rhs is None else rhs + term
     return lhs - rhs
 

@@ -31,6 +31,7 @@ from .algebra import (
     factorial,
     pochhammer,
     poly_gcd,
+    q_pochhammer,
     tangent_subtract,
 )
 from .families import (
@@ -41,7 +42,6 @@ from .families import (
     falling_poch_poly,
     mp_poly,
     q_poch_poly,
-    q_poch_scalar,
     recurrence_extract,
     rising_poch_poly,
     shifted_point,
@@ -414,8 +414,8 @@ def _build_bqj_to_bql(point, n, extras):
     qn = _Q(1) / q ** n
     terms = []
     for k in range(n + 1):
-        coef = q_poch_scalar(qn, q, k) * (
-            q_poch_scalar(q, q, k) * q_poch_scalar(a * q, q, k) * q_poch_scalar(c * q, q, k)
+        coef = q_pochhammer(qn, q, k) * (
+            q_pochhammer(q, q, k) * q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k)
         ).inverse() * ((-a * b * q ** n) ** k * q ** (k * (k + 3) // 2))
         t = q_poch_poly(1, q, k) * coef
         t = t * big_q_jacobi_poly(a * q ** k, 0, c * q ** k, q, n - k).compose_affine(q ** k, 0)
@@ -431,8 +431,8 @@ def _build_bql_inverse(point, n, extras):
     qn = _Q(1) / q ** n
     terms = []
     for k in range(n + 1):
-        coef = q_poch_scalar(qn, q, k) * (
-            q_poch_scalar(q, q, k) * q_poch_scalar(a * q, q, k) * q_poch_scalar(c * q, q, k)
+        coef = q_pochhammer(qn, q, k) * (
+            q_pochhammer(q, q, k) * q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k)
         ).inverse() * ((a * b) ** k * q ** (k * (k + n + 1)))
         t = q_poch_poly(1, q, k) * coef
         t = t * standard_poly("big-q-jacobi", shifted_point(point, k), n - k).compose_affine(q ** k, 0)
@@ -445,15 +445,15 @@ def _build_bql_second(point, n, extras):
     #     P_(n-k)(x q^k; a q^k, b q^k, c q^k; q)
     #   = (c/b)^n ((bq, abq/c; q)_n / (aq, cq; q)_n) P_n(x b/c; b, 0, ab/c; q)
     a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
-    scale = (c / b) ** n * q_poch_scalar(b * q, q, n) * q_poch_scalar(a * b * q / c, q, n) * (
-        q_poch_scalar(a * q, q, n) * q_poch_scalar(c * q, q, n)
+    scale = (c / b) ** n * q_pochhammer(b * q, q, n) * q_pochhammer(a * b * q / c, q, n) * (
+        q_pochhammer(a * q, q, n) * q_pochhammer(c * q, q, n)
     ).inverse()
     lhs = big_q_jacobi_poly(b, 0, a * b / c, q, n).compose_affine(b / c, 0) * scale
     qn = _Q(1) / q ** n
     terms = []
     for k in range(n + 1):
-        coef = q_poch_scalar(qn, q, k) * (
-            q_poch_scalar(q, q, k) * q_poch_scalar(a * q, q, k) * q_poch_scalar(c * q, q, k)
+        coef = q_pochhammer(qn, q, k) * (
+            q_pochhammer(q, q, k) * q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k)
         ).inverse() * ((a * c) ** k * q ** (k * (k + n + 1)))
         t = q_poch_poly(b / c, q, k) * coef
         t = t * standard_poly("big-q-jacobi", shifted_point(point, k), n - k).compose_affine(q ** k, 0)

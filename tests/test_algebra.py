@@ -1,9 +1,12 @@
 """Exact scalar and polynomial arithmetic."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from askeykit.algebra import (
+    GR_HALF_I,
     GR_I,
     GR_ONE,
     GR_ZERO,
@@ -180,3 +183,201 @@ def test_rational_str():
     assert rational_str(Rational(3, 4)) == "3/4"
     assert rational_str(5) == "5/1"
     assert rational_str(Rational(-2, 6)) == "-1/3"
+
+
+# -- the fraction-free kernel against a plain list-of-GaussianRational oracle --
+#
+# The oracle below shares no code with Poly/Laurent: polynomials are lists of
+# GaussianRational coefficients (x^k at index k), Laurent polynomials are
+# dicts {power: coefficient}, and every operation is the schoolbook one.
+
+def o_trim(cs):
+    cs = [GaussianRational.coerce(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def o_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a = a + [GR_ZERO] * (n - len(a))
+    b = b + [GR_ZERO] * (n - len(b))
+    return o_trim([x + y * sign for x, y in zip(a, b)])
+
+
+def o_mul(a, b):
+    if not a or not b:
+        return []
+    out = [GR_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return o_trim(out)
+
+
+def o_compose(a, alpha, beta):
+    out = []
+    for c in reversed(a):
+        out = o_add(o_mul(out, [beta, alpha]), [c])
+    return out
+
+
+def o_divmod(a, b):
+    rem = list(a)
+    quot = [GR_ZERO] * max(len(a) - len(b) + 1, 0)
+    inv = b[-1].inverse()
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        q = rem[-1] * inv
+        quot[shift] = q
+        rem = o_add(rem, o_mul([GR_ZERO] * shift + [q], b), -1)
+    return o_trim(quot), rem
+
+
+def o_laurent(low, cs):
+    return {low + k: c for k, c in enumerate(o_trim(cs)) if c}
+
+
+def o_laurent_mul(a, b):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, GR_ZERO) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def o_laurent_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, GR_ZERO) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def as_dict(f):
+    return {f.low + k: c for k, c in enumerate(f.coeffs) if c}
+
+
+def assert_canonical(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.re)
+    if p.im is not None:
+        assert len(p.im) == len(p.re) and any(p.im)
+        assert all(type(c) is int for c in p.im)
+    assert gcd(p.den, *p.re, *(p.im or ())) == 1
+    if p.re:
+        assert p.re[-1] or p.im[-1]
+
+
+def check(p, oracle):
+    assert_canonical(p)
+    assert list(p.coeffs) == oracle
+    assert p.is_real == all(c.is_real for c in oracle)
+
+
+real_lists = st.lists(rationals, max_size=7).map(o_trim)
+gauss_lists = st.lists(st.one_of(rationals, gaussians), max_size=7).map(o_trim)
+poly_lists = st.one_of(real_lists, gauss_lists)
+nonzero_lists = poly_lists.filter(bool)
+scalars = st.one_of(rationals, gaussians, st.integers(-5, 5))
+shifts = st.one_of(
+    rationals, gaussians, st.sampled_from([GR_HALF_I, -GR_HALF_I, GaussianRational(1), GaussianRational(-1)])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_lists, poly_lists, scalars)
+def test_kernel_ring_ops_match_oracle(a, b, c):
+    f, g = Poly(a), Poly(b)
+    check(f, a)
+    check(f + g, o_add(a, b))
+    check(f - g, o_add(a, b, -1))
+    check(-f, o_add([], a, -1))
+    check(f * g, o_mul(a, b))
+    check(f * c, o_mul(a, o_trim([c])))
+    check(c * f, o_mul(a, o_trim([c])))
+    check(f.derivative(), o_trim([c * k for k, c in enumerate(a)][1:]))
+    assert f.is_even() == all(not c for c in a[1::2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_lists, rationals, shifts)
+def test_kernel_compose_affine_matches_oracle(a, alpha, beta):
+    f = Poly(a)
+    alpha, beta = GaussianRational.coerce(alpha), GaussianRational.coerce(beta)
+    check(f.compose_affine(alpha, beta), o_compose(a, alpha, beta))
+    check(f.compose_affine(1, beta), o_compose(a, GR_ONE, beta))
+    check(f.compose_affine(alpha, 0), o_compose(a, alpha, GR_ZERO))
+    check(f.compose_affine(beta, 0), o_compose(a, beta, GR_ZERO))
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_lists, st.one_of(nonzero_lists, st.just([GR_ZERO, GaussianRational(0, 2)])))
+def test_kernel_exact_div_matches_oracle(a, b):
+    prod = o_mul(a, b)
+    quot = Poly(prod).exact_div(Poly(b))
+    check(quot, a)
+    check(quot, o_divmod(prod, b)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_lists, st.one_of(real_lists, st.just([GR_ZERO, GaussianRational(0, 2)])), scalars)
+def test_kernel_exact_div_tripwire(a, b, r):
+    # a nonzero remainder of lower degree than the divisor must raise
+    if len(b) < 2 or not GaussianRational.coerce(r):
+        return
+    num = o_add(o_mul(a, b), o_trim([r]))
+    assert o_divmod(num, b)[1]
+    with pytest.raises(ValueError, match="nonzero remainder"):
+        Poly(num).exact_div(Poly(b))
+
+
+def test_kernel_exact_div_tripwire_paths():
+    x = Poly.x()
+    with pytest.raises(ValueError, match="nonzero remainder"):
+        (x * x + 1).exact_div(2 * x - 1)  # real lead
+    with pytest.raises(ValueError, match="nonzero remainder"):
+        (x * x + 1).exact_div(Poly([0, GaussianRational(0, 2)]))  # complex lead 2i
+    with pytest.raises(ValueError, match="nonzero remainder"):
+        Poly([GR_I, 0, 1]).exact_div(Poly([1, GaussianRational(1, 1)]))  # lead 1 + i
+
+
+def test_kernel_canonical_form_across_routes():
+    x = Poly.x()
+    pairs = [
+        (Poly([Rational(1, 2), 1]) * 2, Poly([1, 2])),
+        ((x + GR_I) * (x - GR_I), x * x + 1),
+        (Poly([Rational(2, 4), Rational(3, 6)]), Poly([1, 1]) * Rational(1, 2)),
+        (Poly([Rational(1, 3)]) * 3 - 1, Poly.zero()),
+        ((x * Rational(2, 3)).compose_affine(Rational(3, 2), 0), x),
+        (Poly([GaussianRational(1, 1)]) * GaussianRational(1, -1), Poly.constant(2)),
+        (Laurent(-1, [1, 0, 1]), SymLaurent([0, 1]).to_laurent()),
+        (Laurent(0, [0, 0, Rational(1, 2)]) * 2, Laurent.monomial(2)),
+    ]
+    for left, right in pairs:
+        assert left == right and hash(left) == hash(right)
+    assert (x + GR_I) * (x - GR_I) == x * x + 1
+    assert ((x + GR_I) * (x - GR_I)).im is None
+    assert_canonical(Poly.zero())
+    assert Poly([0, 0]).re == () and Poly.zero().im is None
+
+
+laurents = st.tuples(st.integers(-3, 3), poly_lists)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurents, laurents, st.one_of(rationals, gaussians))
+def test_kernel_laurent_matches_oracle(la, lb, p):
+    f, g = Laurent(*la), Laurent(*lb)
+    a, b = o_laurent(*la), o_laurent(*lb)
+    for h in (f, g):
+        assert_canonical(h.body)
+        assert not h.body or h.body.coefficient(0)
+    assert as_dict(f) == a
+    assert as_dict(f * g) == o_laurent_mul(a, b)
+    assert as_dict(f + g) == o_laurent_add(a, b)
+    assert as_dict(f.invert_var()) == {-k: c for k, c in a.items()}
+    p = GaussianRational.coerce(p)
+    if p:
+        assert as_dict(f.scale_var(p)) == {k: c * p ** k for k, c in a.items()}
+    if g:
+        assert as_dict((f * g).exact_div(g)) == a

@@ -193,6 +193,15 @@ def test_bad_expand_input_exits_2_with_one_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
+def test_verify_empty_selection_exits_2(capsys):
+    # Krawtchouk has no adjointness identity: an empty run must not read as a pass
+    assert main(["verify", "--families", "krawtchouk", "--identities", "adjointness"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}

@@ -9,6 +9,7 @@ from askeykit.algebra import (
     Poly,
     Rational,
     UnitPhase,
+    q_pochhammer,
 )
 from askeykit.families import (
     FAMILIES,
@@ -20,7 +21,6 @@ from askeykit.families import (
     make_point,
     meixner_poly,
     normalization,
-    q_poch_scalar,
     raise_chain,
     recurrence_extract,
     standard_poly,
@@ -185,10 +185,10 @@ def test_charlier_recurrence_crossref():
     assert rec.c[1] == GaussianRational(Q(7, 4))
 
 
-def test_q_poch_scalar_is_gaussian_rational():
+def test_q_pochhammer_is_gaussian_rational():
     # the literal q-transcriptions call .inverse() on it, so it must live in Q(i)
     for a, q, k in [(Q(2, 3), Q(1, 2), 0), (Q(1, 5), Q(1, 2), 1), (Q(-3, 7), Q(2, 5), 4), (3, Q(1, 4), 3)]:
-        val = q_poch_scalar(a, q, k)
+        val = q_pochhammer(a, q, k)
         assert isinstance(val, GaussianRational), (a, q, k)
         prod = Q(1)
         for j in range(k):

@@ -13,6 +13,7 @@ Q = Rational
 EPS = Q(1, 64)
 
 GOLDEN_SHA256 = "c3ac0579e8b01f92774ad7335f1c8782943d6be937328aa9ba1252b98235a551"
+DEEP_SHA256 = "dc78c3c28256ea06edaee492f2c250bf9e9cfd2641e86b61a69aa525db222064"
 
 
 def test_golden_report_bytes():
@@ -22,6 +23,18 @@ def test_golden_report_bytes():
     assert report["totals"] == {"cases": 320, "passed": 320, "failed": 0}
     text = render_report(report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
+
+
+def test_deep_chain_report_bytes():
+    # 405 cases of raising chains and operator iteration up to degree 10:
+    # large dense polynomials, Laurent chains and complex i/2 shifts
+    config = SuiteConfig(
+        seed=7, identities=["chain-expansion", "operational", "leibniz"], max_n=8, max_m=2
+    )
+    report = run_verify(config)
+    assert report["totals"] == {"cases": 405, "passed": 405, "failed": 0}
+    text = render_report(report, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == DEEP_SHA256
 
 
 # An interior point of each family; each row below moves one parameter.
