@@ -49,6 +49,7 @@ from .families import (
     shifted_point,
     standard_poly,
 )
+from .ops import ladder
 
 __all__ = [
     "apply_chain",
@@ -90,14 +91,18 @@ def operational_rhs(tag: str, point: ParamPoint, n: int, f, variant: str | None 
     spec = FAMILIES[tag]
     var = spec.variant(variant) if variant is not None else spec.default_variant()
     op = var.op_spec(point)
+    fs = ladder(op.partial, f, n)
+    ratio = spec.one()  # eta^k(w_(nu+k sigma)) / w_nu, one weight step per k
     rhs = None
     pt_k = point
     for k in range(n + 1):
-        term = var.weight_ratio(point, k) * op.eta(raise_chain(tag, pt_k, n - k), k)
-        term = term * op.t_op(k, n)(f)
+        term = ratio * op.eta(raise_chain(tag, pt_k, n - k), k)
+        term = term * op.twist(fs[k], k, n)
         term = term * op.alpha(n, k)
         rhs = term if rhs is None else rhs + term
-        pt_k = spec.shift(pt_k)
+        if k < n:
+            ratio = ratio * var.weight_step(point, k)
+            pt_k = spec.shift(pt_k)
     return rhs
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -344,6 +345,15 @@ def _values_from_args(ident: str, params: tuple, raw: dict) -> dict:
     return values
 
 
+def _check_writable(path: str) -> None:
+    """Reject an --output path before the run rather than after it."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write --output {path}: it is a directory")
+    if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise UsageError(f"cannot write --output {path}: {parent} is not a writable directory")
+
+
 def cmd_verify(args) -> int:
     config = SuiteConfig(
         families=args.families or [],
@@ -356,11 +366,16 @@ def cmd_verify(args) -> int:
         fmt=args.format,
         timings=args.timings,
     )
+    if config.output:
+        _check_writable(config.output)
     report = run_verify(config)
     text = render_report(report, config.fmt)
     if config.output:
-        with open(config.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {config.output}: {exc.strerror}") from None
         print(
             f"wrote {config.output}: {report['totals']['passed']}/{report['totals']['cases']} passed"
         )
@@ -405,6 +420,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_toda(args) -> int:
+    if args.max_n < 1:
+        raise UsageError("--max-n must be >= 1")
     fams = args.families or sorted(TODA_SOLUTIONS)
     bad = [f for f in fams if f not in TODA_SOLUTIONS]
     if bad:

@@ -11,15 +11,16 @@ A family bundles everything the identity engines need:
     polynomials in x (Wilson, graded by x^2), or symmetric Laurent
     polynomials in z for the Askey-Wilson level,
   * one or more Leibniz "variants", each pairing an operator scheme with the
-    closed-form weight-ratio polynomial eta^k(w_{nu+k sigma}) / w_nu,
+    weight-ratio polynomial eta^k(w_{nu+k sigma}) / w_nu, given by its
+    closed-form step from k to k+1,
   * the scalar relating the raising chain applied to 1 to the standard
     (basic) hypergeometric form of the polynomials,
   * for the six lattice families, the image of the weight deformation
     w(x) -> e^(-xt) w(x).
 
-Weight ratios are stored as closed-form polynomial factories, never as
+Weight ratios are stored as closed-form polynomial steps, never as
 quotients of actual weights: the weights involve Gamma factors and infinite
-products, while the ratios are plain polynomials.
+products, while the ratios and their steps are plain polynomials.
 """
 
 from __future__ import annotations
@@ -183,11 +184,17 @@ class Deformation:
 
 @dataclass(frozen=True)
 class Variant:
-    """One Leibniz factorization of a family: operator scheme plus weight ratio."""
+    """One Leibniz factorization of a family: operator scheme plus weight ratio.
+
+    The weight ratio ratio_k = eta^k(w_(nu+k sigma)) / w_nu is held in step
+    form: ratio_0 is the carrier's 1 and ratio_(j+1) = ratio_j *
+    weight_step(point, j), so the k-sum builds every ratio it needs with one
+    product per k.
+    """
 
     name: str
     op_spec: Callable[[ParamPoint], ops.OperatorSpec]
-    weight_ratio: Callable[[ParamPoint, int], object]
+    weight_step: Callable[[ParamPoint, int], object]
 
 
 @dataclass(frozen=True)
@@ -335,6 +342,15 @@ def rising_poch_poly(base, n: int, xcoef=1) -> Poly:
     return out
 
 
+def q_poch_poly(scale, q, k) -> Poly:
+    """(scale * x; q)_k as a polynomial in x."""
+    out = Poly.one()
+    s = _Q(scale)
+    for j in range(k):
+        out = out * Poly([1, -s * q ** j])
+    return out
+
+
 def mp_poly(lam, phi_s, n: int) -> Poly:
     """P_n^(lambda)(x; phi) = ((2 lambda)_n / n!) e^(i n phi)
     2F1(-n, lambda + ix; 2 lambda; 1 - e^(-2 i phi)), with phi given by its
@@ -378,13 +394,20 @@ def big_q_jacobi_poly(a, b, c, q, n: int) -> Poly:
     qinv_n = _Q(1) / q ** n
     abq = a * b * q ** (n + 1)
     out = Poly.zero()
+    coef = GR_ONE
     xpoch = Poly.one()
+    qk = _Q(1)
     for k in range(n + 1):
-        scal = q_pochhammer(qinv_n, q, k) * q_pochhammer(abq, q, k) * q ** k / (
-            q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k) * q_pochhammer(q, q, k)
-        )
-        out = out + xpoch * scal
-        xpoch = xpoch * Poly([1, -(q ** k)])
+        out = out + xpoch * coef
+        if k < n:
+            # next term ratio: (1 - q^(k-n))(1 - ab q^(n+1+k)) q
+            #                  / ((1 - a q^(k+1))(1 - c q^(k+1))(1 - q^(k+1)))
+            qk1 = qk * q
+            coef = coef * (
+                (1 - qinv_n * qk) * (1 - abq * qk) * q / ((1 - a * qk1) * (1 - c * qk1) * (1 - qk1))
+            )
+            xpoch = xpoch * Poly([1, -qk])
+            qk = qk1
     return out
 
 
@@ -398,14 +421,22 @@ def askey_wilson_poly(a, b, c, d, p, n: int) -> SymLaurent:
     abcd = a * b * c * d * q ** (n - 1)
     pref = q_pochhammer(a * b, q, n) * q_pochhammer(a * c, q, n) * q_pochhammer(a * d, q, n) / a ** n
     out = Laurent.zero()
+    coef = GR_ONE
     zpoch = Laurent.one()
+    qk = _Q(1)
     for k in range(n + 1):
-        scal = q_pochhammer(qinv_n, q, k) * q_pochhammer(abcd, q, k) * q ** k / (
-            q_pochhammer(a * b, q, k) * q_pochhammer(a * c, q, k) * q_pochhammer(a * d, q, k) * q_pochhammer(q, q, k)
-        )
-        out = out + zpoch * scal
-        # next factor of (az; q)_k (a/z; q)_k
-        zpoch = zpoch * Laurent(0, [1, -a * q ** k]) * Laurent(-1, [-a * q ** k, 1])
+        out = out + zpoch * coef
+        if k < n:
+            # next term ratio: (1 - q^(k-n))(1 - abcd q^(n-1+k)) q
+            #                  / ((1 - ab q^k)(1 - ac q^k)(1 - ad q^k)(1 - q^(k+1)))
+            coef = coef * (
+                (1 - qinv_n * qk) * (1 - abcd * qk) * q
+                / ((1 - a * b * qk) * (1 - a * c * qk) * (1 - a * d * qk) * (1 - qk * q))
+            )
+            # next factor of (az; q)_k (a/z; q)_k
+            aqk = a * qk
+            zpoch = zpoch * Laurent(0, [1, -aqk]) * Laurent(-1, [-aqk, 1])
+            qk = qk * q
     return (out * pref).to_sym()
 
 
@@ -550,94 +581,80 @@ def _cqh_raise(pt):
     return _aw_raise_vals([_Q(0)] * 4, pt.get("p"))
 
 
-# weight-ratio factories ----------------------------------------------------
+# weight steps: ratio_k = step_0 * ... * step_(k-1) ----------------------------
 
-def _ratio_one(pt, k):
+def _step_one(pt, j):
     return Poly.one()
 
 
-def _ratio_x_pow(pt, k):
-    return Poly.monomial(k)
+def _step_x(pt, j):
+    return Poly.x()
 
 
-def _ratio_jacobi(pt, k):
-    return Poly([1, 0, -1]) ** k
+def _step_jacobi(pt, j):
+    return Poly([1, 0, -1])
 
 
-def _ratio_meixner_eta1(pt, k):
-    beta = pt.get("beta")
-    out = Poly.one()
-    for j in range(k):
-        out = out * Poly([beta + j, 1])
-    return out * pochhammer(beta, k).inverse()
+def _step_meixner_eta1(pt, j):
+    # (beta + j + x) / (beta + j)
+    return Poly([1, 1 / (pt.get("beta") + j)])
 
 
-def _ratio_meixner_etaS(pt, k):
-    beta, c = pt.get("beta"), pt.get("c")
-    scal = GaussianRational(_Q((-1) ** k)) * (pochhammer(beta, k) * GaussianRational(c ** k)).inverse()
-    return falling_poch_poly(k) * scal
+def _step_meixner_etaS(pt, j):
+    # (j - x) * (-1) / ((beta + j) c)
+    return Poly([-j, 1]) * (1 / ((pt.get("beta") + j) * pt.get("c")))
 
 
-def _ratio_charlier_etaS(pt, k):
-    a = pt.get("a")
-    return falling_poch_poly(k) * GaussianRational(_Q(1) / (-a) ** k)
+def _step_charlier_etaS(pt, j):
+    # (j - x) / (-a)
+    return Poly([-j, 1]) * (1 / pt.get("a"))
 
 
-def _ratio_mp(pt, k):
-    lam = pt.get("lam")
-    u = UnitPhase(pt.get("phi"))
-    return rising_poch_poly(lam, k, GR_I) * (GR_I ** k * u.power(-k))
+def _step_mp(pt, j):
+    # i e^(-i phi) (lambda + j + ix)
+    return Poly([pt.get("lam") + j, GR_I]) * (GR_I * UnitPhase(pt.get("phi")).power(-1))
 
 
-def _ratio_wilson(pt, k):
-    out = Poly.one() * GaussianRational(_Q((-1) ** k))
+def _step_wilson(pt, j):
+    out = -Poly.one()
     for name in ("a", "b", "c", "d"):
-        out = out * rising_poch_poly(pt.get(name), k, GR_I)
+        out = out * Poly([pt.get(name) + j, GR_I])  # e + j + ix
     return out
 
 
-def q_poch_poly(scale, q, k) -> Poly:
-    """(scale * x; q)_k as a polynomial in x."""
-    out = Poly.one()
-    s = _Q(scale)
-    for j in range(k):
-        out = out * Poly([1, -s * q ** j])
-    return out
-
-
-def _ratio_bqj_Tq(pt, k):
+def _step_bqj_Tq(pt, j):
     b, c, q = pt.get("b"), pt.get("c"), pt.get("q")
-    return q_poch_poly(1, q, k) * q_poch_poly(b / c, q, k)
+    qj = q ** j
+    return Poly([1, -qj]) * Poly([1, -b / c * qj])
 
 
-def _ratio_bql_Tq(pt, k):
-    return q_poch_poly(1, pt.get("q"), k)
+def _step_bql_Tq(pt, j):
+    return Poly([1, -pt.get("q") ** j])
 
 
-def _ratio_bqj_I(pt, k):
+def _step_bqj_I(pt, j):
     # shared by big q-Jacobi and big q-Laguerre: b drops out of this ratio
     a, c, q = pt.get("a"), pt.get("c"), pt.get("q")
-    qk = q ** k
-    return q_poch_poly(_Q(1) / (a * qk), q, k) * q_poch_poly(_Q(1) / (c * qk), q, k)
+    qj1 = q ** (j + 1)
+    return Poly([1, -1 / (a * qj1)]) * Poly([1, -1 / (c * qj1)])
 
 
-def _ratio_aw_vals(vals, p, k):
-    q = p * p
-    out = Laurent.monomial(-2 * k, GaussianRational(_Q((-1) ** k)) * GaussianRational.coerce(p) ** (-k * k))
+def _step_aw_vals(vals, p, j):
+    # -p^(-(2j+1)) z^-2 prod_(e != 0) (1 - e q^j z), q = p^2
+    qj = p ** (2 * j)
+    out = Laurent.monomial(-2, -1 / (p * qj))
     for e in vals:
-        if not e:
-            continue
-        for j in range(k):
-            out = out * Laurent(0, [1, -e * q ** j])
+        if e:
+            out = out * Laurent(0, [1, -e * qj])
     return out
 
 
-def _ratio_aw(pt, k):
-    return _ratio_aw_vals([pt.get(n) for n in ("a", "b", "c", "d")], pt.get("p"), k)
+def _step_aw(pt, j):
+    return _step_aw_vals([pt.get(n) for n in ("a", "b", "c", "d")], pt.get("p"), j)
 
 
-def _ratio_cqh(pt, k):
-    return _ratio_aw_vals([], pt.get("p"), k)
+def _step_cqh(pt, j):
+    return _step_aw_vals([], pt.get("p"), j)
 
 
 # lowering / adjoint operators ----------------------------------------------
@@ -765,7 +782,7 @@ _register(FamilySpec(
     carrier="poly",
     shift=_sh_ident,
     raising=_hermite_raise,
-    variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _ratio_one),),
+    variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _step_one),),
     lowering_tag="derivative",
     lowering=_low_derivative,
     adjoint=_adj_neg_derivative,
@@ -780,7 +797,7 @@ _register(FamilySpec(
     carrier="poly",
     shift=_sh_add(("nu",), 1),
     raising=_laguerre_raise,
-    variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _ratio_x_pow),),
+    variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _step_x),),
     lowering_tag="derivative",
     lowering=_low_derivative,
     adjoint=_adj_neg_derivative,
@@ -797,7 +814,7 @@ _register(FamilySpec(
     carrier="poly",
     shift=_sh_add(("alpha", "beta"), 1),
     raising=_jacobi_raise,
-    variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _ratio_jacobi),),
+    variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _step_jacobi),),
     lowering_tag="derivative",
     lowering=_low_derivative,
     adjoint=_adj_neg_derivative,
@@ -812,8 +829,8 @@ _register(FamilySpec(
     shift=_sh_add(("beta",), 1),
     raising=_meixner_raise,
     variants=(
-        Variant("eta1", lambda pt: ops.BACKWARD_ETA1_SPEC, _ratio_meixner_eta1),
-        Variant("etaS", lambda pt: ops.BACKWARD_ETAS_SPEC, _ratio_meixner_etaS),
+        Variant("eta1", lambda pt: ops.BACKWARD_ETA1_SPEC, _step_meixner_eta1),
+        Variant("etaS", lambda pt: ops.BACKWARD_ETAS_SPEC, _step_meixner_etaS),
     ),
     lowering_tag="neg_forward_shift",
     lowering=_low_neg_forward,
@@ -833,8 +850,8 @@ _register(FamilySpec(
     shift=_sh_ident,
     raising=_charlier_raise,
     variants=(
-        Variant("eta1", lambda pt: ops.BACKWARD_ETA1_SPEC, _ratio_one),
-        Variant("etaS", lambda pt: ops.BACKWARD_ETAS_SPEC, _ratio_charlier_etaS),
+        Variant("eta1", lambda pt: ops.BACKWARD_ETA1_SPEC, _step_one),
+        Variant("etaS", lambda pt: ops.BACKWARD_ETAS_SPEC, _step_charlier_etaS),
     ),
     lowering_tag="neg_forward_shift",
     lowering=_low_neg_forward,
@@ -852,7 +869,7 @@ _register(FamilySpec(
     carrier="poly",
     shift=lambda pt: pt.replace(lam=pt.get("lam") + _half),
     raising=_mp_raise,
-    variants=(Variant("", lambda pt: ops.DELTA_X_SPEC, _ratio_mp),),
+    variants=(Variant("", lambda pt: ops.DELTA_X_SPEC, _step_mp),),
     lowering_tag="delta_x",
     lowering=_low_delta_x,
     adjoint=_adj_neg_delta_x,
@@ -873,7 +890,7 @@ _register(FamilySpec(
     carrier="even",
     shift=_sh_add(("a", "b", "c", "d"), _half),
     raising=_wilson_raise,
-    variants=(Variant("", lambda pt: ops.DELTA_X2_SPEC, _ratio_wilson),),
+    variants=(Variant("", lambda pt: ops.DELTA_X2_SPEC, _step_wilson),),
     lowering_tag="delta_x2",
     lowering=_low_delta_x2,
     adjoint=None,
@@ -890,8 +907,8 @@ _register(FamilySpec(
     shift=_sh_mul_q(("a", "b", "c")),
     raising=_bqj_raise,
     variants=(
-        Variant("Tq", lambda pt: ops.qderiv_Tq_spec(pt.get("q")), _ratio_bqj_Tq),
-        Variant("I", lambda pt: ops.qderiv_I_spec(pt.get("q")), _ratio_bqj_I),
+        Variant("Tq", lambda pt: ops.qderiv_Tq_spec(pt.get("q")), _step_bqj_Tq),
+        Variant("I", lambda pt: ops.qderiv_I_spec(pt.get("q")), _step_bqj_I),
     ),
     lowering_tag="q_derivative_inverse",
     lowering=_low_qinv,
@@ -907,8 +924,8 @@ _register(FamilySpec(
     shift=_sh_mul_q(("a", "c")),
     raising=_bql_raise,
     variants=(
-        Variant("Tq", lambda pt: ops.qderiv_Tq_spec(pt.get("q")), _ratio_bql_Tq),
-        Variant("I", lambda pt: ops.qderiv_I_spec(pt.get("q")), _ratio_bqj_I),
+        Variant("Tq", lambda pt: ops.qderiv_Tq_spec(pt.get("q")), _step_bql_Tq),
+        Variant("I", lambda pt: ops.qderiv_I_spec(pt.get("q")), _step_bqj_I),
     ),
     lowering_tag="q_derivative_inverse",
     lowering=_low_qinv,
@@ -923,7 +940,7 @@ _register(FamilySpec(
     carrier="laurent",
     shift=_sh_mul_p(("a", "b", "c", "d")),
     raising=_aw_raise,
-    variants=(Variant("", lambda pt: ops.aw_spec(pt.get("p")), _ratio_aw),),
+    variants=(Variant("", lambda pt: ops.aw_spec(pt.get("p")), _step_aw),),
     lowering_tag="aw_Dq",
     lowering=_low_aw,
     adjoint=None,
@@ -937,7 +954,7 @@ _register(FamilySpec(
     carrier="laurent",
     shift=_sh_ident,
     raising=_cqh_raise,
-    variants=(Variant("", lambda pt: ops.aw_spec(pt.get("p")), _ratio_cqh),),
+    variants=(Variant("", lambda pt: ops.aw_spec(pt.get("p")), _step_cqh),),
     lowering_tag="aw_Dq",
     lowering=_low_aw,
     adjoint=None,
@@ -1005,11 +1022,9 @@ def raise_chain(tag: str, point: ParamPoint, n: int):
     hit = _chain_cache.get(key)
     if hit is not None:
         return hit
-    pt = point
-    for _ in range(n + 1):
-        if not spec.admissible(pt):
-            raise ValueError(f"inadmissible parameter point {pt}")
-        pt = spec.shift(pt)
+    # the recursion checks the shifted points, nearest first
+    if not spec.admissible(point):
+        raise ValueError(f"inadmissible parameter point {point}")
     if n == 0:
         out = spec.one()
     else:

@@ -1,9 +1,9 @@
 """Normalized moment functionals built from raising-chain orthogonality.
 
 No integral is ever evaluated: the functional L with L[1] = 1 and
-L[p_n] = 0 for n >= 1 is recovered exactly by expanding monomials in the
-raising-chain basis, and it stands in for integration against the
-orthogonality measure in every integrated identity.  Total masses are never
+L[p_n] = 0 for n >= 1 is recovered exactly from the raising-chain basis by
+a triangular solve for its moments, and it stands in for integration
+against the orthogonality measure in every integrated identity.  Total masses are never
 known, so adjointness across two measures is tested through a fitted
 constant whose constancy over all test pairs is itself the assertion.
 """
@@ -11,9 +11,11 @@ constant whose constancy over all test pairs is itself the assertion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
-from .algebra import GR_ZERO, GaussianRational, Poly, Rational
-from .families import FAMILIES, ParamPoint, deformation, expand_in_basis, raise_chain
+from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, Rational
+from .families import FAMILIES, ParamPoint, deformation, raise_chain
 from .burchnall import operational_rhs
 from .toda import MODIFIED_EXPANSIONS
 
@@ -31,6 +33,11 @@ __all__ = [
 _Q = Rational
 
 
+def _dot(a, b) -> int:
+    """Sum of a[k] * b[k] over the shorter of two integer sequences."""
+    return sum(map(mul, a, b))
+
+
 @dataclass(frozen=True)
 class MomentFunctional:
     """L[x^k] = moments[k], normalized so L[1] = 1."""
@@ -43,13 +50,20 @@ class MomentFunctional:
     def order(self) -> int:
         return len(self.moments) - 1
 
+    @cached_property
+    def _moment_poly(self) -> Poly:
+        """The moments as the coefficients of one Poly, for integer dot products."""
+        return Poly(self.moments)
+
     def apply(self, f: Poly) -> GaussianRational:
         if f.degree > self.order:
             raise ValueError(f"functional built to order {self.order}, got degree {f.degree}")
-        out = GR_ZERO
-        for k, c in enumerate(f.coeffs):
-            out = out + c * self.moments[k]
-        return out
+        m = self._moment_poly
+        f_im, m_im = f.im or (), m.im or ()
+        den = f.den * m.den
+        re = _dot(f.re, m.re) - _dot(f_im, m_im)
+        im = _dot(f.re, m_im) + _dot(f_im, m.re)
+        return GaussianRational(Rational(re, den), Rational(im, den))
 
 
 @dataclass(frozen=True)
@@ -64,11 +78,12 @@ _functional_cache: dict = {}
 
 
 def build_functional(tag: str, point: ParamPoint, order: int) -> MomentFunctional:
-    """Moments from expanding x^k in the degree-graded orthogonal basis.
+    """Moments of the functional L with L[p_0] = 1 and L[p_j] = 0 for j >= 1.
 
-    The p_0-coefficient of x^k is L[x^k] because L kills every higher basis
-    element; orthogonality of the basis itself is a separate check
-    (gram_offdiagonal).
+    The basis p_j = raise_chain(j) has degree j, so the conditions form a
+    triangular system in the moments, solved in O(order^2) scalar steps.
+    L[x^k] is then the p_0-coefficient of x^k in the basis; orthogonality of
+    the basis itself is a separate check (gram_offdiagonal).
     """
     spec = FAMILIES[tag]
     if spec.carrier != "poly":
@@ -77,11 +92,13 @@ def build_functional(tag: str, point: ParamPoint, order: int) -> MomentFunctiona
     hit = _functional_cache.get(key)
     if hit is not None:
         return hit
-    basis = [raise_chain(tag, point, j) for j in range(order + 1)]
     moments = []
-    for k in range(order + 1):
-        coeffs = expand_in_basis(Poly.monomial(k), basis[: k + 1])
-        moments.append(coeffs[0])
+    for j in range(order + 1):
+        p = raise_chain(tag, point, j)
+        acc = GR_ZERO if j else GR_ONE
+        for c, mom in zip(p.coeffs[:j], moments):
+            acc = acc - c * mom
+        moments.append(acc / p.lead)
     out = MomentFunctional(tag, point, tuple(moments))
     _functional_cache[key] = out
     return out
@@ -151,13 +168,17 @@ def adjointness_check(tag: str, point: ParamPoint, n: int, D: int, variant: str 
     failures = []
     rho = None
     samples = 0
+    lowered = []  # adj^n x^j for j = 0..D
+    for j in range(D + 1):
+        g = Poly.monomial(j)
+        for _ in range(n):
+            g = adj(g)
+        lowered.append(g)
     for i in range(D + 1):
         expansion = operational_rhs(tag, point, n, Poly.monomial(i), variant)
         for j in range(D - i + 1):
             lhs = L_base.apply(expansion * Poly.monomial(j))
-            g = Poly.monomial(j)
-            for _ in range(n):
-                g = adj(g)
+            g = lowered[j]
             rhs = L_shift.apply(Poly.monomial(i) * g) if g else GR_ZERO
             if not rhs:
                 if lhs:

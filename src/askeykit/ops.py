@@ -5,9 +5,11 @@ Each Leibniz scheme is a factorization
 
     partial^n (f*g) = sum_k alpha(n,k) * eta^k(partial^(n-k) f) * (T_{k,n} g)
 
-with a multiplicative twist eta.  The backward-shift and q-derivative rules
-admit two inequivalent factorizations each, so the catalog carries eight
-entries over six underlying operators.
+with a multiplicative twist eta and T_{k,n} = twist_{k,n} o partial^k, where
+twist_{k,n} is a shift, a dilation or the identity.  So one ladder
+[g, partial g, ..., partial^n g] serves every k.  The backward-shift and
+q-derivative rules admit two inequivalent factorizations each, so the
+catalog carries eight entries over six underlying operators.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "aw_Dq",
     "aw_Dq_raw",
     "OperatorSpec",
+    "ladder",
     "leibniz_check",
     "operator_catalog",
     "DERIVATIVE_SPEC",
@@ -132,37 +135,50 @@ def aw_Dq(f: SymLaurent, p) -> SymLaurent:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """One Leibniz factorization: the operator, its twist and its g-side operators."""
+    """One Leibniz factorization: the operator, its twist and its g-side operators.
+
+    T_{k,n} = twist(., k, n) o partial^k: `twist(h, k, n)` is applied to
+    h = partial^k g, so the g side needs no more than one ladder.
+    """
 
     name: str
     carrier: str  # "poly" | "even" | "laurent"
     partial: Callable
     eta: Callable  # eta(f, k): k-th power of the twist, k may be negative
     alpha: Callable[[int, int], object]  # alpha(n, k)
-    t_op: Callable[[int, int], Callable]  # T_{k,n}
+    twist: Callable  # twist(h, k, n) = T_{k,n} g for h = partial^k g
 
 
-def _iterate(op: Callable, f, n: int):
+def ladder(op: Callable, f, n: int) -> list:
+    """[f, op f, ..., op^n f]."""
+    out = [f]
     for _ in range(n):
-        f = op(f)
-    return f
+        out.append(op(out[-1]))
+    return out
 
 
 def leibniz_check(spec: OperatorSpec, f, g, n: int):
     """partial^n(fg) minus its Leibniz expansion; exactly zero when the rule holds."""
-    lhs = _iterate(spec.partial, f * g, n)
-    ladder = [f]  # partial^j f for j = 0..n
-    for _ in range(n):
-        ladder.append(spec.partial(ladder[-1]))
+    lhs = ladder(spec.partial, f * g, n)[n]
+    fs = ladder(spec.partial, f, n)
+    gs = ladder(spec.partial, g, n)
     rhs = None
     for k in range(n + 1):
-        term = (spec.eta(ladder[n - k], k) * spec.t_op(k, n)(g)) * spec.alpha(n, k)
+        term = (spec.eta(fs[n - k], k) * spec.twist(gs[k], k, n)) * spec.alpha(n, k)
         rhs = term if rhs is None else rhs + term
     return lhs - rhs
 
 
 def _eta_identity(f, k):
     return f
+
+
+def _twist_identity(h, k, n):
+    return h
+
+
+def _twist_half_i(h, k, n):
+    return translate(h, GR_HALF_I * (n - k))
 
 
 def _spec_derivative() -> OperatorSpec:
@@ -172,7 +188,7 @@ def _spec_derivative() -> OperatorSpec:
         partial=derivative,
         eta=_eta_identity,
         alpha=binomial,
-        t_op=lambda k, n: lambda g: _iterate(derivative, g, k),
+        twist=_twist_identity,
     )
 
 
@@ -184,7 +200,7 @@ def _spec_backward_eta1() -> OperatorSpec:
         partial=backward_shift,
         eta=_eta_identity,
         alpha=binomial,
-        t_op=lambda k, n: lambda g: translate(_iterate(backward_shift, g, k), -(n - k)),
+        twist=lambda h, k, n: translate(h, -(n - k)),
     )
 
 
@@ -196,7 +212,7 @@ def _spec_backward_etaS() -> OperatorSpec:
         partial=backward_shift,
         eta=lambda f, k: translate(f, -k),
         alpha=binomial,
-        t_op=lambda k, n: lambda g: _iterate(backward_shift, g, k),
+        twist=_twist_identity,
     )
 
 
@@ -208,7 +224,7 @@ def _spec_delta_x() -> OperatorSpec:
         partial=delta_x,
         eta=lambda f, k: translate(f, GR_HALF_I * (-k)),
         alpha=binomial,
-        t_op=lambda k, n: lambda g: translate(_iterate(delta_x, g, k), GR_HALF_I * (n - k)),
+        twist=_twist_half_i,
     )
 
 
@@ -220,40 +236,37 @@ def _spec_delta_x2() -> OperatorSpec:
         partial=delta_x2,
         eta=lambda f, k: translate(f, GR_HALF_I * (-k)),
         alpha=binomial,
-        t_op=lambda k, n: lambda g: translate(_iterate(delta_x2, g, k), GR_HALF_I * (n - k)),
+        twist=_twist_half_i,
     )
 
 
 def _spec_qderiv_Tq(q) -> OperatorSpec:
     q = Rational(q)
-    dq = lambda g: q_derivative(g, q)
     return OperatorSpec(
         name="qderiv-Tq",
         carrier="poly",
-        partial=dq,
+        partial=lambda g: q_derivative(g, q),
         eta=lambda f, k: f.compose_affine(q ** k, 0),
         alpha=lambda n, k: q_binomial(n, k, q),
-        t_op=lambda k, n: lambda g: _iterate(dq, g, k),
+        twist=_twist_identity,
     )
 
 
 def _spec_qderiv_I(q) -> OperatorSpec:
     q = Rational(q)
-    dq = lambda g: q_derivative(g, q)
     return OperatorSpec(
         name="qderiv-I",
         carrier="poly",
-        partial=dq,
+        partial=lambda g: q_derivative(g, q),
         eta=_eta_identity,
         alpha=lambda n, k: q_binomial(n, k, q),
-        t_op=lambda k, n: lambda g: _iterate(dq, g, k).compose_affine(q ** (n - k), 0),
+        twist=lambda h, k, n: h.compose_affine(q ** (n - k), 0),
     )
 
 
 def _spec_aw(p) -> OperatorSpec:
     p = Rational(p)
     q = p * p
-    dq = lambda g: aw_Dq(g, p)
 
     def alpha(n, k):
         # q-binomial times q^(k(k-n)/2), an integer power of the base p
@@ -262,10 +275,10 @@ def _spec_aw(p) -> OperatorSpec:
     return OperatorSpec(
         name="aw",
         carrier="laurent",
-        partial=dq,
+        partial=lambda g: aw_Dq(g, p),
         eta=lambda f, k: aw_eta(f, p, k) if isinstance(f, SymLaurent) else f.scale_var(GaussianRational.coerce(p) ** k),
         alpha=alpha,
-        t_op=lambda k, n: lambda g: aw_eta(_iterate(dq, g, k), p, k - n),
+        twist=lambda h, k, n: aw_eta(h, p, k - n),
     )
 
 

@@ -130,6 +130,16 @@ def test_toda_unknown_family():
     assert main(["toda", "--families", "wilson"]) == 2
 
 
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_toda_without_flows_exits_2(max_n, capsys):
+    # a run that checks no flow must not read as a pass
+    assert main(["toda", "--families", "hermite", "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -211,3 +221,19 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert "askey-wilson" in proc.stdout
     assert "carrier: even" in proc.stdout
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_verify_unwritable_output_exits_2_before_running(where, tmp_path, monkeypatch, capsys):
+    from askeykit import cli
+
+    def no_run(config):
+        raise AssertionError("the suite ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_verify", no_run)
+    out = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    assert main(["verify", "--max-n", "0", "--max-m", "0", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err

@@ -5,14 +5,21 @@ from random import Random
 import pytest
 
 from askeykit.algebra import (
+    GR_I,
     GaussianRational,
+    Laurent,
     Poly,
     Rational,
     UnitPhase,
+    pochhammer,
     q_pochhammer,
 )
+from askeykit import families
 from askeykit.families import (
     FAMILIES,
+    FamilySpec,
+    askey_wilson_poly,
+    big_q_jacobi_poly,
     hermite_poly,
     jacobi_poly,
     krawtchouk_poly,
@@ -156,6 +163,14 @@ def test_lowering_constant_all_families():
             assert ell, (tag, n)
 
 
+def _ratio(spec, var, pt, k):
+    """eta^k(w_(nu+k sigma))/w_nu as the product of the variant's first k weight steps."""
+    out = Laurent.one() if spec.carrier == "laurent" else Poly.one()
+    for j in range(k):
+        out = out * var.weight_step(pt, j)
+    return out
+
+
 def test_weight_ratio_degree_bound():
     # eta^k(w_(nu+k sigma))/w_nu is polynomial of family degree <= 2k
     rng = Random(43)
@@ -164,7 +179,7 @@ def test_weight_ratio_degree_bound():
         pt = sample_point(tag, rng)
         for var in spec.variants:
             for k in range(4):
-                ratio = var.weight_ratio(pt, k)
+                ratio = _ratio(spec, var, pt, k)
                 if spec.carrier == "laurent":
                     deg = max(abs(ratio.high), abs(ratio.low))
                 else:
@@ -195,3 +210,136 @@ def test_q_pochhammer_is_gaussian_rational():
             prod *= 1 - Q(a) * Q(q) ** j
         assert val == GaussianRational(prod), (a, q, k)
         assert val * val.inverse() == GaussianRational(1), (a, q, k)
+
+
+def test_cold_chain_checks_each_point_once(monkeypatch):
+    # the recursion checks the shifted points, so a chain of length n makes
+    # n + 1 admissibility checks, not one per point per level
+    calls = [0]
+    admissible = FamilySpec.admissible
+
+    def counting(self, point):
+        calls[0] += 1
+        return admissible(self, point)
+
+    rng = Random(47)
+    n = 6
+    for tag in CHAIN_FAMILIES:
+        pt = sample_point(tag, rng)
+        monkeypatch.setattr(families, "_chain_cache", {})
+        monkeypatch.setattr(FamilySpec, "admissible", counting)
+        calls[0] = 0
+        raise_chain(tag, pt, n)
+        assert calls[0] == n + 1, (tag, calls[0])
+        monkeypatch.undo()
+
+
+# The weight ratios in their per-k closed forms, written out independently of
+# the step functions in the family registry.
+
+def _rising(base, k, xcoef=1):
+    out = Poly.one()
+    for j in range(k):
+        out = out * Poly([base + j, xcoef])
+    return out
+
+
+def _falling(k):
+    return _rising(0, k, -1)  # (-x)_k
+
+
+def _q_poch_x(scale, q, k):
+    out = Poly.one()
+    for j in range(k):
+        out = out * Poly([1, -scale * q ** j])
+    return out
+
+
+def _aw_ratio(vals, p, k):
+    q = p * p
+    out = Laurent.monomial(-2 * k, (-1) ** k / p ** (k * k))
+    for e in vals:
+        if e:
+            for j in range(k):
+                out = out * Laurent(0, [1, -e * q ** j])
+    return out
+
+
+RATIO_ORACLES = {
+    ("hermite", ""): lambda v, k: Poly.one(),
+    ("laguerre", ""): lambda v, k: Poly.monomial(k),
+    ("jacobi", ""): lambda v, k: Poly([1, 0, -1]) ** k,
+    ("meixner", "eta1"): lambda v, k: _rising(v["beta"], k) * pochhammer(v["beta"], k).inverse(),
+    ("meixner", "etaS"): lambda v, k: _falling(k)
+    * ((-1) ** k / v["c"] ** k) * pochhammer(v["beta"], k).inverse(),
+    ("charlier", "eta1"): lambda v, k: Poly.one(),
+    ("charlier", "etaS"): lambda v, k: _falling(k) * (1 / (-v["a"]) ** k),
+    ("meixner-pollaczek", ""): lambda v, k: _rising(v["lam"], k, GR_I)
+    * (GR_I ** k * UnitPhase(v["phi"]).power(-k)),
+    ("wilson", ""): lambda v, k: _rising(v["a"], k, GR_I) * _rising(v["b"], k, GR_I)
+    * _rising(v["c"], k, GR_I) * _rising(v["d"], k, GR_I) * (-1) ** k,
+    ("big-q-jacobi", "Tq"): lambda v, k: _q_poch_x(1, v["q"], k) * _q_poch_x(v["b"] / v["c"], v["q"], k),
+    ("big-q-jacobi", "I"): lambda v, k: _q_poch_x(1 / (v["a"] * v["q"] ** k), v["q"], k)
+    * _q_poch_x(1 / (v["c"] * v["q"] ** k), v["q"], k),
+    ("big-q-laguerre", "Tq"): lambda v, k: _q_poch_x(1, v["q"], k),
+    ("big-q-laguerre", "I"): lambda v, k: _q_poch_x(1 / (v["a"] * v["q"] ** k), v["q"], k)
+    * _q_poch_x(1 / (v["c"] * v["q"] ** k), v["q"], k),
+    ("askey-wilson", ""): lambda v, k: _aw_ratio([v[e] for e in "abcd"], v["p"], k),
+    ("continuous-q-hermite", ""): lambda v, k: _aw_ratio([], v["p"], k),
+}
+
+
+def test_weight_steps_multiply_to_the_closed_ratios():
+    rng = Random(53)
+    variants = {(tag, var.name) for tag in CHAIN_FAMILIES for var in FAMILIES[tag].variants}
+    assert variants == set(RATIO_ORACLES)
+    for tag in CHAIN_FAMILIES:
+        spec = FAMILIES[tag]
+        for _ in range(3):
+            pt = sample_point(tag, rng)
+            for var in spec.variants:
+                for k in range(6):
+                    expected = RATIO_ORACLES[(tag, var.name)](pt.as_dict(), k)
+                    assert _ratio(spec, var, pt, k) == expected, (tag, var.name, pt, k)
+
+
+# The 3phi2 and 4phi3 forms with fresh q-Pochhammer products for every term.
+
+def _big_q_jacobi_by_pochhammers(a, b, c, q, n):
+    out = Poly.zero()
+    xpoch = Poly.one()
+    for k in range(n + 1):
+        scal = q_pochhammer(q ** -n, q, k) * q_pochhammer(a * b * q ** (n + 1), q, k) * q ** k / (
+            q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k) * q_pochhammer(q, q, k)
+        )
+        out = out + xpoch * scal
+        xpoch = xpoch * Poly([1, -(q ** k)])
+    return out
+
+
+def _askey_wilson_by_pochhammers(a, b, c, d, p, n):
+    q = p * p
+    out = Laurent.zero()
+    zpoch = Laurent.one()
+    for k in range(n + 1):
+        scal = q_pochhammer(q ** -n, q, k) * q_pochhammer(a * b * c * d * q ** (n - 1), q, k) * q ** k / (
+            q_pochhammer(a * b, q, k) * q_pochhammer(a * c, q, k) * q_pochhammer(a * d, q, k)
+            * q_pochhammer(q, q, k)
+        )
+        out = out + zpoch * scal
+        zpoch = zpoch * Laurent(0, [1, -a * q ** k]) * Laurent(-1, [-a * q ** k, 1])
+    pref = q_pochhammer(a * b, q, n) * q_pochhammer(a * c, q, n) * q_pochhammer(a * d, q, n) / a ** n
+    return (out * pref).to_sym()
+
+
+def test_q_closed_forms_match_the_pochhammer_forms():
+    rng = Random(59)
+    for _ in range(3):
+        v = sample_point("big-q-jacobi", rng).as_dict()
+        w = sample_point("big-q-laguerre", rng).as_dict()
+        u = sample_point("askey-wilson", rng).as_dict()
+        for n in range(7):
+            for bq in ((v["a"], v["b"], v["c"], v["q"], n), (w["a"], 0, w["c"], w["q"], n)):
+                assert big_q_jacobi_poly(*bq) == _big_q_jacobi_by_pochhammers(*bq), bq
+            aw = (u["a"], u["b"], u["c"], u["d"], u["p"], n)
+            assert askey_wilson_poly(*aw) == _askey_wilson_by_pochhammers(*aw), (u, n)

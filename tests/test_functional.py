@@ -6,8 +6,9 @@ import pytest
 
 from askeykit.algebra import GaussianRational, Poly, Rational, pochhammer
 from askeykit.burchnall import operational_rhs
-from askeykit.families import make_point, raise_chain
+from askeykit.families import FAMILIES, expand_in_basis, make_point, raise_chain
 from askeykit.functional import (
+    MomentFunctional,
     build_functional,
     adjointness_check,
     gram_offdiagonal,
@@ -141,3 +142,34 @@ def test_bqj_chain_orthogonal_to_lower_monomials():
         expansion = operational_rhs("big-q-jacobi", pt, n, Poly.one(), "Tq")
         for p in range(n):
             assert not L.apply(expansion * Poly.monomial(p)), (n, p)
+
+
+def test_moments_match_the_basis_expansion():
+    # oracle: L[x^k] is the p_0-coefficient of x^k in the raising-chain basis
+    rng = Random(61)
+    order = 8
+    tags = [t for t, s in FAMILIES.items() if s.raising is not None and s.carrier == "poly"]
+    for tag in tags:
+        pt = sample_point(tag, rng)
+        basis = [raise_chain(tag, pt, j) for j in range(order + 1)]
+        expected = tuple(expand_in_basis(Poly.monomial(k), basis[: k + 1])[0] for k in range(order + 1))
+        assert build_functional(tag, pt, order).moments == expected, tag
+
+
+def test_apply_matches_the_coefficient_sum():
+    rng = Random(67)
+
+    def scalar(complex_part):
+        re = Q(rng.randrange(-20, 21), rng.randrange(1, 20))
+        return GaussianRational(re, Q(rng.randrange(-20, 21), rng.randrange(1, 20)) if complex_part else 0)
+
+    for complex_moments in (False, True):
+        moments = [GaussianRational(1)] + [scalar(complex_moments) for _ in range(6)] + [GaussianRational(0)]
+        L = MomentFunctional("test", None, tuple(moments))
+        for complex_poly in (False, True):
+            for deg in range(-1, L.order + 1):
+                f = Poly([scalar(complex_poly) for _ in range(deg + 1)])
+                expected = GaussianRational(0)
+                for c, m in zip(f.coeffs, moments):
+                    expected = expected + c * m
+                assert L.apply(f) == expected, (complex_moments, complex_poly, f)

@@ -14,6 +14,7 @@ EPS = Q(1, 64)
 
 GOLDEN_SHA256 = "c3ac0579e8b01f92774ad7335f1c8782943d6be937328aa9ba1252b98235a551"
 DEEP_SHA256 = "dc78c3c28256ea06edaee492f2c250bf9e9cfd2641e86b61a69aa525db222064"
+SUITE_SHA256 = "e4b745fef702a505882d9df1195db9eae43c4e3805fc0e46f7d9271fe657ca2c"
 
 
 def test_golden_report_bytes():
@@ -35,6 +36,15 @@ def test_deep_chain_report_bytes():
     assert report["totals"] == {"cases": 405, "passed": 405, "failed": 0}
     text = render_report(report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == DEEP_SHA256
+
+
+def test_suite_report_bytes():
+    # 1091 cases at degree 5: the only pinned report that reaches the closed
+    # hypergeometric forms and the adjointness functionals at that degree
+    report = run_verify(SuiteConfig(seed=7, max_n=5, max_m=5))
+    assert report["totals"]["cases"] == 1091
+    text = render_report(report, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_SHA256
 
 
 # An interior point of each family; each row below moves one parameter.

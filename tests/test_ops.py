@@ -1,5 +1,6 @@
 """Operators and the generalized Leibniz engine."""
 
+import dataclasses
 from random import Random
 
 from askeykit.algebra import (
@@ -154,3 +155,21 @@ def test_leibniz_trivial_cases():
     assert not leibniz_check(spec, x, x, 2)
     spec = cat["backward-eta1"]
     assert not leibniz_check(spec, x, x, 1)
+
+
+def test_leibniz_check_builds_one_ladder_per_side():
+    # partial^n on fg, on f and on g, each built once: 3n applications, not O(n^2)
+    rng = Random(5)
+    n = 6
+    for name, spec in operator_catalog(Rational(1, 3), Rational(2, 3)).items():
+        calls = [0]
+
+        def counting(h, partial=spec.partial):
+            calls[0] += 1
+            return partial(h)
+
+        counted = dataclasses.replace(spec, partial=counting)
+        f = _random_input(rng, spec.carrier)
+        g = _random_input(rng, spec.carrier)
+        assert not leibniz_check(counted, f, g, n), name
+        assert calls[0] == 3 * n, (name, calls[0])
