@@ -222,16 +222,15 @@ def test_cold_chain_checks_each_point_once(monkeypatch):
         calls[0] += 1
         return admissible(self, point)
 
+    monkeypatch.setattr(FamilySpec, "admissible", counting)
     rng = Random(47)
     n = 6
     for tag in CHAIN_FAMILIES:
         pt = sample_point(tag, rng)
         monkeypatch.setattr(families, "_chain_cache", {})
-        monkeypatch.setattr(FamilySpec, "admissible", counting)
         calls[0] = 0
         raise_chain(tag, pt, n)
         assert calls[0] == n + 1, (tag, calls[0])
-        monkeypatch.undo()
 
 
 # The weight ratios in their per-k closed forms, written out independently of
