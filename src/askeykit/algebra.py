@@ -1,32 +1,30 @@
 """Exact scalar and polynomial arithmetic.
 
 Everything in this package computes over the Gaussian rationals Q(i):
-arbitrary-precision rationals for the real and imaginary parts, never
+arbitrary-precision integers for numerators and denominators, never
 floating point.  Polynomials in x are dense; the Askey-Wilson layer works
 with Laurent polynomials in z carrying the substitution x = (z + 1/z)/2.
 
-Scalars are GaussianRational values.  Polynomials are held fraction-free,
-in the fmpq_poly layout of FLINT: a Poly keeps integer numerators for the
-real and imaginary parts over one shared positive denominator, in a
+Scalars and polynomials are both held fraction-free, in the layouts of
+FLINT.  A GaussianRational is (r + i*i)/d for Python ints r, i and one
+positive denominator d with gcd(r, i, d) = 1 (the fmpq layout, extended to
+Q(i)); real products cross-cancel before they multiply, so they need no
+final gcd.  A Poly keeps integer numerators for the real and imaginary
+parts of its coefficients over one shared positive denominator, in a
 canonical form (content 1, top coefficient nonzero), so products, sums,
 affine substitutions and exact division run on Python ints and cancel
 common factors once per result instead of once per coefficient.  Laurent
 and SymLaurent wrap a Poly body and use the same kernels.  Coefficients
 are turned back into GaussianRational values only where they are read.
 
-gmpy2 supplies the rational type when it is installed (the optional
-`gmpy2` extra; the q-series identities grow very deep coefficients);
-fractions.Fraction is the drop-in fallback.
+fractions.Fraction (exported as `Rational`) appears only at the edges:
+parsed text and the `re`/`im` views of a scalar.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as Rational
 from math import comb, factorial, gcd, lcm
-
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # gmpy2 is optional
-    from fractions import Fraction as Rational
 
 __all__ = [
     "Rational",
@@ -40,6 +38,7 @@ __all__ = [
     "GR_I",
     "GR_HALF_I",
     "SYM_X",
+    "scalar",
     "binomial",
     "factorial",
     "pochhammer",
@@ -53,9 +52,6 @@ __all__ = [
     "rational_str",
 ]
 
-_R0 = Rational(0)
-_R1 = Rational(1)
-
 
 def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
@@ -64,137 +60,270 @@ def binomial(n: int, k: int) -> int:
 
 
 def rational_str(v) -> str:
-    """Canonical "num/den" form with an explicit denominator."""
-    r = Rational(v)
-    return f"{r.numerator}/{r.denominator}"
+    """Canonical "num/den" form with an explicit denominator; v must be real."""
+    s = GaussianRational.coerce(v)
+    if s.i:
+        raise TypeError(f"{v!r} is not real")
+    return f"{s.r}/{s.d}"
 
 
-def _gr(re, im) -> "GaussianRational":
-    g = GaussianRational.__new__(GaussianRational)
-    g.re = re
-    g.im = im
+_new = object.__new__
+
+
+def _gr(r: int, i: int, d: int) -> "GaussianRational":
+    """A GaussianRational from parts already in canonical form."""
+    g = _new(GaussianRational)
+    g.r = r
+    g.i = i
+    g.d = d
     return g
 
 
-class GaussianRational:
-    """Element of Q(i): exact complex number with rational real/imag parts."""
+def _reduce(r: int, i: int, d: int) -> "GaussianRational":
+    """(r + i*i)/d in canonical form, for integers with d != 0."""
+    if d < 0:
+        r, i, d = -r, -i, -d
+    g = gcd(r, i, d)
+    if g == 1:
+        return _gr(r, i, d)
+    return _gr(r // g, i // g, d // g)
 
-    __slots__ = ("re", "im")
+
+def _scalar(v):
+    """v as a GaussianRational, or None when v is no scalar."""
+    t = type(v)
+    if t is GaussianRational:
+        return v
+    if t is int:
+        return _gr(v, 0, 1)
+    if t is Rational:
+        return _gr(v.numerator, 0, v.denominator)
+    if t is UnitPhase:
+        return v.value
+    return None
+
+
+def _sum(ar: int, ai: int, ad: int, br: int, bi: int, bd: int) -> "GaussianRational":
+    """(ar + ai*i)/ad + (br + bi*i)/bd.
+
+    Real sums take the two-gcd route of Knuth (TAOCP 4.5.1); a shared
+    denominator needs one gcd of the summed numerators.
+    """
+    if ai or bi:
+        if ad == bd:
+            return _reduce(ar + br, ai + bi, ad)
+        return _reduce(ar * bd + br * ad, ai * bd + bi * ad, ad * bd)
+    if ad == bd:
+        r = ar + br
+        g = gcd(r, ad)
+        return _gr(r, 0, ad) if g == 1 else _gr(r // g, 0, ad // g)
+    g = gcd(ad, bd)
+    if g == 1:
+        return _gr(ar * bd + br * ad, 0, ad * bd)
+    s = ad // g
+    t = ar * (bd // g) + br * s
+    g2 = gcd(t, g)
+    return _gr(t // g2, 0, s * (bd // g2))
+
+
+def _ordered(a, b):
+    """(x, y) with x < y exactly when the real values a < b; None if b is no scalar."""
+    o = _scalar(b)
+    if o is None:
+        return None
+    if a.i or o.i:
+        raise TypeError("only real Gaussian rationals are ordered")
+    return a.r * o.d, o.r * a.d
+
+
+class GaussianRational:
+    """Element of Q(i): the exact value (r + i*i)/d.
+
+    r, i and d are Python ints with d > 0 and gcd(r, i, d) = 1, so equal
+    values have equal parts.  `re` and `im` are Fraction views built on
+    access.  Real values are ordered; ordering a non-real value raises
+    TypeError.
+    """
+
+    __slots__ = ("r", "i", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Rational(re)
-        self.im = Rational(im)
+        a, b = _scalar(re), _scalar(im)
+        if a is None or b is None:
+            raise TypeError(f"GaussianRational parts must be scalars, got {re!r}, {im!r}")
+        # a + b*i
+        g = _reduce(a.r * b.d - b.i * a.d, a.i * b.d + b.r * a.d, a.d * b.d) if b else a
+        self.r, self.i, self.d = g.r, g.i, g.d
+
+    @staticmethod
+    def from_parts(re: int, im: int, den: int) -> "GaussianRational":
+        """(re + im*i)/den from integers, in canonical form."""
+        if not den:
+            raise ZeroDivisionError("Gaussian rational with zero denominator")
+        return _reduce(re, im, den)
 
     @staticmethod
     def coerce(v) -> "GaussianRational":
-        if isinstance(v, GaussianRational):
-            return v
-        if isinstance(v, UnitPhase):
-            return v.value
-        return _gr(Rational(v), _R0)
+        s = _scalar(v)
+        if s is None:
+            raise TypeError(f"not a Gaussian rational: {v!r}")
+        return s
 
-    @staticmethod
-    def _try_coerce(v):
-        if isinstance(v, GaussianRational):
-            return v
-        if isinstance(v, UnitPhase):
-            return v.value
-        if isinstance(v, (int, Rational)):
-            return _gr(Rational(v), _R0)
-        return None
+    @property
+    def re(self) -> Rational:
+        return Rational(self.r, self.d)
+
+    @property
+    def im(self) -> Rational:
+        return Rational(self.i, self.d)
+
+    @property
+    def is_real(self) -> bool:
+        return not self.i
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.r or self.i)
 
     def __eq__(self, other) -> bool:
-        o = GaussianRational._try_coerce(other)
+        o = other if type(other) is GaussianRational else _scalar(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.r == o.r and self.i == o.i and self.d == o.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.r, self.i, self.d))
 
     def __neg__(self):
-        return _gr(-self.re, -self.im)
+        return _gr(-self.r, -self.i, self.d)
 
     def __add__(self, other):
-        o = GaussianRational._try_coerce(other)
+        o = other if type(other) is GaussianRational else _scalar(other)
         if o is None:
             return NotImplemented
-        return _gr(self.re + o.re, self.im + o.im)
+        return _sum(self.r, self.i, self.d, o.r, o.i, o.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = GaussianRational._try_coerce(other)
+        o = other if type(other) is GaussianRational else _scalar(other)
         if o is None:
             return NotImplemented
-        return _gr(self.re - o.re, self.im - o.im)
+        return _sum(self.r, self.i, self.d, -o.r, -o.i, o.d)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
-
-    def __mul__(self, other):
-        o = GaussianRational._try_coerce(other)
+        o = _scalar(other)
         if o is None:
             return NotImplemented
-        # real-only fast path: most families never leave Q
-        if not self.im and not o.im:
-            return _gr(self.re * o.re, _R0)
-        return _gr(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        return _sum(o.r, o.i, o.d, -self.r, -self.i, self.d)
+
+    def __mul__(self, other):
+        o = other if type(other) is GaussianRational else _scalar(other)
+        if o is None:
+            return NotImplemented
+        ar, ai, ad, br, bi, bd = self.r, self.i, self.d, o.r, o.i, o.d
+        if not ai and not bi:
+            # cross-cancel first (Henrici): the product is then already reduced
+            g1, g2 = gcd(ar, bd), gcd(br, ad)
+            return _gr((ar // g1) * (br // g2), 0, (ad // g2) * (bd // g1))
+        return _reduce(ar * br - ai * bi, ar * bi + ai * br, ad * bd)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        if not self:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        if not self.im:
-            return _gr(_R1 / self.re, _R0)
-        n = self.re * self.re + self.im * self.im
-        return _gr(self.re / n, -self.im / n)
+        r, i, d = self.r, self.i, self.d
+        if not i:
+            if not r:
+                raise ZeroDivisionError("inverse of zero Gaussian rational")
+            return _gr(d, 0, r) if r > 0 else _gr(-d, 0, -r)
+        # d / (r + i*i) = d (r - i*i) / (r^2 + i^2)
+        return _reduce(d * r, -d * i, r * r + i * i)
 
     def __truediv__(self, other):
-        return self * GaussianRational.coerce(other).inverse()
+        o = _scalar(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
 
     def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inverse()
+        o = _scalar(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = GR_ONE
-        base = self
+        if not self.i:
+            return _gr(self.r ** k, 0, self.d ** k)
+        # the Gaussian integer r + i*i to the k by squaring, over d^k
+        den = self.d ** k
+        r, i = 1, 0
+        br, bi = self.r, self.i
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                r, i = r * br - i * bi, r * bi + i * br
             k >>= 1
-        return out
+            if k:
+                br, bi = br * br - bi * bi, 2 * br * bi
+        return _reduce(r, i, den)
 
     def conjugate(self) -> "GaussianRational":
-        return _gr(self.re, -self.im)
+        return _gr(self.r, -self.i, self.d)
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
+    def __lt__(self, other):
+        p = _ordered(self, other)
+        return NotImplemented if p is None else p[0] < p[1]
+
+    def __le__(self, other):
+        p = _ordered(self, other)
+        return NotImplemented if p is None else p[0] <= p[1]
+
+    def __gt__(self, other):
+        p = _ordered(self, other)
+        return NotImplemented if p is None else p[0] > p[1]
+
+    def __ge__(self, other):
+        p = _ordered(self, other)
+        return NotImplemented if p is None else p[0] >= p[1]
+
+    def _real(self, what: str) -> None:
+        if self.i:
+            raise TypeError(f"{what} of a non-real Gaussian rational {self!r}")
+
+    def __floor__(self) -> int:
+        self._real("floor")
+        return self.r // self.d
+
+    def __ceil__(self) -> int:
+        self._real("ceil")
+        return -(-self.r // self.d)
+
+    def __abs__(self) -> "GaussianRational":
+        self._real("abs")
+        return _gr(abs(self.r), 0, self.d)
 
     def __repr__(self):
-        if not self.im:
-            return f"{self.re}"
-        if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im >= 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
+        if not self.i:
+            return f"{self.r}" if self.d == 1 else f"{self.r}/{self.d}"
+        re, im = self.re, self.im
+        if not re:
+            return f"{im}*i"
+        sign = "+" if im >= 0 else "-"
+        return f"({re}{sign}{abs(im)}*i)"
 
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 GR_HALF_I = GaussianRational(0, Rational(1, 2))
+
+
+def scalar(v, den: int = 1) -> GaussianRational:
+    """v/den as a GaussianRational: v an int, Fraction, GaussianRational or UnitPhase."""
+    s = GaussianRational.coerce(v)
+    if den == 1:
+        return s
+    return GaussianRational.from_parts(s.r, s.i, s.d * den)
 
 
 def pochhammer(a, k: int):
@@ -213,38 +342,46 @@ def q_pochhammer(a, q, k: int):
     if k < 0:
         raise ValueError("q_pochhammer needs k >= 0")
     a = GaussianRational.coerce(a)
-    q = Rational(q)
-    out = GR_ONE
-    aq = a
+    q = GaussianRational.coerce(q)
+    # on Gaussian integers over one denominator, a q^j = (pr + pi*i)/pd; one gcd
+    pr, pi, pd = a.r, a.i, a.d
+    nr, ni, den = 1, 0, 1
     for _ in range(k):
-        out = out * (GR_ONE - aq)
-        aq = aq * q
-    return out
+        tr, ti = pd - pr, -pi
+        nr, ni = nr * tr - ni * ti, nr * ti + ni * tr
+        den *= pd
+        pr, pi, pd = pr * q.r - pi * q.i, pr * q.i + pi * q.r, pd * q.d
+    return _reduce(nr, ni, den)
 
 
-def q_binomial(n: int, k: int, q) -> Rational:
-    """Gaussian binomial (q;q)_n / ((q;q)_k (q;q)_(n-k))."""
+def q_binomial(n: int, k: int, q) -> GaussianRational:
+    """Gaussian binomial (q;q)_n / ((q;q)_k (q;q)_(n-k)) for a real base q."""
     if k < 0 or k > n:
         raise ValueError(f"q_binomial needs 0 <= k <= n, got n={n}, k={k}")
-    q = Rational(q)
-    num = _R1
-    den = _R1
-    # (1-q^(n-k+j)) / (1-q^j) for j = 1..k
-    pw_hi = q ** (n - k)
-    pw_lo = _R1
+    q = GaussianRational.coerce(q)
+    if q.i:
+        raise TypeError("q_binomial needs a real base")
+    # with q = r/d: prod_(j=1..k) (d^(n-k+j) - r^(n-k+j)) / ((d^j - r^j) d^(n-k))
+    r, d = q.r, q.d
+    rh, dh = r ** (n - k), d ** (n - k)
+    rl = dl = num = den = 1
     for _ in range(k):
-        pw_hi *= q
-        pw_lo *= q
-        num *= _R1 - pw_hi
-        den *= _R1 - pw_lo
-    return num / den
+        rh *= r
+        dh *= d
+        rl *= r
+        dl *= d
+        num *= dh - rh
+        den *= dl - rl
+    if not den:
+        raise ZeroDivisionError("q_binomial at q = 1")
+    return _reduce(num, 0, den * d ** ((n - k) * k))
 
 
-def tangent_subtract(s, r):
+def tangent_subtract(s, r) -> GaussianRational:
     """tan(A - B) from tan A = s and tan B = r; denominator 1+sr must be nonzero."""
-    s = Rational(s)
-    r = Rational(r)
-    d = _R1 + s * r
+    s = GaussianRational.coerce(s)
+    r = GaussianRational.coerce(r)
+    d = s * r + 1
     if not d:
         raise ZeroDivisionError("tangent difference undefined (angles sum to pi/2)")
     return (s - r) / d
@@ -260,18 +397,22 @@ class UnitPhase:
     __slots__ = ("half_tangent", "value")
 
     def __init__(self, half_tangent):
-        s = Rational(half_tangent)
-        d = _R1 + s * s
+        s = GaussianRational.coerce(half_tangent)
+        if s.i:
+            raise TypeError("UnitPhase needs a real half-angle tangent")
+        r, d = s.r, s.d
         self.half_tangent = s
-        self.value = _gr((_R1 - s * s) / d, (s + s) / d)
+        self.value = _reduce(d * d - r * r, 2 * r * d, d * d + r * r)
 
     @property
-    def cos(self) -> Rational:
-        return self.value.re
+    def cos(self) -> GaussianRational:
+        v = self.value
+        return _reduce(v.r, 0, v.d)
 
     @property
-    def sin(self) -> Rational:
-        return self.value.im
+    def sin(self) -> GaussianRational:
+        v = self.value
+        return _reduce(v.i, 0, v.d)
 
     def power(self, k: int) -> GaussianRational:
         """value**k; negative k uses the conjugate (|value| = 1)."""
@@ -293,12 +434,9 @@ def _parts(c) -> tuple:
     """(re, im, den) integers with c = (re + im*i)/den and den > 0."""
     if type(c) is int:
         return c, 0, 1
-    c = GaussianRational.coerce(c)
-    r, i = c.re, c.im
-    if not i:
-        return r.numerator, 0, r.denominator
-    den = lcm(r.denominator, i.denominator)
-    return r.numerator * (den // r.denominator), i.numerator * (den // i.denominator), den
+    if type(c) is not GaussianRational:
+        c = GaussianRational.coerce(c)
+    return c.r, c.i, c.d
 
 
 def _poly(re: tuple, im, den: int) -> "Poly":
@@ -420,8 +558,7 @@ class Poly:
         return self.im is None
 
     def _coef(self, k: int) -> GaussianRational:
-        d = self.den
-        return _gr(Rational(self.re[k], d), _R0 if self.im is None else Rational(self.im[k], d))
+        return _reduce(self.re[k], 0 if self.im is None else self.im[k], self.den)
 
     @property
     def coeffs(self) -> tuple:
@@ -612,7 +749,7 @@ class Poly:
         quot = _canon([c * dd for c in q], qi and [c * dd for c in qi], den)
         rem = _canon(nr[:d], ri, den)
         if rem and ci:
-            rem = rem * GaussianRational(cr, ci).inverse()
+            rem = rem * _gr(cr, ci, 1).inverse()
         return quot, rem
 
     def exact_div(self, other: "Poly") -> "Poly":
@@ -900,7 +1037,7 @@ class SymLaurent:
         return repr(self.to_laurent())
 
 
-SYM_X = SymLaurent([0, Rational(1, 2)])  # the lift of x: (z + 1/z)/2
+SYM_X = SymLaurent([0, _gr(1, 0, 2)])  # the lift of x: (z + 1/z)/2
 
 
 def chebyshev_lift(f: Poly) -> SymLaurent:
@@ -915,10 +1052,9 @@ def chebyshev_project(f: SymLaurent) -> Poly:
     """Invert chebyshev_lift exactly; tripwire on any asymmetry in the input."""
     rem = f
     out = [GR_ZERO] * (f.degree + 1 if f else 0)
-    two = Rational(2)
     while rem:
         d = rem.degree
-        a = rem.lead * (two ** d)
+        a = rem.lead * 2 ** d
         out[d] = a
         rem = rem - chebyshev_lift(Poly.monomial(d, a))
         if rem and rem.degree >= d:

@@ -26,7 +26,6 @@ from .algebra import (
     GaussianRational,
     Laurent,
     Poly,
-    Rational,
     SymLaurent,
     UnitPhase,
     binomial,
@@ -34,6 +33,7 @@ from .algebra import (
     laurent_scale,
     pochhammer,
     q_pochhammer,
+    scalar,
 )
 from .families import (
     FAMILIES,
@@ -67,8 +67,7 @@ __all__ = [
     "zassenhaus_series_residual",
 ]
 
-_Q = Rational
-_half = Rational(1, 2)
+_Q = scalar
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +166,7 @@ def _build_hermite(point, n, m):
 def _build_laguerre(point, n, m):
     # ((m+1)_n / n!) L_(m+n) = sum_k ((-x)^k / k!) L_(n-k)^(nu+k) L_(m-k)^(nu+n+k)
     lhs = standard_poly("laguerre", point, n + m) * (
-        pochhammer(m + 1, n) * _Q(Rational(1, factorial(n)))
+        pochhammer(m + 1, n) * _Q(1, factorial(n))
     )
     terms = []
     for k in range(min(n, m) + 1):
@@ -184,7 +183,7 @@ def _build_jacobi(point, n, m):
     quad = Poly([_Q(-1, 4), 0, _Q(1, 4)])  # (1-x^2)/(-4)
     terms = []
     for k in range(min(n, m) + 1):
-        coef = pochhammer(alpha + beta + 2 * n + m + 1, k) * _Q(Rational(1, factorial(k)))
+        coef = pochhammer(alpha + beta + 2 * n + m + 1, k) * _Q(1, factorial(k))
         t = (quad ** k) * coef
         t = t * standard_poly("jacobi", shifted_point(point, k), n - k)
         t = t * standard_poly("jacobi", shifted_point(point, n + k), m - k)
@@ -233,7 +232,7 @@ def _build_charlier_eta1(point, n, m):
     lhs = standard_poly("charlier", point, n + m)
     terms = []
     for k in range(min(n, m) + 1):
-        coef = pochhammer(-n, k) * pochhammer(-m, k) * _Q(Rational(1, factorial(k))) / (-a) ** k
+        coef = pochhammer(-n, k) * pochhammer(-m, k) * _Q(1, factorial(k)) / (-a) ** k
         t = standard_poly("charlier", point, n - k) * coef
         t = t * standard_poly("charlier", point, m - k).compose_affine(1, -n)
         terms.append(t)
@@ -246,7 +245,7 @@ def _build_charlier_etaS(point, n, m):
     lhs = standard_poly("charlier", point, n + m)
     terms = []
     for k in range(min(n, m) + 1):
-        coef = pochhammer(-n, k) * pochhammer(-m, k) * _Q(Rational(1, factorial(k))) / a ** (2 * k)
+        coef = pochhammer(-n, k) * pochhammer(-m, k) * _Q(1, factorial(k)) / a ** (2 * k)
         t = falling_poch_poly(k) * coef
         t = t * standard_poly("charlier", point, n - k).compose_affine(1, -k)
         t = t * standard_poly("charlier", point, m - k).compose_affine(1, -k)
@@ -262,7 +261,7 @@ def _build_mp(point, n, m):
     terms = []
     for k in range(min(n, m) + 1):
         coef = (
-            ((-GR_I) ** k) * u.power(-k) * _Q(two_sin ** k) * _Q(Rational(1, factorial(k)))
+            ((-GR_I) ** k) * u.power(-k) * _Q(two_sin ** k) * _Q(1, factorial(k))
         )
         t = rising_poch_poly(lam, k, GR_I) * coef
         t = t * standard_poly("meixner-pollaczek", shifted_point(point, k), n - k).compose_affine(
@@ -283,7 +282,7 @@ def _build_wilson(point, n, m):
     for k in range(min(n, m) + 1):
         coef = (
             pochhammer(-n, k) * pochhammer(-m, k)
-            * pochhammer(m + s1 + 2 * n - 1, k) * _Q(Rational(1, factorial(k)))
+            * pochhammer(m + s1 + 2 * n - 1, k) * _Q(1, factorial(k))
         )
         prod = Poly.one()
         for e in vals:
@@ -507,7 +506,7 @@ def zassenhaus_series_residual(order: int, f: Poly) -> TruncatedSeries:
     lhs = []
     cur = f
     for j in range(order + 1):
-        lhs.append(cur * _Q(Rational(1, factorial(j))))
+        lhs.append(cur * _Q(1, factorial(j)))
         cur = R(cur)
     # exp(-2xt - t^2): coefficient of t^b
     exp_coeffs = []
@@ -515,14 +514,14 @@ def zassenhaus_series_residual(order: int, f: Poly) -> TruncatedSeries:
         acc = Poly.zero()
         for mm in range(b // 2 + 1):
             w = b - 2 * mm
-            coef = _Q(Rational((-1) ** mm, factorial(w) * factorial(mm)))
+            coef = _Q((-1) ** mm, factorial(w) * factorial(mm))
             acc = acc + Poly.monomial(w, _Q((-2) ** w)) * coef
         exp_coeffs.append(acc)
     # f(x+t): coefficient of t^a is f^(a)/a!
     taylor = []
     cur = f
     for a in range(order + 1):
-        taylor.append(cur * _Q(Rational(1, factorial(a))))
+        taylor.append(cur * _Q(1, factorial(a)))
         cur = cur.derivative()
     residual = []
     for j in range(order + 1):

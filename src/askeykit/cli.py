@@ -29,6 +29,7 @@ from .algebra import (
     SymLaurent,
     chebyshev_lift,
     rational_str,
+    scalar,
 )
 from .families import FAMILIES, deformation, make_point
 from .burchnall import (
@@ -336,7 +337,7 @@ def _values_from_args(ident: str, params: tuple, raw: dict) -> dict:
         if text is None:
             raise UsageError(f"{ident} needs --param {p.name}=...")
         try:
-            v = int(text) if p.integer else Rational(text)
+            v = int(text) if p.integer else scalar(Rational(text))
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"--param {p.name}={text} is not a valid number") from None
         if not p.admits(v, values):

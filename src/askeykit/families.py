@@ -37,12 +37,12 @@ from .algebra import (
     GaussianRational,
     Laurent,
     Poly,
-    Rational,
     SymLaurent,
     UnitPhase,
     factorial,
     pochhammer,
     q_pochhammer,
+    scalar,
     tangent_subtract,
 )
 from . import ops
@@ -81,7 +81,7 @@ __all__ = [
     "krawtchouk_poly",
 ]
 
-_half = Rational(1, 2)
+_half = scalar(1, 2)
 
 
 @dataclass(frozen=True)
@@ -247,8 +247,7 @@ class MonicRecurrence:
     c: tuple
 
 
-def _Q(v) -> Rational:
-    return Rational(v)
+_Q = scalar
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +260,7 @@ def hermite_poly(n: int) -> Poly:
     sign = 1
     for k in range(n // 2 + 1):
         m = n - 2 * k
-        coeffs[m] = GaussianRational(_Q(sign * factorial(n) * 2 ** m) / _Q(factorial(k) * factorial(m)))
+        coeffs[m] = _Q(sign * factorial(n) * 2 ** m, factorial(k) * factorial(m))
         sign = -sign
     return Poly(coeffs)
 
@@ -269,7 +268,7 @@ def hermite_poly(n: int) -> Poly:
 def laguerre_poly(nu, n: int) -> Poly:
     """L_n^(nu)(x) = ((nu+1)_n / n!) 1F1(-n; nu+1; x)."""
     nu = _Q(nu)
-    pref = pochhammer(nu + 1, n) * _Q(Rational(1, factorial(n)))
+    pref = pochhammer(nu + 1, n) * _Q(1, factorial(n))
     out = Poly.zero()
     term = GR_ONE
     for k in range(n + 1):
@@ -283,7 +282,7 @@ def jacobi_poly(alpha, beta, n: int) -> Poly:
     """P_n^(alpha,beta)(x) = ((alpha+1)_n / n!) 2F1(-n, n+alpha+beta+1; alpha+1; (1-x)/2)."""
     alpha = _Q(alpha)
     beta = _Q(beta)
-    pref = pochhammer(alpha + 1, n) * _Q(Rational(1, factorial(n)))
+    pref = pochhammer(alpha + 1, n) * _Q(1, factorial(n))
     halfarg = Poly([_half, -_half])
     out = Poly.zero()
     coef = GR_ONE
@@ -366,7 +365,7 @@ def mp_poly(lam, phi_s, n: int) -> Poly:
         if k < n:
             coef = coef * _Q(k - n) * zarg / ((2 * lam + k) * (k + 1))
             rising = rising * Poly([lam + k, GR_I])
-    out = out * (pochhammer(2 * lam, n) * _Q(Rational(1, factorial(n))) * u.power(n))
+    out = out * (pochhammer(2 * lam, n) * _Q(1, factorial(n)) * u.power(n))
     if not out.is_real:
         raise AssertionError("Meixner-Pollaczek polynomial came out non-real")
     return out
@@ -696,15 +695,15 @@ def _low_aw(pt):
 # normalizations: standard = normalization(pt, n) * raise_chain(pt, n) --------
 
 def _norm_hermite(pt, n):
-    return GaussianRational(_Q((-1) ** n))
+    return _Q((-1) ** n)
 
 
 def _norm_laguerre(pt, n):
-    return GaussianRational(Rational(1, factorial(n)))
+    return _Q(1, factorial(n))
 
 
 def _norm_jacobi(pt, n):
-    return GaussianRational(Rational((-1) ** n, 2 ** n * factorial(n)))
+    return _Q((-1) ** n, 2 ** n * factorial(n))
 
 
 def _norm_unit(pt, n):
@@ -712,12 +711,12 @@ def _norm_unit(pt, n):
 
 
 def _norm_mp(pt, n):
-    return GaussianRational(Rational((-1) ** n, factorial(n)))
+    return _Q((-1) ** n, factorial(n))
 
 
 def _norm_bqj(pt, n):
     a, c, q = pt.get("a"), pt.get("c"), pt.get("q")
-    num = GaussianRational((a * c) ** n * q ** (n * (n + 1)) * (1 - q) ** n)
+    num = (a * c) ** n * q ** (n * (n + 1)) * (1 - q) ** n
     return num * (q_pochhammer(a * q, q, n) * q_pochhammer(c * q, q, n)).inverse()
 
 
@@ -725,7 +724,7 @@ def _norm_aw(pt, n):
     # standard = ((q-1)/2)^n q^(n(n-1)/4) * chain; the q-power is integral in p
     p = pt.get("p")
     q = p * p
-    return GaussianRational(((q - 1) / 2) ** n * p ** (n * (n - 1) // 2))
+    return ((q - 1) / 2) ** n * p ** (n * (n - 1) // 2)
 
 
 def _sh_ident(pt):
@@ -804,7 +803,7 @@ _register(FamilySpec(
     normalization=_norm_laguerre,
     standard=lambda pt, n: laguerre_poly(pt.get("nu"), n),
     deformation=Deformation(
-        Param("t", -1, window=(Rational(-3, 4), 2)), affine=lambda pt, t: (1 / (1 + t), 0)
+        Param("t", -1, window=(_Q(-3, 4), 2)), affine=lambda pt, t: (1 / (1 + t), 0)
     ),
 ))
 
@@ -1054,7 +1053,7 @@ def monic(f) -> object:
     """Normalize so the x^deg coefficient is 1 (z^deg carries 2^-deg on the lift)."""
     if isinstance(f, SymLaurent):
         d = f.degree
-        return f * (f.lead.inverse() * Rational(1, 2 ** d))
+        return f * (f.lead.inverse() * _Q(1, 2 ** d))
     return f * f.lead.inverse()
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, Rational
+from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, scalar
 from .families import FAMILIES, ParamPoint, deformation, raise_chain
 from .burchnall import operational_rhs
 from .toda import MODIFIED_EXPANSIONS
@@ -29,9 +29,6 @@ __all__ = [
     "modified_functional",
     "toda_orthogonality_check",
 ]
-
-_Q = Rational
-
 
 def _dot(a, b) -> int:
     """Sum of a[k] * b[k] over the shorter of two integer sequences."""
@@ -63,7 +60,7 @@ class MomentFunctional:
         den = f.den * m.den
         re = _dot(f.re, m.re) - _dot(f_im, m_im)
         im = _dot(f.re, m_im) + _dot(f_im, m.re)
-        return GaussianRational(Rational(re, den), Rational(im, den))
+        return GaussianRational.from_parts(re, im, den)
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,7 @@ def hankel_determinant(L: MomentFunctional, size: int) -> GaussianRational:
     if 2 * (size - 1) > L.order:
         raise ValueError("Hankel block exceeds the built moment order")
     m = [[L.moments[i + j] for j in range(size)] for i in range(size)]
-    det = GaussianRational(1)
+    det = GR_ONE
     for col in range(size):
         pivot = None
         for r in range(col, size):
@@ -163,7 +160,7 @@ def adjointness_check(tag: str, point: ParamPoint, n: int, D: int, variant: str 
     pt_shift = point
     for _ in range(n):
         pt_shift = spec.shift(pt_shift)
-    L_base = build_functional(tag, point, D + 2 * n)
+    L_base = build_functional(tag, point, D + n)  # expansion * x^j has degree <= D + n
     L_shift = build_functional(tag, pt_shift, D)
     failures = []
     rho = None
@@ -199,7 +196,7 @@ def modified_functional(tag: str, point: ParamPoint, extra, order: int) -> Momen
     The base functional is rebuilt at the image point and composed with the
     image's affine change of variable: L~[x^k] = L'[(alpha x + beta)^k].
     """
-    image, alpha, beta = deformation(tag).image(point, _Q(extra))
+    image, alpha, beta = deformation(tag).image(point, scalar(extra))
     base = build_functional(tag, image, order)
     x = Poly([beta, alpha])
     return MomentFunctional(tag, image, tuple(base.apply(x ** k) for k in range(order + 1)))

@@ -22,10 +22,10 @@ from .algebra import (
     GaussianRational,
     Laurent,
     Poly,
-    Rational,
     SymLaurent,
     binomial,
     q_binomial,
+    scalar,
 )
 
 __all__ = [
@@ -99,18 +99,18 @@ def q_shift(f: Poly, q) -> Poly:
 
 def q_derivative(f: Poly, q) -> Poly:
     """(f(x) - f(qx)) / ((1-q)x); sends x^n to [n]_q x^(n-1)."""
-    q = Rational(q)
+    q = scalar(q)
     return (f - q_shift(f, q)).exact_div(Poly.x()) * (1 / (1 - q))
 
 
 def q_derivative_inverse(f: Poly, q) -> Poly:
     """D at base 1/q: (f(x) - f(x/q)) / ((1 - 1/q)x)."""
-    return q_derivative(f, Rational(1) / Rational(q))
+    return q_derivative(f, scalar(q).inverse())
 
 
 def aw_eta(f: SymLaurent, p, power: int = 1) -> Laurent:
     """z |-> p^power * z on the symmetric carrier; breaks symmetry on purpose."""
-    return f.to_laurent().scale_var(GaussianRational.coerce(p) ** power)
+    return f.to_laurent().scale_var(scalar(p) ** power)
 
 
 def aw_Dq_raw(f: SymLaurent, p) -> Laurent:
@@ -119,12 +119,12 @@ def aw_Dq_raw(f: SymLaurent, p) -> Laurent:
     (f(q^(1/2)z) - f(q^(-1/2)z)) / ((1/2)(q^(1/2)-q^(-1/2))(z - 1/z)),
     with q = p^2.
     """
-    p = Rational(p)
+    p = scalar(p)
     num = aw_eta(f, p, 1) - aw_eta(f, p, -1)
     if not num:
         return Laurent.zero()
-    scalar = (p - 1 / p) / 2
-    den = Laurent(-1, [-scalar, 0, scalar])  # (1/2)(p - 1/p)(z - 1/z)
+    c = (p - 1 / p) / 2
+    den = Laurent(-1, [-c, 0, c])  # (1/2)(p - 1/p)(z - 1/z)
     return num.exact_div(den)
 
 
@@ -241,7 +241,7 @@ def _spec_delta_x2() -> OperatorSpec:
 
 
 def _spec_qderiv_Tq(q) -> OperatorSpec:
-    q = Rational(q)
+    q = scalar(q)
     return OperatorSpec(
         name="qderiv-Tq",
         carrier="poly",
@@ -253,7 +253,7 @@ def _spec_qderiv_Tq(q) -> OperatorSpec:
 
 
 def _spec_qderiv_I(q) -> OperatorSpec:
-    q = Rational(q)
+    q = scalar(q)
     return OperatorSpec(
         name="qderiv-I",
         carrier="poly",
@@ -265,18 +265,18 @@ def _spec_qderiv_I(q) -> OperatorSpec:
 
 
 def _spec_aw(p) -> OperatorSpec:
-    p = Rational(p)
+    p = scalar(p)
     q = p * p
 
     def alpha(n, k):
         # q-binomial times q^(k(k-n)/2), an integer power of the base p
-        return GaussianRational.coerce(q_binomial(n, k, q)) * GaussianRational.coerce(p) ** (k * (k - n))
+        return q_binomial(n, k, q) * p ** (k * (k - n))
 
     return OperatorSpec(
         name="aw",
         carrier="laurent",
         partial=lambda g: aw_Dq(g, p),
-        eta=lambda f, k: aw_eta(f, p, k) if isinstance(f, SymLaurent) else f.scale_var(GaussianRational.coerce(p) ** k),
+        eta=lambda f, k: aw_eta(f, p, k) if isinstance(f, SymLaurent) else f.scale_var(p ** k),
         alpha=alpha,
         twist=lambda h, k, n: aw_eta(h, p, k - n),
     )
@@ -292,27 +292,27 @@ _q_spec_cache: dict = {}
 
 
 def qderiv_Tq_spec(q) -> OperatorSpec:
-    key = ("Tq", Rational(q))
+    key = ("Tq", scalar(q))
     if key not in _q_spec_cache:
         _q_spec_cache[key] = _spec_qderiv_Tq(q)
     return _q_spec_cache[key]
 
 
 def qderiv_I_spec(q) -> OperatorSpec:
-    key = ("I", Rational(q))
+    key = ("I", scalar(q))
     if key not in _q_spec_cache:
         _q_spec_cache[key] = _spec_qderiv_I(q)
     return _q_spec_cache[key]
 
 
 def aw_spec(p) -> OperatorSpec:
-    key = ("aw", Rational(p))
+    key = ("aw", scalar(p))
     if key not in _q_spec_cache:
         _q_spec_cache[key] = _spec_aw(p)
     return _q_spec_cache[key]
 
 
-def operator_catalog(q=Rational(1, 2), p=Rational(1, 2)) -> dict:
+def operator_catalog(q=scalar(1, 2), p=scalar(1, 2)) -> dict:
     """All eight Leibniz factorizations, q-based entries bound to the given bases."""
     return {
         "derivative": DERIVATIVE_SPEC,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import ceil, floor
 from random import Random
 
-from .algebra import Rational
+from .algebra import GaussianRational, scalar
 from .families import FAMILIES, Param, ParamPoint, deformation, make_point
 
 __all__ = ["sample_rational", "sample_point", "sample_extras"]
@@ -21,21 +21,21 @@ __all__ = ["sample_rational", "sample_point", "sample_extras"]
 MAX_DEN = 64
 
 
-def sample_rational(rng: Random, lo, hi, skip=None) -> Rational:
-    """Uniform-ish rational strictly inside (lo, hi) with small numerator/denominator,
-    never equal to `skip`."""
-    lo = Rational(lo)
-    hi = Rational(hi)
+def sample_rational(rng: Random, lo, hi, skip=None) -> GaussianRational:
+    """Uniform-ish real rational strictly inside (lo, hi) with small
+    numerator/denominator, never equal to `skip`."""
+    lo = scalar(lo)
+    hi = scalar(hi)
     for _ in range(10_000):
         den = rng.randrange(1, MAX_DEN + 1)
-        num_lo = (lo.numerator * den) // lo.denominator + 1
-        num_hi = -((-hi.numerator * den) // hi.denominator) - 1
+        num_lo = (lo.r * den) // lo.d + 1
+        num_hi = -((-hi.r * den) // hi.d) - 1
         if num_hi < num_lo:
             continue
         num = rng.randrange(num_lo, num_hi + 1)
         if abs(num) > MAX_DEN:
             continue
-        v = Rational(num, den)
+        v = scalar(num, den)
         if not (lo < v < hi):
             continue
         if v == skip:

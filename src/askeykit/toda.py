@@ -25,13 +25,13 @@ from .algebra import (
     GR_I,
     GaussianRational,
     Poly,
-    Rational,
     UnitPhase,
     binomial,
     factorial,
     pochhammer,
     poly_gcd,
     q_pochhammer,
+    scalar,
     tangent_subtract,
 )
 from .families import (
@@ -62,7 +62,7 @@ __all__ = [
     "modified_recurrence",
 ]
 
-_Q = Rational
+_Q = scalar
 
 
 class RationalFunction:
@@ -157,7 +157,7 @@ class TodaVariable:
 
 VAR_PLAIN = TodaVariable("plain-t", "t", Poly.one())
 VAR_EXP_NEG = TodaVariable("exp-neg-t", "u", Poly([0, -1]))
-VAR_TAN_HALF = TodaVariable("tan-half", "T", Poly([Rational(-1, 2), 0, Rational(-1, 2)]))
+VAR_TAN_HALF = TodaVariable("tan-half", "T", Poly([_Q(-1, 2), 0, _Q(-1, 2)]))
 
 
 def _ddt(f: RationalFunction, variable: TodaVariable) -> RationalFunction:
@@ -177,10 +177,10 @@ class TodaSolution:
 
 def _sol_hermite():
     def b(n, pt):
-        return RationalFunction(Poly([0, Rational(-1, 2)]), var="t")
+        return RationalFunction(Poly([0, _Q(-1, 2)]), var="t")
 
     def c(n, pt):
-        return RationalFunction(Rational(n, 2), var="t")
+        return RationalFunction(_Q(n, 2), var="t")
 
     return TodaSolution("hermite", VAR_PLAIN, b, c, lambda pt: None)
 
@@ -360,7 +360,7 @@ def _build_charlier_toda_eta1(point, n, extras):
     un = _Q(1) / u ** n
     terms = []
     for k in range(n + 1):
-        coef = pochhammer(-n, k) * _Q(Rational(1, factorial(k))) * (un * (1 - u) ** k)
+        coef = pochhammer(-n, k) * _Q(1, factorial(k)) * (un * (1 - u) ** k)
         terms.append(standard_poly("charlier", point, n - k) * coef)
     return lhs, terms
 
@@ -372,7 +372,7 @@ def _build_charlier_toda_etaS(point, n, extras):
     lhs = standard_poly("charlier", point.replace(a=a * u), n)
     terms = []
     for k in range(n + 1):
-        coef = pochhammer(-n, k) * _Q(Rational(1, factorial(k))) * ((1 - 1 / u) ** k / a ** k)
+        coef = pochhammer(-n, k) * _Q(1, factorial(k)) * ((1 - 1 / u) ** k / a ** k)
         terms.append(
             falling_poch_poly(k) * coef
             * standard_poly("charlier", point, n - k).compose_affine(1, -k)
@@ -395,7 +395,7 @@ def _build_mp_toda(point, n, extras):
     two_sin = 2 * half_t.sin
     terms = []
     for k in range(n + 1):
-        coef = (GR_I ** k) * u_phi.power(-k) * _Q(Rational(1, factorial(k)))
+        coef = (GR_I ** k) * u_phi.power(-k) * _Q(1, factorial(k))
         coef = coef * _Q(two_sin ** k) * e_neg_half_t ** (n - k)
         terms.append(
             rising_poch_poly(lam, k, GR_I) * coef

@@ -1,6 +1,7 @@
 """Exact scalar and polynomial arithmetic."""
 
-from math import gcd
+import numbers
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -381,3 +382,193 @@ def test_kernel_laurent_matches_oracle(la, lb, p):
         assert as_dict(f.scale_var(p)) == {k: c * p ** k for k, c in a.items()}
     if g:
         assert as_dict((f * g).exact_div(g)) == a
+
+
+# -- the integer-part scalar against a (Fraction, Fraction) oracle --
+#
+# A value is the pair (re, im) of fractions.Fraction; every operation below is
+# the schoolbook one on pairs and shares no code with GaussianRational.
+
+F = Rational
+fracs = st.builds(F, st.integers(-40, 40), st.integers(1, 36))
+nonzero_fracs = fracs.filter(bool)
+pairs = st.one_of(
+    st.tuples(fracs, st.just(F(0))),  # real
+    st.tuples(st.just(F(0)), fracs),  # imaginary
+    st.tuples(fracs, fracs),  # mixed
+    st.tuples(nonzero_fracs, nonzero_fracs),
+)
+others = st.one_of(st.integers(-9, 9), fracs)
+
+
+def p_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def p_neg(a):
+    return -a[0], -a[1]
+
+
+def p_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def p_inv(a):
+    n = a[0] * a[0] + a[1] * a[1]
+    return a[0] / n, -a[1] / n
+
+
+def p_pow(a, k):
+    if k < 0:
+        a, k = p_inv(a), -k
+    out = (F(1), F(0))
+    for _ in range(k):
+        out = p_mul(out, a)
+    return out
+
+
+def p_repr(a):
+    re, im = a
+    if not im:
+        return f"{re}"
+    if not re:
+        return f"{im}*i"
+    return f"({re}{'+' if im >= 0 else '-'}{abs(im)}*i)"
+
+
+def gr(a):
+    return GaussianRational(*a)
+
+
+def assert_scalar(g, pair):
+    """g is canonical and equals the oracle pair."""
+    assert type(g) is GaussianRational
+    assert type(g.r) is int and type(g.i) is int and type(g.d) is int
+    assert g.d > 0 and gcd(g.r, g.i, g.d) == 1
+    assert (g.re, g.im) == pair
+    assert type(g.re) is F and type(g.im) is F
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs, pairs, others)
+def test_scalar_ring_ops_match_pair_oracle(a, b, c):
+    x, y = gr(a), gr(b)
+    cp = (F(c), F(0))
+    assert_scalar(x, a)
+    assert_scalar(x + y, p_add(a, b))
+    assert_scalar(x - y, p_add(a, p_neg(b)))
+    assert_scalar(-x, p_neg(a))
+    assert_scalar(x * y, p_mul(a, b))
+    assert_scalar(x * x, p_mul(a, a))
+    assert_scalar(x.conjugate(), (a[0], -a[1]))
+    assert_scalar(GaussianRational(x, y), p_add(a, p_mul((F(0), F(1)), b)))  # x + y*i
+    assert_scalar(x + c, p_add(a, cp))
+    assert_scalar(c + x, p_add(a, cp))
+    assert_scalar(x - c, p_add(a, p_neg(cp)))
+    assert_scalar(c - x, p_add(cp, p_neg(a)))
+    assert_scalar(x * c, p_mul(a, cp))
+    assert_scalar(c * x, p_mul(a, cp))
+    assert bool(x) == any(a)
+    assert x.is_real == (not a[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs, pairs, others, st.integers(-6, 6))
+def test_scalar_division_and_powers_match_pair_oracle(a, b, c, k):
+    x, y = gr(a), gr(b)
+    if any(b):
+        assert_scalar(y.inverse(), p_inv(b))
+        assert_scalar(x / y, p_mul(a, p_inv(b)))
+        assert_scalar(c / y, p_mul((F(c), F(0)), p_inv(b)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if c:
+        assert_scalar(x / c, p_mul(a, (1 / F(c), F(0))))
+    if any(a) or k >= 0:
+        assert_scalar(x ** k, p_pow(a, k))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x ** k
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs, pairs, fracs.filter(lambda q: abs(q) != 1), st.integers(0, 6))
+def test_q_products_match_pair_oracle(a, q, b, n):
+    # (a; q)_n = prod_j (1 - a q^j), and the q-binomial through (b; b)_n
+    out, aq = (F(1), F(0)), a
+    for _ in range(n):
+        out = p_mul(out, p_add((F(1), F(0)), p_neg(aq)))
+        aq = p_mul(aq, q)
+    assert_scalar(q_pochhammer(gr(a), gr(q), n), out)
+
+    def poch(m):
+        return (F(1), F(0)) if not m else p_mul(poch(m - 1), (1 - b ** m, F(0)))
+
+    for k in range(n + 1):
+        expected = p_mul(poch(n), p_inv(p_mul(poch(k), poch(n - k))))
+        assert_scalar(q_binomial(n, k, b), expected)
+        assert_scalar(q_binomial(n, k, GaussianRational(b)), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs, st.integers(-50, 50).filter(bool))
+def test_scalar_equal_values_have_equal_parts(a, k):
+    x = gr(a)
+    # the same value from scaled integer parts, from arithmetic and from Fractions
+    num = x.d * k
+    routes = [
+        GaussianRational.from_parts(x.r * k, x.i * k, num),
+        (x + k) - k,
+        (x * k) / k,
+        GaussianRational(F(x.r * k, num), F(x.i * k, num)),
+        GaussianRational(gr((a[0], F(0))), gr((a[1], F(0)))),
+    ]
+    if any(a):
+        routes.append(x.inverse().inverse())
+    for y in routes:
+        assert (y.r, y.i, y.d) == (x.r, x.i, x.d)
+        assert y == x and hash(y) == hash(x)
+    assert (x == a[0]) == (not a[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs)
+def test_scalar_repr_is_the_fraction_pair_format(a):
+    assert repr(gr(a)) == p_repr(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fracs, fracs, others)
+def test_scalar_ordering_on_real_values(a, b, c):
+    x, y = GaussianRational(a), GaussianRational(b)
+    assert (x < y, x <= y, x > y, x >= y) == (a < b, a <= b, a > b, a >= b)
+    assert (x < c, x <= c, x > c, x >= c) == (a < c, a <= c, a > c, a >= c)
+    assert (c < x, c <= x, c > x, c >= x) == (c < a, c <= a, c > a, c >= a)
+    assert (floor(x), ceil(x)) == (floor(a), ceil(a))
+    assert_scalar(abs(x), (abs(a), F(0)))
+    assert max(x, y) == max(a, b) and min(x, c) == min(a, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fracs, nonzero_fracs)
+def test_scalar_ordering_rejects_complex_values(a, b):
+    z, x = GaussianRational(a, b), GaussianRational(a)
+    for op in (lambda: z < x, lambda: x <= z, lambda: z > 0, lambda: 0 >= z, lambda: z < F(1, 2)):
+        with pytest.raises(TypeError):
+            op()
+    for fn in (floor, ceil, abs):
+        with pytest.raises(TypeError):
+            fn(z)
+
+
+def test_scalar_is_not_registered_as_a_number():
+    # the value may be complex; registration would hide conversions
+    assert not isinstance(GR_ONE, numbers.Number)
+    with pytest.raises(TypeError):
+        F(GR_ONE)
+    with pytest.raises(TypeError):
+        rational_str(GR_I)
+    assert rational_str(GaussianRational(F(-2, 6))) == "-1/3"

@@ -1,5 +1,6 @@
 """Family catalog: chains, closed forms, normalizations, recurrences."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -11,10 +12,13 @@ from askeykit.algebra import (
     Poly,
     Rational,
     UnitPhase,
+    chebyshev_lift,
     pochhammer,
     q_pochhammer,
 )
-from askeykit import families
+from askeykit import families, functional, ops
+from askeykit.burchnall import operational_rhs
+from askeykit.functional import build_functional
 from askeykit.families import (
     FAMILIES,
     FamilySpec,
@@ -342,3 +346,51 @@ def test_q_closed_forms_match_the_pochhammer_forms():
                 assert big_q_jacobi_poly(*bq) == _big_q_jacobi_by_pochhammers(*bq), bq
             aw = (u["a"], u["b"], u["c"], u["d"], u["p"], n)
             assert askey_wilson_poly(*aw) == _askey_wilson_by_pochhammers(*aw), (u, n)
+
+
+def test_points_hold_the_scalar():
+    rng = Random(61)
+    for tag, spec in FAMILIES.items():
+        pt = sample_point(tag, rng)
+        for p in spec.domain:
+            v = pt.get(p.name)
+            assert type(v) is (int if p.integer else GaussianRational), (tag, p.name, v)
+        image = spec.shift(pt)
+        assert all(type(v) in (int, GaussianRational) for _, v in image.values), image
+    for nu in (Q(1, 2), 3, GaussianRational(Q(5, 4))):
+        v = make_point("laguerre", nu=nu).get("nu")
+        assert type(v) is GaussianRational and v == nu
+
+
+def test_engine_makes_no_fractions(monkeypatch):
+    # points hold the integer-part scalar, so a cold raising chain, the
+    # operational expansion and a moment functional never build a
+    # fractions.Fraction
+    points = {
+        "laguerre": make_point("laguerre", nu=Q(1, 2)),
+        "big-q-jacobi": make_point("big-q-jacobi", q=Q(1, 2), a=Q(1, 3), b=Q(1, 4), c=Q(-2, 3)),
+        "askey-wilson": make_point("askey-wilson", a=Q(1, 3), b=Q(1, 5), c=Q(-1, 7), d=Q(1, 11), p=Q(2, 3)),
+    }
+    f = Poly([Q(1, 2), -3, Q(2, 5), 1])
+    inputs = {tag: chebyshev_lift(f) if FAMILIES[tag].carrier == "laurent" else f for tag in points}
+    monkeypatch.setattr(families, "_chain_cache", {})
+    monkeypatch.setattr(ops, "_q_spec_cache", {})
+    monkeypatch.setattr(functional, "_functional_cache", {})
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    n = 4
+    for tag, pt in points.items():
+        raise_chain(tag, pt, n)
+        for var in FAMILIES[tag].variants:
+            operational_rhs(tag, pt, n, inputs[tag], var.name)
+        if FAMILIES[tag].carrier == "poly":
+            build_functional(tag, pt, 2 * n)
+    monkeypatch.undo()
+    assert made == []
+    assert Fraction(2, 4) == Q(1, 2)  # the constructor is restored

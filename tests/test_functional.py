@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from askeykit import functional
 from askeykit.algebra import GaussianRational, Poly, Rational, pochhammer
 from askeykit.burchnall import operational_rhs
 from askeykit.families import FAMILIES, expand_in_basis, make_point, raise_chain
@@ -96,6 +97,26 @@ def test_adjointness_all_families():
     # Hermite masses are t-independent, so rho is exactly 1
     ok, witness, _ = adjointness_check("hermite", make_point("hermite"), 3, 6)
     assert witness.rho == GaussianRational(1)
+
+
+def test_adjointness_builds_the_base_functional_to_degree_d_plus_n(monkeypatch):
+    # (chain expansion of x^i) * x^j has degree i + n + j <= D + n, so the base
+    # functional needs order D + n and the shifted one order D
+    orders = []
+    build = functional.build_functional
+
+    def recording(tag, point, order):
+        orders.append(order)
+        return build(tag, point, order)
+
+    monkeypatch.setattr(functional, "build_functional", recording)
+    for tag, kw in COR23_FAMILIES.items():
+        pt = make_point(tag, **kw)
+        for n, D in ((1, 6), (3, 6), (5, 4)):
+            orders.clear()
+            ok, _, failures = adjointness_check(tag, pt, n, D)
+            assert ok, (tag, n, failures[:2])
+            assert tuple(orders) == (D + n, D), (tag, n, D)
 
 
 def test_toda_orthogonality():
