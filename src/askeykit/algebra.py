@@ -17,6 +17,14 @@ common factors once per result instead of once per coefficient.  Laurent
 and SymLaurent wrap a Poly body and use the same kernels.  Coefficients
 are turned back into GaussianRational values only where they are read.
 
+A difference operator is a DifferenceOperator: a list of taps, each a
+multiplier polynomial times the identity, d/dx or a substitution
+x |-> alpha*x + beta, optionally divided exactly by c*x.  It is applied in
+one pass over integer numerators (one Taylor shift per substitution, the
+tap products summed over one common denominator) with one canonical form
+per application; `product` multiplies several factors with one canonical
+form in the same way.
+
 fractions.Fraction (exported as `Rational`) appears only at the edges:
 parsed text and the `re`/`im` views of a scalar.
 """
@@ -24,7 +32,9 @@ parsed text and the `re`/`im` views of a scalar.
 from __future__ import annotations
 
 from fractions import Fraction as Rational
+from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
+from sys import hash_info
 
 __all__ = [
     "Rational",
@@ -33,6 +43,8 @@ __all__ = [
     "Poly",
     "Laurent",
     "SymLaurent",
+    "DifferenceOperator",
+    "product",
     "GR_ZERO",
     "GR_ONE",
     "GR_I",
@@ -68,6 +80,7 @@ def rational_str(v) -> str:
 
 
 _new = object.__new__
+_HASH_MODULUS, _HASH_INF = hash_info.modulus, hash_info.inf
 
 
 def _gr(r: int, i: int, d: int) -> "GaussianRational":
@@ -191,7 +204,19 @@ class GaussianRational:
         return self.r == o.r and self.i == o.i and self.d == o.d
 
     def __hash__(self):
-        return hash((self.r, self.i, self.d))
+        # a real value hashes like the equal int or Fraction (the formula of
+        # fractions.Fraction.__hash__), so it finds them in sets and dicts
+        r, d = self.r, self.d
+        if self.i:
+            return hash((r, self.i, d))
+        if d == 1:
+            return hash(r)
+        try:
+            h = hash(hash(abs(r)) * pow(d, -1, _HASH_MODULUS))
+        except ValueError:  # d is a multiple of the modulus
+            h = _HASH_INF
+        h = h if r >= 0 else -h
+        return -2 if h == -1 else h
 
     def __neg__(self):
         return _gr(-self.r, -self.i, self.d)
@@ -473,12 +498,9 @@ def _canon(re, im, den: int) -> "Poly":
 
 def _axpy(x, fx: int, y, fy: int) -> list:
     """fx*x + fy*y elementwise; the shorter sequence is padded with zeros."""
-    if len(x) < len(y):
-        x, fx, y, fy = y, fy, x, fx
-    out = [c * fx for c in x]
-    for i, c in enumerate(y):
-        out[i] += c * fy
-    return out
+    if fx == 1:
+        return [a + b * fy for a, b in zip_longest(x, y, fillvalue=0)]
+    return [a * fx + b * fy for a, b in zip_longest(x, y, fillvalue=0)]
 
 
 def _conv(a, b) -> list:
@@ -503,6 +525,71 @@ def _cmul(ar, ai, br, bi) -> tuple:
         return re, _conv(ai, br)
     im = _axpy(_conv(ar, bi), 1, _conv(ai, br), 1)
     return _axpy(re, 1, _conv(ai, bi), -1), im
+
+
+def _shift_real(g: list, b: int) -> None:
+    """g |-> the coefficients of g(y + b), in place, by repeated synthetic division."""
+    n = len(g) - 1
+    for i in range(n):
+        acc = g[n]
+        for j in range(n - 1, i - 1, -1):
+            acc = g[j] + b * acc
+            g[j] = acc
+
+
+def _substitute(fr, fi, ar: int, ai: int, br: int, bi: int, e: int) -> tuple:
+    """Numerators (re, im) of e^n f(alpha*x + beta); no canonical form.
+
+    f = fr + fi*i has integer coefficient sequences (fi may be None) and
+    degree n >= 0; alpha = (ar + ai*i)/e and beta = (br + bi*i)/e with e > 0,
+    so e^n f(alpha*x + beta) = sum_k F_k e^(n-k) (b + a*x)^k has integer
+    coefficients.  The scaled F_k e^(n-k) are Taylor-shifted by b in place
+    (y |-> y + b, by the repeated synthetic division of von zur Gathen and
+    Gerhard), and y^j then becomes a^j x^j.  The returned im is None when
+    the result is real.
+    """
+    n = len(fr) - 1
+    gr = list(fr)
+    gi = None if fi is None else list(fi)
+    if e != 1:
+        epow = 1
+        for k in range(n - 1, -1, -1):
+            epow *= e
+            gr[k] *= epow
+            if gi is not None:
+                gi[k] *= epow
+    if (bi or ai) and gi is None:
+        gi = [0] * (n + 1)
+    if bi:
+        for i in range(n):
+            xr, xi = gr[n], gi[n]
+            if br:
+                for j in range(n - 1, i - 1, -1):
+                    xr, xi = gr[j] + br * xr - bi * xi, gi[j] + br * xi + bi * xr
+                    gr[j] = xr
+                    gi[j] = xi
+            else:
+                for j in range(n - 1, i - 1, -1):
+                    xr, xi = gr[j] - bi * xi, gi[j] + bi * xr
+                    gr[j] = xr
+                    gi[j] = xi
+    elif br:
+        _shift_real(gr, br)
+        if gi is not None:
+            _shift_real(gi, br)
+    if ai:
+        pr, pi = 1, 0  # a^j
+        for j in range(1, n + 1):
+            pr, pi = pr * ar - pi * ai, pr * ai + pi * ar
+            gr[j], gi[j] = gr[j] * pr - gi[j] * pi, gr[j] * pi + gi[j] * pr
+    elif ar != 1:
+        apow = 1
+        for j in range(1, n + 1):
+            apow *= ar
+            gr[j] *= apow
+            if gi is not None:
+                gi[j] *= apow
+    return gr, gi
 
 
 class Poly:
@@ -640,57 +727,15 @@ class Poly:
         return self.compose_affine(0, value).coefficient(0)
 
     def compose_affine(self, alpha, beta) -> "Poly":
-        """x |-> f(alpha*x + beta), by Horner on integer numerators.
-
-        With alpha = a/e and beta = b/e over one denominator e (Gaussian
-        integers a, b), f(alpha*x + beta) = sum_k F_k (b + a*x)^k e^(n-k) / (den*e^n)
-        for f = sum_k F_k x^k / den of degree n.
-        """
+        """x |-> f(alpha*x + beta), on integer numerators (see _substitute)."""
         if not self.re:
             return _P_ZERO
         ar, ai, ad = _parts(alpha)
         br, bi, bd = _parts(beta)
         e = lcm(ad, bd)
-        ar, ai, br, bi = ar * (e // ad), ai * (e // ad), br * (e // bd), bi * (e // bd)
-        n = len(self.re) - 1
-        fr, fi = self.re, self.im
-        if not br and not bi and not ai:  # f(alpha*x), alpha real: F_k gains a^k e^(n-k)
-            pa, pe = [1], [1]
-            for _ in range(n):
-                pa.append(pa[-1] * ar)
-                pe.append(pe[-1] * e)
-            scale = [x * y for x, y in zip(pa, reversed(pe))]
-            re = [c * s for c, s in zip(fr, scale)]
-            return _canon(re, fi and [c * s for c, s in zip(fi, scale)], self.den * pe[-1])
-        if not ai and not bi and fi is None:
-            out = [fr[n]]
-            epow = 1
-            for k in range(n - 1, -1, -1):
-                epow *= e
-                nxt = [c * br for c in out]
-                nxt.append(0)
-                for j, c in enumerate(out, 1):
-                    nxt[j] += c * ar
-                nxt[0] += fr[k] * epow
-                out = nxt
-            return _canon(out, None, self.den * epow)
-        if fi is None:
-            fi = (0,) * (n + 1)
-        outr, outi = [fr[n]], [fi[n]]
-        epow = 1
-        for k in range(n - 1, -1, -1):
-            epow *= e
-            nr = [c * br - d * bi for c, d in zip(outr, outi)]
-            ni = [c * bi + d * br for c, d in zip(outr, outi)]
-            nr.append(0)
-            ni.append(0)
-            for j, (c, d) in enumerate(zip(outr, outi), 1):
-                nr[j] += c * ar - d * ai
-                ni[j] += c * ai + d * ar
-            nr[0] += fr[k] * epow
-            ni[0] += fi[k] * epow
-            outr, outi = nr, ni
-        return _canon(outr, outi, self.den * epow)
+        fa, fb = e // ad, e // bd
+        re, im = _substitute(self.re, self.im, ar * fa, ai * fa, br * fb, bi * fb, e)
+        return _canon(re, im, self.den * e ** (len(self.re) - 1))
 
     def derivative(self) -> "Poly":
         im = self.im
@@ -784,6 +829,153 @@ _P_ONE = _poly((1,), None, 1)
 _P_X = _poly((0, 1), None, 1)
 
 
+class DifferenceOperator:
+    """The linear map f |-> (sum_t M_t(x) (S_t f)(x)) / (c*x) on Poly.
+
+    `taps` lists pairs (M, S): the multiplier M by its coefficients from x^0
+    up, and the substitution S, which is None (the identity), "d" (d/dx) or
+    (alpha, beta) for x |-> alpha*x + beta.  With `divisor` c the sum is
+    divided exactly by c*x; a nonzero constant term before that division is
+    the ValueError of Poly.exact_div.
+
+    The multipliers are put over one denominator, with 1/c folded in, when
+    the operator is built, so an application runs on integer numerators: one
+    raw substitution pass per tap, the tap products summed over one common
+    denominator, one canonical form.  Two taps (M, (alpha, beta)) and
+    (+-conj M, (alpha, conj beta)) with alpha real and beta not real form a
+    conjugate pair: on a real input f(alpha*x + conj beta) is the conjugate
+    of A = f(alpha*x + beta), so the pair is 2 Re(M A) or 2i Im(M A) and A is
+    computed once.  A complex input takes both taps as written.
+    """
+
+    __slots__ = ("_taps", "_den", "_e", "_divisor")
+
+    def __init__(self, taps, divisor=None):
+        parts = [[_parts(c) for c in m] for m, _ in taps]
+        md = lcm(*(d for ps in parts for _, _, d in ps))
+        ur, ui, ud = 1, 0, 1
+        if divisor is not None:
+            divisor = GaussianRational.coerce(divisor)
+            u = divisor.inverse()
+            ur, ui, ud = u.r, u.i, u.d
+        prepared = []
+        for (_, sub), ps in zip(taps, parts):
+            mr = [r * (md // d) for r, _, d in ps]
+            mi = [i * (md // d) for _, i, d in ps]
+            if ui:
+                mr, mi = [a * ur - b * ui for a, b in zip(mr, mi)], [a * ui + b * ur for a, b in zip(mr, mi)]
+            elif ur != 1:
+                mr, mi = [a * ur for a in mr], [b * ur for b in mi]
+            while mr and not mr[-1] and not mi[-1]:
+                mr.pop()
+                mi.pop()
+            if not mr:
+                continue
+            e = 1
+            if sub is not None and sub != "d":
+                (ar, ai, ad), (br, bi, bd) = _parts(sub[0]), _parts(sub[1])
+                e = lcm(ad, bd)
+                sub = (ar * (e // ad), ai * (e // ad), br * (e // bd), bi * (e // bd), e)
+            prepared.append([sub, e, tuple(mr), tuple(mi) if any(mi) else None, 0])
+        self._e = lcm(*(t[1] for t in prepared))
+        for t in prepared:
+            t[1] = self._e // t[1]
+        for i, t in enumerate(prepared):
+            sub = t[0]
+            if t[4] or sub is None or sub == "d" or sub[1] or not sub[3]:
+                continue
+            mr, mi = t[2], t[3]
+            conj = (sub[0], 0, sub[2], -sub[3], sub[4])
+            for u in prepared[i + 1:]:
+                if u[4] or u[0] != conj:
+                    continue
+                if u[2] == mr and u[3] == (mi and tuple(-c for c in mi)):
+                    t[4], u[4] = 1, 2
+                    break
+                if u[2] == tuple(-c for c in mr) and u[3] == mi:
+                    t[4], u[4] = -1, 2
+                    break
+        self._taps = tuple(tuple(t) for t in prepared)
+        self._den = md * ud
+        self._divisor = divisor
+
+    def __call__(self, f: Poly) -> Poly:
+        fr, fi = f.re, f.im
+        if not fr:
+            return _P_ZERO
+        n = len(fr) - 1
+        real = fi is None
+        accr, acci = [], []
+        for sub, base, mr, mi, pair in self._taps:
+            if real and pair == 2:  # the conjugate partner, folded into its pair
+                continue
+            if sub is None:
+                sr, si = fr, fi
+            elif sub == "d":
+                sr = [k * c for k, c in enumerate(fr[1:], 1)]
+                si = fi and [k * c for k, c in enumerate(fi[1:], 1)]
+            else:
+                sr, si = _substitute(fr, fi, *sub)
+            s = base ** n
+            if real and pair:
+                s *= 2
+                if pair == 1:  # 2 Re(M A)
+                    tr, ti = _conv(sr, mr), None
+                    if mi and si:
+                        tr = _axpy(tr, 1, _conv(si, mi), -1)
+                else:  # 2i Im(M A)
+                    tr, ti = None, _conv(sr, mi) if mi else []
+                    if si:
+                        ti = _axpy(ti, 1, _conv(si, mr), 1)
+            elif mi is None and len(mr) == 1:  # a real constant scales the sum
+                tr, ti = sr, si
+                s *= mr[0]
+            else:
+                tr, ti = _cmul(sr, si, mr, mi)
+            if tr is not None:
+                accr = _axpy(accr, 1, tr, s)
+            if ti is not None:
+                acci = _axpy(acci, 1, ti, s)
+        if self._divisor is not None:
+            r0 = accr[0] if accr else 0
+            i0 = acci[0] if acci else 0
+            if r0 or i0:
+                rem = _reduce(r0, i0, f.den * self._den * self._e ** n) * self._divisor
+                raise ValueError(f"nonzero remainder in exact division: {rem}")
+            accr, acci = accr[1:], acci[1:]
+        if len(accr) < len(acci):
+            accr += [0] * (len(acci) - len(accr))
+        if not any(acci):
+            acci = None
+        elif len(acci) < len(accr):
+            acci += [0] * (len(accr) - len(acci))
+        return _canon(accr, acci, f.den * self._den * self._e ** n)
+
+
+def product(c, *factors):
+    """c times the product of the factors, canonicalized once.
+
+    The factors are all Poly, or all Laurent and SymLaurent (the product is
+    then a Laurent polynomial); c is a scalar.
+    """
+    cr, ci, den = _parts(c)
+    re, im = (cr,), (ci,) if ci else None
+    if type(factors[0]) is Poly:
+        for f in factors:
+            re, im = _cmul(f.re, f.im, re, im)
+            den *= f.den
+        return _canon(re, im, den)
+    low = 0
+    for f in factors:
+        if type(f) is SymLaurent:
+            f = f.to_laurent()
+        low += f.low
+        b = f.body
+        re, im = _cmul(b.re, b.im, re, im)
+        den *= b.den
+    return _laurent(low, _canon(re, im, den))
+
+
 def _laurent(low: int, body: Poly) -> "Laurent":
     """z^low * body, with the body's zero low-order coefficients moved into low."""
     re, im = body.re, body.im
@@ -846,7 +1038,13 @@ class Laurent:
         return bool(self.body)
 
     def __eq__(self, other):
-        o = Laurent.coerce(other)
+        if isinstance(other, (Laurent, SymLaurent)):
+            o = Laurent.coerce(other)
+        else:
+            c = _scalar(other)
+            if c is None:
+                return NotImplemented
+            o = _laurent(0, Poly.constant(c))
         return self.low == o.low and self.body == o.body
 
     def __hash__(self):
@@ -885,7 +1083,14 @@ class Laurent:
         p = GaussianRational.coerce(p)
         if not p:
             raise ZeroDivisionError("scale_var needs p != 0")
-        return _laurent(self.low, self.body.compose_affine(p, 0) * p ** self.low)
+        b = self.body
+        if not b:
+            return self
+        # the body's x^j gains p^j by one raw dilation, the whole by p^low
+        c = p ** self.low
+        re, im = _substitute(b.re, b.im, p.r, p.i, 0, 0, p.d)
+        re, im = _cmul(re, im, (c.r,), (c.i,) if c.i else None)
+        return _laurent(self.low, _canon(re, im, b.den * p.d ** b.degree * c.d))
 
     def invert_var(self) -> "Laurent":
         """z |-> 1/z."""

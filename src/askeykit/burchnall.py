@@ -32,6 +32,7 @@ from .algebra import (
     factorial,
     laurent_scale,
     pochhammer,
+    product,
     q_pochhammer,
     scalar,
 )
@@ -95,9 +96,7 @@ def operational_rhs(tag: str, point: ParamPoint, n: int, f, variant: str | None 
     rhs = None
     pt_k = point
     for k in range(n + 1):
-        term = ratio * op.eta(raise_chain(tag, pt_k, n - k), k)
-        term = term * op.twist(fs[k], k, n)
-        term = term * op.alpha(n, k)
+        term = product(op.alpha(n, k), ratio, op.eta(raise_chain(tag, pt_k, n - k), k), op.twist(fs[k], k, n))
         rhs = term if rhs is None else rhs + term
         if k < n:
             ratio = ratio * var.weight_step(point, k)

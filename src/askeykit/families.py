@@ -25,7 +25,7 @@ products, while the ratios and their steps are plain polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .algebra import (
@@ -34,6 +34,7 @@ from .algebra import (
     GR_ONE,
     GR_ZERO,
     SYM_X,
+    DifferenceOperator,
     GaussianRational,
     Laurent,
     Poly,
@@ -84,12 +85,24 @@ __all__ = [
 _half = scalar(1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParamPoint:
-    """A concrete parameter instantiation; phases are stored as half-tangents."""
+    """A concrete parameter instantiation; phases are stored as half-tangents.
+
+    Points key the chain, standard-form and functional caches, so the hash
+    is computed once per point and kept in a slot.
+    """
 
     family: str
     values: tuple
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.family, self.values))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def get(self, name):
         for k, v in self.values:
@@ -476,71 +489,76 @@ def krawtchouk_poly(pp, N: int, n: int) -> Poly:
 # family catalog
 # ---------------------------------------------------------------------------
 
+# Each raising operator is a list of taps (multiplier coefficients from x^0
+# up, substitution), built once per point from the point's scalars; see
+# algebra.DifferenceOperator.
+_DOWN = (1, -1)  # x |-> x - 1
+_HALF_UP = (1, GR_HALF_I)  # x |-> x + i/2
+_HALF_DOWN = (1, -GR_HALF_I)  # x |-> x - i/2
+
+
+def _esym(vals) -> list:
+    """[e_0, e_1, ..., e_len(vals)]: the elementary symmetric functions of vals."""
+    e = [GR_ONE]
+    for v in vals:
+        e = [GR_ONE, *(a + v * b for a, b in zip(e[1:], e)), v * e[-1]]
+    return e
+
+
+_HERMITE_RAISE = DifferenceOperator((((1,), "d"), ((0, -2), None)))  # f' - 2x f
+
+
 def _hermite_raise(pt):
-    m2x = Poly([0, -2])
-    return lambda f: f.derivative() + m2x * f
+    return _HERMITE_RAISE
 
 
 def _laguerre_raise(pt):
-    nu = pt.get("nu")
-    lin = Poly([nu + 1, -1])
-    return lambda f: Poly.x() * f.derivative() + lin * f
+    # x f' + (nu + 1 - x) f
+    return DifferenceOperator((((0, 1), "d"), ((pt.get("nu") + 1, -1), None)))
 
 
 def _jacobi_raise(pt):
+    # (1 - x^2) f' + (beta - alpha - (alpha + beta + 2) x) f
     alpha, beta = pt.get("alpha"), pt.get("beta")
-    quad = Poly([1, 0, -1])
-    lin = Poly([beta - alpha, -(alpha + beta + 2)])
-    return lambda f: quad * f.derivative() + lin * f
+    return DifferenceOperator((((1, 0, -1), "d"), ((beta - alpha, -(alpha + beta + 2)), None)))
 
 
 def _meixner_raise(pt):
-    beta, c = pt.get("beta"), pt.get("c")
-    lin = Poly([1, _Q(1) / beta])
-    xs = Poly([0, -_Q(1) / (c * beta)])
-    return lambda f: lin * f + xs * ops.translate(f, -1)
+    # (1 + x/beta) f - x/(c beta) f(x - 1)
+    ib = 1 / pt.get("beta")
+    return DifferenceOperator((((1, ib), None), ((0, -ib / pt.get("c")), _DOWN)))
 
 
 def _charlier_raise(pt):
-    a = pt.get("a")
-    xs = Poly([0, -_Q(1) / a])
-    return lambda f: f + xs * ops.translate(f, -1)
+    # f - (x/a) f(x - 1)
+    return DifferenceOperator((((1,), None), ((0, -1 / pt.get("a")), _DOWN)))
 
 
 def _mp_raise(pt):
+    # -e^(i phi) (lambda - ix) f(x + i/2) - e^(-i phi) (lambda + ix) f(x - i/2): a conjugate pair
     lam = pt.get("lam")
-    u = UnitPhase(pt.get("phi"))
-    up = Poly([lam, -GR_I]) * (-u.value)          # -e^(i phi) (lambda - ix)
-    dn = Poly([lam, GR_I]) * (-u.power(-1))       # -e^(-i phi) (lambda + ix)
-    return lambda f: up * ops.translate(f, GR_HALF_I) + dn * ops.translate(f, -GR_HALF_I)
+    u = UnitPhase(pt.get("phi")).value
+    v = u.conjugate()
+    return DifferenceOperator((((-lam * u, GR_I * u), _HALF_UP), ((-lam * v, -GR_I * v), _HALF_DOWN)))
 
 
 def _wilson_raise(pt):
-    vals = [pt.get(k) for k in ("a", "b", "c", "d")]
-    plus = Poly.one()
-    minus = Poly.one()
-    for e in vals:
-        plus = plus * Poly([e, GR_I])    # e + ix
-        minus = minus * Poly([e, -GR_I])  # e - ix
-    den = Poly([0, GaussianRational(0, 2)])  # 2ix
-
-    def R(f):
-        num = plus * ops.translate(f, -GR_HALF_I) - minus * ops.translate(f, GR_HALF_I)
-        return num.exact_div(den)
-
-    return R
+    # (prod (e + ix) f(x - i/2) - prod (e - ix) f(x + i/2)) / (2ix), with
+    # prod (e +- ix) = e4 +- i e3 x - e2 x^2 -+ i e1 x^3 + x^4
+    _, e1, e2, e3, e4 = _esym([pt.get(k) for k in ("a", "b", "c", "d")])
+    plus = (e4, GR_I * e3, -e2, -GR_I * e1, 1)
+    minus = (-e4, GR_I * e3, e2, -GR_I * e1, -1)  # -prod (e - ix)
+    return DifferenceOperator(((plus, _HALF_DOWN), (minus, _HALF_UP)), divisor=2 * GR_I)
 
 
 def _bqj_raise_abc(a, b, c, q):
-    up = Poly([1, -_Q(1) / (a * q)]) * Poly([1, -_Q(1) / (c * q)])
-    dn = Poly([1, -1]) * Poly([1, -b / c])
-    den = Poly([0, 1 - q])
-
-    def R(f):
-        num = up * f - dn * f.compose_affine(q, 0)
-        return num.exact_div(den)
-
-    return R
+    # ((1 - x/(aq))(1 - x/(cq)) f - (1 - x)(1 - bx/c) f(qx)) / ((1 - q)x), with
+    # (1 - x/(aq))(1 - x/(cq)) = 1 - (a + c) x/(acq) + x^2/(acq^2)
+    inv = (a * c * q).inverse()
+    up = (1, -(a + c) * inv, inv / q)
+    bc = b / c
+    dn = (-1, 1 + bc, -bc)
+    return DifferenceOperator(((up, None), (dn, (q, 0))), divisor=1 - q)
 
 
 def _bqj_raise(pt):
@@ -553,9 +571,8 @@ def _bql_raise(pt):
 
 def _aw_raise_vals(vals, p):
     q = p * p
-    B = Laurent.one()
-    for e in vals:
-        B = B * Laurent(0, [1, -e])
+    _, e1, e2, e3, e4 = _esym(vals)
+    B = Laurent(0, [1, -e1, e2, -e3, e4])  # prod (1 - e z)
     Binv = B.invert_var()
     den = Laurent(0, [1, 0, -1])  # 1 - z^2
     scal = _Q(-2) / (1 - q)
@@ -683,8 +700,7 @@ def _low_delta_x2(pt):
 
 
 def _low_qinv(pt):
-    q = pt.get("q")
-    return lambda f: ops.q_derivative_inverse(f, q)
+    return ops.q_derivative_operator(1 / pt.get("q"))
 
 
 def _low_aw(pt):

@@ -1,6 +1,14 @@
 """Shift, difference, divided-difference and q-difference operators, and the
 generalized Leibniz rules they satisfy.
 
+Each partial on polynomials in x (the shifts, delta_x, delta_x2 and the
+q-derivatives) is declared as a list of taps, an algebra.DifferenceOperator,
+and applied in one pass over integer numerators with one canonical form.
+The fixed ones are built once at import; D_q is built where its q lives, in
+the cached operator spec or the family's lowering factory.  The
+Askey-Wilson operators act on Laurent polynomials and compose Laurent
+operations.
+
 Each Leibniz scheme is a factorization
 
     partial^n (f*g) = sum_k alpha(n,k) * eta^k(partial^(n-k) f) * (T_{k,n} g)
@@ -19,11 +27,13 @@ from typing import Callable
 
 from .algebra import (
     GR_HALF_I,
-    GaussianRational,
+    GR_I,
+    DifferenceOperator,
     Laurent,
     Poly,
     SymLaurent,
     binomial,
+    product,
     q_binomial,
     scalar,
 )
@@ -39,6 +49,7 @@ __all__ = [
     "q_shift",
     "q_derivative",
     "q_derivative_inverse",
+    "q_derivative_operator",
     "aw_eta",
     "aw_Dq",
     "aw_Dq_raw",
@@ -66,30 +77,36 @@ def translate(f: Poly, c) -> Poly:
     return f.compose_affine(1, c)
 
 
+# the fixed difference operators, as taps (multiplier coefficients, substitution)
+_FORWARD = DifferenceOperator((((1,), (1, 1)), ((-1,), None)))
+_BACKWARD = DifferenceOperator((((1,), None), ((-1,), (1, -1))))
+_NEG_FORWARD = DifferenceOperator((((-1,), (1, 1)), ((1,), None)))
+_DELTA_X = DifferenceOperator((((-GR_I,), (1, GR_HALF_I)), ((GR_I,), (1, -GR_HALF_I))))
+_DELTA_X2 = DifferenceOperator((((1,), (1, GR_HALF_I)), ((-1,), (1, -GR_HALF_I))), divisor=2 * GR_I)
+
+
 def forward_shift(f: Poly) -> Poly:
     """Delta f = f(x+1) - f(x)."""
-    return translate(f, 1) - f
+    return _FORWARD(f)
 
 
 def backward_shift(f: Poly) -> Poly:
     """Nabla f = f(x) - f(x-1)."""
-    return f - translate(f, -1)
+    return _BACKWARD(f)
 
 
 def neg_forward_shift(f: Poly) -> Poly:
-    return -forward_shift(f)
+    return _NEG_FORWARD(f)
 
 
 def delta_x(f: Poly) -> Poly:
     """(f(x + i/2) - f(x - i/2)) / i."""
-    diff = translate(f, GR_HALF_I) - translate(f, -GR_HALF_I)
-    return diff * GaussianRational(0, -1)  # 1/i = -i
+    return _DELTA_X(f)
 
 
 def delta_x2(f: Poly) -> Poly:
     """(f(x + i/2) - f(x - i/2)) / (2ix), defined on even polynomials."""
-    diff = translate(f, GR_HALF_I) - translate(f, -GR_HALF_I)
-    return diff.exact_div(Poly([0, GaussianRational(0, 2)]))
+    return _DELTA_X2(f)
 
 
 def q_shift(f: Poly, q) -> Poly:
@@ -97,10 +114,15 @@ def q_shift(f: Poly, q) -> Poly:
     return f.compose_affine(q, 0)
 
 
+def q_derivative_operator(q) -> DifferenceOperator:
+    """D_q as taps: (f(x) - f(qx)) / ((1-q)x)."""
+    q = scalar(q)
+    return DifferenceOperator((((1,), None), ((-1,), (q, 0))), divisor=1 - q)
+
+
 def q_derivative(f: Poly, q) -> Poly:
     """(f(x) - f(qx)) / ((1-q)x); sends x^n to [n]_q x^(n-1)."""
-    q = scalar(q)
-    return (f - q_shift(f, q)).exact_div(Poly.x()) * (1 / (1 - q))
+    return q_derivative_operator(q)(f)
 
 
 def q_derivative_inverse(f: Poly, q) -> Poly:
@@ -164,7 +186,7 @@ def leibniz_check(spec: OperatorSpec, f, g, n: int):
     gs = ladder(spec.partial, g, n)
     rhs = None
     for k in range(n + 1):
-        term = (spec.eta(fs[n - k], k) * spec.twist(gs[k], k, n)) * spec.alpha(n, k)
+        term = product(spec.alpha(n, k), spec.eta(fs[n - k], k), spec.twist(gs[k], k, n))
         rhs = term if rhs is None else rhs + term
     return lhs - rhs
 
@@ -245,7 +267,7 @@ def _spec_qderiv_Tq(q) -> OperatorSpec:
     return OperatorSpec(
         name="qderiv-Tq",
         carrier="poly",
-        partial=lambda g: q_derivative(g, q),
+        partial=q_derivative_operator(q),
         eta=lambda f, k: f.compose_affine(q ** k, 0),
         alpha=lambda n, k: q_binomial(n, k, q),
         twist=_twist_identity,
@@ -257,7 +279,7 @@ def _spec_qderiv_I(q) -> OperatorSpec:
     return OperatorSpec(
         name="qderiv-I",
         carrier="poly",
-        partial=lambda g: q_derivative(g, q),
+        partial=q_derivative_operator(q),
         eta=_eta_identity,
         alpha=lambda n, k: q_binomial(n, k, q),
         twist=lambda h, k, n: h.compose_affine(q ** (n - k), 0),

@@ -572,3 +572,35 @@ def test_scalar_is_not_registered_as_a_number():
     with pytest.raises(TypeError):
         rational_str(GR_I)
     assert rational_str(GaussianRational(F(-2, 6))) == "-1/3"
+
+
+@settings(max_examples=200, deadline=None)
+@given(fracs, nonzero_fracs)
+def test_scalar_hash_agrees_with_int_and_fraction(a, b):
+    # equal values hash equal across the three types, so each finds the others in a set
+    x = GaussianRational(a)
+    assert hash(x) == hash(a)
+    assert x in {a} and a in {x}
+    if a.denominator == 1:
+        n = int(a)
+        assert hash(x) == hash(n) and x in {n} and n in {x}
+    z = GaussianRational(a, b)
+    w = GaussianRational.from_parts(z.r * 3, z.i * 3, z.d * 3)
+    assert hash(z) == hash(w) and w in {z}
+
+
+def test_scalar_hash_examples():
+    for v in (0, 3, -3, F(1, 2), F(-1, 2), F(7, 2), F(-7, 2), F(1, 2 ** 61 - 1), F(-1, 2 ** 61 - 1)):
+        x = GaussianRational(v)
+        assert hash(x) == hash(v), v
+        assert x in {v} and v in {x} and {x: 1}[v] == 1
+    assert GaussianRational(3) in {3} and 3 in {GaussianRational(3)}
+
+
+def test_laurent_equality_with_foreign_operands():
+    assert Laurent(0, [1]) == 1
+    assert Laurent(0, [F(1, 2)]) == GaussianRational(F(1, 2))
+    assert Laurent.one() == SymLaurent.one()
+    assert not (Laurent.one() == "x")
+    assert Laurent.one() != "x"
+    assert Laurent.one() != Poly.one()

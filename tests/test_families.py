@@ -4,8 +4,11 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from askeykit import algebra
 from askeykit.algebra import (
+    GR_HALF_I,
     GR_I,
     GaussianRational,
     Laurent,
@@ -394,3 +397,124 @@ def test_engine_makes_no_fractions(monkeypatch):
     monkeypatch.undo()
     assert made == []
     assert Fraction(2, 4) == Q(1, 2)  # the constructor is restored
+
+
+# The raising operators against their KLS forms, composed here from
+# compose_affine, derivative, *, - and exact_div.
+
+def _linear_product(vals, sign):
+    out = Poly.one()
+    for e in vals:
+        out = out * Poly([e, sign * GR_I])  # e +- ix
+    return out
+
+
+def _raise_by_definition(tag, v, f):
+    x = Poly.x()
+    if tag == "hermite":
+        return f.derivative() - 2 * x * f
+    if tag == "laguerre":
+        return x * f.derivative() + Poly([v["nu"] + 1, -1]) * f
+    if tag == "jacobi":
+        a, b = v["alpha"], v["beta"]
+        return Poly([1, 0, -1]) * f.derivative() + Poly([b - a, -(a + b + 2)]) * f
+    if tag == "meixner":
+        return Poly([1, 1 / v["beta"]]) * f - x * (1 / (v["c"] * v["beta"])) * f.compose_affine(1, -1)
+    if tag == "charlier":
+        return f - x * (1 / v["a"]) * f.compose_affine(1, -1)
+    if tag == "meixner-pollaczek":
+        u = UnitPhase(v["phi"]).value
+        up = Poly([v["lam"], -GR_I]) * (-u) * f.compose_affine(1, GR_HALF_I)
+        return up + Poly([v["lam"], GR_I]) * (-u.conjugate()) * f.compose_affine(1, -GR_HALF_I)
+    if tag == "wilson":
+        vals = [v[k] for k in "abcd"]
+        num = _linear_product(vals, 1) * f.compose_affine(1, -GR_HALF_I)
+        num = num - _linear_product(vals, -1) * f.compose_affine(1, GR_HALF_I)
+        return num.exact_div(Poly([0, 2 * GR_I]))
+    a, c, q = v["a"], v["c"], v["q"]
+    b = v.get("b", 0)
+    up = Poly([1, -1 / (a * q)]) * Poly([1, -1 / (c * q)])
+    dn = Poly([1, -1]) * Poly([1, -b / c])
+    return (up * f - dn * f.compose_affine(q, 0)).exact_div(Poly([0, 1 - q]))
+
+
+POLY_CHAIN_FAMILIES = [t for t in CHAIN_FAMILIES if FAMILIES[t].carrier != "laurent"]
+_rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 6))
+_gaussians = st.builds(GaussianRational, _rationals, _rationals)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2 ** 32),
+    st.lists(_rationals, min_size=1, max_size=6),
+    st.lists(_gaussians, min_size=1, max_size=6).filter(lambda cs: any(GaussianRational.coerce(c).i for c in cs)),
+)
+def test_raising_operators_match_their_definitions(seed, real, cplx):
+    # a real input takes the conjugate-pair route of Meixner-Pollaczek and Wilson, a complex one both taps
+    assert len(POLY_CHAIN_FAMILIES) == 9
+    rng = Random(seed)
+    for tag in POLY_CHAIN_FAMILIES:
+        spec = FAMILIES[tag]
+        pt = sample_point(tag, rng)
+        R = spec.raising(pt)
+        for cs in (real, cplx):
+            if spec.carrier == "even":
+                cs = [c if k % 2 == 0 else 0 for k, c in enumerate(cs)]
+            f = Poly(cs)
+            assert R(f) == _raise_by_definition(tag, pt.as_dict(), f), (tag, pt, f)
+
+
+def test_raising_tripwires():
+    # odd inputs leave a constant term before the division by x
+    x = Poly.x()
+    wilson = FAMILIES["wilson"].raising(make_point("wilson", a=Q(1, 2), b=Q(1, 3), c=1, d=Q(3, 2)))
+    with pytest.raises(ValueError, match="nonzero remainder"):
+        wilson(x)
+    with pytest.raises(ValueError, match="nonzero remainder"):
+        ops.delta_x2(x)
+
+
+def test_operators_canonicalize_once(monkeypatch):
+    # a raising operator is built from the point's scalars without Poly
+    # products, and one application, like each ops partial declared as taps,
+    # puts one result in canonical form
+    rng = Random(71)
+    points = {tag: sample_point(tag, rng) for tag in POLY_CHAIN_FAMILIES}
+    f = Poly([Q(1, 2), -3, Q(2, 5), 1, Q(-3, 7), 2])
+    even = Poly([Q(1, 2), 0, Q(2, 5), 0, Q(-3, 7), 0, 2])
+    q = Q(2, 3)
+    calls = {"mul": 0, "canon": 0}
+    mul, canon = Poly.__mul__, algebra._canon
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counting_canon(*args):
+        calls["canon"] += 1
+        return canon(*args)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    monkeypatch.setattr(Poly, "__rmul__", counting_mul)
+    built = {tag: FAMILIES[tag].raising(pt) for tag, pt in points.items()}
+    assert calls["mul"] == 0
+    monkeypatch.setattr(algebra, "_canon", counting_canon)
+    cat = ops.operator_catalog(q)
+    applications = [(tag, R, even if FAMILIES[tag].carrier == "even" else f) for tag, R in built.items()]
+    applications += [
+        ("forward_shift", ops.forward_shift, f),
+        ("backward_shift", ops.backward_shift, f),
+        ("neg_forward_shift", ops.neg_forward_shift, f),
+        ("delta_x", ops.delta_x, f),
+        ("delta_x2", ops.delta_x2, even),
+        ("q_derivative", lambda g: ops.q_derivative(g, q), f),
+        ("q_derivative_inverse", lambda g: ops.q_derivative_inverse(g, q), f),
+        ("qderiv-Tq", cat["qderiv-Tq"].partial, f),
+        ("qderiv-I", cat["qderiv-I"].partial, f),
+    ]
+    for name, op, g in applications:
+        calls["canon"] = 0
+        out = op(g)
+        assert calls["canon"] == 1, (name, calls["canon"])
+        assert out.degree >= 3, name
+    monkeypatch.undo()

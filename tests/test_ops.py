@@ -3,7 +3,13 @@
 import dataclasses
 from random import Random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from askeykit.algebra import (
+    GR_HALF_I,
+    GR_I,
+    DifferenceOperator,
     GaussianRational,
     Poly,
     Rational,
@@ -173,3 +179,109 @@ def test_leibniz_check_builds_one_ladder_per_side():
         g = _random_input(rng, spec.carrier)
         assert not leibniz_check(counted, f, g, n), name
         assert calls[0] == 3 * n, (name, calls[0])
+
+
+# Each fused operator against its definition, composed here from
+# compose_affine, derivative, *, - and exact_div.
+
+rationals = st.builds(Rational, st.integers(-9, 9), st.integers(1, 6))
+gaussians = st.builds(GaussianRational, rationals, rationals)
+real_polys = st.lists(rationals, min_size=1, max_size=7).map(Poly)
+complex_polys = st.lists(gaussians, min_size=1, max_size=7).map(Poly).filter(lambda f: not f.is_real)
+bases = st.builds(Rational, st.integers(1, 30), st.integers(1, 12)).filter(lambda q: q != 1)
+H = GR_HALF_I
+
+
+def _even(f):
+    return Poly([c if k % 2 == 0 else 0 for k, c in enumerate(f.coeffs)])
+
+
+def _by_x(num, c):
+    return num.exact_div(Poly([0, c]))
+
+
+DEFINITIONS = (
+    (backward_shift, lambda f: f - f.compose_affine(1, -1)),
+    (forward_shift, lambda f: f.compose_affine(1, 1) - f),
+    (neg_forward_shift, lambda f: f - f.compose_affine(1, 1)),
+    (delta_x, lambda f: (f.compose_affine(1, H) - f.compose_affine(1, -H)) * (-GR_I)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_polys, complex_polys)
+def test_difference_operators_match_their_definitions(f_real, f_complex):
+    # a real input takes the conjugate-pair route of delta_x and delta_x2, a complex one both taps
+    for f in (f_real, f_complex):
+        for op, definition in DEFINITIONS:
+            assert op(f) == definition(f), (op.__name__, f)
+        even = _even(f)
+        assert delta_x2(even) == _by_x(even.compose_affine(1, H) - even.compose_affine(1, -H), 2 * GR_I), even
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_polys, complex_polys, bases)
+def test_q_derivatives_match_their_definitions(f_real, f_complex, q):
+    qi = 1 / q
+    cat = operator_catalog(q)
+    for f in (f_real, f_complex):
+        expected = _by_x(f - f.compose_affine(q, 0), 1 - q)
+        assert q_derivative(f, q) == expected
+        assert cat["qderiv-Tq"].partial(f) == expected
+        assert cat["qderiv-I"].partial(f) == expected
+        assert q_derivative_inverse(f, q) == _by_x(f - f.compose_affine(qi, 0), 1 - qi)
+
+
+def _apply_tap(f, sub):
+    if sub is None:
+        return f
+    if sub == "d":
+        return f.derivative()
+    return f.compose_affine(*sub)
+
+
+@st.composite
+def tap_lists(draw):
+    """Random taps; some come with their conjugate partner, of either sign."""
+    taps = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.lists(st.one_of(rationals, gaussians), min_size=1, max_size=3))
+        kind = draw(st.sampled_from(["id", "d", "affine", "pair"]))
+        if kind == "id":
+            taps.append((m, None))
+        elif kind == "d":
+            taps.append((m, "d"))
+        else:
+            alpha = draw(rationals.filter(bool))
+            beta = draw(gaussians)
+            if kind == "affine":
+                alpha = draw(st.one_of(st.just(alpha), gaussians.filter(bool)))
+            taps.append((m, (alpha, beta)))
+            if kind == "pair":
+                sign = draw(st.sampled_from([1, -1]))
+                conj = [sign * GaussianRational.coerce(c).conjugate() for c in m]
+                taps.append((conj, (alpha, beta.conjugate())))
+    return taps
+
+
+@settings(max_examples=120, deadline=None)
+@given(tap_lists(), st.one_of(st.none(), gaussians.filter(bool)), st.one_of(real_polys, complex_polys))
+def test_difference_operator_matches_its_taps(taps, c, f):
+    op = DifferenceOperator(taps, divisor=c)
+    num = Poly.zero()
+    for m, sub in taps:
+        num = num + Poly(m) * _apply_tap(f, sub)
+    if c is None:
+        assert op(f) == num
+    elif num.coefficient(0):
+        with pytest.raises(ValueError, match="nonzero remainder"):
+            op(f)
+    else:
+        assert op(f) == _by_x(num, c)
+
+
+def test_difference_operator_remainder_tripwire():
+    with pytest.raises(ValueError, match="nonzero remainder"):
+        delta_x2(x)  # odd input: the difference is the constant i
+    with pytest.raises(ValueError, match="nonzero remainder in exact division: 1"):
+        DifferenceOperator((((1,), None),), divisor=1)(Poly.one())
