@@ -23,7 +23,13 @@ x |-> alpha*x + beta, optionally divided exactly by c*x.  It is applied in
 one pass over integer numerators (one Taylor shift per substitution, the
 tap products summed over one common denominator) with one canonical form
 per application; `product` multiplies several factors with one canonical
-form in the same way.
+form in the same way.  Its Laurent form, LaurentOperator, acts on symmetric
+Laurent polynomials: each tap is a Laurent multiplier times a dilation
+z |-> p^(+-1) z, the sum is optionally divided exactly by a Laurent
+polynomial with unit top coefficient (synthetic division), and the quotient
+is checked to be a palindrome before it is folded into a SymLaurent, again
+with one canonical form per application.  A Dilation holds f(s*z) as raw
+numerators for `product`.
 
 fractions.Fraction (exported as `Rational`) appears only at the edges:
 parsed text and the `re`/`im` views of a scalar.
@@ -44,6 +50,8 @@ __all__ = [
     "Laurent",
     "SymLaurent",
     "DifferenceOperator",
+    "LaurentOperator",
+    "Dilation",
     "product",
     "GR_ZERO",
     "GR_ONE",
@@ -955,8 +963,8 @@ class DifferenceOperator:
 def product(c, *factors):
     """c times the product of the factors, canonicalized once.
 
-    The factors are all Poly, or all Laurent and SymLaurent (the product is
-    then a Laurent polynomial); c is a scalar.
+    The factors are all Poly, or all Laurent, SymLaurent and Dilation (the
+    product is then a Laurent polynomial); c is a scalar.
     """
     cr, ci, den = _parts(c)
     re, im = (cr,), (ci,) if ci else None
@@ -967,12 +975,16 @@ def product(c, *factors):
         return _canon(re, im, den)
     low = 0
     for f in factors:
-        if type(f) is SymLaurent:
-            f = f.to_laurent()
-        low += f.low
-        b = f.body
-        re, im = _cmul(b.re, b.im, re, im)
-        den *= b.den
+        if type(f) is Dilation:
+            fl, fr, fi, fd = f.low, f.re, f.im, f.den
+        else:
+            if type(f) is SymLaurent:
+                f = f.to_laurent()
+            b = f.body
+            fl, fr, fi, fd = f.low, b.re, b.im, b.den
+        low += fl
+        re, im = _cmul(fr, fi, re, im)
+        den *= fd
     return _laurent(low, _canon(re, im, den))
 
 
@@ -1048,7 +1060,11 @@ class Laurent:
         return self.low == o.low and self.body == o.body
 
     def __hash__(self):
-        return hash((self.low, self.body))
+        # a constant hashes like the equal scalar, as it compares equal to it
+        b = self.body
+        if not self.low and len(b.re) <= 1:
+            return hash(b.coefficient(0))
+        return hash((self.low, b))
 
     def __neg__(self):
         return _laurent(self.low, -self.body)
@@ -1192,10 +1208,14 @@ class SymLaurent:
             return self.body == other.body
         if isinstance(other, Laurent):
             return self.to_laurent() == other
-        return NotImplemented
+        c = _scalar(other)
+        if c is None:
+            return NotImplemented
+        return self.body == Poly.constant(c)
 
     def __hash__(self):
-        return hash(("sym", self.body))
+        # like the equal Laurent polynomial, and so like an equal scalar
+        return hash(self.to_laurent())
 
     def __neg__(self):
         return _sym(-self.body)
@@ -1243,6 +1263,163 @@ class SymLaurent:
 
 
 SYM_X = SymLaurent([0, _gr(1, 0, 2)])  # the lift of x: (z + 1/z)/2
+
+
+def _real_base(p) -> GaussianRational:
+    p = GaussianRational.coerce(p)
+    if p.i or not p.r:
+        raise ValueError(f"a dilation needs a real base p != 0, got {p!r}")
+    return p
+
+
+def _unit_divide(num: list, dtaps: tuple, lead: int, m: int) -> None:
+    """num |-> num / (divisor of degree m, top coefficient lead = +-1), in place.
+
+    Synthetic division on integers: afterwards num[m:] is the quotient and
+    num[:m] the remainder; dtaps lists the divisor's other nonzero
+    coefficients as (index, coefficient).
+    """
+    for i in range(len(num) - 1, m - 1, -1):
+        t = num[i] * lead  # lead is its own inverse
+        num[i] = t
+        if t:
+            for j, c in dtaps:
+                num[i - m + j] -= t * c
+
+
+class Dilation:
+    """f(s*z) for a SymLaurent f and a real scalar s != 0, as raw Laurent parts.
+
+    With s = r/d and f of degree n, f(s*z) = z^(-n) N(z) / (f.den (r d)^n),
+    where N holds the integer numerators of one raw dilation of f's Laurent
+    numerators.  They are kept without a canonical form, for `product` to
+    multiply; `to_laurent` gives the canonical Laurent polynomial.
+    """
+
+    __slots__ = ("low", "re", "im", "den")
+
+    def __init__(self, f: SymLaurent, s):
+        s = _real_base(s)
+        b = f.body
+        n = len(b.re) - 1
+        self.low, self.re, self.im, self.den = 0, (), None, 1
+        if n < 0:
+            return
+        re, im = _substitute(b.re[:0:-1] + b.re, b.im and b.im[:0:-1] + b.im, s.r, 0, 0, 0, s.d)
+        den = b.den * (s.r * s.d) ** n
+        if den < 0:  # a negative base to an odd power
+            den, re, im = -den, [-c for c in re], im and [-c for c in im]
+        self.low, self.re, self.im, self.den = -n, re, im, den
+
+    def to_laurent(self) -> Laurent:
+        return _laurent(self.low, _canon(self.re, self.im, self.den))
+
+
+class LaurentOperator:
+    """The Laurent form of DifferenceOperator, on symmetric Laurent polynomials:
+
+        f |-> c * (sum_t M_t(z) f(p^(k_t) z)) / D(z)
+
+    for a real base p != 0.  `taps` lists pairs (M, k): the multiplier M as
+    (low, coefficients from z^low up) and k = 1 or -1.  `scale` is the scalar
+    c.  The optional `divisor` D, given as (low, integer coefficients) with a
+    nonzero constant and top coefficient 1 or -1, divides the sum exactly by
+    synthetic division; a nonzero remainder is the ValueError of
+    Laurent.exact_div.  The quotient must be symmetric under z <-> 1/z: it is
+    checked to be a palindrome centred on z^0, as a whole, before it is
+    folded into a SymLaurent, and an asymmetric quotient is the ValueError of
+    Laurent.to_sym.  Every tap is computed as written; none is derived from
+    another by mirroring.
+
+    With p = r/d and f symmetric of degree n, f(p^(+-1) z) is z^(-n) N(z) /
+    (r d)^n for the integer numerators N of one raw dilation of f's Laurent
+    numerators, so all taps share one denominator.  The multipliers go over
+    one denominator with c folded in when the operator is built, and an
+    application runs on integer numerators: one dilation and one product per
+    tap, their sum, the division, the palindrome check and one canonical
+    form.
+    """
+
+    __slots__ = ("_taps", "_low", "_den", "_rd", "_divisor")
+
+    def __init__(self, p, taps, scale=1, divisor=None):
+        p = _real_base(p)
+        r, d = p.r, p.d
+        cr, ci, cd = _parts(scale)
+        parts = [[_parts(c) for c in coeffs] for (_, coeffs), _ in taps]
+        md = lcm(*(pd for ps in parts for _, _, pd in ps))
+        self._low = min((low for (low, _), _ in taps), default=0)
+        prepared = []
+        for ((low, _), k), ps in zip(taps, parts):
+            if k == 1:
+                a, e = r, d
+            elif k == -1:  # 1/p = d/r with a positive denominator
+                a, e = (d, r) if r > 0 else (-d, -r)
+            else:
+                raise ValueError(f"a Laurent tap dilates by p or 1/p, got the power {k}")
+            # every multiplier from z^_low up, so the tap products line up
+            zeros = [0] * (low - self._low)
+            if ci or any(v for _, v, _ in ps):
+                mr = [u * (md // pd) for u, _, pd in ps]
+                mi = [v * (md // pd) for _, v, pd in ps]
+                mr, mi = [u * cr - v * ci for u, v in zip(mr, mi)], [u * ci + v * cr for u, v in zip(mr, mi)]
+                prepared.append((a, e, zeros + mr, zeros + mi if any(mi) else None))
+            else:
+                prepared.append((a, e, zeros + [u * (md // pd) * cr for u, _, pd in ps], None))
+        self._taps = tuple(prepared)
+        self._den = md * cd
+        self._rd = r * d
+        if divisor is not None:
+            dlow, dc = divisor
+            m = len(dc) - 1
+            if m < 0 or dc[m] not in (1, -1) or not dc[0] or any(type(c) is not int for c in dc):
+                raise ValueError(f"a Laurent divisor needs integers, a nonzero constant and top +-1, got {dc!r}")
+            divisor = (dlow, tuple((j, c) for j, c in enumerate(dc[:m]) if c), dc[m], m)
+        self._divisor = divisor
+
+    def __call__(self, f: SymLaurent) -> SymLaurent:
+        b = f.body
+        n = len(b.re) - 1
+        if n < 0:
+            return SymLaurent.zero()
+        # f's Laurent numerators from z^(-n) up, over the denominator f.den
+        fr = b.re[:0:-1] + b.re
+        fi = b.im and b.im[:0:-1] + b.im
+        den = b.den * self._den * self._rd ** n
+        sign = 1
+        if den < 0:  # a negative base to an odd power
+            den, sign = -den, -1
+        accr, acci = [], None
+        for a, e, mr, mi in self._taps:
+            tr, ti = _cmul(mr, mi, *_substitute(fr, fi, a, 0, 0, 0, e))
+            accr = _axpy(accr, 1, tr, sign)
+            if ti is not None:
+                acci = _axpy(acci or [], 1, ti, sign)
+        if acci is not None:
+            acci += [0] * (len(accr) - len(acci))
+        low = self._low - n  # the power of z at accr[0]
+        if self._divisor is not None:
+            dlow, dtaps, lead, m = self._divisor
+            _unit_divide(accr, dtaps, lead, m)
+            if acci is not None:
+                _unit_divide(acci, dtaps, lead, m)
+            if any(accr[:m]) or (acci and any(acci[:m])):
+                rem = _laurent(low, _canon(accr[:m], acci and acci[:m], den))
+                raise ValueError(f"nonzero remainder in exact division: {rem}")
+            accr, acci = accr[m:], acci and acci[m:]
+            low -= dlow
+        # the quotient, trimmed of zeros at both ends, must read the same backwards
+        hi = len(accr)
+        while hi and not accr[hi - 1] and not (acci and acci[hi - 1]):
+            hi -= 1
+        lo = 0
+        while lo < hi and not accr[lo] and not (acci and acci[lo]):
+            lo += 1
+        qr, qi = accr[lo:hi], acci and acci[lo:hi]
+        low += lo
+        if qr and (2 * low + len(qr) - 1 or qr != qr[::-1] or (qi and qi != qi[::-1])):
+            raise ValueError("Laurent polynomial is not z <-> 1/z symmetric")
+        return _sym(_canon(qr[-low:], qi and qi[-low:], den))
 
 
 def chebyshev_lift(f: Poly) -> SymLaurent:

@@ -83,7 +83,7 @@ def apply_chain(tag: str, point: ParamPoint, n: int, f):
         points.append(spec.shift(points[-1]))
     out = f
     for pt in reversed(points[:n]):
-        out = spec.raising(pt)(out)
+        out = spec.raising_operator(pt)(out)
     return out
 
 

@@ -37,6 +37,7 @@ from .algebra import (
     DifferenceOperator,
     GaussianRational,
     Laurent,
+    LaurentOperator,
     Poly,
     SymLaurent,
     UnitPhase,
@@ -232,6 +233,20 @@ class FamilySpec:
     def admissible(self, point: ParamPoint) -> bool:
         values = point.as_dict()
         return all(p.admits(values[p.name], values) for p in self.domain)
+
+    def raising_operator(self, point: ParamPoint):
+        """The raising operator at point, kept for the most recent points.
+
+        A chain and the k-sums of the same case meet the same points, so a
+        short first-in first-out memo builds each operator once per case.
+        """
+        key = (self.tag, point)
+        op = _raising_cache.get(key)
+        if op is None:
+            if len(_raising_cache) >= _RAISING_CACHE_MAX:
+                del _raising_cache[next(iter(_raising_cache))]
+            op = _raising_cache[key] = self.raising(point)
+        return op
 
     def one(self):
         return SymLaurent.one() if self.carrier == "laurent" else Poly.one()
@@ -498,11 +513,19 @@ _HALF_DOWN = (1, -GR_HALF_I)  # x |-> x - i/2
 
 
 def _esym(vals) -> list:
-    """[e_0, e_1, ..., e_len(vals)]: the elementary symmetric functions of vals."""
-    e = [GR_ONE]
+    """[e_0, e_1, ..., e_len(vals)]: the elementary symmetric functions of vals.
+
+    They are the coefficients of prod (1 + v t), multiplied out on
+    Gaussian-integer numerators over one denominator and reduced once each.
+    """
+    er, ei, den = [1], [0], 1
     for v in vals:
-        e = [GR_ONE, *(a + v * b for a, b in zip(e[1:], e)), v * e[-1]]
-    return e
+        r, i, d = v.r, v.i, v.d
+        tr, ti = [0, *er], [0, *ei]  # t times the product so far
+        er = [a * d + b * r - c * i for a, b, c in zip(er + [0], tr, ti)]
+        ei = [a * d + b * i + c * r for a, b, c in zip(ei + [0], tr, ti)]
+        den *= d
+    return [GaussianRational.from_parts(a, b, den) for a, b in zip(er, ei)]
 
 
 _HERMITE_RAISE = DifferenceOperator((((1,), "d"), ((0, -2), None)))  # f' - 2x f
@@ -570,23 +593,12 @@ def _bql_raise(pt):
 
 
 def _aw_raise_vals(vals, p):
-    q = p * p
+    # (B(z) f(pz)/z - z^3 B(1/z) f(z/p)) / (1 - z^2) * (-2/(1 - q)), q = p^2, with
+    # B(z) = prod (1 - e z) = 1 - e1 z + e2 z^2 - e3 z^3 + e4 z^4
     _, e1, e2, e3, e4 = _esym(vals)
-    B = Laurent(0, [1, -e1, e2, -e3, e4])  # prod (1 - e z)
-    Binv = B.invert_var()
-    den = Laurent(0, [1, 0, -1])  # 1 - z^2
-    scal = _Q(-2) / (1 - q)
-
-    def R(f: SymLaurent) -> SymLaurent:
-        num = (
-            B * ops.aw_eta(f, p, 1) * Laurent.monomial(-1)
-            - Laurent.monomial(3) * Binv * ops.aw_eta(f, p, -1)
-        )
-        if not num:
-            return SymLaurent.zero()
-        return (num.exact_div(den) * scal).to_sym()
-
-    return R
+    up = (-1, (1, -e1, e2, -e3, e4))  # B(z)/z
+    dn = (-1, (-e4, e3, -e2, e1, -1))  # -z^3 B(1/z)
+    return LaurentOperator(p, ((up, 1), (dn, -1)), scale=-2 / (1 - p * p), divisor=(0, (1, 0, -1)))
 
 
 def _aw_raise(pt):
@@ -656,13 +668,14 @@ def _step_bqj_I(pt, j):
 
 
 def _step_aw_vals(vals, p, j):
-    # -p^(-(2j+1)) z^-2 prod_(e != 0) (1 - e q^j z), q = p^2
+    # -p^(-(2j+1)) z^-2 prod_(e != 0) (1 - e q^j z) = c z^-2 sum_k (-q^j)^k e_k z^k, q = p^2
     qj = p ** (2 * j)
-    out = Laurent.monomial(-2, -1 / (p * qj))
-    for e in vals:
-        if e:
-            out = out * Laurent(0, [1, -e * qj])
-    return out
+    c = -1 / (p * qj)
+    coeffs = []
+    for ek in _esym([e for e in vals if e]):
+        coeffs.append(c * ek)
+        c = -c * qj
+    return Laurent(-2, coeffs)
 
 
 def _step_aw(pt, j):
@@ -704,8 +717,7 @@ def _low_qinv(pt):
 
 
 def _low_aw(pt):
-    p = pt.get("p")
-    return lambda f: ops.aw_Dq(f, p)
+    return ops.aw_Dq_operator(pt.get("p"))
 
 
 # normalizations: standard = normalization(pt, n) * raise_chain(pt, n) --------
@@ -1022,6 +1034,8 @@ def make_point(tag: str, **values) -> ParamPoint:
 
 _chain_cache: dict = {}
 _std_cache: dict = {}
+_raising_cache: dict = {}  # FamilySpec.raising_operator
+_RAISING_CACHE_MAX = 32
 
 
 def raise_chain(tag: str, point: ParamPoint, n: int):
@@ -1043,7 +1057,7 @@ def raise_chain(tag: str, point: ParamPoint, n: int):
     if n == 0:
         out = spec.one()
     else:
-        out = spec.raising(point)(raise_chain(tag, spec.shift(point), n - 1))
+        out = spec.raising_operator(point)(raise_chain(tag, spec.shift(point), n - 1))
         if spec.fdegree(out) != n:
             raise AssertionError(f"{tag} raising chain degree {spec.fdegree(out)} != {n}")
     _chain_cache[key] = out

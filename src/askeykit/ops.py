@@ -6,8 +6,11 @@ q-derivatives) is declared as a list of taps, an algebra.DifferenceOperator,
 and applied in one pass over integer numerators with one canonical form.
 The fixed ones are built once at import; D_q is built where its q lives, in
 the cached operator spec or the family's lowering factory.  The
-Askey-Wilson operators act on Laurent polynomials and compose Laurent
-operations.
+Askey-Wilson divided difference on symmetric Laurent polynomials is declared
+the same way as Laurent taps, an algebra.LaurentOperator (`aw_Dq_operator`),
+and its spec's eta and twist are raw algebra.Dilation factors that
+algebra.product canonicalizes once with the rest of the term.  `aw_eta` and
+`aw_Dq_raw` stay as the composed reference definitions.
 
 Each Leibniz scheme is a factorization
 
@@ -29,7 +32,9 @@ from .algebra import (
     GR_HALF_I,
     GR_I,
     DifferenceOperator,
+    Dilation,
     Laurent,
+    LaurentOperator,
     Poly,
     SymLaurent,
     binomial,
@@ -53,6 +58,7 @@ __all__ = [
     "aw_eta",
     "aw_Dq",
     "aw_Dq_raw",
+    "aw_Dq_operator",
     "OperatorSpec",
     "ladder",
     "leibniz_check",
@@ -150,9 +156,15 @@ def aw_Dq_raw(f: SymLaurent, p) -> Laurent:
     return num.exact_div(den)
 
 
+def aw_Dq_operator(p) -> LaurentOperator:
+    """The Askey-Wilson D_q as Laurent taps: f(pz) and -f(z/p), divided
+    exactly by (1/2)(p - 1/p)(z - 1/z), with q = p^2 (see aw_Dq_raw)."""
+    p = scalar(p)
+    return LaurentOperator(p, (((0, (1,)), 1), ((0, (-1,)), -1)), scale=2 / (p - 1 / p), divisor=(-1, (-1, 0, 1)))
+
+
 def aw_Dq(f: SymLaurent, p) -> SymLaurent:
-    out = aw_Dq_raw(f, p)
-    return out.to_sym()
+    return aw_Dq_operator(p)(f)
 
 
 @dataclass(frozen=True)
@@ -294,13 +306,14 @@ def _spec_aw(p) -> OperatorSpec:
         # q-binomial times q^(k(k-n)/2), an integer power of the base p
         return q_binomial(n, k, q) * p ** (k * (k - n))
 
+    # eta and twist are aw_eta's dilations, held raw for algebra.product
     return OperatorSpec(
         name="aw",
         carrier="laurent",
-        partial=lambda g: aw_Dq(g, p),
-        eta=lambda f, k: aw_eta(f, p, k) if isinstance(f, SymLaurent) else f.scale_var(p ** k),
+        partial=aw_Dq_operator(p),
+        eta=lambda f, k: Dilation(f, p ** k) if isinstance(f, SymLaurent) else f.scale_var(p ** k),
         alpha=alpha,
-        twist=lambda h, k, n: aw_eta(h, p, k - n),
+        twist=lambda h, k, n: Dilation(h, p ** (k - n)),
     )
 
 

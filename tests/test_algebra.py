@@ -604,3 +604,28 @@ def test_laurent_equality_with_foreign_operands():
     assert not (Laurent.one() == "x")
     assert Laurent.one() != "x"
     assert Laurent.one() != Poly.one()
+
+
+def test_equal_laurent_values_hash_equal():
+    # Laurent, SymLaurent and scalars that compare equal hash equal, and
+    # SymLaurent compares with scalars the way Laurent does
+    half = F(1, 2)
+    equal_groups = [
+        [1, GR_ONE, Laurent.one(), SymLaurent.one(), Laurent(0, [1]), SymLaurent([1])],
+        [half, GaussianRational(half), Laurent(0, [half]), SymLaurent([half])],
+        [0, GR_ZERO, Laurent.zero(), SymLaurent.zero()],
+        [GR_HALF_I, Laurent(0, [GR_HALF_I]), SymLaurent([GR_HALF_I])],
+        [SymLaurent([1, F(2, 3)]), Laurent(-1, [F(2, 3), 1, F(2, 3)])],
+        [SymLaurent([0, 0, GR_I]), Laurent(-2, [GR_I, 0, 0, 0, GR_I])],
+    ]
+    for group in equal_groups:
+        for a in group:
+            for b in group:
+                assert a == b and b == a, (a, b)
+                assert hash(a) == hash(b), (a, b)
+        assert len(set(group)) == 1, group
+    assert SymLaurent.one() in {1} and 1 in {SymLaurent.one()} and Laurent.one() in {F(1)}
+    for a in equal_groups[0][2:]:
+        assert a != 2 and a != half and a != SymLaurent([1, 1]) and a != Laurent(1, [1])
+        assert not (a == "1") and a != Poly.one()
+    assert SymLaurent([1, 1]) != 1 and SymLaurent([1, 1]) != Laurent.one()

@@ -14,6 +14,7 @@ from askeykit.algebra import (
     Laurent,
     Poly,
     Rational,
+    SymLaurent,
     UnitPhase,
     chebyshev_lift,
     pochhammer,
@@ -377,6 +378,7 @@ def test_engine_makes_no_fractions(monkeypatch):
     f = Poly([Q(1, 2), -3, Q(2, 5), 1])
     inputs = {tag: chebyshev_lift(f) if FAMILIES[tag].carrier == "laurent" else f for tag in points}
     monkeypatch.setattr(families, "_chain_cache", {})
+    monkeypatch.setattr(families, "_raising_cache", {})
     monkeypatch.setattr(ops, "_q_spec_cache", {})
     monkeypatch.setattr(functional, "_functional_cache", {})
     made = []
@@ -474,33 +476,73 @@ def test_raising_tripwires():
         ops.delta_x2(x)
 
 
+# The Askey-Wilson and continuous q-Hermite raising steps against their
+# definition, composed here from scale_var, *, -, exact_div and to_sym.
+
+def _aw_raise_by_definition(vals, p, f):
+    # (B(z) f(pz)/z - z^3 B(1/z) f(z/p)) / (1 - z^2) * (-2/(1 - q)), q = p^2
+    B = Laurent.one()
+    for e in vals:
+        B = B * Laurent(0, [1, -e])
+    g = f.to_laurent()
+    num = B * g.scale_var(p) * Laurent.monomial(-1) - Laurent.monomial(3) * B.invert_var() * g.scale_var(1 / p)
+    return (num.exact_div(Laurent(0, [1, 0, -1])) * (-2 / (1 - p * p))).to_sym()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2 ** 32),
+    st.lists(_rationals, min_size=1, max_size=6),
+    st.lists(_gaussians, min_size=1, max_size=6).filter(lambda cs: any(GaussianRational.coerce(c).i for c in cs)),
+)
+def test_aw_raising_steps_match_their_definitions(seed, real, cplx):
+    rng = Random(seed)
+    for tag in ("askey-wilson", "continuous-q-hermite"):
+        pt = sample_point(tag, rng)
+        v = pt.as_dict()
+        vals = [v.get(k, 0) for k in "abcd"]
+        R = FAMILIES[tag].raising(pt)
+        for cs in (real, cplx):
+            f = SymLaurent(cs)
+            assert R(f) == _aw_raise_by_definition(vals, v["p"], f), (tag, pt, f)
+
+
 def test_operators_canonicalize_once(monkeypatch):
-    # a raising operator is built from the point's scalars without Poly
-    # products, and one application, like each ops partial declared as taps,
-    # puts one result in canonical form
+    # a raising operator is built from the point's scalars without Poly or
+    # Laurent products, and one application, like each ops partial declared
+    # as taps, puts one result in canonical form; the Askey-Wilson eta and
+    # twist feed algebra.product without one of their own
     rng = Random(71)
     points = {tag: sample_point(tag, rng) for tag in POLY_CHAIN_FAMILIES}
+    points.update((tag, sample_point(tag, rng)) for tag in CHAIN_FAMILIES if tag not in points)
     f = Poly([Q(1, 2), -3, Q(2, 5), 1, Q(-3, 7), 2])
     even = Poly([Q(1, 2), 0, Q(2, 5), 0, Q(-3, 7), 0, 2])
+    lifted = chebyshev_lift(f)
     q = Q(2, 3)
+    p = points["askey-wilson"].get("p")
     calls = {"mul": 0, "canon": 0}
-    mul, canon = Poly.__mul__, algebra._canon
+    canon = algebra._canon
 
-    def counting_mul(self, other):
-        calls["mul"] += 1
-        return mul(self, other)
+    def counting(method):
+        def wrapper(self, other):
+            calls["mul"] += 1
+            return method(self, other)
+
+        return wrapper
 
     def counting_canon(*args):
         calls["canon"] += 1
         return canon(*args)
 
-    monkeypatch.setattr(Poly, "__mul__", counting_mul)
-    monkeypatch.setattr(Poly, "__rmul__", counting_mul)
+    for cls in (Poly, Laurent, SymLaurent):
+        monkeypatch.setattr(cls, "__mul__", counting(cls.__mul__))
+        monkeypatch.setattr(cls, "__rmul__", counting(cls.__rmul__))
     built = {tag: FAMILIES[tag].raising(pt) for tag, pt in points.items()}
     assert calls["mul"] == 0
     monkeypatch.setattr(algebra, "_canon", counting_canon)
-    cat = ops.operator_catalog(q)
-    applications = [(tag, R, even if FAMILIES[tag].carrier == "even" else f) for tag, R in built.items()]
+    cat = ops.operator_catalog(q, p)
+    carrier_input = {"poly": f, "even": even, "laurent": lifted}
+    applications = [(tag, R, carrier_input[FAMILIES[tag].carrier]) for tag, R in built.items()]
     applications += [
         ("forward_shift", ops.forward_shift, f),
         ("backward_shift", ops.backward_shift, f),
@@ -511,10 +553,32 @@ def test_operators_canonicalize_once(monkeypatch):
         ("q_derivative_inverse", lambda g: ops.q_derivative_inverse(g, q), f),
         ("qderiv-Tq", cat["qderiv-Tq"].partial, f),
         ("qderiv-I", cat["qderiv-I"].partial, f),
+        ("aw_Dq", lambda g: ops.aw_Dq(g, p), lifted),
+        ("aw", cat["aw"].partial, lifted),
+        ("aw lowering", FAMILIES["askey-wilson"].lowering(points["askey-wilson"]), lifted),
     ]
     for name, op, g in applications:
         calls["canon"] = 0
         out = op(g)
         assert calls["canon"] == 1, (name, calls["canon"])
         assert out.degree >= 3, name
+    aw = cat["aw"]
+    calls["canon"] = 0
+    eta, twist = aw.eta(lifted, 2), aw.twist(lifted, 1, 3)
+    assert calls["canon"] == 0
+    assert algebra.product(aw.alpha(3, 1), eta, twist).high == 10
+    assert calls["canon"] == 1
     monkeypatch.undo()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(_rationals, _gaussians), max_size=5))
+def test_esym_is_the_product_of_linear_factors(vals):
+    # e_k(vals) is the t^k coefficient of prod (1 + v t); the raising
+    # operators of Wilson and Askey-Wilson are built from it
+    expected = Poly.one()
+    for v in vals:
+        expected = expected * Poly([1, v])
+    assert families._esym([GaussianRational.coerce(v) for v in vals]) == [
+        expected.coefficient(k) for k in range(len(vals) + 1)
+    ]

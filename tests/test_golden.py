@@ -15,6 +15,7 @@ EPS = Q(1, 64)
 GOLDEN_SHA256 = "c3ac0579e8b01f92774ad7335f1c8782943d6be937328aa9ba1252b98235a551"
 DEEP_SHA256 = "dc78c3c28256ea06edaee492f2c250bf9e9cfd2641e86b61a69aa525db222064"
 SUITE_SHA256 = "e4b745fef702a505882d9df1195db9eae43c4e3805fc0e46f7d9271fe657ca2c"
+AW_DEEP_SHA256 = "bc3e9a20c88ed31513869311e84e891ed816d7d51e6602bad99bca848339209c"
 
 
 def test_golden_report_bytes():
@@ -45,6 +46,17 @@ def test_suite_report_bytes():
     assert report["totals"]["cases"] == 1091
     text = render_report(report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == SUITE_SHA256
+
+
+def test_aw_deep_report_bytes():
+    # `verify --seed 7 --max-n 7 --max-m 7 --families askey-wilson
+    # continuous-q-hermite`: Askey-Wilson chains up to degree 14, beyond the
+    # deep-chain report's degree 10
+    config = SuiteConfig(seed=7, families=["askey-wilson", "continuous-q-hermite"], max_n=7, max_m=7)
+    report = run_verify(config)
+    assert report["totals"] == {"cases": 272, "passed": 272, "failed": 0}
+    text = render_report(report, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == AW_DEEP_SHA256
 
 
 # An interior point of each family; each row below moves one parameter.

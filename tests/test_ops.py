@@ -10,16 +10,22 @@ from askeykit.algebra import (
     GR_HALF_I,
     GR_I,
     DifferenceOperator,
+    Dilation,
     GaussianRational,
+    Laurent,
+    LaurentOperator,
     Poly,
     Rational,
     SymLaurent,
     chebyshev_lift,
+    product,
 )
 from askeykit.ops import (
     aw_Dq,
+    aw_Dq_operator,
     aw_Dq_raw,
     aw_eta,
+    aw_spec,
     backward_shift,
     delta_x,
     delta_x2,
@@ -285,3 +291,105 @@ def test_difference_operator_remainder_tripwire():
         delta_x2(x)  # odd input: the difference is the constant i
     with pytest.raises(ValueError, match="nonzero remainder in exact division: 1"):
         DifferenceOperator((((1,), None),), divisor=1)(Poly.one())
+
+
+# The Laurent taps against their definition, composed here from scale_var,
+# *, -, exact_div and to_sym.
+
+real_syms = st.lists(rationals, min_size=1, max_size=6).map(SymLaurent)
+complex_syms = st.lists(gaussians, min_size=1, max_size=6).map(SymLaurent).filter(lambda f: not f.body.is_real)
+real_bases = st.builds(Rational, st.integers(-30, 30).filter(bool), st.integers(1, 12)).filter(lambda p: abs(p) != 1)
+
+
+def _laurent_taps_by_definition(p, taps, scale, divisor, f):
+    num = Laurent.zero()
+    for (low, m), k in taps:
+        num = num + Laurent(low, m) * f.to_laurent().scale_var(p ** k)
+    num = num * scale
+    if divisor is not None:
+        num = num.exact_div(Laurent(*divisor))
+    return num.to_sym()
+
+
+def _aw_Dq_by_definition(f, p):
+    g = f.to_laurent()
+    c = (p - 1 / p) / 2
+    return (g.scale_var(p) - g.scale_var(1 / p)).exact_div(Laurent(-1, [-c, 0, c])).to_sym()
+
+
+@st.composite
+def laurent_tap_lists(draw):
+    """Taps (M(z), p) with the partner (+-M(1/z), 1/p), so the sum is symmetric
+    or antisymmetric, and a divisor to match; sometimes one stray tap."""
+    m = draw(st.lists(st.one_of(rationals, gaussians), min_size=1, max_size=4))
+    low = draw(st.integers(-3, 3))
+    sign = draw(st.sampled_from([1, -1]))
+    taps = [((low, m), 1), ((-(low + len(m) - 1), [sign * c for c in reversed(m)]), -1)]
+    symmetric = [None, (-1, (1, 0, 1)), (0, (1, 0, 1))]  # 1, z + 1/z, 1 + z^2
+    antisymmetric = [(-1, (-1, 0, 1)), (0, (1, 0, -1))]  # z - 1/z, 1 - z^2
+    divisor = draw(st.sampled_from(symmetric if sign == 1 else antisymmetric))
+    if draw(st.integers(0, 4)) == 0:
+        taps.append(((draw(st.integers(-2, 2)), draw(st.lists(rationals, min_size=1, max_size=3))), 1))
+    return taps, divisor
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_tap_lists(), real_bases, gaussians.filter(bool), st.one_of(real_syms, complex_syms))
+def test_laurent_operator_matches_its_taps(tap_list, p, scale, f):
+    # the result, or the same tripwire (a remainder or an asymmetric quotient)
+    taps, divisor = tap_list
+    op = LaurentOperator(p, taps, scale=scale, divisor=divisor)
+    try:
+        expected = _laurent_taps_by_definition(p, taps, scale, divisor, f)
+    except ValueError as exc:
+        message = str(exc).split(":")[0]
+        with pytest.raises(ValueError, match=message):
+            op(f)
+    else:
+        assert op(f) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_syms, complex_syms, real_bases, st.integers(-3, 3))
+def test_aw_operators_match_their_definitions(f_real, f_complex, p, k):
+    spec = aw_spec(p)
+    for f in (f_real, f_complex):
+        expected = _aw_Dq_by_definition(f, p)
+        assert aw_Dq(f, p) == expected
+        assert aw_Dq_operator(p)(f) == expected
+        assert spec.partial(f) == expected
+        assert aw_Dq_raw(f, p).to_sym() == expected
+        # eta and twist: aw_eta's dilation, held raw for product
+        assert spec.eta(f, k).to_laurent() == Dilation(f, p ** k).to_laurent() == aw_eta(f, p, k)
+        assert spec.twist(f, k, 3).to_laurent() == aw_eta(f, p, k - 3)
+        g = f_real
+        assert product(3, spec.eta(f, k), spec.twist(g, 1, 2)) == aw_eta(f, p, k) * aw_eta(g, p, -1) * 3
+
+
+def test_laurent_operator_tripwires():
+    p = Rational(2, 3)
+    f = chebyshev_lift(Poly([1, -2, 0, 3]))
+    # an asymmetric multiplier: z f(pz)
+    with pytest.raises(ValueError, match="not z <-> 1/z symmetric"):
+        LaurentOperator(p, (((1, (1,)), 1),))(f)
+    # M(z) f(pz) + M(1/z) f(z/p) is symmetric; one partner coefficient changed, it is not
+    up = (-1, (1, 2, 3))
+    LaurentOperator(p, ((up, 1), ((-1, (3, 2, 1)), -1)))(f)
+    with pytest.raises(ValueError, match="not z <-> 1/z symmetric"):
+        LaurentOperator(p, ((up, 1), ((-1, (3, 2, 2)), -1)))(f)
+    # f(pz) + f(z/p) is 2 f(p) at z = 1, so z - 1/z leaves a remainder
+    with pytest.raises(ValueError, match="nonzero remainder in exact division"):
+        LaurentOperator(p, (((0, (1,)), 1), ((0, (1,)), -1)), divisor=(-1, (-1, 0, 1)))(f)
+    with pytest.raises(ValueError, match="nonzero remainder in exact division"):
+        # i (z + 1/z): only the imaginary part leaves one
+        LaurentOperator(p, (((0, (1,)), 1), ((0, (1,)), -1)), divisor=(-1, (-1, 0, 1)))(SymLaurent([0, GR_I]))
+    with pytest.raises(ValueError, match="nonzero remainder in exact division: 1"):
+        LaurentOperator(p, (((0, (1,)), 1),), divisor=(0, (1, 1)))(SymLaurent.one())
+    for bad in ((0, (2, 1, 2)), (0, (0, 1)), (0, (1, Rational(1, 2), 1))):
+        with pytest.raises(ValueError, match="a Laurent divisor needs"):
+            LaurentOperator(p, (), divisor=bad)
+    with pytest.raises(ValueError, match="dilates by p or 1/p"):
+        LaurentOperator(p, (((0, (1,)), 2),))
+    for base in (0, GR_I):
+        with pytest.raises(ValueError, match="real base"):
+            LaurentOperator(base, ())
