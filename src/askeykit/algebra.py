@@ -53,6 +53,7 @@ __all__ = [
     "LaurentOperator",
     "Dilation",
     "product",
+    "term_sum",
     "GR_ZERO",
     "GR_ONE",
     "GR_I",
@@ -67,7 +68,6 @@ __all__ = [
     "tangent_subtract",
     "chebyshev_lift",
     "chebyshev_project",
-    "laurent_scale",
     "poly_gcd",
     "rational_str",
 ]
@@ -960,6 +960,15 @@ class DifferenceOperator:
         return _canon(accr, acci, f.den * self._den * self._e ** n)
 
 
+def term_sum(terms):
+    """The sum of a nonempty sequence of terms, in order; Laurent and
+    SymLaurent terms may mix."""
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out
+
+
 def product(c, *factors):
     """c times the product of the factors, canonicalized once.
 
@@ -1442,11 +1451,6 @@ def chebyshev_project(f: SymLaurent) -> Poly:
         if rem and rem.degree >= d:
             raise ValueError("chebyshev_project failed to reduce degree")
     return Poly(out)
-
-
-def laurent_scale(f: SymLaurent, p) -> Laurent:
-    """z |-> p*z on a symmetric element; the result is generally not symmetric."""
-    return f.to_laurent().scale_var(p)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -26,15 +26,14 @@ from .algebra import (
     GaussianRational,
     Laurent,
     Poly,
-    SymLaurent,
     UnitPhase,
     binomial,
     factorial,
-    laurent_scale,
     pochhammer,
     product,
     q_pochhammer,
     scalar,
+    term_sum,
 )
 from .families import (
     FAMILIES,
@@ -50,7 +49,7 @@ from .families import (
     shifted_point,
     standard_poly,
 )
-from .ops import ladder
+from .ops import aw_eta, ladder
 
 __all__ = [
     "apply_chain",
@@ -106,9 +105,7 @@ def operational_rhs(tag: str, point: ParamPoint, n: int, f, variant: str | None 
 
 def operational_residual(tag: str, point: ParamPoint, n: int, f, variant: str | None = None):
     """Chain applied to f minus the weight-ratio expansion; exactly zero."""
-    lhs = apply_chain(tag, point, n, f)
-    rhs = operational_rhs(tag, point, n, f, variant)
-    return Laurent.coerce(lhs) - rhs if isinstance(rhs, Laurent) else lhs - rhs
+    return apply_chain(tag, point, n, f) - operational_rhs(tag, point, n, f, variant)
 
 
 def chain_expansion_rhs(tag: str, point: ParamPoint, n: int, m: int, variant: str | None = None):
@@ -121,9 +118,7 @@ def chain_expansion_rhs(tag: str, point: ParamPoint, n: int, m: int, variant: st
 
 def chain_expansion_residual(tag: str, point: ParamPoint, n: int, m: int, variant: str | None = None):
     """p_(n+m) minus the expansion with f = p_m at the n-shifted parameters."""
-    lhs = raise_chain(tag, point, n + m)
-    rhs = chain_expansion_rhs(tag, point, n, m, variant)
-    return Laurent.coerce(lhs) - rhs if isinstance(rhs, Laurent) else lhs - rhs
+    return raise_chain(tag, point, n + m) - chain_expansion_rhs(tag, point, n, m, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +135,6 @@ class Expansion:
     degree_class: str  # "classical" | "q"
     build: Callable  # (point, n, m) -> (lhs, [terms])
     lhs_prefactor: Callable  # (n, m) -> scalar relating LHS to the standard polynomial
-
-
-def residual_from_terms(lhs, terms):
-    rhs = None
-    for t in terms:
-        rhs = t if rhs is None else rhs + t
-    if rhs is None:
-        rhs = Poly.zero()
-    if isinstance(rhs, Laurent) or isinstance(lhs, (SymLaurent, Laurent)):
-        return Laurent.coerce(rhs) - Laurent.coerce(lhs)
-    return rhs - lhs
 
 
 def _build_hermite(point, n, m):
@@ -367,11 +351,8 @@ def _build_aw(point, n, m):
             -2 * k * k + 2 * k + n * m + k * m + 2 * n * k
         )
         t = _aw_ratio_factor(vals, q, k) * coef
-        t = t * laurent_scale(standard_poly("askey-wilson", shifted_point(point, k), n - k), p ** k)
-        t = t * laurent_scale(
-            standard_poly("askey-wilson", shifted_point(point, n + k), m - k),
-            GaussianRational.coerce(p) ** (k - n),
-        )
+        t = t * aw_eta(standard_poly("askey-wilson", shifted_point(point, k), n - k), p, k)
+        t = t * aw_eta(standard_poly("askey-wilson", shifted_point(point, n + k), m - k), p, k - n)
         terms.append(t)
     return lhs, terms
 
@@ -389,11 +370,8 @@ def _build_cqh(point, n, m):
             -2 * k * k + 2 * k + n * m + k * m + 2 * n * k
         )
         t = Laurent.monomial(-2 * k) * coef
-        t = t * laurent_scale(standard_poly("continuous-q-hermite", point, n - k), p ** k)
-        t = t * laurent_scale(
-            standard_poly("continuous-q-hermite", point, m - k),
-            GaussianRational.coerce(p) ** (k - n),
-        )
+        t = t * aw_eta(standard_poly("continuous-q-hermite", point, n - k), p, k)
+        t = t * aw_eta(standard_poly("continuous-q-hermite", point, m - k), p, k - n)
         terms.append(t)
     return lhs, terms
 
@@ -432,7 +410,7 @@ def closed_expansion_residual(identity: str, point: ParamPoint, n: int, m: int):
     """LHS minus the closed-form k-sum for one catalogued identity; exactly zero."""
     e = EXPANSIONS[identity]
     lhs, terms = e.build(point, n, m)
-    return residual_from_terms(lhs, terms)
+    return lhs - term_sum(terms)
 
 
 def expansion_agreement_gap(identity: str, point: ParamPoint, n: int, m: int):
@@ -443,14 +421,8 @@ def expansion_agreement_gap(identity: str, point: ParamPoint, n: int, m: int):
     """
     e = EXPANSIONS[identity]
     _, terms = e.build(point, n, m)
-    literal = None
-    for t in terms:
-        literal = t if literal is None else literal + t
-    generic = chain_expansion_rhs(e.family, point, n, m, e.variant)
     scale = e.lhs_prefactor(n, m) * normalization(e.family, point, n + m)
-    if isinstance(literal, Laurent) or isinstance(generic, Laurent):
-        return Laurent.coerce(literal) - Laurent.coerce(generic) * scale
-    return literal - generic * scale
+    return term_sum(terms) - chain_expansion_rhs(e.family, point, n, m, e.variant) * scale
 
 
 # ---------------------------------------------------------------------------

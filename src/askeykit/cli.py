@@ -30,6 +30,7 @@ from .algebra import (
     chebyshev_lift,
     rational_str,
     scalar,
+    term_sum,
 )
 from .families import FAMILIES, deformation, make_point
 from .burchnall import (
@@ -70,8 +71,6 @@ class SuiteConfig:
     max_m: int = 3
     trials: int = 1
     seed: int = 1
-    output: str | None = None
-    fmt: str = "json"
     timings: bool = False
 
 
@@ -80,30 +79,19 @@ def _subseed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _serialize_value(v) -> str:
-    return rational_str(v)
+def _serialized(values: dict) -> dict:
+    return {k: rational_str(v) for k, v in values.items()}
 
 
-def _point_dict(point) -> dict:
-    return {k: _serialize_value(v) for k, v in point.values}
-
-
-def _residual_summary(res) -> str:
-    if isinstance(res, tuple):
-        if all(not r for r in res):
-            return "zero"
-        parts = [repr(r) for r in res if r]
-        return f"nonzero: {parts[0]}"
-    if not res:
+def _residual_summary(residuals: tuple) -> str:
+    """"zero", or the leading term of the first nonzero residual."""
+    res = next((r for r in residuals if r), None)
+    if res is None:
         return "zero"
-    if isinstance(res, (Poly, Laurent, SymLaurent)):
-        if isinstance(res, Poly):
-            lead = f"deg {res.degree}: {res.lead}"
-        elif isinstance(res, SymLaurent):
-            lead = f"deg {res.degree}: {res.lead}"
-        else:
-            lead = f"z^{res.high}: {res.coeffs[-1]}"
-        return f"nonzero, leading term {lead}"
+    if isinstance(res, (Poly, SymLaurent)):
+        return f"nonzero, leading term deg {res.degree}: {res.lead}"
+    if isinstance(res, Laurent):
+        return f"nonzero, leading term z^{res.high}: {res.coeffs[-1]}"
     return f"nonzero: {res}"
 
 
@@ -129,12 +117,12 @@ def identity_registry() -> dict:
     return reg
 
 
-def _random_poly(rng: Random, degree: int, kind: str) -> object:
+def _random_poly(rng: Random, degree: int, carrier: str) -> object:
     coeffs = [sample_rational(rng, -3, 3) for _ in range(degree + 1)]
-    if kind == "even":
+    if carrier == "even":
         coeffs = [c if k % 2 == 0 else 0 for k, c in enumerate(coeffs)]
     f = Poly(coeffs)
-    if kind == "laurent":
+    if carrier == "laurent":
         return chebyshev_lift(f)
     return f
 
@@ -145,68 +133,95 @@ def _flow_index(family: str, point, n: int) -> int:
     return n if top is None else min(n, top - 1)
 
 
-def _run_case(kind: str, ident: str, family: str, n: int, m, rng: Random):
-    """Returns (point_dict, extras_dict, residual)."""
-    if kind == "expansion":
-        point = sample_point(family, rng)
-        return _point_dict(point), {}, closed_expansion_residual(ident, point, n, m)
-    if kind == "modified":
-        e = MODIFIED_EXPANSIONS[ident]
-        point = sample_point(family, rng)
-        extras = sample_extras(e.extras, rng, point)
-        res = modified_expansion_residual(ident, point, n, extras)
-        return _point_dict(point), {k: _serialize_value(v) for k, v in extras.items()}, res
-    if kind == "toda":
-        point = sample_point(family, rng)
-        nn = max(_flow_index(family, point, n), 1)
-        res = toda_residuals(TODA_SOLUTIONS[family], nn, point)
-        return _point_dict(point), {"n_used": str(nn)}, res
-    if kind == "crosscheck":
-        point = sample_point(family, rng)
-        name = deformation(family).scalar.name
-        extras = sample_extras((name,), rng, point)
-        nn = max(_flow_index(family, point, n), 1)
-        res = toda_from_recurrence_crosscheck(family, point, extras[name], nn)
-        ser = {k: _serialize_value(v) for k, v in extras.items()}
-        ser["n_used"] = str(nn)
-        return _point_dict(point), ser, res
-    if kind == "adjointness":
-        point = sample_point(family, rng)
-        ok, witness, failures = adjointness_check(family, point, max(n, 1), 6)
-        res = Poly.zero() if ok else Poly.one()
-        return _point_dict(point), {"rho": repr(witness.rho), "pairs": str(witness.samples)}, res
-    if kind == "operational":
-        spec = FAMILIES[family]
-        point = sample_point(family, rng)
-        f = _random_poly(rng, 4, spec.carrier)
-        worst = None
-        for var in spec.variants:
-            res = operational_residual(family, point, n, f, var.name)
-            if res:
-                worst = res
-        return _point_dict(point), {}, worst if worst is not None else Poly.zero()
-    if kind == "chain-expansion":
-        spec = FAMILIES[family]
-        point = sample_point(family, rng)
-        worst = None
-        for var in spec.variants:
-            res = chain_expansion_residual(family, point, n, m, var.name)
-            if res:
-                worst = res
-        return _point_dict(point), {}, worst if worst is not None else Poly.zero()
-    if kind == "leibniz":
-        residuals = []
-        q = sample_rational(rng, 0, 1)
-        p = sample_rational(rng, 0, 1)
-        for name, spec in operator_catalog(q, p).items():
-            f = _random_poly(rng, 5, spec.carrier)
-            g = _random_poly(rng, 5, spec.carrier)
-            r = leibniz_check(spec, f, g, n)
-            if r:
-                residuals.append((name, r))
-        res = Poly.zero() if not residuals else Poly.one()
-        return {"q": _serialize_value(q), "p": _serialize_value(p)}, {}, res
-    raise KeyError(kind)
+# Each runner draws its inputs from rng and returns (params, extras,
+# residuals): the sampled parameter values, the other inputs already as
+# strings, and a tuple of residuals.  The case passes when all are zero.
+
+def _run_expansion(ident, family, n, m, rng):
+    point = sample_point(family, rng)
+    return point.as_dict(), {}, (closed_expansion_residual(ident, point, n, m),)
+
+
+def _run_modified(ident, family, n, m, rng):
+    point = sample_point(family, rng)
+    extras = sample_extras(MODIFIED_EXPANSIONS[ident].extras, rng, point)
+    res = modified_expansion_residual(ident, point, n, extras)
+    return point.as_dict(), _serialized(extras), (res,)
+
+
+def _run_toda(ident, family, n, m, rng):
+    point = sample_point(family, rng)
+    nn = max(_flow_index(family, point, n), 1)
+    res = toda_residuals(TODA_SOLUTIONS[family], nn, point)
+    return point.as_dict(), {"n_used": str(nn)}, res
+
+
+def _run_crosscheck(ident, family, n, m, rng):
+    point = sample_point(family, rng)
+    name = deformation(family).scalar.name
+    extras = sample_extras((name,), rng, point)
+    nn = max(_flow_index(family, point, n), 1)
+    res = toda_from_recurrence_crosscheck(family, point, extras[name], nn)
+    return point.as_dict(), {**_serialized(extras), "n_used": str(nn)}, res
+
+
+def _run_adjointness(ident, family, n, m, rng):
+    point = sample_point(family, rng)
+    _, witness, failures = adjointness_check(family, point, max(n, 1), 6)
+    extras = {"rho": repr(witness.rho), "pairs": str(witness.samples)}
+    return point.as_dict(), extras, tuple(value for *_, value in failures)
+
+
+def _run_operational(ident, family, n, m, rng):
+    spec = FAMILIES[family]
+    point = sample_point(family, rng)
+    f = _random_poly(rng, 4, spec.carrier)
+    res = tuple(operational_residual(family, point, n, f, var.name) for var in spec.variants)
+    return point.as_dict(), {}, res
+
+
+def _run_chain_expansion(ident, family, n, m, rng):
+    point = sample_point(family, rng)
+    res = tuple(
+        chain_expansion_residual(family, point, n, m, var.name) for var in FAMILIES[family].variants
+    )
+    return point.as_dict(), {}, res
+
+
+def _run_leibniz(ident, family, n, m, rng):
+    q = sample_rational(rng, 0, 1)
+    p = sample_rational(rng, 0, 1)
+    residuals = []
+    for spec in operator_catalog(q, p).values():
+        f = _random_poly(rng, 5, spec.carrier)
+        g = _random_poly(rng, 5, spec.carrier)
+        residuals.append(leibniz_check(spec, f, g, n))
+    return {"q": q, "p": p}, {}, tuple(residuals)
+
+
+def _grid_nm(max_n: int, max_m: int) -> list:
+    return [(n, m) for n in range(max_n + 1) for m in range(max_m + 1)]
+
+
+def _grid_n0(max_n: int, max_m: int) -> list:
+    return [(n, None) for n in range(max_n + 1)]
+
+
+def _grid_n1(max_n: int, max_m: int) -> list:
+    return [(n, None) for n in range(1, max(max_n, 1) + 1)]
+
+
+# identity kind (as identity_registry and `list` name it) -> (grid, runner)
+CASE_KINDS = {
+    "expansion": (_grid_nm, _run_expansion),
+    "chain-expansion": (_grid_nm, _run_chain_expansion),
+    "modified": (_grid_n0, _run_modified),
+    "operational": (_grid_n0, _run_operational),
+    "leibniz": (_grid_n0, _run_leibniz),
+    "toda": (_grid_n1, _run_toda),
+    "crosscheck": (_grid_n1, _run_crosscheck),
+    "adjointness": (_grid_n1, _run_adjointness),
+}
 
 
 def run_verify(config: SuiteConfig) -> dict:
@@ -229,29 +244,19 @@ def run_verify(config: SuiteConfig) -> dict:
         fams = info["families"]
         if config.families:
             fams = tuple(f for f in fams if f in config.families)
-        kind = info["kind"]
+        grid, runner = CASE_KINDS[info["kind"]]
         for family in fams:
-            if kind in ("expansion", "chain-expansion"):
-                grid = [(n, m) for n in range(config.max_n + 1) for m in range(config.max_m + 1)]
-            elif kind in ("modified", "operational"):
-                grid = [(n, None) for n in range(config.max_n + 1)]
-            elif kind in ("toda", "crosscheck", "adjointness"):
-                grid = [(n, None) for n in range(1, max(config.max_n, 1) + 1)]
-            else:  # leibniz
-                grid = [(n, None) for n in range(config.max_n + 1)]
-            for n, m in grid:
+            for n, m in grid(config.max_n, config.max_m):
                 for trial in range(config.trials):
                     mm = f"m{m}" if m is not None else "m-"
                     case_id = f"{ident}/{family}/n{n}{mm}/t{trial}"
                     rng = Random(_subseed(config.seed, case_id))
                     started = time.perf_counter()
                     try:
-                        pt, extras, res = _run_case(kind, ident, family, n, m, rng)
-                        if isinstance(res, tuple):
-                            passed = all(not r for r in res)
-                        else:
-                            passed = not res
-                        summary = _residual_summary(res)
+                        params, extras, residuals = runner(ident, family, n, m, rng)
+                        pt = _serialized(params)
+                        passed = not any(residuals)
+                        summary = _residual_summary(residuals)
                     except Exception as exc:  # inadmissible or internal tripwire
                         pt, extras = {}, {}
                         passed = False
@@ -321,7 +326,10 @@ def _parse_params(pairs: list) -> dict:
         if "=" not in chunk:
             raise UsageError(f"parameter {chunk!r} is not name=value")
         name, _, val = chunk.partition("=")
-        out[name.strip()] = val.strip()
+        name = name.strip()
+        if name in out:
+            raise UsageError(f"--param {name} is given twice")
+        out[name] = val.strip()
     return out
 
 
@@ -363,22 +371,20 @@ def cmd_verify(args) -> int:
         max_m=args.max_m,
         trials=args.trials,
         seed=args.seed,
-        output=args.output,
-        fmt=args.format,
         timings=args.timings,
     )
-    if config.output:
-        _check_writable(config.output)
+    if args.output:
+        _check_writable(args.output)
     report = run_verify(config)
-    text = render_report(report, config.fmt)
-    if config.output:
+    text = render_report(report, args.format)
+    if args.output:
         try:
-            with open(config.output, "w") as fh:
+            with open(args.output, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write --output {config.output}: {exc.strerror}") from None
+            raise UsageError(f"cannot write --output {args.output}: {exc.strerror}") from None
         print(
-            f"wrote {config.output}: {report['totals']['passed']}/{report['totals']['cases']} passed"
+            f"wrote {args.output}: {report['totals']['passed']}/{report['totals']['cases']} passed"
         )
     else:
         sys.stdout.write(text)
@@ -396,21 +402,18 @@ def cmd_expand(args) -> int:
     e = EXPANSIONS.get(ident) or MODIFIED_EXPANSIONS.get(ident)
     if e is None:
         raise UsageError(f"unknown identity {ident!r}; see `list`")
+    modified = ident in MODIFIED_EXPANSIONS
+    if modified and args.m is not None:
+        raise UsageError(f"{ident} takes no --m")
     domain = FAMILIES[e.family].domain
-    extras = e.extras if ident in MODIFIED_EXPANSIONS else ()
-    scalars = (deformation(e.family).scalar,) if extras else ()
+    scalars = (deformation(e.family).scalar,) if modified and e.extras else ()
     values = _values_from_args(ident, domain + scalars, _parse_params(args.param or []))
     point = make_point(e.family, **{p.name: values.pop(p.name) for p in domain})
-    if ident in EXPANSIONS:
-        lhs, terms = e.build(point, args.n, args.m or 0)
-    else:
+    if modified:
         lhs, terms = e.build(point, args.n, values)  # what is left are the deformation scalars
-    rhs = None
-    for t in terms:
-        rhs = t if rhs is None else rhs + t
-    res = Laurent.coerce(rhs) - Laurent.coerce(lhs) if isinstance(
-        rhs, (Laurent, SymLaurent)
-    ) else rhs - lhs
+    else:
+        lhs, terms = e.build(point, args.n, args.m or 0)
+    res = lhs - term_sum(terms)
     print(f"identity: {ident}  point: {point}  n={args.n}" + (f" m={args.m}" if args.m is not None else ""))
     print("terms:")
     for line in _term_lines(terms):

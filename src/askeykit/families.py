@@ -219,7 +219,6 @@ class FamilySpec:
     shift: Callable[[ParamPoint], ParamPoint]
     raising: Optional[Callable[[ParamPoint], Callable]]
     variants: tuple
-    lowering_tag: str
     lowering: Callable[[ParamPoint], Callable]
     adjoint: Optional[Callable[[ParamPoint], Callable]]
     normalization: Callable[[ParamPoint, int], GaussianRational]
@@ -810,7 +809,6 @@ _register(FamilySpec(
     shift=_sh_ident,
     raising=_hermite_raise,
     variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _step_one),),
-    lowering_tag="derivative",
     lowering=_low_derivative,
     adjoint=_adj_neg_derivative,
     normalization=_norm_hermite,
@@ -825,7 +823,6 @@ _register(FamilySpec(
     shift=_sh_add(("nu",), 1),
     raising=_laguerre_raise,
     variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _step_x),),
-    lowering_tag="derivative",
     lowering=_low_derivative,
     adjoint=_adj_neg_derivative,
     normalization=_norm_laguerre,
@@ -842,7 +839,6 @@ _register(FamilySpec(
     shift=_sh_add(("alpha", "beta"), 1),
     raising=_jacobi_raise,
     variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _step_jacobi),),
-    lowering_tag="derivative",
     lowering=_low_derivative,
     adjoint=_adj_neg_derivative,
     normalization=_norm_jacobi,
@@ -859,7 +855,6 @@ _register(FamilySpec(
         Variant("eta1", lambda pt: ops.BACKWARD_ETA1_SPEC, _step_meixner_eta1),
         Variant("etaS", lambda pt: ops.BACKWARD_ETAS_SPEC, _step_meixner_etaS),
     ),
-    lowering_tag="neg_forward_shift",
     lowering=_low_neg_forward,
     adjoint=_low_neg_forward,
     normalization=_norm_unit,
@@ -880,7 +875,6 @@ _register(FamilySpec(
         Variant("eta1", lambda pt: ops.BACKWARD_ETA1_SPEC, _step_one),
         Variant("etaS", lambda pt: ops.BACKWARD_ETAS_SPEC, _step_charlier_etaS),
     ),
-    lowering_tag="neg_forward_shift",
     lowering=_low_neg_forward,
     adjoint=_low_neg_forward,
     normalization=_norm_unit,
@@ -897,7 +891,6 @@ _register(FamilySpec(
     shift=lambda pt: pt.replace(lam=pt.get("lam") + _half),
     raising=_mp_raise,
     variants=(Variant("", lambda pt: ops.DELTA_X_SPEC, _step_mp),),
-    lowering_tag="delta_x",
     lowering=_low_delta_x,
     adjoint=_adj_neg_delta_x,
     normalization=_norm_mp,
@@ -918,7 +911,6 @@ _register(FamilySpec(
     shift=_sh_add(("a", "b", "c", "d"), _half),
     raising=_wilson_raise,
     variants=(Variant("", lambda pt: ops.DELTA_X2_SPEC, _step_wilson),),
-    lowering_tag="delta_x2",
     lowering=_low_delta_x2,
     adjoint=None,
     normalization=_norm_unit,
@@ -937,7 +929,6 @@ _register(FamilySpec(
         Variant("Tq", lambda pt: ops.qderiv_Tq_spec(pt.get("q")), _step_bqj_Tq),
         Variant("I", lambda pt: ops.qderiv_I_spec(pt.get("q")), _step_bqj_I),
     ),
-    lowering_tag="q_derivative_inverse",
     lowering=_low_qinv,
     adjoint=_low_qinv,
     normalization=_norm_bqj,
@@ -954,7 +945,6 @@ _register(FamilySpec(
         Variant("Tq", lambda pt: ops.qderiv_Tq_spec(pt.get("q")), _step_bql_Tq),
         Variant("I", lambda pt: ops.qderiv_I_spec(pt.get("q")), _step_bqj_I),
     ),
-    lowering_tag="q_derivative_inverse",
     lowering=_low_qinv,
     adjoint=_low_qinv,
     normalization=_norm_bqj,
@@ -968,7 +958,6 @@ _register(FamilySpec(
     shift=_sh_mul_p(("a", "b", "c", "d")),
     raising=_aw_raise,
     variants=(Variant("", lambda pt: ops.aw_spec(pt.get("p")), _step_aw),),
-    lowering_tag="aw_Dq",
     lowering=_low_aw,
     adjoint=None,
     normalization=_norm_aw,
@@ -982,7 +971,6 @@ _register(FamilySpec(
     shift=_sh_ident,
     raising=_cqh_raise,
     variants=(Variant("", lambda pt: ops.aw_spec(pt.get("p")), _step_cqh),),
-    lowering_tag="aw_Dq",
     lowering=_low_aw,
     adjoint=None,
     normalization=_norm_aw,
@@ -996,7 +984,6 @@ _register(FamilySpec(
     shift=_sh_ident,
     raising=None,  # finite family: only the closed form and its recurrence are used
     variants=(),
-    lowering_tag="neg_forward_shift",
     lowering=_low_neg_forward,
     adjoint=None,
     normalization=_norm_unit,

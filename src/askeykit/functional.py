@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, scalar
+from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, scalar, term_sum
 from .families import FAMILIES, ParamPoint, deformation, raise_chain
 from .burchnall import operational_rhs
 from .toda import MODIFIED_EXPANSIONS
@@ -151,7 +151,8 @@ def adjointness_check(tag: str, point: ParamPoint, n: int, D: int, variant: str 
     (a) RHS' = 0 forces LHS' = 0 (in particular every g of degree < n), and
     (b) one constant rho fits LHS' = rho * RHS' across every remaining pair.
 
-    Returns (ok, witness, failures).
+    Returns (ok, witness, failures).  Each failure is (i, j, reason, value),
+    where the nonzero value is the stray LHS' or the ratio's drift from rho.
     """
     spec = FAMILIES[tag]
     if spec.adjoint is None:
@@ -186,7 +187,7 @@ def adjointness_check(tag: str, point: ParamPoint, n: int, D: int, variant: str 
             if rho is None:
                 rho = ratio
             elif ratio != rho:
-                failures.append((i, j, "mass ratio drifted", ratio))
+                failures.append((i, j, "mass ratio drifted", ratio - rho))
     return (not failures, MassRatioWitness(rho if rho is not None else GR_ZERO, samples), failures)
 
 
@@ -207,9 +208,7 @@ def toda_orthogonality_check(identity: str, point: ParamPoint, n: int, extras) -
     functional; returns the list of L~[E_n x^p] values (all exactly zero)."""
     e = MODIFIED_EXPANSIONS[identity]
     _, terms = e.build(point, n, extras)
-    E = None
-    for t in terms:
-        E = t if E is None else E + t
+    E = term_sum(terms)
     key = e.extras[0] if e.extras else None
     extra = extras[key] if key else None
     L = modified_functional(e.family, point, extra, E.degree + max(n - 1, 0))

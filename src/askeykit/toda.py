@@ -33,8 +33,10 @@ from .algebra import (
     q_pochhammer,
     scalar,
     tangent_subtract,
+    term_sum,
 )
 from .families import (
+    FAMILIES,
     ParamPoint,
     MonicRecurrence,
     deformation,
@@ -47,7 +49,6 @@ from .families import (
     shifted_point,
     standard_poly,
 )
-from .burchnall import residual_from_terms
 
 __all__ = [
     "RationalFunction",
@@ -289,8 +290,14 @@ class ModifiedExpansion:
 
     id: str
     family: str
-    extras: tuple  # extra scalar names beyond the parameter point
     build: Callable  # (point, n, extras) -> (lhs, [terms])
+
+    @property
+    def extras(self) -> tuple:
+        """The scalar names beyond the parameter point: the family's
+        deformation scalar, or none for a family without a deformation."""
+        d = FAMILIES[self.family].deformation
+        return () if d is None else (d.scalar.name,)
 
 
 def _build_hermite_toda(point, n, extras):
@@ -468,22 +475,22 @@ def _reg(e: ModifiedExpansion):
     MODIFIED_EXPANSIONS[e.id] = e
 
 
-_reg(ModifiedExpansion("hermite-toda", "hermite", ("t",), _build_hermite_toda))
-_reg(ModifiedExpansion("laguerre-toda", "laguerre", ("t",), _build_laguerre_toda))
-_reg(ModifiedExpansion("meixner-toda-eta1", "meixner", ("u",), _build_meixner_toda_eta1))
-_reg(ModifiedExpansion("meixner-toda-etaS", "meixner", ("u",), _build_meixner_toda_etaS))
-_reg(ModifiedExpansion("charlier-toda-eta1", "charlier", ("u",), _build_charlier_toda_eta1))
-_reg(ModifiedExpansion("charlier-toda-etaS", "charlier", ("u",), _build_charlier_toda_etaS))
-_reg(ModifiedExpansion("mp-toda", "meixner-pollaczek", ("r",), _build_mp_toda))
-_reg(ModifiedExpansion("bigqjacobi-to-bigqlaguerre", "big-q-jacobi", (), _build_bqj_to_bql))
-_reg(ModifiedExpansion("bigqlaguerre-inverse", "big-q-jacobi", (), _build_bql_inverse))
-_reg(ModifiedExpansion("bigqlaguerre-second", "big-q-jacobi", (), _build_bql_second))
+_reg(ModifiedExpansion("hermite-toda", "hermite", _build_hermite_toda))
+_reg(ModifiedExpansion("laguerre-toda", "laguerre", _build_laguerre_toda))
+_reg(ModifiedExpansion("meixner-toda-eta1", "meixner", _build_meixner_toda_eta1))
+_reg(ModifiedExpansion("meixner-toda-etaS", "meixner", _build_meixner_toda_etaS))
+_reg(ModifiedExpansion("charlier-toda-eta1", "charlier", _build_charlier_toda_eta1))
+_reg(ModifiedExpansion("charlier-toda-etaS", "charlier", _build_charlier_toda_etaS))
+_reg(ModifiedExpansion("mp-toda", "meixner-pollaczek", _build_mp_toda))
+_reg(ModifiedExpansion("bigqjacobi-to-bigqlaguerre", "big-q-jacobi", _build_bqj_to_bql))
+_reg(ModifiedExpansion("bigqlaguerre-inverse", "big-q-jacobi", _build_bql_inverse))
+_reg(ModifiedExpansion("bigqlaguerre-second", "big-q-jacobi", _build_bql_second))
 
 
 def modified_expansion_residual(identity: str, point: ParamPoint, n: int, extras=None):
     e = MODIFIED_EXPANSIONS[identity]
     lhs, terms = e.build(point, n, extras or {})
-    return residual_from_terms(lhs, terms)
+    return lhs - term_sum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from askeykit.algebra import (
     UnitPhase,
     chebyshev_lift,
     chebyshev_project,
-    laurent_scale,
     pochhammer,
     poly_gcd,
     q_binomial,
@@ -137,20 +136,6 @@ def test_chebyshev_examples():
 def test_chebyshev_roundtrip(cs):
     f = Poly(cs)
     assert chebyshev_project(chebyshev_lift(f)) == f
-
-
-def test_laurent_scale():
-    f = chebyshev_lift(Poly.x())
-    p = Rational(3)
-    out = laurent_scale(f, p)
-    assert out.coefficient(1) == GaussianRational(Rational(3, 2))
-    assert out.coefficient(-1) == GaussianRational(Rational(1, 6))
-    assert laurent_scale(SymLaurent.one(), p) == Laurent.one()
-    f2 = chebyshev_lift(Poly.x() ** 2)
-    out2 = laurent_scale(f2, Rational(2))
-    assert out2.coefficient(2) == GaussianRational(1)
-    assert out2.coefficient(0) == GaussianRational(Rational(1, 2))
-    assert out2.coefficient(-2) == GaussianRational(Rational(1, 16))
 
 
 def test_laurent_symmetry_tools():

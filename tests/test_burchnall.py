@@ -4,13 +4,12 @@ from random import Random
 
 from askeykit.algebra import (
     GaussianRational,
-    Laurent,
     Poly,
     Rational,
-    SymLaurent,
     binomial,
     chebyshev_lift,
     factorial,
+    term_sum,
 )
 from askeykit.burchnall import (
     EXPANSIONS,
@@ -120,12 +119,7 @@ def test_expansion_rhs_value_symmetry():
         for n, m in [(1, 2), (3, 1)]:
             _, t1 = e.build(pt, n, m)
             _, t2 = e.build(pt, m, n)
-            s1 = sum(t1[1:], t1[0])
-            s2 = sum(t2[1:], t2[0])
-            if isinstance(s1, (Laurent, SymLaurent)) or isinstance(s2, (Laurent, SymLaurent)):
-                s1 = Laurent.coerce(s1)
-                s2 = Laurent.coerce(s2)
-            assert s1 == s2, (ident, n, m)
+            assert term_sum(t1) == term_sum(t2), (ident, n, m)
 
 
 def test_linearization_oracle_matches_feldheim_watson():

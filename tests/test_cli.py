@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from askeykit.cli import SuiteConfig, main, render_report, run_verify
+from askeykit.cli import CASE_KINDS, SuiteConfig, identity_registry, main, render_report, run_verify
 
 
 def _failures(report):
@@ -169,6 +169,33 @@ def test_failing_case_gives_error_entry_and_exit_1(tmp_path, monkeypatch):
     assert report["cases"][0]["residual_summary"].startswith("error:")
 
 
+def test_every_identity_kind_has_a_case_kind():
+    assert {info["kind"] for info in identity_registry().values()} == set(CASE_KINDS)
+
+
+def test_failing_adjointness_names_its_residual(tmp_path, monkeypatch):
+    # a failed check reads as its first nonzero failure value, not as a stand-in
+    from askeykit import cli
+    from askeykit.algebra import scalar
+
+    real = cli.adjointness_check
+
+    def drifting(tag, point, n, D):
+        _, witness, _ = real(tag, point, n, D)
+        return False, witness, [(0, 1, "mass ratio drifted", scalar(5, 3))]
+
+    monkeypatch.setattr(cli, "adjointness_check", drifting)
+    out = tmp_path / "r.json"
+    rc = main([
+        "verify", "--identities", "adjointness", "--families", "hermite",
+        "--max-n", "1", "--output", str(out),
+    ])
+    assert rc == 1
+    case, = json.loads(out.read_text())["cases"]
+    assert case["pass"] is False
+    assert case["residual_summary"] == "nonzero: 5/3"
+
+
 def test_bad_bounds_usage_error():
     assert main(["verify", "--max-n", "-1"]) == 2
     assert main(["verify", "--trials", "0"]) == 2
@@ -192,8 +219,11 @@ def test_full_default_suite_small():
         ["expand", "charlier-toda-eta1", "--n", "2", "--param", "a=3", "--param", "u=0"],
         ["expand", "laguerre-toda", "--n", "2", "--param", "nu=1/2", "--param", "t=-1"],
         ["expand", "laguerre-expansion", "--n", "1", "--m", "1", "--param", "nu=1/2", "--param", "zz=1"],
+        ["expand", "hermite-toda", "--n", "2", "--m", "3", "--param", "t=1"],
+        ["expand", "laguerre-expansion", "--n", "1", "--m", "1", "--param", "nu=1/2", "--param", "nu=3"],
     ],
-    ids=["not-a-rational", "negative-n", "u-zero", "t-outside-domain", "unknown-param"],
+    ids=["not-a-rational", "negative-n", "u-zero", "t-outside-domain", "unknown-param", "m-not-taken",
+         "param-twice"],
 )
 def test_bad_expand_input_exits_2_with_one_line(argv, capsys):
     assert main(argv) == 2

@@ -157,13 +157,9 @@ def test_crosscheck_all_families():
 
 
 def test_deformation_registry_matches_flows():
-    # the six lattice families are exactly the ones with a registered deformation,
-    # and each literal deformed expansion names that deformation's scalar
+    # the six lattice families are exactly the ones with a registered deformation
     deformed = {tag for tag, spec in FAMILIES.items() if spec.deformation is not None}
     assert deformed == set(TODA_SOLUTIONS)
-    for e in MODIFIED_EXPANSIONS.values():
-        if e.extras:
-            assert e.extras == (deformation(e.family).scalar.name,), e.id
 
 
 def test_first_moment_routes_agree():
