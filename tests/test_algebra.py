@@ -26,6 +26,7 @@ from askeykit.algebra import (
     rational_str,
     tangent_subtract,
 )
+from askeykit.ops import aw_eta
 
 rationals = st.builds(
     lambda n, d: Rational(n, d), st.integers(-20, 20), st.integers(1, 12)
@@ -136,6 +137,21 @@ def test_chebyshev_examples():
 def test_chebyshev_roundtrip(cs):
     f = Poly(cs)
     assert chebyshev_project(chebyshev_lift(f)) == f
+
+
+def test_laurent_scale():
+    # f(z) |-> f(p z), the map aw_eta(f, p, 1): z |-> 3z and z |-> 2z
+    f = chebyshev_lift(Poly.x())
+    p = Rational(3)
+    out = aw_eta(f, p, 1)
+    assert out.coefficient(1) == GaussianRational(Rational(3, 2))
+    assert out.coefficient(-1) == GaussianRational(Rational(1, 6))
+    assert aw_eta(SymLaurent.one(), p, 1) == Laurent.one()
+    f2 = chebyshev_lift(Poly.x() ** 2)
+    out2 = aw_eta(f2, Rational(2), 1)
+    assert out2.coefficient(2) == GaussianRational(1)
+    assert out2.coefficient(0) == GaussianRational(Rational(1, 2))
+    assert out2.coefficient(-2) == GaussianRational(Rational(1, 16))
 
 
 def test_laurent_symmetry_tools():

@@ -96,15 +96,6 @@ def test_aw_eta_examples():
     assert dn.coefficient(1) == GaussianRational(1)
     assert dn.coefficient(-1) == GaussianRational(Rational(1, 4))
     assert aw_eta(SymLaurent.one(), p, 5) == aw_eta(SymLaurent.one(), p, -5)
-    # z |-> 3z and z |-> 2z
-    out = aw_eta(f, Rational(3))
-    assert out.coefficient(1) == GaussianRational(Rational(3, 2))
-    assert out.coefficient(-1) == GaussianRational(Rational(1, 6))
-    assert aw_eta(SymLaurent.one(), Rational(3)) == Laurent.one()
-    out2 = aw_eta(chebyshev_lift(x ** 2), Rational(2))
-    assert out2.coefficient(2) == GaussianRational(1)
-    assert out2.coefficient(0) == GaussianRational(Rational(1, 2))
-    assert out2.coefficient(-2) == GaussianRational(Rational(1, 16))
 
 
 def test_aw_Dq_prefold_symmetry():
