@@ -31,6 +31,10 @@ is checked to be a palindrome before it is folded into a SymLaurent, again
 with one canonical form per application.  A Dilation holds f(s*z) as raw
 numerators for `product`.
 
+The closed hypergeometric forms, series sum_k prod_(j<k) rho_j phi_j with
+Gaussian-integer fractions rho_j and short integer polynomials phi_j, are
+summed by horner_series from the top with one canonical form.
+
 fractions.Fraction (exported as `Rational`) appears only at the edges:
 parsed text and the `re`/`im` views of a scalar.
 """
@@ -53,6 +57,7 @@ __all__ = [
     "LaurentOperator",
     "Dilation",
     "product",
+    "horner_series",
     "term_sum",
     "GR_ZERO",
     "GR_ONE",
@@ -995,6 +1000,39 @@ def product(c, *factors):
         re, im = _cmul(fr, fi, re, im)
         den *= fd
     return _laurent(low, _canon(re, im, den))
+
+
+def horner_series(steps, c=1, low=None):
+    """c * sum_(k<=n) prod_(j<k) rho_j phi_j by Horner from the top,
+    1 + rho_0 phi_0 (1 + rho_1 phi_1 (1 + ...)), with one canonical form.
+
+    Step j is (nr, ni, d, fr, fi, o): rho_j = (nr + ni*i)/d with d != 0 and
+    phi_j = z^o (fr + fi*i) with integer coefficients (fi may be None), o <= 0.
+    Each ratio is reduced by one gcd and multiplied into its short factor; the
+    1 of a level is the running denominator placed at the offset
+    -(o_j + ... + o_(n-1)); c is folded in before the canonical form.  The
+    result is a Poly when low is None (all o = 0), else z^low times the sum.
+    """
+    pr, pi, den, pos = [1], None, 1, 0
+    for nr, ni, d, fr, fi, o in reversed(steps):
+        if not d:
+            raise ZeroDivisionError("hypergeometric term ratio with a zero denominator")
+        g = gcd(nr, ni, d) if d > 0 else -gcd(nr, ni, d)
+        nr, ni = nr // g, ni // g
+        if ni or fi is not None:
+            mr, mi = _cmul(fr, fi, (nr,), (ni,) if ni else None)
+            pr, pi = _cmul(mr, mi if any(mi) else None, pr, pi)
+        else:
+            pr, pi = _cmul([nr * a for a in fr], None, pr, pi)
+        den *= d // g
+        pos -= o
+        pr += [0] * (pos + 1 - len(pr))
+        pr[pos] += den
+        if pi is not None:
+            pi += [0] * (len(pr) - len(pi))
+    cr, ci, cd = _parts(c)
+    body = _canon(*_cmul(pr, pi, (cr,), (ci,) if ci else None), den * cd)
+    return body if low is None else _laurent(low - pos, body)
 
 
 def _laurent(low: int, body: Poly) -> "Laurent":

@@ -405,6 +405,8 @@ def cmd_expand(args) -> int:
     modified = ident in MODIFIED_EXPANSIONS
     if modified and args.m is not None:
         raise UsageError(f"{ident} takes no --m")
+    if not modified and args.m is None:
+        raise UsageError(f"{ident} needs --m")
     domain = FAMILIES[e.family].domain
     scalars = (deformation(e.family).scalar,) if modified and e.extras else ()
     values = _values_from_args(ident, domain + scalars, _parse_params(args.param or []))
@@ -412,7 +414,7 @@ def cmd_expand(args) -> int:
     if modified:
         lhs, terms = e.build(point, args.n, values)  # what is left are the deformation scalars
     else:
-        lhs, terms = e.build(point, args.n, args.m or 0)
+        lhs, terms = e.build(point, args.n, args.m)
     res = lhs - term_sum(terms)
     print(f"identity: {ident}  point: {point}  n={args.n}" + (f" m={args.m}" if args.m is not None else ""))
     print("terms:")

@@ -41,7 +41,10 @@ from .algebra import (
     Poly,
     SymLaurent,
     UnitPhase,
+    _cmul,
+    _parts,
     factorial,
+    horner_series,
     pochhammer,
     q_pochhammer,
     scalar,
@@ -91,7 +94,8 @@ class ParamPoint:
     """A concrete parameter instantiation; phases are stored as half-tangents.
 
     Points key the chain, standard-form and functional caches, so the hash
-    is computed once per point and kept in a slot.
+    is computed once per point, from the integer parts (r, i, d) of each
+    coordinate ((v, 0, 1) for an int), and kept in a slot.
     """
 
     family: str
@@ -101,7 +105,7 @@ class ParamPoint:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.family, self.values))
+            h = hash((self.family, *((k, *_parts(v)) for k, v in self.values)))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -292,72 +296,98 @@ def hermite_poly(n: int) -> Poly:
     return Poly(coeffs)
 
 
+def _ratio(nums, dens) -> tuple:
+    """prod(nums) / prod(dens) as integers (re, im, den); a factor (r, i, w) is (r + i*i)/w."""
+    nr, ni, d = 1, 0, 1
+    for r, i, w in nums:
+        nr, ni, d = nr * r - ni * i, nr * i + ni * r, d * w
+    for r, i, w in dens:  # times w (r - i*i) / (r^2 + i^2)
+        if i:
+            nr, ni, d = (nr * r + ni * i) * w, (ni * r - nr * i) * w, d * (r * r + i * i)
+        else:
+            nr, ni, d = nr * w, ni * w, d * r
+    return nr, ni, d
+
+
+def _pfq(n: int, tops, bottoms, z=1, xtops=(), arg=((1,), None, 1), c=1) -> Poly:
+    """c pFq(tops, xtops; bottoms; z * arg) summed to k = n by algebra.horner_series.
+
+    Step j has the ratio z prod (a + j) / (prod (b + j) (j + 1)) over the
+    scalar parameters, and the factor arg prod (u + j + v*x) over the
+    x-parameters u + v*x, given as (u, v); arg is (re, im, den) integer parts.
+    """
+    zp, tops, bottoms = _parts(z), [_parts(a) for a in tops], [_parts(b) for b in bottoms]
+    lin = [(*_parts(u), *_parts(v)) for u, v in xtops]
+    steps = []
+    for j in range(n):
+        fr, fi, w = arg
+        for ur, ui, ud, vr, vi, vd in lin:  # (u + j + v x) ud vd
+            fr, fi = _cmul(fr, fi, ((ur + j * ud) * vd, vr * ud), (ui * vd, vi * ud) if ui or vi else None)
+            w *= ud * vd
+        nums = [zp, *((r + j * e, i, e) for r, i, e in tops)]
+        nr, ni, d = _ratio(nums, [((j + 1) * w, 0, 1), *((r + j * e, i, e) for r, i, e in bottoms)])
+        steps.append((nr, ni, d, fr, fi, 0))
+    return horner_series(steps, c)
+
+
+def _rphis(n: int, q, tops, bottoms, z=1, xtops=(), arg=((1,), None, 1), c=1, low=None):
+    """c rphis(tops, xtops; bottoms; q, z * arg) summed to k = n by algebra.horner_series.
+
+    With the term factor [(-1)^k q^(k choose 2)]^(1+s-r) of Gasper & Rahman
+    (Basic Hypergeometric Series, 2004), step j has the ratio
+    z (-q^j)^(1+s-r) prod (1 - a q^j) / (prod (1 - b q^j) (1 - q^(j+1))),
+    on running integer powers of the real base q's numerator and denominator,
+    and the factor arg prod (1 - s q^j z^e) over the x-parameters s*z^e
+    (e = +-1), given as (s, e).  With `low` the result is z^low times the sum.
+    """
+    q = _Q(q)
+    if q.i:
+        raise ValueError(f"the basic hypergeometric forms need a real base, got {q!r}")
+    m = 1 + len(bottoms) - len(tops) - len(xtops)
+    tops, bottoms = [_parts(a) for a in tops], [_parts(b) for b in bottoms]
+    zp, mons = _parts(z), [(*_parts(s), e) for s, e in xtops]
+    steps, rj, dj = [], 1, 1  # q^j = rj / dj
+    for j in range(n):
+        (fr, fi, w), o = arg, 0
+        for sr, si, sd, e in mons:  # (1 - s q^j z^e) sd dj; z^-1 (-s q^j + z) sd dj for e = -1
+            fr, fi = _cmul(fr, fi, (sd * dj, -sr * rj)[::e], (0, -si * rj)[::e] if si else None)
+            w *= sd * dj
+            o -= e < 0
+        sign = ((-rj) ** m, 0, dj ** m) if m >= 0 else ((-dj) ** -m, 0, rj ** -m)  # (-q^j)^m
+        nums = [zp, sign, *((e * dj - r * rj, -i * rj, e * dj) for r, i, e in tops)]
+        dens = [(w, 0, 1), *((e * dj - r * rj, -i * rj, e * dj) for r, i, e in bottoms)]
+        rj, dj = rj * q.r, dj * q.d
+        nr, ni, d = _ratio(nums, [*dens, (dj - rj, 0, dj)])
+        steps.append((nr, ni, d, fr, fi, o))
+    return horner_series(steps, c, low)
+
+
 def laguerre_poly(nu, n: int) -> Poly:
     """L_n^(nu)(x) = ((nu+1)_n / n!) 1F1(-n; nu+1; x)."""
     nu = _Q(nu)
-    pref = pochhammer(nu + 1, n) * _Q(1, factorial(n))
-    out = Poly.zero()
-    term = GR_ONE
-    for k in range(n + 1):
-        out = out + Poly.monomial(k, term)
-        if k < n:
-            term = term * _Q(k - n) / ((nu + 1 + k) * (k + 1))
-    return out * pref
+    return _pfq(n, [-n], [nu + 1], arg=((0, 1), None, 1), c=pochhammer(nu + 1, n) * _Q(1, factorial(n)))
 
 
 def jacobi_poly(alpha, beta, n: int) -> Poly:
     """P_n^(alpha,beta)(x) = ((alpha+1)_n / n!) 2F1(-n, n+alpha+beta+1; alpha+1; (1-x)/2)."""
-    alpha = _Q(alpha)
-    beta = _Q(beta)
+    alpha, beta = _Q(alpha), _Q(beta)
     pref = pochhammer(alpha + 1, n) * _Q(1, factorial(n))
-    halfarg = Poly([_half, -_half])
-    out = Poly.zero()
-    coef = GR_ONE
-    power = Poly.one()
-    for k in range(n + 1):
-        out = out + power * coef
-        if k < n:
-            coef = coef * _Q(k - n) * (alpha + beta + n + 1 + k) / ((alpha + 1 + k) * (k + 1))
-            power = power * halfarg
-    return out * pref
+    return _pfq(n, [-n, n + alpha + beta + 1], [alpha + 1], arg=((1, -1), None, 2), c=pref)  # (1 - x)/2
 
 
 def falling_poch_poly(n: int) -> Poly:
     """(-x)_n as a polynomial: prod_j (j - x)."""
-    out = Poly.one()
-    for j in range(n):
-        out = out * Poly([j, -1])
-    return out
+    return rising_poch_poly(0, n, -1)
 
 
 def meixner_poly(beta, c, n: int) -> Poly:
     """M_n(x; beta, c) = 2F1(-n, -x; beta; 1 - 1/c)."""
-    beta = _Q(beta)
-    c = _Q(c)
-    z = (c - 1) / c
-    out = Poly.zero()
-    coef = GR_ONE
-    fall = Poly.one()
-    for k in range(n + 1):
-        out = out + fall * coef
-        if k < n:
-            coef = coef * _Q(k - n) * z / ((beta + k) * (k + 1))
-            fall = fall * Poly([k, -1])
-    return out
+    return _pfq(n, [-n], [beta], 1 - 1 / _Q(c), xtops=[(0, -1)])
 
 
 def charlier_poly(a, n: int) -> Poly:
     """C_n(x; a) = 2F0(-n, -x; -; -1/a)."""
-    a = _Q(a)
-    out = Poly.zero()
-    coef = GR_ONE
-    fall = Poly.one()
-    for k in range(n + 1):
-        out = out + fall * coef
-        if k < n:
-            coef = coef * _Q(k - n) * (-1 / a) / _Q(k + 1)
-            fall = fall * Poly([k, -1])
-    return out
+    return _pfq(n, [-n], [], -1 / _Q(a), xtops=[(0, -1)])
 
 
 def rising_poch_poly(base, n: int, xcoef=1) -> Poly:
@@ -383,16 +413,8 @@ def mp_poly(lam, phi_s, n: int) -> Poly:
     half-angle tangent.  The coefficients combine to real rationals."""
     lam = _Q(lam)
     u = UnitPhase(phi_s)
-    zarg = GR_ONE - u.power(-2)
-    out = Poly.zero()
-    coef = GR_ONE
-    rising = Poly.one()
-    for k in range(n + 1):
-        out = out + rising * coef
-        if k < n:
-            coef = coef * _Q(k - n) * zarg / ((2 * lam + k) * (k + 1))
-            rising = rising * Poly([lam + k, GR_I])
-    out = out * (pochhammer(2 * lam, n) * _Q(1, factorial(n)) * u.power(n))
+    pref = pochhammer(2 * lam, n) * _Q(1, factorial(n)) * u.power(n)
+    out = _pfq(n, [-n], [2 * lam], GR_ONE - u.power(-2), xtops=[(lam, GR_I)], c=pref)
     if not out.is_real:
         raise AssertionError("Meixner-Pollaczek polynomial came out non-real")
     return out
@@ -401,40 +423,14 @@ def mp_poly(lam, phi_s, n: int) -> Poly:
 def wilson_poly(a, b, c, d, n: int) -> Poly:
     """W_n(x^2; a,b,c,d) as an even polynomial in x of degree 2n."""
     a, b, c, d = map(_Q, (a, b, c, d))
-    e1 = a + b + c + d
     pref = pochhammer(a + b, n) * pochhammer(a + c, n) * pochhammer(a + d, n)
-    out = Poly.zero()
-    coef = GR_ONE
-    even = Poly.one()
-    for k in range(n + 1):
-        out = out + even * coef
-        if k < n:
-            coef = coef * _Q(k - n) * (e1 + n - 1 + k) / ((a + b + k) * (a + c + k) * (a + d + k) * (k + 1))
-            even = even * Poly([(a + k) * (a + k), 0, 1])  # (a+k)^2 + x^2
-    return out * pref
+    return _pfq(n, [-n, n + a + b + c + d - 1], [a + b, a + c, a + d], xtops=[(a, GR_I), (a, -GR_I)], c=pref)
 
 
 def big_q_jacobi_poly(a, b, c, q, n: int) -> Poly:
     """P_n(x; a, b, c; q) = 3phi2(q^-n, a b q^(n+1), x; aq, cq; q, q)."""
     a, b, c, q = map(_Q, (a, b, c, q))
-    qinv_n = _Q(1) / q ** n
-    abq = a * b * q ** (n + 1)
-    out = Poly.zero()
-    coef = GR_ONE
-    xpoch = Poly.one()
-    qk = _Q(1)
-    for k in range(n + 1):
-        out = out + xpoch * coef
-        if k < n:
-            # next term ratio: (1 - q^(k-n))(1 - ab q^(n+1+k)) q
-            #                  / ((1 - a q^(k+1))(1 - c q^(k+1))(1 - q^(k+1)))
-            qk1 = qk * q
-            coef = coef * (
-                (1 - qinv_n * qk) * (1 - abq * qk) * q / ((1 - a * qk1) * (1 - c * qk1) * (1 - qk1))
-            )
-            xpoch = xpoch * Poly([1, -qk])
-            qk = qk1
-    return out
+    return _rphis(n, q, [q ** -n, a * b * q ** (n + 1)], [a * q, c * q], q, xtops=[(1, 1)])
 
 
 def askey_wilson_poly(a, b, c, d, p, n: int) -> SymLaurent:
@@ -443,60 +439,22 @@ def askey_wilson_poly(a, b, c, d, p, n: int) -> SymLaurent:
     if not a:
         raise ValueError("the 4phi3 form needs a != 0; use the continuous q-Hermite family")
     q = p * p
-    qinv_n = _Q(1) / q ** n
-    abcd = a * b * c * d * q ** (n - 1)
     pref = q_pochhammer(a * b, q, n) * q_pochhammer(a * c, q, n) * q_pochhammer(a * d, q, n) / a ** n
-    out = Laurent.zero()
-    coef = GR_ONE
-    zpoch = Laurent.one()
-    qk = _Q(1)
-    for k in range(n + 1):
-        out = out + zpoch * coef
-        if k < n:
-            # next term ratio: (1 - q^(k-n))(1 - abcd q^(n-1+k)) q
-            #                  / ((1 - ab q^k)(1 - ac q^k)(1 - ad q^k)(1 - q^(k+1)))
-            coef = coef * (
-                (1 - qinv_n * qk) * (1 - abcd * qk) * q
-                / ((1 - a * b * qk) * (1 - a * c * qk) * (1 - a * d * qk) * (1 - qk * q))
-            )
-            # next factor of (az; q)_k (a/z; q)_k
-            aqk = a * qk
-            zpoch = zpoch * Laurent(0, [1, -aqk]) * Laurent(-1, [-aqk, 1])
-            qk = qk * q
-    return (out * pref).to_sym()
+    tops = [q ** -n, a * b * c * d * q ** (n - 1)]
+    return _rphis(n, q, tops, [a * b, a * c, a * d], q, xtops=[(a, 1), (a, -1)], c=pref, low=0).to_sym()
 
 
 def cq_hermite_poly(p, n: int) -> SymLaurent:
     """H_n(x | q) = z^-n 2phi0(q^-n, 0; -; q, q^n z^2), q = p^2."""
-    p = _Q(p)
-    q = p * p
-    out = Laurent.zero()
-    coef = GR_ONE
-    qn = _Q(1) / q ** n
-    qk = _Q(1)
-    for k in range(n + 1):
-        out = out + Laurent.monomial(2 * k - n, coef)
-        if k < n:
-            # next term ratio: (1 - q^(k-n)) / (1-q^(k+1)) * (-1) q^(-k) * q^n z^2
-            coef = coef * (1 - qn * qk) / (1 - q * qk) * (-(q ** n) / qk)
-            qk = qk * q
-    return out.to_sym()
+    q = _Q(p) ** 2
+    return _rphis(n, q, [q ** -n, 0], [], q ** n, arg=((0, 0, 1), None, 1), low=-n).to_sym()
 
 
 def krawtchouk_poly(pp, N: int, n: int) -> Poly:
     """K_n(x; p, N) = 2F1(-n, -x; -N; 1/p), for n <= N."""
-    pp = _Q(pp)
     if n > N:
         raise ValueError("Krawtchouk needs n <= N")
-    out = Poly.zero()
-    coef = GR_ONE
-    fall = Poly.one()
-    for k in range(n + 1):
-        out = out + fall * coef
-        if k < n:
-            coef = coef * _Q(k - n) / (_Q(k - N) * (k + 1) * pp)
-            fall = fall * Poly([k, -1])
-    return out
+    return _pfq(n, [-n], [-N], 1 / _Q(pp), xtops=[(0, -1)])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from askeykit.algebra import (
     UnitPhase,
     chebyshev_lift,
     chebyshev_project,
+    horner_series,
     pochhammer,
     poly_gcd,
     q_binomial,
@@ -630,3 +631,66 @@ def test_equal_laurent_values_hash_equal():
         assert a != 2 and a != half and a != SymLaurent([1, 1]) and a != Laurent(1, [1])
         assert not (a == "1") and a != Poly.one()
     assert SymLaurent([1, 1]) != 1 and SymLaurent([1, 1]) != Laurent.one()
+
+
+# -- the hypergeometric series kernel against the sum of its terms --
+
+def _naive_series(steps, c, low):
+    # sum_(k<=n) prod_(j<k) rho_j phi_j as a sum of Poly (or Laurent) products
+    laurent = low is not None
+    out = Laurent.zero() if laurent else Poly.zero()
+    term = Laurent.one() if laurent else Poly.one()
+    for k in range(len(steps) + 1):
+        out = out + term
+        if k < len(steps):
+            nr, ni, d, fr, fi, o = steps[k]
+            cs = [GaussianRational(a, b) for a, b in zip(fr, fi or [0] * len(fr))]
+            phi = Laurent(o, cs) if laurent else Poly(cs)
+            term = term * phi * GaussianRational(Rational(nr, d), Rational(ni, d))
+    if laurent:
+        return out * Laurent.monomial(low, c)
+    return out * c
+
+
+_ints = st.integers(-30, 30)
+_step_ratios = st.one_of(
+    st.tuples(_ints, st.just(0), _ints.filter(bool)),  # real
+    st.tuples(_ints, _ints, _ints.filter(bool)),  # Gaussian, either sign of d
+    st.tuples(st.just(0), st.just(0), _ints.filter(bool)),  # zero
+)
+_factor_parts = st.integers(1, 3).flatmap(
+    lambda m: st.tuples(
+        st.lists(st.integers(-9, 9), min_size=m, max_size=m),
+        st.one_of(st.none(), st.lists(st.integers(-9, 9), min_size=m, max_size=m)),
+    )
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.tuples(_step_ratios, _factor_parts, st.integers(-1, 0)), max_size=6),
+    st.one_of(st.integers(-3, 3), rationals, gaussians),
+    st.one_of(st.none(), st.integers(-4, 4)),
+)
+def test_horner_series_matches_the_sum_of_its_terms(drawn, c, low):
+    # real and Gaussian ratios (zero among them), real and complex factors,
+    # n = 0, and factors z^o phi with a Laurent offset o in the z-form
+    steps = [(nr, ni, d, fr, fi, o if low is not None else 0) for (nr, ni, d), (fr, fi), o in drawn]
+    got = horner_series(steps, c, low)
+    assert type(got) is (Poly if low is None else Laurent)
+    assert got == _naive_series(steps, c, low)
+    assert_canonical(got if low is None else got.body)
+
+
+def test_horner_series_examples():
+    # 1 + 2x (1 + x/3 (1 + ...)): the terms 1, 2x, 2x^2/3
+    steps = [(2, 0, 1, (0, 1), None, 0), (1, 0, 3, (0, 1), None, 0)]
+    assert horner_series(steps) == Poly([1, 2, Rational(2, 3)])
+    assert horner_series(steps, GR_I) == Poly([GR_I, 2 * GR_I, Rational(2, 3) * GR_I])
+    assert horner_series([]) == Poly.one() and horner_series([], 5, -2) == Laurent.monomial(-2, 5)
+    # z^-1 (1 - z)^2 per step with low 0: 1 + (z^-1 - 2 + z)
+    assert horner_series([(1, 0, 1, (1, -2, 1), None, -1)], 1, 0) == Laurent(-1, [1, -1, 1])
+    # a zero ratio ends the sum
+    assert horner_series([(0, 0, 7, (0, 1), None, 0), (5, 0, 1, (0, 1), None, 0)]) == Poly.one()
+    with pytest.raises(ZeroDivisionError):
+        horner_series([(1, 0, 0, (1,), None, 0)])

@@ -221,9 +221,10 @@ def test_full_default_suite_small():
         ["expand", "laguerre-expansion", "--n", "1", "--m", "1", "--param", "nu=1/2", "--param", "zz=1"],
         ["expand", "hermite-toda", "--n", "2", "--m", "3", "--param", "t=1"],
         ["expand", "laguerre-expansion", "--n", "1", "--m", "1", "--param", "nu=1/2", "--param", "nu=3"],
+        ["expand", "hermite-expansion", "--n", "2"],
     ],
     ids=["not-a-rational", "negative-n", "u-zero", "t-outside-domain", "unknown-param", "m-not-taken",
-         "param-twice"],
+         "param-twice", "m-missing"],
 )
 def test_bad_expand_input_exits_2_with_one_line(argv, capsys):
     assert main(argv) == 2

@@ -1,6 +1,7 @@
 """Family catalog: chains, closed forms, normalizations, recurrences."""
 
 from fractions import Fraction
+from math import factorial
 from random import Random
 
 import pytest
@@ -26,8 +27,10 @@ from askeykit.functional import build_functional
 from askeykit.families import (
     FAMILIES,
     FamilySpec,
+    ParamPoint,
     askey_wilson_poly,
     big_q_jacobi_poly,
+    charlier_poly,
     hermite_poly,
     jacobi_poly,
     krawtchouk_poly,
@@ -35,11 +38,13 @@ from askeykit.families import (
     lowering_constant_check,
     make_point,
     meixner_poly,
+    mp_poly,
     normalization,
     raise_chain,
     recurrence_extract,
     standard_poly,
     cq_hermite_poly,
+    wilson_poly,
 )
 from askeykit.sampling import sample_point
 
@@ -350,6 +355,222 @@ def test_q_closed_forms_match_the_pochhammer_forms():
                 assert big_q_jacobi_poly(*bq) == _big_q_jacobi_by_pochhammers(*bq), bq
             aw = (u["a"], u["b"], u["c"], u["d"], u["p"], n)
             assert askey_wilson_poly(*aw) == _askey_wilson_by_pochhammers(*aw), (u, n)
+
+
+# The closed forms as the sums of their KLS terms, each term a fresh product
+# of Pochhammer symbols times a fresh product of polynomials; nothing here
+# goes through algebra.horner_series.
+
+def _pfq_terms(n, tops, bottoms, z, xpart):
+    # sum_(k<=n) prod (a)_k / (prod (b)_k k!) z^k xpart(k)
+    out = Poly.zero()
+    for k in range(n + 1):
+        scal = GaussianRational.coerce(z) ** k * Q(1, factorial(k))
+        for a in tops:
+            scal = scal * pochhammer(a, k)
+        for b in bottoms:
+            scal = scal / pochhammer(b, k)
+        out = out + xpart(k) * scal
+    return out
+
+
+def _laguerre_by_pochhammers(nu, n):
+    pref = pochhammer(nu + 1, n) * Q(1, factorial(n))
+    return _pfq_terms(n, [-n], [nu + 1], 1, lambda k: Poly.x() ** k) * pref
+
+
+def _jacobi_by_pochhammers(alpha, beta, n):
+    pref = pochhammer(alpha + 1, n) * Q(1, factorial(n))
+    half = Poly([Q(1, 2), Q(-1, 2)])
+    return _pfq_terms(n, [-n, n + alpha + beta + 1], [alpha + 1], 1, lambda k: half ** k) * pref
+
+
+def _meixner_by_pochhammers(beta, c, n):
+    return _pfq_terms(n, [-n], [beta], 1 - 1 / GaussianRational.coerce(c), _falling)
+
+
+def _charlier_by_pochhammers(a, n):
+    return _pfq_terms(n, [-n], [], -1 / GaussianRational.coerce(a), _falling)
+
+
+def _mp_by_pochhammers(lam, phi, n):
+    # complex terms (lambda + ix)_k (1 - e^(-2i phi))^k whose sum is real
+    u = UnitPhase(phi)
+    pref = pochhammer(2 * lam, n) * Q(1, factorial(n)) * u.power(n)
+    return _pfq_terms(n, [-n], [2 * lam], 1 - u.power(-2), lambda k: _rising(lam, k, GR_I)) * pref
+
+
+def _wilson_by_pochhammers(a, b, c, d, n):
+    pref = pochhammer(a + b, n) * pochhammer(a + c, n) * pochhammer(a + d, n)
+    return _pfq_terms(
+        n, [-n, n + a + b + c + d - 1], [a + b, a + c, a + d], 1,
+        lambda k: _rising(a, k, GR_I) * _rising(a, k, -GR_I),
+    ) * pref
+
+
+def _krawtchouk_by_pochhammers(p, N, n):
+    return _pfq_terms(n, [-n], [-N], 1 / GaussianRational.coerce(p), _falling)
+
+
+def _cq_hermite_by_q_binomials(p, n):
+    # H_n(x | q) = sum_k [n, k]_q z^(n-2k) (KLS 14.26.1), with the q-binomials
+    # as quotients of (q; q)_j
+    q = p * p
+    out = Laurent.zero()
+    for k in range(n + 1):
+        qb = q_pochhammer(q, q, n) / (q_pochhammer(q, q, k) * q_pochhammer(q, q, n - k))
+        out = out + Laurent.monomial(n - 2 * k, qb)
+    return out.to_sym()
+
+
+# tag: (closed form, its arguments from a point and n, the oracle)
+_CLOSED_FORMS = {
+    "laguerre": (laguerre_poly, lambda v, n: (v["nu"], n), _laguerre_by_pochhammers),
+    "jacobi": (jacobi_poly, lambda v, n: (v["alpha"], v["beta"], n), _jacobi_by_pochhammers),
+    "meixner": (meixner_poly, lambda v, n: (v["beta"], v["c"], n), _meixner_by_pochhammers),
+    "charlier": (charlier_poly, lambda v, n: (v["a"], n), _charlier_by_pochhammers),
+    "meixner-pollaczek": (mp_poly, lambda v, n: (v["lam"], v["phi"], n), _mp_by_pochhammers),
+    "wilson": (wilson_poly, lambda v, n: (v["a"], v["b"], v["c"], v["d"], n), _wilson_by_pochhammers),
+    "big-q-jacobi": (
+        big_q_jacobi_poly, lambda v, n: (v["a"], v["b"], v["c"], v["q"], n), _big_q_jacobi_by_pochhammers
+    ),
+    "big-q-laguerre": (
+        big_q_jacobi_poly, lambda v, n: (v["a"], 0, v["c"], v["q"], n), _big_q_jacobi_by_pochhammers
+    ),
+    "askey-wilson": (
+        askey_wilson_poly, lambda v, n: (v["a"], v["b"], v["c"], v["d"], v["p"], n), _askey_wilson_by_pochhammers
+    ),
+    "continuous-q-hermite": (cq_hermite_poly, lambda v, n: (v["p"], n), _cq_hermite_by_q_binomials),
+    "krawtchouk": (krawtchouk_poly, lambda v, n: (v["p"], v["N"], n), _krawtchouk_by_pochhammers),
+}
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_closed_forms_match_their_pochhammer_terms(seed):
+    # the ten forms (big q-Jacobi also as big q-Laguerre, b = 0) at sampled
+    # points, n <= 10 (Krawtchouk n <= N)
+    rng = Random(seed)
+    for tag, (form, args, oracle) in _CLOSED_FORMS.items():
+        v = sample_point(tag, rng).as_dict()
+        for n in range(min(10, v.get("N", 10)) + 1):
+            assert form(*args(v, n)) == oracle(*args(v, n)), (tag, v, n)
+
+
+_nonreal = st.builds(
+    GaussianRational, st.builds(Q, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(Q, st.integers(-9, 9).filter(bool), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(_nonreal, min_size=4, max_size=4), st.integers(0, 6), st.integers(0, 2 ** 32))
+def test_closed_forms_take_gaussian_parameters(vals, n, seed):
+    # non-real parameters take the complex routes of both helpers
+    a, b, c, d = vals
+    q = sample_point("big-q-jacobi", Random(seed)).get("q")
+    cases = [
+        (laguerre_poly, (a, n), _laguerre_by_pochhammers),
+        (jacobi_poly, (a, b, n), _jacobi_by_pochhammers),
+        (meixner_poly, (a, b, n), _meixner_by_pochhammers),
+        (charlier_poly, (a, n), _charlier_by_pochhammers),
+        (wilson_poly, (a, b, c, d, n), _wilson_by_pochhammers),
+        (big_q_jacobi_poly, (a, b, c, q, n), _big_q_jacobi_by_pochhammers),
+        (big_q_jacobi_poly, (a, 0, c, q, n), _big_q_jacobi_by_pochhammers),
+        (askey_wilson_poly, (a, b, c, d, q, n), _askey_wilson_by_pochhammers),
+    ]
+    for form, args, oracle in cases:
+        try:
+            expected = oracle(*args)
+        except ZeroDivisionError:  # a bottom parameter met a pole
+            with pytest.raises(ZeroDivisionError):
+                form(*args)
+            continue
+        assert form(*args) == expected, (form.__name__, args)
+
+
+def _from_sympy(expr, x):
+    import sympy
+
+    cs = sympy.Poly(expr, x).all_coeffs()[::-1]
+    return Poly([Fraction(int(c.p), int(c.q)) for c in cs])
+
+
+def test_classical_forms_match_sympy():
+    # a third-party check of Hermite, Laguerre and Jacobi in the KLS
+    # normalization, which sympy's hermite_poly, laguerre_poly and
+    # jacobi_poly share
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    params = [Q(1, 2), Q(-1, 3), Q(7, 4), Q(5), Q(-3, 5)]
+    for n in range(11):
+        assert hermite_poly(n) == _from_sympy(sympy.hermite_poly(n, x), x), n
+        for nu in params:
+            sym = sympy.laguerre_poly(n, x, sympy.Rational(nu.numerator, nu.denominator))
+            assert laguerre_poly(nu, n) == _from_sympy(sym, x), (nu, n)
+        for alpha, beta in zip(params, params[2:] + params[:2]):
+            sa, sb = (sympy.Rational(t.numerator, t.denominator) for t in (alpha, beta))
+            sym = sympy.jacobi_poly(n, sa, sb, x)
+            assert jacobi_poly(alpha, beta, n) == _from_sympy(sym, x), (alpha, beta, n)
+
+
+def test_closed_forms_canonicalize_once(monkeypatch):
+    # each form sums its series in algebra.horner_series: no Poly built from
+    # coefficients, no Poly or Laurent product, one canonical form
+    rng = Random(73)
+    points = {tag: sample_point(tag, rng).as_dict() for tag in _CLOSED_FORMS}
+    calls = {"init": 0, "mul": 0, "canon": 0}
+    canon, init = algebra._canon, Poly.__init__
+
+    def counting(method):
+        def wrapper(self, other):
+            calls["mul"] += 1
+            return method(self, other)
+
+        return wrapper
+
+    def counting_init(self, *args):
+        calls["init"] += 1
+        init(self, *args)
+
+    def counting_canon(*args):
+        calls["canon"] += 1
+        return canon(*args)
+
+    for cls in (Poly, Laurent, SymLaurent):
+        monkeypatch.setattr(cls, "__mul__", counting(cls.__mul__))
+        monkeypatch.setattr(cls, "__rmul__", counting(cls.__rmul__))
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    monkeypatch.setattr(algebra, "_canon", counting_canon)
+    for tag, (form, args, _) in _CLOSED_FORMS.items():
+        calls.update(init=0, mul=0, canon=0)
+        out = form(*args(points[tag], 3))
+        assert calls == {"init": 0, "mul": 0, "canon": 1}, (tag, calls)
+        assert out.degree == (6 if tag == "wilson" else 3), tag
+    monkeypatch.undo()
+
+
+def test_points_hash_on_integer_parts(monkeypatch):
+    # an int coordinate and the equal scalar give equal points with equal
+    # hashes, and hashing a new point takes no scalar hash (whose
+    # Fraction-compatible formula needs a modular inverse)
+    a = ParamPoint("krawtchouk", (("p", GaussianRational(Q(1, 3))), ("N", 4)))
+    b = ParamPoint("krawtchouk", (("p", GaussianRational(Q(1, 3))), ("N", GaussianRational(4))))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    c = a.replace(p=GaussianRational(Q(1, 3), Q(1, 5)))
+    assert c != a and c == b.replace(p=GaussianRational(Q(1, 3), Q(1, 5)))
+    assert hash(c) == hash(b.replace(p=GaussianRational(Q(1, 3), Q(1, 5))))
+
+    def refuse(*args):
+        raise AssertionError("hashing a point took a scalar hash or pow")
+
+    pt = make_point("wilson", a=Q(1, 3), b=Q(2, 7), c=Q(5, 11), d=Q(3, 13))
+    monkeypatch.setattr(GaussianRational, "__hash__", refuse)
+    monkeypatch.setattr("builtins.pow", refuse)
+    shifted = families.shifted_point(pt, 3)
+    assert hash(shifted) == hash(families.shifted_point(pt, 3))
+    assert {shifted: 1}[families.shifted_point(pt, 3)] == 1
+    monkeypatch.undo()
 
 
 def test_points_hold_the_scalar():
