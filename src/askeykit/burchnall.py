@@ -89,7 +89,7 @@ def apply_chain(tag: str, point: ParamPoint, n: int, f):
 def operational_rhs(tag: str, point: ParamPoint, n: int, f, variant: str | None = None):
     spec = FAMILIES[tag]
     var = spec.variant(variant) if variant is not None else spec.default_variant()
-    op = var.op_spec(point)
+    op = var.spec_at(point)
     fs = ladder(op.partial, f, n)
     ratio = spec.one()  # eta^k(w_(nu+k sigma)) / w_nu, one weight step per k
     rhs = None
@@ -109,11 +109,7 @@ def operational_residual(tag: str, point: ParamPoint, n: int, f, variant: str | 
 
 
 def chain_expansion_rhs(tag: str, point: ParamPoint, n: int, m: int, variant: str | None = None):
-    spec = FAMILIES[tag]
-    pt_n = point
-    for _ in range(n):
-        pt_n = spec.shift(pt_n)
-    return operational_rhs(tag, point, n, raise_chain(tag, pt_n, m), variant)
+    return operational_rhs(tag, point, n, raise_chain(tag, shifted_point(point, n), m), variant)
 
 
 def chain_expansion_residual(tag: str, point: ParamPoint, n: int, m: int, variant: str | None = None):

@@ -41,11 +41,13 @@ from .algebra import (
     Poly,
     SymLaurent,
     UnitPhase,
+    _canon,
     _cmul,
     _parts,
     factorial,
     horner_series,
     pochhammer,
+    product,
     q_pochhammer,
     scalar,
     tangent_subtract,
@@ -93,14 +95,24 @@ _half = scalar(1, 2)
 class ParamPoint:
     """A concrete parameter instantiation; phases are stored as half-tangents.
 
-    Points key the chain, standard-form and functional caches, so the hash
-    is computed once per point, from the integer parts (r, i, d) of each
-    coordinate ((v, 0, 1) for an int), and kept in a slot.
+    Everything derived from a point is kept on the point, in slots that take
+    no part in equality, hashing or repr: its successor under the family
+    shift, its admissibility verdict, its raising operator, and one memo of
+    raising chains, standard forms, moment tables and the variants'
+    operator specs.  So the shifted points of a case are built once, each
+    datum is computed once per point, and all of it is freed with the point.
+    Two equal points made separately share nothing.  The hash is computed
+    once, from the integer parts (r, i, d) of each coordinate ((v, 0, 1) for
+    an int).
     """
 
     family: str
     values: tuple
     _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    _next: Optional["ParamPoint"] = field(default=None, init=False, repr=False, compare=False)
+    _admissible: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
+    _raising: object = field(default=None, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __hash__(self):
         h = self._hash
@@ -214,13 +226,21 @@ class Variant:
     op_spec: Callable[[ParamPoint], ops.OperatorSpec]
     weight_step: Callable[[ParamPoint, int], object]
 
+    def spec_at(self, point: ParamPoint) -> ops.OperatorSpec:
+        """op_spec(point), built once and kept in the point's memo under op_spec."""
+        memo = point._memo
+        spec = memo.get(self.op_spec)
+        if spec is None:
+            spec = memo[self.op_spec] = self.op_spec(point)
+        return spec
+
 
 @dataclass(frozen=True)
 class FamilySpec:
     tag: str
     domain: tuple  # Param entries, in sampling order
     carrier: str  # "poly" | "even" | "laurent"
-    shift: Callable[[ParamPoint], ParamPoint]
+    shift_rule: Callable[[ParamPoint], ParamPoint]  # nu -> nu + sigma, as declared
     raising: Optional[Callable[[ParamPoint], Callable]]
     variants: tuple
     lowering: Callable[[ParamPoint], Callable]
@@ -233,22 +253,50 @@ class FamilySpec:
     def param_names(self) -> tuple:
         return tuple(p.name for p in self.domain)
 
+    def _own(self, point: ParamPoint) -> None:
+        if point.family != self.tag:
+            raise ValueError(f"{self.tag} was given a {point.family} point")
+
+    def memo(self, point: ParamPoint) -> dict:
+        """The memo of a point of this family."""
+        self._own(point)
+        return point._memo
+
+    def shift(self, point: ParamPoint) -> ParamPoint:
+        """nu + sigma: the same object on every call, kept on the point.
+
+        An identity shift returns the point itself and is not stored, so a
+        point never refers to itself.
+        """
+        nxt = point._next
+        if nxt is None:
+            self._own(point)
+            nxt = self.shift_rule(point)
+            if nxt is not point:
+                object.__setattr__(point, "_next", nxt)
+        return nxt
+
     def admissible(self, point: ParamPoint) -> bool:
-        values = point.as_dict()
-        return all(p.admits(values[p.name], values) for p in self.domain)
+        """Whether point lies in the domain; the verdict is kept on the point."""
+        ok = point._admissible
+        if ok is None:
+            self._own(point)
+            values = point.as_dict()
+            ok = all(p.admits(values[p.name], values) for p in self.domain)
+            object.__setattr__(point, "_admissible", ok)
+        return ok
 
     def raising_operator(self, point: ParamPoint):
-        """The raising operator at point, kept for the most recent points.
+        """The raising operator R_nu at point, built once and kept on the point.
 
-        A chain and the k-sums of the same case meet the same points, so a
-        short first-in first-out memo builds each operator once per case.
+        A chain, the k-sums and apply_chain of one case meet the same point
+        objects, so each operator is built once per case and freed with it.
         """
-        key = (self.tag, point)
-        op = _raising_cache.get(key)
+        op = point._raising
         if op is None:
-            if len(_raising_cache) >= _RAISING_CACHE_MAX:
-                del _raising_cache[next(iter(_raising_cache))]
-            op = _raising_cache[key] = self.raising(point)
+            self._own(point)
+            op = self.raising(point)
+            object.__setattr__(point, "_raising", op)
         return op
 
     def one(self):
@@ -390,21 +438,29 @@ def charlier_poly(a, n: int) -> Poly:
     return _pfq(n, [-n], [], -1 / _Q(a), xtops=[(0, -1)])
 
 
+def _linear_product(factors) -> Poly:
+    """prod (u + v*x) over factors (u_r, u_i, v_r, v_i, den), each (u + v*x) den, in one product."""
+    if not factors:
+        return Poly.one()
+    return product(1, *(_canon([ur, vr], [ui, vi], d) for ur, ui, vr, vi, d in factors))
+
+
 def rising_poch_poly(base, n: int, xcoef=1) -> Poly:
     """(base + xcoef*x)_n as a polynomial in x."""
-    out = Poly.one()
-    for j in range(n):
-        out = out * Poly([_Q(base) + j, xcoef])
-    return out
+    br, bi, bd = _parts(base)
+    xr, xi, xd = _parts(xcoef)
+    return _linear_product([((br + j * bd) * xd, bi * xd, xr * bd, xi * bd, bd * xd) for j in range(n)])
 
 
 def q_poch_poly(scale, q, k) -> Poly:
     """(scale * x; q)_k as a polynomial in x."""
-    out = Poly.one()
-    s = _Q(scale)
-    for j in range(k):
-        out = out * Poly([1, -s * q ** j])
-    return out
+    sr, si, sd = _parts(scale)
+    qr, qi, qd = _parts(q)
+    factors = []
+    for _ in range(k):  # (sr + si*i)/sd = scale * q^j
+        factors.append((sd, 0, -sr, -si, sd))
+        sr, si, sd = sr * qr - si * qi, sr * qi + si * qr, sd * qd
+    return _linear_product(factors)
 
 
 def mp_poly(lam, phi_s, n: int) -> Poly:
@@ -764,7 +820,7 @@ _register(FamilySpec(
     tag="hermite",
     domain=(),
     carrier="poly",
-    shift=_sh_ident,
+    shift_rule=_sh_ident,
     raising=_hermite_raise,
     variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _step_one),),
     lowering=_low_derivative,
@@ -778,7 +834,7 @@ _register(FamilySpec(
     tag="laguerre",
     domain=(Param("nu", -1, window=(-1, 3)),),
     carrier="poly",
-    shift=_sh_add(("nu",), 1),
+    shift_rule=_sh_add(("nu",), 1),
     raising=_laguerre_raise,
     variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _step_x),),
     lowering=_low_derivative,
@@ -794,7 +850,7 @@ _register(FamilySpec(
     tag="jacobi",
     domain=(Param("alpha", -1, window=(-1, 3)), Param("beta", -1, window=(-1, 3))),
     carrier="poly",
-    shift=_sh_add(("alpha", "beta"), 1),
+    shift_rule=_sh_add(("alpha", "beta"), 1),
     raising=_jacobi_raise,
     variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _step_jacobi),),
     lowering=_low_derivative,
@@ -807,7 +863,7 @@ _register(FamilySpec(
     tag="meixner",
     domain=(Param("beta", 0, window=(0, 4)), Param("c", 0, 1)),
     carrier="poly",
-    shift=_sh_add(("beta",), 1),
+    shift_rule=_sh_add(("beta",), 1),
     raising=_meixner_raise,
     variants=(
         Variant("eta1", lambda pt: ops.BACKWARD_ETA1_SPEC, _step_meixner_eta1),
@@ -827,7 +883,7 @@ _register(FamilySpec(
     tag="charlier",
     domain=(Param("a", 0, window=(0, 4)),),
     carrier="poly",
-    shift=_sh_ident,
+    shift_rule=_sh_ident,
     raising=_charlier_raise,
     variants=(
         Variant("eta1", lambda pt: ops.BACKWARD_ETA1_SPEC, _step_one),
@@ -846,7 +902,7 @@ _register(FamilySpec(
     tag="meixner-pollaczek",
     domain=(Param("lam", 0, window=(0, 3)), Param("phi", 0, window=(0, 4))),
     carrier="poly",
-    shift=lambda pt: pt.replace(lam=pt.get("lam") + _half),
+    shift_rule=lambda pt: pt.replace(lam=pt.get("lam") + _half),
     raising=_mp_raise,
     variants=(Variant("", lambda pt: ops.DELTA_X_SPEC, _step_mp),),
     lowering=_low_delta_x,
@@ -866,7 +922,7 @@ _register(FamilySpec(
     tag="wilson",
     domain=tuple(Param(k, 0, window=(0, 2)) for k in "abcd"),
     carrier="even",
-    shift=_sh_add(("a", "b", "c", "d"), _half),
+    shift_rule=_sh_add(("a", "b", "c", "d"), _half),
     raising=_wilson_raise,
     variants=(Variant("", lambda pt: ops.DELTA_X2_SPEC, _step_wilson),),
     lowering=_low_delta_x2,
@@ -881,7 +937,7 @@ _register(FamilySpec(
         Param("q", 0, 1), *(Param(k, 0, _inv_q, window=(0, 2)) for k in "ab"), Param("c", None, 0, window=(-4, 0))
     ),
     carrier="poly",
-    shift=_sh_mul_q(("a", "b", "c")),
+    shift_rule=_sh_mul_q(("a", "b", "c")),
     raising=_bqj_raise,
     variants=(
         Variant("Tq", lambda pt: ops.qderiv_Tq_spec(pt.get("q")), _step_bqj_Tq),
@@ -897,7 +953,7 @@ _register(FamilySpec(
     tag="big-q-laguerre",
     domain=(Param("q", 0, 1), Param("a", 0, _inv_q, window=(0, 2)), Param("c", None, 0, window=(-4, 0))),
     carrier="poly",
-    shift=_sh_mul_q(("a", "c")),
+    shift_rule=_sh_mul_q(("a", "c")),
     raising=_bql_raise,
     variants=(
         Variant("Tq", lambda pt: ops.qderiv_Tq_spec(pt.get("q")), _step_bql_Tq),
@@ -913,7 +969,7 @@ _register(FamilySpec(
     tag="askey-wilson",
     domain=(Param("a", -1, 1, nonzero=True), *(Param(k, -1, 1, skip=0) for k in "bcd"), Param("p", 0, 1)),
     carrier="laurent",
-    shift=_sh_mul_p(("a", "b", "c", "d")),
+    shift_rule=_sh_mul_p(("a", "b", "c", "d")),
     raising=_aw_raise,
     variants=(Variant("", lambda pt: ops.aw_spec(pt.get("p")), _step_aw),),
     lowering=_low_aw,
@@ -926,7 +982,7 @@ _register(FamilySpec(
     tag="continuous-q-hermite",
     domain=(Param("p", 0, 1),),
     carrier="laurent",
-    shift=_sh_ident,
+    shift_rule=_sh_ident,
     raising=_cqh_raise,
     variants=(Variant("", lambda pt: ops.aw_spec(pt.get("p")), _step_cqh),),
     lowering=_low_aw,
@@ -939,7 +995,7 @@ _register(FamilySpec(
     tag="krawtchouk",
     domain=(Param("p", 0, 1), Param("N", 0, window=(3, 9), integer=True)),
     carrier="poly",
-    shift=_sh_ident,
+    shift_rule=_sh_ident,
     raising=None,  # finite family: only the closed form and its recurrence are used
     variants=(),
     lowering=_low_neg_forward,
@@ -958,7 +1014,7 @@ def deformation(tag: str) -> Deformation:
 
 
 def shifted_point(point: ParamPoint, k: int) -> ParamPoint:
-    """nu + k sigma."""
+    """nu + k sigma: the k-th successor of point, the same object on every call."""
     spec = FAMILIES[point.family]
     for _ in range(k):
         point = spec.shift(point)
@@ -977,23 +1033,19 @@ def make_point(tag: str, **values) -> ParamPoint:
     return ParamPoint(tag, vals)
 
 
-_chain_cache: dict = {}
-_std_cache: dict = {}
-_raising_cache: dict = {}  # FamilySpec.raising_operator
-_RAISING_CACHE_MAX = 32
-
-
 def raise_chain(tag: str, point: ParamPoint, n: int):
     """R_nu R_(nu+sigma) ... R_(nu+(n-1)sigma) applied to the constant 1.
 
     The rightmost factor acts first; the order matters because raising
-    operators at different parameters do not commute.
+    operators at different parameters do not commute.  Each chain is kept in
+    the memo of the point it starts at.
     """
     spec = FAMILIES[tag]
     if spec.raising is None:
         raise ValueError(f"{tag} has no raising-chain machinery")
-    key = (tag, point, n)
-    hit = _chain_cache.get(key)
+    memo = spec.memo(point)
+    key = ("chain", n)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     # the recursion checks the shifted points, nearest first
@@ -1005,18 +1057,18 @@ def raise_chain(tag: str, point: ParamPoint, n: int):
         out = spec.raising_operator(point)(raise_chain(tag, spec.shift(point), n - 1))
         if spec.fdegree(out) != n:
             raise AssertionError(f"{tag} raising chain degree {spec.fdegree(out)} != {n}")
-    _chain_cache[key] = out
+    memo[key] = out
     return out
 
 
 def standard_poly(tag: str, point: ParamPoint, n: int):
-    """The standard (basic) hypergeometric form of the degree-n polynomial."""
+    """The standard (basic) hypergeometric form of the degree-n polynomial, kept in the point's memo."""
     spec = FAMILIES[tag]
-    key = (tag, point, n)
-    hit = _std_cache.get(key)
+    memo = spec.memo(point)
+    key = ("std", n)
+    hit = memo.get(key)
     if hit is None:
-        hit = spec.standard(point, n)
-        _std_cache[key] = hit
+        hit = memo[key] = spec.standard(point, n)
     return hit
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from operator import mul
 
 from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, scalar, term_sum
-from .families import FAMILIES, ParamPoint, deformation, raise_chain
+from .families import FAMILIES, ParamPoint, deformation, raise_chain, shifted_point
 from .burchnall import operational_rhs
 from .toda import MODIFIED_EXPANSIONS
 
@@ -71,34 +71,32 @@ class MassRatioWitness:
     samples: int
 
 
-_functional_cache: dict = {}
-
-
 def build_functional(tag: str, point: ParamPoint, order: int) -> MomentFunctional:
     """Moments of the functional L with L[p_0] = 1 and L[p_j] = 0 for j >= 1.
 
     The basis p_j = raise_chain(j) has degree j, so the conditions form a
     triangular system in the moments, solved in O(order^2) scalar steps.
     L[x^k] is then the p_0-coefficient of x^k in the basis; orthogonality of
-    the basis itself is a separate check (gram_offdiagonal).
+    the basis itself is a separate check (gram_offdiagonal).  The moments are
+    kept in the memo of the point; the functional, which refers to the point,
+    is not, so a point never refers to itself.
     """
     spec = FAMILIES[tag]
     if spec.carrier != "poly":
         raise ValueError(f"moment functionals need the full polynomial ladder; {tag} lacks it")
-    key = (tag, point, order)
-    hit = _functional_cache.get(key)
-    if hit is not None:
-        return hit
-    moments = []
-    for j in range(order + 1):
-        p = raise_chain(tag, point, j)
-        acc = GR_ZERO if j else GR_ONE
-        for c, mom in zip(p.coeffs[:j], moments):
-            acc = acc - c * mom
-        moments.append(acc / p.lead)
-    out = MomentFunctional(tag, point, tuple(moments))
-    _functional_cache[key] = out
-    return out
+    memo = spec.memo(point)
+    key = ("moments", order)
+    moments = memo.get(key)
+    if moments is None:
+        moments = []
+        for j in range(order + 1):
+            p = raise_chain(tag, point, j)
+            acc = GR_ZERO if j else GR_ONE
+            for c, mom in zip(p.coeffs[:j], moments):
+                acc = acc - c * mom
+            moments.append(acc / p.lead)
+        moments = memo[key] = tuple(moments)
+    return MomentFunctional(tag, point, moments)
 
 
 def hankel_determinant(L: MomentFunctional, size: int) -> GaussianRational:
@@ -158,9 +156,7 @@ def adjointness_check(tag: str, point: ParamPoint, n: int, D: int, variant: str 
     if spec.adjoint is None:
         raise ValueError(f"{tag} has no exact adjoint registered")
     adj = spec.adjoint(point)
-    pt_shift = point
-    for _ in range(n):
-        pt_shift = spec.shift(pt_shift)
+    pt_shift = shifted_point(point, n)
     L_base = build_functional(tag, point, D + n)  # expansion * x^j has degree <= D + n
     L_shift = build_functional(tag, pt_shift, D)
     failures = []

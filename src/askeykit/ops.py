@@ -274,7 +274,9 @@ def _spec_delta_x2() -> OperatorSpec:
     )
 
 
-def _spec_qderiv_Tq(q) -> OperatorSpec:
+# The q-based specs are built on each call; a family variant keeps its spec
+# in the memo of its parameter point (families.Variant.spec_at).
+def qderiv_Tq_spec(q) -> OperatorSpec:
     q = scalar(q)
     return OperatorSpec(
         name="qderiv-Tq",
@@ -286,7 +288,7 @@ def _spec_qderiv_Tq(q) -> OperatorSpec:
     )
 
 
-def _spec_qderiv_I(q) -> OperatorSpec:
+def qderiv_I_spec(q) -> OperatorSpec:
     q = scalar(q)
     return OperatorSpec(
         name="qderiv-I",
@@ -298,7 +300,7 @@ def _spec_qderiv_I(q) -> OperatorSpec:
     )
 
 
-def _spec_aw(p) -> OperatorSpec:
+def aw_spec(p) -> OperatorSpec:
     p = scalar(p)
     q = p * p
 
@@ -322,29 +324,6 @@ BACKWARD_ETA1_SPEC = _spec_backward_eta1()
 BACKWARD_ETAS_SPEC = _spec_backward_etaS()
 DELTA_X_SPEC = _spec_delta_x()
 DELTA_X2_SPEC = _spec_delta_x2()
-
-_q_spec_cache: dict = {}
-
-
-def qderiv_Tq_spec(q) -> OperatorSpec:
-    key = ("Tq", scalar(q))
-    if key not in _q_spec_cache:
-        _q_spec_cache[key] = _spec_qderiv_Tq(q)
-    return _q_spec_cache[key]
-
-
-def qderiv_I_spec(q) -> OperatorSpec:
-    key = ("I", scalar(q))
-    if key not in _q_spec_cache:
-        _q_spec_cache[key] = _spec_qderiv_I(q)
-    return _q_spec_cache[key]
-
-
-def aw_spec(p) -> OperatorSpec:
-    key = ("aw", scalar(p))
-    if key not in _q_spec_cache:
-        _q_spec_cache[key] = _spec_aw(p)
-    return _q_spec_cache[key]
 
 
 def operator_catalog(q=scalar(1, 2), p=scalar(1, 2)) -> dict:

@@ -1,5 +1,6 @@
 """CLI harness: determinism, exit codes, report shape."""
 
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from askeykit.cli import CASE_KINDS, SuiteConfig, identity_registry, main, render_report, run_verify
+from askeykit.families import ParamPoint
 
 
 def _failures(report):
@@ -268,3 +270,30 @@ def test_verify_unwritable_output_exits_2_before_running(where, tmp_path, monkey
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def _module_containers() -> dict:
+    """Size of every module-level dict, list and set in the askeykit package."""
+    sizes = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "askeykit" or name.startswith("askeykit."):
+            for attr, value in vars(mod).items():
+                if isinstance(value, (dict, list, set)) and not attr.startswith("__"):
+                    sizes[name, attr] = len(value)
+    return sizes
+
+
+def _live_points() -> set:
+    return {id(o) for o in gc.get_objects() if type(o) is ParamPoint}
+
+
+def test_a_run_keeps_nothing_after_it_ends():
+    # what a case derives lives on its points, so once the run is over its
+    # points are freed and no module-level container has grown
+    gc.collect()
+    before, points = _module_containers(), _live_points()
+    for _ in range(2):
+        run_verify(SuiteConfig(seed=7, max_n=2, max_m=2))
+    gc.collect()
+    assert _module_containers() == before
+    assert _live_points() <= points

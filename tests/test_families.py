@@ -1,5 +1,7 @@
 """Family catalog: chains, closed forms, normalizations, recurrences."""
 
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from random import Random
@@ -21,12 +23,13 @@ from askeykit.algebra import (
     pochhammer,
     q_pochhammer,
 )
-from askeykit import families, functional, ops
-from askeykit.burchnall import operational_rhs
+from askeykit import families, ops
+from askeykit.burchnall import apply_chain, operational_rhs
 from askeykit.functional import build_functional
 from askeykit.families import (
     FAMILIES,
     FamilySpec,
+    Param,
     ParamPoint,
     askey_wilson_poly,
     big_q_jacobi_poly,
@@ -40,10 +43,14 @@ from askeykit.families import (
     meixner_poly,
     mp_poly,
     normalization,
+    q_poch_poly,
     raise_chain,
     recurrence_extract,
+    rising_poch_poly,
+    shifted_point,
     standard_poly,
     cq_hermite_poly,
+    falling_poch_poly,
     wilson_poly,
 )
 from askeykit.sampling import sample_point
@@ -239,8 +246,7 @@ def test_cold_chain_checks_each_point_once(monkeypatch):
     rng = Random(47)
     n = 6
     for tag in CHAIN_FAMILIES:
-        pt = sample_point(tag, rng)
-        monkeypatch.setattr(families, "_chain_cache", {})
+        pt = sample_point(tag, rng)  # a new point: nothing is kept on it yet
         calls[0] = 0
         raise_chain(tag, pt, n)
         assert calls[0] == n + 1, (tag, calls[0])
@@ -590,7 +596,7 @@ def test_points_hold_the_scalar():
 def test_engine_makes_no_fractions(monkeypatch):
     # points hold the integer-part scalar, so a cold raising chain, the
     # operational expansion and a moment functional never build a
-    # fractions.Fraction
+    # fractions.Fraction; the points are new, so every memo on them starts empty
     points = {
         "laguerre": make_point("laguerre", nu=Q(1, 2)),
         "big-q-jacobi": make_point("big-q-jacobi", q=Q(1, 2), a=Q(1, 3), b=Q(1, 4), c=Q(-2, 3)),
@@ -598,10 +604,6 @@ def test_engine_makes_no_fractions(monkeypatch):
     }
     f = Poly([Q(1, 2), -3, Q(2, 5), 1])
     inputs = {tag: chebyshev_lift(f) if FAMILIES[tag].carrier == "laurent" else f for tag in points}
-    monkeypatch.setattr(families, "_chain_cache", {})
-    monkeypatch.setattr(families, "_raising_cache", {})
-    monkeypatch.setattr(ops, "_q_spec_cache", {})
-    monkeypatch.setattr(functional, "_functional_cache", {})
     made = []
     new = Fraction.__new__
 
@@ -620,6 +622,78 @@ def test_engine_makes_no_fractions(monkeypatch):
     monkeypatch.undo()
     assert made == []
     assert Fraction(2, 4) == Q(1, 2)  # the constructor is restored
+
+
+def test_shift_keeps_one_successor_per_point():
+    # spec.shift stores the successor on the point, so every walk of a
+    # lattice meets the same point objects
+    rng = Random(67)
+    for tag, spec in FAMILIES.items():
+        pt = sample_point(tag, rng)
+        walk = [pt]
+        for _ in range(4):
+            walk.append(spec.shift(walk[-1]))
+        assert spec.shift(pt) is walk[1] and spec.shift(pt) == spec.shift_rule(pt), tag
+        for k, expected in enumerate(walk):
+            assert shifted_point(pt, k) is expected, (tag, k)
+
+
+def test_one_case_builds_each_point_datum_once(monkeypatch):
+    # raise_chain, operational_rhs for every variant, then apply_chain: one
+    # operational case builds each raising operator and evaluates each
+    # domain bound once per point of its lattice
+    rng = Random(71)
+    n = 4
+    admits = [0]
+    plain_admits = Param.admits
+
+    def counting_admits(self, v, values):
+        admits[0] += 1
+        return plain_admits(self, v, values)
+
+    monkeypatch.setattr(Param, "admits", counting_admits)
+    for tag in CHAIN_FAMILIES:
+        spec = FAMILIES[tag]
+        pt = sample_point(tag, rng)
+        built = []
+
+        def counting_raising(point, raising=spec.raising):
+            built.append(point)
+            return raising(point)
+
+        monkeypatch.setitem(FAMILIES, tag, dataclasses.replace(spec, raising=counting_raising))
+        f = Poly([Q(1, 2), 0, -3, 0, 1])  # even, so it lies in every carrier
+        f = chebyshev_lift(f) if spec.carrier == "laurent" else f
+        admits[0] = 0
+        raise_chain(tag, pt, n)
+        for var in spec.variants:
+            operational_rhs(tag, pt, n, f, var.name)
+        apply_chain(tag, pt, n, f)
+        lattice = {}  # id -> first k; an identity shift gives one point
+        for k in range(n + 1):
+            lattice.setdefault(id(shifted_point(pt, k)), k)
+        assert Counter(map(id, built)) == Counter({i: 1 for i, k in lattice.items() if k < n}), tag
+        assert admits[0] == len(lattice) * len(spec.domain), (tag, admits[0])
+    monkeypatch.undo()
+
+
+def test_memoized_functions_refuse_another_family_point():
+    pt = make_point("laguerre", nu=Q(1, 2))
+    for fn in (raise_chain, standard_poly, build_functional):
+        with pytest.raises(ValueError, match="laguerre point"):
+            fn("jacobi", pt, 2)
+
+
+def test_pochhammer_polys_match_the_naive_products():
+    # _rising and _q_poch_x multiply one Poly literal per factor
+    gauss = GaussianRational(Q(3, 7), Q(-2, 5))
+    big = GaussianRational(Q(2 ** 70 + 1, 3 ** 40))
+    for n in range(13):
+        assert falling_poch_poly(n) == _falling(n), n
+        for base, xcoef in ((gauss, 1), (gauss, GR_I), (Q(5, 3), -1), (big, GR_I)):
+            assert rising_poch_poly(base, n, xcoef) == _rising(base, n, xcoef), (base, xcoef, n)
+        for scale, q in ((gauss, Q(2, 3)), (big, Q(1, 2)), (1, big), (Q(-7, 3), gauss)):
+            assert q_poch_poly(scale, q, n) == _q_poch_x(scale, q, n), (scale, q, n)
 
 
 # The raising operators against their KLS forms, composed here from
