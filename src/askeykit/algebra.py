@@ -13,9 +13,11 @@ final gcd.  A Poly keeps integer numerators for the real and imaginary
 parts of its coefficients over one shared positive denominator, in a
 canonical form (content 1, top coefficient nonzero), so products, sums,
 affine substitutions and exact division run on Python ints and cancel
-common factors once per result instead of once per coefficient.  Laurent
-and SymLaurent wrap a Poly body and use the same kernels.  Coefficients
-are turned back into GaussianRational values only where they are read.
+common factors once per result instead of once per coefficient.  A Laurent
+polynomial wraps a Poly body and uses the same kernels; its subclass
+SymLaurent only marks one whose z <-> 1/z symmetry was checked when it was
+made, by one palindrome test on the integer numerators.  Coefficients are
+turned back into GaussianRational values only where they are read.
 
 A difference operator is a DifferenceOperator: a list of taps, each a
 multiplier polynomial times the identity, d/dx or a substitution
@@ -26,9 +28,9 @@ per application; `product` multiplies several factors with one canonical
 form in the same way.  Its Laurent form, LaurentOperator, acts on symmetric
 Laurent polynomials: each tap is a Laurent multiplier times a dilation
 z |-> p^(+-1) z, the sum is optionally divided exactly by a Laurent
-polynomial with unit top coefficient (synthetic division), and the quotient
-is checked to be a palindrome before it is folded into a SymLaurent, again
-with one canonical form per application.  A Dilation holds f(s*z) as raw
+polynomial with unit top coefficient (synthetic division), and the input
+and the quotient are checked to be palindromes, again with one canonical
+form per application.  A Dilation holds f(s*z) for a symmetric f as raw
 numerators for `product`.
 
 The closed hypergeometric forms, series sum_k prod_(j<k) rho_j phi_j with
@@ -966,8 +968,7 @@ class DifferenceOperator:
 
 
 def term_sum(terms):
-    """The sum of a nonempty sequence of terms, in order; Laurent and
-    SymLaurent terms may mix."""
+    """The sum of a nonempty sequence of terms, in order."""
     out = terms[0]
     for t in terms[1:]:
         out = out + t
@@ -977,8 +978,8 @@ def term_sum(terms):
 def product(c, *factors):
     """c times the product of the factors, canonicalized once.
 
-    The factors are all Poly, or all Laurent, SymLaurent and Dilation (the
-    product is then a Laurent polynomial); c is a scalar.
+    The factors are all Poly, or all Laurent and Dilation (the product is
+    then a Laurent polynomial); c is a scalar.
     """
     cr, ci, den = _parts(c)
     re, im = (cr,), (ci,) if ci else None
@@ -992,8 +993,6 @@ def product(c, *factors):
         if type(f) is Dilation:
             fl, fr, fi, fd = f.low, f.re, f.im, f.den
         else:
-            if type(f) is SymLaurent:
-                f = f.to_laurent()
             b = f.body
             fl, fr, fi, fd = f.low, b.re, b.im, b.den
         low += fl
@@ -1066,8 +1065,6 @@ class Laurent:
     def coerce(v) -> "Laurent":
         if isinstance(v, Laurent):
             return v
-        if isinstance(v, SymLaurent):
-            return v.to_laurent()
         return Laurent(0, [v])
 
     @staticmethod
@@ -1087,8 +1084,13 @@ class Laurent:
         return self.body.coeffs
 
     @property
-    def high(self) -> int:
+    def degree(self) -> int:
+        """The top power of z; -1 for the zero polynomial."""
         return self.low + self.body.degree
+
+    @property
+    def lead(self) -> GaussianRational:
+        return self.body.lead
 
     def coefficient(self, k: int) -> GaussianRational:
         return self.body.coefficient(k - self.low)
@@ -1097,14 +1099,12 @@ class Laurent:
         return bool(self.body)
 
     def __eq__(self, other):
-        if isinstance(other, (Laurent, SymLaurent)):
-            o = Laurent.coerce(other)
-        else:
+        if not isinstance(other, Laurent):
             c = _scalar(other)
             if c is None:
                 return NotImplemented
-            o = _laurent(0, Poly.constant(c))
-        return self.low == o.low and self.body == o.body
+            other = _laurent(0, Poly.constant(c))
+        return self.low == other.low and self.body == other.body
 
     def __hash__(self):
         # a constant hashes like the equal scalar, as it compares equal to it
@@ -1158,7 +1158,7 @@ class Laurent:
     def invert_var(self) -> "Laurent":
         """z |-> 1/z."""
         b = self.body
-        return _laurent(-self.high, _poly(b.re[::-1], b.im and b.im[::-1], b.den))
+        return _laurent(-self.degree, _poly(b.re[::-1], b.im and b.im[::-1], b.den))
 
     def exact_div(self, other: "Laurent") -> "Laurent":
         o = Laurent.coerce(other)
@@ -1167,13 +1167,19 @@ class Laurent:
         return _laurent(self.low - o.low, self.body.exact_div(o.body))
 
     def is_symmetric(self) -> bool:
-        return self == self.invert_var()
+        """Whether f(z) = f(1/z): the integer numerators read the same
+        backwards, centred on z^0 (zero is symmetric)."""
+        re, im = self.body.re, self.body.im
+        return not re or (2 * self.low + len(re) == 1 and re == re[::-1] and (im is None or im == im[::-1]))
 
     def to_sym(self) -> "SymLaurent":
+        """This polynomial as a SymLaurent; the ValueError if it is not symmetric."""
         if not self.is_symmetric():
             raise ValueError("Laurent polynomial is not z <-> 1/z symmetric")
-        b = self.body
-        return _sym(_poly(b.re[-self.low:], b.im and b.im[-self.low:], b.den))
+        f = _new(SymLaurent)
+        f.low = self.low
+        f.body = self.body
+        return f
 
     def __repr__(self):
         if not self.body:
@@ -1200,23 +1206,20 @@ def _shift(p: Poly, k: int) -> Poly:
     return _poly(zeros + p.re, p.im and zeros + p.im, p.den)
 
 
-def _sym(body: Poly) -> "SymLaurent":
-    f = SymLaurent.__new__(SymLaurent)
-    f.body = body
-    return f
-
-
-class SymLaurent:
-    """Laurent polynomial with f(z) = f(1/z), stored on the k >= 0 side only.
-
-    The x^k coefficient of the Poly `body` is the shared coefficient of z^k
-    and z^(-k).
+class SymLaurent(Laurent):
+    """A Laurent polynomial whose symmetry f(z) = f(1/z) was checked when it
+    was made: by SymLaurent(cs), which mirrors the coefficients cs of z^0,
+    z^1, ... onto z^0, z^-1, ..., by Laurent.to_sym, by chebyshev_lift or as
+    the output of a LaurentOperator.  It adds no arithmetic: all of it is
+    Laurent's, and its results are plain Laurent polynomials.
     """
 
-    __slots__ = ("body",)
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
-        self.body = Poly(coeffs)
+        b = Poly(coeffs)
+        self.low = -b.degree if b else 0
+        self.body = _poly(b.re[:0:-1] + b.re, b.im and b.im[:0:-1] + b.im, b.den)
 
     @staticmethod
     def zero() -> "SymLaurent":
@@ -1225,88 +1228,6 @@ class SymLaurent:
     @staticmethod
     def one() -> "SymLaurent":
         return SymLaurent([1])
-
-    @property
-    def coeffs(self) -> tuple:
-        return self.body.coeffs
-
-    @property
-    def degree(self) -> int:
-        return self.body.degree
-
-    @property
-    def lead(self) -> GaussianRational:
-        if not self.body:
-            raise ValueError("zero element has no leading coefficient")
-        return self.body.lead
-
-    def coefficient(self, k: int) -> GaussianRational:
-        return self.body.coefficient(abs(k))
-
-    def to_laurent(self) -> Laurent:
-        b = self.body
-        return _laurent(-b.degree, _poly(b.re[:0:-1] + b.re, b.im and b.im[:0:-1] + b.im, b.den))
-
-    def __bool__(self):
-        return bool(self.body)
-
-    def __eq__(self, other):
-        if isinstance(other, SymLaurent):
-            return self.body == other.body
-        if isinstance(other, Laurent):
-            return self.to_laurent() == other
-        c = _scalar(other)
-        if c is None:
-            return NotImplemented
-        return self.body == Poly.constant(c)
-
-    def __hash__(self):
-        # like the equal Laurent polynomial, and so like an equal scalar
-        return hash(self.to_laurent())
-
-    def __neg__(self):
-        return _sym(-self.body)
-
-    def __add__(self, other):
-        if isinstance(other, SymLaurent):
-            return _sym(self.body + other.body)
-        if isinstance(other, Laurent):
-            return self.to_laurent() + other
-        return _sym(self.body + other)  # a scalar is the z^0 coefficient
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (SymLaurent, Laurent)):
-            return self + (-other)
-        return _sym(self.body - other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, SymLaurent):
-            return (self.to_laurent() * other.to_laurent()).to_sym()
-        if isinstance(other, Laurent):
-            return self.to_laurent() * other
-        return _sym(self.body * other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = SymLaurent.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __repr__(self):
-        return repr(self.to_laurent())
 
 
 SYM_X = SymLaurent([0, _gr(1, 0, 2)])  # the lift of x: (z + 1/z)/2
@@ -1335,28 +1256,29 @@ def _unit_divide(num: list, dtaps: tuple, lead: int, m: int) -> None:
 
 
 class Dilation:
-    """f(s*z) for a SymLaurent f and a real scalar s != 0, as raw Laurent parts.
+    """f(s*z) for a symmetric Laurent polynomial f and a real scalar s != 0,
+    as raw Laurent parts.
 
     With s = r/d and f of degree n, f(s*z) = z^(-n) N(z) / (f.den (r d)^n),
-    where N holds the integer numerators of one raw dilation of f's Laurent
+    where N holds the integer numerators of one raw dilation of f's
     numerators.  They are kept without a canonical form, for `product` to
-    multiply; `to_laurent` gives the canonical Laurent polynomial.
+    multiply; `to_laurent` gives the canonical Laurent polynomial.  An f that
+    is not symmetric is the ValueError of Laurent.to_sym.
     """
 
     __slots__ = ("low", "re", "im", "den")
 
-    def __init__(self, f: SymLaurent, s):
+    def __init__(self, f: Laurent, s):
         s = _real_base(s)
-        b = f.body
-        n = len(b.re) - 1
+        b = f.to_sym().body
         self.low, self.re, self.im, self.den = 0, (), None, 1
-        if n < 0:
+        if not b:
             return
-        re, im = _substitute(b.re[:0:-1] + b.re, b.im and b.im[:0:-1] + b.im, s.r, 0, 0, 0, s.d)
-        den = b.den * (s.r * s.d) ** n
+        re, im = _substitute(b.re, b.im, s.r, 0, 0, 0, s.d)
+        den = b.den * (s.r * s.d) ** -f.low
         if den < 0:  # a negative base to an odd power
             den, re, im = -den, [-c for c in re], im and [-c for c in im]
-        self.low, self.re, self.im, self.den = -n, re, im, den
+        self.low, self.re, self.im, self.den = f.low, re, im, den
 
     def to_laurent(self) -> Laurent:
         return _laurent(self.low, _canon(self.re, self.im, self.den))
@@ -1372,14 +1294,14 @@ class LaurentOperator:
     c.  The optional `divisor` D, given as (low, integer coefficients) with a
     nonzero constant and top coefficient 1 or -1, divides the sum exactly by
     synthetic division; a nonzero remainder is the ValueError of
-    Laurent.exact_div.  The quotient must be symmetric under z <-> 1/z: it is
-    checked to be a palindrome centred on z^0, as a whole, before it is
-    folded into a SymLaurent, and an asymmetric quotient is the ValueError of
-    Laurent.to_sym.  Every tap is computed as written; none is derived from
+    Laurent.exact_div.  The input and the quotient must be symmetric under
+    z <-> 1/z: each is checked by Laurent.to_sym, whose ValueError an
+    asymmetric or off-centre one raises, and the quotient is returned as a
+    SymLaurent.  Every tap is computed as written; none is derived from
     another by mirroring.
 
     With p = r/d and f symmetric of degree n, f(p^(+-1) z) is z^(-n) N(z) /
-    (r d)^n for the integer numerators N of one raw dilation of f's Laurent
+    (r d)^n for the integer numerators N of one raw dilation of f's
     numerators, so all taps share one denominator.  The multipliers go over
     one denominator with c folded in when the operator is built, and an
     application runs on integer numerators: one dilation and one product per
@@ -1424,14 +1346,12 @@ class LaurentOperator:
             divisor = (dlow, tuple((j, c) for j, c in enumerate(dc[:m]) if c), dc[m], m)
         self._divisor = divisor
 
-    def __call__(self, f: SymLaurent) -> SymLaurent:
-        b = f.body
-        n = len(b.re) - 1
-        if n < 0:
+    def __call__(self, f: Laurent) -> SymLaurent:
+        b = f.to_sym().body
+        if not b:
             return SymLaurent.zero()
-        # f's Laurent numerators from z^(-n) up, over the denominator f.den
-        fr = b.re[:0:-1] + b.re
-        fi = b.im and b.im[:0:-1] + b.im
+        # f's numerators from z^(-n) up, over the denominator f.den
+        fr, fi, n = b.re, b.im, -f.low
         den = b.den * self._den * self._rd ** n
         sign = 1
         if den < 0:  # a negative base to an odd power
@@ -1455,39 +1375,27 @@ class LaurentOperator:
                 raise ValueError(f"nonzero remainder in exact division: {rem}")
             accr, acci = accr[m:], acci and acci[m:]
             low -= dlow
-        # the quotient, trimmed of zeros at both ends, must read the same backwards
-        hi = len(accr)
-        while hi and not accr[hi - 1] and not (acci and acci[hi - 1]):
-            hi -= 1
-        lo = 0
-        while lo < hi and not accr[lo] and not (acci and acci[lo]):
-            lo += 1
-        qr, qi = accr[lo:hi], acci and acci[lo:hi]
-        low += lo
-        if qr and (2 * low + len(qr) - 1 or qr != qr[::-1] or (qi and qi != qi[::-1])):
-            raise ValueError("Laurent polynomial is not z <-> 1/z symmetric")
-        return _sym(_canon(qr[-low:], qi and qi[-low:], den))
+        return _laurent(low, _canon(accr, acci, den)).to_sym()
 
 
 def chebyshev_lift(f: Poly) -> SymLaurent:
     """Substitute x = (z + 1/z)/2 into f."""
-    out = SymLaurent.zero()
+    out = Laurent.zero()
     for c in reversed(f.coeffs):
         out = out * SYM_X + c
-    return out
+    return out.to_sym()
 
 
-def chebyshev_project(f: SymLaurent) -> Poly:
-    """Invert chebyshev_lift exactly; tripwire on any asymmetry in the input."""
-    rem = f
-    out = [GR_ZERO] * (f.degree + 1 if f else 0)
-    while rem:
+def chebyshev_project(f: Laurent) -> Poly:
+    """Invert chebyshev_lift exactly; an f that is not symmetric is the
+    ValueError of Laurent.to_sym."""
+    rem = f.to_sym()
+    out = [GR_ZERO] * (f.degree + 1)
+    while rem:  # lifting the top x^d term clears z^d and z^-d
         d = rem.degree
         a = rem.lead * 2 ** d
         out[d] = a
         rem = rem - chebyshev_lift(Poly.monomial(d, a))
-        if rem and rem.degree >= d:
-            raise ValueError("chebyshev_project failed to reduce degree")
     return Poly(out)
 
 

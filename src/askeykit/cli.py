@@ -26,7 +26,6 @@ from .algebra import (
     Laurent,
     Poly,
     Rational,
-    SymLaurent,
     chebyshev_lift,
     rational_str,
     scalar,
@@ -88,10 +87,10 @@ def _residual_summary(residuals: tuple) -> str:
     res = next((r for r in residuals if r), None)
     if res is None:
         return "zero"
-    if isinstance(res, (Poly, SymLaurent)):
-        return f"nonzero, leading term deg {res.degree}: {res.lead}"
     if isinstance(res, Laurent):
-        return f"nonzero, leading term z^{res.high}: {res.coeffs[-1]}"
+        return f"nonzero, leading term z^{res.degree}: {res.lead}"
+    if isinstance(res, Poly):
+        return f"nonzero, leading term deg {res.degree}: {res.lead}"
     return f"nonzero: {res}"
 
 
@@ -208,7 +207,7 @@ def _grid_n0(max_n: int, max_m: int) -> list:
 
 
 def _grid_n1(max_n: int, max_m: int) -> list:
-    return [(n, None) for n in range(1, max(max_n, 1) + 1)]
+    return [(n, None) for n in range(1, max_n + 1)]
 
 
 # identity kind (as identity_registry and `list` name it) -> (grid, runner)
@@ -239,11 +238,13 @@ def run_verify(config: SuiteConfig) -> dict:
     if bad_fams:
         raise UsageError(f"unknown families: {bad_fams}; see `list`")
     cases = []
+    selected = False  # some identity and family in common, whatever the degree bounds
     for ident in sorted(idents):
         info = registry[ident]
         fams = info["families"]
         if config.families:
             fams = tuple(f for f in fams if f in config.families)
+        selected = selected or bool(fams)
         grid, runner = CASE_KINDS[info["kind"]]
         for family in fams:
             for n, m in grid(config.max_n, config.max_m):
@@ -275,8 +276,10 @@ def run_verify(config: SuiteConfig) -> dict:
                     if config.timings:
                         case["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
                     cases.append(case)
-    if not cases:
+    if not selected:
         raise UsageError("the selected identities and families have no case in common; see `list`")
+    if not cases:
+        raise UsageError(f"the selected identities start at n = 1, above --max-n {config.max_n}")
     cases.sort(key=lambda c: c["id"])
     report = {
         "schema": SCHEMA_VERSION,

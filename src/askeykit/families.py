@@ -1078,9 +1078,8 @@ def normalization(tag: str, point: ParamPoint, n: int) -> GaussianRational:
 
 def monic(f) -> object:
     """Normalize so the x^deg coefficient is 1 (z^deg carries 2^-deg on the lift)."""
-    if isinstance(f, SymLaurent):
-        d = f.degree
-        return f * (f.lead.inverse() * _Q(1, 2 ** d))
+    if isinstance(f, Laurent):
+        return f * (f.lead.inverse() * _Q(1, 2 ** f.degree))
     return f * f.lead.inverse()
 
 

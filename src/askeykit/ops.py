@@ -136,13 +136,14 @@ def q_derivative_inverse(f: Poly, q) -> Poly:
     return q_derivative(f, scalar(q).inverse())
 
 
-def aw_eta(f: SymLaurent, p, power: int = 1) -> Laurent:
+def aw_eta(f: Laurent, p, power: int = 1) -> Laurent:
     """z |-> p^power * z on the symmetric carrier; breaks symmetry on purpose."""
-    return f.to_laurent().scale_var(scalar(p) ** power)
+    return f.scale_var(scalar(p) ** power)
 
 
-def aw_Dq_raw(f: SymLaurent, p) -> Laurent:
-    """The Askey-Wilson divided difference before folding; must be symmetric.
+def aw_Dq_raw(f: Laurent, p) -> Laurent:
+    """The Askey-Wilson divided difference by composed Laurent operations,
+    with no symmetry check; the result must be symmetric.
 
     (f(q^(1/2)z) - f(q^(-1/2)z)) / ((1/2)(q^(1/2)-q^(-1/2))(z - 1/z)),
     with q = p^2.
@@ -163,7 +164,7 @@ def aw_Dq_operator(p) -> LaurentOperator:
     return LaurentOperator(p, (((0, (1,)), 1), ((0, (-1,)), -1)), scale=2 / (p - 1 / p), divisor=(-1, (-1, 0, 1)))
 
 
-def aw_Dq(f: SymLaurent, p) -> SymLaurent:
+def aw_Dq(f: Laurent, p) -> SymLaurent:
     return aw_Dq_operator(p)(f)
 
 
@@ -313,7 +314,7 @@ def aw_spec(p) -> OperatorSpec:
         name="aw",
         carrier="laurent",
         partial=aw_Dq_operator(p),
-        eta=lambda f, k: Dilation(f, p ** k) if isinstance(f, SymLaurent) else f.scale_var(p ** k),
+        eta=lambda f, k: Dilation(f, p ** k),
         alpha=alpha,
         twist=lambda h, k, n: Dilation(h, p ** (k - n)),
     )

@@ -245,6 +245,20 @@ def test_verify_empty_selection_exits_2(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
+def test_verify_max_n_0_runs_nothing_above_it(capsys):
+    # toda-flows starts at n = 1, so --max-n 0 leaves it no case: a usage
+    # error that names the bound, not a degree-1 run
+    assert main(["verify", "--max-n", "0", "--identities", "toda-flows"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "--max-n 0" in lines[0]
+    report = run_verify(SuiteConfig(seed=7, max_n=0, max_m=0))
+    assert report["totals"] == {"cases": 46, "passed": 46, "failed": 0}
+    assert {c["n"] for c in report["cases"]} == {0}
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}

@@ -18,6 +18,7 @@ from askeykit.algebra import (
     Rational,
     SymLaurent,
     chebyshev_lift,
+    chebyshev_project,
     product,
 )
 from askeykit.ops import (
@@ -103,7 +104,7 @@ def test_aw_Dq_prefold_symmetry():
     p = sample_rational(rng, 0, 1)
     f = chebyshev_lift(Poly([1, -2, 0, 3, 1]))
     raw = aw_Dq_raw(f, p)
-    for k in range(raw.high + 1):
+    for k in range(raw.degree + 1):
         assert raw.coefficient(k) == raw.coefficient(-k)
 
 
@@ -304,7 +305,7 @@ real_bases = st.builds(Rational, st.integers(-30, 30).filter(bool), st.integers(
 def _laurent_taps_by_definition(p, taps, scale, divisor, f):
     num = Laurent.zero()
     for (low, m), k in taps:
-        num = num + Laurent(low, m) * f.to_laurent().scale_var(p ** k)
+        num = num + Laurent(low, m) * f.scale_var(p ** k)
     num = num * scale
     if divisor is not None:
         num = num.exact_div(Laurent(*divisor))
@@ -312,9 +313,8 @@ def _laurent_taps_by_definition(p, taps, scale, divisor, f):
 
 
 def _aw_Dq_by_definition(f, p):
-    g = f.to_laurent()
     c = (p - 1 / p) / 2
-    return (g.scale_var(p) - g.scale_var(1 / p)).exact_div(Laurent(-1, [-c, 0, c])).to_sym()
+    return (f.scale_var(p) - f.scale_var(1 / p)).exact_div(Laurent(-1, [-c, 0, c])).to_sym()
 
 
 @st.composite
@@ -393,3 +393,19 @@ def test_laurent_operator_tripwires():
     for base in (0, GR_I):
         with pytest.raises(ValueError, match="real base"):
             LaurentOperator(base, ())
+
+
+def test_symmetric_inputs_are_checked_not_trusted():
+    # z alone, and 1 + z^2, a palindrome off z^0: the ValueError of to_sym
+    # wherever a symmetric input is assumed, whatever the input's type
+    p = Rational(2, 3)
+    takers = (lambda f: Dilation(f, p), lambda f: aw_spec(p).eta(f, 1), aw_Dq_operator(p), chebyshev_project)
+    for bad in (Laurent(0, [0, 1]), Laurent(0, [1, 0, 1])):
+        for take in takers:
+            with pytest.raises(ValueError, match="not z <-> 1/z symmetric"):
+                take(bad)
+    # a symmetric plain Laurent passes: z + 1/z, the lift of 2x
+    g = Laurent(-1, [1, 0, 1])
+    assert Dilation(g, p).to_laurent() == aw_eta(g, p, 1)
+    assert aw_Dq_operator(p)(g) == aw_Dq(SymLaurent([0, 1]), p) == 2
+    assert chebyshev_project(g) == 2 * x
