@@ -7,7 +7,7 @@ the family, and a single exact scalar per degree relates the chain output
 to the textbook hypergeometric form.
 """
 
-from askeykit.algebra import Rational
+from askeykit.algebra import scalar
 from askeykit.families import (
     FAMILIES,
     make_point,
@@ -17,7 +17,7 @@ from askeykit.families import (
     standard_poly,
 )
 
-Q = Rational
+Q = scalar
 
 print("== Hermite: chain vs closed form ==")
 pt = make_point("hermite")

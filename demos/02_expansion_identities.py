@@ -9,7 +9,7 @@ closed form, and the two routes must agree coefficient by coefficient.
 
 from random import Random
 
-from askeykit.algebra import Poly, Rational
+from askeykit.algebra import Poly, scalar
 from askeykit.burchnall import (
     EXPANSIONS,
     closed_expansion_residual,
@@ -21,7 +21,7 @@ from askeykit.burchnall import (
 from askeykit.families import make_point
 from askeykit.sampling import sample_point
 
-Q = Rational
+Q = scalar
 x = Poly.x()
 
 print("== The inverse of the Hermite linearization formula ==")

@@ -13,7 +13,7 @@ rational-function identities that reduce to zero exactly.
 
 from random import Random
 
-from askeykit.algebra import Rational
+from askeykit.algebra import scalar
 from askeykit.families import deformation, make_point
 from askeykit.functional import toda_orthogonality_check
 from askeykit.sampling import sample_extras, sample_point
@@ -25,7 +25,7 @@ from askeykit.toda import (
     toda_residuals,
 )
 
-Q = Rational
+Q = scalar
 
 # what each deformation scalar stands for
 SCALAR_MEANING = {"t": "t", "u": "e^(-t)", "r": "tan(t/4)"}
@@ -55,7 +55,7 @@ print("== Two independent routes to the flowed coefficients agree ==")
 rng = Random(7)
 for tag, pt in points.items():
     name = deformation(tag).scalar.name
-    extra = sample_extras((name,), rng, pt)[name]
+    extra = sample_extras(rng, pt)[name]
     label = f"{SCALAR_MEANING[name]} = {extra}"
     gaps = [toda_from_recurrence_crosscheck(tag, pt, extra, n) for n in range(1, 5)]
     ok = all(not b and not c for b, c in gaps)
@@ -69,7 +69,7 @@ for ident in (
 ):
     e = MODIFIED_EXPANSIONS[ident]
     pt = sample_point(e.family, rng)
-    extras = sample_extras(e.extras, rng, pt)
+    extras = sample_extras(rng, pt)
     assert all(not modified_expansion_residual(ident, pt, n, extras) for n in range(6))
     residuals = toda_orthogonality_check(ident, pt, 3, extras)
     print(f"  {ident:22s} expansion residual 0 (n <= 5); deformed functional kills x^p, p < 3: "

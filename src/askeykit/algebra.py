@@ -37,8 +37,14 @@ The closed hypergeometric forms, series sum_k prod_(j<k) rho_j phi_j with
 Gaussian-integer fractions rho_j and short integer polynomials phi_j, are
 summed by horner_series from the top with one canonical form.
 
-fractions.Fraction (exported as `Rational`) appears only at the edges:
-parsed text and the `re`/`im` views of a scalar.
+A point e^(i phi) on the unit circle is an ordinary GaussianRational,
+made by unit_phase from the half-angle tangent tan(phi/2); its inverse is its
+conjugate.
+
+fractions.Fraction is no scalar type of the package.  It remains only at
+the edges: the CLI parses `--param` text with it, the `re`/`im` views of a
+scalar return it, and scalar(), Poly(...) and GaussianRational(a, b) accept
+it as input (the benchmark harness builds its probe inputs from Fractions).
 """
 
 from __future__ import annotations
@@ -49,9 +55,7 @@ from math import comb, factorial, gcd, lcm
 from sys import hash_info
 
 __all__ = [
-    "Rational",
     "GaussianRational",
-    "UnitPhase",
     "Poly",
     "Laurent",
     "SymLaurent",
@@ -73,6 +77,7 @@ __all__ = [
     "q_pochhammer",
     "q_binomial",
     "tangent_subtract",
+    "unit_phase",
     "chebyshev_lift",
     "chebyshev_project",
     "poly_gcd",
@@ -126,8 +131,6 @@ def _scalar(v):
         return _gr(v, 0, 1)
     if t is Rational:
         return _gr(v.numerator, 0, v.denominator)
-    if t is UnitPhase:
-        return v.value
     return None
 
 
@@ -355,11 +358,11 @@ class GaussianRational:
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
-GR_HALF_I = GaussianRational(0, Rational(1, 2))
+GR_HALF_I = _gr(0, 1, 2)
 
 
 def scalar(v, den: int = 1) -> GaussianRational:
-    """v/den as a GaussianRational: v an int, Fraction, GaussianRational or UnitPhase."""
+    """v/den as a GaussianRational: v an int, Fraction or GaussianRational."""
     s = GaussianRational.coerce(v)
     if den == 1:
         return s
@@ -427,47 +430,17 @@ def tangent_subtract(s, r) -> GaussianRational:
     return (s - r) / d
 
 
-class UnitPhase:
-    """Exact point on the unit circle, parametrized by the tangent of the half angle.
+def unit_phase(s) -> GaussianRational:
+    """e^(i phi) from the half-angle tangent s = tan(phi/2), for real s.
 
-    value = ((1 - s^2) + 2si) / (1 + s^2), so cos and sin of the angle are
-    rational whenever s is.
+    The value ((1 - s^2) + 2si) / (1 + s^2) is exact whenever s is rational;
+    its inverse is its conjugate.
     """
-
-    __slots__ = ("half_tangent", "value")
-
-    def __init__(self, half_tangent):
-        s = GaussianRational.coerce(half_tangent)
-        if s.i:
-            raise TypeError("UnitPhase needs a real half-angle tangent")
-        r, d = s.r, s.d
-        self.half_tangent = s
-        self.value = _reduce(d * d - r * r, 2 * r * d, d * d + r * r)
-
-    @property
-    def cos(self) -> GaussianRational:
-        v = self.value
-        return _reduce(v.r, 0, v.d)
-
-    @property
-    def sin(self) -> GaussianRational:
-        v = self.value
-        return _reduce(v.i, 0, v.d)
-
-    def power(self, k: int) -> GaussianRational:
-        """value**k; negative k uses the conjugate (|value| = 1)."""
-        if k < 0:
-            return self.value.conjugate() ** (-k)
-        return self.value ** k
-
-    def __eq__(self, other):
-        return isinstance(other, UnitPhase) and self.half_tangent == other.half_tangent
-
-    def __hash__(self):
-        return hash(("UnitPhase", self.half_tangent))
-
-    def __repr__(self):
-        return f"UnitPhase({self.half_tangent})"
+    s = GaussianRational.coerce(s)
+    if s.i:
+        raise TypeError("unit_phase needs a real half-angle tangent")
+    r, d = s.r, s.d
+    return _reduce(d * d - r * r, 2 * r * d, d * d + r * r)
 
 
 def _parts(c) -> tuple:
@@ -851,30 +824,44 @@ class DifferenceOperator:
     up, and the substitution S, which is None (the identity), "d" (d/dx) or
     (alpha, beta) for x |-> alpha*x + beta.  With `divisor` c the sum is
     divided exactly by c*x; a nonzero constant term before that division is
-    the ValueError of Poly.exact_div.
+    the ValueError of Poly.exact_div.  A triple (M, (alpha, beta), s), with
+    s = 1 or -1, declares the conjugate pair of taps
+    M f(alpha*x + beta) + s conj(M) f(alpha*x + conj beta).
 
     The multipliers are put over one denominator, with 1/c folded in, when
     the operator is built, so an application runs on integer numerators: one
     raw substitution pass per tap, the tap products summed over one common
-    denominator, one canonical form.  Two taps (M, (alpha, beta)) and
-    (+-conj M, (alpha, conj beta)) with alpha real and beta not real form a
-    conjugate pair: on a real input f(alpha*x + conj beta) is the conjugate
-    of A = f(alpha*x + beta), so the pair is 2 Re(M A) or 2i Im(M A) and A is
-    computed once.  A complex input takes both taps as written.
+    denominator, one canonical form.  On a real input, with alpha real and
+    1/c real or imaginary, f(alpha*x + conj beta) is the conjugate of
+    A = f(alpha*x + beta), so a declared pair is 2 Re(M A) or 2i Im(M A)
+    for the folded M and A is computed once.  A complex input takes both
+    taps.
     """
 
     __slots__ = ("_taps", "_den", "_e", "_divisor")
 
     def __init__(self, taps, divisor=None):
-        parts = [[_parts(c) for c in m] for m, _ in taps]
-        md = lcm(*(d for ps in parts for _, _, d in ps))
         ur, ui, ud = 1, 0, 1
         if divisor is not None:
             divisor = GaussianRational.coerce(divisor)
             u = divisor.inverse()
             ur, ui, ud = u.r, u.i, u.d
+        flat = []  # (multiplier parts, substitution, pair flag)
+        for m, sub, *sign in taps:
+            ps = [_parts(c) for c in m]
+            if not sign:
+                flat.append((ps, sub, 0))
+                continue
+            # the folded pair is u M A + s u conj(M A): 2 Re or 2i Im of u M A
+            # when u = 1/c is real (flag s) or imaginary (flag -s)
+            s, (alpha, beta) = sign[0], sub
+            fold = 0 if _parts(alpha)[1] or (ur and ui) else -s if ui else s
+            flat.append((ps, sub, fold))
+            conj = (alpha, GaussianRational.coerce(beta).conjugate())
+            flat.append(([(s * r, -s * i, d) for r, i, d in ps], conj, 2 if fold else 0))
+        md = lcm(*(d for ps, _, _ in flat for _, _, d in ps))
         prepared = []
-        for (_, sub), ps in zip(taps, parts):
+        for ps, sub, pair in flat:
             mr = [r * (md // d) for r, _, d in ps]
             mi = [i * (md // d) for _, i, d in ps]
             if ui:
@@ -891,26 +878,9 @@ class DifferenceOperator:
                 (ar, ai, ad), (br, bi, bd) = _parts(sub[0]), _parts(sub[1])
                 e = lcm(ad, bd)
                 sub = (ar * (e // ad), ai * (e // ad), br * (e // bd), bi * (e // bd), e)
-            prepared.append([sub, e, tuple(mr), tuple(mi) if any(mi) else None, 0])
+            prepared.append((sub, e, tuple(mr), tuple(mi) if any(mi) else None, pair))
         self._e = lcm(*(t[1] for t in prepared))
-        for t in prepared:
-            t[1] = self._e // t[1]
-        for i, t in enumerate(prepared):
-            sub = t[0]
-            if t[4] or sub is None or sub == "d" or sub[1] or not sub[3]:
-                continue
-            mr, mi = t[2], t[3]
-            conj = (sub[0], 0, sub[2], -sub[3], sub[4])
-            for u in prepared[i + 1:]:
-                if u[4] or u[0] != conj:
-                    continue
-                if u[2] == mr and u[3] == (mi and tuple(-c for c in mi)):
-                    t[4], u[4] = 1, 2
-                    break
-                if u[2] == tuple(-c for c in mr) and u[3] == mi:
-                    t[4], u[4] = -1, 2
-                    break
-        self._taps = tuple(tuple(t) for t in prepared)
+        self._taps = tuple((sub, self._e // e, mr, mi, pair) for sub, e, mr, mi, pair in prepared)
         self._den = md * ud
         self._divisor = divisor
 
@@ -1134,7 +1104,7 @@ class Laurent:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Rational, GaussianRational, UnitPhase)):
+        if isinstance(other, (int, Rational, GaussianRational)):
             return _laurent(self.low, self.body * other)
         o = Laurent.coerce(other)
         return _laurent(self.low + o.low, self.body * o.body)

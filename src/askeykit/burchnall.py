@@ -26,7 +26,6 @@ from .algebra import (
     GaussianRational,
     Laurent,
     Poly,
-    UnitPhase,
     binomial,
     factorial,
     pochhammer,
@@ -34,6 +33,7 @@ from .algebra import (
     q_pochhammer,
     scalar,
     term_sum,
+    unit_phase,
 )
 from .families import (
     FAMILIES,
@@ -128,7 +128,6 @@ class Expansion:
     id: str
     family: str
     variant: str  # the engine variant it must agree with
-    degree_class: str  # "classical" | "q"
     build: Callable  # (point, n, m) -> (lhs, [terms])
     lhs_prefactor: Callable  # (n, m) -> scalar relating LHS to the standard polynomial
 
@@ -234,13 +233,13 @@ def _build_charlier_etaS(point, n, m):
 
 def _build_mp(point, n, m):
     lam = point.get("lam")
-    u = UnitPhase(point.get("phi"))
-    two_sin = 2 * u.sin
+    u = unit_phase(point.get("phi"))
+    two_sin = _Q(2 * u.i, u.d)
     lhs = standard_poly("meixner-pollaczek", point, n + m) * _Q(binomial(n + m, n))
     terms = []
     for k in range(min(n, m) + 1):
         coef = (
-            ((-GR_I) ** k) * u.power(-k) * _Q(two_sin ** k) * _Q(1, factorial(k))
+            ((-GR_I) ** k) * u.conjugate() ** k * _Q(two_sin ** k) * _Q(1, factorial(k))
         )
         t = rising_poch_poly(lam, k, GR_I) * coef
         t = t * standard_poly("meixner-pollaczek", shifted_point(point, k), n - k).compose_affine(
@@ -387,19 +386,19 @@ def _reg(e: Expansion):
     EXPANSIONS[e.id] = e
 
 
-_reg(Expansion("hermite-expansion", "hermite", "", "classical", _build_hermite, _pref_one))
-_reg(Expansion("laguerre-expansion", "laguerre", "", "classical", _build_laguerre, _pref_binom))
-_reg(Expansion("jacobi-expansion", "jacobi", "", "classical", _build_jacobi, _pref_binom))
-_reg(Expansion("meixner-expansion-eta1", "meixner", "eta1", "classical", _build_meixner_eta1, _pref_one))
-_reg(Expansion("meixner-expansion-etaS", "meixner", "etaS", "classical", _build_meixner_etaS, _pref_one))
-_reg(Expansion("charlier-expansion-eta1", "charlier", "eta1", "classical", _build_charlier_eta1, _pref_one))
-_reg(Expansion("charlier-expansion-etaS", "charlier", "etaS", "classical", _build_charlier_etaS, _pref_one))
-_reg(Expansion("mp-expansion", "meixner-pollaczek", "", "classical", _build_mp, _pref_binom))
-_reg(Expansion("wilson-expansion", "wilson", "", "q", _build_wilson, _pref_one))
-_reg(Expansion("bigqjacobi-expansion-Tq", "big-q-jacobi", "Tq", "q", _build_bqj_Tq, _pref_one))
-_reg(Expansion("bigqjacobi-expansion-I", "big-q-jacobi", "I", "q", _build_bqj_I, _pref_one))
-_reg(Expansion("aw-expansion", "askey-wilson", "", "q", _build_aw, _pref_one))
-_reg(Expansion("cqhermite-expansion", "continuous-q-hermite", "", "q", _build_cqh, _pref_one))
+_reg(Expansion("hermite-expansion", "hermite", "", _build_hermite, _pref_one))
+_reg(Expansion("laguerre-expansion", "laguerre", "", _build_laguerre, _pref_binom))
+_reg(Expansion("jacobi-expansion", "jacobi", "", _build_jacobi, _pref_binom))
+_reg(Expansion("meixner-expansion-eta1", "meixner", "eta1", _build_meixner_eta1, _pref_one))
+_reg(Expansion("meixner-expansion-etaS", "meixner", "etaS", _build_meixner_etaS, _pref_one))
+_reg(Expansion("charlier-expansion-eta1", "charlier", "eta1", _build_charlier_eta1, _pref_one))
+_reg(Expansion("charlier-expansion-etaS", "charlier", "etaS", _build_charlier_etaS, _pref_one))
+_reg(Expansion("mp-expansion", "meixner-pollaczek", "", _build_mp, _pref_binom))
+_reg(Expansion("wilson-expansion", "wilson", "", _build_wilson, _pref_one))
+_reg(Expansion("bigqjacobi-expansion-Tq", "big-q-jacobi", "Tq", _build_bqj_Tq, _pref_one))
+_reg(Expansion("bigqjacobi-expansion-I", "big-q-jacobi", "I", _build_bqj_I, _pref_one))
+_reg(Expansion("aw-expansion", "askey-wilson", "", _build_aw, _pref_one))
+_reg(Expansion("cqhermite-expansion", "continuous-q-hermite", "", _build_cqh, _pref_one))
 
 
 def closed_expansion_residual(identity: str, point: ParamPoint, n: int, m: int):

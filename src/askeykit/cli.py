@@ -19,13 +19,13 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from random import Random
 
 from . import __version__
 from .algebra import (
     Laurent,
     Poly,
-    Rational,
     chebyshev_lift,
     rational_str,
     scalar,
@@ -143,7 +143,7 @@ def _run_expansion(ident, family, n, m, rng):
 
 def _run_modified(ident, family, n, m, rng):
     point = sample_point(family, rng)
-    extras = sample_extras(MODIFIED_EXPANSIONS[ident].extras, rng, point)
+    extras = sample_extras(rng, point)
     res = modified_expansion_residual(ident, point, n, extras)
     return point.as_dict(), _serialized(extras), (res,)
 
@@ -157,10 +157,9 @@ def _run_toda(ident, family, n, m, rng):
 
 def _run_crosscheck(ident, family, n, m, rng):
     point = sample_point(family, rng)
-    name = deformation(family).scalar.name
-    extras = sample_extras((name,), rng, point)
+    extras = sample_extras(rng, point)
     nn = max(_flow_index(family, point, n), 1)
-    res = toda_from_recurrence_crosscheck(family, point, extras[name], nn)
+    res = toda_from_recurrence_crosscheck(family, point, *extras.values(), nn)
     return point.as_dict(), {**_serialized(extras), "n_used": str(nn)}, res
 
 
@@ -348,7 +347,7 @@ def _values_from_args(ident: str, params: tuple, raw: dict) -> dict:
         if text is None:
             raise UsageError(f"{ident} needs --param {p.name}=...")
         try:
-            v = int(text) if p.integer else scalar(Rational(text))
+            v = int(text) if p.integer else scalar(Fraction(text))
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"--param {p.name}={text} is not a valid number") from None
         if not p.admits(v, values):

@@ -40,7 +40,6 @@ from .algebra import (
     LaurentOperator,
     Poly,
     SymLaurent,
-    UnitPhase,
     _canon,
     _cmul,
     _parts,
@@ -51,6 +50,7 @@ from .algebra import (
     q_pochhammer,
     scalar,
     tangent_subtract,
+    unit_phase,
 )
 from . import ops
 
@@ -468,9 +468,9 @@ def mp_poly(lam, phi_s, n: int) -> Poly:
     2F1(-n, lambda + ix; 2 lambda; 1 - e^(-2 i phi)), with phi given by its
     half-angle tangent.  The coefficients combine to real rationals."""
     lam = _Q(lam)
-    u = UnitPhase(phi_s)
-    pref = pochhammer(2 * lam, n) * _Q(1, factorial(n)) * u.power(n)
-    out = _pfq(n, [-n], [2 * lam], GR_ONE - u.power(-2), xtops=[(lam, GR_I)], c=pref)
+    u = unit_phase(phi_s)
+    pref = pochhammer(2 * lam, n) * _Q(1, factorial(n)) * u ** n
+    out = _pfq(n, [-n], [2 * lam], GR_ONE - u.conjugate() ** 2, xtops=[(lam, GR_I)], c=pref)
     if not out.is_real:
         raise AssertionError("Meixner-Pollaczek polynomial came out non-real")
     return out
@@ -518,8 +518,8 @@ def krawtchouk_poly(pp, N: int, n: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 # Each raising operator is a list of taps (multiplier coefficients from x^0
-# up, substitution), built once per point from the point's scalars; see
-# algebra.DifferenceOperator.
+# up, substitution) and conjugate pairs (the same and a sign), built once per
+# point from the point's scalars; see algebra.DifferenceOperator.
 _DOWN = (1, -1)  # x |-> x - 1
 _HALF_UP = (1, GR_HALF_I)  # x |-> x + i/2
 _HALF_DOWN = (1, -GR_HALF_I)  # x |-> x - i/2
@@ -573,18 +573,17 @@ def _charlier_raise(pt):
 def _mp_raise(pt):
     # -e^(i phi) (lambda - ix) f(x + i/2) - e^(-i phi) (lambda + ix) f(x - i/2): a conjugate pair
     lam = pt.get("lam")
-    u = UnitPhase(pt.get("phi")).value
-    v = u.conjugate()
-    return DifferenceOperator((((-lam * u, GR_I * u), _HALF_UP), ((-lam * v, -GR_I * v), _HALF_DOWN)))
+    u = unit_phase(pt.get("phi"))
+    return DifferenceOperator((((-lam * u, GR_I * u), _HALF_UP, 1),))
 
 
 def _wilson_raise(pt):
     # (prod (e + ix) f(x - i/2) - prod (e - ix) f(x + i/2)) / (2ix), with
-    # prod (e +- ix) = e4 +- i e3 x - e2 x^2 -+ i e1 x^3 + x^4
+    # prod (e +- ix) = e4 +- i e3 x - e2 x^2 -+ i e1 x^3 + x^4, conjugate
+    # for the real parameters of the domain: a conjugate pair
     _, e1, e2, e3, e4 = _esym([pt.get(k) for k in ("a", "b", "c", "d")])
     plus = (e4, GR_I * e3, -e2, -GR_I * e1, 1)
-    minus = (-e4, GR_I * e3, e2, -GR_I * e1, -1)  # -prod (e - ix)
-    return DifferenceOperator(((plus, _HALF_DOWN), (minus, _HALF_UP)), divisor=2 * GR_I)
+    return DifferenceOperator(((plus, _HALF_DOWN, -1),), divisor=2 * GR_I)
 
 
 def _bqj_raise_abc(a, b, c, q):
@@ -653,7 +652,7 @@ def _step_charlier_etaS(pt, j):
 
 def _step_mp(pt, j):
     # i e^(-i phi) (lambda + j + ix)
-    return Poly([pt.get("lam") + j, GR_I]) * (GR_I * UnitPhase(pt.get("phi")).power(-1))
+    return Poly([pt.get("lam") + j, GR_I]) * (GR_I * unit_phase(pt.get("phi")).conjugate())
 
 
 def _step_wilson(pt, j):

@@ -84,11 +84,12 @@ def translate(f: Poly, c) -> Poly:
 
 
 # the fixed difference operators, as taps (multiplier coefficients, substitution)
+# and conjugate pairs (M, substitution, sign)
 _FORWARD = DifferenceOperator((((1,), (1, 1)), ((-1,), None)))
 _BACKWARD = DifferenceOperator((((1,), None), ((-1,), (1, -1))))
 _NEG_FORWARD = DifferenceOperator((((-1,), (1, 1)), ((1,), None)))
-_DELTA_X = DifferenceOperator((((-GR_I,), (1, GR_HALF_I)), ((GR_I,), (1, -GR_HALF_I))))
-_DELTA_X2 = DifferenceOperator((((1,), (1, GR_HALF_I)), ((-1,), (1, -GR_HALF_I))), divisor=2 * GR_I)
+_DELTA_X = DifferenceOperator((((-GR_I,), (1, GR_HALF_I), 1),))  # -i f(x + i/2) + i f(x - i/2)
+_DELTA_X2 = DifferenceOperator((((1,), (1, GR_HALF_I), -1),), divisor=2 * GR_I)  # (f(x + i/2) - f(x - i/2)) / 2ix
 
 
 def forward_shift(f: Poly) -> Poly:

@@ -14,7 +14,7 @@ from math import ceil, floor
 from random import Random
 
 from .algebra import GaussianRational, scalar
-from .families import FAMILIES, Param, ParamPoint, deformation, make_point
+from .families import FAMILIES, Param, ParamPoint, make_point
 
 __all__ = ["sample_rational", "sample_point", "sample_extras"]
 
@@ -58,13 +58,10 @@ def sample_point(tag: str, rng: Random) -> ParamPoint:
     return make_point(tag, **values)
 
 
-def sample_extras(names: tuple, rng: Random, point: ParamPoint) -> dict:
-    """Deformation scalars from the domain of the family's e^(-xt) deformation."""
-    values = point.as_dict()
-    out = {}
-    for name in names:
-        scalar = deformation(point.family).scalar
-        if scalar.name != name:
-            raise KeyError(f"{point.family} has no deformation scalar {name!r}")
-        out[name] = _sample(rng, scalar, values)
-    return out
+def sample_extras(rng: Random, point: ParamPoint) -> dict:
+    """The scalar of the family's e^(-xt) deformation, drawn from its domain;
+    {} (and no draw) for a family without a deformation."""
+    d = FAMILIES[point.family].deformation
+    if d is None:
+        return {}
+    return {d.scalar.name: _sample(rng, d.scalar, point.as_dict())}

@@ -25,7 +25,6 @@ from .algebra import (
     GR_I,
     GaussianRational,
     Poly,
-    UnitPhase,
     binomial,
     factorial,
     pochhammer,
@@ -34,6 +33,7 @@ from .algebra import (
     scalar,
     tangent_subtract,
     term_sum,
+    unit_phase,
 )
 from .families import (
     FAMILIES,
@@ -394,15 +394,15 @@ def _build_mp_toda(point, n, extras):
     lam = point.get("lam")
     s = point.get("phi")
     r = _Q(extras["r"])
-    u_phi = UnitPhase(s)
-    half_t = UnitPhase(r)              # e^(i t/2); its sine is sin(t/2)
-    e_neg_half_t = half_t.power(-1)    # e^(-i t/2)
+    u_phi = unit_phase(s)
+    half_t = unit_phase(r)             # e^(i t/2)
+    e_neg_half_t = half_t.conjugate()  # e^(-i t/2)
     s_mod = tangent_subtract(s, r)     # tan((phi - t/2) / 2)
     lhs = mp_poly(lam, s_mod, n)
-    two_sin = 2 * half_t.sin
+    two_sin = _Q(2 * half_t.i, half_t.d)  # 2 sin(t/2)
     terms = []
     for k in range(n + 1):
-        coef = (GR_I ** k) * u_phi.power(-k) * _Q(1, factorial(k))
+        coef = (GR_I ** k) * u_phi.conjugate() ** k * _Q(1, factorial(k))
         coef = coef * _Q(two_sin ** k) * e_neg_half_t ** (n - k)
         terms.append(
             rising_poch_poly(lam, k, GR_I) * coef

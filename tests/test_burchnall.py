@@ -5,10 +5,10 @@ from random import Random
 from askeykit.algebra import (
     GaussianRational,
     Poly,
-    Rational,
     binomial,
     chebyshev_lift,
     factorial,
+    scalar,
     term_sum,
 )
 from askeykit.burchnall import (
@@ -24,7 +24,7 @@ from askeykit.burchnall import (
 from askeykit.families import FAMILIES, hermite_poly, make_point
 from askeykit.sampling import sample_point, sample_rational
 
-Q = Rational
+Q = scalar
 x = Poly.x()
 
 

@@ -5,11 +5,11 @@ import hashlib
 
 import pytest
 
-from askeykit.algebra import Rational
+from askeykit.algebra import scalar
 from askeykit.cli import SuiteConfig, render_report, run_verify
 from askeykit.families import FAMILIES, make_point
 
-Q = Rational
+Q = scalar
 EPS = Q(1, 64)
 
 GOLDEN_SHA256 = "c3ac0579e8b01f92774ad7335f1c8782943d6be937328aa9ba1252b98235a551"

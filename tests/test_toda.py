@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from askeykit.algebra import GaussianRational, Poly, Rational
+from askeykit.algebra import GaussianRational, Poly, scalar
 from askeykit.families import FAMILIES, deformation, make_point
 from askeykit.functional import modified_functional
 from askeykit.sampling import sample_extras, sample_point
@@ -18,7 +18,7 @@ from askeykit.toda import (
     toda_residuals,
 )
 
-Q = Rational
+Q = scalar
 
 
 def test_rational_function_basics():
@@ -98,7 +98,7 @@ def test_all_modified_expansions_sampled():
     for ident, e in MODIFIED_EXPANSIONS.items():
         for _ in range(3):
             pt = sample_point(e.family, rng)
-            extras = sample_extras(e.extras, rng, pt)
+            extras = sample_extras(rng, pt)
             for n in range(0, 5):
                 assert not modified_expansion_residual(ident, pt, n, extras), (ident, n)
 
@@ -148,7 +148,7 @@ def test_crosscheck_all_families():
         for _ in range(3):
             pt = sample_point(tag, rng)
             name = deformation(tag).scalar.name
-            extra = sample_extras((name,), rng, pt)[name]
+            extra = sample_extras(rng, pt)[name]
             top = TODA_SOLUTIONS[tag].max_n(pt)
             nmax = 5 if top is None else min(5, top - 1)
             for n in range(1, nmax + 1):
@@ -170,7 +170,7 @@ def test_first_moment_routes_agree():
         d = deformation(tag)
         for _ in range(4):
             pt = sample_point(tag, rng)
-            s = sample_extras((d.scalar.name,), rng, pt)[d.scalar.name]
+            s = sample_extras(rng, pt)[d.scalar.name]
             b_rec = modified_recurrence(tag, pt, s, 1).b[0]
             b_flow = sol.b(0, pt)(d.flow_variable(pt, s))
             assert b_rec == b_flow, (tag, pt, s)
