@@ -22,17 +22,17 @@ Q = scalar
 print("== Hermite: chain vs closed form ==")
 pt = make_point("hermite")
 for n in range(5):
-    chain = raise_chain("hermite", pt, n)
-    std = standard_poly("hermite", pt, n)
+    chain = raise_chain(pt, n)
+    std = standard_poly(pt, n)
     print(f"  n={n}:  chain = {chain}")
-    assert std == chain * normalization("hermite", pt, n)
+    assert std == chain * normalization(pt, n)
 print("  (-1)^n * chain reproduces H_n exactly for every n above")
 
 print()
 print("== Laguerre at nu = 1/2 ==")
 pt = make_point("laguerre", nu=Q(1, 2))
 for n in range(4):
-    print(f"  n!L_{n} = {raise_chain('laguerre', pt, n)}")
+    print(f"  n!L_{n} = {raise_chain(pt, n)}")
 
 print()
 print("== The same normalization identity holds across the whole catalog ==")
@@ -49,13 +49,13 @@ points = {
 for tag, pt in points.items():
     top = 5 if FAMILIES[tag].carrier != "poly" else 7
     for n in range(top + 1):
-        assert standard_poly(tag, pt, n) == raise_chain(tag, pt, n) * normalization(tag, pt, n)
+        assert standard_poly(pt, n) == raise_chain(pt, n) * normalization(pt, n)
     print(f"  {tag:22s} standard == normalization * chain, n <= {top}")
 
 print()
 print("== Exact three-term recurrences drop out of the chains ==")
 pt = make_point("meixner", beta=Q(5, 2), c=Q(1, 3))
-rec = recurrence_extract("meixner", pt, 4)
+rec = recurrence_extract(pt, 4)
 for n in range(5):
     print(f"  n={n}: b_n = {rec.b[n]}, c_n = {rec.c[n]}")
 print("  (matches (n + (n+beta)c)/(1-c) and n(n+beta-1)c/(1-c)^2 exactly)")

@@ -61,7 +61,7 @@ print("== The operational formula holds for arbitrary polynomial inputs ==")
 pt = make_point("jacobi", alpha=Q(1, 3), beta=Q(3, 4))
 f = x ** 4 - 2 * x + 1
 for n in range(5):
-    assert not operational_residual("jacobi", pt, n, f)
+    assert not operational_residual(pt, n, f)
 print("  jacobi chain expansion: residual 0 for n <= 4, f = x^4 - 2x + 1")
 
 print()

@@ -16,7 +16,7 @@ from random import Random
 from askeykit.algebra import scalar
 from askeykit.families import deformation, make_point
 from askeykit.functional import toda_orthogonality_check
-from askeykit.sampling import sample_extras, sample_point
+from askeykit.sampling import sample_deformation, sample_point
 from askeykit.toda import (
     MODIFIED_EXPANSIONS,
     TODA_SOLUTIONS,
@@ -55,9 +55,9 @@ print("== Two independent routes to the flowed coefficients agree ==")
 rng = Random(7)
 for tag, pt in points.items():
     name = deformation(tag).scalar.name
-    extra = sample_extras(rng, pt)[name]
+    extra = sample_deformation(rng, pt)
     label = f"{SCALAR_MEANING[name]} = {extra}"
-    gaps = [toda_from_recurrence_crosscheck(tag, pt, extra, n) for n in range(1, 5)]
+    gaps = [toda_from_recurrence_crosscheck(pt, extra, n) for n in range(1, 5)]
     ok = all(not b and not c for b, c in gaps)
     print(f"  {tag:18s} recurrence extraction vs closed form at {label}: {'agree' if ok else 'DISAGREE'}")
 
@@ -69,9 +69,9 @@ for ident in (
 ):
     e = MODIFIED_EXPANSIONS[ident]
     pt = sample_point(e.family, rng)
-    extras = sample_extras(rng, pt)
-    assert all(not modified_expansion_residual(ident, pt, n, extras) for n in range(6))
-    residuals = toda_orthogonality_check(ident, pt, 3, extras)
+    s = sample_deformation(rng, pt)
+    assert all(not modified_expansion_residual(ident, pt, n, s) for n in range(6))
+    residuals = toda_orthogonality_check(ident, pt, 3, s)
     print(f"  {ident:22s} expansion residual 0 (n <= 5); deformed functional kills x^p, p < 3: "
           f"{all(not r for r in residuals)}")
 
@@ -79,5 +79,5 @@ print()
 print("== The q-exponential analogues for big q-Jacobi / big q-Laguerre ==")
 pt = make_point("big-q-jacobi", a=Q(1, 3), b=Q(1, 4), c=Q(-2, 3), q=Q(1, 2))
 for ident in ("bigqjacobi-to-bigqlaguerre", "bigqlaguerre-inverse", "bigqlaguerre-second"):
-    assert all(not modified_expansion_residual(ident, pt, n, {}) for n in range(6))
+    assert all(not modified_expansion_residual(ident, pt, n) for n in range(6))
     print(f"  {ident:28s} residual 0 for n <= 5")

@@ -74,9 +74,9 @@ _Q = scalar
 # generic engine
 # ---------------------------------------------------------------------------
 
-def apply_chain(tag: str, point: ParamPoint, n: int, f):
+def apply_chain(point: ParamPoint, n: int, f):
     """R_nu R_(nu+sigma) ... R_(nu+(n-1)sigma) f by composing the operators."""
-    spec = FAMILIES[tag]
+    spec = FAMILIES[point.family]
     points = [point]
     for _ in range(n - 1):
         points.append(spec.shift(points[-1]))
@@ -86,8 +86,8 @@ def apply_chain(tag: str, point: ParamPoint, n: int, f):
     return out
 
 
-def operational_rhs(tag: str, point: ParamPoint, n: int, f, variant: str | None = None):
-    spec = FAMILIES[tag]
+def operational_rhs(point: ParamPoint, n: int, f, variant: str | None = None):
+    spec = FAMILIES[point.family]
     var = spec.variant(variant) if variant is not None else spec.default_variant()
     op = var.spec_at(point)
     fs = ladder(op.partial, f, n)
@@ -95,7 +95,7 @@ def operational_rhs(tag: str, point: ParamPoint, n: int, f, variant: str | None 
     rhs = None
     pt_k = point
     for k in range(n + 1):
-        term = product(op.alpha(n, k), ratio, op.eta(raise_chain(tag, pt_k, n - k), k), op.twist(fs[k], k, n))
+        term = product(op.alpha(n, k), ratio, op.eta(raise_chain(pt_k, n - k), k), op.twist(fs[k], k, n))
         rhs = term if rhs is None else rhs + term
         if k < n:
             ratio = ratio * var.weight_step(point, k)
@@ -103,18 +103,18 @@ def operational_rhs(tag: str, point: ParamPoint, n: int, f, variant: str | None 
     return rhs
 
 
-def operational_residual(tag: str, point: ParamPoint, n: int, f, variant: str | None = None):
+def operational_residual(point: ParamPoint, n: int, f, variant: str | None = None):
     """Chain applied to f minus the weight-ratio expansion; exactly zero."""
-    return apply_chain(tag, point, n, f) - operational_rhs(tag, point, n, f, variant)
+    return apply_chain(point, n, f) - operational_rhs(point, n, f, variant)
 
 
-def chain_expansion_rhs(tag: str, point: ParamPoint, n: int, m: int, variant: str | None = None):
-    return operational_rhs(tag, point, n, raise_chain(tag, shifted_point(point, n), m), variant)
+def chain_expansion_rhs(point: ParamPoint, n: int, m: int, variant: str | None = None):
+    return operational_rhs(point, n, raise_chain(shifted_point(point, n), m), variant)
 
 
-def chain_expansion_residual(tag: str, point: ParamPoint, n: int, m: int, variant: str | None = None):
+def chain_expansion_residual(point: ParamPoint, n: int, m: int, variant: str | None = None):
     """p_(n+m) minus the expansion with f = p_m at the n-shifted parameters."""
-    return raise_chain(tag, point, n + m) - chain_expansion_rhs(tag, point, n, m, variant)
+    return raise_chain(point, n + m) - chain_expansion_rhs(point, n, m, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -143,35 +143,35 @@ def _build_hermite(point, n, m):
 
 def _build_laguerre(point, n, m):
     # ((m+1)_n / n!) L_(m+n) = sum_k ((-x)^k / k!) L_(n-k)^(nu+k) L_(m-k)^(nu+n+k)
-    lhs = standard_poly("laguerre", point, n + m) * (
+    lhs = standard_poly(point, n + m) * (
         pochhammer(m + 1, n) * _Q(1, factorial(n))
     )
     terms = []
     for k in range(min(n, m) + 1):
         xs = Poly.monomial(k, _Q((-1) ** k) / factorial(k))
-        t = xs * standard_poly("laguerre", shifted_point(point, k), n - k)
-        t = t * standard_poly("laguerre", shifted_point(point, n + k), m - k)
+        t = xs * standard_poly(shifted_point(point, k), n - k)
+        t = t * standard_poly(shifted_point(point, n + k), m - k)
         terms.append(t)
     return lhs, terms
 
 
 def _build_jacobi(point, n, m):
     alpha, beta = point.get("alpha"), point.get("beta")
-    lhs = standard_poly("jacobi", point, n + m) * _Q(binomial(n + m, n))
+    lhs = standard_poly(point, n + m) * _Q(binomial(n + m, n))
     quad = Poly([_Q(-1, 4), 0, _Q(1, 4)])  # (1-x^2)/(-4)
     terms = []
     for k in range(min(n, m) + 1):
         coef = pochhammer(alpha + beta + 2 * n + m + 1, k) * _Q(1, factorial(k))
         t = (quad ** k) * coef
-        t = t * standard_poly("jacobi", shifted_point(point, k), n - k)
-        t = t * standard_poly("jacobi", shifted_point(point, n + k), m - k)
+        t = t * standard_poly(shifted_point(point, k), n - k)
+        t = t * standard_poly(shifted_point(point, n + k), m - k)
         terms.append(t)
     return lhs, terms
 
 
 def _build_meixner_eta1(point, n, m):
     beta, c = point.get("beta"), point.get("c")
-    lhs = standard_poly("meixner", point, n + m)
+    lhs = standard_poly(point, n + m)
     terms = []
     for k in range(min(n, m) + 1):
         coef = (
@@ -180,8 +180,8 @@ def _build_meixner_eta1(point, n, m):
             * (pochhammer(beta, k) * pochhammer(beta + n, k) * factorial(k)).inverse()
         )
         t = rising_poch_poly(beta, k) * coef
-        t = t * standard_poly("meixner", shifted_point(point, k), n - k)
-        t = t * standard_poly("meixner", shifted_point(point, n + k), m - k).compose_affine(1, -n)
+        t = t * standard_poly(shifted_point(point, k), n - k)
+        t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(1, -n)
         terms.append(t)
     return lhs, terms
 
@@ -189,7 +189,7 @@ def _build_meixner_eta1(point, n, m):
 def _build_meixner_etaS(point, n, m):
     # coefficient ((1-c)/c^2)^k: the nabla = S Delta rewrite carries no sign
     beta, c = point.get("beta"), point.get("c")
-    lhs = standard_poly("meixner", point, n + m)
+    lhs = standard_poly(point, n + m)
     terms = []
     for k in range(min(n, m) + 1):
         coef = (
@@ -198,8 +198,8 @@ def _build_meixner_etaS(point, n, m):
             * (pochhammer(beta, k) * pochhammer(beta + n, k) * factorial(k)).inverse()
         )
         t = falling_poch_poly(k) * coef
-        t = t * standard_poly("meixner", shifted_point(point, k), n - k).compose_affine(1, -k)
-        t = t * standard_poly("meixner", shifted_point(point, n + k), m - k).compose_affine(1, -k)
+        t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(1, -k)
+        t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(1, -k)
         terms.append(t)
     return lhs, terms
 
@@ -207,12 +207,12 @@ def _build_meixner_etaS(point, n, m):
 def _build_charlier_eta1(point, n, m):
     # coefficient (-n)_k (-m)_k / (k! (-a)^k): nabla^k C_m = (-m)_k a^-k S^k C_(m-k)
     a = point.get("a")
-    lhs = standard_poly("charlier", point, n + m)
+    lhs = standard_poly(point, n + m)
     terms = []
     for k in range(min(n, m) + 1):
         coef = pochhammer(-n, k) * pochhammer(-m, k) * _Q(1, factorial(k)) / (-a) ** k
-        t = standard_poly("charlier", point, n - k) * coef
-        t = t * standard_poly("charlier", point, m - k).compose_affine(1, -n)
+        t = standard_poly(point, n - k) * coef
+        t = t * standard_poly(point, m - k).compose_affine(1, -n)
         terms.append(t)
     return lhs, terms
 
@@ -220,13 +220,13 @@ def _build_charlier_eta1(point, n, m):
 def _build_charlier_etaS(point, n, m):
     # coefficient (-n)_k (-m)_k (-x)_k / (k! a^(2k)); the weight ratio keeps (-x)_k
     a = point.get("a")
-    lhs = standard_poly("charlier", point, n + m)
+    lhs = standard_poly(point, n + m)
     terms = []
     for k in range(min(n, m) + 1):
         coef = pochhammer(-n, k) * pochhammer(-m, k) * _Q(1, factorial(k)) / a ** (2 * k)
         t = falling_poch_poly(k) * coef
-        t = t * standard_poly("charlier", point, n - k).compose_affine(1, -k)
-        t = t * standard_poly("charlier", point, m - k).compose_affine(1, -k)
+        t = t * standard_poly(point, n - k).compose_affine(1, -k)
+        t = t * standard_poly(point, m - k).compose_affine(1, -k)
         terms.append(t)
     return lhs, terms
 
@@ -235,17 +235,17 @@ def _build_mp(point, n, m):
     lam = point.get("lam")
     u = unit_phase(point.get("phi"))
     two_sin = _Q(2 * u.i, u.d)
-    lhs = standard_poly("meixner-pollaczek", point, n + m) * _Q(binomial(n + m, n))
+    lhs = standard_poly(point, n + m) * _Q(binomial(n + m, n))
     terms = []
     for k in range(min(n, m) + 1):
         coef = (
             ((-GR_I) ** k) * u.conjugate() ** k * _Q(two_sin ** k) * _Q(1, factorial(k))
         )
         t = rising_poch_poly(lam, k, GR_I) * coef
-        t = t * standard_poly("meixner-pollaczek", shifted_point(point, k), n - k).compose_affine(
+        t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(
             1, GR_HALF_I * (-k)
         )
-        t = t * standard_poly("meixner-pollaczek", shifted_point(point, n + k), m - k).compose_affine(
+        t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(
             1, GR_HALF_I * (n - k)
         )
         terms.append(t)
@@ -255,7 +255,7 @@ def _build_mp(point, n, m):
 def _build_wilson(point, n, m):
     vals = [point.get(k) for k in ("a", "b", "c", "d")]
     s1 = sum(vals)
-    lhs = standard_poly("wilson", point, n + m)
+    lhs = standard_poly(point, n + m)
     terms = []
     for k in range(min(n, m) + 1):
         coef = (
@@ -266,8 +266,8 @@ def _build_wilson(point, n, m):
         for e in vals:
             prod = prod * rising_poch_poly(e, k, GR_I)
         t = prod * coef
-        t = t * standard_poly("wilson", shifted_point(point, k), n - k).compose_affine(1, GR_HALF_I * (-k))
-        t = t * standard_poly("wilson", shifted_point(point, n + k), m - k).compose_affine(
+        t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(1, GR_HALF_I * (-k))
+        t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(
             1, GR_HALF_I * (n - k)
         )
         terms.append(t)
@@ -276,7 +276,7 @@ def _build_wilson(point, n, m):
 
 def _build_bqj_Tq(point, n, m):
     a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
-    lhs = standard_poly("big-q-jacobi", point, n + m)
+    lhs = standard_poly(point, n + m)
     terms = []
     qn = _Q(1) / q ** n
     qm = _Q(1) / q ** m
@@ -288,15 +288,15 @@ def _build_bqj_Tq(point, n, m):
         )
         coef = num * den.inverse() * ((a * c) ** k * q ** (k * k + 2 * k + n * k))
         t = q_poch_poly(1, q, k) * q_poch_poly(b / c, q, k) * coef
-        t = t * standard_poly("big-q-jacobi", shifted_point(point, k), n - k).compose_affine(q ** k, 0)
-        t = t * standard_poly("big-q-jacobi", shifted_point(point, n + k), m - k).compose_affine(q ** k, 0)
+        t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(q ** k, 0)
+        t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(q ** k, 0)
         terms.append(t)
     return lhs, terms
 
 
 def _build_bqj_I(point, n, m):
     a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
-    lhs = standard_poly("big-q-jacobi", point, n + m)
+    lhs = standard_poly(point, n + m)
     terms = []
     qn = _Q(1) / q ** n
     qm = _Q(1) / q ** m
@@ -309,8 +309,8 @@ def _build_bqj_I(point, n, m):
         coef = num * den.inverse() * ((a * c) ** k * q ** (k * (k + n + 2)))
         qmk = _Q(1) / q ** k
         t = q_poch_poly(qmk / a, q, k) * q_poch_poly(qmk / c, q, k) * coef
-        t = t * standard_poly("big-q-jacobi", shifted_point(point, k), n - k)
-        t = t * standard_poly("big-q-jacobi", shifted_point(point, n + k), m - k).compose_affine(q ** n, 0)
+        t = t * standard_poly(shifted_point(point, k), n - k)
+        t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(q ** n, 0)
         terms.append(t)
     return lhs, terms
 
@@ -331,7 +331,7 @@ def _build_aw(point, n, m):
     p = point.get("p")
     q = p * p
     a, b, c, d = vals
-    lhs = standard_poly("askey-wilson", point, n + m)
+    lhs = standard_poly(point, n + m)
     terms = []
     qn = _Q(1) / q ** n
     qm = _Q(1) / q ** m
@@ -346,8 +346,8 @@ def _build_aw(point, n, m):
             -2 * k * k + 2 * k + n * m + k * m + 2 * n * k
         )
         t = _aw_ratio_factor(vals, q, k) * coef
-        t = t * aw_eta(standard_poly("askey-wilson", shifted_point(point, k), n - k), p, k)
-        t = t * aw_eta(standard_poly("askey-wilson", shifted_point(point, n + k), m - k), p, k - n)
+        t = t * aw_eta(standard_poly(shifted_point(point, k), n - k), p, k)
+        t = t * aw_eta(standard_poly(shifted_point(point, n + k), m - k), p, k - n)
         terms.append(t)
     return lhs, terms
 
@@ -355,7 +355,7 @@ def _build_aw(point, n, m):
 def _build_cqh(point, n, m):
     p = point.get("p")
     q = p * p
-    lhs = standard_poly("continuous-q-hermite", point, n + m)
+    lhs = standard_poly(point, n + m)
     terms = []
     qn = _Q(1) / q ** n
     qm = _Q(1) / q ** m
@@ -365,8 +365,8 @@ def _build_cqh(point, n, m):
             -2 * k * k + 2 * k + n * m + k * m + 2 * n * k
         )
         t = Laurent.monomial(-2 * k) * coef
-        t = t * aw_eta(standard_poly("continuous-q-hermite", point, n - k), p, k)
-        t = t * aw_eta(standard_poly("continuous-q-hermite", point, m - k), p, k - n)
+        t = t * aw_eta(standard_poly(point, n - k), p, k)
+        t = t * aw_eta(standard_poly(point, m - k), p, k - n)
         terms.append(t)
     return lhs, terms
 
@@ -416,8 +416,8 @@ def expansion_agreement_gap(identity: str, point: ParamPoint, n: int, m: int):
     """
     e = EXPANSIONS[identity]
     _, terms = e.build(point, n, m)
-    scale = e.lhs_prefactor(n, m) * normalization(e.family, point, n + m)
-    return term_sum(terms) - chain_expansion_rhs(e.family, point, n, m, e.variant) * scale
+    scale = e.lhs_prefactor(n, m) * normalization(point, n + m)
+    return term_sum(terms) - chain_expansion_rhs(point, n, m, e.variant) * scale
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .burchnall import (
 )
 from .functional import adjointness_check
 from .ops import leibniz_check, operator_catalog
-from .sampling import sample_extras, sample_point, sample_rational
+from .sampling import sample_deformation, sample_point, sample_rational
 from .toda import (
     MODIFIED_EXPANSIONS,
     TODA_SOLUTIONS,
@@ -126,10 +126,15 @@ def _random_poly(rng: Random, degree: int, carrier: str) -> object:
     return f
 
 
-def _flow_index(family: str, point, n: int) -> int:
+def _flow_index(point, n: int) -> int:
     """n, kept below the top index of a finite family (the flow at n reads c_(n+1))."""
-    top = TODA_SOLUTIONS[family].max_n(point)
+    top = TODA_SOLUTIONS[point.family].max_n(point)
     return n if top is None else min(n, top - 1)
+
+
+def _deformation_record(point, s) -> dict:
+    """The report's record of a deformation scalar: {name: "num/den"}, or {} for none."""
+    return {} if s is None else {deformation(point.family).scalar.name: rational_str(s)}
 
 
 # Each runner draws its inputs from rng and returns (params, extras,
@@ -143,29 +148,29 @@ def _run_expansion(ident, family, n, m, rng):
 
 def _run_modified(ident, family, n, m, rng):
     point = sample_point(family, rng)
-    extras = sample_extras(rng, point)
-    res = modified_expansion_residual(ident, point, n, extras)
-    return point.as_dict(), _serialized(extras), (res,)
+    s = sample_deformation(rng, point)
+    res = modified_expansion_residual(ident, point, n, s)
+    return point.as_dict(), _deformation_record(point, s), (res,)
 
 
 def _run_toda(ident, family, n, m, rng):
     point = sample_point(family, rng)
-    nn = max(_flow_index(family, point, n), 1)
+    nn = max(_flow_index(point, n), 1)
     res = toda_residuals(TODA_SOLUTIONS[family], nn, point)
     return point.as_dict(), {"n_used": str(nn)}, res
 
 
 def _run_crosscheck(ident, family, n, m, rng):
     point = sample_point(family, rng)
-    extras = sample_extras(rng, point)
-    nn = max(_flow_index(family, point, n), 1)
-    res = toda_from_recurrence_crosscheck(family, point, *extras.values(), nn)
-    return point.as_dict(), {**_serialized(extras), "n_used": str(nn)}, res
+    s = sample_deformation(rng, point)
+    nn = max(_flow_index(point, n), 1)
+    res = toda_from_recurrence_crosscheck(point, s, nn)
+    return point.as_dict(), {**_deformation_record(point, s), "n_used": str(nn)}, res
 
 
 def _run_adjointness(ident, family, n, m, rng):
     point = sample_point(family, rng)
-    _, witness, failures = adjointness_check(family, point, max(n, 1), 6)
+    _, witness, failures = adjointness_check(point, max(n, 1), 6)
     extras = {"rho": repr(witness.rho), "pairs": str(witness.samples)}
     return point.as_dict(), extras, tuple(value for *_, value in failures)
 
@@ -174,14 +179,14 @@ def _run_operational(ident, family, n, m, rng):
     spec = FAMILIES[family]
     point = sample_point(family, rng)
     f = _random_poly(rng, 4, spec.carrier)
-    res = tuple(operational_residual(family, point, n, f, var.name) for var in spec.variants)
+    res = tuple(operational_residual(point, n, f, var.name) for var in spec.variants)
     return point.as_dict(), {}, res
 
 
 def _run_chain_expansion(ident, family, n, m, rng):
     point = sample_point(family, rng)
     res = tuple(
-        chain_expansion_residual(family, point, n, m, var.name) for var in FAMILIES[family].variants
+        chain_expansion_residual(point, n, m, var.name) for var in FAMILIES[family].variants
     )
     return point.as_dict(), {}, res
 
@@ -409,16 +414,18 @@ def cmd_expand(args) -> int:
         raise UsageError(f"{ident} takes no --m")
     if not modified and args.m is None:
         raise UsageError(f"{ident} needs --m")
-    domain = FAMILIES[e.family].domain
-    scalars = (deformation(e.family).scalar,) if modified and e.extras else ()
-    values = _values_from_args(ident, domain + scalars, _parse_params(args.param or []))
-    point = make_point(e.family, **{p.name: values.pop(p.name) for p in domain})
-    if modified:
-        lhs, terms = e.build(point, args.n, values)  # what is left are the deformation scalars
-    else:
-        lhs, terms = e.build(point, args.n, args.m)
+    spec = FAMILIES[e.family]
+    scalars = (spec.deformation.scalar,) if modified and spec.deformation else ()
+    values = _values_from_args(ident, spec.domain + scalars, _parse_params(args.param or []))
+    point = make_point(e.family, **{p.name: values.pop(p.name) for p in spec.domain})
+    s = values.pop(scalars[0].name) if scalars else None
+    lhs, terms = e.build(point, args.n, s if modified else args.m)
     res = lhs - term_sum(terms)
-    print(f"identity: {ident}  point: {point}  n={args.n}" + (f" m={args.m}" if args.m is not None else ""))
+    print(
+        f"identity: {ident}  point: {point}  n={args.n}"
+        + (f" m={args.m}" if args.m is not None else "")
+        + (f" {scalars[0].name}={s}" if scalars else "")
+    )
     print("terms:")
     for line in _term_lines(terms):
         print(line)
@@ -439,7 +446,7 @@ def cmd_toda(args) -> int:
         sol = TODA_SOLUTIONS[family]
         rng = Random(_subseed(args.seed, f"toda/{family}"))
         point = sample_point(family, rng)
-        nmax = _flow_index(family, point, args.max_n)
+        nmax = _flow_index(point, args.max_n)
         print(f"{family} at {point} (variable: {sol.variable.tag})")
         for n in range(1, nmax + 1):
             rc, rb = toda_residuals(sol, n, point)

@@ -95,10 +95,14 @@ _half = scalar(1, 2)
 class ParamPoint:
     """A concrete parameter instantiation; phases are stored as half-tangents.
 
+    The point is the one handle on its family: every function that takes a
+    point reads the family's data from FAMILIES[point.family], and none
+    takes the family tag beside it.
+
     Everything derived from a point is kept on the point, in slots that take
     no part in equality, hashing or repr: its successor under the family
     shift, its admissibility verdict, its raising operator, and one memo of
-    raising chains, standard forms, moment tables and the variants'
+    raising chains, standard forms, moment functionals and the variants'
     operator specs.  So the shifted points of a case are built once, each
     datum is computed once per point, and all of it is freed with the point.
     Two equal points made separately share nothing.  The hash is computed
@@ -237,6 +241,13 @@ class Variant:
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """Every fact about one family, stated once and looked up by its tag.
+
+    The methods that take a point keep what they derive in the point's
+    slots, so the point must be of this family: callers reach the spec as
+    FAMILIES[point.family].
+    """
+
     tag: str
     domain: tuple  # Param entries, in sampling order
     carrier: str  # "poly" | "even" | "laurent"
@@ -253,15 +264,6 @@ class FamilySpec:
     def param_names(self) -> tuple:
         return tuple(p.name for p in self.domain)
 
-    def _own(self, point: ParamPoint) -> None:
-        if point.family != self.tag:
-            raise ValueError(f"{self.tag} was given a {point.family} point")
-
-    def memo(self, point: ParamPoint) -> dict:
-        """The memo of a point of this family."""
-        self._own(point)
-        return point._memo
-
     def shift(self, point: ParamPoint) -> ParamPoint:
         """nu + sigma: the same object on every call, kept on the point.
 
@@ -270,7 +272,6 @@ class FamilySpec:
         """
         nxt = point._next
         if nxt is None:
-            self._own(point)
             nxt = self.shift_rule(point)
             if nxt is not point:
                 object.__setattr__(point, "_next", nxt)
@@ -280,7 +281,6 @@ class FamilySpec:
         """Whether point lies in the domain; the verdict is kept on the point."""
         ok = point._admissible
         if ok is None:
-            self._own(point)
             values = point.as_dict()
             ok = all(p.admits(values[p.name], values) for p in self.domain)
             object.__setattr__(point, "_admissible", ok)
@@ -294,7 +294,6 @@ class FamilySpec:
         """
         op = point._raising
         if op is None:
-            self._own(point)
             op = self.raising(point)
             object.__setattr__(point, "_raising", op)
         return op
@@ -1032,17 +1031,17 @@ def make_point(tag: str, **values) -> ParamPoint:
     return ParamPoint(tag, vals)
 
 
-def raise_chain(tag: str, point: ParamPoint, n: int):
+def raise_chain(point: ParamPoint, n: int):
     """R_nu R_(nu+sigma) ... R_(nu+(n-1)sigma) applied to the constant 1.
 
     The rightmost factor acts first; the order matters because raising
     operators at different parameters do not commute.  Each chain is kept in
     the memo of the point it starts at.
     """
-    spec = FAMILIES[tag]
+    spec = FAMILIES[point.family]
     if spec.raising is None:
-        raise ValueError(f"{tag} has no raising-chain machinery")
-    memo = spec.memo(point)
+        raise ValueError(f"{point.family} has no raising-chain machinery")
+    memo = point._memo
     key = ("chain", n)
     hit = memo.get(key)
     if hit is not None:
@@ -1053,26 +1052,25 @@ def raise_chain(tag: str, point: ParamPoint, n: int):
     if n == 0:
         out = spec.one()
     else:
-        out = spec.raising_operator(point)(raise_chain(tag, spec.shift(point), n - 1))
+        out = spec.raising_operator(point)(raise_chain(spec.shift(point), n - 1))
         if spec.fdegree(out) != n:
-            raise AssertionError(f"{tag} raising chain degree {spec.fdegree(out)} != {n}")
+            raise AssertionError(f"{point.family} raising chain degree {spec.fdegree(out)} != {n}")
     memo[key] = out
     return out
 
 
-def standard_poly(tag: str, point: ParamPoint, n: int):
+def standard_poly(point: ParamPoint, n: int):
     """The standard (basic) hypergeometric form of the degree-n polynomial, kept in the point's memo."""
-    spec = FAMILIES[tag]
-    memo = spec.memo(point)
+    memo = point._memo
     key = ("std", n)
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = spec.standard(point, n)
+        hit = memo[key] = FAMILIES[point.family].standard(point, n)
     return hit
 
 
-def normalization(tag: str, point: ParamPoint, n: int) -> GaussianRational:
-    return FAMILIES[tag].normalization(point, n)
+def normalization(point: ParamPoint, n: int) -> GaussianRational:
+    return FAMILIES[point.family].normalization(point, n)
 
 
 def monic(f) -> object:
@@ -1102,21 +1100,19 @@ def expand_in_basis(element, basis: list) -> list:
     return coeffs
 
 
-def _basis_polys(tag: str, point: ParamPoint, upto: int) -> list:
-    spec = FAMILIES[tag]
-    if spec.raising is not None:
-        return [raise_chain(tag, point, j) for j in range(upto + 1)]
-    return [standard_poly(tag, point, j) for j in range(upto + 1)]
+def _basis_polys(point: ParamPoint, upto: int) -> list:
+    basis = raise_chain if FAMILIES[point.family].raising is not None else standard_poly
+    return [basis(point, j) for j in range(upto + 1)]
 
 
-def recurrence_extract(tag: str, point: ParamPoint, N: int) -> MonicRecurrence:
+def recurrence_extract(point: ParamPoint, N: int) -> MonicRecurrence:
     """Exact b_n, c_n for n <= N from x * monic(p_n) = monic(p_(n+1)) + ...
 
     A residue outside the three expected terms means the family data is wrong
     and raises immediately.
     """
-    spec = FAMILIES[tag]
-    polys = _basis_polys(tag, point, N + 1)
+    spec = FAMILIES[point.family]
+    polys = _basis_polys(point, N + 1)
     ms = [monic(f) for f in polys]
     # the recurrence variable: x^2 on the even carrier, (z + 1/z)/2 on the Laurent one
     xm = SYM_X if spec.carrier == "laurent" else Poly.monomial(2 if spec.carrier == "even" else 1)
@@ -1125,30 +1121,30 @@ def recurrence_extract(tag: str, point: ParamPoint, N: int) -> MonicRecurrence:
         coeffs = expand_in_basis(xm * ms[n], ms[: n + 2])
         for j, cf in enumerate(coeffs[: max(n - 1, 0)]):
             if cf:
-                raise AssertionError(f"{tag}: x p_{n} has a stray p_{j} component")
+                raise AssertionError(f"{point.family}: x p_{n} has a stray p_{j} component")
         if coeffs[n + 1] != GR_ONE:
-            raise AssertionError(f"{tag}: x p_{n} is not monic against p_{n + 1}")
+            raise AssertionError(f"{point.family}: x p_{n} is not monic against p_{n + 1}")
         bs.append(coeffs[n])
         cs.append(coeffs[n - 1] if n >= 1 else GR_ZERO)
     return MonicRecurrence(tuple(bs), tuple(cs))
 
 
-def lowering_constant_check(tag: str, point: ParamPoint, n: int):
+def lowering_constant_check(point: ParamPoint, n: int):
     """L_nu p_n^(nu) must be an exact scalar multiple of p_(n-1)^(nu+sigma).
 
     Returns (scalar, residual); the residual after the best leading-term fit
     must be exactly zero.
     """
-    spec = FAMILIES[tag]
+    spec = FAMILIES[point.family]
     if n < 1:
         raise ValueError("lowering_constant_check needs n >= 1")
-    pn = raise_chain(tag, point, n)
-    target = raise_chain(tag, spec.shift(point), n - 1)
+    pn = raise_chain(point, n)
+    target = raise_chain(spec.shift(point), n - 1)
     lowered = spec.lowering(point)(pn)
     if not lowered:
         return GR_ZERO, target  # degree-0 annihilation would be a failure upstream
     if spec.fdegree(lowered) != n - 1:
-        raise AssertionError(f"{tag}: lowering did not drop the degree by one")
+        raise AssertionError(f"{point.family}: lowering did not drop the degree by one")
     ell = lowered.lead * target.lead.inverse()
     residual = lowered - target * ell
     return ell, residual

@@ -39,8 +39,6 @@ def _dot(a, b) -> int:
 class MomentFunctional:
     """L[x^k] = moments[k], normalized so L[1] = 1."""
 
-    family: str
-    point: ParamPoint | None
     moments: tuple
 
     @property
@@ -71,32 +69,30 @@ class MassRatioWitness:
     samples: int
 
 
-def build_functional(tag: str, point: ParamPoint, order: int) -> MomentFunctional:
+def build_functional(point: ParamPoint, order: int) -> MomentFunctional:
     """Moments of the functional L with L[p_0] = 1 and L[p_j] = 0 for j >= 1.
 
     The basis p_j = raise_chain(j) has degree j, so the conditions form a
     triangular system in the moments, solved in O(order^2) scalar steps.
     L[x^k] is then the p_0-coefficient of x^k in the basis; orthogonality of
-    the basis itself is a separate check (gram_offdiagonal).  The moments are
-    kept in the memo of the point; the functional, which refers to the point,
-    is not, so a point never refers to itself.
+    the basis itself is a separate check (gram_offdiagonal).  The functional
+    is kept in the memo of the point.
     """
-    spec = FAMILIES[tag]
-    if spec.carrier != "poly":
-        raise ValueError(f"moment functionals need the full polynomial ladder; {tag} lacks it")
-    memo = spec.memo(point)
+    if FAMILIES[point.family].carrier != "poly":
+        raise ValueError(f"moment functionals need the full polynomial ladder; {point.family} lacks it")
+    memo = point._memo
     key = ("moments", order)
-    moments = memo.get(key)
-    if moments is None:
+    L = memo.get(key)
+    if L is None:
         moments = []
         for j in range(order + 1):
-            p = raise_chain(tag, point, j)
+            p = raise_chain(point, j)
             acc = GR_ZERO if j else GR_ONE
             for c, mom in zip(p.coeffs[:j], moments):
                 acc = acc - c * mom
             moments.append(acc / p.lead)
-        moments = memo[key] = tuple(moments)
-    return MomentFunctional(tag, point, moments)
+        L = memo[key] = MomentFunctional(tuple(moments))
+    return L
 
 
 def hankel_determinant(L: MomentFunctional, size: int) -> GaussianRational:
@@ -127,19 +123,19 @@ def hankel_determinant(L: MomentFunctional, size: int) -> GaussianRational:
     return det
 
 
-def gram_offdiagonal(tag: str, point: ParamPoint, order: int) -> list:
+def gram_offdiagonal(point: ParamPoint, order: int) -> list:
     """All L[p_n p_m], n != m, n+m <= order; each must vanish exactly."""
-    L = build_functional(tag, point, order)
+    L = build_functional(point, order)
     out = []
     for n in range(order + 1):
         for m in range(n + 1, order - n + 1):
-            pn = raise_chain(tag, point, n)
-            pm = raise_chain(tag, point, m)
+            pn = raise_chain(point, n)
+            pm = raise_chain(point, m)
             out.append((n, m, L.apply(pn * pm)))
     return out
 
 
-def adjointness_check(tag: str, point: ParamPoint, n: int, D: int, variant: str | None = None):
+def adjointness_check(point: ParamPoint, n: int, D: int, variant: str | None = None):
     """Integrated adjointness through normalized moment functionals.
 
     For monomial pairs f = x^i, g = x^j with i + j <= D, compares
@@ -152,13 +148,13 @@ def adjointness_check(tag: str, point: ParamPoint, n: int, D: int, variant: str 
     Returns (ok, witness, failures).  Each failure is (i, j, reason, value),
     where the nonzero value is the stray LHS' or the ratio's drift from rho.
     """
-    spec = FAMILIES[tag]
+    spec = FAMILIES[point.family]
     if spec.adjoint is None:
-        raise ValueError(f"{tag} has no exact adjoint registered")
+        raise ValueError(f"{point.family} has no exact adjoint registered")
     adj = spec.adjoint(point)
     pt_shift = shifted_point(point, n)
-    L_base = build_functional(tag, point, D + n)  # expansion * x^j has degree <= D + n
-    L_shift = build_functional(tag, pt_shift, D)
+    L_base = build_functional(point, D + n)  # expansion * x^j has degree <= D + n
+    L_shift = build_functional(pt_shift, D)
     failures = []
     rho = None
     samples = 0
@@ -169,7 +165,7 @@ def adjointness_check(tag: str, point: ParamPoint, n: int, D: int, variant: str 
             g = adj(g)
         lowered.append(g)
     for i in range(D + 1):
-        expansion = operational_rhs(tag, point, n, Poly.monomial(i), variant)
+        expansion = operational_rhs(point, n, Poly.monomial(i), variant)
         for j in range(D - i + 1):
             lhs = L_base.apply(expansion * Poly.monomial(j))
             g = lowered[j]
@@ -187,25 +183,22 @@ def adjointness_check(tag: str, point: ParamPoint, n: int, D: int, variant: str 
     return (not failures, MassRatioWitness(rho if rho is not None else GR_ZERO, samples), failures)
 
 
-def modified_functional(tag: str, point: ParamPoint, extra, order: int) -> MomentFunctional:
-    """Moment functional of the e^(-xt)-deformed measure.
+def modified_functional(point: ParamPoint, s, order: int) -> MomentFunctional:
+    """Moment functional of the e^(-xt)-deformed measure at deformation scalar s.
 
     The base functional is rebuilt at the image point and composed with the
     image's affine change of variable: L~[x^k] = L'[(alpha x + beta)^k].
     """
-    image, alpha, beta = deformation(tag).image(point, scalar(extra))
-    base = build_functional(tag, image, order)
+    image, alpha, beta = deformation(point.family).image(point, scalar(s))
+    base = build_functional(image, order)
     x = Poly([beta, alpha])
-    return MomentFunctional(tag, image, tuple(base.apply(x ** k) for k in range(order + 1)))
+    return MomentFunctional(tuple(base.apply(x ** k) for k in range(order + 1)))
 
 
-def toda_orthogonality_check(identity: str, point: ParamPoint, n: int, extras) -> list:
+def toda_orthogonality_check(identity: str, point: ParamPoint, n: int, s=None) -> list:
     """The expansion-sum polynomial annihilates x^p, p < n, under the deformed
     functional; returns the list of L~[E_n x^p] values (all exactly zero)."""
-    e = MODIFIED_EXPANSIONS[identity]
-    _, terms = e.build(point, n, extras)
+    _, terms = MODIFIED_EXPANSIONS[identity].build(point, n, s)
     E = term_sum(terms)
-    key = e.extras[0] if e.extras else None
-    extra = extras[key] if key else None
-    L = modified_functional(e.family, point, extra, E.degree + max(n - 1, 0))
+    L = modified_functional(point, s, E.degree + max(n - 1, 0))
     return [L.apply(E * Poly.monomial(p)) for p in range(n)]

@@ -16,7 +16,7 @@ from random import Random
 from .algebra import GaussianRational, scalar
 from .families import FAMILIES, Param, ParamPoint, make_point
 
-__all__ = ["sample_rational", "sample_point", "sample_extras"]
+__all__ = ["sample_rational", "sample_point", "sample_deformation"]
 
 MAX_DEN = 64
 
@@ -58,10 +58,10 @@ def sample_point(tag: str, rng: Random) -> ParamPoint:
     return make_point(tag, **values)
 
 
-def sample_extras(rng: Random, point: ParamPoint) -> dict:
+def sample_deformation(rng: Random, point: ParamPoint) -> GaussianRational | None:
     """The scalar of the family's e^(-xt) deformation, drawn from its domain;
-    {} (and no draw) for a family without a deformation."""
+    None (and no draw) for a family without a deformation."""
     d = FAMILIES[point.family].deformation
     if d is None:
-        return {}
-    return {d.scalar.name: _sample(rng, d.scalar, point.as_dict())}
+        return None
+    return _sample(rng, d.scalar, point.as_dict())

@@ -36,7 +36,6 @@ from .algebra import (
     unit_phase,
 )
 from .families import (
-    FAMILIES,
     ParamPoint,
     MonicRecurrence,
     deformation,
@@ -290,35 +289,28 @@ class ModifiedExpansion:
 
     id: str
     family: str
-    build: Callable  # (point, n, extras) -> (lhs, [terms])
-
-    @property
-    def extras(self) -> tuple:
-        """The scalar names beyond the parameter point: the family's
-        deformation scalar, or none for a family without a deformation."""
-        d = FAMILIES[self.family].deformation
-        return () if d is None else (d.scalar.name,)
+    build: Callable  # (point, n, s) -> (lhs, [terms]); s is the deformation scalar or None
 
 
-def _build_hermite_toda(point, n, extras):
+def _build_hermite_toda(point, n, t):
     # H_n(x + t/2) = sum_k t^k binom(n,k) H_(n-k)(x)
-    t = _Q(extras["t"])
-    lhs = standard_poly("hermite", point, n).compose_affine(1, t / 2)
+    t = _Q(t)
+    lhs = standard_poly(point, n).compose_affine(1, t / 2)
     terms = []
     for k in range(n + 1):
         coef = _Q(binomial(n, k)) * t ** k
-        terms.append(standard_poly("hermite", point, n - k) * coef)
+        terms.append(standard_poly(point, n - k) * coef)
     return lhs, terms
 
 
-def _build_laguerre_toda(point, n, extras):
+def _build_laguerre_toda(point, n, t):
     # L_n^(nu)(x(1+t)) = sum_k ((-t)^k / k!) x^k L_(n-k)^(nu+k)(x)
-    t = _Q(extras["t"])
-    lhs = standard_poly("laguerre", point, n).compose_affine(1 + t, 0)
+    t = _Q(t)
+    lhs = standard_poly(point, n).compose_affine(1 + t, 0)
     terms = []
     for k in range(n + 1):
         coef = (-t) ** k / factorial(k)
-        terms.append(Poly.monomial(k, coef) * standard_poly("laguerre", shifted_point(point, k), n - k))
+        terms.append(Poly.monomial(k, coef) * standard_poly(shifted_point(point, k), n - k))
     return lhs, terms
 
 
@@ -326,11 +318,11 @@ def _modified_meixner_point(point, u):
     return point.replace(c=point.get("c") * _Q(u))
 
 
-def _build_meixner_toda_eta1(point, n, extras):
+def _build_meixner_toda_eta1(point, n, u):
     # M_n(x; beta, cu) = sum_k ((-n)_k (beta+x)_k / (k! (beta)_k)) M_(n-k)(x; beta+k, c) u^-n (1-u)^k
     beta = point.get("beta")
-    u = _Q(extras["u"])
-    lhs = standard_poly("meixner", _modified_meixner_point(point, u), n)
+    u = _Q(u)
+    lhs = standard_poly(_modified_meixner_point(point, u), n)
     un = _Q(1) / u ** n
     terms = []
     for k in range(n + 1):
@@ -338,16 +330,16 @@ def _build_meixner_toda_eta1(point, n, extras):
             pochhammer(beta, k) * factorial(k)
         ).inverse() * (un * (1 - u) ** k)
         terms.append(
-            rising_poch_poly(beta, k) * coef * standard_poly("meixner", shifted_point(point, k), n - k)
+            rising_poch_poly(beta, k) * coef * standard_poly(shifted_point(point, k), n - k)
         )
     return lhs, terms
 
 
-def _build_meixner_toda_etaS(point, n, extras):
+def _build_meixner_toda_etaS(point, n, u):
     # M_n(x; beta, cu) = sum_k ((-n)_k (-x)_k / (k! (beta)_k c^k)) M_(n-k)(x-k; beta+k, c) (1 - 1/u)^k
     beta, c = point.get("beta"), point.get("c")
-    u = _Q(extras["u"])
-    lhs = standard_poly("meixner", _modified_meixner_point(point, u), n)
+    u = _Q(u)
+    lhs = standard_poly(_modified_meixner_point(point, u), n)
     terms = []
     for k in range(n + 1):
         coef = pochhammer(-n, k) * (
@@ -355,45 +347,45 @@ def _build_meixner_toda_etaS(point, n, extras):
         ).inverse() * ((1 - 1 / u) ** k / c ** k)
         terms.append(
             falling_poch_poly(k) * coef
-            * standard_poly("meixner", shifted_point(point, k), n - k).compose_affine(1, -k)
+            * standard_poly(shifted_point(point, k), n - k).compose_affine(1, -k)
         )
     return lhs, terms
 
 
-def _build_charlier_toda_eta1(point, n, extras):
+def _build_charlier_toda_eta1(point, n, u):
     # C_n(x; au) = sum_k ((-n)_k / k!) C_(n-k)(x; a) u^-n (1-u)^k
-    u = _Q(extras["u"])
-    lhs = standard_poly("charlier", point.replace(a=point.get("a") * u), n)
+    u = _Q(u)
+    lhs = standard_poly(point.replace(a=point.get("a") * u), n)
     un = _Q(1) / u ** n
     terms = []
     for k in range(n + 1):
         coef = pochhammer(-n, k) * _Q(1, factorial(k)) * (un * (1 - u) ** k)
-        terms.append(standard_poly("charlier", point, n - k) * coef)
+        terms.append(standard_poly(point, n - k) * coef)
     return lhs, terms
 
 
-def _build_charlier_toda_etaS(point, n, extras):
+def _build_charlier_toda_etaS(point, n, u):
     # C_n(x; au) = sum_k ((-n)_k (-x)_k / k!) C_(n-k)(x-k; a) a^-k (1 - 1/u)^k
     a = point.get("a")
-    u = _Q(extras["u"])
-    lhs = standard_poly("charlier", point.replace(a=a * u), n)
+    u = _Q(u)
+    lhs = standard_poly(point.replace(a=a * u), n)
     terms = []
     for k in range(n + 1):
         coef = pochhammer(-n, k) * _Q(1, factorial(k)) * ((1 - 1 / u) ** k / a ** k)
         terms.append(
             falling_poch_poly(k) * coef
-            * standard_poly("charlier", point, n - k).compose_affine(1, -k)
+            * standard_poly(point, n - k).compose_affine(1, -k)
         )
     return lhs, terms
 
 
-def _build_mp_toda(point, n, extras):
+def _build_mp_toda(point, n, r):
     # P_n^(lam)(x; phi - t/2) = sum_k (i^k e^(-ik phi) / k!) (lam + ix)_k
     #     P_(n-k)^(lam+k/2)(x - ki/2; phi) (2 sin(t/2))^k e^(-i t (n-k)/2),
     # with r = tan(t/4) carrying the deformation exactly.
     lam = point.get("lam")
     s = point.get("phi")
-    r = _Q(extras["r"])
+    r = _Q(r)
     u_phi = unit_phase(s)
     half_t = unit_phase(r)             # e^(i t/2)
     e_neg_half_t = half_t.conjugate()  # e^(-i t/2)
@@ -406,18 +398,18 @@ def _build_mp_toda(point, n, extras):
         coef = coef * _Q(two_sin ** k) * e_neg_half_t ** (n - k)
         terms.append(
             rising_poch_poly(lam, k, GR_I) * coef
-            * standard_poly("meixner-pollaczek", shifted_point(point, k), n - k).compose_affine(
+            * standard_poly(shifted_point(point, k), n - k).compose_affine(
                 1, GR_HALF_I * (-k)
             )
         )
     return lhs, terms
 
 
-def _build_bqj_to_bql(point, n, extras):
+def _build_bqj_to_bql(point, n, s):
     # sum_k ((q^-n, x; q)_k / (q, aq, cq; q)_k) (-abq^n)^k q^(k(k+3)/2)
     #     P_(n-k)(x q^k; a q^k, 0, c q^k; q)  =  P_n(x; a, b, c; q)
     a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
-    lhs = standard_poly("big-q-jacobi", point, n)
+    lhs = standard_poly(point, n)
     qn = _Q(1) / q ** n
     terms = []
     for k in range(n + 1):
@@ -430,7 +422,7 @@ def _build_bqj_to_bql(point, n, extras):
     return lhs, terms
 
 
-def _build_bql_inverse(point, n, extras):
+def _build_bql_inverse(point, n, s):
     # sum_k ((q^-n, x; q)_k / (q, aq, cq; q)_k) (ab)^k q^(k(k+n+1))
     #     P_(n-k)(x q^k; a q^k, b q^k, c q^k; q)  =  P_n(x; a, 0, c; q)
     a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
@@ -442,12 +434,12 @@ def _build_bql_inverse(point, n, extras):
             q_pochhammer(q, q, k) * q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k)
         ).inverse() * ((a * b) ** k * q ** (k * (k + n + 1)))
         t = q_poch_poly(1, q, k) * coef
-        t = t * standard_poly("big-q-jacobi", shifted_point(point, k), n - k).compose_affine(q ** k, 0)
+        t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(q ** k, 0)
         terms.append(t)
     return lhs, terms
 
 
-def _build_bql_second(point, n, extras):
+def _build_bql_second(point, n, s):
     # sum_k ((q^-n, xb/c; q)_k / (q, aq, cq; q)_k) (ac)^k q^(k(k+n+1))
     #     P_(n-k)(x q^k; a q^k, b q^k, c q^k; q)
     #   = (c/b)^n ((bq, abq/c; q)_n / (aq, cq; q)_n) P_n(x b/c; b, 0, ab/c; q)
@@ -463,7 +455,7 @@ def _build_bql_second(point, n, extras):
             q_pochhammer(q, q, k) * q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k)
         ).inverse() * ((a * c) ** k * q ** (k * (k + n + 1)))
         t = q_poch_poly(b / c, q, k) * coef
-        t = t * standard_poly("big-q-jacobi", shifted_point(point, k), n - k).compose_affine(q ** k, 0)
+        t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(q ** k, 0)
         terms.append(t)
     return lhs, terms
 
@@ -487,9 +479,9 @@ _reg(ModifiedExpansion("bigqlaguerre-inverse", "big-q-jacobi", _build_bql_invers
 _reg(ModifiedExpansion("bigqlaguerre-second", "big-q-jacobi", _build_bql_second))
 
 
-def modified_expansion_residual(identity: str, point: ParamPoint, n: int, extras=None):
-    e = MODIFIED_EXPANSIONS[identity]
-    lhs, terms = e.build(point, n, extras or {})
+def modified_expansion_residual(identity: str, point: ParamPoint, n: int, s=None):
+    """LHS minus the k-sum at deformation scalar s (None for a family without one)."""
+    lhs, terms = MODIFIED_EXPANSIONS[identity].build(point, n, s)
     return lhs - term_sum(terms)
 
 
@@ -497,29 +489,29 @@ def modified_expansion_residual(identity: str, point: ParamPoint, n: int, extras
 # recurrence crosscheck
 # ---------------------------------------------------------------------------
 
-def modified_recurrence(tag: str, point: ParamPoint, extra, N: int) -> MonicRecurrence:
-    """Monic recurrence of the orthogonal family for the e^(-xt)-deformed weight.
+def modified_recurrence(point: ParamPoint, s, N: int) -> MonicRecurrence:
+    """Monic recurrence of the orthogonal family for the e^(-xt)-deformed weight at scalar s.
 
     The recurrence is extracted at the deformation's image point; the image's
     affine change of variable x -> alpha x + beta then maps (b, c) to
     (alpha b + beta, alpha^2 c).
     """
-    image, alpha, beta = deformation(tag).image(point, _Q(extra))
-    rec = recurrence_extract(tag, image, N)
+    image, alpha, beta = deformation(point.family).image(point, _Q(s))
+    rec = recurrence_extract(image, N)
     return MonicRecurrence(
         tuple(b * alpha + beta for b in rec.b), tuple(c * (alpha * alpha) for c in rec.c)
     )
 
 
-def toda_from_recurrence_crosscheck(tag: str, point: ParamPoint, extra, n: int):
+def toda_from_recurrence_crosscheck(point: ParamPoint, s, n: int):
     """Recurrence extraction at the deformed point vs. the closed-form solution.
 
-    The deformation scalar is the one the family's deformation names (t,
+    The deformation scalar s is the one the family's deformation names (t,
     u = e^(-t) or r = tan(t/4)); the closed form is evaluated at the flow
     variable read off the image.  Returns the pair of differences (b-route
     gap, c-route gap), both exactly zero.
     """
-    rec = modified_recurrence(tag, point, extra, n)
-    sol = TODA_SOLUTIONS[tag]
-    v = deformation(tag).flow_variable(point, _Q(extra))
+    rec = modified_recurrence(point, s, n)
+    sol = TODA_SOLUTIONS[point.family]
+    v = deformation(point.family).flow_variable(point, _Q(s))
     return rec.b[n] - sol.b(n, point)(v), rec.c[n] - sol.c(n, point)(v)

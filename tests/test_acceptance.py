@@ -19,10 +19,10 @@ from askeykit.burchnall import (
     zassenhaus_series_residual,
 )
 from askeykit.cli import SuiteConfig, render_report, run_verify
-from askeykit.families import FAMILIES, deformation
+from askeykit.families import FAMILIES
 from askeykit.functional import adjointness_check
 from askeykit.ops import leibniz_check, operator_catalog
-from askeykit.sampling import sample_extras, sample_point, sample_rational
+from askeykit.sampling import sample_deformation, sample_point, sample_rational
 from askeykit.toda import (
     MODIFIED_EXPANSIONS,
     TODA_SOLUTIONS,
@@ -83,11 +83,11 @@ def test_criterion_2_generic_engine_agreement():
             f = chebyshev_lift(f)
         for var in spec.variants:
             for n in range(7):
-                if operational_residual(tag, pt, n, f, var.name):
+                if operational_residual(pt, n, f, var.name):
                     failures.append(("operational", tag, var.name, n))
             for n in range(7):
                 for m in range(3):
-                    if chain_expansion_residual(tag, pt, n, m, var.name):
+                    if chain_expansion_residual(pt, n, m, var.name):
                         failures.append(("chain-expansion", tag, var.name, n, m))
     for ident, e in sorted(EXPANSIONS.items()):
         pt = sample_point(e.family, rng)
@@ -139,12 +139,11 @@ def test_criterion_4_toda():
     for tag in sorted(TODA_SOLUTIONS):
         for _ in range(5):
             pt = sample_point(tag, rng)
-            name = deformation(tag).scalar.name
-            extra = sample_extras(rng, pt)[name]
+            extra = sample_deformation(rng, pt)
             top = TODA_SOLUTIONS[tag].max_n(pt)
             nmax = 6 if top is None else min(6, top - 1)
             for n in range(1, nmax + 1):
-                bg, cg = toda_from_recurrence_crosscheck(tag, pt, extra, n)
+                bg, cg = toda_from_recurrence_crosscheck(pt, extra, n)
                 if bg or cg:
                     failures.append(("crosscheck", tag, n))
     _report("criterion 4: six lattice flows + recurrence crosscheck", not failures, str(failures[:3]) if failures else "")
@@ -158,9 +157,9 @@ def test_criterion_5_modified_expansions():
         rng = Random(5_000_005)
         for _ in range(POINTS_PER_IDENTITY):
             pt = sample_point(e.family, rng)
-            extras = sample_extras(rng, pt)
+            s = sample_deformation(rng, pt)
             for n in range(bound + 1):
-                if modified_expansion_residual(ident, pt, n, extras):
+                if modified_expansion_residual(ident, pt, n, s):
                     failures.append((ident, n))
     _report("criterion 5: ten modified-weight expansions residual-zero", not failures, str(failures[:3]) if failures else "")
 
@@ -174,7 +173,7 @@ def test_criterion_6_adjointness():
     for tag in fams:
         pt = sample_point(tag, rng)
         for n in (1, 2, 3):
-            ok, witness, fails = adjointness_check(tag, pt, n, 6)
+            ok, witness, fails = adjointness_check(pt, n, 6)
             if not ok:
                 failures.append((tag, n, fails[:1]))
             if tag == "laguerre" and witness.rho != pochhammer(pt.get("nu") + 1, n):

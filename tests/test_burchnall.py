@@ -40,8 +40,8 @@ def _rand_f(rng, tag):
 def test_operational_hermite_example():
     pt = make_point("hermite")
     # (d/dx - 2x) x = 1 - 2x^2 = p_1 * x + p_0 * 1
-    assert not operational_residual("hermite", pt, 1, x)
-    assert not operational_residual("hermite", pt, 0, x ** 2 + 3)
+    assert not operational_residual(pt, 1, x)
+    assert not operational_residual(pt, 0, x ** 2 + 3)
 
 
 def test_operational_all_variants():
@@ -55,7 +55,7 @@ def test_operational_all_variants():
             f = _rand_f(rng, tag)
             for var in spec.variants:
                 for n in range(0, 7):
-                    assert not operational_residual(tag, pt, n, f, var.name), (tag, var.name, n)
+                    assert not operational_residual(pt, n, f, var.name), (tag, var.name, n)
 
 
 def test_chain_expansion_all_variants():
@@ -67,7 +67,7 @@ def test_chain_expansion_all_variants():
         for var in spec.variants:
             for n in range(0, 4):
                 for m in range(0, 3):
-                    assert not chain_expansion_residual(tag, pt, n, m, var.name), (tag, var.name, n, m)
+                    assert not chain_expansion_residual(pt, n, m, var.name), (tag, var.name, n, m)
 
 
 def test_hermite_expansion_small():

@@ -116,8 +116,11 @@ def test_expand_modified_identity(capsys):
         "expand", "charlier-toda-eta1", "--n", "2",
         "--param", "a=3", "--param", "u=1/2",
     ])
+    out = capsys.readouterr().out
     assert rc == 0
-    assert "residual: 0" in capsys.readouterr().out
+    assert "residual: 0" in out
+    # the header names the deformation scalar, so the instance can be rerun from it
+    assert out.splitlines()[0] == "identity: charlier-toda-eta1  point: charlier(a=3)  n=2 u=1/2"
 
 
 def test_toda_command(capsys):
@@ -182,8 +185,8 @@ def test_failing_adjointness_names_its_residual(tmp_path, monkeypatch):
 
     real = cli.adjointness_check
 
-    def drifting(tag, point, n, D):
-        _, witness, _ = real(tag, point, n, D)
+    def drifting(point, n, D):
+        _, witness, _ = real(point, n, D)
         return False, witness, [(0, 1, "mass ratio drifted", scalar(5, 3))]
 
     monkeypatch.setattr(cli, "adjointness_check", drifting)

@@ -61,11 +61,11 @@ CHAIN_FAMILIES = [t for t, s in FAMILIES.items() if s.raising is not None]
 
 
 def test_chain_first_steps():
-    assert raise_chain("hermite", make_point("hermite"), 1) == Poly([0, -2])
+    assert raise_chain(make_point("hermite"), 1) == Poly([0, -2])
     pt = make_point("laguerre", nu=Q(1, 2))
-    assert raise_chain("laguerre", pt, 1) == Poly([Q(3, 2), -1])
+    assert raise_chain(pt, 1) == Poly([Q(3, 2), -1])
     pt = make_point("charlier", a=Q(3))
-    assert raise_chain("charlier", pt, 1) == Poly([1, Q(-1, 3)])
+    assert raise_chain(pt, 1) == Poly([1, Q(-1, 3)])
 
 
 def test_standard_examples():
@@ -79,9 +79,9 @@ def test_standard_examples():
 def test_inadmissible_points_raise():
     pt = make_point("laguerre", nu=Q(-3, 2))
     with pytest.raises(ValueError):
-        raise_chain("laguerre", pt, 1)
+        raise_chain(pt, 1)
     with pytest.raises(ValueError):
-        raise_chain("krawtchouk", make_point("krawtchouk", p=Q(1, 2), N=4), 1)
+        raise_chain(make_point("krawtchouk", p=Q(1, 2), N=4), 1)
 
 
 def test_normalization_identity_random_points():
@@ -92,9 +92,7 @@ def test_normalization_identity_random_points():
         for _ in range(10):
             pt = sample_point(tag, rng)
             for n in range(upto + 1):
-                assert standard_poly(tag, pt, n) == raise_chain(tag, pt, n) * normalization(
-                    tag, pt, n
-                ), (tag, pt, n)
+                assert standard_poly(pt, n) == raise_chain(pt, n) * normalization(pt, n), (tag, pt, n)
 
 
 def test_chain_degree_growth():
@@ -103,7 +101,7 @@ def test_chain_degree_growth():
         spec = FAMILIES[tag]
         pt = sample_point(tag, rng)
         for n in range(5):
-            assert spec.fdegree(raise_chain(tag, pt, n)) == n
+            assert spec.fdegree(raise_chain(pt, n)) == n
 
 
 def test_adjoint_annihilation():
@@ -124,71 +122,122 @@ def test_adjoint_annihilation():
 
 
 def test_recurrence_examples():
-    rec = recurrence_extract("hermite", make_point("hermite"), 5)
+    rec = recurrence_extract(make_point("hermite"), 5)
     assert all(not b for b in rec.b)
     assert rec.c[3] == GaussianRational(Q(3, 2))
-    rec = recurrence_extract("laguerre", make_point("laguerre", nu=Q(1, 2)), 3)
+    rec = recurrence_extract(make_point("laguerre", nu=Q(1, 2)), 3)
     assert rec.b[0] == GaussianRational(Q(3, 2))
-    rec = recurrence_extract("charlier", make_point("charlier", a=Q(2)), 3)
+    rec = recurrence_extract(make_point("charlier", a=Q(2)), 3)
     assert rec.c[1] == GaussianRational(2)
 
 
+def _assert_recurrence(pt, b, c, N=8):
+    """recurrence_extract at pt against closed forms n -> b_n, c_n for n <= N."""
+    rec = recurrence_extract(pt, N)
+    for n in range(N + 1):
+        assert rec.b[n] == b(n), (pt, n)
+        if n:
+            assert rec.c[n] == c(n), (pt, n)
+
+
+def _big_q_jacobi_recurrence(a, b, c, q):
+    def A(n):
+        num = (1 - a * q ** (n + 1)) * (1 - a * b * q ** (n + 1)) * (1 - c * q ** (n + 1))
+        return num / ((1 - a * b * q ** (2 * n + 1)) * (1 - a * b * q ** (2 * n + 2)))
+
+    def C(n):
+        num = -a * c * q ** (n + 1) * (1 - q ** n) * (1 - b * q ** n) * (1 - a * b * q ** n / c)
+        return num / ((1 - a * b * q ** (2 * n)) * (1 - a * b * q ** (2 * n + 1)))
+
+    return (lambda n: 1 - A(n) - C(n)), (lambda n: A(n - 1) * C(n))
+
+
 def test_recurrence_against_closed_forms():
-    # the monic b_n and c_n of Koekoek, Lesky and Swarttouw, n <= 8
-    rec = recurrence_extract("hermite", make_point("hermite"), 8)
-    for n in range(9):
-        assert rec.b[n] == 0
-        if n:
-            assert rec.c[n] == Q(n, 2)
+    # the monic b_n and c_n of Koekoek, Lesky and Swarttouw, n <= 8, for all
+    # twelve families (Krawtchouk at N = 9)
+    _assert_recurrence(make_point("hermite"), lambda n: 0, lambda n: Q(n, 2))
     nu = Q(2, 3)
-    rec = recurrence_extract("laguerre", make_point("laguerre", nu=nu), 8)
-    for n in range(9):
-        assert rec.b[n] == 2 * n + nu + 1
-        if n:
-            assert rec.c[n] == n * (n + nu)
+    _assert_recurrence(make_point("laguerre", nu=nu), lambda n: 2 * n + nu + 1, lambda n: n * (n + nu))
     a = Q(3, 4)
-    rec = recurrence_extract("charlier", make_point("charlier", a=a), 8)
-    for n in range(9):
-        assert rec.b[n] == n + a
-        if n:
-            assert rec.c[n] == n * a
+    _assert_recurrence(make_point("charlier", a=a), lambda n: n + a, lambda n: n * a)
     al, be = Q(1, 2), Q(-1, 3)
-    rec = recurrence_extract("jacobi", make_point("jacobi", alpha=al, beta=be), 8)
-    for n in range(9):
+
+    def jacobi_b(n):
         s = 2 * n + al + be
-        if n:
-            assert rec.b[n] == (be ** 2 - al ** 2) / (s * (s + 2))
-            assert rec.c[n] == 4 * n * (n + al) * (n + be) * (n + al + be) / (s ** 2 * (s + 1) * (s - 1))
-        else:
-            assert rec.b[n] == (be - al) / (al + be + 2)
+        return (be ** 2 - al ** 2) / (s * (s + 2)) if n else (be - al) / (al + be + 2)
+
+    def jacobi_c(n):
+        s = 2 * n + al + be
+        return 4 * n * (n + al) * (n + be) * (n + al + be) / (s ** 2 * (s + 1) * (s - 1))
+
+    _assert_recurrence(make_point("jacobi", alpha=al, beta=be), jacobi_b, jacobi_c)
     b, c = Q(5, 2), Q(1, 3)
-    rec = recurrence_extract("meixner", make_point("meixner", beta=b, c=c), 4)
-    for n in range(5):
-        assert rec.b[n] == GaussianRational((n + (n + b) * c) / (1 - c))
-        if n:
-            assert rec.c[n] == GaussianRational(n * (n + b - 1) * c / (1 - c) ** 2)
-    p, N = Q(1, 3), 6
-    rec = recurrence_extract("krawtchouk", make_point("krawtchouk", p=p, N=N), 5)
-    for n in range(6):
-        assert rec.b[n] == GaussianRational(p * (N - n) + n * (1 - p))
-        if n:
-            assert rec.c[n] == GaussianRational(n * p * (1 - p) * (N + 1 - n))
+    _assert_recurrence(
+        make_point("meixner", beta=b, c=c),
+        lambda n: (n + (n + b) * c) / (1 - c),
+        lambda n: n * (n + b - 1) * c / (1 - c) ** 2,
+    )
+    p, N = Q(1, 3), 9
+    _assert_recurrence(
+        make_point("krawtchouk", p=p, N=N),
+        lambda n: p * (N - n) + n * (1 - p),
+        lambda n: n * p * (1 - p) * (N + 1 - n),
+    )
     lam, s = Q(4, 3), Q(2, 5)
     u = unit_phase(s)
     cos, sin = scalar(u.r, u.d), scalar(u.i, u.d)
-    rec = recurrence_extract(
-        "meixner-pollaczek", make_point("meixner-pollaczek", lam=lam, phi=s), 3
+    _assert_recurrence(
+        make_point("meixner-pollaczek", lam=lam, phi=s),
+        lambda n: -(n + lam) * cos / sin,
+        lambda n: n * (n + 2 * lam - 1) / (4 * sin ** 2),
     )
-    n = 2
-    assert rec.b[n] == GaussianRational(-(n + lam) * cos / sin)
-    assert rec.c[n] == GaussianRational(n * (n + 2 * lam - 1) / (4 * sin ** 2))
+    p = Q(2, 3)
+    q = p * p
+    _assert_recurrence(make_point("continuous-q-hermite", p=p), lambda n: 0, lambda n: (1 - q ** n) / 4)
+    q, a, b, c = Q(1, 2), Q(1, 3), Q(1, 4), Q(-2, 3)
+    _assert_recurrence(make_point("big-q-jacobi", q=q, a=a, b=b, c=c), *_big_q_jacobi_recurrence(a, b, c, q))
+    _assert_recurrence(make_point("big-q-laguerre", q=q, a=a, c=c), *_big_q_jacobi_recurrence(a, 0, c, q))
+    # Wilson in the variable x^2
+    a, b, c, d = Q(1, 2), Q(1, 3), Q(1, 5), Q(3, 4)
+    s = a + b + c + d
+
+    def wilson_A(n):
+        return (n + s - 1) * (n + a + b) * (n + a + c) * (n + a + d) / ((2 * n + s - 1) * (2 * n + s))
+
+    def wilson_C(n):
+        return n * (n + b + c - 1) * (n + b + d - 1) * (n + c + d - 1) / ((2 * n + s - 2) * (2 * n + s - 1))
+
+    _assert_recurrence(
+        make_point("wilson", a=a, b=b, c=c, d=d),
+        lambda n: wilson_A(n) + wilson_C(n) - a * a,
+        lambda n: wilson_A(n - 1) * wilson_C(n),
+    )
+    # Askey-Wilson in the variable x = (z + 1/z)/2
+    a, b, c, d, p = Q(1, 3), Q(1, 5), Q(-1, 7), Q(1, 11), Q(2, 3)
+    q, abcd = p * p, a * b * c * d
+
+    def aw_A(n):
+        qn, q1 = q ** n, q ** n / q  # q^n, q^(n-1)
+        num = (1 - a * b * qn) * (1 - a * c * qn) * (1 - a * d * qn) * (1 - abcd * q1)
+        return num / (a * (1 - abcd * qn * q1) * (1 - abcd * qn * qn))
+
+    def aw_C(n):
+        qn, q1 = q ** n, q ** n / q
+        num = a * (1 - qn) * (1 - b * c * q1) * (1 - b * d * q1) * (1 - c * d * q1)
+        return num / ((1 - abcd * q1 * q1) * (1 - abcd * qn * q1))
+
+    _assert_recurrence(
+        make_point("askey-wilson", a=a, b=b, c=c, d=d, p=p),
+        lambda n: (a + 1 / a - aw_A(n) - aw_C(n)) / 2,
+        lambda n: aw_A(n - 1) * aw_C(n) / 4,
+    )
 
 
 def test_recurrence_c_nonzero():
     rng = Random(5)
     for tag in CHAIN_FAMILIES:
         pt = sample_point(tag, rng)
-        rec = recurrence_extract(tag, pt, 4)
+        rec = recurrence_extract(pt, 4)
         for n in range(1, 5):
             assert rec.c[n], (tag, n)
 
@@ -196,7 +245,7 @@ def test_recurrence_c_nonzero():
 def test_lowering_constant_hermite():
     pt = make_point("hermite")
     for n in (1, 2, 5):
-        ell, res = lowering_constant_check("hermite", pt, n)
+        ell, res = lowering_constant_check(pt, n)
         assert not res
         assert ell == GaussianRational(-2 * n)
 
@@ -206,7 +255,7 @@ def test_lowering_constant_all_families():
     for tag in CHAIN_FAMILIES:
         pt = sample_point(tag, rng)
         for n in range(1, 5):
-            ell, res = lowering_constant_check(tag, pt, n)
+            ell, res = lowering_constant_check(pt, n)
             assert not res, (tag, n)
             assert ell, (tag, n)
 
@@ -244,7 +293,7 @@ def test_jacobi_derivative_relation():
 
 def test_charlier_recurrence_crossref():
     # c_1 = a, matching the flow solution at t = 0 (u = 1)
-    rec = recurrence_extract("charlier", make_point("charlier", a=Q(7, 4)), 2)
+    rec = recurrence_extract(make_point("charlier", a=Q(7, 4)), 2)
     assert rec.c[1] == GaussianRational(Q(7, 4))
 
 
@@ -276,7 +325,7 @@ def test_cold_chain_checks_each_point_once(monkeypatch):
     for tag in CHAIN_FAMILIES:
         pt = sample_point(tag, rng)  # a new point: nothing is kept on it yet
         calls[0] = 0
-        raise_chain(tag, pt, n)
+        raise_chain(pt, n)
         assert calls[0] == n + 1, (tag, calls[0])
 
 
@@ -642,11 +691,11 @@ def test_engine_makes_no_fractions(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     n = 4
     for tag, pt in points.items():
-        raise_chain(tag, pt, n)
+        raise_chain(pt, n)
         for var in FAMILIES[tag].variants:
-            operational_rhs(tag, pt, n, inputs[tag], var.name)
+            operational_rhs(pt, n, inputs[tag], var.name)
         if FAMILIES[tag].carrier == "poly":
-            build_functional(tag, pt, 2 * n)
+            build_functional(pt, 2 * n)
     monkeypatch.undo()
     assert made == []
     assert Fraction(2, 4) == Q(1, 2)  # the constructor is restored
@@ -693,23 +742,16 @@ def test_one_case_builds_each_point_datum_once(monkeypatch):
         f = Poly([Q(1, 2), 0, -3, 0, 1])  # even, so it lies in every carrier
         f = chebyshev_lift(f) if spec.carrier == "laurent" else f
         admits[0] = 0
-        raise_chain(tag, pt, n)
+        raise_chain(pt, n)
         for var in spec.variants:
-            operational_rhs(tag, pt, n, f, var.name)
-        apply_chain(tag, pt, n, f)
+            operational_rhs(pt, n, f, var.name)
+        apply_chain(pt, n, f)
         lattice = {}  # id -> first k; an identity shift gives one point
         for k in range(n + 1):
             lattice.setdefault(id(shifted_point(pt, k)), k)
         assert Counter(map(id, built)) == Counter({i: 1 for i, k in lattice.items() if k < n}), tag
         assert admits[0] == len(lattice) * len(spec.domain), (tag, admits[0])
     monkeypatch.undo()
-
-
-def test_memoized_functions_refuse_another_family_point():
-    pt = make_point("laguerre", nu=Q(1, 2))
-    for fn in (raise_chain, standard_poly, build_functional):
-        with pytest.raises(ValueError, match="laguerre point"):
-            fn("jacobi", pt, 2)
 
 
 def test_pochhammer_polys_match_the_naive_products():

@@ -16,6 +16,7 @@ GOLDEN_SHA256 = "c3ac0579e8b01f92774ad7335f1c8782943d6be937328aa9ba1252b98235a55
 DEEP_SHA256 = "dc78c3c28256ea06edaee492f2c250bf9e9cfd2641e86b61a69aa525db222064"
 SUITE_SHA256 = "e4b745fef702a505882d9df1195db9eae43c4e3805fc0e46f7d9271fe657ca2c"
 AW_DEEP_SHA256 = "bc3e9a20c88ed31513869311e84e891ed816d7d51e6602bad99bca848339209c"
+HELD_OUT_SHA256 = "e63ede03d7ef07f1335f6904b5e815daef2ca06390503ac5811fb67c6570106d"
 
 
 def test_golden_report_bytes():
@@ -46,6 +47,15 @@ def test_suite_report_bytes():
     assert report["totals"]["cases"] == 1091
     text = render_report(report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == SUITE_SHA256
+
+
+def test_held_out_suite_report_bytes():
+    # `verify --seed 2718 --max-n 5 --max-m 5`: the degree-5 suite at a seed
+    # that no other pin samples
+    report = run_verify(SuiteConfig(seed=2718, max_n=5, max_m=5))
+    assert report["totals"] == {"cases": 1091, "passed": 1091, "failed": 0}
+    text = render_report(report, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == HELD_OUT_SHA256
 
 
 def test_aw_deep_report_bytes():

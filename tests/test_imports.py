@@ -1,13 +1,18 @@
-"""Static guard: every global name a module reads is bound once it is imported.
+"""Static guards on the package's modules.
 
-A name used inside a function but never imported only fails when that function
-runs, so a missing import can hide behind the cases that reach it.  This walks
-each module's symbol tables (stdlib `symtable`, no linter needed) and checks
-every referenced global against the imported module's namespace and builtins.
+* Every global name a module reads is bound once it is imported.  A name used
+  inside a function but never imported only fails when that function runs, so
+  a missing import can hide behind the cases that reach it.  This walks each
+  module's symbol tables (stdlib `symtable`, no linter needed) and checks
+  every referenced global against the imported module's namespace and
+  builtins.
+* No public function takes a family tag beside a parameter point: the point
+  names its family.
 """
 
 import builtins
 import importlib
+import inspect
 import pkgutil
 import symtable
 
@@ -46,3 +51,16 @@ def _unbound_globals(module):
 def test_referenced_globals_are_bound(name):
     module = importlib.import_module(name)
     assert _unbound_globals(module) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_a_point_is_not_given_its_family_twice(name):
+    module = importlib.import_module(name)
+    doubled = []
+    for public in getattr(module, "__all__", ()):
+        fn = getattr(module, public)
+        if inspect.isfunction(fn):
+            params = inspect.signature(fn).parameters
+            if "point" in params and ({"tag", "family"} & set(params)):
+                doubled.append(public)
+    assert doubled == []

@@ -7,7 +7,7 @@ import pytest
 from askeykit.algebra import GaussianRational, Poly, scalar
 from askeykit.families import FAMILIES, deformation, make_point
 from askeykit.functional import modified_functional
-from askeykit.sampling import sample_extras, sample_point
+from askeykit.sampling import sample_deformation, sample_point
 from askeykit.toda import (
     MODIFIED_EXPANSIONS,
     TODA_SOLUTIONS,
@@ -75,22 +75,22 @@ def test_flow_index_bounds():
 
 def test_hermite_toda_example():
     pt = make_point("hermite")
-    lhs, terms = MODIFIED_EXPANSIONS["hermite-toda"].build(pt, 1, {"t": Q(1)})
+    lhs, terms = MODIFIED_EXPANSIONS["hermite-toda"].build(pt, 1, Q(1))
     assert lhs == Poly([1, 2])  # H_1(x + 1/2) = 2x + 1
-    assert not modified_expansion_residual("hermite-toda", pt, 1, {"t": Q(1)})
+    assert not modified_expansion_residual("hermite-toda", pt, 1, Q(1))
 
 
 def test_laguerre_toda_example():
     pt = make_point("laguerre", nu=Q(0))
-    lhs, terms = MODIFIED_EXPANSIONS["laguerre-toda"].build(pt, 1, {"t": Q(2)})
+    lhs, terms = MODIFIED_EXPANSIONS["laguerre-toda"].build(pt, 1, Q(2))
     assert lhs == Poly([1, -3])  # L_1(3x) = 1 - 3x
     assert terms[0] == Poly([1, -1]) and terms[1] == Poly([0, -2])
-    assert not modified_expansion_residual("laguerre-toda", pt, 1, {"t": Q(2)})
+    assert not modified_expansion_residual("laguerre-toda", pt, 1, Q(2))
 
 
 def test_bql_inverse_collapses_at_n1():
     pt = make_point("big-q-jacobi", a=Q(1, 3), b=Q(1, 4), c=Q(-2, 3), q=Q(1, 2))
-    assert not modified_expansion_residual("bigqlaguerre-inverse", pt, 1, {})
+    assert not modified_expansion_residual("bigqlaguerre-inverse", pt, 1)
 
 
 def test_all_modified_expansions_sampled():
@@ -98,9 +98,9 @@ def test_all_modified_expansions_sampled():
     for ident, e in MODIFIED_EXPANSIONS.items():
         for _ in range(3):
             pt = sample_point(e.family, rng)
-            extras = sample_extras(rng, pt)
+            s = sample_deformation(rng, pt)
             for n in range(0, 5):
-                assert not modified_expansion_residual(ident, pt, n, extras), (ident, n)
+                assert not modified_expansion_residual(ident, pt, n, s), (ident, n)
 
 
 def test_boundary_coherence():
@@ -108,11 +108,11 @@ def test_boundary_coherence():
     rng = Random(1010)
     neutral = {"t": Q(0), "u": Q(1), "r": Q(0)}
     for ident, e in MODIFIED_EXPANSIONS.items():
-        if not e.extras:
+        d = FAMILIES[e.family].deformation
+        if d is None:
             continue
         pt = sample_point(e.family, rng)
-        extras = {k: neutral[k] for k in e.extras}
-        lhs, terms = e.build(pt, 3, extras)
+        lhs, terms = e.build(pt, 3, neutral[d.scalar.name])
         live = [t for t in terms if t]
         assert len(live) == 1 and live[0] == lhs, ident
 
@@ -121,24 +121,22 @@ def test_bqj_to_bql_boundary():
     # b -> 0 degenerates the expansion to the tautology P_n = P_n
     pt = make_point("big-q-jacobi", a=Q(1, 3), b=Q(1, 64), c=Q(-2, 3), q=Q(1, 2))
     e = MODIFIED_EXPANSIONS["bigqjacobi-to-bigqlaguerre"]
-    lhs, terms = e.build(pt, 2, {})
-    assert not modified_expansion_residual("bigqjacobi-to-bigqlaguerre", pt, 2, {})
+    lhs, terms = e.build(pt, 2, None)
+    assert not modified_expansion_residual("bigqjacobi-to-bigqlaguerre", pt, 2)
     # all higher terms carry the factor (ab q^n)^k
     assert terms[1].coefficient(1)
 
 
 def test_crosscheck_examples():
-    bg, cg = toda_from_recurrence_crosscheck("charlier", make_point("charlier", a=Q(2)), Q(1, 3), 2)
+    bg, cg = toda_from_recurrence_crosscheck(make_point("charlier", a=Q(2)), Q(1, 3), 2)
     assert not bg and not cg
-    rec = modified_recurrence("charlier", make_point("charlier", a=Q(2)), Q(1, 3), 2)
+    rec = modified_recurrence(make_point("charlier", a=Q(2)), Q(1, 3), 2)
     assert rec.b[2] == GaussianRational(Q(8, 3))
     assert rec.c[2] == GaussianRational(Q(4, 3))
     # u = 1 is the undeformed family
-    bg, cg = toda_from_recurrence_crosscheck(
-        "krawtchouk", make_point("krawtchouk", p=Q(1, 2), N=4), Q(1), 1
-    )
+    bg, cg = toda_from_recurrence_crosscheck(make_point("krawtchouk", p=Q(1, 2), N=4), Q(1), 1)
     assert not bg and not cg
-    bg, cg = toda_from_recurrence_crosscheck("hermite", make_point("hermite"), Q(0), 3)
+    bg, cg = toda_from_recurrence_crosscheck(make_point("hermite"), Q(0), 3)
     assert not bg and not cg
 
 
@@ -147,12 +145,11 @@ def test_crosscheck_all_families():
     for tag in TODA_SOLUTIONS:
         for _ in range(3):
             pt = sample_point(tag, rng)
-            name = deformation(tag).scalar.name
-            extra = sample_extras(rng, pt)[name]
+            extra = sample_deformation(rng, pt)
             top = TODA_SOLUTIONS[tag].max_n(pt)
             nmax = 5 if top is None else min(5, top - 1)
             for n in range(1, nmax + 1):
-                bg, cg = toda_from_recurrence_crosscheck(tag, pt, extra, n)
+                bg, cg = toda_from_recurrence_crosscheck(pt, extra, n)
                 assert not bg and not cg, (tag, n)
 
 
@@ -170,9 +167,9 @@ def test_first_moment_routes_agree():
         d = deformation(tag)
         for _ in range(4):
             pt = sample_point(tag, rng)
-            s = sample_extras(rng, pt)[d.scalar.name]
-            b_rec = modified_recurrence(tag, pt, s, 1).b[0]
+            s = sample_deformation(rng, pt)
+            b_rec = modified_recurrence(pt, s, 1).b[0]
             b_flow = sol.b(0, pt)(d.flow_variable(pt, s))
             assert b_rec == b_flow, (tag, pt, s)
             if FAMILIES[tag].raising is not None:
-                assert modified_functional(tag, pt, s, 1).moments[1] == b_rec, (tag, pt, s)
+                assert modified_functional(pt, s, 1).moments[1] == b_rec, (tag, pt, s)
