@@ -63,7 +63,6 @@ __all__ = [
     "expansion_agreement_gap",
     "hermite_linearization_oracle",
     "feldheim_watson_coefficient",
-    "TruncatedSeries",
     "zassenhaus_series_residual",
 ]
 
@@ -88,7 +87,7 @@ def apply_chain(point: ParamPoint, n: int, f):
 
 def operational_rhs(point: ParamPoint, n: int, f, variant: str | None = None):
     spec = FAMILIES[point.family]
-    var = spec.variant(variant) if variant is not None else spec.default_variant()
+    var = spec.variant(variant) if variant is not None else spec.variants[0]
     op = var.spec_at(point)
     fs = ladder(op.partial, f, n)
     ratio = spec.one()  # eta^k(w_(nu+k sigma)) / w_nu, one weight step per k
@@ -446,25 +445,11 @@ def hermite_linearization_oracle(m: int, n: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Formal series in t truncated at `order`; coefficient j is a Poly in x."""
-
-    coefficients: tuple
-    order: int
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.order + 1:
-            raise ValueError("coefficient count must be order + 1")
-
-    def is_zero(self) -> bool:
-        return not any(self.coefficients)
-
-
-def zassenhaus_series_residual(order: int, f: Poly) -> TruncatedSeries:
+def zassenhaus_series_residual(order: int, f: Poly) -> tuple:
     """Coefficient-wise difference of exp(t(d/dx - 2x)) f against its closed form.
 
     LHS_j = chain^j f / j!; RHS is the t-expansion of f(x+t) exp(-2xt - t^2).
+    Returns the order + 1 residual Polys, t^0 first; all are exactly zero.
     """
     pt = make_point("hermite")
     spec = FAMILIES["hermite"]
@@ -495,4 +480,4 @@ def zassenhaus_series_residual(order: int, f: Poly) -> TruncatedSeries:
         for a in range(j + 1):
             rhs = rhs + taylor[a] * exp_coeffs[j - a]
         residual.append(lhs[j] - rhs)
-    return TruncatedSeries(tuple(residual), order)
+    return tuple(residual)

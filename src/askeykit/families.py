@@ -99,31 +99,34 @@ class ParamPoint:
     point reads the family's data from FAMILIES[point.family], and none
     takes the family tag beside it.
 
-    Everything derived from a point is kept on the point, in slots that take
-    no part in equality, hashing or repr: its successor under the family
-    shift, its admissibility verdict, its raising operator, and one memo of
-    raising chains, standard forms, moment functionals and the variants'
-    operator specs.  So the shifted points of a case are built once, each
-    datum is computed once per point, and all of it is freed with the point.
-    Two equal points made separately share nothing.  The hash is computed
-    once, from the integer parts (r, i, d) of each coordinate ((v, 0, 1) for
-    an int).
+    Everything derived from a point and reused by a case is kept in the
+    point's one memo, through `derived`: its successor under the family
+    shift, its admissibility verdict, its raising operator, its raising
+    chains and standard forms, and the variants' operator specs.  The memo
+    takes no part in equality, hashing or repr.  So the shifted points of a
+    case are built once, each datum is computed once per point, and all of
+    it is freed with the point; two equal points made separately share
+    nothing.  The hash is taken from the integer parts (r, i, d) of each
+    coordinate ((v, 0, 1) for an int).
     """
 
     family: str
     values: tuple
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
-    _next: Optional["ParamPoint"] = field(default=None, init=False, repr=False, compare=False)
-    _admissible: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
-    _raising: object = field(default=None, init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.family, *((k, *_parts(v)) for k, v in self.values)))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.family, *((k, *_parts(v)) for k, v in self.values)))
+
+    def derived(self, key, build):
+        """build(), computed once per point and kept in the memo under key.
+
+        A miss is tested with `is None`, so a False verdict is a hit like any
+        other value; a build that raises stores nothing.
+        """
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = build()
+        return out
 
     def get(self, name):
         for k, v in self.values:
@@ -231,27 +234,24 @@ class Variant:
     weight_step: Callable[[ParamPoint, int], object]
 
     def spec_at(self, point: ParamPoint) -> ops.OperatorSpec:
-        """op_spec(point), built once and kept in the point's memo under op_spec."""
-        memo = point._memo
-        spec = memo.get(self.op_spec)
-        if spec is None:
-            spec = memo[self.op_spec] = self.op_spec(point)
-        return spec
+        """op_spec(point), built once per point and kept under the key op_spec."""
+        return point.derived(self.op_spec, lambda: self.op_spec(point))
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """Every fact about one family, stated once and looked up by its tag.
 
-    The methods that take a point keep what they derive in the point's
-    slots, so the point must be of this family: callers reach the spec as
-    FAMILIES[point.family].
+    The methods that take a point keep what they derive in the point's memo
+    (`ParamPoint.derived`), so the point must be of this family: callers
+    reach the spec as FAMILIES[point.family].  A `shift_rule` of None
+    declares the identity shift nu + sigma = nu.
     """
 
     tag: str
     domain: tuple  # Param entries, in sampling order
     carrier: str  # "poly" | "even" | "laurent"
-    shift_rule: Callable[[ParamPoint], ParamPoint]  # nu -> nu + sigma, as declared
+    shift_rule: Optional[Callable[[ParamPoint], ParamPoint]]  # nu -> nu + sigma; None: identity
     raising: Optional[Callable[[ParamPoint], Callable]]
     variants: tuple
     lowering: Callable[[ParamPoint], Callable]
@@ -267,24 +267,22 @@ class FamilySpec:
     def shift(self, point: ParamPoint) -> ParamPoint:
         """nu + sigma: the same object on every call, kept on the point.
 
-        An identity shift returns the point itself and is not stored, so a
+        The identity shift returns the point itself and stores nothing, so a
         point never refers to itself.
         """
-        nxt = point._next
-        if nxt is None:
-            nxt = self.shift_rule(point)
-            if nxt is not point:
-                object.__setattr__(point, "_next", nxt)
-        return nxt
+        rule = self.shift_rule
+        if rule is None:
+            return point
+        return point.derived("next", lambda: rule(point))
 
     def admissible(self, point: ParamPoint) -> bool:
         """Whether point lies in the domain; the verdict is kept on the point."""
-        ok = point._admissible
-        if ok is None:
+
+        def verdict():
             values = point.as_dict()
-            ok = all(p.admits(values[p.name], values) for p in self.domain)
-            object.__setattr__(point, "_admissible", ok)
-        return ok
+            return all(p.admits(values[p.name], values) for p in self.domain)
+
+        return point.derived("admissible", verdict)
 
     def raising_operator(self, point: ParamPoint):
         """The raising operator R_nu at point, built once and kept on the point.
@@ -292,11 +290,7 @@ class FamilySpec:
         A chain, the k-sums and apply_chain of one case meet the same point
         objects, so each operator is built once per case and freed with it.
         """
-        op = point._raising
-        if op is None:
-            op = self.raising(point)
-            object.__setattr__(point, "_raising", op)
-        return op
+        return point.derived("raising", lambda: self.raising(point))
 
     def one(self):
         return SymLaurent.one() if self.carrier == "laurent" else Poly.one()
@@ -306,9 +300,6 @@ class FamilySpec:
         if not f:
             return -1
         return f.degree // 2 if self.carrier == "even" else f.degree
-
-    def default_variant(self) -> Variant:
-        return self.variants[0]
 
     def variant(self, name: str) -> Variant:
         for v in self.variants:
@@ -766,10 +757,6 @@ def _norm_aw(pt, n):
     return ((q - 1) / 2) ** n * p ** (n * (n - 1) // 2)
 
 
-def _sh_ident(pt):
-    return pt
-
-
 def _sh_add(names, delta):
     def sh(pt):
         return pt.replace(**{k: pt.get(k) + delta for k in names})
@@ -818,7 +805,7 @@ _register(FamilySpec(
     tag="hermite",
     domain=(),
     carrier="poly",
-    shift_rule=_sh_ident,
+    shift_rule=None,
     raising=_hermite_raise,
     variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _step_one),),
     lowering=_low_derivative,
@@ -881,7 +868,7 @@ _register(FamilySpec(
     tag="charlier",
     domain=(Param("a", 0, window=(0, 4)),),
     carrier="poly",
-    shift_rule=_sh_ident,
+    shift_rule=None,
     raising=_charlier_raise,
     variants=(
         Variant("eta1", lambda pt: ops.BACKWARD_ETA1_SPEC, _step_one),
@@ -980,7 +967,7 @@ _register(FamilySpec(
     tag="continuous-q-hermite",
     domain=(Param("p", 0, 1),),
     carrier="laurent",
-    shift_rule=_sh_ident,
+    shift_rule=None,
     raising=_cqh_raise,
     variants=(Variant("", lambda pt: ops.aw_spec(pt.get("p")), _step_cqh),),
     lowering=_low_aw,
@@ -993,7 +980,7 @@ _register(FamilySpec(
     tag="krawtchouk",
     domain=(Param("p", 0, 1), Param("N", 0, window=(3, 9), integer=True)),
     carrier="poly",
-    shift_rule=_sh_ident,
+    shift_rule=None,
     raising=None,  # finite family: only the closed form and its recurrence are used
     variants=(),
     lowering=_low_neg_forward,
@@ -1035,38 +1022,30 @@ def raise_chain(point: ParamPoint, n: int):
     """R_nu R_(nu+sigma) ... R_(nu+(n-1)sigma) applied to the constant 1.
 
     The rightmost factor acts first; the order matters because raising
-    operators at different parameters do not commute.  Each chain is kept in
-    the memo of the point it starts at.
+    operators at different parameters do not commute.  Each chain is kept on
+    the point it starts at.
     """
     spec = FAMILIES[point.family]
     if spec.raising is None:
         raise ValueError(f"{point.family} has no raising-chain machinery")
-    memo = point._memo
-    key = ("chain", n)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    # the recursion checks the shifted points, nearest first
-    if not spec.admissible(point):
-        raise ValueError(f"inadmissible parameter point {point}")
-    if n == 0:
-        out = spec.one()
-    else:
+
+    def chain():
+        # the recursion checks the shifted points, nearest first
+        if not spec.admissible(point):
+            raise ValueError(f"inadmissible parameter point {point}")
+        if n == 0:
+            return spec.one()
         out = spec.raising_operator(point)(raise_chain(spec.shift(point), n - 1))
         if spec.fdegree(out) != n:
             raise AssertionError(f"{point.family} raising chain degree {spec.fdegree(out)} != {n}")
-    memo[key] = out
-    return out
+        return out
+
+    return point.derived(("chain", n), chain)
 
 
 def standard_poly(point: ParamPoint, n: int):
-    """The standard (basic) hypergeometric form of the degree-n polynomial, kept in the point's memo."""
-    memo = point._memo
-    key = ("std", n)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = FAMILIES[point.family].standard(point, n)
-    return hit
+    """The standard (basic) hypergeometric form of the degree-n polynomial, kept on the point."""
+    return point.derived(("std", n), lambda: FAMILIES[point.family].standard(point, n))
 
 
 def normalization(point: ParamPoint, n: int) -> GaussianRational:

@@ -6,6 +6,8 @@ a triangular solve for its moments, and it stands in for integration
 against the orthogonality measure in every integrated identity.  Total masses are never
 known, so adjointness across two measures is tested through a fitted
 constant whose constancy over all test pairs is itself the assertion.
+A functional is built on each call and kept nowhere; the raising chains it
+reads are kept on their points.
 """
 
 from __future__ import annotations
@@ -75,24 +77,19 @@ def build_functional(point: ParamPoint, order: int) -> MomentFunctional:
     The basis p_j = raise_chain(j) has degree j, so the conditions form a
     triangular system in the moments, solved in O(order^2) scalar steps.
     L[x^k] is then the p_0-coefficient of x^k in the basis; orthogonality of
-    the basis itself is a separate check (gram_offdiagonal).  The functional
-    is kept in the memo of the point.
+    the basis itself is a separate check (gram_offdiagonal).  Nothing is kept:
+    no case asks for the same functional twice.
     """
     if FAMILIES[point.family].carrier != "poly":
         raise ValueError(f"moment functionals need the full polynomial ladder; {point.family} lacks it")
-    memo = point._memo
-    key = ("moments", order)
-    L = memo.get(key)
-    if L is None:
-        moments = []
-        for j in range(order + 1):
-            p = raise_chain(point, j)
-            acc = GR_ZERO if j else GR_ONE
-            for c, mom in zip(p.coeffs[:j], moments):
-                acc = acc - c * mom
-            moments.append(acc / p.lead)
-        L = memo[key] = MomentFunctional(tuple(moments))
-    return L
+    moments = []
+    for j in range(order + 1):
+        p = raise_chain(point, j)
+        acc = GR_ZERO if j else GR_ONE
+        for c, mom in zip(p.coeffs[:j], moments):
+            acc = acc - c * mom
+        moments.append(acc / p.lead)
+    return MomentFunctional(tuple(moments))
 
 
 def hankel_determinant(L: MomentFunctional, size: int) -> GaussianRational:
@@ -183,22 +180,29 @@ def adjointness_check(point: ParamPoint, n: int, D: int, variant: str | None = N
     return (not failures, MassRatioWitness(rho if rho is not None else GR_ZERO, samples), failures)
 
 
-def modified_functional(point: ParamPoint, s, order: int) -> MomentFunctional:
-    """Moment functional of the e^(-xt)-deformed measure at deformation scalar s.
+def modified_functional(point: ParamPoint, s, order: int, measure=None) -> MomentFunctional:
+    """Moment functional of a measure derived from point's, at deformation scalar s.
 
-    The base functional is rebuilt at the image point and composed with the
-    image's affine change of variable: L~[x^k] = L'[(alpha x + beta)^k].
+    `measure(point, s)` gives (image point, alpha, beta); None means the
+    family's e^(-xt) deformation.  The base functional is built at the image
+    point and composed with the affine change of variable:
+    L~[x^k] = L'[(alpha x + beta)^k].
     """
-    image, alpha, beta = deformation(point.family).image(point, scalar(s))
+    if measure is None:
+        image, alpha, beta = deformation(point.family).image(point, scalar(s))
+    else:
+        image, alpha, beta = measure(point, s)
     base = build_functional(image, order)
     x = Poly([beta, alpha])
     return MomentFunctional(tuple(base.apply(x ** k) for k in range(order + 1)))
 
 
 def toda_orthogonality_check(identity: str, point: ParamPoint, n: int, s=None) -> list:
-    """The expansion-sum polynomial annihilates x^p, p < n, under the deformed
-    functional; returns the list of L~[E_n x^p] values (all exactly zero)."""
-    _, terms = MODIFIED_EXPANSIONS[identity].build(point, n, s)
+    """The expansion-sum polynomial annihilates x^p, p < n, under the measure
+    the expansion declares (ModifiedExpansion.measure); returns the list of
+    L~[E_n x^p] values (all exactly zero)."""
+    expansion = MODIFIED_EXPANSIONS[identity]
+    _, terms = expansion.build(point, n, s)
     E = term_sum(terms)
-    L = modified_functional(point, s, E.degree + max(n - 1, 0))
+    L = modified_functional(point, s, E.degree + max(n - 1, 0), expansion.measure)
     return [L.apply(E * Poly.monomial(p)) for p in range(n)]

@@ -277,7 +277,7 @@ def _spec_delta_x2() -> OperatorSpec:
 
 
 # The q-based specs are built on each call; a family variant keeps its spec
-# in the memo of its parameter point (families.Variant.spec_at).
+# on its parameter point through ParamPoint.derived (families.Variant.spec_at).
 def qderiv_Tq_spec(q) -> OperatorSpec:
     q = scalar(q)
     return OperatorSpec(

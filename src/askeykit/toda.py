@@ -18,7 +18,7 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .algebra import (
     GR_HALF_I,
@@ -41,6 +41,7 @@ from .families import (
     deformation,
     big_q_jacobi_poly,
     falling_poch_poly,
+    make_point,
     mp_poly,
     q_poch_poly,
     recurrence_extract,
@@ -285,11 +286,17 @@ def toda_residuals(sol: TodaSolution, n: int, point: ParamPoint):
 
 @dataclass(frozen=True)
 class ModifiedExpansion:
-    """Expansion of the polynomials for a deformed weight in the base family."""
+    """Expansion of the polynomials for a deformed weight in the base family.
+
+    The k-sum is orthogonal under the measure `measure(point, s)` names as
+    (image point, alpha, beta): the measure of the image point pushed forward
+    by x -> alpha x + beta.  None means the family's e^(-xt) deformation.
+    """
 
     id: str
     family: str
     build: Callable  # (point, n, s) -> (lhs, [terms]); s is the deformation scalar or None
+    measure: Optional[Callable] = None
 
 
 def _build_hermite_toda(point, n, t):
@@ -439,6 +446,11 @@ def _build_bql_inverse(point, n, s):
     return lhs, terms
 
 
+def _measure_bql_inverse(point, s):
+    q, a, c = (point.get(k) for k in ("q", "a", "c"))
+    return make_point("big-q-laguerre", q=q, a=a, c=c), 1, 0
+
+
 def _build_bql_second(point, n, s):
     # sum_k ((q^-n, xb/c; q)_k / (q, aq, cq; q)_k) (ac)^k q^(k(k+n+1))
     #     P_(n-k)(x q^k; a q^k, b q^k, c q^k; q)
@@ -460,6 +472,12 @@ def _build_bql_second(point, n, s):
     return lhs, terms
 
 
+def _measure_bql_second(point, s):
+    # the sum is orthogonal where P_n(x b/c; b, 0, ab/c; q) is: y -> (c/b) y
+    a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
+    return make_point("big-q-laguerre", q=q, a=b, c=a * b / c), c / b, 0
+
+
 MODIFIED_EXPANSIONS: dict = {}
 
 
@@ -474,9 +492,11 @@ _reg(ModifiedExpansion("meixner-toda-etaS", "meixner", _build_meixner_toda_etaS)
 _reg(ModifiedExpansion("charlier-toda-eta1", "charlier", _build_charlier_toda_eta1))
 _reg(ModifiedExpansion("charlier-toda-etaS", "charlier", _build_charlier_toda_etaS))
 _reg(ModifiedExpansion("mp-toda", "meixner-pollaczek", _build_mp_toda))
-_reg(ModifiedExpansion("bigqjacobi-to-bigqlaguerre", "big-q-jacobi", _build_bqj_to_bql))
-_reg(ModifiedExpansion("bigqlaguerre-inverse", "big-q-jacobi", _build_bql_inverse))
-_reg(ModifiedExpansion("bigqlaguerre-second", "big-q-jacobi", _build_bql_second))
+_reg(ModifiedExpansion(
+    "bigqjacobi-to-bigqlaguerre", "big-q-jacobi", _build_bqj_to_bql, lambda point, s: (point, 1, 0)
+))
+_reg(ModifiedExpansion("bigqlaguerre-inverse", "big-q-jacobi", _build_bql_inverse, _measure_bql_inverse))
+_reg(ModifiedExpansion("bigqlaguerre-second", "big-q-jacobi", _build_bql_second, _measure_bql_second))
 
 
 def modified_expansion_residual(identity: str, point: ParamPoint, n: int, s=None):

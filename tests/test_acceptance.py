@@ -197,7 +197,7 @@ def test_criterion_7_oracles():
     rng = Random(7_000_007)
     for _ in range(5):
         f = Poly([sample_rational(rng, -3, 3) for _ in range(4)])
-        if not zassenhaus_series_residual(6, f).is_zero():
+        if any(zassenhaus_series_residual(6, f)):
             failures.append(("zassenhaus", f))
     _report("criterion 7: linearization + operator-exponential oracles", not failures, str(failures[:3]) if failures else "")
 

@@ -1,10 +1,12 @@
 """CLI harness: determinism, exit codes, report shape."""
 
+import dataclasses
 import gc
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -314,3 +316,29 @@ def test_a_run_keeps_nothing_after_it_ends():
     gc.collect()
     assert _module_containers() == before
     assert _live_points() <= points
+
+
+def _key_kind(key) -> str:
+    if isinstance(key, tuple):
+        return key[0]
+    return key if isinstance(key, str) else "spec"  # a variant's op_spec
+
+
+def test_every_point_memo_is_reused_by_the_suite(monkeypatch):
+    # a memo that no case reuses costs memory and code for nothing: in the
+    # suite every kind of key kept on a point is both built and reused
+    assert [f.name for f in dataclasses.fields(ParamPoint)] == ["family", "values", "_memo"]
+    derived = ParamPoint.derived
+    hits, misses = Counter(), Counter()
+
+    def counting(self, key, build):
+        built = []
+        out = derived(self, key, lambda: built.append(key) or build())
+        (misses if built else hits)[_key_kind(key)] += 1
+        return out
+
+    monkeypatch.setattr(ParamPoint, "derived", counting)
+    run_verify(SuiteConfig(seed=7, max_n=3, max_m=3))
+    kinds = {"next", "admissible", "raising", "spec", "chain", "std"}
+    assert set(misses) == kinds
+    assert set(hits) == kinds, (hits, misses)

@@ -18,6 +18,7 @@ from askeykit.functional import (
     toda_orthogonality_check,
 )
 from askeykit.sampling import sample_deformation, sample_point
+from askeykit.toda import MODIFIED_EXPANSIONS
 
 Q = scalar
 
@@ -120,18 +121,12 @@ def test_adjointness_builds_the_base_functional_to_degree_d_plus_n(monkeypatch):
 
 
 def test_toda_orthogonality():
+    # every modified expansion, under the family's deformed measure or the
+    # measure the expansion declares
     rng = Random(41)
-    cases = [
-        ("hermite-toda", "hermite"),
-        ("laguerre-toda", "laguerre"),
-        ("meixner-toda-eta1", "meixner"),
-        ("meixner-toda-etaS", "meixner"),
-        ("charlier-toda-eta1", "charlier"),
-        ("charlier-toda-etaS", "charlier"),
-        ("mp-toda", "meixner-pollaczek"),
-    ]
-    for ident, fam in cases:
-        pt = sample_point(fam, rng)
+    assert len(MODIFIED_EXPANSIONS) == 10
+    for ident, expansion in MODIFIED_EXPANSIONS.items():
+        pt = sample_point(expansion.family, rng)
         s = sample_deformation(rng, pt)
         for n in range(1, 5):
             residuals = toda_orthogonality_check(ident, pt, n, s)

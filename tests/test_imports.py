@@ -8,8 +8,12 @@
   builtins.
 * No public function takes a family tag beside a parameter point: the point
   names its family.
+* Derived data is kept on a point in one place: `_memo` and
+  `object.__setattr__` appear in the package's code only inside
+  `families.ParamPoint`.
 """
 
+import ast
 import builtins
 import importlib
 import inspect
@@ -64,3 +68,30 @@ def test_a_point_is_not_given_its_family_twice(name):
             if "point" in params and ({"tag", "family"} & set(params)):
                 doubled.append(public)
     assert doubled == []
+
+
+def _memo_uses(tree) -> list:
+    """Nodes naming `_memo` or calling `object.__setattr__`."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr == "_memo" or (
+                node.attr == "__setattr__" and isinstance(node.value, ast.Name) and node.value.id == "object"
+            ):
+                uses.append(node)
+        elif isinstance(node, ast.Name) and node.id == "_memo":
+            uses.append(node)
+    return uses
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_point_memo_is_private_to_the_point(name):
+    module = importlib.import_module(name)
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "ParamPoint":
+            inside.update(map(id, ast.walk(node)))
+    stray = [(n.lineno, ast.unparse(n)) for n in _memo_uses(tree) if id(n) not in inside]
+    assert stray == []
