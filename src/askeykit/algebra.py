@@ -792,9 +792,6 @@ class Poly:
             raise ValueError(f"nonzero remainder in exact division: {rem}")
         return quot
 
-    def is_even(self) -> bool:
-        return not any(self.re[1::2]) and not (self.im and any(self.im[1::2]))
-
     def __repr__(self):
         if not self.re:
             return "0"

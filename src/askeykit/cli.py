@@ -51,16 +51,6 @@ from .toda import (
 
 SCHEMA_VERSION = 1
 
-COR23_FAMILIES = (
-    "hermite",
-    "laguerre",
-    "jacobi",
-    "meixner",
-    "charlier",
-    "meixner-pollaczek",
-    "big-q-jacobi",
-)
-
 
 @dataclass
 class SuiteConfig:
@@ -92,28 +82,6 @@ def _residual_summary(residuals: tuple) -> str:
     if isinstance(res, Poly):
         return f"nonzero, leading term deg {res.degree}: {res.lead}"
     return f"nonzero: {res}"
-
-
-def identity_registry() -> dict:
-    """Every runnable identity id with its grid type and families."""
-    reg = {}
-    for ident, e in EXPANSIONS.items():
-        reg[ident] = {"kind": "expansion", "families": (e.family,)}
-    for ident, e in MODIFIED_EXPANSIONS.items():
-        reg[ident] = {"kind": "modified", "families": (e.family,)}
-    reg["toda-flows"] = {"kind": "toda", "families": tuple(TODA_SOLUTIONS)}
-    reg["toda-crosscheck"] = {"kind": "crosscheck", "families": tuple(TODA_SOLUTIONS)}
-    reg["adjointness"] = {"kind": "adjointness", "families": COR23_FAMILIES}
-    reg["operational"] = {
-        "kind": "operational",
-        "families": tuple(t for t, s in FAMILIES.items() if s.raising is not None),
-    }
-    reg["chain-expansion"] = {
-        "kind": "chain-expansion",
-        "families": tuple(t for t, s in FAMILIES.items() if s.raising is not None),
-    }
-    reg["leibniz"] = {"kind": "leibniz", "families": ("operators",)}
-    return reg
 
 
 def _random_poly(rng: Random, degree: int, carrier: str) -> object:
@@ -214,7 +182,7 @@ def _grid_n1(max_n: int, max_m: int) -> list:
     return [(n, None) for n in range(1, max_n + 1)]
 
 
-# identity kind (as identity_registry and `list` name it) -> (grid, runner)
+# identity kind (as IDENTITIES and `list` name it) -> (grid, runner)
 CASE_KINDS = {
     "expansion": (_grid_nm, _run_expansion),
     "chain-expansion": (_grid_nm, _run_chain_expansion),
@@ -226,60 +194,81 @@ CASE_KINDS = {
     "adjointness": (_grid_n1, _run_adjointness),
 }
 
+_RAISING = tuple(t for t, s in FAMILIES.items() if s.raising is not None)
+
+# identity id -> (kind, families): every runnable identity, its families read
+# off the registries and the FamilySpec declarations
+IDENTITIES = {
+    **{ident: ("expansion", (e.family,)) for ident, e in EXPANSIONS.items()},
+    **{ident: ("modified", (e.family,)) for ident, e in MODIFIED_EXPANSIONS.items()},
+    "toda-flows": ("toda", tuple(TODA_SOLUTIONS)),
+    "toda-crosscheck": ("crosscheck", tuple(TODA_SOLUTIONS)),
+    "adjointness": ("adjointness", tuple(t for t, s in FAMILIES.items() if s.adjoint is not None)),
+    "operational": ("operational", _RAISING),
+    "chain-expansion": ("chain-expansion", _RAISING),
+    "leibniz": ("leibniz", ("operators",)),
+}
+
+
+def _case_record(ident, family, n, m, trial, config) -> dict:
+    """The report record of one case; an error in its runner fails the case."""
+    mm = f"m{m}" if m is not None else "m-"
+    case_id = f"{ident}/{family}/n{n}{mm}/t{trial}"
+    rng = Random(_subseed(config.seed, case_id))
+    runner = CASE_KINDS[IDENTITIES[ident][0]][1]
+    started = time.perf_counter()
+    try:
+        params, extras, residuals = runner(ident, family, n, m, rng)
+        pt = _serialized(params)
+        passed = not any(residuals)
+        summary = _residual_summary(residuals)
+    except Exception as exc:  # inadmissible or internal tripwire
+        pt, extras = {}, {}
+        passed = False
+        summary = f"error: {exc}"
+    case = {
+        "id": case_id,
+        "identity": ident,
+        "family": family,
+        "params": pt,
+        "n": n,
+        "m": m,
+        "extras": extras,
+        "pass": passed,
+        "residual_summary": summary,
+    }
+    if config.timings:
+        case["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
+    return case
+
 
 def run_verify(config: SuiteConfig) -> dict:
     if config.max_n < 0 or config.max_m < 0:
         raise UsageError("degree bounds must be >= 0")
     if config.trials < 1:
         raise UsageError("trials must be >= 1")
-    registry = identity_registry()
-    idents = config.identities or sorted(registry)
-    unknown = [i for i in idents if i not in registry]
+    idents = config.identities or sorted(IDENTITIES)
+    unknown = [i for i in idents if i not in IDENTITIES]
     if unknown:
         raise UsageError(f"unknown identities: {unknown}; see `list`")
-    known_families = set(FAMILIES) | {"operators"}
+    known_families = set().union(*(fams for _, fams in IDENTITIES.values()))
     bad_fams = [f for f in config.families if f not in known_families]
     if bad_fams:
         raise UsageError(f"unknown families: {bad_fams}; see `list`")
     cases = []
     selected = False  # some identity and family in common, whatever the degree bounds
     for ident in sorted(idents):
-        info = registry[ident]
-        fams = info["families"]
+        kind, fams = IDENTITIES[ident]
         if config.families:
             fams = tuple(f for f in fams if f in config.families)
         selected = selected or bool(fams)
-        grid, runner = CASE_KINDS[info["kind"]]
-        for family in fams:
-            for n, m in grid(config.max_n, config.max_m):
-                for trial in range(config.trials):
-                    mm = f"m{m}" if m is not None else "m-"
-                    case_id = f"{ident}/{family}/n{n}{mm}/t{trial}"
-                    rng = Random(_subseed(config.seed, case_id))
-                    started = time.perf_counter()
-                    try:
-                        params, extras, residuals = runner(ident, family, n, m, rng)
-                        pt = _serialized(params)
-                        passed = not any(residuals)
-                        summary = _residual_summary(residuals)
-                    except Exception as exc:  # inadmissible or internal tripwire
-                        pt, extras = {}, {}
-                        passed = False
-                        summary = f"error: {exc}"
-                    case = {
-                        "id": case_id,
-                        "identity": ident,
-                        "family": family,
-                        "params": pt,
-                        "n": n,
-                        "m": m,
-                        "extras": extras,
-                        "pass": passed,
-                        "residual_summary": summary,
-                    }
-                    if config.timings:
-                        case["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
-                    cases.append(case)
+        grid = CASE_KINDS[kind][0]
+        cases.extend(
+            _case_record(ident, family, n, m, trial, config)
+            for family in fams
+            for n, m in grid(config.max_n, config.max_m)
+            for trial in range(config.trials)
+        )
     if not selected:
         raise UsageError("the selected identities and families have no case in common; see `list`")
     if not cases:
@@ -464,9 +453,8 @@ def cmd_list(args) -> int:
         chain = "raising chain" if spec.raising is not None else "closed form only"
         print(f"  {tag:22s} params: {names:18s} carrier: {spec.carrier:7s} ({chain})")
     print("identities:")
-    for ident, info in sorted(identity_registry().items()):
-        fams = ", ".join(info["families"])
-        print(f"  {ident:28s} [{info['kind']}] families: {fams}")
+    for ident, (kind, fams) in sorted(IDENTITIES.items()):
+        print(f"  {ident:28s} [{kind}] families: {', '.join(fams)}")
     return 0
 
 

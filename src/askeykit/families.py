@@ -117,15 +117,15 @@ class ParamPoint:
     def __hash__(self):
         return hash((self.family, *((k, *_parts(v)) for k, v in self.values)))
 
-    def derived(self, key, build):
-        """build(), computed once per point and kept in the memo under key.
+    def derived(self, key, build, *args):
+        """build(*args), computed once per point and kept in the memo under key.
 
         A miss is tested with `is None`, so a False verdict is a hit like any
         other value; a build that raises stores nothing.
         """
         out = self._memo.get(key)
         if out is None:
-            out = self._memo[key] = build()
+            out = self._memo[key] = build(*args)
         return out
 
     def get(self, name):
@@ -235,7 +235,7 @@ class Variant:
 
     def spec_at(self, point: ParamPoint) -> ops.OperatorSpec:
         """op_spec(point), built once per point and kept under the key op_spec."""
-        return point.derived(self.op_spec, lambda: self.op_spec(point))
+        return point.derived(self.op_spec, self.op_spec, point)
 
 
 @dataclass(frozen=True)
@@ -273,16 +273,15 @@ class FamilySpec:
         rule = self.shift_rule
         if rule is None:
             return point
-        return point.derived("next", lambda: rule(point))
+        return point.derived("next", rule, point)
 
     def admissible(self, point: ParamPoint) -> bool:
         """Whether point lies in the domain; the verdict is kept on the point."""
+        return point.derived("admissible", self._admits, point)
 
-        def verdict():
-            values = point.as_dict()
-            return all(p.admits(values[p.name], values) for p in self.domain)
-
-        return point.derived("admissible", verdict)
+    def _admits(self, point: ParamPoint) -> bool:
+        values = point.as_dict()
+        return all(p.admits(values[p.name], values) for p in self.domain)
 
     def raising_operator(self, point: ParamPoint):
         """The raising operator R_nu at point, built once and kept on the point.
@@ -290,7 +289,7 @@ class FamilySpec:
         A chain, the k-sums and apply_chain of one case meet the same point
         objects, so each operator is built once per case and freed with it.
         """
-        return point.derived("raising", lambda: self.raising(point))
+        return point.derived("raising", self.raising, point)
 
     def one(self):
         return SymLaurent.one() if self.carrier == "laurent" else Poly.one()
@@ -1025,27 +1024,30 @@ def raise_chain(point: ParamPoint, n: int):
     operators at different parameters do not commute.  Each chain is kept on
     the point it starts at.
     """
-    spec = FAMILIES[point.family]
-    if spec.raising is None:
+    if FAMILIES[point.family].raising is None:
         raise ValueError(f"{point.family} has no raising-chain machinery")
+    return point.derived(("chain", n), _chain, point, n)
 
-    def chain():
-        # the recursion checks the shifted points, nearest first
-        if not spec.admissible(point):
-            raise ValueError(f"inadmissible parameter point {point}")
-        if n == 0:
-            return spec.one()
-        out = spec.raising_operator(point)(raise_chain(spec.shift(point), n - 1))
-        if spec.fdegree(out) != n:
-            raise AssertionError(f"{point.family} raising chain degree {spec.fdegree(out)} != {n}")
-        return out
 
-    return point.derived(("chain", n), chain)
+def _chain(point: ParamPoint, n: int):
+    """The chain of raise_chain(point, n), built on a memo miss.
+
+    The recursion checks the shifted points, nearest first.
+    """
+    spec = FAMILIES[point.family]
+    if not spec.admissible(point):
+        raise ValueError(f"inadmissible parameter point {point}")
+    if n == 0:
+        return spec.one()
+    out = spec.raising_operator(point)(raise_chain(spec.shift(point), n - 1))
+    if spec.fdegree(out) != n:
+        raise AssertionError(f"{point.family} raising chain degree {spec.fdegree(out)} != {n}")
+    return out
 
 
 def standard_poly(point: ParamPoint, n: int):
     """The standard (basic) hypergeometric form of the degree-n polynomial, kept on the point."""
-    return point.derived(("std", n), lambda: FAMILIES[point.family].standard(point, n))
+    return point.derived(("std", n), FAMILIES[point.family].standard, point, n)
 
 
 def normalization(point: ParamPoint, n: int) -> GaussianRational:

@@ -177,7 +177,6 @@ class OperatorSpec:
     h = partial^k g, so the g side needs no more than one ladder.
     """
 
-    name: str
     carrier: str  # "poly" | "even" | "laurent"
     partial: Callable
     eta: Callable  # eta(f, k): k-th power of the twist, k may be negative
@@ -219,7 +218,6 @@ def _twist_half_i(h, k, n):
 
 def _spec_derivative() -> OperatorSpec:
     return OperatorSpec(
-        name="derivative",
         carrier="poly",
         partial=derivative,
         eta=_eta_identity,
@@ -231,7 +229,6 @@ def _spec_derivative() -> OperatorSpec:
 def _spec_backward_eta1() -> OperatorSpec:
     # nabla^n(fg) = sum binom(n,k) (nabla^(n-k) f) (S^(n-k) nabla^k g), S f = f(x-1)
     return OperatorSpec(
-        name="backward-eta1",
         carrier="poly",
         partial=backward_shift,
         eta=_eta_identity,
@@ -243,7 +240,6 @@ def _spec_backward_eta1() -> OperatorSpec:
 def _spec_backward_etaS() -> OperatorSpec:
     # nabla^n(fg) = sum binom(n,k) (S^k nabla^(n-k) f) (nabla^k g)
     return OperatorSpec(
-        name="backward-etaS",
         carrier="poly",
         partial=backward_shift,
         eta=lambda f, k: translate(f, -k),
@@ -255,7 +251,6 @@ def _spec_backward_etaS() -> OperatorSpec:
 def _spec_delta_x() -> OperatorSpec:
     # (d/dx)-analogue on a vertical strip; eta shifts x down by i/2.
     return OperatorSpec(
-        name="delta-x",
         carrier="poly",
         partial=delta_x,
         eta=lambda f, k: translate(f, GR_HALF_I * (-k)),
@@ -267,7 +262,6 @@ def _spec_delta_x() -> OperatorSpec:
 def _spec_delta_x2() -> OperatorSpec:
     # Same shape for the Wilson operator, on even polynomials.
     return OperatorSpec(
-        name="delta-x2",
         carrier="even",
         partial=delta_x2,
         eta=lambda f, k: translate(f, GR_HALF_I * (-k)),
@@ -281,7 +275,6 @@ def _spec_delta_x2() -> OperatorSpec:
 def qderiv_Tq_spec(q) -> OperatorSpec:
     q = scalar(q)
     return OperatorSpec(
-        name="qderiv-Tq",
         carrier="poly",
         partial=q_derivative_operator(q),
         eta=lambda f, k: f.compose_affine(q ** k, 0),
@@ -293,7 +286,6 @@ def qderiv_Tq_spec(q) -> OperatorSpec:
 def qderiv_I_spec(q) -> OperatorSpec:
     q = scalar(q)
     return OperatorSpec(
-        name="qderiv-I",
         carrier="poly",
         partial=q_derivative_operator(q),
         eta=_eta_identity,
@@ -312,7 +304,6 @@ def aw_spec(p) -> OperatorSpec:
 
     # eta and twist are aw_eta's dilations, held raw for algebra.product
     return OperatorSpec(
-        name="aw",
         carrier="laurent",
         partial=aw_Dq_operator(p),
         eta=lambda f, k: Dilation(f, p ** k),

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from askeykit.cli import CASE_KINDS, SuiteConfig, identity_registry, main, render_report, run_verify
-from askeykit.families import ParamPoint
+from askeykit.cli import CASE_KINDS, IDENTITIES, SuiteConfig, main, render_report, run_verify
+from askeykit.families import FAMILIES, ParamPoint
 
 
 def _failures(report):
@@ -177,7 +177,15 @@ def test_failing_case_gives_error_entry_and_exit_1(tmp_path, monkeypatch):
 
 
 def test_every_identity_kind_has_a_case_kind():
-    assert {info["kind"] for info in identity_registry().values()} == set(CASE_KINDS)
+    assert {kind for kind, _ in IDENTITIES.values()} == set(CASE_KINDS)
+
+
+def test_adjointness_covers_every_family_declaring_an_adjoint():
+    # the family list is read off FamilySpec.adjoint, not kept beside it
+    report = run_verify(SuiteConfig(identities=["adjointness"], max_n=1))
+    declared = {tag for tag, spec in FAMILIES.items() if spec.adjoint is not None}
+    assert {c["family"] for c in report["cases"]} == declared
+    assert report["totals"]["failed"] == 0, _failures(report)
 
 
 def test_failing_adjointness_names_its_residual(tmp_path, monkeypatch):
@@ -331,9 +339,9 @@ def test_every_point_memo_is_reused_by_the_suite(monkeypatch):
     derived = ParamPoint.derived
     hits, misses = Counter(), Counter()
 
-    def counting(self, key, build):
+    def counting(self, key, build, *args):
         built = []
-        out = derived(self, key, lambda: built.append(key) or build())
+        out = derived(self, key, lambda *a: built.append(key) or build(*a), *args)
         (misses if built else hits)[_key_kind(key)] += 1
         return out
 

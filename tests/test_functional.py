@@ -22,7 +22,7 @@ from askeykit.toda import MODIFIED_EXPANSIONS
 
 Q = scalar
 
-COR23_FAMILIES = {
+ADJOINT_FAMILIES = {
     "hermite": {},
     "laguerre": dict(nu=Q(1, 2)),
     "jacobi": dict(alpha=Q(1, 3), beta=Q(3, 4)),
@@ -30,6 +30,7 @@ COR23_FAMILIES = {
     "charlier": dict(a=Q(7, 3)),
     "meixner-pollaczek": dict(lam=Q(4, 3), phi=Q(2, 5)),
     "big-q-jacobi": dict(a=Q(1, 3), b=Q(1, 4), c=Q(-2, 3), q=Q(1, 2)),
+    "big-q-laguerre": dict(a=Q(1, 3), c=Q(-2, 3), q=Q(1, 2)),
 }
 
 
@@ -57,7 +58,7 @@ def test_functional_rejects_partial_ladders():
 
 def test_gram_offdiagonal_vanishes():
     rng = Random(31)
-    for tag, kw in COR23_FAMILIES.items():
+    for tag, kw in ADJOINT_FAMILIES.items():
         pt = sample_point(tag, rng)
         for n, m, v in gram_offdiagonal(pt, 6):
             assert not v, (tag, n, m)
@@ -65,7 +66,7 @@ def test_gram_offdiagonal_vanishes():
 
 def test_hankel_determinants_nonzero():
     rng = Random(37)
-    for tag, kw in COR23_FAMILIES.items():
+    for tag, kw in ADJOINT_FAMILIES.items():
         pt = sample_point(tag, rng)
         L = build_functional(pt, 8)
         for size in range(1, 5):
@@ -89,7 +90,8 @@ def test_adjointness_laguerre_rho():
 
 
 def test_adjointness_all_families():
-    for tag, kw in COR23_FAMILIES.items():
+    assert set(ADJOINT_FAMILIES) == {t for t, s in FAMILIES.items() if s.adjoint is not None}
+    for tag, kw in ADJOINT_FAMILIES.items():
         pt = make_point(tag, **kw)
         for n in (1, 2, 3):
             ok, witness, failures = adjointness_check(pt, n, 6)
@@ -111,7 +113,7 @@ def test_adjointness_builds_the_base_functional_to_degree_d_plus_n(monkeypatch):
         return build(point, order)
 
     monkeypatch.setattr(functional, "build_functional", recording)
-    for tag, kw in COR23_FAMILIES.items():
+    for tag, kw in ADJOINT_FAMILIES.items():
         pt = make_point(tag, **kw)
         for n, D in ((1, 6), (3, 6), (5, 4)):
             orders.clear()

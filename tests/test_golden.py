@@ -12,18 +12,18 @@ from askeykit.families import FAMILIES, make_point
 Q = scalar
 EPS = Q(1, 64)
 
-GOLDEN_SHA256 = "c3ac0579e8b01f92774ad7335f1c8782943d6be937328aa9ba1252b98235a551"
+GOLDEN_SHA256 = "3340cc8c1b7b2c53861ac7641638a96dce156f4687ab1f46019abbf2bc64d47b"
 DEEP_SHA256 = "dc78c3c28256ea06edaee492f2c250bf9e9cfd2641e86b61a69aa525db222064"
-SUITE_SHA256 = "e4b745fef702a505882d9df1195db9eae43c4e3805fc0e46f7d9271fe657ca2c"
+SUITE_SHA256 = "720f68a2f5d22b50403589ed4534c983e48d07337a704ef732551c918af3f789"
 AW_DEEP_SHA256 = "bc3e9a20c88ed31513869311e84e891ed816d7d51e6602bad99bca848339209c"
-HELD_OUT_SHA256 = "e63ede03d7ef07f1335f6904b5e815daef2ca06390503ac5811fb67c6570106d"
+HELD_OUT_SHA256 = "40865180fc205fe482a2fe824477341b21daa219e2ef0ff19ee746d238bbba2e"
 
 
 def test_golden_report_bytes():
-    # 320 cases over all 13 families; any change in sampling, admissibility or
+    # 322 cases over all 13 families; any change in sampling, admissibility or
     # residual evaluation shows up here
     report = run_verify(SuiteConfig(seed=7, max_n=2, max_m=2))
-    assert report["totals"] == {"cases": 320, "passed": 320, "failed": 0}
+    assert report["totals"] == {"cases": 322, "passed": 322, "failed": 0}
     text = render_report(report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
 
@@ -41,10 +41,10 @@ def test_deep_chain_report_bytes():
 
 
 def test_suite_report_bytes():
-    # 1091 cases at degree 5: the only pinned report that reaches the closed
+    # 1096 cases at degree 5: the only pinned report that reaches the closed
     # hypergeometric forms and the adjointness functionals at that degree
     report = run_verify(SuiteConfig(seed=7, max_n=5, max_m=5))
-    assert report["totals"]["cases"] == 1091
+    assert report["totals"]["cases"] == 1096
     text = render_report(report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == SUITE_SHA256
 
@@ -53,7 +53,7 @@ def test_held_out_suite_report_bytes():
     # `verify --seed 2718 --max-n 5 --max-m 5`: the degree-5 suite at a seed
     # that no other pin samples
     report = run_verify(SuiteConfig(seed=2718, max_n=5, max_m=5))
-    assert report["totals"] == {"cases": 1091, "passed": 1091, "failed": 0}
+    assert report["totals"] == {"cases": 1096, "passed": 1096, "failed": 0}
     text = render_report(report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == HELD_OUT_SHA256
 

@@ -11,6 +11,10 @@
 * Derived data is kept on a point in one place: `_memo` and
   `object.__setattr__` appear in the package's code only inside
   `families.ParamPoint`.
+* A family is named only where it is declared: a string constant equal to a
+  family tag appears only in the registries and literal transcriptions
+  (`families`, `burchnall`, `toda`).  Elsewhere a family list is read off
+  those declarations.
 """
 
 import ast
@@ -23,6 +27,7 @@ import symtable
 import pytest
 
 import askeykit
+from askeykit.families import FAMILIES
 
 MODULES = ["askeykit"] + sorted(
     f"askeykit.{info.name}" for info in pkgutil.iter_modules(askeykit.__path__)
@@ -95,3 +100,19 @@ def test_point_memo_is_private_to_the_point(name):
             inside.update(map(id, ast.walk(node)))
     stray = [(n.lineno, ast.unparse(n)) for n in _memo_uses(tree) if id(n) not in inside]
     assert stray == []
+
+
+TAG_MODULES = {"askeykit.families", "askeykit.burchnall", "askeykit.toda"}
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - TAG_MODULES))
+def test_family_tags_are_named_only_where_declared(name):
+    module = importlib.import_module(name)
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    named = [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in FAMILIES
+    ]
+    assert named == []
