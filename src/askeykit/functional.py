@@ -1,13 +1,15 @@
-"""Normalized moment functionals built from raising-chain orthogonality.
+"""Normalized moment functionals built from the image of the raising operator.
 
 No integral is ever evaluated: the functional L with L[1] = 1 and
-L[p_n] = 0 for n >= 1 is recovered exactly from the raising-chain basis by
-a triangular solve for its moments, and it stands in for integration
-against the orthogonality measure in every integrated identity.  Total masses are never
-known, so adjointness across two measures is tested through a fitted
-constant whose constancy over all test pairs is itself the assertion.
-A functional is built on each call and kept nowhere; the raising chains it
-reads are kept on their points.
+L[p_n] = 0 for n >= 1, p_n = raise_chain(n), stands in for integration
+against the orthogonality measure in every integrated identity.  Since
+p_n = R_nu p_(n-1)(nu+sigma) and the p_(n-1)(nu+sigma), n <= N, span the
+polynomials of degree < N, the chains p_1..p_N span the same space as
+R_nu x^k, k < N; so L is recovered exactly from L[R_nu x^k] = 0 by a
+triangular solve for its moments, with one raising operator and no chain.
+Total masses are never known, so adjointness across two measures is tested
+through a fitted constant whose constancy over all test pairs is itself the
+assertion.  A functional is built on each call and kept nowhere.
 """
 
 from __future__ import annotations
@@ -52,14 +54,16 @@ class MomentFunctional:
         """The moments as the coefficients of one Poly, for integer dot products."""
         return Poly(self.moments)
 
-    def apply(self, f: Poly) -> GaussianRational:
-        if f.degree > self.order:
-            raise ValueError(f"functional built to order {self.order}, got degree {f.degree}")
+    def apply(self, f: Poly, shift: int = 0) -> GaussianRational:
+        """L[x^shift f]: the coefficients of f against the moments from shift on."""
+        if shift < 0 or f.degree + shift > self.order:
+            raise ValueError(f"functional built to order {self.order}, got degree {f.degree} + {shift}")
         m = self._moment_poly
-        f_im, m_im = f.im or (), m.im or ()
+        m_re, m_im = m.re[shift:], (m.im or ())[shift:]
+        f_im = f.im or ()
         den = f.den * m.den
-        re = _dot(f.re, m.re) - _dot(f_im, m_im)
-        im = _dot(f.re, m_im) + _dot(f_im, m.re)
+        re = _dot(f.re, m_re) - _dot(f_im, m_im)
+        im = _dot(f.re, m_im) + _dot(f_im, m_re)
         return GaussianRational.from_parts(re, im, den)
 
 
@@ -74,21 +78,32 @@ class MassRatioWitness:
 def build_functional(point: ParamPoint, order: int) -> MomentFunctional:
     """Moments of the functional L with L[p_0] = 1 and L[p_j] = 0 for j >= 1.
 
-    The basis p_j = raise_chain(j) has degree j, so the conditions form a
-    triangular system in the moments, solved in O(order^2) scalar steps.
-    L[x^k] is then the p_0-coefficient of x^k in the basis; orthogonality of
-    the basis itself is a separate check (gram_offdiagonal).  Nothing is kept:
-    no case asks for the same functional twice.
+    The chains p_j = raise_chain(j), 1 <= j <= order, span the image under
+    R_nu of the polynomials of degree < order, since p_j = R_nu p_(j-1) at
+    nu + sigma.  So the conditions are L[R_nu x^k] = 0 for k < order: with
+    R_nu x^k of degree k + 1 they form a triangular system in the moments,
+    solved in O(order^2) scalar steps from order applications of one
+    operator.  Orthogonality of the chains themselves is a separate check
+    (gram_offdiagonal).  Nothing is kept: no case asks for the same
+    functional twice.
     """
-    if FAMILIES[point.family].carrier != "poly":
+    spec = FAMILIES[point.family]
+    if spec.carrier != "poly":
         raise ValueError(f"moment functionals need the full polynomial ladder; {point.family} lacks it")
-    moments = []
-    for j in range(order + 1):
-        p = raise_chain(point, j)
-        acc = GR_ZERO if j else GR_ONE
-        for c, mom in zip(p.coeffs[:j], moments):
+    if spec.raising is None:
+        raise ValueError(f"{point.family} has no raising-chain machinery")
+    if not spec.admissible(point):
+        raise ValueError(f"inadmissible parameter point {point}")
+    raising = spec.raising_operator(point)
+    moments = [GR_ONE]
+    for k in range(order):
+        r = raising(Poly.monomial(k))
+        if r.degree != k + 1:
+            raise AssertionError(f"{point.family} raising operator maps x^{k} to degree {r.degree}")
+        acc = GR_ZERO
+        for c, mom in zip(r.coeffs[:-1], moments):
             acc = acc - c * mom
-        moments.append(acc / p.lead)
+        moments.append(acc / r.lead)
     return MomentFunctional(tuple(moments))
 
 
@@ -164,9 +179,8 @@ def adjointness_check(point: ParamPoint, n: int, D: int, variant: str | None = N
     for i in range(D + 1):
         expansion = operational_rhs(point, n, Poly.monomial(i), variant)
         for j in range(D - i + 1):
-            lhs = L_base.apply(expansion * Poly.monomial(j))
-            g = lowered[j]
-            rhs = L_shift.apply(Poly.monomial(i) * g) if g else GR_ZERO
+            lhs = L_base.apply(expansion, j)
+            rhs = L_shift.apply(lowered[j], i)
             if not rhs:
                 if lhs:
                     failures.append((i, j, "rhs vanished but lhs did not", lhs))
@@ -205,4 +219,4 @@ def toda_orthogonality_check(identity: str, point: ParamPoint, n: int, s=None) -
     _, terms = expansion.build(point, n, s)
     E = term_sum(terms)
     L = modified_functional(point, s, E.degree + max(n - 1, 0), expansion.measure)
-    return [L.apply(E * Poly.monomial(p)) for p in range(n)]
+    return [L.apply(E, p) for p in range(n)]

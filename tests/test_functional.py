@@ -4,10 +4,10 @@ from random import Random
 
 import pytest
 
-from askeykit import functional
+from askeykit import families, functional
 from askeykit.algebra import GaussianRational, Poly, pochhammer, scalar
 from askeykit.burchnall import operational_rhs
-from askeykit.families import FAMILIES, expand_in_basis, make_point, raise_chain
+from askeykit.families import FAMILIES, FamilySpec, expand_in_basis, make_point, raise_chain
 from askeykit.functional import (
     MomentFunctional,
     build_functional,
@@ -33,6 +33,8 @@ ADJOINT_FAMILIES = {
     "big-q-laguerre": dict(a=Q(1, 3), c=Q(-2, 3), q=Q(1, 2)),
 }
 
+POLY_RAISING_FAMILIES = [t for t, s in FAMILIES.items() if s.raising is not None and s.carrier == "poly"]
+
 
 def test_moment_examples():
     L = build_functional(make_point("hermite"), 6)
@@ -49,11 +51,63 @@ def test_functional_rejects_overflow_degree():
     L = build_functional(make_point("hermite"), 3)
     with pytest.raises(ValueError):
         L.apply(Poly.monomial(4))
+    # the order check counts the shift: x^1 * x^2 has degree 3, x^2 * x^2 degree 4
+    assert L.apply(Poly.monomial(1), 2) == L.apply(Poly.monomial(3))
+    with pytest.raises(ValueError):
+        L.apply(Poly.monomial(2), 2)
+    with pytest.raises(ValueError):
+        L.apply(Poly.one(), 4)
+    with pytest.raises(ValueError):
+        L.apply(Poly.one(), -1)
 
 
 def test_functional_rejects_partial_ladders():
     with pytest.raises(ValueError):
         build_functional(make_point("wilson", a=1, b=1, c=1, d=1), 3)
+    # a finite family with no raising operator
+    with pytest.raises(ValueError, match="no raising-chain machinery"):
+        build_functional(make_point("krawtchouk", p=Q(1, 3), N=5), 3)
+
+
+def test_functional_rejects_an_inadmissible_point():
+    # laguerre needs nu > -1
+    with pytest.raises(ValueError, match="inadmissible"):
+        build_functional(make_point("laguerre", nu=Q(-3, 2)), 3)
+
+
+def test_build_functional_applies_one_raising_operator_order_times(monkeypatch):
+    # the moments come from R_nu x^k, k < order: no raising chain is built,
+    # and one operator is applied exactly order times
+    chains = []
+    real_chain = families.raise_chain
+    for module in (families, functional):
+        monkeypatch.setattr(module, "raise_chain", lambda *a: chains.append(a) or real_chain(*a))
+    builds, applications = [], []
+    real_operator = FamilySpec.raising_operator
+
+    def counting(self, point):
+        builds.append(point)
+        op = real_operator(self, point)
+        return lambda f: applications.append(point) or op(f)
+
+    monkeypatch.setattr(FamilySpec, "raising_operator", counting)
+    rng = Random(71)
+    for tag in POLY_RAISING_FAMILIES:
+        pt = sample_point(tag, rng)
+        for order in (0, 1, 8):
+            builds.clear()
+            applications.clear()
+            build_functional(pt, order)
+            assert builds == [pt] and applications == [pt] * order, (tag, order)
+    assert chains == []
+
+
+def test_the_degree_tripwire_guards_the_solve(monkeypatch):
+    # the solve divides by the lead of R_nu x^k, so a degree other than k + 1 is an error
+    pt = make_point("hermite")
+    monkeypatch.setattr(FamilySpec, "raising_operator", lambda self, point: lambda f: f)
+    with pytest.raises(AssertionError, match="degree"):
+        build_functional(pt, 2)
 
 
 def test_gram_offdiagonal_vanishes():
@@ -157,19 +211,19 @@ def test_bqj_chain_orthogonal_to_lower_monomials():
     for n in range(1, 5):
         expansion = operational_rhs(pt, n, Poly.one(), "Tq")
         for p in range(n):
-            assert not L.apply(expansion * Poly.monomial(p)), (n, p)
+            assert not L.apply(expansion, p), (n, p)
 
 
 def test_moments_match_the_basis_expansion():
     # oracle: L[x^k] is the p_0-coefficient of x^k in the raising-chain basis
     rng = Random(61)
-    order = 8
-    tags = [t for t, s in FAMILIES.items() if s.raising is not None and s.carrier == "poly"]
-    for tag in tags:
-        pt = sample_point(tag, rng)
-        basis = [raise_chain(pt, j) for j in range(order + 1)]
-        expected = tuple(expand_in_basis(Poly.monomial(k), basis[: k + 1])[0] for k in range(order + 1))
-        assert build_functional(pt, order).moments == expected, tag
+    order = 10
+    for tag in POLY_RAISING_FAMILIES:
+        for _ in range(3):
+            pt = sample_point(tag, rng)
+            basis = [raise_chain(pt, j) for j in range(order + 1)]
+            expected = tuple(expand_in_basis(Poly.monomial(k), basis[: k + 1])[0] for k in range(order + 1))
+            assert build_functional(pt, order).moments == expected, pt
 
 
 def test_apply_matches_the_coefficient_sum():
@@ -189,3 +243,6 @@ def test_apply_matches_the_coefficient_sum():
                 for c, m in zip(f.coeffs, moments):
                     expected = expected + c * m
                 assert L.apply(f) == expected, (complex_moments, complex_poly, f)
+                for shift in range(L.order - deg + 1):
+                    shifted = L.apply(f * Poly.monomial(shift))
+                    assert L.apply(f, shift) == shifted, (complex_moments, complex_poly, f, shift)
