@@ -6,6 +6,12 @@ report: the same configuration and seed always produce byte-identical JSON.
 No floating point appears anywhere in a report; rationals serialize as
 "num/den" strings.
 
+`verify` runs its cases on every CPU the process may use: forked workers
+build slices of the case list and the parent builds one itself.  The report
+stays byte-identical, because each case draws from a random generator seeded
+by its id and the records are sorted by id.  `--timings` stays per case: each
+record times its case in whichever process builds it.
+
 Subcommands: verify, expand, toda, list.  Exit codes: 0 all cases pass,
 1 verification failure, 2 usage error.
 """
@@ -242,6 +248,70 @@ def _case_record(ident, family, n, m, trial, config) -> dict:
     return case
 
 
+def _worker_count(n_jobs: int) -> int:
+    """Processes to build n_jobs case records in: the usable CPUs, 64 cases or more each."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_jobs // 64))
+
+
+def _records(jobs: list, config: SuiteConfig, workers: int) -> list:
+    """The case records of jobs, (ident, family, n, m, trial) each, in no fixed order.
+
+    Worker w builds jobs[w::workers].  The parent forks workers - 1 children,
+    builds jobs[0::workers] itself, then reads each child's records, sent as
+    one JSON text over a pipe, and reaps the child.  A child that exits
+    nonzero or sends fewer records than its slice raises RuntimeError; every
+    child not yet reaped is killed and reaped before this function returns or
+    raises.  A child holds only the forking thread; the case code it runs
+    imports nothing and takes no lock.
+    """
+    children = []  # (pid, read end of its pipe as a file) of each child not yet reaped
+    try:
+        for w in range(1, workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: build its slice, send it, leave
+                status = 1
+                try:
+                    part = [_case_record(*job, config) for job in jobs[w::workers]]
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(json.dumps(part, separators=(",", ":")).encode())
+                    status = 0
+                finally:
+                    os._exit(status)
+            # a later child must not hold this write end, or the read never ends
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        records = [_case_record(*job, config) for job in jobs[::workers]]
+        for w in range(1, workers):
+            pid, pipe = children[0]
+            payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            pipe.close()
+            try:
+                part = json.loads(payload) if status == 0 else None
+            except ValueError:  # a truncated payload
+                part = None
+            if not isinstance(part, list) or len(part) != len(jobs[w::workers]):
+                raise RuntimeError(
+                    f"verify worker {pid} exited with status {status} after sending "
+                    f"{len(payload)} bytes, not the records of its "
+                    f"{len(jobs[w::workers])} cases"
+                )
+            records.extend(part)
+        return records
+    finally:
+        if children:
+            import signal  # only here: the import would add to every run's set-up time
+
+            for pid, pipe in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pipe.close()
+
+
 def run_verify(config: SuiteConfig) -> dict:
     if config.max_n < 0 or config.max_m < 0:
         raise UsageError("degree bounds must be >= 0")
@@ -255,7 +325,7 @@ def run_verify(config: SuiteConfig) -> dict:
     bad_fams = [f for f in config.families if f not in known_families]
     if bad_fams:
         raise UsageError(f"unknown families: {bad_fams}; see `list`")
-    cases = []
+    jobs = []
     selected = False  # some identity and family in common, whatever the degree bounds
     for ident in sorted(idents):
         kind, fams = IDENTITIES[ident]
@@ -263,16 +333,17 @@ def run_verify(config: SuiteConfig) -> dict:
             fams = tuple(f for f in fams if f in config.families)
         selected = selected or bool(fams)
         grid = CASE_KINDS[kind][0]
-        cases.extend(
-            _case_record(ident, family, n, m, trial, config)
+        jobs.extend(
+            (ident, family, n, m, trial)
             for family in fams
             for n, m in grid(config.max_n, config.max_m)
             for trial in range(config.trials)
         )
     if not selected:
         raise UsageError("the selected identities and families have no case in common; see `list`")
-    if not cases:
+    if not jobs:
         raise UsageError(f"the selected identities start at n = 1, above --max-n {config.max_n}")
+    cases = _records(jobs, config, _worker_count(len(jobs)))
     cases.sort(key=lambda c: c["id"])
     report = {
         "schema": SCHEMA_VERSION,

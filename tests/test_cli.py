@@ -2,15 +2,18 @@
 
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from askeykit import cli
 from askeykit.cli import CASE_KINDS, IDENTITIES, SuiteConfig, main, render_report, run_verify
 from askeykit.families import FAMILIES, ParamPoint
 
@@ -346,7 +349,156 @@ def test_every_point_memo_is_reused_by_the_suite(monkeypatch):
         return out
 
     monkeypatch.setattr(ParamPoint, "derived", counting)
+    # the counter sees only this process, so every case must run in it
+    monkeypatch.setattr(cli, "_worker_count", lambda n_jobs: 1)
     run_verify(SuiteConfig(seed=7, max_n=3, max_m=3))
     kinds = {"next", "admissible", "raising", "spec", "chain", "std"}
     assert set(misses) == kinds
     assert set(hits) == kinds, (hits, misses)
+
+
+def _suite_jobs(max_n: int, max_m: int) -> list:
+    """The (ident, family, n, m, trial) jobs of the full suite at one trial."""
+    return [
+        (ident, family, n, m, 0)
+        for ident, (kind, fams) in sorted(IDENTITIES.items())
+        for family in fams
+        for n, m in CASE_KINDS[kind][0](max_n, max_m)
+    ]
+
+
+def _by_id(records: list) -> list:
+    return sorted(records, key=lambda c: c["id"])
+
+
+def _assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", [7, 2718])
+def test_records_do_not_depend_on_the_worker_count(seed):
+    jobs = _suite_jobs(2, 2)
+    config = SuiteConfig(seed=seed)
+    serial = _by_id(cli._records(jobs, config, 1))
+    assert len(serial) == len(jobs)
+    for workers in (2, 3):
+        assert _by_id(cli._records(jobs, config, workers)) == serial, workers
+    _assert_no_child()
+
+
+def test_worker_count_follows_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert [cli._worker_count(n) for n in (0, 63, 64, 191, 192, 10**4)] == [1, 1, 1, 2, 3, 4]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._worker_count(10**4) == 1
+
+
+def test_an_error_in_a_workers_slice_gives_the_serial_error_record(monkeypatch):
+    jobs = _suite_jobs(1, 1)
+    ident, family, n, m, _ = jobs[1]  # the first job of worker 1's slice
+    kind = IDENTITIES[ident][0]
+    grid, runner = CASE_KINDS[kind]
+
+    def failing(i, f, nn, mm, rng):
+        if (i, f, nn, mm) == (ident, family, n, m):
+            raise ValueError("inadmissible in a worker")
+        return runner(i, f, nn, mm, rng)
+
+    monkeypatch.setitem(CASE_KINDS, kind, (grid, failing))
+    config = SuiteConfig(seed=7)
+    serial = _by_id(cli._records(jobs, config, 1))
+    assert _by_id(cli._records(jobs, config, 2)) == serial
+    errors = [c for c in serial if not c["pass"]]
+    assert [c["residual_summary"] for c in errors] == ["error: inadmissible in a worker"]
+    _assert_no_child()
+
+
+def test_a_verify_run_leaves_no_child(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    config = SuiteConfig(seed=7, max_n=2, max_m=2)
+    report = run_verify(config)
+    assert report["totals"] == {"cases": 322, "passed": 322, "failed": 0}
+    assert len(forks) == cli._worker_count(322) - 1
+    _assert_no_child()
+
+
+def test_a_worker_that_dies_raises_and_leaves_no_child(monkeypatch):
+    parent = os.getpid()
+    real = cli._case_record
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_case_record", dying)
+    monkeypatch.setattr(cli, "_worker_count", lambda n_jobs: 2)
+    with pytest.raises(RuntimeError, match=r"verify worker \d+ exited with status 3 "):
+        run_verify(SuiteConfig(seed=7, max_n=1, max_m=1))
+    _assert_no_child()
+
+
+def test_an_interrupt_in_the_parents_slice_leaves_no_child(monkeypatch):
+    # the workers would take a minute: the interrupt must kill them, not wait for them
+    parent = os.getpid()
+    real = cli._case_record
+    calls = []
+
+    def interrupted(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+            os._exit(0)
+        calls.append(1)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_case_record", interrupted)
+    monkeypatch.setattr(cli, "_worker_count", lambda n_jobs: 3)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_verify(SuiteConfig(seed=7, max_n=2, max_m=2))
+    assert time.monotonic() - started < 30
+    _assert_no_child()
+
+
+def test_one_usable_cpu_runs_serially(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked with one usable CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    report = run_verify(SuiteConfig(seed=7, max_n=2, max_m=2))
+    assert report["totals"] == {"cases": 322, "passed": 322, "failed": 0}
+
+
+def test_python_dash_m_verify_gives_the_pinned_report(tmp_path):
+    # the forked path outside this process: the report of `verify --seed 7 --max-n 3
+    # --max-m 3` keeps its pinned bytes, and every worker held the command's
+    # stdout and stderr, so both reach end of file as soon as the command exits
+    # only if no worker outlived it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "r.json"
+    cmd = [sys.executable, "-m", "askeykit", "verify", "--seed", "7", "--max-n", "3",
+           "--max-m", "3", "--output", str(out)]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        rc = proc.wait(timeout=300)
+        stdout, stderr = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert rc == 0, stderr
+    assert stdout == "wrote " + str(out) + ": 532/532 passed\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "750874a5c7271c709964e67a0ae3ac6d9fbd6b7ecf580a73218c3bcf6b7ac959"
+    )
