@@ -470,6 +470,76 @@ def test_an_interrupt_in_the_parents_slice_leaves_no_child(monkeypatch):
     _assert_no_child()
 
 
+def test_an_interrupt_just_after_a_reap_still_kills_the_other_workers(monkeypatch):
+    # the interrupt lands between reaping worker 1 and dropping it from the
+    # children to kill; worker 2 would take a minute and must be killed
+    parent = os.getpid()
+    jobs = _suite_jobs(1, 1)
+    slow = set(jobs[2::3])
+    real = cli._case_record
+    waitpid = os.waitpid
+
+    def sleepy(*args):
+        if os.getpid() != parent and args[:5] in slow:
+            time.sleep(60)
+            os._exit(0)
+        return real(*args)
+
+    def interrupted_waitpid(pid, options):
+        waitpid(pid, options)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_case_record", sleepy)
+    monkeypatch.setattr(os, "waitpid", interrupted_waitpid)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli._records(jobs, SuiteConfig(seed=7), 3)
+    assert time.monotonic() - started < 30
+    _assert_no_child()
+
+
+def test_a_failed_fork_closes_its_pipe_and_leaves_no_child(monkeypatch):
+    fds = []
+    pipe, fork = os.pipe, os.fork
+
+    def recording_pipe():
+        ends = pipe()
+        fds.extend(ends)
+        return ends
+
+    def failing_fork():
+        if len(fds) == 4:  # the second worker's pipe
+            raise BlockingIOError("no process left")
+        return fork()
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    with pytest.raises(BlockingIOError):
+        cli._records(_suite_jobs(1, 1), SuiteConfig(seed=7), 3)
+    _assert_no_child()
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_a_worker_that_raises_writes_its_traceback(monkeypatch, capfd):
+    parent = os.getpid()
+    real = cli._case_record
+
+    def raising(*args):
+        if os.getpid() != parent:
+            raise LookupError("lost in a worker")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_case_record", raising)
+    with pytest.raises(RuntimeError, match=r"exited with status 1 "):
+        cli._records(_suite_jobs(1, 1), SuiteConfig(seed=7), 2)
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "LookupError: lost in a worker" in err
+    _assert_no_child()
+
+
 def test_one_usable_cpu_runs_serially(monkeypatch):
     def no_fork():
         raise AssertionError("forked with one usable CPU")
