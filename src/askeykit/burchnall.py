@@ -54,6 +54,7 @@ from .ops import aw_eta, ladder
 __all__ = [
     "apply_chain",
     "operational_rhs",
+    "operational_rhs_many",
     "operational_residual",
     "chain_expansion_rhs",
     "chain_expansion_residual",
@@ -85,21 +86,36 @@ def apply_chain(point: ParamPoint, n: int, f):
     return out
 
 
-def operational_rhs(point: ParamPoint, n: int, f, variant: str | None = None):
+def operational_rhs_many(point: ParamPoint, n: int, fs, variant: str | None = None) -> list:
+    """The weight-ratio expansion of the n-step chain applied to each f of fs.
+
+    sum_k alpha(n, k) ratio_k eta^k(p_(n-k)) T_(k,n) f, with ratio_k =
+    eta^k(w_(nu+k sigma)) / w_nu built by one weight step per k.  The pieces
+    that do not depend on f (alpha, ratio_k and the eta-shifted chain) are
+    computed once per k for all of fs; each (k, f) term is one product.
+    """
     spec = FAMILIES[point.family]
     var = spec.variant(variant) if variant is not None else spec.variants[0]
-    op = var.spec_at(point)
-    fs = ladder(op.partial, f, n)
-    ratio = spec.one()  # eta^k(w_(nu+k sigma)) / w_nu, one weight step per k
-    rhs = None
+    op = var.op_spec(point)
+    ladders = [ladder(op.partial, f, n) for f in fs]
+    ratio = spec.one()
+    sums = [None] * len(fs)
     pt_k = point
     for k in range(n + 1):
-        term = product(op.alpha(n, k), ratio, op.eta(raise_chain(pt_k, n - k), k), op.twist(fs[k], k, n))
-        rhs = term if rhs is None else rhs + term
+        alpha = op.alpha(n, k)
+        eta_p = op.eta(raise_chain(pt_k, n - k), k)
+        for idx, f_ladder in enumerate(ladders):
+            term = product(alpha, ratio, eta_p, op.twist(f_ladder[k], k, n))
+            sums[idx] = term if k == 0 else sums[idx] + term
         if k < n:
             ratio = ratio * var.weight_step(point, k)
             pt_k = spec.shift(pt_k)
-    return rhs
+    return sums
+
+
+def operational_rhs(point: ParamPoint, n: int, f, variant: str | None = None):
+    """The weight-ratio expansion of the n-step chain applied to f."""
+    return operational_rhs_many(point, n, [f], variant)[0]
 
 
 def operational_residual(point: ParamPoint, n: int, f, variant: str | None = None):

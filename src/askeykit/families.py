@@ -46,7 +46,6 @@ from .algebra import (
     factorial,
     horner_series,
     pochhammer,
-    product,
     q_pochhammer,
     scalar,
     tangent_subtract,
@@ -102,7 +101,7 @@ class ParamPoint:
     Everything derived from a point and reused by a case is kept in the
     point's one memo, through `derived`: its successor under the family
     shift, its admissibility verdict, its raising operator, its raising
-    chains and standard forms, and the variants' operator specs.  The memo
+    chains and its standard forms.  The memo
     takes no part in equality, hashing or repr.  So the shifted points of a
     case are built once, each datum is computed once per point, and all of
     it is freed with the point; two equal points made separately share
@@ -232,10 +231,6 @@ class Variant:
     name: str
     op_spec: Callable[[ParamPoint], ops.OperatorSpec]
     weight_step: Callable[[ParamPoint, int], object]
-
-    def spec_at(self, point: ParamPoint) -> ops.OperatorSpec:
-        """op_spec(point), built once per point and kept under the key op_spec."""
-        return point.derived(self.op_spec, self.op_spec, point)
 
 
 @dataclass(frozen=True)
@@ -427,11 +422,23 @@ def charlier_poly(a, n: int) -> Poly:
     return _pfq(n, [-n], [], -1 / _Q(a), xtops=[(0, -1)])
 
 
-def _linear_product(factors) -> Poly:
-    """prod (u + v*x) over factors (u_r, u_i, v_r, v_i, den), each (u + v*x) den, in one product."""
-    if not factors:
-        return Poly.one()
-    return product(1, *(_canon([ur, vr], [ui, vi], d) for ur, ui, vr, vi, d in factors))
+def _linear_product(factors, c=1) -> Poly:
+    """c * prod (u + v*x), a factor (u_r, u_i, v_r, v_i, den) standing for
+    ((u_r + u_i*i) + (v_r + v_i*i) x) / den; multiplied on integer
+    numerators, with one canonical form."""
+    cr, ci, den = _parts(c)
+    re, im = [cr], [ci] if ci else None
+    for ur, ui, vr, vi, d in factors:
+        re, im = _cmul(re, im, [ur, vr], [ui, vi] if ui or vi else None)
+        den *= d
+    return _canon(re, im, den)
+
+
+def _factor(u, v) -> tuple:
+    """u + v*x as a factor of _linear_product."""
+    ur, ui, ud = _parts(u)
+    vr, vi, vd = _parts(v)
+    return ur * vd, ui * vd, vr * ud, vi * ud, ud * vd
 
 
 def rising_poch_poly(base, n: int, xcoef=1) -> Poly:
@@ -611,6 +618,10 @@ def _cqh_raise(pt):
 
 
 # weight steps: ratio_k = step_0 * ... * step_(k-1) ----------------------------
+# each step is a constant or one _linear_product, with one canonical form
+
+_ONE_MINUS_X2 = Poly([1, 0, -1])
+
 
 def _step_one(pt, j):
     return Poly.one()
@@ -621,51 +632,50 @@ def _step_x(pt, j):
 
 
 def _step_jacobi(pt, j):
-    return Poly([1, 0, -1])
+    return _ONE_MINUS_X2
 
 
 def _step_meixner_eta1(pt, j):
     # (beta + j + x) / (beta + j)
-    return Poly([1, 1 / (pt.get("beta") + j)])
+    return _linear_product([_factor(1, 1 / (pt.get("beta") + j))])
 
 
 def _step_meixner_etaS(pt, j):
     # (j - x) * (-1) / ((beta + j) c)
-    return Poly([-j, 1]) * (1 / ((pt.get("beta") + j) * pt.get("c")))
+    return _linear_product([_factor(-j, 1)], 1 / ((pt.get("beta") + j) * pt.get("c")))
 
 
 def _step_charlier_etaS(pt, j):
     # (j - x) / (-a)
-    return Poly([-j, 1]) * (1 / pt.get("a"))
+    return _linear_product([_factor(-j, 1)], 1 / pt.get("a"))
 
 
 def _step_mp(pt, j):
     # i e^(-i phi) (lambda + j + ix)
-    return Poly([pt.get("lam") + j, GR_I]) * (GR_I * unit_phase(pt.get("phi")).conjugate())
+    return _linear_product([_factor(pt.get("lam") + j, GR_I)], GR_I * unit_phase(pt.get("phi")).conjugate())
 
 
 def _step_wilson(pt, j):
-    out = -Poly.one()
-    for name in ("a", "b", "c", "d"):
-        out = out * Poly([pt.get(name) + j, GR_I])  # e + j + ix
-    return out
+    # -prod (e + j + ix) over e = a, b, c, d
+    return _linear_product([_factor(pt.get(name) + j, GR_I) for name in "abcd"], -1)
 
 
 def _step_bqj_Tq(pt, j):
+    # (1 - q^j x)(1 - (b/c) q^j x)
     b, c, q = pt.get("b"), pt.get("c"), pt.get("q")
     qj = q ** j
-    return Poly([1, -qj]) * Poly([1, -b / c * qj])
+    return _linear_product([_factor(1, -qj), _factor(1, -b / c * qj)])
 
 
 def _step_bql_Tq(pt, j):
-    return Poly([1, -pt.get("q") ** j])
+    return _linear_product([_factor(1, -pt.get("q") ** j)])
 
 
 def _step_bqj_I(pt, j):
     # shared by big q-Jacobi and big q-Laguerre: b drops out of this ratio
     a, c, q = pt.get("a"), pt.get("c"), pt.get("q")
     qj1 = q ** (j + 1)
-    return Poly([1, -1 / (a * qj1)]) * Poly([1, -1 / (c * qj1)])
+    return _linear_product([_factor(1, -1 / (a * qj1)), _factor(1, -1 / (c * qj1))])
 
 
 def _step_aw_vals(vals, p, j):
@@ -1007,10 +1017,11 @@ def shifted_point(point: ParamPoint, k: int) -> ParamPoint:
 
 def make_point(tag: str, **values) -> ParamPoint:
     spec = FAMILIES[tag]
-    missing = [k for k in spec.param_names if k not in values]
+    names = spec.param_names
+    missing = [k for k in names if k not in values]
     if missing:
         raise KeyError(f"{tag} needs parameters {missing}")
-    extra = [k for k in values if k not in spec.param_names]
+    extra = [k for k in values if k not in names]
     if extra:
         raise KeyError(f"{tag} got unknown parameters {extra}")
     vals = tuple((p.name, values[p.name] if p.integer else _Q(values[p.name])) for p in spec.domain)

@@ -7,6 +7,9 @@ p_n = R_nu p_(n-1)(nu+sigma) and the p_(n-1)(nu+sigma), n <= N, span the
 polynomials of degree < N, the chains p_1..p_N span the same space as
 R_nu x^k, k < N; so L is recovered exactly from L[R_nu x^k] = 0 by a
 triangular solve for its moments, with one raising operator and no chain.
+The solve runs fraction-free on integer parts (Bareiss, 1968): the moments
+are Gaussian-integer numerators over one denominator, and the result is the
+moment Poly itself, so applying L is an integer dot product.
 Total masses are never known, so adjointness across two measures is tested
 through a fitted constant whose constancy over all test pairs is itself the
 assertion.  A functional is built on each call and kept nowhere.
@@ -15,12 +18,12 @@ assertion.  A functional is built on each call and kept nowhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from math import gcd
 from operator import mul
 
-from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, scalar, term_sum
+from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, _canon, scalar, term_sum
 from .families import FAMILIES, ParamPoint, deformation, raise_chain, shifted_point
-from .burchnall import operational_rhs
+from .burchnall import operational_rhs_many
 from .toda import MODIFIED_EXPANSIONS
 
 __all__ = [
@@ -39,26 +42,35 @@ def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
-@dataclass(frozen=True)
 class MomentFunctional:
-    """L[x^k] = moments[k], normalized so L[1] = 1."""
+    """L[x^k] = moments[k] for k <= order, normalized so L[1] = 1.
 
-    moments: tuple
+    The moments are held as the coefficients of one Poly, so L[f] is an
+    integer dot product; the order is kept beside it, since trailing moments
+    can be zero (Hermite's odd ones).
+    """
+
+    __slots__ = ("poly", "order")
+
+    def __init__(self, moments: tuple):
+        self.poly = Poly(moments)
+        self.order = len(moments) - 1
+
+    @classmethod
+    def _of(cls, poly: Poly, order: int) -> "MomentFunctional":
+        L = object.__new__(cls)
+        L.poly, L.order = poly, order
+        return L
 
     @property
-    def order(self) -> int:
-        return len(self.moments) - 1
-
-    @cached_property
-    def _moment_poly(self) -> Poly:
-        """The moments as the coefficients of one Poly, for integer dot products."""
-        return Poly(self.moments)
+    def moments(self) -> tuple:
+        return tuple(self.poly.coefficient(k) for k in range(self.order + 1))
 
     def apply(self, f: Poly, shift: int = 0) -> GaussianRational:
         """L[x^shift f]: the coefficients of f against the moments from shift on."""
         if shift < 0 or f.degree + shift > self.order:
             raise ValueError(f"functional built to order {self.order}, got degree {f.degree} + {shift}")
-        m = self._moment_poly
+        m = self.poly
         m_re, m_im = m.re[shift:], (m.im or ())[shift:]
         f_im = f.im or ()
         den = f.den * m.den
@@ -82,8 +94,17 @@ def build_functional(point: ParamPoint, order: int) -> MomentFunctional:
     R_nu of the polynomials of degree < order, since p_j = R_nu p_(j-1) at
     nu + sigma.  So the conditions are L[R_nu x^k] = 0 for k < order: with
     R_nu x^k of degree k + 1 they form a triangular system in the moments,
-    solved in O(order^2) scalar steps from order applications of one
-    operator.  Orthogonality of the chains themselves is a separate check
+    solved in O(order^2) integer steps from order applications of one
+    operator.
+
+    The moments are Gaussian-integer numerators M_j over one denominator D.
+    With r = R_nu x^k read as Gaussian-integer numerators r_j (its own
+    denominator cancels) and lead L = r_(k+1), the next moment is
+    -S conj(L) / (D |L|^2), S = sum_(j<=k) r_j M_j; for a real L, -S sgn(L)
+    / (D |L|).  The earlier numerators are rescaled by that |L|^2 (or |L|),
+    and since the content of D and the M_j is 1 before the step, one gcd of
+    the scale and the new numerator is all there is to divide out.
+    Orthogonality of the chains themselves is a separate check
     (gram_offdiagonal).  Nothing is kept: no case asks for the same
     functional twice.
     """
@@ -95,16 +116,41 @@ def build_functional(point: ParamPoint, order: int) -> MomentFunctional:
     if not spec.admissible(point):
         raise ValueError(f"inadmissible parameter point {point}")
     raising = spec.raising_operator(point)
-    moments = [GR_ONE]
+    mr, mi, den = [1], None, 1  # moment k is (mr[k] + mi[k] i) / den; mi None while all are real
     for k in range(order):
         r = raising(Poly.monomial(k))
         if r.degree != k + 1:
             raise AssertionError(f"{point.family} raising operator maps x^{k} to degree {r.degree}")
-        acc = GR_ZERO
-        for c, mom in zip(r.coeffs[:-1], moments):
-            acc = acc - c * mom
-        moments.append(acc / r.lead)
-    return MomentFunctional(tuple(moments))
+        rr, ri = r.re, r.im or ()
+        lr, li = rr[-1], ri[-1] if ri else 0
+        sr = _dot(rr, mr)
+        si = _dot(ri, mr)
+        if mi is not None:
+            sr -= _dot(ri, mi)
+            si += _dot(rr, mi)
+        if li:
+            scale = lr * lr + li * li
+            nr, ni = -(sr * lr + si * li), sr * li - si * lr
+        elif lr > 0:
+            scale, nr, ni = lr, -sr, -si
+        else:
+            scale, nr, ni = -lr, sr, si
+        g = gcd(scale, nr, ni)
+        if g != 1:
+            scale //= g
+            nr //= g
+            ni //= g
+        if scale != 1:
+            den *= scale
+            mr = [c * scale for c in mr]
+            if mi is not None:
+                mi = [c * scale for c in mi]
+        mr.append(nr)
+        if mi is not None:
+            mi.append(ni)
+        elif ni:
+            mi = [0] * (k + 1) + [ni]
+    return MomentFunctional._of(_canon(mr, mi, den), order)
 
 
 def hankel_determinant(L: MomentFunctional, size: int) -> GaussianRational:
@@ -176,8 +222,8 @@ def adjointness_check(point: ParamPoint, n: int, D: int, variant: str | None = N
         for _ in range(n):
             g = adj(g)
         lowered.append(g)
-    for i in range(D + 1):
-        expansion = operational_rhs(point, n, Poly.monomial(i), variant)
+    expansions = operational_rhs_many(point, n, [Poly.monomial(i) for i in range(D + 1)], variant)
+    for i, expansion in enumerate(expansions):
         for j in range(D - i + 1):
             lhs = L_base.apply(expansion, j)
             rhs = L_shift.apply(lowered[j], i)
@@ -185,12 +231,11 @@ def adjointness_check(point: ParamPoint, n: int, D: int, variant: str | None = N
                 if lhs:
                     failures.append((i, j, "rhs vanished but lhs did not", lhs))
                 continue
-            ratio = lhs / rhs
             samples += 1
             if rho is None:
-                rho = ratio
-            elif ratio != rho:
-                failures.append((i, j, "mass ratio drifted", ratio - rho))
+                rho = lhs / rhs
+            elif lhs != rho * rhs:  # exact, since rhs != 0
+                failures.append((i, j, "mass ratio drifted", lhs / rhs - rho))
     return (not failures, MassRatioWitness(rho if rho is not None else GR_ZERO, samples), failures)
 
 

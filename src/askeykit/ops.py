@@ -270,8 +270,8 @@ def _spec_delta_x2() -> OperatorSpec:
     )
 
 
-# The q-based specs are built on each call; a family variant keeps its spec
-# on its parameter point through ParamPoint.derived (families.Variant.spec_at).
+# The q-based specs are built on each call; an operational expansion builds
+# its variant's spec once for every f it expands (burchnall.operational_rhs_many).
 def qderiv_Tq_spec(q) -> OperatorSpec:
     q = scalar(q)
     return OperatorSpec(

@@ -5,7 +5,8 @@ from the sampling windows of each family's parameter domain, coordinate by
 coordinate in the domain's order, so a bound may read the coordinates drawn
 before it.  Deformation scalars are drawn the same way from the domain of
 the family's deformation.  Everything is driven by random.Random so a fixed
-seed reproduces the exact suite.
+seed reproduces the exact suite.  A draw works on the integer parts of its
+bounds and builds a scalar only for the value it returns.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from math import ceil, floor
 from random import Random
 
-from .algebra import GaussianRational, scalar
+from .algebra import GaussianRational, _parts
 from .families import FAMILIES, Param, ParamPoint, make_point
 
 __all__ = ["sample_rational", "sample_point", "sample_deformation"]
@@ -23,24 +24,31 @@ MAX_DEN = 64
 
 def sample_rational(rng: Random, lo, hi, skip=None) -> GaussianRational:
     """Uniform-ish real rational strictly inside (lo, hi) with small
-    numerator/denominator, never equal to `skip`."""
-    lo = scalar(lo)
-    hi = scalar(hi)
+    numerator/denominator, never equal to `skip`.
+
+    A candidate num/den is tested on integers (den > 0, so lo < num/den is
+    lo_r * den < num * lo_d), and the scalar is built only for the value
+    returned.
+    """
+    lo_r, lo_i, lo_d = _parts(lo)
+    hi_r, hi_i, hi_d = _parts(hi)
+    if lo_i or hi_i:
+        raise TypeError(f"sampling bounds must be real, got ({lo}, {hi})")
+    sk = None if skip is None else _parts(skip)
     for _ in range(10_000):
         den = rng.randrange(1, MAX_DEN + 1)
-        num_lo = (lo.r * den) // lo.d + 1
-        num_hi = -((-hi.r * den) // hi.d) - 1
+        num_lo = (lo_r * den) // lo_d + 1
+        num_hi = -((-hi_r * den) // hi_d) - 1
         if num_hi < num_lo:
             continue
         num = rng.randrange(num_lo, num_hi + 1)
         if abs(num) > MAX_DEN:
             continue
-        v = scalar(num, den)
-        if not (lo < v < hi):
+        if not (lo_r * den < num * lo_d and num * hi_d < hi_r * den):
             continue
-        if v == skip:
+        if sk is not None and not sk[1] and num * sk[2] == sk[0] * den:
             continue
-        return v
+        return GaussianRational.from_parts(num, 0, den)
     raise RuntimeError(f"could not sample a rational in ({lo}, {hi})")
 
 

@@ -19,6 +19,8 @@ from askeykit.burchnall import (
     feldheim_watson_coefficient,
     hermite_linearization_oracle,
     operational_residual,
+    operational_rhs,
+    operational_rhs_many,
     zassenhaus_series_residual,
 )
 from askeykit.families import FAMILIES, hermite_poly, make_point
@@ -56,6 +58,21 @@ def test_operational_all_variants():
             for var in spec.variants:
                 for n in range(0, 7):
                     assert not operational_residual(pt, n, f, var.name), (tag, var.name, n)
+
+
+def test_the_list_form_expands_each_f_as_its_own_call():
+    # one pass over k for several f gives, term for term, the per-f expansions
+    rng = Random(303)
+    for tag, spec in FAMILIES.items():
+        if spec.raising is None:
+            continue
+        pt = sample_point(tag, rng)
+        fs = [_rand_f(rng, tag) for _ in range(3)]
+        for var in spec.variants:
+            for n in range(0, 4):
+                expected = [operational_rhs(pt, n, f, var.name) for f in fs]
+                assert operational_rhs_many(pt, n, fs, var.name) == expected, (tag, var.name, n)
+    assert operational_rhs_many(make_point("hermite"), 2, []) == []
 
 
 def test_chain_expansion_all_variants():

@@ -1,13 +1,15 @@
 """Moment functionals, integrated adjointness, deformed orthogonality."""
 
+import dataclasses
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from askeykit import families, functional
-from askeykit.algebra import GaussianRational, Poly, pochhammer, scalar
+from askeykit.algebra import GaussianRational, Poly, binomial, pochhammer, scalar
 from askeykit.burchnall import operational_rhs
-from askeykit.families import FAMILIES, FamilySpec, expand_in_basis, make_point, raise_chain
+from askeykit.families import FAMILIES, FamilySpec, expand_in_basis, make_point, raise_chain, shifted_point
 from askeykit.functional import (
     MomentFunctional,
     build_functional,
@@ -246,3 +248,124 @@ def test_apply_matches_the_coefficient_sum():
                 for shift in range(L.order - deg + 1):
                     shifted = L.apply(f * Poly.monomial(shift))
                     assert L.apply(f, shift) == shifted, (complex_moments, complex_poly, f, shift)
+
+
+# Closed-form normalized moments (KLS normalizations), computed with no
+# raising operator: build_functional must reproduce them at order 12.
+
+MOMENT_ORDER = 12
+
+
+@st.composite
+def _inside(draw, lo: int, hi: int):
+    """A rational strictly inside (lo, hi) with denominator at most 64."""
+    d = draw(st.integers(2, 64))
+    return Q(draw(st.integers(lo * d + 1, hi * d - 1)), d)
+
+
+def _from_factorial_moments(fm) -> tuple:
+    """Power moments E[x^k] from factorial moments E[x (x-1) ... (x-j+1)]:
+    x^k = sum_j S(k, j) x (x-1) ... (x-j+1), S the Stirling numbers of the second kind."""
+    out = []
+    row = [1]  # S(k, 0..k)
+    for k in range(len(fm)):
+        if k:
+            row = [0] + [j * (row[j] if j < k else 0) + row[j - 1] for j in range(1, k + 1)]
+        out.append(sum(s * m for s, m in zip(row, fm)))
+    return tuple(out)
+
+
+def _moments(pt) -> tuple:
+    return build_functional(pt, MOMENT_ORDER).moments
+
+
+def test_hermite_moments_in_closed_form():
+    # mu_2k = (1/2)_k, odd moments 0
+    expected = tuple(pochhammer(Q(1, 2), k // 2) if k % 2 == 0 else Q(0) for k in range(MOMENT_ORDER + 1))
+    assert _moments(make_point("hermite")) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(_inside(-1, 3))
+def test_laguerre_moments_in_closed_form(nu):
+    expected = tuple(pochhammer(nu + 1, k) for k in range(MOMENT_ORDER + 1))
+    assert _moments(make_point("laguerre", nu=nu)) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(_inside(-1, 3), _inside(-1, 3))
+def test_jacobi_moments_in_closed_form(alpha, beta):
+    # t = (1 - x)/2 has E[t^j] = (alpha+1)_j / (alpha+beta+2)_j, and x = 1 - 2t
+    t = [pochhammer(alpha + 1, j) / pochhammer(alpha + beta + 2, j) for j in range(MOMENT_ORDER + 1)]
+    expected = tuple(
+        sum((binomial(k, j) * (-2) ** j * t[j] for j in range(k + 1)), Q(0)) for k in range(MOMENT_ORDER + 1)
+    )
+    assert _moments(make_point("jacobi", alpha=alpha, beta=beta)) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(_inside(0, 4))
+def test_charlier_moments_are_touchard_polynomials(a):
+    # Poisson factorial moments a^j, so E[x^k] = sum_j S(k, j) a^j
+    expected = _from_factorial_moments([a ** j for j in range(MOMENT_ORDER + 1)])
+    assert _moments(make_point("charlier", a=a)) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(_inside(0, 4), _inside(0, 1))
+def test_meixner_moments_from_factorial_moments(beta, c):
+    # factorial moments (beta)_j (c/(1-c))^j
+    ratio = c / (1 - c)
+    expected = _from_factorial_moments([pochhammer(beta, j) * ratio ** j for j in range(MOMENT_ORDER + 1)])
+    assert _moments(make_point("meixner", beta=beta, c=c)) == expected
+
+
+def _adjointness_by_division(point, n, D):
+    """Reference pair loop: a per-f expansion, and lhs / rhs for every pair."""
+    adj = FAMILIES[point.family].adjoint(point)
+    L_base = build_functional(point, D + n)
+    L_shift = build_functional(shifted_point(point, n), D)
+    lowered = []
+    for j in range(D + 1):
+        g = Poly.monomial(j)
+        for _ in range(n):
+            g = adj(g)
+        lowered.append(g)
+    failures, rho, samples = [], None, 0
+    for i in range(D + 1):
+        expansion = operational_rhs(point, n, Poly.monomial(i))
+        for j in range(D - i + 1):
+            lhs = L_base.apply(expansion, j)
+            rhs = L_shift.apply(lowered[j], i)
+            if not rhs:
+                if lhs:
+                    failures.append((i, j, "rhs vanished but lhs did not", lhs))
+                continue
+            ratio = lhs / rhs
+            samples += 1
+            if rho is None:
+                rho = ratio
+            elif ratio != rho:
+                failures.append((i, j, "mass ratio drifted", ratio - rho))
+    return not failures, rho if rho is not None else GaussianRational(0), samples, failures
+
+
+@pytest.mark.parametrize("tag", sorted(ADJOINT_FAMILIES))
+def test_adjointness_matches_the_dividing_pair_loop(monkeypatch, tag):
+    spec = FAMILIES[tag]
+    lowerings = {
+        "adjoint": spec.adjoint,
+        "twice the adjoint": lambda pt: (lambda f, adj=spec.adjoint(pt): adj(f) * 2),
+        # followed by x -> x + 1 it is no adjoint, so the ratios drift
+        "shifted adjoint": lambda pt: (lambda f, adj=spec.adjoint(pt): adj(f).compose_affine(1, 1)),
+    }
+    drifted = 0
+    for name, lowering in lowerings.items():
+        monkeypatch.setitem(FAMILIES, tag, dataclasses.replace(spec, adjoint=lowering))
+        for n in (1, 2):
+            pt = make_point(tag, **ADJOINT_FAMILIES[tag])
+            ok, witness, failures = adjointness_check(pt, n, 6)
+            expected = _adjointness_by_division(make_point(tag, **ADJOINT_FAMILIES[tag]), n, 6)
+            assert (ok, witness.rho, witness.samples, failures) == expected, (tag, name, n)
+            drifted += any(reason == "mass ratio drifted" for _, _, reason, _ in failures)
+    assert drifted, tag
