@@ -572,3 +572,26 @@ def test_python_dash_m_verify_gives_the_pinned_report(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "750874a5c7271c709964e67a0ae3ac6d9fbd6b7ecf580a73218c3bcf6b7ac959"
     )
+
+
+def test_timings_time_every_record_and_change_nothing_else(monkeypatch):
+    # two processes build the records: the parent half and a worker's half
+    parent, built_here = os.getpid(), []
+    real = cli._case_record
+
+    def counting(*args):
+        if os.getpid() == parent:
+            built_here.append(args[:5])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_case_record", counting)
+    monkeypatch.setattr(cli, "_worker_count", lambda n_jobs: 2)
+    config = SuiteConfig(seed=7, max_n=1, max_m=1)
+    timed = run_verify(dataclasses.replace(config, timings=True))
+    cases = timed["cases"]
+    assert 0 < len(built_here) < len(cases)
+    for case in cases:
+        ms = case.pop("elapsed_ms")
+        assert type(ms) is int and ms >= 0, (case["id"], ms)
+    assert render_report(timed, "json") == render_report(run_verify(config), "json")
+    _assert_no_child()

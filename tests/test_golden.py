@@ -1,12 +1,13 @@
-"""Pinned contracts: the report bytes of a small full suite, and the
-admissibility verdicts at the edges of every family's parameter domain."""
+"""Pinned contracts: the report bytes of a small full suite, the output of
+`askeykit toda`, and the admissibility verdicts at the edges of every
+family's parameter domain."""
 
 import hashlib
 
 import pytest
 
 from askeykit.algebra import scalar
-from askeykit.cli import SuiteConfig, render_report, run_verify
+from askeykit.cli import SuiteConfig, main, render_report, run_verify
 from askeykit.families import FAMILIES, make_point
 
 Q = scalar
@@ -17,6 +18,12 @@ DEEP_SHA256 = "dc78c3c28256ea06edaee492f2c250bf9e9cfd2641e86b61a69aa525db222064"
 SUITE_SHA256 = "720f68a2f5d22b50403589ed4534c983e48d07337a704ef732551c918af3f789"
 AW_DEEP_SHA256 = "bc3e9a20c88ed31513869311e84e891ed816d7d51e6602bad99bca848339209c"
 HELD_OUT_SHA256 = "40865180fc205fe482a2fe824477341b21daa219e2ef0ff19ee746d238bbba2e"
+# `askeykit toda --seed S`: each flow's b_n and c_n in lowest terms; seed 1
+# samples krawtchouk(p=16/41, N=8), whose b_4 reduces to the constant 4
+TODA_SHA256 = {
+    1: "115b054562b9814b030241f4b3cfcd32a864d803a67fcad3fe6d67236f3e76df",
+    2718: "a3bbeba6e7c1316e8956f5d8011bacd0ed5bf1f14ea743da176c8250cbf5c859",
+}
 
 
 def test_golden_report_bytes():
@@ -67,6 +74,13 @@ def test_aw_deep_report_bytes():
     assert report["totals"] == {"cases": 272, "passed": 272, "failed": 0}
     text = render_report(report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == AW_DEEP_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(TODA_SHA256))
+def test_toda_output_bytes(seed, capsys):
+    assert main(["toda", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TODA_SHA256[seed]
 
 
 # An interior point of each family; each row below moves one parameter.
