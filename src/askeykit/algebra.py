@@ -80,7 +80,6 @@ __all__ = [
     "unit_phase",
     "chebyshev_lift",
     "chebyshev_project",
-    "poly_gcd",
     "rational_str",
 ]
 
@@ -1046,6 +1045,11 @@ class Laurent:
     def monomial(k: int, c=1) -> "Laurent":
         return Laurent(k, (c,))
 
+    @staticmethod
+    def from_poly(body: Poly, low: int = 0) -> "Laurent":
+        """z^low * body(z)."""
+        return _laurent(low, body)
+
     @property
     def coeffs(self) -> tuple:
         return self.body.coeffs
@@ -1364,12 +1368,3 @@ def chebyshev_project(f: Laurent) -> Poly:
         out[d] = a
         rem = rem - chebyshev_lift(Poly.monomial(d, a))
     return Poly(out)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q(i) by the Euclidean algorithm."""
-    while b:
-        a, b = b, a._divmod(b)[1]
-    if a:
-        a = a * a.lead.inverse()
-    return a

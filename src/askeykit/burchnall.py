@@ -332,13 +332,7 @@ def _build_bqj_I(point, n, m):
 
 def _aw_ratio_factor(vals, q, k) -> Laurent:
     """z^(-2k) (az, bz, cz, dz; q)_k."""
-    out = Laurent.monomial(-2 * k)
-    for e in vals:
-        if not e:
-            continue
-        for j in range(k):
-            out = out * Laurent(0, [1, -e * q ** j])
-    return out
+    return Laurent.from_poly(product(1, *(q_poch_poly(e, q, k) for e in vals if e)), -2 * k)
 
 
 def _build_aw(point, n, m):

@@ -50,6 +50,7 @@ from .sampling import sample_deformation, sample_point, sample_rational
 from .toda import (
     MODIFIED_EXPANSIONS,
     TODA_SOLUTIONS,
+    flow_coefficient_strs,
     modified_expansion_residual,
     toda_from_recurrence_crosscheck,
     toda_residuals,
@@ -525,11 +526,10 @@ def cmd_toda(args) -> int:
         nmax = _flow_index(point, args.max_n)
         print(f"{family} at {point} (variable: {sol.variable.tag})")
         for n in range(1, nmax + 1):
-            rc, rb = toda_residuals(sol, n, point)
-            ok = rc.is_zero() and rb.is_zero()
+            ok = not any(toda_residuals(sol, n, point))
             failures += 0 if ok else 1
-            print(f"  n={n}: b_n = {sol.b(n, point)}  c_n = {sol.c(n, point)}  residuals "
-                  + ("zero" if ok else "NONZERO"))
+            b, c = flow_coefficient_strs(sol, n, point)
+            print(f"  n={n}: b_n = {b}  c_n = {c}  residuals " + ("zero" if ok else "NONZERO"))
     return 0 if failures == 0 else 1
 
 

@@ -521,22 +521,6 @@ _HALF_UP = (1, GR_HALF_I)  # x |-> x + i/2
 _HALF_DOWN = (1, -GR_HALF_I)  # x |-> x - i/2
 
 
-def _esym(vals) -> list:
-    """[e_0, e_1, ..., e_len(vals)]: the elementary symmetric functions of vals.
-
-    They are the coefficients of prod (1 + v t), multiplied out on
-    Gaussian-integer numerators over one denominator and reduced once each.
-    """
-    er, ei, den = [1], [0], 1
-    for v in vals:
-        r, i, d = v.r, v.i, v.d
-        tr, ti = [0, *er], [0, *ei]  # t times the product so far
-        er = [a * d + b * r - c * i for a, b, c in zip(er + [0], tr, ti)]
-        ei = [a * d + b * i + c * r for a, b, c in zip(ei + [0], tr, ti)]
-        den *= d
-    return [GaussianRational.from_parts(a, b, den) for a, b in zip(er, ei)]
-
-
 _HERMITE_RAISE = DifferenceOperator((((1,), "d"), ((0, -2), None)))  # f' - 2x f
 
 
@@ -577,7 +561,8 @@ def _wilson_raise(pt):
     # (prod (e + ix) f(x - i/2) - prod (e - ix) f(x + i/2)) / (2ix), with
     # prod (e +- ix) = e4 +- i e3 x - e2 x^2 -+ i e1 x^3 + x^4, conjugate
     # for the real parameters of the domain: a conjugate pair
-    _, e1, e2, e3, e4 = _esym([pt.get(k) for k in ("a", "b", "c", "d")])
+    e = _linear_product([_factor(1, pt.get(k)) for k in ("a", "b", "c", "d")])  # prod (1 + e t)
+    _, e1, e2, e3, e4 = (e.coefficient(k) for k in range(5))
     plus = (e4, GR_I * e3, -e2, -GR_I * e1, 1)
     return DifferenceOperator(((plus, _HALF_DOWN, -1),), divisor=2 * GR_I)
 
@@ -603,7 +588,8 @@ def _bql_raise(pt):
 def _aw_raise_vals(vals, p):
     # (B(z) f(pz)/z - z^3 B(1/z) f(z/p)) / (1 - z^2) * (-2/(1 - q)), q = p^2, with
     # B(z) = prod (1 - e z) = 1 - e1 z + e2 z^2 - e3 z^3 + e4 z^4
-    _, e1, e2, e3, e4 = _esym(vals)
+    e = _linear_product([_factor(1, v) for v in vals])  # prod (1 + e t) = sum_k e_k t^k
+    _, e1, e2, e3, e4 = (e.coefficient(k) for k in range(5))
     up = (-1, (1, -e1, e2, -e3, e4))  # B(z)/z
     dn = (-1, (-e4, e3, -e2, e1, -1))  # -z^3 B(1/z)
     return LaurentOperator(p, ((up, 1), (dn, -1)), scale=-2 / (1 - p * p), divisor=(0, (1, 0, -1)))
@@ -683,7 +669,8 @@ def _step_aw_vals(vals, p, j):
     qj = p ** (2 * j)
     c = -1 / (p * qj)
     coeffs = []
-    for ek in _esym([e for e in vals if e]):
+    # e_0, e_1, ...: prod (1 + e t) over the nonzero e has full degree
+    for ek in _linear_product([_factor(1, e) for e in vals if e]).coeffs:
         coeffs.append(c * ek)
         c = -c * qj
     return Laurent(-2, coeffs)

@@ -4,15 +4,16 @@
 
 and the modified-weight polynomial expansions they come from.
 
-Time derivatives are never taken numerically.  Each solution is written as a
-rational function of a substitution variable (t itself, u = e^(-t), or
-T = tan(phi - t/2)), and d/dt becomes an exact polynomial multiple of d/dv:
+Time derivatives are never taken numerically.  Each solution is written in a
+substitution variable v (t itself, u = e^(-t), or T = tan(phi - t/2)), and
+d/dt becomes an exact polynomial multiple of d/dv:
 
     u = e^(-t):        d/dt = -u d/du
     T = tan(phi-t/2):  d/dt = -(1+T^2)/2 d/dT
 
-so every residual reduces to a rational-function identity provable by exact
-arithmetic.
+Each family declares one denominator D(v) and numerator polynomials B_n(v)
+and C_n(v), with b_n = B_n/D and c_n = C_n/D^2.  Clearing D turns both
+lattice equations into polynomial identities provable by exact arithmetic.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ from typing import Callable, Optional
 from .algebra import (
     GR_HALF_I,
     GR_I,
-    GaussianRational,
     Poly,
     binomial,
     factorial,
     pochhammer,
-    poly_gcd,
     q_pochhammer,
     scalar,
     tangent_subtract,
@@ -51,11 +50,11 @@ from .families import (
 )
 
 __all__ = [
-    "RationalFunction",
     "TodaVariable",
     "TodaSolution",
     "TODA_SOLUTIONS",
     "toda_residuals",
+    "flow_coefficient_strs",
     "ModifiedExpansion",
     "MODIFIED_EXPANSIONS",
     "modified_expansion_residual",
@@ -64,87 +63,6 @@ __all__ = [
 ]
 
 _Q = scalar
-
-
-class RationalFunction:
-    """Quotient of polynomials in one named variable, kept in reduced form."""
-
-    __slots__ = ("num", "den", "var")
-
-    def __init__(self, num, den=None, var: str = "t"):
-        num = num if isinstance(num, Poly) else Poly.constant(num)
-        den = Poly.one() if den is None else (den if isinstance(den, Poly) else Poly.constant(den))
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lead = den.lead.inverse()
-        self.num = num * lead
-        self.den = den * lead
-        self.var = var
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction(other, var=self.var)
-        return self.num * other.den == other.num * self.den
-
-    def _coerce(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            return other
-        return RationalFunction(other, var=self.var)
-
-    def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out.num, out.den, out.var = -self.num, self.den, self.var
-        return out
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den, self.var)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return RationalFunction(self.num * o.num, self.den * o.den, self.var)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if not o.num:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num, self.var)
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-            self.var,
-        )
-
-    def __call__(self, value) -> GaussianRational:
-        return self.num(value) / self.den(value)
-
-    def __repr__(self):
-        num = repr(self.num).replace("x", self.var)
-        if self.den == Poly.one():
-            return f"({num})"
-        return f"({num}) / ({repr(self.den).replace('x', self.var)})"
 
 
 @dataclass(frozen=True)
@@ -161,111 +79,84 @@ VAR_EXP_NEG = TodaVariable("exp-neg-t", "u", Poly([0, -1]))
 VAR_TAN_HALF = TodaVariable("tan-half", "T", Poly([_Q(-1, 2), 0, _Q(-1, 2)]))
 
 
-def _ddt(f: RationalFunction, variable: TodaVariable) -> RationalFunction:
-    return f.derivative() * RationalFunction(variable.chain, var=variable.var)
+def _no_top(pt):
+    return None
 
 
 @dataclass(frozen=True)
 class TodaSolution:
-    """Closed-form b_n, c_n for one family, as rational functions of the variable."""
+    """Closed-form b_n = B_n/D and c_n = C_n/D^2 for one family, in the variable v.
+
+    D(v) is declared once per family and has degree <= 1; B_n and C_n are
+    polynomials in v.
+    """
 
     family: str
     variable: TodaVariable
-    b: Callable[[int, ParamPoint], RationalFunction]
-    c: Callable[[int, ParamPoint], RationalFunction]
-    max_n: Callable[[ParamPoint], int | None]  # None = unbounded
-
-
-def _sol_hermite():
-    def b(n, pt):
-        return RationalFunction(Poly([0, _Q(-1, 2)]), var="t")
-
-    def c(n, pt):
-        return RationalFunction(_Q(n, 2), var="t")
-
-    return TodaSolution("hermite", VAR_PLAIN, b, c, lambda pt: None)
-
-
-def _sol_laguerre():
-    den = Poly([1, 1])
-
-    def b(n, pt):
-        return RationalFunction(Poly.constant(2 * n + pt.get("nu") + 1), den, "t")
-
-    def c(n, pt):
-        return RationalFunction(Poly.constant(n * (n + pt.get("nu"))), den * den, "t")
-
-    return TodaSolution("laguerre", VAR_PLAIN, b, c, lambda pt: None)
-
-
-def _sol_charlier():
-    def b(n, pt):
-        return RationalFunction(Poly([n, pt.get("a")]), var="u")
-
-    def c(n, pt):
-        return RationalFunction(Poly([0, n * pt.get("a")]), var="u")
-
-    return TodaSolution("charlier", VAR_EXP_NEG, b, c, lambda pt: None)
-
-
-def _sol_meixner():
-    def b(n, pt):
-        beta, c = pt.get("beta"), pt.get("c")
-        return RationalFunction(Poly([n, (n + beta) * c]), Poly([1, -c]), "u")
-
-    def c(n, pt):
-        beta, cc = pt.get("beta"), pt.get("c")
-        den = Poly([1, -cc])
-        return RationalFunction(Poly([0, n * (n + beta - 1) * cc]), den * den, "u")
-
-    return TodaSolution("meixner", VAR_EXP_NEG, b, c, lambda pt: None)
-
-
-def _sol_mp():
-    def b(n, pt):
-        return RationalFunction(Poly.constant(-(n + pt.get("lam"))), Poly([0, 1]), "T")
-
-    def c(n, pt):
-        lam = pt.get("lam")
-        return RationalFunction(
-            Poly([1, 0, 1]) * _Q(n * (n + 2 * lam - 1)), Poly([0, 0, 4]), "T"
-        )
-
-    return TodaSolution("meixner-pollaczek", VAR_TAN_HALF, b, c, lambda pt: None)
-
-
-def _sol_krawtchouk():
-    def b(n, pt):
-        p, N = pt.get("p"), pt.get("N")
-        return RationalFunction(Poly([n * (1 - p), p * (N - n)]), Poly([1 - p, p]), "u")
-
-    def c(n, pt):
-        p, N = pt.get("p"), pt.get("N")
-        den = Poly([1 - p, p])
-        return RationalFunction(
-            Poly([0, n * (N + 1 - n) * p * (1 - p)]), den * den, "u"
-        )
-
-    return TodaSolution("krawtchouk", VAR_EXP_NEG, b, c, lambda pt: pt.get("N"))
+    den: Callable[[ParamPoint], Poly]  # D
+    b: Callable[[int, ParamPoint], Poly]  # B_n
+    c: Callable[[int, ParamPoint], Poly]  # C_n
+    max_n: Callable[[ParamPoint], int | None] = _no_top  # None = unbounded
 
 
 TODA_SOLUTIONS = {
     s.family: s
     for s in (
-        _sol_hermite(),
-        _sol_laguerre(),
-        _sol_charlier(),
-        _sol_meixner(),
-        _sol_mp(),
-        _sol_krawtchouk(),
+        # b_n = -t/2, c_n = n/2
+        TodaSolution(
+            "hermite", VAR_PLAIN,
+            den=lambda pt: Poly.one(),
+            b=lambda n, pt: Poly([0, _Q(-1, 2)]),
+            c=lambda n, pt: Poly.constant(_Q(n, 2)),
+        ),
+        # b_n = (2n + nu + 1)/(1 + t), c_n = n(n + nu)/(1 + t)^2
+        TodaSolution(
+            "laguerre", VAR_PLAIN,
+            den=lambda pt: Poly([1, 1]),
+            b=lambda n, pt: Poly.constant(2 * n + pt.get("nu") + 1),
+            c=lambda n, pt: Poly.constant(n * (n + pt.get("nu"))),
+        ),
+        # b_n = n + au, c_n = nau
+        TodaSolution(
+            "charlier", VAR_EXP_NEG,
+            den=lambda pt: Poly.one(),
+            b=lambda n, pt: Poly([n, pt.get("a")]),
+            c=lambda n, pt: Poly([0, n * pt.get("a")]),
+        ),
+        # b_n = (n + (n + beta)cu)/(1 - cu), c_n = n(n + beta - 1)cu/(1 - cu)^2
+        TodaSolution(
+            "meixner", VAR_EXP_NEG,
+            den=lambda pt: Poly([1, -pt.get("c")]),
+            b=lambda n, pt: Poly([n, (n + pt.get("beta")) * pt.get("c")]),
+            c=lambda n, pt: Poly([0, n * (n + pt.get("beta") - 1) * pt.get("c")]),
+        ),
+        # b_n = -(n + lam)/T, c_n = (1 + T^2) n(n + 2 lam - 1)/(4 T^2)
+        TodaSolution(
+            "meixner-pollaczek", VAR_TAN_HALF,
+            den=lambda pt: Poly.x(),
+            b=lambda n, pt: Poly.constant(-(n + pt.get("lam"))),
+            c=lambda n, pt: Poly([1, 0, 1]) * (n * (n + 2 * pt.get("lam") - 1) / _Q(4)),
+        ),
+        # b_n = (n(1 - p) + p(N - n)u)/(1 - p + pu),
+        # c_n = n(N + 1 - n)p(1 - p)u/(1 - p + pu)^2
+        TodaSolution(
+            "krawtchouk", VAR_EXP_NEG,
+            den=lambda pt: Poly([1 - pt.get("p"), pt.get("p")]),
+            b=lambda n, pt: Poly([n * (1 - pt.get("p")), pt.get("p") * (pt.get("N") - n)]),
+            c=lambda n, pt: Poly([0, n * (pt.get("N") + 1 - n) * pt.get("p") * (1 - pt.get("p"))]),
+            max_n=lambda pt: pt.get("N"),
+        ),
     )
 }
 
 
 def toda_residuals(sol: TodaSolution, n: int, point: ParamPoint):
-    """Both lattice-equation residuals at index n; identically zero when solved.
+    """Both lattice-equation residuals at index n, cleared of D; zero when solved.
 
-    The b-equation uses c_(n+1), so for a finite family n must stay below the
+    With b = B/D and c = C/D^2, D^3 r_c = chi (C' D - 2 C D') - C (B_(n-1) - B_n)
+    and D^2 r_b = chi (B' D - B D') - (C_n - C_(n+1)), chi the chain-rule
+    factor; as D != 0 each is zero exactly when its equation holds.  The
+    b-equation uses c_(n+1), so for a finite family n must stay below the
     top index.
     """
     if n < 1:
@@ -273,11 +164,40 @@ def toda_residuals(sol: TodaSolution, n: int, point: ParamPoint):
     top = sol.max_n(point)
     if top is not None and n + 1 > top:
         raise ValueError(f"index n={n} needs c_{n + 1} beyond the family size {top}")
-    bn = sol.b(n, point)
-    cn = sol.c(n, point)
-    r_c = _ddt(cn, sol.variable) - cn * (sol.b(n - 1, point) - bn)
-    r_b = _ddt(bn, sol.variable) - (cn - sol.c(n + 1, point))
+    d = sol.den(point)
+    if not d:
+        raise ZeroDivisionError("lattice flow with zero denominator")
+    dd = d.derivative()
+    chi = sol.variable.chain
+    bn, cn = sol.b(n, point), sol.c(n, point)
+    r_c = chi * (cn.derivative() * d - 2 * cn * dd) - cn * (sol.b(n - 1, point) - bn)
+    r_b = chi * (bn.derivative() * d - bn * dd) - (cn - sol.c(n + 1, point))
     return r_c, r_b
+
+
+def _quotient_str(num: Poly, den: Poly, power: int, var: str) -> str:
+    """num / den^power in lowest terms with a monic denominator, written in var.
+
+    den has degree <= 1, so the monic den is 1 or v - r, and it is divided out
+    of num for as long as it divides, that is while num(r) == 0.
+    """
+    lead = den.lead.inverse()
+    num, den = num * lead ** power, den * lead
+    if not den.degree:
+        power = 0
+    root = -den.coefficient(0)
+    while power and not num(root):
+        num, power = num.exact_div(den), power - 1
+    text = f"({num!r})".replace("x", var)
+    if power:
+        text += f" / ({den ** power!r})".replace("x", var)
+    return text
+
+
+def flow_coefficient_strs(sol: TodaSolution, n: int, point: ParamPoint) -> tuple:
+    """(b_n, c_n) as printed by `askeykit toda`: each in lowest terms, in the flow variable."""
+    d, var = sol.den(point), sol.variable.var
+    return _quotient_str(sol.b(n, point), d, 1, var), _quotient_str(sol.c(n, point), d, 2, var)
 
 
 # ---------------------------------------------------------------------------
@@ -534,4 +454,5 @@ def toda_from_recurrence_crosscheck(point: ParamPoint, s, n: int):
     rec = modified_recurrence(point, s, n)
     sol = TODA_SOLUTIONS[point.family]
     v = deformation(point.family).flow_variable(point, _Q(s))
-    return rec.b[n] - sol.b(n, point)(v), rec.c[n] - sol.c(n, point)(v)
+    d = sol.den(point)(v)
+    return rec.b[n] - sol.b(n, point)(v) / d, rec.c[n] - sol.c(n, point)(v) / (d * d)

@@ -20,7 +20,6 @@ from askeykit.algebra import (
     chebyshev_project,
     horner_series,
     pochhammer,
-    poly_gcd,
     q_binomial,
     q_pochhammer,
     rational_str,
@@ -173,14 +172,6 @@ def test_unit_phase():
     with pytest.raises(TypeError):
         unit_phase(GR_I)
     assert tangent_subtract(1, 1) == 0
-
-
-def test_poly_gcd():
-    x = Poly.x()
-    a = (x - 1) * (x + 2)
-    b = (x - 1) * (x - 3)
-    assert poly_gcd(a, b) == x - 1
-    assert poly_gcd(a, Poly.zero()) == a * a.lead.inverse()
 
 
 def test_rational_str():

@@ -3,7 +3,8 @@
 import dataclasses
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
+from math import factorial, prod
 from random import Random
 
 import pytest
@@ -13,6 +14,8 @@ from askeykit import algebra
 from askeykit.algebra import (
     GR_HALF_I,
     GR_I,
+    GR_ONE,
+    GR_ZERO,
     GaussianRational,
     Laurent,
     Poly,
@@ -972,11 +975,10 @@ def test_operators_canonicalize_once(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.one_of(_rationals, _gaussians), max_size=5))
 def test_esym_is_the_product_of_linear_factors(vals):
-    # e_k(vals) is the t^k coefficient of prod (1 + v t); the raising
-    # operators of Wilson and Askey-Wilson are built from it
-    expected = Poly.one()
-    for v in vals:
-        expected = expected * Poly([1, v])
-    assert families._esym([GaussianRational.coerce(v) for v in vals]) == [
-        expected.coefficient(k) for k in range(len(vals) + 1)
-    ]
+    # the raising operators of Wilson and Askey-Wilson read e_k(vals) as the
+    # t^k coefficient of prod (1 + v t), one _linear_product
+    vals = [GaussianRational.coerce(v) for v in vals]
+    e = families._linear_product([families._factor(1, v) for v in vals])
+    for k in range(len(vals) + 2):
+        e_k = sum((prod(c, start=GR_ONE) for c in combinations(vals, k)), GR_ZERO)
+        assert e.coefficient(k) == e_k, (vals, k)
