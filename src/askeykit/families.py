@@ -561,7 +561,8 @@ def _wilson_raise(pt):
     # (prod (e + ix) f(x - i/2) - prod (e - ix) f(x + i/2)) / (2ix), with
     # prod (e +- ix) = e4 +- i e3 x - e2 x^2 -+ i e1 x^3 + x^4, conjugate
     # for the real parameters of the domain: a conjugate pair
-    e = _linear_product([_factor(1, pt.get(k)) for k in ("a", "b", "c", "d")])  # prod (1 + e t)
+    # prod (1 + e t) = sum_k e_k t^k
+    e = _linear_product([_factor(1, pt.get(k)) for k in ("a", "b", "c", "d")])
     _, e1, e2, e3, e4 = (e.coefficient(k) for k in range(5))
     plus = (e4, GR_I * e3, -e2, -GR_I * e1, 1)
     return DifferenceOperator(((plus, _HALF_DOWN, -1),), divisor=2 * GR_I)
