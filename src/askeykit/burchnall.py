@@ -10,8 +10,8 @@ Two layers deliberately coexist:
     function per catalogued identity, written straight from the textbook
     closed forms and *not* routed through the engine.
 
-Agreement between the two is itself a test: the engine must reproduce each
-literal expansion after the family normalization.
+Agreement between the two is itself a test: after the family normalization
+the engine must reproduce each literal expansion k-term by k-term.
 """
 
 from __future__ import annotations
@@ -53,15 +53,13 @@ from .ops import aw_eta, ladder
 
 __all__ = [
     "apply_chain",
-    "operational_rhs",
-    "operational_rhs_many",
+    "operational_terms",
     "operational_residual",
-    "chain_expansion_rhs",
     "chain_expansion_residual",
     "Expansion",
     "EXPANSIONS",
     "closed_expansion_residual",
-    "expansion_agreement_gap",
+    "expansion_term_gaps",
     "hermite_linearization_oracle",
     "feldheim_watson_coefficient",
     "zassenhaus_series_residual",
@@ -86,10 +84,10 @@ def apply_chain(point: ParamPoint, n: int, f):
     return out
 
 
-def operational_rhs_many(point: ParamPoint, n: int, fs, variant: str | None = None) -> list:
-    """The weight-ratio expansion of the n-step chain applied to each f of fs.
+def operational_terms(point: ParamPoint, n: int, fs, variant: str | None = None) -> list:
+    """The n + 1 k-terms of the weight-ratio expansion of the n-step chain, for each f of fs.
 
-    sum_k alpha(n, k) ratio_k eta^k(p_(n-k)) T_(k,n) f, with ratio_k =
+    Term k is alpha(n, k) ratio_k eta^k(p_(n-k)) T_(k,n) f, with ratio_k =
     eta^k(w_(nu+k sigma)) / w_nu built by one weight step per k.  The pieces
     that do not depend on f (alpha, ratio_k and the eta-shifted chain) are
     computed once per k for all of fs; each (k, f) term is one product.
@@ -98,38 +96,29 @@ def operational_rhs_many(point: ParamPoint, n: int, fs, variant: str | None = No
     var = spec.variant(variant) if variant is not None else spec.variants[0]
     op = var.op_spec(point)
     ladders = [ladder(op.partial, f, n) for f in fs]
+    terms = [[] for _ in fs]
     ratio = spec.one()
-    sums = [None] * len(fs)
     pt_k = point
     for k in range(n + 1):
         alpha = op.alpha(n, k)
         eta_p = op.eta(raise_chain(pt_k, n - k), k)
-        for idx, f_ladder in enumerate(ladders):
-            term = product(alpha, ratio, eta_p, op.twist(f_ladder[k], k, n))
-            sums[idx] = term if k == 0 else sums[idx] + term
+        for f_terms, f_ladder in zip(terms, ladders):
+            f_terms.append(product(alpha, ratio, eta_p, op.twist(f_ladder[k], k, n)))
         if k < n:
             ratio = ratio * var.weight_step(point, k)
             pt_k = spec.shift(pt_k)
-    return sums
-
-
-def operational_rhs(point: ParamPoint, n: int, f, variant: str | None = None):
-    """The weight-ratio expansion of the n-step chain applied to f."""
-    return operational_rhs_many(point, n, [f], variant)[0]
+    return terms
 
 
 def operational_residual(point: ParamPoint, n: int, f, variant: str | None = None):
     """Chain applied to f minus the weight-ratio expansion; exactly zero."""
-    return apply_chain(point, n, f) - operational_rhs(point, n, f, variant)
-
-
-def chain_expansion_rhs(point: ParamPoint, n: int, m: int, variant: str | None = None):
-    return operational_rhs(point, n, raise_chain(shifted_point(point, n), m), variant)
+    return apply_chain(point, n, f) - term_sum(operational_terms(point, n, [f], variant)[0])
 
 
 def chain_expansion_residual(point: ParamPoint, n: int, m: int, variant: str | None = None):
     """p_(n+m) minus the expansion with f = p_m at the n-shifted parameters."""
-    return raise_chain(point, n + m) - chain_expansion_rhs(point, n, m, variant)
+    f = raise_chain(shifted_point(point, n), m)
+    return raise_chain(point, n + m) - term_sum(operational_terms(point, n, [f], variant)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +278,25 @@ def _build_wilson(point, n, m):
     return lhs, terms
 
 
+def _bqj_coef(a, b, c, q, n, m, k):
+    """The k-th coefficient shared by both big q-Jacobi expansions:
+
+    (q^-n, q^-m, ab q^(2n+m+1); q)_k (ac)^k q^(k(k+n+2)) / (q, aq, cq, a q^(n+1), c q^(n+1); q)_k
+    """
+    num = q_pochhammer(q ** -n, q, k) * q_pochhammer(q ** -m, q, k) * q_pochhammer(a * b * q ** (2 * n + m + 1), q, k)
+    den = (
+        q_pochhammer(q, q, k) * q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k)
+        * q_pochhammer(a * q ** (n + 1), q, k) * q_pochhammer(c * q ** (n + 1), q, k)
+    )
+    return num * den.inverse() * ((a * c) ** k * q ** (k * (k + n + 2)))
+
+
 def _build_bqj_Tq(point, n, m):
     a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
     lhs = standard_poly(point, n + m)
     terms = []
-    qn = _Q(1) / q ** n
-    qm = _Q(1) / q ** m
     for k in range(min(n, m) + 1):
-        num = q_pochhammer(qn, q, k) * q_pochhammer(qm, q, k) * q_pochhammer(a * b * q ** (2 * n + m + 1), q, k)
-        den = (
-            q_pochhammer(q, q, k) * q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k)
-            * q_pochhammer(a * q ** (n + 1), q, k) * q_pochhammer(c * q ** (n + 1), q, k)
-        )
-        coef = num * den.inverse() * ((a * c) ** k * q ** (k * k + 2 * k + n * k))
-        t = q_poch_poly(1, q, k) * q_poch_poly(b / c, q, k) * coef
+        t = q_poch_poly(1, q, k) * q_poch_poly(b / c, q, k) * _bqj_coef(a, b, c, q, n, m, k)
         t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(q ** k, 0)
         t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(q ** k, 0)
         terms.append(t)
@@ -313,17 +307,9 @@ def _build_bqj_I(point, n, m):
     a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
     lhs = standard_poly(point, n + m)
     terms = []
-    qn = _Q(1) / q ** n
-    qm = _Q(1) / q ** m
     for k in range(min(n, m) + 1):
-        num = q_pochhammer(qn, q, k) * q_pochhammer(qm, q, k) * q_pochhammer(a * b * q ** (2 * n + m + 1), q, k)
-        den = (
-            q_pochhammer(q, q, k) * q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k)
-            * q_pochhammer(a * q ** (n + 1), q, k) * q_pochhammer(c * q ** (n + 1), q, k)
-        )
-        coef = num * den.inverse() * ((a * c) ** k * q ** (k * (k + n + 2)))
         qmk = _Q(1) / q ** k
-        t = q_poch_poly(qmk / a, q, k) * q_poch_poly(qmk / c, q, k) * coef
+        t = q_poch_poly(qmk / a, q, k) * q_poch_poly(qmk / c, q, k) * _bqj_coef(a, b, c, q, n, m, k)
         t = t * standard_poly(shifted_point(point, k), n - k)
         t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(q ** n, 0)
         terms.append(t)
@@ -331,12 +317,12 @@ def _build_bqj_I(point, n, m):
 
 
 def _aw_ratio_factor(vals, q, k) -> Laurent:
-    """z^(-2k) (az, bz, cz, dz; q)_k."""
-    return Laurent.from_poly(product(1, *(q_poch_poly(e, q, k) for e in vals if e)), -2 * k)
+    """z^(-2k) (az, bz, cz, dz; q)_k; a zero parameter's factor is 1."""
+    factors = [q_poch_poly(e, q, k) for e in vals if e] or [Poly.one()]
+    return Laurent.from_poly(product(1, *factors), -2 * k)
 
 
-def _build_aw(point, n, m):
-    vals = [point.get(k) for k in ("a", "b", "c", "d")]
+def _build_aw_vals(point, vals, n, m):
     p = point.get("p")
     q = p * p
     a, b, c, d = vals
@@ -361,23 +347,13 @@ def _build_aw(point, n, m):
     return lhs, terms
 
 
+def _build_aw(point, n, m):
+    return _build_aw_vals(point, [point.get(k) for k in ("a", "b", "c", "d")], n, m)
+
+
 def _build_cqh(point, n, m):
-    p = point.get("p")
-    q = p * p
-    lhs = standard_poly(point, n + m)
-    terms = []
-    qn = _Q(1) / q ** n
-    qm = _Q(1) / q ** m
-    for k in range(min(n, m) + 1):
-        coef = q_pochhammer(qn, q, k) * q_pochhammer(qm, q, k) * q_pochhammer(q, q, k).inverse()
-        coef = coef * GaussianRational.coerce(p) ** (
-            -2 * k * k + 2 * k + n * m + k * m + 2 * n * k
-        )
-        t = Laurent.monomial(-2 * k) * coef
-        t = t * aw_eta(standard_poly(point, n - k), p, k)
-        t = t * aw_eta(standard_poly(point, m - k), p, k - n)
-        terms.append(t)
-    return lhs, terms
+    # Askey-Wilson's expansion at a = b = c = d = 0
+    return _build_aw_vals(point, [_Q(0)] * 4, n, m)
 
 
 def _pref_one(n, m):
@@ -417,16 +393,21 @@ def closed_expansion_residual(identity: str, point: ParamPoint, n: int, m: int):
     return lhs - term_sum(terms)
 
 
-def expansion_agreement_gap(identity: str, point: ParamPoint, n: int, m: int):
-    """Literal RHS minus (prefactor * normalization * generic engine RHS).
+def expansion_term_gaps(identity: str, point: ParamPoint, n: int, m: int) -> tuple:
+    """Each literal k-term minus prefactor * normalization times the engine's k-term.
 
-    Zero means the closed form and the generic chain-expansion engine produce
-    the identical polynomial, not merely the same LHS.
+    The literal sum stops at k = min(n, m); the engine's terms past it must
+    be zero and stand as they are.  All zero means the closed form and the generic engine write
+    the same sum term by term, not merely the same polynomial.
     """
     e = EXPANSIONS[identity]
-    _, terms = e.build(point, n, m)
+    _, literal = e.build(point, n, m)
     scale = e.lhs_prefactor(n, m) * normalization(point, n + m)
-    return term_sum(terms) - chain_expansion_rhs(point, n, m, e.variant) * scale
+    f = raise_chain(shifted_point(point, n), m)
+    engine = operational_terms(point, n, [f], e.variant)[0]
+    return tuple(
+        literal[k] - t * scale if k < len(literal) else t for k, t in enumerate(engine)
+    )
 
 
 # ---------------------------------------------------------------------------

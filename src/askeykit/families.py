@@ -43,6 +43,7 @@ from .algebra import (
     _canon,
     _cmul,
     _parts,
+    _scalar,
     factorial,
     horner_series,
     pochhammer,
@@ -157,7 +158,8 @@ class Param:
 
     The domain is the open interval (lo, hi).  A bound is a constant, None
     (unbounded), or a function of the dict of the coordinates declared
-    before this one.  `integer` restricts the domain to integers, `nonzero`
+    before this one.  `integer` restricts the domain to Python ints (a point
+    stores an integral real scalar given for one as its int), `nonzero`
     removes 0 from it.  Samples are drawn from `window` intersected with the
     domain, never equal to `skip` (a constant or a function, like a bound).
     """
@@ -171,14 +173,11 @@ class Param:
     skip: object = None
 
     def admits(self, v, values: dict) -> bool:
+        if self.integer and not isinstance(v, int):
+            return False
         lo = _bound(self.lo, values)
         hi = _bound(self.hi, values)
-        return (
-            (lo is None or lo < v)
-            and (hi is None or v < hi)
-            and not (self.nonzero and not v)
-            and not (self.integer and v != int(v))
-        )
+        return (lo is None or lo < v) and (hi is None or v < hi) and not (self.nonzero and not v)
 
     def sampling_window(self, values: dict) -> tuple:
         """(lo, hi, skip): the open interval samples come from and the value they avoid."""
@@ -1012,8 +1011,18 @@ def make_point(tag: str, **values) -> ParamPoint:
     extra = [k for k in values if k not in names]
     if extra:
         raise KeyError(f"{tag} got unknown parameters {extra}")
-    vals = tuple((p.name, values[p.name] if p.integer else _Q(values[p.name])) for p in spec.domain)
+    vals = tuple((p.name, _coordinate(p, values[p.name])) for p in spec.domain)
     return ParamPoint(tag, vals)
+
+
+def _coordinate(p: Param, v):
+    """v as a point stores it: a scalar, except for an integer Param, which
+    takes an integral real scalar as its int and any other value as given,
+    for `Param.admits` to reject."""
+    if not p.integer:
+        return _Q(v)
+    s = _scalar(v)
+    return s.r if s is not None and not s.i and s.d == 1 else v
 
 
 def raise_chain(point: ParamPoint, n: int):

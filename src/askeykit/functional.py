@@ -23,7 +23,7 @@ from operator import mul
 
 from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, _canon, scalar, term_sum
 from .families import FAMILIES, ParamPoint, deformation, raise_chain, shifted_point
-from .burchnall import operational_rhs_many
+from .burchnall import operational_terms
 from .toda import MODIFIED_EXPANSIONS
 
 __all__ = [
@@ -222,8 +222,9 @@ def adjointness_check(point: ParamPoint, n: int, D: int, variant: str | None = N
         for _ in range(n):
             g = adj(g)
         lowered.append(g)
-    expansions = operational_rhs_many(point, n, [Poly.monomial(i) for i in range(D + 1)], variant)
-    for i, expansion in enumerate(expansions):
+    monomials = [Poly.monomial(i) for i in range(D + 1)]
+    for i, terms in enumerate(operational_terms(point, n, monomials, variant)):
+        expansion = term_sum(terms)
         for j in range(D - i + 1):
             lhs = L_base.apply(expansion, j)
             rhs = L_shift.apply(lowered[j], i)

@@ -271,7 +271,7 @@ def _spec_delta_x2() -> OperatorSpec:
 
 
 # The q-based specs are built on each call; an operational expansion builds
-# its variant's spec once for every f it expands (burchnall.operational_rhs_many).
+# its variant's spec once for every f it expands (burchnall.operational_terms).
 def qderiv_Tq_spec(q) -> OperatorSpec:
     q = scalar(q)
     return OperatorSpec(

@@ -332,17 +332,21 @@ def _build_mp_toda(point, n, r):
     return lhs, terms
 
 
+def _bq_coef(a, c, q, n, k):
+    """(q^-n; q)_k / (q, aq, cq; q)_k, the factor all three big q-expansions share."""
+    return q_pochhammer(q ** -n, q, k) * (
+        q_pochhammer(q, q, k) * q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k)
+    ).inverse()
+
+
 def _build_bqj_to_bql(point, n, s):
     # sum_k ((q^-n, x; q)_k / (q, aq, cq; q)_k) (-abq^n)^k q^(k(k+3)/2)
     #     P_(n-k)(x q^k; a q^k, 0, c q^k; q)  =  P_n(x; a, b, c; q)
     a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
     lhs = standard_poly(point, n)
-    qn = _Q(1) / q ** n
     terms = []
     for k in range(n + 1):
-        coef = q_pochhammer(qn, q, k) * (
-            q_pochhammer(q, q, k) * q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k)
-        ).inverse() * ((-a * b * q ** n) ** k * q ** (k * (k + 3) // 2))
+        coef = _bq_coef(a, c, q, n, k) * ((-a * b * q ** n) ** k * q ** (k * (k + 3) // 2))
         t = q_poch_poly(1, q, k) * coef
         t = t * big_q_jacobi_poly(a * q ** k, 0, c * q ** k, q, n - k).compose_affine(q ** k, 0)
         terms.append(t)
@@ -354,12 +358,9 @@ def _build_bql_inverse(point, n, s):
     #     P_(n-k)(x q^k; a q^k, b q^k, c q^k; q)  =  P_n(x; a, 0, c; q)
     a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
     lhs = big_q_jacobi_poly(a, 0, c, q, n)
-    qn = _Q(1) / q ** n
     terms = []
     for k in range(n + 1):
-        coef = q_pochhammer(qn, q, k) * (
-            q_pochhammer(q, q, k) * q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k)
-        ).inverse() * ((a * b) ** k * q ** (k * (k + n + 1)))
+        coef = _bq_coef(a, c, q, n, k) * ((a * b) ** k * q ** (k * (k + n + 1)))
         t = q_poch_poly(1, q, k) * coef
         t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(q ** k, 0)
         terms.append(t)
@@ -380,12 +381,9 @@ def _build_bql_second(point, n, s):
         q_pochhammer(a * q, q, n) * q_pochhammer(c * q, q, n)
     ).inverse()
     lhs = big_q_jacobi_poly(b, 0, a * b / c, q, n).compose_affine(b / c, 0) * scale
-    qn = _Q(1) / q ** n
     terms = []
     for k in range(n + 1):
-        coef = q_pochhammer(qn, q, k) * (
-            q_pochhammer(q, q, k) * q_pochhammer(a * q, q, k) * q_pochhammer(c * q, q, k)
-        ).inverse() * ((a * c) ** k * q ** (k * (k + n + 1)))
+        coef = _bq_coef(a, c, q, n, k) * ((a * c) ** k * q ** (k * (k + n + 1)))
         t = q_poch_poly(b / c, q, k) * coef
         t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(q ** k, 0)
         terms.append(t)

@@ -1,5 +1,6 @@
 """Operational/expansion identities: generic engine, literal forms, oracles."""
 
+import dataclasses
 from random import Random
 
 from askeykit.algebra import (
@@ -15,12 +16,11 @@ from askeykit.burchnall import (
     EXPANSIONS,
     closed_expansion_residual,
     chain_expansion_residual,
-    expansion_agreement_gap,
+    expansion_term_gaps,
     feldheim_watson_coefficient,
     hermite_linearization_oracle,
     operational_residual,
-    operational_rhs,
-    operational_rhs_many,
+    operational_terms,
     zassenhaus_series_residual,
 )
 from askeykit.families import FAMILIES, hermite_poly, make_point
@@ -70,9 +70,10 @@ def test_the_list_form_expands_each_f_as_its_own_call():
         fs = [_rand_f(rng, tag) for _ in range(3)]
         for var in spec.variants:
             for n in range(0, 4):
-                expected = [operational_rhs(pt, n, f, var.name) for f in fs]
-                assert operational_rhs_many(pt, n, fs, var.name) == expected, (tag, var.name, n)
-    assert operational_rhs_many(make_point("hermite"), 2, []) == []
+                expected = [operational_terms(pt, n, [f], var.name)[0] for f in fs]
+                got = operational_terms(pt, n, fs, var.name)
+                assert got == expected and all(len(t) == n + 1 for t in got), (tag, var.name, n)
+    assert operational_terms(make_point("hermite"), 2, []) == []
 
 
 def test_chain_expansion_all_variants():
@@ -120,11 +121,32 @@ def test_all_expansions_small_grid():
 
 
 def test_generic_vs_literal_agreement():
+    # each literal k-term is the normalized engine k-term, n, m <= 4, two points each
     rng = Random(404)
     for ident in EXPANSIONS:
-        pt = _sample_for(ident, rng)
-        for n, m in [(0, 0), (1, 2), (3, 1), (2, 2)]:
-            assert not expansion_agreement_gap(ident, pt, n, m), (ident, n, m)
+        for _ in range(2):
+            pt = _sample_for(ident, rng)
+            for n in range(5):
+                for m in range(5):
+                    gaps = expansion_term_gaps(ident, pt, n, m)
+                    assert len(gaps) == n + 1 and not any(gaps), (ident, n, m)
+
+
+def test_term_gaps_see_what_the_sum_hides(monkeypatch):
+    # moving delta from the k = 0 term to the k = 1 term keeps the literal
+    # sum, so its residual stays zero, but two of its terms now disagree
+    e = EXPANSIONS["laguerre-expansion"]
+    delta = Poly([Q(1, 7), 2])
+
+    def moved(point, n, m):
+        lhs, terms = e.build(point, n, m)
+        return lhs, [terms[0] + delta, terms[1] - delta, *terms[2:]]
+
+    monkeypatch.setitem(EXPANSIONS, e.id, dataclasses.replace(e, build=moved))
+    pt = make_point("laguerre", nu=Q(1, 2))
+    assert not closed_expansion_residual(e.id, pt, 2, 2)
+    gaps = expansion_term_gaps(e.id, pt, 2, 2)
+    assert gaps[0] == delta and gaps[1] == -delta and not gaps[2]
 
 
 def test_expansion_rhs_value_symmetry():

@@ -11,8 +11,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
-# demo 03 prints every closed-form flow in lowest terms
-TODA_DEMO_SHA256 = "8b07306e4b364daa691152195a55b4705bca92e3d1583b4b30dd70d39710f3f4"
+# the sha256 of each pinned demo's stdout: demo 02 prints its seeded
+# catalog checks, demo 03 every closed-form flow in lowest terms
+STDOUT_SHA256 = {
+    "02_expansion_identities.py": "acdf83df4dbf51a673b5bbb7b3cf7948159e7775dd473658f91fa77e70cbe181",
+    "03_toda_flows.py": "8b07306e4b364daa691152195a55b4705bca92e3d1583b4b30dd70d39710f3f4",
+}
 
 
 def _run(name: str) -> subprocess.CompletedProcess:
@@ -31,5 +35,5 @@ def test_every_demo_is_listed():
 def test_demo_runs(name):
     proc = _run(name)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    if name == "03_toda_flows.py":
-        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == TODA_DEMO_SHA256
+    if name in STDOUT_SHA256:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[name]

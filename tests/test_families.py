@@ -24,10 +24,11 @@ from askeykit.algebra import (
     pochhammer,
     q_pochhammer,
     scalar,
+    term_sum,
     unit_phase,
 )
 from askeykit import families, ops
-from askeykit.burchnall import apply_chain, operational_rhs
+from askeykit.burchnall import apply_chain, operational_terms
 from askeykit.functional import build_functional
 from askeykit.families import (
     FAMILIES,
@@ -85,6 +86,17 @@ def test_inadmissible_points_raise():
         raise_chain(pt, 1)
     with pytest.raises(ValueError):
         raise_chain(make_point("krawtchouk", p=Q(1, 2), N=4), 1)
+
+
+def test_an_integer_parameter_given_as_a_scalar():
+    # an integral real scalar is stored as its int; any other value is
+    # inadmissible, and the check never converts it
+    spec = FAMILIES["krawtchouk"]
+    pt = make_point("krawtchouk", p=Q(1, 3), N=Q(5))
+    assert type(pt.get("N")) is int and pt == make_point("krawtchouk", p=Q(1, 3), N=5)
+    assert spec.admissible(pt)
+    for N in (Q(11, 2), Q(5) + GR_I, Fraction(11, 2)):
+        assert not spec.admissible(make_point("krawtchouk", p=Q(1, 3), N=N)), N
 
 
 def test_normalization_identity_random_points():
@@ -696,7 +708,7 @@ def test_engine_makes_no_fractions(monkeypatch):
     for tag, pt in points.items():
         raise_chain(pt, n)
         for var in FAMILIES[tag].variants:
-            operational_rhs(pt, n, inputs[tag], var.name)
+            term_sum(operational_terms(pt, n, [inputs[tag]], var.name)[0])
         if FAMILIES[tag].carrier == "poly":
             build_functional(pt, 2 * n)
     monkeypatch.undo()
@@ -721,7 +733,7 @@ def test_shift_keeps_one_successor_per_point():
 
 
 def test_one_case_builds_each_point_datum_once(monkeypatch):
-    # raise_chain, operational_rhs for every variant, then apply_chain: one
+    # raise_chain, operational_terms for every variant, then apply_chain: one
     # operational case builds each raising operator and evaluates each
     # domain bound once per point of its lattice
     rng = Random(71)
@@ -749,7 +761,7 @@ def test_one_case_builds_each_point_datum_once(monkeypatch):
         admits[0] = 0
         raise_chain(pt, n)
         for var in spec.variants:
-            operational_rhs(pt, n, f, var.name)
+            term_sum(operational_terms(pt, n, [f], var.name)[0])
         apply_chain(pt, n, f)
         lattice = {}  # id -> first k; an identity shift gives one point
         for k in range(n + 1):
