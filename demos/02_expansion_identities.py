@@ -26,7 +26,8 @@ x = Poly.x()
 
 print("== The inverse of the Hermite linearization formula ==")
 pt = make_point("hermite")
-lhs, terms = EXPANSIONS["hermite-expansion"].build(pt, 1, 1)
+e = EXPANSIONS["hermite-expansion"]
+lhs, terms = e.lhs(pt, 1, 1), e.build(pt, 1, 1)
 print(f"  H_2 = {lhs}")
 for k, t in enumerate(terms):
     print(f"  term k={k}: {t}")

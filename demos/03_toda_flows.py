@@ -15,7 +15,7 @@ identities once D is cleared, and they reduce to zero exactly.
 from random import Random
 
 from askeykit.algebra import scalar
-from askeykit.families import deformation, make_point
+from askeykit.families import FAMILIES, deformation, make_point
 from askeykit.functional import toda_orthogonality_check
 from askeykit.sampling import sample_deformation, sample_point
 from askeykit.toda import (
@@ -46,7 +46,7 @@ for tag, pt in points.items():
     n = 2
     b, c = flow_coefficient_strs(sol, n, pt)
     print(f"  {tag:18s} [{sol.variable.tag:9s}]  b_2 = {b}   c_2 = {c}")
-    top = sol.max_n(pt)
+    top = FAMILIES[tag].top(pt)
     nmax = 8 if top is None else top - 1
     assert not any(r for n in range(1, nmax + 1) for r in toda_residuals(sol, n, pt))
     print(f"  {'':18s} both lattice equations: residual 0 for n <= {nmax}")

@@ -8,7 +8,9 @@ Two layers deliberately coexist:
 
   * literal transcriptions of the closed-form expansion identities, one
     function per catalogued identity, written straight from the textbook
-    closed forms and *not* routed through the engine.
+    closed forms and *not* routed through the engine.  Each returns only
+    its k-terms; the left side they sum to is stated once per identity, as
+    `lhs_prefactor(n, m)` times the standard polynomial p_(n+m).
 
 Agreement between the two is itself a test: after the family normalization
 the engine must reproduce each literal expansion k-term by k-term.
@@ -127,41 +129,41 @@ def chain_expansion_residual(point: ParamPoint, n: int, m: int, variant: str | N
 
 @dataclass(frozen=True)
 class Expansion:
-    """One closed-form expansion identity: LHS polynomial and its k-term sum."""
+    """One closed-form expansion identity: k-terms summing to lhs_prefactor(n, m) p_(n+m)."""
 
     id: str
     family: str
     variant: str  # the engine variant it must agree with
-    build: Callable  # (point, n, m) -> (lhs, [terms])
+    build: Callable  # (point, n, m) -> [terms]
     lhs_prefactor: Callable  # (n, m) -> scalar relating LHS to the standard polynomial
+
+    def lhs(self, point: ParamPoint, n: int, m: int):
+        """The left side: lhs_prefactor(n, m) times the standard polynomial p_(n+m)."""
+        p, pref = standard_poly(point, n + m), self.lhs_prefactor(n, m)
+        return p if pref == 1 else p * pref
 
 
 def _build_hermite(point, n, m):
-    lhs = hermite_poly(n + m)
     terms = []
     for r in range(min(n, m) + 1):
         coef = _Q(binomial(n, r) * binomial(m, r) * (-2) ** r * factorial(r))
         terms.append(hermite_poly(n - r) * hermite_poly(m - r) * coef)
-    return lhs, terms
+    return terms
 
 
 def _build_laguerre(point, n, m):
     # ((m+1)_n / n!) L_(m+n) = sum_k ((-x)^k / k!) L_(n-k)^(nu+k) L_(m-k)^(nu+n+k)
-    lhs = standard_poly(point, n + m) * (
-        pochhammer(m + 1, n) * _Q(1, factorial(n))
-    )
     terms = []
     for k in range(min(n, m) + 1):
         xs = Poly.monomial(k, _Q((-1) ** k) / factorial(k))
         t = xs * standard_poly(shifted_point(point, k), n - k)
         t = t * standard_poly(shifted_point(point, n + k), m - k)
         terms.append(t)
-    return lhs, terms
+    return terms
 
 
 def _build_jacobi(point, n, m):
     alpha, beta = point.get("alpha"), point.get("beta")
-    lhs = standard_poly(point, n + m) * _Q(binomial(n + m, n))
     quad = Poly([_Q(-1, 4), 0, _Q(1, 4)])  # (1-x^2)/(-4)
     terms = []
     for k in range(min(n, m) + 1):
@@ -170,12 +172,11 @@ def _build_jacobi(point, n, m):
         t = t * standard_poly(shifted_point(point, k), n - k)
         t = t * standard_poly(shifted_point(point, n + k), m - k)
         terms.append(t)
-    return lhs, terms
+    return terms
 
 
 def _build_meixner_eta1(point, n, m):
     beta, c = point.get("beta"), point.get("c")
-    lhs = standard_poly(point, n + m)
     terms = []
     for k in range(min(n, m) + 1):
         coef = (
@@ -187,13 +188,12 @@ def _build_meixner_eta1(point, n, m):
         t = t * standard_poly(shifted_point(point, k), n - k)
         t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(1, -n)
         terms.append(t)
-    return lhs, terms
+    return terms
 
 
 def _build_meixner_etaS(point, n, m):
     # coefficient ((1-c)/c^2)^k: the nabla = S Delta rewrite carries no sign
     beta, c = point.get("beta"), point.get("c")
-    lhs = standard_poly(point, n + m)
     terms = []
     for k in range(min(n, m) + 1):
         coef = (
@@ -205,26 +205,24 @@ def _build_meixner_etaS(point, n, m):
         t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(1, -k)
         t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(1, -k)
         terms.append(t)
-    return lhs, terms
+    return terms
 
 
 def _build_charlier_eta1(point, n, m):
     # coefficient (-n)_k (-m)_k / (k! (-a)^k): nabla^k C_m = (-m)_k a^-k S^k C_(m-k)
     a = point.get("a")
-    lhs = standard_poly(point, n + m)
     terms = []
     for k in range(min(n, m) + 1):
         coef = pochhammer(-n, k) * pochhammer(-m, k) * _Q(1, factorial(k)) / (-a) ** k
         t = standard_poly(point, n - k) * coef
         t = t * standard_poly(point, m - k).compose_affine(1, -n)
         terms.append(t)
-    return lhs, terms
+    return terms
 
 
 def _build_charlier_etaS(point, n, m):
     # coefficient (-n)_k (-m)_k (-x)_k / (k! a^(2k)); the weight ratio keeps (-x)_k
     a = point.get("a")
-    lhs = standard_poly(point, n + m)
     terms = []
     for k in range(min(n, m) + 1):
         coef = pochhammer(-n, k) * pochhammer(-m, k) * _Q(1, factorial(k)) / a ** (2 * k)
@@ -232,14 +230,13 @@ def _build_charlier_etaS(point, n, m):
         t = t * standard_poly(point, n - k).compose_affine(1, -k)
         t = t * standard_poly(point, m - k).compose_affine(1, -k)
         terms.append(t)
-    return lhs, terms
+    return terms
 
 
 def _build_mp(point, n, m):
     lam = point.get("lam")
     u = unit_phase(point.get("phi"))
     two_sin = _Q(2 * u.i, u.d)
-    lhs = standard_poly(point, n + m) * _Q(binomial(n + m, n))
     terms = []
     for k in range(min(n, m) + 1):
         coef = (
@@ -253,13 +250,12 @@ def _build_mp(point, n, m):
             1, GR_HALF_I * (n - k)
         )
         terms.append(t)
-    return lhs, terms
+    return terms
 
 
 def _build_wilson(point, n, m):
     vals = [point.get(k) for k in ("a", "b", "c", "d")]
     s1 = sum(vals)
-    lhs = standard_poly(point, n + m)
     terms = []
     for k in range(min(n, m) + 1):
         coef = (
@@ -275,7 +271,7 @@ def _build_wilson(point, n, m):
             1, GR_HALF_I * (n - k)
         )
         terms.append(t)
-    return lhs, terms
+    return terms
 
 
 def _bqj_coef(a, b, c, q, n, m, k):
@@ -293,19 +289,17 @@ def _bqj_coef(a, b, c, q, n, m, k):
 
 def _build_bqj_Tq(point, n, m):
     a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
-    lhs = standard_poly(point, n + m)
     terms = []
     for k in range(min(n, m) + 1):
         t = q_poch_poly(1, q, k) * q_poch_poly(b / c, q, k) * _bqj_coef(a, b, c, q, n, m, k)
         t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(q ** k, 0)
         t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(q ** k, 0)
         terms.append(t)
-    return lhs, terms
+    return terms
 
 
 def _build_bqj_I(point, n, m):
     a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
-    lhs = standard_poly(point, n + m)
     terms = []
     for k in range(min(n, m) + 1):
         qmk = _Q(1) / q ** k
@@ -313,7 +307,7 @@ def _build_bqj_I(point, n, m):
         t = t * standard_poly(shifted_point(point, k), n - k)
         t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(q ** n, 0)
         terms.append(t)
-    return lhs, terms
+    return terms
 
 
 def _aw_ratio_factor(vals, q, k) -> Laurent:
@@ -326,7 +320,6 @@ def _build_aw_vals(point, vals, n, m):
     p = point.get("p")
     q = p * p
     a, b, c, d = vals
-    lhs = standard_poly(point, n + m)
     terms = []
     qn = _Q(1) / q ** n
     qm = _Q(1) / q ** m
@@ -344,7 +337,7 @@ def _build_aw_vals(point, vals, n, m):
         t = t * aw_eta(standard_poly(shifted_point(point, k), n - k), p, k)
         t = t * aw_eta(standard_poly(shifted_point(point, n + k), m - k), p, k - n)
         terms.append(t)
-    return lhs, terms
+    return terms
 
 
 def _build_aw(point, n, m):
@@ -389,8 +382,7 @@ _reg(Expansion("cqhermite-expansion", "continuous-q-hermite", "", _build_cqh, _p
 def closed_expansion_residual(identity: str, point: ParamPoint, n: int, m: int):
     """LHS minus the closed-form k-sum for one catalogued identity; exactly zero."""
     e = EXPANSIONS[identity]
-    lhs, terms = e.build(point, n, m)
-    return lhs - term_sum(terms)
+    return e.lhs(point, n, m) - term_sum(e.build(point, n, m))
 
 
 def expansion_term_gaps(identity: str, point: ParamPoint, n: int, m: int) -> tuple:
@@ -401,7 +393,7 @@ def expansion_term_gaps(identity: str, point: ParamPoint, n: int, m: int) -> tup
     the same sum term by term, not merely the same polynomial.
     """
     e = EXPANSIONS[identity]
-    _, literal = e.build(point, n, m)
+    literal = e.build(point, n, m)
     scale = e.lhs_prefactor(n, m) * normalization(point, n + m)
     f = raise_chain(shifted_point(point, n), m)
     engine = operational_terms(point, n, [f], e.variant)[0]

@@ -103,7 +103,7 @@ def _random_poly(rng: Random, degree: int, carrier: str) -> object:
 
 def _flow_index(point, n: int) -> int:
     """n, kept below the top index of a finite family (the flow at n reads c_(n+1))."""
-    top = TODA_SOLUTIONS[point.family].max_n(point)
+    top = FAMILIES[point.family].top(point)
     return n if top is None else min(n, top - 1)
 
 
@@ -496,7 +496,8 @@ def cmd_expand(args) -> int:
     values = _values_from_args(ident, spec.domain + scalars, _parse_params(args.param or []))
     point = make_point(e.family, **{p.name: values.pop(p.name) for p in spec.domain})
     s = values.pop(scalars[0].name) if scalars else None
-    lhs, terms = e.build(point, args.n, s if modified else args.m)
+    arg = s if modified else args.m
+    lhs, terms = e.lhs(point, args.n, arg), e.build(point, args.n, arg)
     res = lhs - term_sum(terms)
     print(
         f"identity: {ident}  point: {point}  n={args.n}"

@@ -64,6 +64,7 @@ __all__ = [
     "FAMILIES",
     "make_point",
     "deformation",
+    "deformed_measure",
     "shifted_point",
     "falling_poch_poly",
     "rising_poch_poly",
@@ -239,7 +240,8 @@ class FamilySpec:
     The methods that take a point keep what they derive in the point's memo
     (`ParamPoint.derived`), so the point must be of this family: callers
     reach the spec as FAMILIES[point.family].  A `shift_rule` of None
-    declares the identity shift nu + sigma = nu.
+    declares the identity shift nu + sigma = nu; `top(point)` is the largest
+    degree of a finite family, None for an infinite one.
     """
 
     tag: str
@@ -253,6 +255,7 @@ class FamilySpec:
     normalization: Callable[[ParamPoint, int], GaussianRational]
     standard: Callable[[ParamPoint, int], object]
     deformation: Optional[Deformation] = None
+    top: Callable[[ParamPoint], Optional[int]] = lambda pt: None
 
     @property
     def param_names(self) -> tuple:
@@ -984,6 +987,7 @@ _register(FamilySpec(
     normalization=_norm_unit,
     standard=lambda pt, n: krawtchouk_poly(pt.get("p"), pt.get("N"), n),
     deformation=Deformation(Param("u", 0, window=(0, 3)), params=_krawtchouk_deformed),
+    top=lambda pt: pt.get("N"),
 ))
 
 
@@ -992,6 +996,11 @@ def deformation(tag: str) -> Deformation:
     if d is None:
         raise KeyError(f"no e^(-xt) deformation registered for {tag}")
     return d
+
+
+def deformed_measure(point: ParamPoint, s) -> tuple:
+    """(image point, alpha, beta) of the family's e^(-xt) deformation at scalar s."""
+    return deformation(point.family).image(point, _Q(s))
 
 
 def shifted_point(point: ParamPoint, k: int) -> ParamPoint:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, _canon, scalar, term_sum
-from .families import FAMILIES, ParamPoint, deformation, raise_chain, shifted_point
+from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, _canon, term_sum
+from .families import FAMILIES, ParamPoint, deformed_measure, raise_chain, shifted_point
 from .burchnall import operational_terms
 from .toda import MODIFIED_EXPANSIONS
 
@@ -240,18 +240,15 @@ def adjointness_check(point: ParamPoint, n: int, D: int, variant: str | None = N
     return (not failures, MassRatioWitness(rho if rho is not None else GR_ZERO, samples), failures)
 
 
-def modified_functional(point: ParamPoint, s, order: int, measure=None) -> MomentFunctional:
+def modified_functional(point: ParamPoint, s, order: int, measure=deformed_measure) -> MomentFunctional:
     """Moment functional of a measure derived from point's, at deformation scalar s.
 
-    `measure(point, s)` gives (image point, alpha, beta); None means the
+    `measure(point, s)` gives (image point, alpha, beta), by default the
     family's e^(-xt) deformation.  The base functional is built at the image
     point and composed with the affine change of variable:
     L~[x^k] = L'[(alpha x + beta)^k].
     """
-    if measure is None:
-        image, alpha, beta = deformation(point.family).image(point, scalar(s))
-    else:
-        image, alpha, beta = measure(point, s)
+    image, alpha, beta = measure(point, s)
     base = build_functional(image, order)
     x = Poly([beta, alpha])
     return MomentFunctional(tuple(base.apply(x ** k) for k in range(order + 1)))
@@ -262,7 +259,6 @@ def toda_orthogonality_check(identity: str, point: ParamPoint, n: int, s=None) -
     the expansion declares (ModifiedExpansion.measure); returns the list of
     L~[E_n x^p] values (all exactly zero)."""
     expansion = MODIFIED_EXPANSIONS[identity]
-    _, terms = expansion.build(point, n, s)
-    E = term_sum(terms)
+    E = term_sum(expansion.build(point, n, s))
     L = modified_functional(point, s, E.degree + max(n - 1, 0), expansion.measure)
     return [L.apply(E, p) for p in range(n)]

@@ -2,7 +2,10 @@
 
     c_n' = c_n (b_(n-1) - b_n),      b_n' = c_n - c_(n+1)
 
-and the modified-weight polynomial expansions they come from.
+and the modified-weight polynomial expansions they come from.  Each
+expansion's build returns only its k-terms; the left side they sum to is
+the standard polynomial of the measure the expansion declares, by default
+the family's e^(-xt) deformation (ModifiedExpansion.lhs).
 
 Time derivatives are never taken numerically.  Each solution is written in a
 substitution variable v (t itself, u = e^(-t), or T = tan(phi - t/2)), and
@@ -19,7 +22,7 @@ lattice equations into polynomial identities provable by exact arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .algebra import (
     GR_HALF_I,
@@ -30,18 +33,18 @@ from .algebra import (
     pochhammer,
     q_pochhammer,
     scalar,
-    tangent_subtract,
     term_sum,
     unit_phase,
 )
 from .families import (
+    FAMILIES,
     ParamPoint,
     MonicRecurrence,
     deformation,
+    deformed_measure,
     big_q_jacobi_poly,
     falling_poch_poly,
     make_point,
-    mp_poly,
     q_poch_poly,
     recurrence_extract,
     rising_poch_poly,
@@ -79,10 +82,6 @@ VAR_EXP_NEG = TodaVariable("exp-neg-t", "u", Poly([0, -1]))
 VAR_TAN_HALF = TodaVariable("tan-half", "T", Poly([_Q(-1, 2), 0, _Q(-1, 2)]))
 
 
-def _no_top(pt):
-    return None
-
-
 @dataclass(frozen=True)
 class TodaSolution:
     """Closed-form b_n = B_n/D and c_n = C_n/D^2 for one family, in the variable v.
@@ -96,7 +95,6 @@ class TodaSolution:
     den: Callable[[ParamPoint], Poly]  # D
     b: Callable[[int, ParamPoint], Poly]  # B_n
     c: Callable[[int, ParamPoint], Poly]  # C_n
-    max_n: Callable[[ParamPoint], int | None] = _no_top  # None = unbounded
 
 
 TODA_SOLUTIONS = {
@@ -144,7 +142,6 @@ TODA_SOLUTIONS = {
             den=lambda pt: Poly([1 - pt.get("p"), pt.get("p")]),
             b=lambda n, pt: Poly([n * (1 - pt.get("p")), pt.get("p") * (pt.get("N") - n)]),
             c=lambda n, pt: Poly([0, n * (pt.get("N") + 1 - n) * pt.get("p") * (1 - pt.get("p"))]),
-            max_n=lambda pt: pt.get("N"),
         ),
     )
 }
@@ -161,7 +158,7 @@ def toda_residuals(sol: TodaSolution, n: int, point: ParamPoint):
     """
     if n < 1:
         raise ValueError("toda_residuals needs n >= 1")
-    top = sol.max_n(point)
+    top = FAMILIES[point.family].top(point)
     if top is not None and n + 1 > top:
         raise ValueError(f"index n={n} needs c_{n + 1} beyond the family size {top}")
     d = sol.den(point)
@@ -210,46 +207,51 @@ class ModifiedExpansion:
 
     The k-sum is orthogonal under the measure `measure(point, s)` names as
     (image point, alpha, beta): the measure of the image point pushed forward
-    by x -> alpha x + beta.  None means the family's e^(-xt) deformation.
+    by x -> alpha x + beta, by default the family's e^(-xt) deformation.  So
+    the left side is that measure's standard polynomial, times `scale(point, n)`
+    where one is declared.
     """
 
     id: str
     family: str
-    build: Callable  # (point, n, s) -> (lhs, [terms]); s is the deformation scalar or None
-    measure: Optional[Callable] = None
+    build: Callable  # (point, n, s) -> [terms]; s is the deformation scalar or None
+    measure: Callable = deformed_measure
+    scale: Callable | None = None
+
+    def lhs(self, point: ParamPoint, n: int, s):
+        """The image point's standard polynomial read at x -> (x - beta)/alpha, times the scale."""
+        image, alpha, beta = self.measure(point, s)
+        p = standard_poly(image, n)
+        if alpha != 1 or beta:
+            inv = _Q(alpha).inverse()
+            p = p.compose_affine(inv, -beta * inv)
+        return p if self.scale is None else p * self.scale(point, n)
 
 
 def _build_hermite_toda(point, n, t):
     # H_n(x + t/2) = sum_k t^k binom(n,k) H_(n-k)(x)
     t = _Q(t)
-    lhs = standard_poly(point, n).compose_affine(1, t / 2)
     terms = []
     for k in range(n + 1):
         coef = _Q(binomial(n, k)) * t ** k
         terms.append(standard_poly(point, n - k) * coef)
-    return lhs, terms
+    return terms
 
 
 def _build_laguerre_toda(point, n, t):
     # L_n^(nu)(x(1+t)) = sum_k ((-t)^k / k!) x^k L_(n-k)^(nu+k)(x)
     t = _Q(t)
-    lhs = standard_poly(point, n).compose_affine(1 + t, 0)
     terms = []
     for k in range(n + 1):
         coef = (-t) ** k / factorial(k)
         terms.append(Poly.monomial(k, coef) * standard_poly(shifted_point(point, k), n - k))
-    return lhs, terms
-
-
-def _modified_meixner_point(point, u):
-    return point.replace(c=point.get("c") * _Q(u))
+    return terms
 
 
 def _build_meixner_toda_eta1(point, n, u):
     # M_n(x; beta, cu) = sum_k ((-n)_k (beta+x)_k / (k! (beta)_k)) M_(n-k)(x; beta+k, c) u^-n (1-u)^k
     beta = point.get("beta")
     u = _Q(u)
-    lhs = standard_poly(_modified_meixner_point(point, u), n)
     un = _Q(1) / u ** n
     terms = []
     for k in range(n + 1):
@@ -259,14 +261,13 @@ def _build_meixner_toda_eta1(point, n, u):
         terms.append(
             rising_poch_poly(beta, k) * coef * standard_poly(shifted_point(point, k), n - k)
         )
-    return lhs, terms
+    return terms
 
 
 def _build_meixner_toda_etaS(point, n, u):
     # M_n(x; beta, cu) = sum_k ((-n)_k (-x)_k / (k! (beta)_k c^k)) M_(n-k)(x-k; beta+k, c) (1 - 1/u)^k
     beta, c = point.get("beta"), point.get("c")
     u = _Q(u)
-    lhs = standard_poly(_modified_meixner_point(point, u), n)
     terms = []
     for k in range(n + 1):
         coef = pochhammer(-n, k) * (
@@ -276,26 +277,24 @@ def _build_meixner_toda_etaS(point, n, u):
             falling_poch_poly(k) * coef
             * standard_poly(shifted_point(point, k), n - k).compose_affine(1, -k)
         )
-    return lhs, terms
+    return terms
 
 
 def _build_charlier_toda_eta1(point, n, u):
     # C_n(x; au) = sum_k ((-n)_k / k!) C_(n-k)(x; a) u^-n (1-u)^k
     u = _Q(u)
-    lhs = standard_poly(point.replace(a=point.get("a") * u), n)
     un = _Q(1) / u ** n
     terms = []
     for k in range(n + 1):
         coef = pochhammer(-n, k) * _Q(1, factorial(k)) * (un * (1 - u) ** k)
         terms.append(standard_poly(point, n - k) * coef)
-    return lhs, terms
+    return terms
 
 
 def _build_charlier_toda_etaS(point, n, u):
     # C_n(x; au) = sum_k ((-n)_k (-x)_k / k!) C_(n-k)(x-k; a) a^-k (1 - 1/u)^k
     a = point.get("a")
     u = _Q(u)
-    lhs = standard_poly(point.replace(a=a * u), n)
     terms = []
     for k in range(n + 1):
         coef = pochhammer(-n, k) * _Q(1, factorial(k)) * ((1 - 1 / u) ** k / a ** k)
@@ -303,7 +302,7 @@ def _build_charlier_toda_etaS(point, n, u):
             falling_poch_poly(k) * coef
             * standard_poly(point, n - k).compose_affine(1, -k)
         )
-    return lhs, terms
+    return terms
 
 
 def _build_mp_toda(point, n, r):
@@ -311,13 +310,10 @@ def _build_mp_toda(point, n, r):
     #     P_(n-k)^(lam+k/2)(x - ki/2; phi) (2 sin(t/2))^k e^(-i t (n-k)/2),
     # with r = tan(t/4) carrying the deformation exactly.
     lam = point.get("lam")
-    s = point.get("phi")
     r = _Q(r)
-    u_phi = unit_phase(s)
+    u_phi = unit_phase(point.get("phi"))
     half_t = unit_phase(r)             # e^(i t/2)
     e_neg_half_t = half_t.conjugate()  # e^(-i t/2)
-    s_mod = tangent_subtract(s, r)     # tan((phi - t/2) / 2)
-    lhs = mp_poly(lam, s_mod, n)
     two_sin = _Q(2 * half_t.i, half_t.d)  # 2 sin(t/2)
     terms = []
     for k in range(n + 1):
@@ -329,7 +325,7 @@ def _build_mp_toda(point, n, r):
                 1, GR_HALF_I * (-k)
             )
         )
-    return lhs, terms
+    return terms
 
 
 def _bq_coef(a, c, q, n, k):
@@ -343,28 +339,26 @@ def _build_bqj_to_bql(point, n, s):
     # sum_k ((q^-n, x; q)_k / (q, aq, cq; q)_k) (-abq^n)^k q^(k(k+3)/2)
     #     P_(n-k)(x q^k; a q^k, 0, c q^k; q)  =  P_n(x; a, b, c; q)
     a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
-    lhs = standard_poly(point, n)
     terms = []
     for k in range(n + 1):
         coef = _bq_coef(a, c, q, n, k) * ((-a * b * q ** n) ** k * q ** (k * (k + 3) // 2))
         t = q_poch_poly(1, q, k) * coef
         t = t * big_q_jacobi_poly(a * q ** k, 0, c * q ** k, q, n - k).compose_affine(q ** k, 0)
         terms.append(t)
-    return lhs, terms
+    return terms
 
 
 def _build_bql_inverse(point, n, s):
     # sum_k ((q^-n, x; q)_k / (q, aq, cq; q)_k) (ab)^k q^(k(k+n+1))
     #     P_(n-k)(x q^k; a q^k, b q^k, c q^k; q)  =  P_n(x; a, 0, c; q)
     a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
-    lhs = big_q_jacobi_poly(a, 0, c, q, n)
     terms = []
     for k in range(n + 1):
         coef = _bq_coef(a, c, q, n, k) * ((a * b) ** k * q ** (k * (k + n + 1)))
         t = q_poch_poly(1, q, k) * coef
         t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(q ** k, 0)
         terms.append(t)
-    return lhs, terms
+    return terms
 
 
 def _measure_bql_inverse(point, s):
@@ -377,23 +371,27 @@ def _build_bql_second(point, n, s):
     #     P_(n-k)(x q^k; a q^k, b q^k, c q^k; q)
     #   = (c/b)^n ((bq, abq/c; q)_n / (aq, cq; q)_n) P_n(x b/c; b, 0, ab/c; q)
     a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
-    scale = (c / b) ** n * q_pochhammer(b * q, q, n) * q_pochhammer(a * b * q / c, q, n) * (
-        q_pochhammer(a * q, q, n) * q_pochhammer(c * q, q, n)
-    ).inverse()
-    lhs = big_q_jacobi_poly(b, 0, a * b / c, q, n).compose_affine(b / c, 0) * scale
     terms = []
     for k in range(n + 1):
         coef = _bq_coef(a, c, q, n, k) * ((a * c) ** k * q ** (k * (k + n + 1)))
         t = q_poch_poly(b / c, q, k) * coef
         t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(q ** k, 0)
         terms.append(t)
-    return lhs, terms
+    return terms
 
 
 def _measure_bql_second(point, s):
     # the sum is orthogonal where P_n(x b/c; b, 0, ab/c; q) is: y -> (c/b) y
     a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
     return make_point("big-q-laguerre", q=q, a=b, c=a * b / c), c / b, 0
+
+
+def _scale_bql_second(point, n):
+    """(c/b)^n (bq, abq/c; q)_n / (aq, cq; q)_n, the scale of the second expansion's left side."""
+    a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
+    return (c / b) ** n * q_pochhammer(b * q, q, n) * q_pochhammer(a * b * q / c, q, n) * (
+        q_pochhammer(a * q, q, n) * q_pochhammer(c * q, q, n)
+    ).inverse()
 
 
 MODIFIED_EXPANSIONS: dict = {}
@@ -414,13 +412,15 @@ _reg(ModifiedExpansion(
     "bigqjacobi-to-bigqlaguerre", "big-q-jacobi", _build_bqj_to_bql, lambda point, s: (point, 1, 0)
 ))
 _reg(ModifiedExpansion("bigqlaguerre-inverse", "big-q-jacobi", _build_bql_inverse, _measure_bql_inverse))
-_reg(ModifiedExpansion("bigqlaguerre-second", "big-q-jacobi", _build_bql_second, _measure_bql_second))
+_reg(ModifiedExpansion(
+    "bigqlaguerre-second", "big-q-jacobi", _build_bql_second, _measure_bql_second, _scale_bql_second
+))
 
 
 def modified_expansion_residual(identity: str, point: ParamPoint, n: int, s=None):
     """LHS minus the k-sum at deformation scalar s (None for a family without one)."""
-    lhs, terms = MODIFIED_EXPANSIONS[identity].build(point, n, s)
-    return lhs - term_sum(terms)
+    e = MODIFIED_EXPANSIONS[identity]
+    return e.lhs(point, n, s) - term_sum(e.build(point, n, s))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +434,7 @@ def modified_recurrence(point: ParamPoint, s, N: int) -> MonicRecurrence:
     affine change of variable x -> alpha x + beta then maps (b, c) to
     (alpha b + beta, alpha^2 c).
     """
-    image, alpha, beta = deformation(point.family).image(point, _Q(s))
+    image, alpha, beta = deformed_measure(point, s)
     rec = recurrence_extract(image, N)
     return MonicRecurrence(
         tuple(b * alpha + beta for b in rec.b), tuple(c * (alpha * alpha) for c in rec.c)

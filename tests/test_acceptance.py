@@ -130,7 +130,7 @@ def test_criterion_4_toda():
     for tag, sol in sorted(TODA_SOLUTIONS.items()):
         for _ in range(POINTS_PER_IDENTITY):
             pt = sample_point(tag, rng)
-            top = sol.max_n(pt)
+            top = FAMILIES[tag].top(pt)
             nmax = 10 if top is None else top - 1
             for n in range(1, nmax + 1):
                 rc, rb = toda_residuals(sol, n, pt)
@@ -140,7 +140,7 @@ def test_criterion_4_toda():
         for _ in range(5):
             pt = sample_point(tag, rng)
             extra = sample_deformation(rng, pt)
-            top = TODA_SOLUTIONS[tag].max_n(pt)
+            top = FAMILIES[tag].top(pt)
             nmax = 6 if top is None else min(6, top - 1)
             for n in range(1, nmax + 1):
                 bg, cg = toda_from_recurrence_crosscheck(pt, extra, n)

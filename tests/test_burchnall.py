@@ -90,7 +90,8 @@ def test_chain_expansion_all_variants():
 
 def test_hermite_expansion_small():
     pt = make_point("hermite")
-    lhs, terms = EXPANSIONS["hermite-expansion"].build(pt, 1, 1)
+    e = EXPANSIONS["hermite-expansion"]
+    lhs, terms = e.lhs(pt, 1, 1), e.build(pt, 1, 1)
     assert lhs == Poly([-2, 0, 4])
     assert terms[0] == Poly([0, 0, 4]) and terms[1] == Poly([-2])
     assert not closed_expansion_residual("hermite-expansion", pt, 1, 1)
@@ -139,14 +140,22 @@ def test_term_gaps_see_what_the_sum_hides(monkeypatch):
     delta = Poly([Q(1, 7), 2])
 
     def moved(point, n, m):
-        lhs, terms = e.build(point, n, m)
-        return lhs, [terms[0] + delta, terms[1] - delta, *terms[2:]]
+        terms = e.build(point, n, m)
+        return [terms[0] + delta, terms[1] - delta, *terms[2:]]
 
     monkeypatch.setitem(EXPANSIONS, e.id, dataclasses.replace(e, build=moved))
     pt = make_point("laguerre", nu=Q(1, 2))
     assert not closed_expansion_residual(e.id, pt, 2, 2)
     gaps = expansion_term_gaps(e.id, pt, 2, 2)
     assert gaps[0] == delta and gaps[1] == -delta and not gaps[2]
+
+
+def test_the_left_side_reads_the_declared_prefactor(monkeypatch):
+    # ((m+1)_n / n!) = binom(n+m, n) is the only record of the Laguerre left
+    # side's scale, so declaring 1 instead must break the identity
+    e = EXPANSIONS["laguerre-expansion"]
+    monkeypatch.setitem(EXPANSIONS, e.id, dataclasses.replace(e, lhs_prefactor=lambda n, m: 1))
+    assert closed_expansion_residual(e.id, make_point("laguerre", nu=Q(1, 2)), 1, 1)
 
 
 def test_expansion_rhs_value_symmetry():
@@ -156,8 +165,8 @@ def test_expansion_rhs_value_symmetry():
         e = EXPANSIONS[ident]
         pt = _sample_for(ident, rng)
         for n, m in [(1, 2), (3, 1)]:
-            _, t1 = e.build(pt, n, m)
-            _, t2 = e.build(pt, m, n)
+            t1 = e.build(pt, n, m)
+            t2 = e.build(pt, m, n)
             assert term_sum(t1) == term_sum(t2), (ident, n, m)
 
 

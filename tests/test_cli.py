@@ -128,6 +128,26 @@ def test_expand_modified_identity(capsys):
     assert out.splitlines()[0] == "identity: charlier-toda-eta1  point: charlier(a=3)  n=2 u=1/2"
 
 
+# `askeykit expand` stdout: both registries, a declared prefactor, a deformed
+# parameter, a deformed phase and big q-Laguerre's mapped measure times its scale
+EXPAND_SHA256 = {
+    "laguerre-expansion --n 2 --m 1 --param nu=1/2":
+        "68ec0633a2b5d627c76e5738a0b26acf75f9396c96698c12bda09b701828f9c3",
+    "charlier-toda-eta1 --n 2 --param a=3 --param u=1/2":
+        "e180ad66cd781f005996d2c55a7123ee12ac9f8f808576235ce07c80820749d9",
+    "mp-toda --n 2 --param lam=1/2 --param phi=1/3 --param r=1/5":
+        "387720342c8a178828626f5a54854aa3a052802beaa3f765f7c93024800e14dc",
+    "bigqlaguerre-second --n 2 --param q=1/2 --param a=1/3 --param b=1/4 --param c=-2/3":
+        "0078d0b1a159fe44f63a222dd9304f5b3b1b32c9772e20948521b423a3b42a9d",
+}
+
+
+@pytest.mark.parametrize("args", sorted(EXPAND_SHA256))
+def test_expand_output_bytes(args, capsys):
+    assert main(["expand", *args.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == EXPAND_SHA256[args]
+
+
 def test_toda_command(capsys):
     rc = main(["toda", "--families", "hermite", "meixner", "--max-n", "3"])
     out = capsys.readouterr().out

@@ -35,7 +35,7 @@ def test_all_flows_random_points():
     for tag, sol in TODA_SOLUTIONS.items():
         for _ in range(4):
             pt = sample_point(tag, rng)
-            top = sol.max_n(pt)
+            top = FAMILIES[tag].top(pt)
             nmax = 10 if top is None else top - 1
             for n in range(1, nmax + 1):
                 rc, rb = toda_residuals(sol, n, pt)
@@ -47,7 +47,7 @@ def test_flow_c_nonzero():
     rng = Random(77)
     for tag, sol in TODA_SOLUTIONS.items():
         pt = sample_point(tag, rng)
-        top = sol.max_n(pt)
+        top = FAMILIES[tag].top(pt)
         nmax = 6 if top is None else top
         for n in range(1, nmax + 1):
             assert sol.c(n, pt), (tag, n)
@@ -60,7 +60,8 @@ def test_a_wrong_numerator_gives_a_nonzero_residual(tag):
     # B_n + 1 at one index breaks c_n' = c_n (b_(n-1) - b_n) there
     sol = TODA_SOLUTIONS[tag]
     pt = sample_point(tag, Random(1313))
-    n = 1 if sol.max_n(pt) is None else min(2, sol.max_n(pt) - 1)
+    top = FAMILIES[tag].top(pt)
+    n = 1 if top is None else min(2, top - 1)
     wrong = dataclasses.replace(sol, b=lambda k, p: sol.b(k, p) + (1 if k == n else 0))
     rc, rb = toda_residuals(wrong, n, pt)
     assert rc, tag
@@ -97,14 +98,14 @@ def test_flow_index_bounds():
 
 def test_hermite_toda_example():
     pt = make_point("hermite")
-    lhs, terms = MODIFIED_EXPANSIONS["hermite-toda"].build(pt, 1, Q(1))
-    assert lhs == Poly([1, 2])  # H_1(x + 1/2) = 2x + 1
+    assert MODIFIED_EXPANSIONS["hermite-toda"].lhs(pt, 1, Q(1)) == Poly([1, 2])  # H_1(x + 1/2) = 2x + 1
     assert not modified_expansion_residual("hermite-toda", pt, 1, Q(1))
 
 
 def test_laguerre_toda_example():
     pt = make_point("laguerre", nu=Q(0))
-    lhs, terms = MODIFIED_EXPANSIONS["laguerre-toda"].build(pt, 1, Q(2))
+    e = MODIFIED_EXPANSIONS["laguerre-toda"]
+    lhs, terms = e.lhs(pt, 1, Q(2)), e.build(pt, 1, Q(2))
     assert lhs == Poly([1, -3])  # L_1(3x) = 1 - 3x
     assert terms[0] == Poly([1, -1]) and terms[1] == Poly([0, -2])
     assert not modified_expansion_residual("laguerre-toda", pt, 1, Q(2))
@@ -134,16 +135,27 @@ def test_boundary_coherence():
         if d is None:
             continue
         pt = sample_point(e.family, rng)
-        lhs, terms = e.build(pt, 3, neutral[d.scalar.name])
-        live = [t for t in terms if t]
-        assert len(live) == 1 and live[0] == lhs, ident
+        s = neutral[d.scalar.name]
+        live = [t for t in e.build(pt, 3, s) if t]
+        assert len(live) == 1 and live[0] == e.lhs(pt, 3, s), ident
+
+
+@pytest.mark.parametrize("ident", ["meixner-toda-eta1", "meixner-toda-etaS"])
+def test_the_left_side_reads_the_declared_deformation(monkeypatch, ident):
+    # the deformation c -> c u is the only record of the Meixner left side,
+    # so declaring c -> c u^2 instead must break both expansions
+    spec = FAMILIES["meixner"]
+    wrong = dataclasses.replace(spec.deformation, params=lambda pt, u: pt.replace(c=pt.get("c") * u * u))
+    monkeypatch.setitem(FAMILIES, "meixner", dataclasses.replace(spec, deformation=wrong))
+    pt = make_point("meixner", beta=Q(1), c=Q(1, 2))
+    assert modified_expansion_residual(ident, pt, 1, Q(1, 2)), ident
 
 
 def test_bqj_to_bql_boundary():
     # b -> 0 degenerates the expansion to the tautology P_n = P_n
     pt = make_point("big-q-jacobi", a=Q(1, 3), b=Q(1, 64), c=Q(-2, 3), q=Q(1, 2))
     e = MODIFIED_EXPANSIONS["bigqjacobi-to-bigqlaguerre"]
-    lhs, terms = e.build(pt, 2, None)
+    terms = e.build(pt, 2, None)
     assert not modified_expansion_residual("bigqjacobi-to-bigqlaguerre", pt, 2)
     # all higher terms carry the factor (ab q^n)^k
     assert terms[1].coefficient(1)
@@ -168,7 +180,7 @@ def test_crosscheck_all_families():
         for _ in range(3):
             pt = sample_point(tag, rng)
             extra = sample_deformation(rng, pt)
-            top = TODA_SOLUTIONS[tag].max_n(pt)
+            top = FAMILIES[tag].top(pt)
             nmax = 5 if top is None else min(5, top - 1)
             for n in range(1, nmax + 1):
                 bg, cg = toda_from_recurrence_crosscheck(pt, extra, n)
