@@ -6,11 +6,14 @@ report: the same configuration and seed always produce byte-identical JSON.
 No floating point appears anywhere in a report; rationals serialize as
 "num/den" strings.
 
-`verify` runs its cases on every CPU the process may use: forked workers
-build slices of the case list and the parent builds one itself.  The report
-stays byte-identical, because each case draws from a random generator seeded
-by its id and the records are sorted by id.  `--timings` stays per case: each
-record times its case in whichever process builds it.
+`verify` runs its cases on every CPU the process may use: the parent and
+its forked workers take tickets from one pipe until it is empty, and each
+ticket names an evenly spread share of the case list, so a process that
+runs faster builds more of it.  The report stays byte-identical, because each
+case draws from a random generator seeded by its id and the records are
+sorted by id; the JSON text is rendered case by case through the C string
+encoder and joined once.  `--timings` stays per case: each record times its
+case in whichever process builds it.
 
 Subcommands: verify, expand, toda, list.  Exit codes: 0 all cases pass,
 1 verification failure, 2 usage error.
@@ -217,10 +220,14 @@ IDENTITIES = {
 }
 
 
+def _case_id(ident, family, n, m, trial) -> str:
+    mm = f"m{m}" if m is not None else "m-"
+    return f"{ident}/{family}/n{n}{mm}/t{trial}"
+
+
 def _case_record(ident, family, n, m, trial, config) -> dict:
     """The report record of one case; an error in its runner fails the case."""
-    mm = f"m{m}" if m is not None else "m-"
-    case_id = f"{ident}/{family}/n{n}{mm}/t{trial}"
+    case_id = _case_id(ident, family, n, m, trial)
     rng = Random(_subseed(config.seed, case_id))
     runner = CASE_KINDS[IDENTITIES[ident][0]][1]
     started = time.perf_counter()
@@ -260,20 +267,42 @@ def _worker_count(n_jobs: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_jobs // 64))
 
 
-def _records(jobs: list, config: SuiteConfig, workers: int) -> list:
-    """The case records of jobs, (ident, family, n, m, trial) each, in no fixed order.
+def _take_tickets(tickets: int, jobs: list, count: int, config: SuiteConfig) -> list:
+    """The records of jobs[t::count] for each ticket t read from fd tickets until end of file."""
+    records = []
+    while chunk := os.read(tickets, 4):
+        if len(chunk) != 4:
+            raise RuntimeError(f"read {len(chunk)} bytes of a 4-byte verify ticket")
+        t = int.from_bytes(chunk, "big")
+        records.extend(_case_record(*job, config) for job in jobs[t::count])
+    return records
 
-    Worker w builds jobs[w::workers].  The parent forks workers - 1 children,
-    builds jobs[0::workers] itself, then reads each child's records, sent as
-    one JSON text over a pipe, and reaps the child.  A child that exits
-    nonzero or sends fewer records than its slice raises RuntimeError; every
-    child not yet reaped is killed and reaped before this function returns or
+
+def _records(jobs: list, config: SuiteConfig, workers: int) -> list:
+    """The case records of jobs, (ident, family, n, m, trial) each, sorted by id.
+
+    Before it forks, the parent writes T = min(len(jobs), 1024) four-byte
+    tickets 0..T-1 into one pipe in a single write and closes its write end:
+    4096 bytes is PIPE_BUF and the smallest pipe capacity, so the write
+    neither blocks nor splits.  Then the parent and its workers - 1 children
+    each read one ticket at a time until end of file and build jobs[t::T] for
+    ticket t, a share that samples the whole grid, so a process that runs
+    faster takes more tickets.  No lock is held: a pipe read of 4 bytes takes
+    one whole ticket.  Each child sends its records as one JSON text over its
+    own pipe; the parent reads them and reaps the child.  A child that exits
+    nonzero or sends no list of records, a short ticket read, or records
+    whose ids are not exactly the jobs' ids raise RuntimeError; every child
+    not yet reaped is killed and reaped before this function returns or
     raises.  A child holds only the forking thread; the case code it runs
     imports nothing and takes no lock.
     """
+    count = min(len(jobs), 1024)
+    tickets, write_end = os.pipe()
     children = []  # (pid, read end of its pipe as a file) of each child not yet reaped
     try:
-        for w in range(1, workers):
+        with open(write_end, "wb", buffering=0) as end:  # one write(2), then closed
+            end.write(b"".join(t.to_bytes(4, "big") for t in range(count)))
+        for _ in range(1, workers):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -281,10 +310,10 @@ def _records(jobs: list, config: SuiteConfig, workers: int) -> list:
                 os.close(read_end)
                 os.close(write_end)
                 raise
-            if pid == 0:  # the child: build its slice, send it, leave
+            if pid == 0:  # the child: build the cases of its tickets, send them, leave
                 status = 1
                 try:
-                    part = [_case_record(*job, config) for job in jobs[w::workers]]
+                    part = _take_tickets(tickets, jobs, count, config)
                     with open(write_end, "wb") as pipe:
                         pipe.write(json.dumps(part, separators=(",", ":")).encode())
                     status = 0
@@ -296,8 +325,8 @@ def _records(jobs: list, config: SuiteConfig, workers: int) -> list:
             # a later child must not hold this write end, or the read never ends
             os.close(write_end)
             children.append((pid, open(read_end, "rb")))
-        records = [_case_record(*job, config) for job in jobs[::workers]]
-        for w in range(1, workers):
+        records = _take_tickets(tickets, jobs, count, config)
+        while children:
             pid, pipe = children[0]
             payload = pipe.read()
             # it leaves `children` only once reaped: an interrupt in waitpid must still kill it
@@ -308,15 +337,20 @@ def _records(jobs: list, config: SuiteConfig, workers: int) -> list:
                 part = json.loads(payload) if status == 0 else None
             except ValueError:  # a truncated payload
                 part = None
-            if not isinstance(part, list) or len(part) != len(jobs[w::workers]):
+            if not isinstance(part, list):
                 raise RuntimeError(
                     f"verify worker {pid} exited with status {status} after sending "
-                    f"{len(payload)} bytes, not the records of its "
-                    f"{len(jobs[w::workers])} cases"
+                    f"{len(payload)} bytes, not a list of records"
                 )
             records.extend(part)
+        records.sort(key=lambda c: c["id"])
+        if [c["id"] for c in records] != sorted(_case_id(*job) for job in jobs):
+            raise RuntimeError(
+                f"verify built {len(records)} records, not one for each of its {len(jobs)} cases"
+            )
         return records
     finally:
+        os.close(tickets)
         if children:
             import signal  # only here: the import would add to every run's set-up time
 
@@ -361,7 +395,6 @@ def run_verify(config: SuiteConfig) -> dict:
     if not jobs:
         raise UsageError(f"the selected identities start at n = 1, above --max-n {config.max_n}")
     cases = _records(jobs, config, _worker_count(len(jobs)))
-    cases.sort(key=lambda c: c["id"])
     report = {
         "schema": SCHEMA_VERSION,
         "version": __version__,
@@ -383,9 +416,69 @@ def run_verify(config: SuiteConfig) -> dict:
     return report
 
 
+_json_str = json.encoder.encode_basestring_ascii  # the C encoder's, where it is built
+
+
+def _json_text(value, pad: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for a value whose line starts with pad.
+
+    pad is a newline and the value's indentation.  Dict keys are strings, as
+    in every report.
+    """
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + pad + "]"
+    return json.dumps(value)  # a float: the same digits in both encoders
+
+
+def _report_json(report: dict) -> str:
+    """json.dumps(report, indent=2, sort_keys=True) + "\n", in one join.
+
+    The indent would send json.dumps through its pure-Python encoder, which
+    keeps about 50 chunk strings per case until its final join.  Here each
+    item of a top-level list (each case) is rendered to one string, strings
+    go through the C encoder, and the text is built by a single join.
+    """
+    if not report:
+        return "{}\n"
+    parts = []
+    sep = "{\n  "
+    for key, value in sorted(report.items()):
+        parts.append(f"{sep}{_json_str(key)}: ")
+        sep = ",\n  "
+        if isinstance(value, list) and value:
+            parts.append("[\n    ")
+            for i, item in enumerate(value):
+                if i:
+                    parts.append(",\n    ")
+                parts.append(_json_text(item, "\n    "))
+            parts.append("\n  ]")
+        else:
+            parts.append(_json_text(value, "\n  "))
+    parts.append("\n}\n")
+    return "".join(parts)
+
+
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _report_json(report)
     lines = [
         f"# verification report (schema {report['schema']}, v{report['version']})",
         "",

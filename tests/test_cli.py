@@ -5,6 +5,8 @@ import gc
 import hashlib
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
 import time
@@ -12,6 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from askeykit import cli
 from askeykit.cli import CASE_KINDS, IDENTITIES, SuiteConfig, main, render_report, run_verify
@@ -94,6 +97,102 @@ def test_markdown_render():
     text = render_report(report, "markdown")
     assert "| case | pass | residual |" in text
     assert "hermite-expansion" in text
+
+
+# Strings that JSON escapes, or that are not ASCII
+_ODD = ['"', "\\", "\x00", "\x1f", "\x7f", "\n\t\r\b\f", "é", "€", "\U0001d538", "\u2028", "/"]
+_TEXT = st.one_of(
+    st.text(max_size=8), st.sampled_from(_ODD), st.lists(st.sampled_from(_ODD), max_size=4).map("".join)
+)
+_INT = st.one_of(st.integers(-5, 5), st.integers(), st.sampled_from([-(2**200), 2**64, -1, 0]))
+_CASE = st.fixed_dictionaries(
+    {
+        "id": _TEXT,
+        "identity": _TEXT,
+        "family": _TEXT,
+        "params": st.dictionaries(_TEXT, _TEXT, max_size=4),
+        "n": _INT,
+        "m": st.none() | _INT,
+        "extras": st.dictionaries(_TEXT, _TEXT, max_size=3),
+        "pass": st.booleans(),
+        "residual_summary": _TEXT,
+    },
+    optional={"elapsed_ms": _INT},
+)
+_REPORT = st.fixed_dictionaries(
+    {
+        "schema": _INT,
+        "version": _TEXT,
+        "seed": _INT,
+        "config": st.fixed_dictionaries(
+            {
+                "families": st.lists(_TEXT, max_size=3),
+                "identities": st.lists(_TEXT, max_size=3),
+                "max_n": _INT,
+                "max_m": _INT,
+                "trials": _INT,
+            }
+        ),
+        "cases": st.lists(_CASE, max_size=6),
+        "totals": st.dictionaries(_TEXT, _INT, max_size=3),
+    }
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INT | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+# the configurations of tests/test_golden.py, each with the sha256 of its
+# markdown report
+GOLDEN_CONFIGS = {
+    "golden": (
+        SuiteConfig(seed=7, max_n=2, max_m=2),
+        "1fc3b8a036b068ec52c5634715c347dcb6dabd6aa607d2877266073816a7f75a",
+    ),
+    "deep": (
+        SuiteConfig(seed=7, identities=["chain-expansion", "operational", "leibniz"], max_n=8, max_m=2),
+        "821e950a737b53936c45f7eefd48365b09bacfb3c8f808f6defc23804abb8fe3",
+    ),
+    "suite": (
+        SuiteConfig(seed=7, max_n=5, max_m=5),
+        "070a4a9bc26303610bcb8c4068e455476ea07a6f8096cf6685e2d5392c098ad8",
+    ),
+    "held-out": (
+        SuiteConfig(seed=2718, max_n=5, max_m=5),
+        "8a43d7961fc6b83887751326813ec79c15b04853a88ea7b1df002cf2594273a4",
+    ),
+    "aw-deep": (
+        SuiteConfig(seed=7, families=["askey-wilson", "continuous-q-hermite"], max_n=7, max_m=7),
+        "3e6b2531c5659834ccc4752f7953fd804753238f66bfc030bb934df93cd0e3d0",
+    ),
+}
+
+
+def _dumped(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT)
+def test_json_render_is_json_dumps_on_drawn_reports(report):
+    assert render_report(report, "json") == _dumped(report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_TEXT, _JSON, max_size=5))
+def test_json_render_is_json_dumps_on_any_json_object(value):
+    assert render_report(value, "json") == _dumped(value)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_both_renders_keep_their_bytes_on_the_golden_configurations(name):
+    # timed, so that every record also carries elapsed_ms
+    config, markdown_sha256 = GOLDEN_CONFIGS[name]
+    report = run_verify(dataclasses.replace(config, timings=True))
+    assert render_report(report, "json") == _dumped(report)
+    markdown = render_report(report, "markdown")
+    assert hashlib.sha256(markdown.encode()).hexdigest() == markdown_sha256
 
 
 def test_expand_zero_residual(capsys):
@@ -396,6 +495,44 @@ def _assert_no_child() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture
+def meet(monkeypatch):
+    """meet(worker=None, parent=None) wraps cli._case_record for one run of _records.
+
+    Each process calls its hook with the job before it builds a case: worker
+    in the workers, parent in the parent.  Before its first case the parent
+    waits until a worker has started one, and a worker until the parent has.
+    A waiting process holds one ticket, so with more tickets than processes
+    the parent and at least one worker each build a case, whatever the
+    scheduling.
+    """
+    real, parent_pid, fds = cli._case_record, os.getpid(), []
+
+    def install(worker=None, parent=None):
+        to_parent, to_workers = os.pipe(), os.pipe()
+        fds.extend(to_parent + to_workers)
+        first = []
+
+        def record(*args):
+            in_parent = os.getpid() == parent_pid
+            if not first:
+                first.append(1)
+                tell, wait_on = (to_workers[1], to_parent[0]) if in_parent else (to_parent[1], to_workers[0])
+                os.write(tell, b"." * 8)  # a byte for each process that waits
+                assert select.select([wait_on], [], [], 60)[0], "no other process started a case"
+                os.read(wait_on, 1)
+            hook = parent if in_parent else worker
+            if hook is not None:
+                hook(args[:5])
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_case_record", record)
+
+    yield install
+    for fd in fds:
+        os.close(fd)
+
+
 @pytest.mark.parametrize("seed", [7, 2718])
 def test_records_do_not_depend_on_the_worker_count(seed):
     jobs = _suite_jobs(2, 2)
@@ -414,23 +551,32 @@ def test_worker_count_follows_the_usable_cpus(monkeypatch):
     assert cli._worker_count(10**4) == 1
 
 
-def test_an_error_in_a_workers_slice_gives_the_serial_error_record(monkeypatch):
-    jobs = _suite_jobs(1, 1)
-    ident, family, n, m, _ = jobs[1]  # the first job of worker 1's slice
-    kind = IDENTITIES[ident][0]
-    grid, runner = CASE_KINDS[kind]
+def test_an_error_in_a_workers_slice_gives_the_serial_error_record(monkeypatch, meet):
+    # every case a worker builds fails and every case the parent builds
+    # passes; the meeting makes each side build at least one
+    jobs, config, parent = _suite_jobs(1, 1), SuiteConfig(seed=7), os.getpid()
+    passing = {c["id"]: c for c in cli._records(jobs, config, 1)}
+    everywhere = [True]
 
-    def failing(i, f, nn, mm, rng):
-        if (i, f, nn, mm) == (ident, family, n, m):
-            raise ValueError("inadmissible in a worker")
-        return runner(i, f, nn, mm, rng)
+    def failing(runner):
+        def run(*args):
+            if everywhere or os.getpid() != parent:
+                raise ValueError("inadmissible in a worker")
+            return runner(*args)
 
-    monkeypatch.setitem(CASE_KINDS, kind, (grid, failing))
-    config = SuiteConfig(seed=7)
-    serial = _by_id(cli._records(jobs, config, 1))
-    assert _by_id(cli._records(jobs, config, 2)) == serial
-    errors = [c for c in serial if not c["pass"]]
-    assert [c["residual_summary"] for c in errors] == ["error: inadmissible in a worker"]
+        return run
+
+    for kind, (grid, runner) in list(CASE_KINDS.items()):
+        monkeypatch.setitem(CASE_KINDS, kind, (grid, failing(runner)))
+    failed = {c["id"]: c for c in cli._records(jobs, config, 1)}
+    assert {c["residual_summary"] for c in failed.values()} == {"error: inadmissible in a worker"}
+    everywhere.clear()
+    meet()
+    mixed = cli._records(jobs, config, 2)
+    assert [c["id"] for c in mixed] == sorted(passing)
+    assert {c["pass"] for c in mixed} == {True, False}
+    for case in mixed:
+        assert case == (passing if case["pass"] else failed)[case["id"]]
     _assert_no_child()
 
 
@@ -450,38 +596,42 @@ def test_a_verify_run_leaves_no_child(monkeypatch):
     _assert_no_child()
 
 
-def test_a_worker_that_dies_raises_and_leaves_no_child(monkeypatch):
-    parent = os.getpid()
-    real = cli._case_record
+def test_a_worker_that_dies_raises_and_leaves_no_child(monkeypatch, meet):
+    def dying(job):
+        os._exit(3)
 
-    def dying(*args):
-        if os.getpid() != parent:
-            os._exit(3)
-        return real(*args)
-
-    monkeypatch.setattr(cli, "_case_record", dying)
+    meet(worker=dying)
     monkeypatch.setattr(cli, "_worker_count", lambda n_jobs: 2)
     with pytest.raises(RuntimeError, match=r"verify worker \d+ exited with status 3 "):
         run_verify(SuiteConfig(seed=7, max_n=1, max_m=1))
     _assert_no_child()
 
 
-def test_an_interrupt_in_the_parents_slice_leaves_no_child(monkeypatch):
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_worker_killed_mid_run_raises_and_leaves_no_child(workers, meet):
+    def killed(job):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    meet(worker=killed)
+    with pytest.raises(RuntimeError, match=r"verify worker \d+ exited with status -9 "):
+        cli._records(_suite_jobs(1, 1), SuiteConfig(seed=7), workers)
+    _assert_no_child()
+
+
+def test_an_interrupt_in_the_parents_slice_leaves_no_child(monkeypatch, meet):
     # the workers would take a minute: the interrupt must kill them, not wait for them
-    parent = os.getpid()
-    real = cli._case_record
     calls = []
 
-    def interrupted(*args):
-        if os.getpid() != parent:
-            time.sleep(60)
-            os._exit(0)
-        calls.append(1)
+    def sleepy(job):
+        time.sleep(60)
+        os._exit(0)
+
+    def interrupted(job):
+        calls.append(job)
         if len(calls) == 3:
             raise KeyboardInterrupt
-        return real(*args)
 
-    monkeypatch.setattr(cli, "_case_record", interrupted)
+    meet(worker=sleepy, parent=interrupted)
     monkeypatch.setattr(cli, "_worker_count", lambda n_jobs: 3)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
@@ -492,29 +642,32 @@ def test_an_interrupt_in_the_parents_slice_leaves_no_child(monkeypatch):
 
 def test_an_interrupt_just_after_a_reap_still_kills_the_other_workers(monkeypatch):
     # the interrupt lands between reaping worker 1 and dropping it from the
-    # children to kill; worker 2 would take a minute and must be killed
-    parent = os.getpid()
-    jobs = _suite_jobs(1, 1)
-    slow = set(jobs[2::3])
-    real = cli._case_record
-    waitpid = os.waitpid
+    # children to kill; worker 2 would take a minute before its first ticket
+    # read and must be killed
+    parent, forks = os.getpid(), []
+    fork, read, waitpid = os.fork, os.read, os.waitpid
 
-    def sleepy(*args):
-        if os.getpid() != parent and args[:5] in slow:
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    def sleepy_read(fd, n):
+        if os.getpid() != parent and len(forks) == 2:  # worker 2
             time.sleep(60)
             os._exit(0)
-        return real(*args)
+        return read(fd, n)
 
     def interrupted_waitpid(pid, options):
         waitpid(pid, options)
         monkeypatch.setattr(os, "waitpid", waitpid)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "_case_record", sleepy)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "read", sleepy_read)
     monkeypatch.setattr(os, "waitpid", interrupted_waitpid)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        cli._records(jobs, SuiteConfig(seed=7), 3)
+        cli._records(_suite_jobs(1, 1), SuiteConfig(seed=7), 3)
     assert time.monotonic() - started < 30
     _assert_no_child()
 
@@ -529,7 +682,7 @@ def test_a_failed_fork_closes_its_pipe_and_leaves_no_child(monkeypatch):
         return ends
 
     def failing_fork():
-        if len(fds) == 4:  # the second worker's pipe
+        if len(fds) == 6:  # the second worker's pipe, after the ticket pipe and the first's
             raise BlockingIOError("no process left")
         return fork()
 
@@ -538,25 +691,90 @@ def test_a_failed_fork_closes_its_pipe_and_leaves_no_child(monkeypatch):
     with pytest.raises(BlockingIOError):
         cli._records(_suite_jobs(1, 1), SuiteConfig(seed=7), 3)
     _assert_no_child()
+    assert len(fds) == 6
     for fd in fds:
         with pytest.raises(OSError):
             os.fstat(fd)
 
 
-def test_a_worker_that_raises_writes_its_traceback(monkeypatch, capfd):
-    parent = os.getpid()
-    real = cli._case_record
+def test_a_worker_that_raises_writes_its_traceback(meet, capfd):
+    def raising(job):
+        raise LookupError("lost in a worker")
 
-    def raising(*args):
-        if os.getpid() != parent:
-            raise LookupError("lost in a worker")
-        return real(*args)
-
-    monkeypatch.setattr(cli, "_case_record", raising)
+    meet(worker=raising)
     with pytest.raises(RuntimeError, match=r"exited with status 1 "):
         cli._records(_suite_jobs(1, 1), SuiteConfig(seed=7), 2)
     err = capfd.readouterr().err
     assert "Traceback" in err and "LookupError: lost in a worker" in err
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("slowed", ["parent", "worker"])
+def test_every_job_is_built_once_when_one_side_is_slowed(workers, slowed, meet, tmp_path):
+    # the slowed side takes fewer tickets, the others more; each process logs
+    # every job it builds to one append-only file
+    jobs, config = _suite_jobs(1, 1), SuiteConfig(seed=7)
+    serial = cli._records(jobs, config, 1)
+    log = os.open(tmp_path / "built", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def logged(delay):
+        def hook(job):
+            time.sleep(delay)
+            os.write(log, f"{os.getpid()} {cli._case_id(*job)}\n".encode())
+
+        return hook
+
+    meet(**{slowed: logged(0.005)}, **{"worker" if slowed == "parent" else "parent": logged(0)})
+    try:
+        records = cli._records(jobs, config, workers)
+    finally:
+        os.close(log)
+    built = [line.split()[1] for line in (tmp_path / "built").read_text().splitlines()]
+    assert sorted(built) == [c["id"] for c in serial]
+    assert records == serial
+    _assert_no_child()
+
+
+def test_records_whose_ids_are_not_the_jobs_raise(monkeypatch, meet):
+    # a worker sends as many records as it built, one of them under another id
+    parent, take = os.getpid(), cli._take_tickets
+
+    def mislabelled(*args):
+        part = take(*args)
+        if os.getpid() != parent:
+            part[0] = {**part[0], "id": "leibniz/operators/n0m-/t1"}
+        return part
+
+    meet()
+    monkeypatch.setattr(cli, "_take_tickets", mislabelled)
+    with pytest.raises(RuntimeError, match=r"verify built 160 records, not one for each of its 160 cases"):
+        cli._records(_suite_jobs(1, 1), SuiteConfig(seed=7), 2)
+    _assert_no_child()
+
+
+def test_a_short_ticket_read_raises(monkeypatch):
+    read = os.read
+    monkeypatch.setattr(os, "read", lambda fd, n: read(fd, n)[:2])
+    with pytest.raises(RuntimeError, match="read 2 bytes of a 4-byte verify ticket"):
+        cli._records(_suite_jobs(1, 1), SuiteConfig(seed=7), 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_records_close_every_pipe_they_open(workers, monkeypatch):
+    fds, pipe = [], os.pipe
+
+    def recording_pipe():
+        ends = pipe()
+        fds.extend(ends)
+        return ends
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    cli._records(_suite_jobs(1, 1), SuiteConfig(seed=7), workers)
+    assert len(fds) == 2 * workers  # the ticket pipe and one pipe per worker
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
     _assert_no_child()
 
 
@@ -594,17 +812,10 @@ def test_python_dash_m_verify_gives_the_pinned_report(tmp_path):
     )
 
 
-def test_timings_time_every_record_and_change_nothing_else(monkeypatch):
-    # two processes build the records: the parent half and a worker's half
-    parent, built_here = os.getpid(), []
-    real = cli._case_record
-
-    def counting(*args):
-        if os.getpid() == parent:
-            built_here.append(args[:5])
-        return real(*args)
-
-    monkeypatch.setattr(cli, "_case_record", counting)
+def test_timings_time_every_record_and_change_nothing_else(monkeypatch, meet):
+    # two processes build the records, and the meeting makes each build some
+    built_here = []
+    meet(parent=built_here.append)
     monkeypatch.setattr(cli, "_worker_count", lambda n_jobs: 2)
     config = SuiteConfig(seed=7, max_n=1, max_m=1)
     timed = run_verify(dataclasses.replace(config, timings=True))
