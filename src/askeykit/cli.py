@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import marshal
 import os
 import sys
 import time
@@ -288,13 +289,14 @@ def _records(jobs: list, config: SuiteConfig, workers: int) -> list:
     each read one ticket at a time until end of file and build jobs[t::T] for
     ticket t, a share that samples the whole grid, so a process that runs
     faster takes more tickets.  No lock is held: a pipe read of 4 bytes takes
-    one whole ticket.  Each child sends its records as one JSON text over its
-    own pipe; the parent reads them and reaps the child.  A child that exits
-    nonzero or sends no list of records, a short ticket read, or records
-    whose ids are not exactly the jobs' ids raise RuntimeError; every child
-    not yet reaped is killed and reaped before this function returns or
-    raises.  A child holds only the forking thread; the case code it runs
-    imports nothing and takes no lock.
+    one whole ticket.  Each child sends its records as one marshal dump over
+    its own pipe, loaded by the same interpreter it was forked from; the
+    parent reads them and reaps the child.  A child that exits nonzero or
+    sends no list of records, a short ticket read, or records whose ids are
+    not exactly the jobs' ids raise RuntimeError; every child not yet reaped
+    is killed and reaped before this function returns or raises.  A child
+    holds only the forking thread; the case code it runs imports nothing and
+    takes no lock.
     """
     count = min(len(jobs), 1024)
     tickets, write_end = os.pipe()
@@ -315,7 +317,7 @@ def _records(jobs: list, config: SuiteConfig, workers: int) -> list:
                 try:
                     part = _take_tickets(tickets, jobs, count, config)
                     with open(write_end, "wb") as pipe:
-                        pipe.write(json.dumps(part, separators=(",", ":")).encode())
+                        pipe.write(marshal.dumps(part))
                     status = 0
                 except BaseException:  # os._exit skips the usual traceback
                     sys.excepthook(*sys.exc_info())
@@ -334,8 +336,8 @@ def _records(jobs: list, config: SuiteConfig, workers: int) -> list:
             children.pop(0)
             pipe.close()
             try:
-                part = json.loads(payload) if status == 0 else None
-            except ValueError:  # a truncated payload
+                part = marshal.loads(payload) if status == 0 else None
+            except (EOFError, ValueError, TypeError):  # a truncated or malformed payload
                 part = None
             if not isinstance(part, list):
                 raise RuntimeError(
@@ -536,7 +538,10 @@ def _check_writable(path: str) -> None:
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise UsageError(f"cannot write --output {path}: it is a directory")
-    if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+    if os.path.exists(path):
+        if not os.access(path, os.W_OK):
+            raise UsageError(f"cannot write --output {path}: the file is not writable")
+    elif not os.path.isdir(parent) or not os.access(parent, os.W_OK):
         raise UsageError(f"cannot write --output {path}: {parent} is not a writable directory")
 
 

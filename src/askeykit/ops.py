@@ -1,16 +1,16 @@
 """Shift, difference, divided-difference and q-difference operators, and the
 generalized Leibniz rules they satisfy.
 
-Each partial on polynomials in x (the shifts, delta_x, delta_x2 and the
-q-derivatives) is declared as a list of taps, an algebra.DifferenceOperator,
-and applied in one pass over integer numerators with one canonical form.
-The fixed ones are built once at import; D_q is built where its q lives, in
-the cached operator spec or the family's lowering factory.  The
-Askey-Wilson divided difference on symmetric Laurent polynomials is declared
-the same way as Laurent taps, an algebra.LaurentOperator (`aw_Dq_operator`),
-and its spec's eta and twist are raw algebra.Dilation factors that
-algebra.product canonicalizes once with the rest of the term.  `aw_eta` and
-`aw_Dq_raw` stay as the composed reference definitions.
+Every operator is a declared value.  Each partial on polynomials in x (the
+shifts, delta_x, delta_x2 and D_q) is a list of taps, an
+algebra.DifferenceOperator, applied in one pass over integer numerators with
+one canonical form.  The fixed ones are bound at import; D_q is built for
+its base by `q_derivative_operator(q)`, in the q-based specs and the
+families' lowering factories.  The Askey-Wilson divided difference on
+symmetric Laurent polynomials is declared the same way as Laurent taps, an
+algebra.LaurentOperator (`aw_Dq_operator`); its spec's eta and twist are raw
+algebra.Dilation factors that algebra.product canonicalizes once with the
+rest of the term.  `aw_eta` and `aw_Dq_raw` are the composed references.
 
 Each Leibniz scheme is a factorization
 
@@ -18,9 +18,10 @@ Each Leibniz scheme is a factorization
 
 with a multiplicative twist eta and T_{k,n} = twist_{k,n} o partial^k, where
 twist_{k,n} is a shift, a dilation or the identity.  So one ladder
-[g, partial g, ..., partial^n g] serves every k.  The backward-shift and
-q-derivative rules admit two inequivalent factorizations each, so the
-catalog carries eight entries over six underlying operators.
+[g, partial g, ..., partial^n g] serves every k.  The schemes without a base
+are constants.  The backward-shift and q-derivative rules admit two
+inequivalent factorizations each, so the catalog carries eight entries over
+six underlying operators.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .algebra import (
     Laurent,
     LaurentOperator,
     Poly,
-    SymLaurent,
     binomial,
     product,
     q_binomial,
@@ -44,19 +44,14 @@ from .algebra import (
 )
 
 __all__ = [
-    "derivative",
     "translate",
     "forward_shift",
     "backward_shift",
     "neg_forward_shift",
     "delta_x",
     "delta_x2",
-    "q_shift",
-    "q_derivative",
-    "q_derivative_inverse",
     "q_derivative_operator",
     "aw_eta",
-    "aw_Dq",
     "aw_Dq_raw",
     "aw_Dq_operator",
     "OperatorSpec",
@@ -74,67 +69,24 @@ __all__ = [
 ]
 
 
-def derivative(f: Poly) -> Poly:
-    return f.derivative()
-
-
 def translate(f: Poly, c) -> Poly:
     """f(x + c)."""
     return f.compose_affine(1, c)
 
 
-# the fixed difference operators, as taps (multiplier coefficients, substitution)
-# and conjugate pairs (M, substitution, sign)
-_FORWARD = DifferenceOperator((((1,), (1, 1)), ((-1,), None)))
-_BACKWARD = DifferenceOperator((((1,), None), ((-1,), (1, -1))))
-_NEG_FORWARD = DifferenceOperator((((-1,), (1, 1)), ((1,), None)))
-_DELTA_X = DifferenceOperator((((-GR_I,), (1, GR_HALF_I), 1),))  # -i f(x + i/2) + i f(x - i/2)
-_DELTA_X2 = DifferenceOperator((((1,), (1, GR_HALF_I), -1),), divisor=2 * GR_I)  # (f(x + i/2) - f(x - i/2)) / 2ix
-
-
-def forward_shift(f: Poly) -> Poly:
-    """Delta f = f(x+1) - f(x)."""
-    return _FORWARD(f)
-
-
-def backward_shift(f: Poly) -> Poly:
-    """Nabla f = f(x) - f(x-1)."""
-    return _BACKWARD(f)
-
-
-def neg_forward_shift(f: Poly) -> Poly:
-    return _NEG_FORWARD(f)
-
-
-def delta_x(f: Poly) -> Poly:
-    """(f(x + i/2) - f(x - i/2)) / i."""
-    return _DELTA_X(f)
-
-
-def delta_x2(f: Poly) -> Poly:
-    """(f(x + i/2) - f(x - i/2)) / (2ix), defined on even polynomials."""
-    return _DELTA_X2(f)
-
-
-def q_shift(f: Poly, q) -> Poly:
-    """T_q f(x) = f(qx)."""
-    return f.compose_affine(q, 0)
+# The fixed difference operators, as taps (multiplier coefficients, substitution)
+# and conjugate pairs (M, substitution, sign).
+forward_shift = DifferenceOperator((((1,), (1, 1)), ((-1,), None)))  # Delta f = f(x+1) - f(x)
+backward_shift = DifferenceOperator((((1,), None), ((-1,), (1, -1))))  # Nabla f = f(x) - f(x-1)
+neg_forward_shift = DifferenceOperator((((-1,), (1, 1)), ((1,), None)))  # -Delta f = f(x) - f(x+1)
+delta_x = DifferenceOperator((((-GR_I,), (1, GR_HALF_I), 1),))  # (f(x + i/2) - f(x - i/2)) / i
+delta_x2 = DifferenceOperator((((1,), (1, GR_HALF_I), -1),), divisor=2 * GR_I)  # the same over 2x, on even f
 
 
 def q_derivative_operator(q) -> DifferenceOperator:
-    """D_q as taps: (f(x) - f(qx)) / ((1-q)x)."""
+    """D_q as taps: (f(x) - f(qx)) / ((1-q)x); sends x^n to [n]_q x^(n-1)."""
     q = scalar(q)
     return DifferenceOperator((((1,), None), ((-1,), (q, 0))), divisor=1 - q)
-
-
-def q_derivative(f: Poly, q) -> Poly:
-    """(f(x) - f(qx)) / ((1-q)x); sends x^n to [n]_q x^(n-1)."""
-    return q_derivative_operator(q)(f)
-
-
-def q_derivative_inverse(f: Poly, q) -> Poly:
-    """D at base 1/q: (f(x) - f(x/q)) / ((1 - 1/q)x)."""
-    return q_derivative(f, scalar(q).inverse())
 
 
 def aw_eta(f: Laurent, p, power: int = 1) -> Laurent:
@@ -163,10 +115,6 @@ def aw_Dq_operator(p) -> LaurentOperator:
     exactly by (1/2)(p - 1/p)(z - 1/z), with q = p^2 (see aw_Dq_raw)."""
     p = scalar(p)
     return LaurentOperator(p, (((0, (1,)), 1), ((0, (-1,)), -1)), scale=2 / (p - 1 / p), divisor=(-1, (-1, 0, 1)))
-
-
-def aw_Dq(f: Laurent, p) -> SymLaurent:
-    return aw_Dq_operator(p)(f)
 
 
 @dataclass(frozen=True)
@@ -216,58 +164,49 @@ def _twist_half_i(h, k, n):
     return translate(h, GR_HALF_I * (n - k))
 
 
-def _spec_derivative() -> OperatorSpec:
-    return OperatorSpec(
-        carrier="poly",
-        partial=derivative,
-        eta=_eta_identity,
-        alpha=binomial,
-        twist=_twist_identity,
-    )
+DERIVATIVE_SPEC = OperatorSpec(
+    carrier="poly",
+    partial=Poly.derivative,
+    eta=_eta_identity,
+    alpha=binomial,
+    twist=_twist_identity,
+)
 
+# nabla^n(fg) = sum binom(n,k) (nabla^(n-k) f) (S^(n-k) nabla^k g), S f = f(x-1)
+BACKWARD_ETA1_SPEC = OperatorSpec(
+    carrier="poly",
+    partial=backward_shift,
+    eta=_eta_identity,
+    alpha=binomial,
+    twist=lambda h, k, n: translate(h, -(n - k)),
+)
 
-def _spec_backward_eta1() -> OperatorSpec:
-    # nabla^n(fg) = sum binom(n,k) (nabla^(n-k) f) (S^(n-k) nabla^k g), S f = f(x-1)
-    return OperatorSpec(
-        carrier="poly",
-        partial=backward_shift,
-        eta=_eta_identity,
-        alpha=binomial,
-        twist=lambda h, k, n: translate(h, -(n - k)),
-    )
+# nabla^n(fg) = sum binom(n,k) (S^k nabla^(n-k) f) (nabla^k g)
+BACKWARD_ETAS_SPEC = OperatorSpec(
+    carrier="poly",
+    partial=backward_shift,
+    eta=lambda f, k: translate(f, -k),
+    alpha=binomial,
+    twist=_twist_identity,
+)
 
+# (d/dx)-analogue on a vertical strip; eta shifts x down by i/2.
+DELTA_X_SPEC = OperatorSpec(
+    carrier="poly",
+    partial=delta_x,
+    eta=lambda f, k: translate(f, GR_HALF_I * (-k)),
+    alpha=binomial,
+    twist=_twist_half_i,
+)
 
-def _spec_backward_etaS() -> OperatorSpec:
-    # nabla^n(fg) = sum binom(n,k) (S^k nabla^(n-k) f) (nabla^k g)
-    return OperatorSpec(
-        carrier="poly",
-        partial=backward_shift,
-        eta=lambda f, k: translate(f, -k),
-        alpha=binomial,
-        twist=_twist_identity,
-    )
-
-
-def _spec_delta_x() -> OperatorSpec:
-    # (d/dx)-analogue on a vertical strip; eta shifts x down by i/2.
-    return OperatorSpec(
-        carrier="poly",
-        partial=delta_x,
-        eta=lambda f, k: translate(f, GR_HALF_I * (-k)),
-        alpha=binomial,
-        twist=_twist_half_i,
-    )
-
-
-def _spec_delta_x2() -> OperatorSpec:
-    # Same shape for the Wilson operator, on even polynomials.
-    return OperatorSpec(
-        carrier="even",
-        partial=delta_x2,
-        eta=lambda f, k: translate(f, GR_HALF_I * (-k)),
-        alpha=binomial,
-        twist=_twist_half_i,
-    )
+# Same shape for the Wilson operator, on even polynomials.
+DELTA_X2_SPEC = OperatorSpec(
+    carrier="even",
+    partial=delta_x2,
+    eta=lambda f, k: translate(f, GR_HALF_I * (-k)),
+    alpha=binomial,
+    twist=_twist_half_i,
+)
 
 
 # The q-based specs are built on each call; an operational expansion builds
@@ -312,15 +251,8 @@ def aw_spec(p) -> OperatorSpec:
     )
 
 
-DERIVATIVE_SPEC = _spec_derivative()
-BACKWARD_ETA1_SPEC = _spec_backward_eta1()
-BACKWARD_ETAS_SPEC = _spec_backward_etaS()
-DELTA_X_SPEC = _spec_delta_x()
-DELTA_X2_SPEC = _spec_delta_x2()
-
-
-def operator_catalog(q=scalar(1, 2), p=scalar(1, 2)) -> dict:
-    """All eight Leibniz factorizations, q-based entries bound to the given bases."""
+def operator_catalog(q, p) -> dict:
+    """All eight Leibniz factorizations, D_q's at base q and Askey-Wilson's at base p^2."""
     return {
         "derivative": DERIVATIVE_SPEC,
         "backward-eta1": BACKWARD_ETA1_SPEC,

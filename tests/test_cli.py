@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import marshal
 import os
 import select
 import signal
@@ -405,7 +406,7 @@ def test_python_dash_m_runs_the_cli():
     assert "carrier: even" in proc.stdout
 
 
-@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "read-only-file"])
 def test_verify_unwritable_output_exits_2_before_running(where, tmp_path, monkeypatch, capsys):
     from askeykit import cli
 
@@ -413,7 +414,15 @@ def test_verify_unwritable_output_exits_2_before_running(where, tmp_path, monkey
         raise AssertionError("the suite ran before the output path was checked")
 
     monkeypatch.setattr(cli, "run_verify", no_run)
-    out = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    out = {
+        "missing-dir": tmp_path / "missing" / "r.json",
+        "directory": tmp_path,
+        "read-only-file": tmp_path / "r.json",
+    }[where]
+    if where == "read-only-file":
+        out.write_text("")
+        access = os.access  # root may write any file, so the denial is simulated
+        monkeypatch.setattr(os, "access", lambda path, mode: access(path, mode) and os.fspath(path) != str(out))
     assert main(["verify", "--max-n", "0", "--max-m", "0", "--output", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -615,6 +624,21 @@ def test_a_worker_killed_mid_run_raises_and_leaves_no_child(workers, meet):
     meet(worker=killed)
     with pytest.raises(RuntimeError, match=r"verify worker \d+ exited with status -9 "):
         cli._records(_suite_jobs(1, 1), SuiteConfig(seed=7), workers)
+    _assert_no_child()
+
+
+def test_a_worker_that_sends_half_its_records_raises_and_leaves_no_child(monkeypatch):
+    class Halving:  # the worker writes the first half of its dump, then exits 0
+        loads = staticmethod(marshal.loads)
+
+        @staticmethod
+        def dumps(value):
+            data = marshal.dumps(value)
+            return data[: len(data) // 2]
+
+    monkeypatch.setattr(cli, "marshal", Halving)
+    with pytest.raises(RuntimeError, match=r"verify worker \d+ exited with status 0 after sending \d+ bytes, not a list"):
+        cli._records(_suite_jobs(1, 1), SuiteConfig(seed=7), 2)
     _assert_no_child()
 
 

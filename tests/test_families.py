@@ -907,7 +907,7 @@ def test_symmetric_laurents_are_checked_laurents():
         "SymLaurent.zero": SymLaurent.zero(),
         "to_sym": Laurent(-2, [1, Q(2, 3), 5, Q(2, 3), 1]).to_sym(),
         "chebyshev_lift": f,
-        "aw_Dq": ops.aw_Dq(f, p),
+        "aw_Dq": ops.aw_Dq_operator(p)(f),
         "raising": FAMILIES["askey-wilson"].raising(pt)(f),
         "lowering": FAMILIES["askey-wilson"].lowering(pt)(f),
     }
@@ -962,11 +962,11 @@ def test_operators_canonicalize_once(monkeypatch):
         ("neg_forward_shift", ops.neg_forward_shift, f),
         ("delta_x", ops.delta_x, f),
         ("delta_x2", ops.delta_x2, even),
-        ("q_derivative", lambda g: ops.q_derivative(g, q), f),
-        ("q_derivative_inverse", lambda g: ops.q_derivative_inverse(g, q), f),
+        ("q_derivative", ops.q_derivative_operator(q), f),
+        ("q_derivative_inverse", ops.q_derivative_operator(1 / q), f),
         ("qderiv-Tq", cat["qderiv-Tq"].partial, f),
         ("qderiv-I", cat["qderiv-I"].partial, f),
-        ("aw_Dq", lambda g: ops.aw_Dq(g, p), lifted),
+        ("aw_Dq", ops.aw_Dq_operator(p), lifted),
         ("aw", cat["aw"].partial, lifted),
         ("aw lowering", FAMILIES["askey-wilson"].lowering(points["askey-wilson"]), lifted),
     ]
@@ -994,3 +994,51 @@ def test_esym_is_the_product_of_linear_factors(vals):
     for k in range(len(vals) + 2):
         e_k = sum((prod(c, start=GR_ONE) for c in combinations(vals, k)), GR_ZERO)
         assert e.coefficient(k) == e_k, (vals, k)
+
+
+# Oracles that share no code with the raising chains: the discrete families'
+# self-duality on their closed forms, and the second-order equations of
+# Koekoek, Lesky & Swarttouw (2010) on standard_poly, checked by derivative
+# and evaluation alone.
+
+_SELF_DUAL = {
+    "charlier": lambda n: charlier_poly(Q(3, 7), n),  # C_n(x; a) = C_x(n; a)
+    "meixner": lambda n: meixner_poly(Q(5, 2), Q(2, 5), n),  # M_n(x; beta, c) = M_x(n; beta, c)
+    "krawtchouk": lambda n: krawtchouk_poly(Q(2, 7), 9, n),  # K_n(x; p, N) = K_x(n; p, N)
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_SELF_DUAL))
+def test_discrete_closed_forms_are_self_dual(tag):
+    polys = [_SELF_DUAL[tag](n) for n in range(10)]
+    for n in range(10):
+        for x in range(10):
+            assert polys[n](x) == polys[x](n), (tag, n, x)
+
+
+_KLS_EQUATIONS = {
+    # x y'' + (nu + 1 - x) y' + n y = 0
+    "laguerre": lambda v, y, n, x: (
+        x * y.derivative().derivative()(x) + (v["nu"] + 1 - x) * y.derivative()(x) + n * y(x)
+    ),
+    # a y(x+1) - (x + a) y(x) + x y(x-1) + n y(x) = 0
+    "charlier": lambda v, y, n, x: v["a"] * y(x + 1) - (x + v["a"]) * y(x) + x * y(x - 1) + n * y(x),
+    # c(x + beta) y(x+1) - (x + (x + beta)c) y(x) + x y(x-1) = n(c - 1) y(x)
+    "meixner": lambda v, y, n, x: (
+        v["c"] * (x + v["beta"]) * y(x + 1) - (x + (x + v["beta"]) * v["c"]) * y(x) + x * y(x - 1)
+        - n * (v["c"] - 1) * y(x)
+    ),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_KLS_EQUATIONS))
+def test_kls_equations_hold_on_the_standard_forms(tag):
+    rng = Random(23)
+    for _ in range(3):
+        pt = sample_point(tag, rng)
+        v = pt.as_dict()
+        for n in range(12):
+            y = standard_poly(pt, n)
+            # each residual is a polynomial of degree at most n + 1: zero at n + 2 points is zero
+            for k in range(n + 2):
+                assert not _KLS_EQUATIONS[tag](v, y, n, Q(2 * k + 1, 3)), (tag, pt, n, k)
