@@ -30,8 +30,7 @@ Laurent polynomials: each tap is a Laurent multiplier times a dilation
 z |-> p^(+-1) z, the sum is optionally divided exactly by a Laurent
 polynomial with unit top coefficient (synthetic division), and the input
 and the quotient are checked to be palindromes, again with one canonical
-form per application.  A Dilation holds f(s*z) for a symmetric f as raw
-numerators for `product`.
+form per application.
 
 The closed hypergeometric forms, series sum_k prod_(j<k) rho_j phi_j with
 Gaussian-integer fractions rho_j and short integer polynomials phi_j, are
@@ -61,7 +60,6 @@ __all__ = [
     "SymLaurent",
     "DifferenceOperator",
     "LaurentOperator",
-    "Dilation",
     "product",
     "horner_series",
     "term_sum",
@@ -944,27 +942,16 @@ def term_sum(terms):
 def product(c, *factors):
     """c times the product of the factors, canonicalized once.
 
-    The factors are all Poly, or all Laurent and Dilation (the product is
-    then a Laurent polynomial); c is a scalar.
+    The factors are all Poly or all Laurent polynomials; c is a scalar.
     """
-    cr, ci, den = _parts(c)
-    re, im = (cr,), (ci,) if ci else None
     if type(factors[0]) is Poly:
+        cr, ci, den = _parts(c)
+        re, im = (cr,), (ci,) if ci else None
         for f in factors:
             re, im = _cmul(f.re, f.im, re, im)
             den *= f.den
         return _canon(re, im, den)
-    low = 0
-    for f in factors:
-        if type(f) is Dilation:
-            fl, fr, fi, fd = f.low, f.re, f.im, f.den
-        else:
-            b = f.body
-            fl, fr, fi, fd = f.low, b.re, b.im, b.den
-        low += fl
-        re, im = _cmul(fr, fi, re, im)
-        den *= fd
-    return _laurent(low, _canon(re, im, den))
+    return _laurent(sum(f.low for f in factors), product(c, *(f.body for f in factors)))
 
 
 def horner_series(steps, c=1, low=None):
@@ -1224,35 +1211,6 @@ def _unit_divide(num: list, dtaps: tuple, lead: int, m: int) -> None:
         if t:
             for j, c in dtaps:
                 num[i - m + j] -= t * c
-
-
-class Dilation:
-    """f(s*z) for a symmetric Laurent polynomial f and a real scalar s != 0,
-    as raw Laurent parts.
-
-    With s = r/d and f of degree n, f(s*z) = z^(-n) N(z) / (f.den (r d)^n),
-    where N holds the integer numerators of one raw dilation of f's
-    numerators.  They are kept without a canonical form, for `product` to
-    multiply; `to_laurent` gives the canonical Laurent polynomial.  An f that
-    is not symmetric is the ValueError of Laurent.to_sym.
-    """
-
-    __slots__ = ("low", "re", "im", "den")
-
-    def __init__(self, f: Laurent, s):
-        s = _real_base(s)
-        b = f.to_sym().body
-        self.low, self.re, self.im, self.den = 0, (), None, 1
-        if not b:
-            return
-        re, im = _substitute(b.re, b.im, s.r, 0, 0, 0, s.d)
-        den = b.den * (s.r * s.d) ** -f.low
-        if den < 0:  # a negative base to an odd power
-            den, re, im = -den, [-c for c in re], im and [-c for c in im]
-        self.low, self.re, self.im, self.den = f.low, re, im, den
-
-    def to_laurent(self) -> Laurent:
-        return _laurent(self.low, _canon(self.re, self.im, self.den))
 
 
 class LaurentOperator:

@@ -370,6 +370,8 @@ def run_verify(config: SuiteConfig) -> dict:
         raise UsageError("degree bounds must be >= 0")
     if config.trials < 1:
         raise UsageError("trials must be >= 1")
+    _given_once("--identities", config.identities)
+    _given_once("--families", config.families)
     idents = config.identities or sorted(IDENTITIES)
     unknown = [i for i in idents if i not in IDENTITIES]
     if unknown:
@@ -499,6 +501,13 @@ class UsageError(Exception):
     pass
 
 
+def _given_once(flag: str, entries) -> None:
+    """The UsageError for a selection that names one entry twice."""
+    for i, entry in enumerate(entries):
+        if entry in entries[:i]:
+            raise UsageError(f"{flag} {entry} is given twice")
+
+
 def _parse_params(pairs: list) -> dict:
     out = {}
     for chunk in pairs:
@@ -613,6 +622,7 @@ def cmd_expand(args) -> int:
 def cmd_toda(args) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
+    _given_once("--families", args.families or ())
     fams = args.families or sorted(TODA_SOLUTIONS)
     bad = [f for f in fams if f not in TODA_SOLUTIONS]
     if bad:

@@ -372,6 +372,33 @@ def test_bad_expand_input_exits_2_with_one_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-n", "1", "--max-m", "0", "--identities", "hermite-expansion", "hermite-expansion"],
+        ["verify", "--max-n", "1", "--max-m", "0", "--families", "hermite", "laguerre", "hermite"],
+        ["toda", "--families", "hermite", "hermite"],
+    ],
+    ids=["verify-identity-twice", "verify-family-twice", "toda-family-twice"],
+)
+def test_repeated_selection_exits_2_with_one_line(argv, capsys):
+    # a repeated entry would run its cases twice under duplicated ids
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "given twice" in lines[0], captured.err
+
+
+def test_run_verify_rejects_a_repeated_selection():
+    for config in (
+        SuiteConfig(identities=["leibniz", "leibniz"], max_n=1, max_m=0),
+        SuiteConfig(families=["hermite", "hermite"], max_n=1, max_m=0),
+    ):
+        with pytest.raises(cli.UsageError, match="given twice"):
+            run_verify(config)
+
+
 def test_verify_empty_selection_exits_2(capsys):
     # Krawtchouk has no adjointness identity: an empty run must not read as a pass
     assert main(["verify", "--families", "krawtchouk", "--identities", "adjointness"]) == 2

@@ -923,8 +923,8 @@ def test_symmetric_laurents_are_checked_laurents():
 def test_operators_canonicalize_once(monkeypatch):
     # a raising operator is built from the point's scalars without Poly or
     # Laurent products, and one application, like each ops partial declared
-    # as taps, puts one result in canonical form; the Askey-Wilson eta and
-    # twist feed algebra.product without one of their own
+    # as taps, puts one result in canonical form; so do the Askey-Wilson eta
+    # and twist, and algebra.product of their term
     rng = Random(71)
     points = {tag: sample_point(tag, rng) for tag in POLY_CHAIN_FAMILIES}
     points.update((tag, sample_point(tag, rng)) for tag in CHAIN_FAMILIES if tag not in points)
@@ -977,10 +977,12 @@ def test_operators_canonicalize_once(monkeypatch):
         assert out.degree >= 3, name
     aw = cat["aw"]
     calls["canon"] = 0
-    eta, twist = aw.eta(lifted, 2), aw.twist(lifted, 1, 3)
-    assert calls["canon"] == 0
-    assert algebra.product(aw.alpha(3, 1), eta, twist).degree == 10
+    eta = aw.eta(lifted, 2)
     assert calls["canon"] == 1
+    twist = aw.twist(lifted, 1, 3)
+    assert calls["canon"] == 2
+    assert algebra.product(aw.alpha(3, 1), eta, twist).degree == 10
+    assert calls["canon"] == 3
     monkeypatch.undo()
 
 

@@ -6,6 +6,9 @@
   module's symbol tables (stdlib `symtable`, no linter needed) and checks
   every referenced global against the imported module's namespace and
   builtins.
+* Every name a module lists in `__all__` is bound: a stale entry would
+  otherwise be skipped without a word by readers that look names up with a
+  default, such as the benchmark's tracer.
 * No public function takes a family tag beside a parameter point: the point
   names its family.
 * Derived data is kept on a point in one place: `_memo` and
@@ -60,6 +63,12 @@ def _unbound_globals(module):
 def test_referenced_globals_are_bound(name):
     module = importlib.import_module(name)
     assert _unbound_globals(module) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_are_bound(name):
+    module = importlib.import_module(name)
+    assert [public for public in getattr(module, "__all__", ()) if not hasattr(module, public)] == []
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -10,7 +10,6 @@ from askeykit.algebra import (
     GR_HALF_I,
     GR_I,
     DifferenceOperator,
-    Dilation,
     GaussianRational,
     Laurent,
     LaurentOperator,
@@ -23,7 +22,6 @@ from askeykit.algebra import (
 )
 from askeykit.ops import (
     aw_Dq_operator,
-    aw_Dq_raw,
     aw_eta,
     aw_spec,
     backward_shift,
@@ -99,7 +97,7 @@ def test_aw_Dq_prefold_symmetry():
     rng = Random(7)
     p = sample_rational(rng, 0, 1)
     f = chebyshev_lift(Poly([1, -2, 0, 3, 1]))
-    raw = aw_Dq_raw(f, p)
+    raw = _aw_Dq_by_definition(f, p)
     for k in range(raw.degree + 1):
         assert raw.coefficient(k) == raw.coefficient(-k)
 
@@ -366,12 +364,34 @@ def test_aw_operators_match_their_definitions(f_real, f_complex, p, k):
         expected = _aw_Dq_by_definition(f, p)
         assert aw_Dq_operator(p)(f) == expected
         assert spec.partial(f) == expected
-        assert aw_Dq_raw(f, p).to_sym() == expected
-        # eta and twist: aw_eta's dilation, held raw for product
-        assert spec.eta(f, k).to_laurent() == Dilation(f, p ** k).to_laurent() == aw_eta(f, p, k)
-        assert spec.twist(f, k, 3).to_laurent() == aw_eta(f, p, k - 3)
         g = f_real
         assert product(3, spec.eta(f, k), spec.twist(g, 1, 2)) == aw_eta(f, p, k) * aw_eta(g, p, -1) * 3
+
+
+# symmetric inputs, and Laurent polynomials at any offset that need not be
+laurents = st.one_of(
+    real_syms,
+    complex_syms,
+    st.builds(Laurent, st.integers(-4, 4), st.lists(st.one_of(rationals, gaussians), max_size=6)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurents, real_bases, st.integers(-3, 3), st.integers(0, 4))
+def test_aw_eta_and_twist_are_aw_eta_dilations(f, p, k, n):
+    spec = aw_spec(p)
+    assert spec.eta(f, k) == aw_eta(f, p, k)
+    assert spec.twist(f, k, n) == aw_eta(f, p, k - n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(laurents, max_size=4), gaussians)
+def test_product_of_laurent_factors_is_the_chained_product(factors, c):
+    # a SymLaurent first, so the Laurent route is taken whatever follows
+    expected = Laurent.one()
+    for f in factors:
+        expected = expected * f
+    assert product(c, SymLaurent.one(), *factors) == expected * c
 
 
 def test_laurent_operator_tripwires():
@@ -407,13 +427,12 @@ def test_symmetric_inputs_are_checked_not_trusted():
     # z alone, and 1 + z^2, a palindrome off z^0: the ValueError of to_sym
     # wherever a symmetric input is assumed, whatever the input's type
     p = scalar(2, 3)
-    takers = (lambda f: Dilation(f, p), lambda f: aw_spec(p).eta(f, 1), aw_Dq_operator(p), chebyshev_project)
+    takers = (aw_Dq_operator(p), chebyshev_project)
     for bad in (Laurent(0, [0, 1]), Laurent(0, [1, 0, 1])):
         for take in takers:
             with pytest.raises(ValueError, match="not z <-> 1/z symmetric"):
                 take(bad)
     # a symmetric plain Laurent passes: z + 1/z, the lift of 2x
     g = Laurent(-1, [1, 0, 1])
-    assert Dilation(g, p).to_laurent() == aw_eta(g, p, 1)
     assert aw_Dq_operator(p)(g) == aw_Dq_operator(p)(SymLaurent([0, 1])) == 2
     assert chebyshev_project(g) == 2 * x
