@@ -99,7 +99,7 @@ def operational_terms(point: ParamPoint, n: int, fs, variant: str | None = None)
     op = var.op_spec(point)
     ladders = [ladder(op.partial, f, n) for f in fs]
     terms = [[] for _ in fs]
-    ratio = spec.one()
+    ratio = spec.carrier.one
     pt_k = point
     for k in range(n + 1):
         alpha = op.alpha(n, k)

@@ -36,7 +36,6 @@ from . import __version__
 from .algebra import (
     Laurent,
     Poly,
-    chebyshev_lift,
     rational_str,
     scalar,
     term_sum,
@@ -49,7 +48,7 @@ from .burchnall import (
     operational_residual,
 )
 from .functional import adjointness_check
-from .ops import leibniz_check, operator_catalog
+from .ops import Carrier, leibniz_check, operator_catalog
 from .sampling import sample_deformation, sample_point, sample_rational
 from .toda import (
     MODIFIED_EXPANSIONS,
@@ -95,14 +94,8 @@ def _residual_summary(residuals: tuple) -> str:
     return f"nonzero: {res}"
 
 
-def _random_poly(rng: Random, degree: int, carrier: str) -> object:
-    coeffs = [sample_rational(rng, -3, 3) for _ in range(degree + 1)]
-    if carrier == "even":
-        coeffs = [c if k % 2 == 0 else 0 for k, c in enumerate(coeffs)]
-    f = Poly(coeffs)
-    if carrier == "laurent":
-        return chebyshev_lift(f)
-    return f
+def _random_poly(rng: Random, degree: int, carrier: Carrier) -> object:
+    return carrier.element([sample_rational(rng, -3, 3) for _ in range(degree + 1)])
 
 
 def _flow_index(point, n: int) -> int:

@@ -7,9 +7,10 @@ A family bundles everything the identity engines need:
     Swarttouw, 2010) with the windows parameters are sampled from, and the
     shift nu -> nu+sigma (additive for the classical families,
     multiplicative by q for the q-families),
-  * the carrier the raising operator R_nu acts on: polynomials in x, even
-    polynomials in x (Wilson, graded by x^2), or symmetric Laurent
-    polynomials in z for the Askey-Wilson level,
+  * the carrier the raising operator R_nu acts on, one of the values
+    declared in ops: ops.POLY (polynomials in x, the default), ops.EVEN
+    (even polynomials in x, graded by x^2, for Wilson) or ops.LAURENT
+    (symmetric Laurent polynomials in z for the Askey-Wilson level),
   * one or more Leibniz "variants", each pairing an operator scheme with the
     weight-ratio polynomial eta^k(w_{nu+k sigma}) / w_nu, given by its
     closed-form step from k to k+1,
@@ -33,7 +34,6 @@ from .algebra import (
     GR_I,
     GR_ONE,
     GR_ZERO,
-    SYM_X,
     DifferenceOperator,
     GaussianRational,
     Laurent,
@@ -75,7 +75,6 @@ __all__ = [
     "recurrence_extract",
     "lowering_constant_check",
     "expand_in_basis",
-    "monic",
     "hermite_poly",
     "laguerre_poly",
     "jacobi_poly",
@@ -246,7 +245,6 @@ class FamilySpec:
 
     tag: str
     domain: tuple  # Param entries, in sampling order
-    carrier: str  # "poly" | "even" | "laurent"
     shift_rule: Optional[Callable[[ParamPoint], ParamPoint]]  # nu -> nu + sigma; None: identity
     raising: Optional[Callable[[ParamPoint], Callable]]
     variants: tuple
@@ -254,6 +252,7 @@ class FamilySpec:
     adjoint: Optional[Callable[[ParamPoint], Callable]]
     normalization: Callable[[ParamPoint, int], GaussianRational]
     standard: Callable[[ParamPoint, int], object]
+    carrier: ops.Carrier = ops.POLY
     deformation: Optional[Deformation] = None
     top: Callable[[ParamPoint], Optional[int]] = lambda pt: None
 
@@ -288,14 +287,9 @@ class FamilySpec:
         """
         return point.derived("raising", self.raising, point)
 
-    def one(self):
-        return SymLaurent.one() if self.carrier == "laurent" else Poly.one()
-
     def fdegree(self, f) -> int:
         """Degree in the family's grading: x^2 has degree 1 on the even carrier."""
-        if not f:
-            return -1
-        return f.degree // 2 if self.carrier == "even" else f.degree
+        return f.degree // self.carrier.grade if f else -1
 
     def variant(self, name: str) -> Variant:
         for v in self.variants:
@@ -763,18 +757,10 @@ def _sh_add(names, delta):
     return sh
 
 
-def _sh_mul_q(names):
+def _sh_mul(base, names):
     def sh(pt):
-        q = pt.get("q")
-        return pt.replace(**{k: pt.get(k) * q for k in names})
-
-    return sh
-
-
-def _sh_mul_p(names):
-    def sh(pt):
-        p = pt.get("p")
-        return pt.replace(**{k: pt.get(k) * p for k in names})
+        b = pt.get(base)
+        return pt.replace(**{k: pt.get(k) * b for k in names})
 
     return sh
 
@@ -803,7 +789,6 @@ def _register(spec: FamilySpec):
 _register(FamilySpec(
     tag="hermite",
     domain=(),
-    carrier="poly",
     shift_rule=None,
     raising=_hermite_raise,
     variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _step_one),),
@@ -817,7 +802,6 @@ _register(FamilySpec(
 _register(FamilySpec(
     tag="laguerre",
     domain=(Param("nu", -1, window=(-1, 3)),),
-    carrier="poly",
     shift_rule=_sh_add(("nu",), 1),
     raising=_laguerre_raise,
     variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _step_x),),
@@ -833,7 +817,6 @@ _register(FamilySpec(
 _register(FamilySpec(
     tag="jacobi",
     domain=(Param("alpha", -1, window=(-1, 3)), Param("beta", -1, window=(-1, 3))),
-    carrier="poly",
     shift_rule=_sh_add(("alpha", "beta"), 1),
     raising=_jacobi_raise,
     variants=(Variant("", lambda pt: ops.DERIVATIVE_SPEC, _step_jacobi),),
@@ -846,7 +829,6 @@ _register(FamilySpec(
 _register(FamilySpec(
     tag="meixner",
     domain=(Param("beta", 0, window=(0, 4)), Param("c", 0, 1)),
-    carrier="poly",
     shift_rule=_sh_add(("beta",), 1),
     raising=_meixner_raise,
     variants=(
@@ -866,7 +848,6 @@ _register(FamilySpec(
 _register(FamilySpec(
     tag="charlier",
     domain=(Param("a", 0, window=(0, 4)),),
-    carrier="poly",
     shift_rule=None,
     raising=_charlier_raise,
     variants=(
@@ -885,7 +866,6 @@ _register(FamilySpec(
 _register(FamilySpec(
     tag="meixner-pollaczek",
     domain=(Param("lam", 0, window=(0, 3)), Param("phi", 0, window=(0, 4))),
-    carrier="poly",
     shift_rule=lambda pt: pt.replace(lam=pt.get("lam") + _half),
     raising=_mp_raise,
     variants=(Variant("", lambda pt: ops.DELTA_X_SPEC, _step_mp),),
@@ -905,7 +885,6 @@ _register(FamilySpec(
 _register(FamilySpec(
     tag="wilson",
     domain=tuple(Param(k, 0, window=(0, 2)) for k in "abcd"),
-    carrier="even",
     shift_rule=_sh_add(("a", "b", "c", "d"), _half),
     raising=_wilson_raise,
     variants=(Variant("", lambda pt: ops.DELTA_X2_SPEC, _step_wilson),),
@@ -913,6 +892,7 @@ _register(FamilySpec(
     adjoint=None,
     normalization=_norm_unit,
     standard=lambda pt, n: wilson_poly(pt.get("a"), pt.get("b"), pt.get("c"), pt.get("d"), n),
+    carrier=ops.EVEN,
 ))
 
 _register(FamilySpec(
@@ -920,8 +900,7 @@ _register(FamilySpec(
     domain=(
         Param("q", 0, 1), *(Param(k, 0, _inv_q, window=(0, 2)) for k in "ab"), Param("c", None, 0, window=(-4, 0))
     ),
-    carrier="poly",
-    shift_rule=_sh_mul_q(("a", "b", "c")),
+    shift_rule=_sh_mul("q", ("a", "b", "c")),
     raising=_bqj_raise,
     variants=(
         Variant("Tq", lambda pt: ops.qderiv_Tq_spec(pt.get("q")), _step_bqj_Tq),
@@ -936,8 +915,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     tag="big-q-laguerre",
     domain=(Param("q", 0, 1), Param("a", 0, _inv_q, window=(0, 2)), Param("c", None, 0, window=(-4, 0))),
-    carrier="poly",
-    shift_rule=_sh_mul_q(("a", "c")),
+    shift_rule=_sh_mul("q", ("a", "c")),
     raising=_bql_raise,
     variants=(
         Variant("Tq", lambda pt: ops.qderiv_Tq_spec(pt.get("q")), _step_bql_Tq),
@@ -952,20 +930,19 @@ _register(FamilySpec(
 _register(FamilySpec(
     tag="askey-wilson",
     domain=(Param("a", -1, 1, nonzero=True), *(Param(k, -1, 1, skip=0) for k in "bcd"), Param("p", 0, 1)),
-    carrier="laurent",
-    shift_rule=_sh_mul_p(("a", "b", "c", "d")),
+    shift_rule=_sh_mul("p", ("a", "b", "c", "d")),
     raising=_aw_raise,
     variants=(Variant("", lambda pt: ops.aw_spec(pt.get("p")), _step_aw),),
     lowering=_low_aw,
     adjoint=None,
     normalization=_norm_aw,
     standard=lambda pt, n: askey_wilson_poly(pt.get("a"), pt.get("b"), pt.get("c"), pt.get("d"), pt.get("p"), n),
+    carrier=ops.LAURENT,
 ))
 
 _register(FamilySpec(
     tag="continuous-q-hermite",
     domain=(Param("p", 0, 1),),
-    carrier="laurent",
     shift_rule=None,
     raising=_cqh_raise,
     variants=(Variant("", lambda pt: ops.aw_spec(pt.get("p")), _step_cqh),),
@@ -973,12 +950,12 @@ _register(FamilySpec(
     adjoint=None,
     normalization=_norm_aw,
     standard=lambda pt, n: cq_hermite_poly(pt.get("p"), n),
+    carrier=ops.LAURENT,
 ))
 
 _register(FamilySpec(
     tag="krawtchouk",
     domain=(Param("p", 0, 1), Param("N", 0, window=(3, 9), integer=True)),
-    carrier="poly",
     shift_rule=None,
     raising=None,  # finite family: only the closed form and its recurrence are used
     variants=(),
@@ -1055,7 +1032,7 @@ def _chain(point: ParamPoint, n: int):
     if not spec.admissible(point):
         raise ValueError(f"inadmissible parameter point {point}")
     if n == 0:
-        return spec.one()
+        return spec.carrier.one
     out = spec.raising_operator(point)(raise_chain(spec.shift(point), n - 1))
     if spec.fdegree(out) != n:
         raise AssertionError(f"{point.family} raising chain degree {spec.fdegree(out)} != {n}")
@@ -1069,13 +1046,6 @@ def standard_poly(point: ParamPoint, n: int):
 
 def normalization(point: ParamPoint, n: int) -> GaussianRational:
     return FAMILIES[point.family].normalization(point, n)
-
-
-def monic(f) -> object:
-    """Normalize so the x^deg coefficient is 1 (z^deg carries 2^-deg on the lift)."""
-    if isinstance(f, Laurent):
-        return f * (f.lead.inverse() * _Q(1, 2 ** f.degree))
-    return f * f.lead.inverse()
 
 
 def expand_in_basis(element, basis: list) -> list:
@@ -1111,9 +1081,8 @@ def recurrence_extract(point: ParamPoint, N: int) -> MonicRecurrence:
     """
     spec = FAMILIES[point.family]
     polys = _basis_polys(point, N + 1)
-    ms = [monic(f) for f in polys]
-    # the recurrence variable: x^2 on the even carrier, (z + 1/z)/2 on the Laurent one
-    xm = SYM_X if spec.carrier == "laurent" else Poly.monomial(2 if spec.carrier == "even" else 1)
+    ms = [spec.carrier.monic(f) for f in polys]
+    xm = spec.carrier.variable
     bs, cs = [], []
     for n in range(N + 1):
         coeffs = expand_in_basis(xm * ms[n], ms[: n + 2])

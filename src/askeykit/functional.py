@@ -50,27 +50,27 @@ class MomentFunctional:
     can be zero (Hermite's odd ones).
     """
 
-    __slots__ = ("poly", "order")
+    __slots__ = ("moment_poly", "order")
 
     def __init__(self, moments: tuple):
-        self.poly = Poly(moments)
+        self.moment_poly = Poly(moments)
         self.order = len(moments) - 1
 
     @classmethod
     def _of(cls, poly: Poly, order: int) -> "MomentFunctional":
         L = object.__new__(cls)
-        L.poly, L.order = poly, order
+        L.moment_poly, L.order = poly, order
         return L
 
     @property
     def moments(self) -> tuple:
-        return tuple(self.poly.coefficient(k) for k in range(self.order + 1))
+        return tuple(self.moment_poly.coefficient(k) for k in range(self.order + 1))
 
     def apply(self, f: Poly, shift: int = 0) -> GaussianRational:
         """L[x^shift f]: the coefficients of f against the moments from shift on."""
         if shift < 0 or f.degree + shift > self.order:
             raise ValueError(f"functional built to order {self.order}, got degree {f.degree} + {shift}")
-        m = self.poly
+        m = self.moment_poly
         m_re, m_im = m.re[shift:], (m.im or ())[shift:]
         f_im = f.im or ()
         den = f.den * m.den
@@ -109,7 +109,7 @@ def build_functional(point: ParamPoint, order: int) -> MomentFunctional:
     functional twice.
     """
     spec = FAMILIES[point.family]
-    if spec.carrier != "poly":
+    if spec.carrier.variable != Poly.x():
         raise ValueError(f"moment functionals need the full polynomial ladder; {point.family} lacks it")
     if spec.raising is None:
         raise ValueError(f"{point.family} has no raising-chain machinery")

@@ -12,6 +12,11 @@ algebra.LaurentOperator (`aw_Dq_operator`); its spec's eta and twist are
 Laurent.scale_var dilations, as is `aw_eta`, which the literal
 transcriptions call.
 
+Every carrier is a declared value too: POLY (polynomials in x), EVEN (even
+polynomials in x, graded by x^2) and LAURENT (symmetric Laurent polynomials
+in z, x = (z + 1/z)/2).  A Carrier holds what the engines ask of it, so no
+other module tests which carrier it has.
+
 Each Leibniz scheme is a factorization
 
     partial^n (f*g) = sum_k alpha(n,k) * eta^k(partial^(n-k) f) * (T_{k,n} g)
@@ -37,12 +42,17 @@ from .algebra import (
     LaurentOperator,
     Poly,
     binomial,
+    chebyshev_lift,
     product,
     q_binomial,
     scalar,
 )
 
 __all__ = [
+    "Carrier",
+    "POLY",
+    "EVEN",
+    "LAURENT",
     "translate",
     "forward_shift",
     "backward_shift",
@@ -65,6 +75,36 @@ __all__ = [
     "qderiv_I_spec",
     "aw_spec",
 ]
+
+
+class Carrier(str):
+    """The space a raising operator acts on, equal to its name.
+
+    An element is a polynomial in x with only the powers that are multiples
+    of `grade` (x^grade counts as degree 1), put through `lift`.  `one` and
+    `variable` are the lifts of 1 and of x^grade, the recurrence variable.
+    The lift takes x^d to `lead`^d z^d + ..., which `monic` divides out.
+    """
+
+    def __new__(cls, name: str, grade: int = 1, lift: Callable = lambda f: f, lead=1):
+        self = super().__new__(cls, name)
+        self.grade, self.lift, self.lead = grade, lift, scalar(lead)
+        self.one = lift(Poly.one())
+        self.variable = lift(Poly.monomial(grade))
+        return self
+
+    def element(self, coeffs):
+        """The element with x^k coefficient coeffs[k]; those of the other powers are dropped."""
+        return self.lift(Poly([c if k % self.grade == 0 else 0 for k, c in enumerate(coeffs)]))
+
+    def monic(self, f):
+        """f scaled so that its x^degree coefficient is 1."""
+        return f * (f.lead.inverse() * self.lead ** f.degree)
+
+
+POLY = Carrier("poly")
+EVEN = Carrier("even", grade=2)
+LAURENT = Carrier("laurent", lift=chebyshev_lift, lead=scalar(1, 2))
 
 
 def translate(f: Poly, c) -> Poly:
@@ -107,11 +147,11 @@ class OperatorSpec:
     h = partial^k g, so the g side needs no more than one ladder.
     """
 
-    carrier: str  # "poly" | "even" | "laurent"
     partial: Callable
     eta: Callable  # eta(f, k): k-th power of the twist, k may be negative
     alpha: Callable[[int, int], object]  # alpha(n, k)
     twist: Callable  # twist(h, k, n) = T_{k,n} g for h = partial^k g
+    carrier: Carrier = POLY
 
 
 def ladder(op: Callable, f, n: int) -> list:
@@ -147,7 +187,6 @@ def _twist_half_i(h, k, n):
 
 
 DERIVATIVE_SPEC = OperatorSpec(
-    carrier="poly",
     partial=Poly.derivative,
     eta=_eta_identity,
     alpha=binomial,
@@ -156,7 +195,6 @@ DERIVATIVE_SPEC = OperatorSpec(
 
 # nabla^n(fg) = sum binom(n,k) (nabla^(n-k) f) (S^(n-k) nabla^k g), S f = f(x-1)
 BACKWARD_ETA1_SPEC = OperatorSpec(
-    carrier="poly",
     partial=backward_shift,
     eta=_eta_identity,
     alpha=binomial,
@@ -165,7 +203,6 @@ BACKWARD_ETA1_SPEC = OperatorSpec(
 
 # nabla^n(fg) = sum binom(n,k) (S^k nabla^(n-k) f) (nabla^k g)
 BACKWARD_ETAS_SPEC = OperatorSpec(
-    carrier="poly",
     partial=backward_shift,
     eta=lambda f, k: translate(f, -k),
     alpha=binomial,
@@ -174,7 +211,6 @@ BACKWARD_ETAS_SPEC = OperatorSpec(
 
 # (d/dx)-analogue on a vertical strip; eta shifts x down by i/2.
 DELTA_X_SPEC = OperatorSpec(
-    carrier="poly",
     partial=delta_x,
     eta=lambda f, k: translate(f, GR_HALF_I * (-k)),
     alpha=binomial,
@@ -183,7 +219,7 @@ DELTA_X_SPEC = OperatorSpec(
 
 # Same shape for the Wilson operator, on even polynomials.
 DELTA_X2_SPEC = OperatorSpec(
-    carrier="even",
+    carrier=EVEN,
     partial=delta_x2,
     eta=lambda f, k: translate(f, GR_HALF_I * (-k)),
     alpha=binomial,
@@ -196,7 +232,6 @@ DELTA_X2_SPEC = OperatorSpec(
 def qderiv_Tq_spec(q) -> OperatorSpec:
     q = scalar(q)
     return OperatorSpec(
-        carrier="poly",
         partial=q_derivative_operator(q),
         eta=lambda f, k: f.compose_affine(q ** k, 0),
         alpha=lambda n, k: q_binomial(n, k, q),
@@ -207,7 +242,6 @@ def qderiv_Tq_spec(q) -> OperatorSpec:
 def qderiv_I_spec(q) -> OperatorSpec:
     q = scalar(q)
     return OperatorSpec(
-        carrier="poly",
         partial=q_derivative_operator(q),
         eta=_eta_identity,
         alpha=lambda n, k: q_binomial(n, k, q),
@@ -225,7 +259,7 @@ def aw_spec(p) -> OperatorSpec:
 
     # aw_eta's dilations by scale_var itself: the benchmark's tracer counts aw_eta calls
     return OperatorSpec(
-        carrier="laurent",
+        carrier=LAURENT,
         partial=aw_Dq_operator(p),
         eta=lambda f, k: f.scale_var(p ** k),
         alpha=alpha,

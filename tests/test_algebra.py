@@ -618,6 +618,13 @@ def test_laurent_equality_with_foreign_operands():
     assert Laurent.one() != Poly.one()
 
 
+def test_equality_reads_the_imaginary_parts():
+    # a Poly.__eq__ that skips `im` leaves every verify report unchanged
+    # (its residuals are zero either way), so it is pinned here
+    assert Poly([1 + GR_I]) != Poly([1])
+    assert Laurent(0, [1 + GR_I]) != Laurent(0, [1])
+
+
 def test_equal_laurent_values_hash_equal():
     # Laurent, SymLaurent and scalars that compare equal hash equal, and
     # SymLaurent compares with scalars the way Laurent does

@@ -7,7 +7,6 @@ from askeykit.algebra import (
     GaussianRational,
     Poly,
     binomial,
-    chebyshev_lift,
     factorial,
     scalar,
     term_sum,
@@ -31,12 +30,7 @@ x = Poly.x()
 
 
 def _rand_f(rng, tag):
-    spec = FAMILIES[tag]
-    coeffs = [sample_rational(rng, -3, 3) for _ in range(5)]
-    if spec.carrier == "even":
-        coeffs = [c if k % 2 == 0 else 0 for k, c in enumerate(coeffs)]
-    f = Poly(coeffs)
-    return chebyshev_lift(f) if spec.carrier == "laurent" else f
+    return FAMILIES[tag].carrier.element([sample_rational(rng, -3, 3) for _ in range(5)])
 
 
 def test_operational_hermite_example():

@@ -1,6 +1,6 @@
 """Pinned contracts: the report bytes of a small full suite, the output of
-`askeykit toda`, and the admissibility verdicts at the edges of every
-family's parameter domain."""
+`askeykit toda` and `askeykit list`, and the admissibility verdicts at the
+edges of every family's parameter domain."""
 
 import hashlib
 
@@ -24,6 +24,8 @@ TODA_SHA256 = {
     1: "115b054562b9814b030241f4b3cfcd32a864d803a67fcad3fe6d67236f3e76df",
     2718: "a3bbeba6e7c1316e8956f5d8011bacd0ed5bf1f14ea743da176c8250cbf5c859",
 }
+# `askeykit list`: every family with its parameters and carrier, every identity
+LIST_SHA256 = "1b6501f6708e4f052661b80d8601b594ba6c3b1f671a9b2ea660fcb0a9e37806"
 
 
 def test_golden_report_bytes():
@@ -81,6 +83,12 @@ def test_toda_output_bytes(seed, capsys):
     assert main(["toda", "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == TODA_SHA256[seed]
+
+
+def test_list_output_bytes(capsys):
+    assert main(["list"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LIST_SHA256
 
 
 # An interior point of each family; each row below moves one parameter.

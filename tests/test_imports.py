@@ -18,6 +18,10 @@
   family tag appears only in the registries and literal transcriptions
   (`families`, `burchnall`, `toda`).  Elsewhere a family list is read off
   those declarations.
+* A carrier is named only in `ops`, where it is declared: no other module
+  holds a string constant equal to a carrier's name, so none branches on
+  one; and each Leibniz variant's operator acts on its family's carrier
+  object itself.
 """
 
 import ast
@@ -26,11 +30,14 @@ import importlib
 import inspect
 import pkgutil
 import symtable
+from random import Random
 
 import pytest
 
 import askeykit
+from askeykit import ops
 from askeykit.families import FAMILIES
+from askeykit.sampling import sample_point
 
 MODULES = ["askeykit"] + sorted(
     f"askeykit.{info.name}" for info in pkgutil.iter_modules(askeykit.__path__)
@@ -125,3 +132,24 @@ def test_family_tags_are_named_only_where_declared(name):
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in FAMILIES
     ]
     assert named == []
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"askeykit.ops"}))
+def test_carriers_are_named_only_in_ops(name):
+    module = importlib.import_module(name)
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    carriers = {str(c) for c in (ops.POLY, ops.EVEN, ops.LAURENT)}
+    named = [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in carriers
+    ]
+    assert named == []
+
+
+def test_each_variant_acts_on_its_family_carrier():
+    rng = Random(26)
+    for tag, spec in FAMILIES.items():
+        point = sample_point(tag, rng)
+        assert [v.name for v in spec.variants if v.op_spec(point).carrier is not spec.carrier] == [], tag

@@ -21,6 +21,9 @@ from askeykit.algebra import (
     scalar,
 )
 from askeykit.ops import (
+    EVEN,
+    LAURENT,
+    POLY,
     aw_Dq_operator,
     aw_eta,
     aw_spec,
@@ -137,11 +140,23 @@ def test_degree_drops():
 
 
 def _random_input(rng, carrier):
-    coeffs = [sample_rational(rng, -3, 3) for _ in range(6)]
-    if carrier == "even":
-        coeffs = [c if k % 2 == 0 else 0 for k, c in enumerate(coeffs)]
-    f = Poly(coeffs)
-    return chebyshev_lift(f) if carrier == "laurent" else f
+    return carrier.element([sample_rational(rng, -3, 3) for _ in range(6)])
+
+
+def test_carriers_declare_their_facts():
+    # a carrier is its name to callers that compare, hash or print it
+    assert [POLY, EVEN, LAURENT] == ["poly", "even", "laurent"]
+    assert {"even": 1}[EVEN] == 1 and f"{POLY:7s}|{LAURENT:7s}" == "poly   |laurent"
+    assert (POLY.one, EVEN.one, LAURENT.one) == (Poly.one(), Poly.one(), SymLaurent.one())
+    assert type(LAURENT.one) is SymLaurent
+    assert (POLY.variable, EVEN.variable, LAURENT.variable) == (x, x ** 2, chebyshev_lift(x))
+    assert POLY.element([1, 2, 3]) == Poly([1, 2, 3])
+    assert EVEN.element([1, 2, 3, 4, 5]) == Poly([1, 0, 3, 0, 5])
+    assert LAURENT.element([1, 2, 3]) == chebyshev_lift(Poly([1, 2, 3]))
+    f = Poly([1, 0, 3])
+    monic = Poly([scalar(1, 3), 0, 1])
+    assert POLY.monic(f) == EVEN.monic(f) == monic
+    assert LAURENT.monic(chebyshev_lift(f)) == chebyshev_lift(monic)
 
 
 def test_leibniz_all_schemes():
