@@ -54,6 +54,7 @@ from .toda import (
     MODIFIED_EXPANSIONS,
     TODA_SOLUTIONS,
     flow_coefficient_strs,
+    flow_index,
     modified_expansion_residual,
     toda_from_recurrence_crosscheck,
     toda_residuals,
@@ -98,12 +99,6 @@ def _random_poly(rng: Random, degree: int, carrier: Carrier) -> object:
     return carrier.element([sample_rational(rng, -3, 3) for _ in range(degree + 1)])
 
 
-def _flow_index(point, n: int) -> int:
-    """n, kept below the top index of a finite family (the flow at n reads c_(n+1))."""
-    top = FAMILIES[point.family].top(point)
-    return n if top is None else min(n, top - 1)
-
-
 def _deformation_record(point, s) -> dict:
     """The report's record of a deformation scalar: {name: "num/den"}, or {} for none."""
     return {} if s is None else {deformation(point.family).scalar.name: rational_str(s)}
@@ -127,7 +122,7 @@ def _run_modified(ident, family, n, m, rng):
 
 def _run_toda(ident, family, n, m, rng):
     point = sample_point(family, rng)
-    nn = max(_flow_index(point, n), 1)
+    nn = max(flow_index(point, n), 1)
     res = toda_residuals(TODA_SOLUTIONS[family], nn, point)
     return point.as_dict(), {"n_used": str(nn)}, res
 
@@ -135,7 +130,7 @@ def _run_toda(ident, family, n, m, rng):
 def _run_crosscheck(ident, family, n, m, rng):
     point = sample_point(family, rng)
     s = sample_deformation(rng, point)
-    nn = max(_flow_index(point, n), 1)
+    nn = max(flow_index(point, n), 1)
     res = toda_from_recurrence_crosscheck(point, s, nn)
     return point.as_dict(), {**_deformation_record(point, s), "n_used": str(nn)}, res
 
@@ -416,66 +411,52 @@ def run_verify(config: SuiteConfig) -> dict:
 _json_str = json.encoder.encode_basestring_ascii  # the C encoder's, where it is built
 
 
-def _json_text(value, pad: str) -> str:
-    """json.dumps(value, indent=2, sort_keys=True) for a value whose line starts with pad.
+def _json_parts(value, pad: str, parts: list) -> list:
+    """parts, extended by the text json.dumps(value, indent=2, sort_keys=True) gives.
 
-    pad is a newline and the value's indentation.  Dict keys are strings, as
-    in every report.
+    pad is a newline and the indentation of the value's line; dict keys are
+    strings, as in every report.  The indent would send json.dumps through its
+    pure-Python encoder, which keeps about 50 chunk strings per case until
+    its final join.  Here a dict's text is spliced into parts, each list item
+    (each case) is rendered to one string, and strings go through the C
+    encoder, so the caller builds the whole text with a single join.
     """
     if isinstance(value, str):
-        return _json_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + pad + "]"
-    return json.dumps(value)  # a float: the same digits in both encoders
-
-
-def _report_json(report: dict) -> str:
-    """json.dumps(report, indent=2, sort_keys=True) + "\n", in one join.
-
-    The indent would send json.dumps through its pure-Python encoder, which
-    keeps about 50 chunk strings per case until its final join.  Here each
-    item of a top-level list (each case) is rendered to one string, strings
-    go through the C encoder, and the text is built by a single join.
-    """
-    if not report:
-        return "{}\n"
-    parts = []
-    sep = "{\n  "
-    for key, value in sorted(report.items()):
-        parts.append(f"{sep}{_json_str(key)}: ")
-        sep = ",\n  "
-        if isinstance(value, list) and value:
-            parts.append("[\n    ")
-            for i, item in enumerate(value):
-                if i:
-                    parts.append(",\n    ")
-                parts.append(_json_text(item, "\n    "))
-            parts.append("\n  ]")
-        else:
-            parts.append(_json_text(value, "\n  "))
-    parts.append("\n}\n")
-    return "".join(parts)
+        parts.append(_json_str(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict) and value:
+        inner = pad + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, item in sorted(value.items()):
+            parts.append(f"{sep}{_json_str(key)}: ")
+            sep = comma
+            _json_parts(item, inner, parts)
+        parts.append(pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        sep, comma = "[" + inner, "," + inner  # one comma string shared by every item
+        for item in value:
+            parts.append(sep)
+            sep = comma
+            parts.append("".join(_json_parts(item, inner, [])))
+        parts.append(pad + "]")
+    else:  # {}, [] or a float: the same text in both encoders
+        parts.append(json.dumps(value))
+    return parts
 
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return _report_json(report)
+        parts = _json_parts(report, "\n", [])
+        parts.append("\n")
+        return "".join(parts)
     lines = [
         f"# verification report (schema {report['schema']}, v{report['version']})",
         "",
@@ -537,6 +518,8 @@ def _values_from_args(ident: str, params: tuple, raw: dict) -> dict:
 
 def _check_writable(path: str) -> None:
     """Reject an --output path before the run rather than after it."""
+    if not path:
+        raise UsageError("--output needs a file name")
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise UsageError(f"cannot write --output {path}: it is a directory")
@@ -557,11 +540,11 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         timings=args.timings,
     )
-    if args.output:
+    if args.output is not None:
         _check_writable(args.output)
     report = run_verify(config)
     text = render_report(report, args.format)
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w") as fh:
                 fh.write(text)
@@ -625,7 +608,7 @@ def cmd_toda(args) -> int:
         sol = TODA_SOLUTIONS[family]
         rng = Random(_subseed(args.seed, f"toda/{family}"))
         point = sample_point(family, rng)
-        nmax = _flow_index(point, args.max_n)
+        nmax = flow_index(point, args.max_n)
         print(f"{family} at {point} (variable: {sol.variable.tag})")
         for n in range(1, nmax + 1):
             ok = not any(toda_residuals(sol, n, point))

@@ -198,23 +198,19 @@ class Deformation:
     parameters.  The deformed measure is the base measure at the point
     `params(point, s)` pushed forward by x -> alpha x + beta, where
     (alpha, beta) = `affine(point, s)`; a family uses one map or the other.
-    `flow(image, s)` reads the variable of the closed-form lattice flow off
-    the image point.
+    The variable of the closed-form lattice flow is read off the image point
+    by its `toda.TodaVariable`.
     """
 
     scalar: Param
     params: Callable = lambda point, s: point
     affine: Callable = lambda point, s: (1, 0)
-    flow: Callable = lambda image, s: s
 
     def image(self, point: ParamPoint, s) -> tuple:
         """(point', alpha, beta) for the deformation scalar s."""
         if not self.scalar.admits(s, point.as_dict()):
             raise ValueError(f"{self.scalar.name}={s} is outside the deformation domain at {point}")
         return (self.params(point, s), *self.affine(point, s))
-
-    def flow_variable(self, point: ParamPoint, s):
-        return self.flow(self.image(point, s)[0], s)
 
 
 @dataclass(frozen=True)
@@ -286,10 +282,6 @@ class FamilySpec:
         objects, so each operator is built once per case and freed with it.
         """
         return point.derived("raising", self.raising, point)
-
-    def fdegree(self, f) -> int:
-        """Degree in the family's grading: x^2 has degree 1 on the even carrier."""
-        return f.degree // self.carrier.grade if f else -1
 
     def variant(self, name: str) -> Variant:
         for v in self.variants:
@@ -769,11 +761,6 @@ def _inv_q(values):
     return 1 / values["q"]
 
 
-def _tan_from_half(s):
-    """tan(A) from tan(A/2) = s."""
-    return 2 * s / (1 - s * s)
-
-
 def _krawtchouk_deformed(pt, u):
     p = pt.get("p")
     return pt.replace(p=p * u / (1 + p * (u - 1)))
@@ -878,7 +865,6 @@ _register(FamilySpec(
     deformation=Deformation(
         Param("r", lambda v: -1 / v["phi"], lambda v: v["phi"], skip=lambda v: tangent_subtract(v["phi"], 1)),
         params=lambda pt, r: pt.replace(phi=tangent_subtract(pt.get("phi"), r)),
-        flow=lambda image, r: _tan_from_half(image.get("phi")),
     ),
 ))
 
@@ -1034,8 +1020,8 @@ def _chain(point: ParamPoint, n: int):
     if n == 0:
         return spec.carrier.one
     out = spec.raising_operator(point)(raise_chain(spec.shift(point), n - 1))
-    if spec.fdegree(out) != n:
-        raise AssertionError(f"{point.family} raising chain degree {spec.fdegree(out)} != {n}")
+    if spec.carrier.degree(out) != n:
+        raise AssertionError(f"{point.family} raising chain degree {spec.carrier.degree(out)} != {n}")
     return out
 
 
@@ -1110,7 +1096,7 @@ def lowering_constant_check(point: ParamPoint, n: int):
     lowered = spec.lowering(point)(pn)
     if not lowered:
         return GR_ZERO, target  # degree-0 annihilation would be a failure upstream
-    if spec.fdegree(lowered) != n - 1:
+    if spec.carrier.degree(lowered) != n - 1:
         raise AssertionError(f"{point.family}: lowering did not drop the degree by one")
     ell = lowered.lead * target.lead.inverse()
     residual = lowered - target * ell

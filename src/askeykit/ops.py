@@ -97,6 +97,10 @@ class Carrier(str):
         """The element with x^k coefficient coeffs[k]; those of the other powers are dropped."""
         return self.lift(Poly([c if k % self.grade == 0 else 0 for k, c in enumerate(coeffs)]))
 
+    def degree(self, f) -> int:
+        """Degree in the carrier's grading (x^2 has degree 1 on the even carrier); -1 for zero."""
+        return f.degree // self.grade if f else -1
+
     def monic(self, f):
         """f scaled so that its x^degree coefficient is 1."""
         return f * (f.lead.inverse() * self.lead ** f.degree)

@@ -40,7 +40,6 @@ from .families import (
     FAMILIES,
     ParamPoint,
     MonicRecurrence,
-    deformation,
     deformed_measure,
     big_q_jacobi_poly,
     falling_poch_poly,
@@ -56,6 +55,7 @@ __all__ = [
     "TodaVariable",
     "TodaSolution",
     "TODA_SOLUTIONS",
+    "flow_index",
     "toda_residuals",
     "flow_coefficient_strs",
     "ModifiedExpansion",
@@ -70,16 +70,27 @@ _Q = scalar
 
 @dataclass(frozen=True)
 class TodaVariable:
-    """Substitution variable with its exact chain-rule factor for d/dt."""
+    """Substitution variable v with its exact chain-rule factor for d/dt.
+
+    `read(image, s)` is v at the image point of the family's e^(-xt)
+    deformation at scalar s; by default v is s itself (t, or u = e^(-t)).
+    """
 
     tag: str
     var: str
     chain: Poly  # d/dt = chain(v) * d/dv
+    read: Callable = lambda image, s: s
+
+
+def _read_tan(image, r):
+    """T = tan(phi - t/2) = tan(2A), the image's phi parameter being tan(A)."""
+    h = image.get("phi")
+    return 2 * h / (1 - h * h)
 
 
 VAR_PLAIN = TodaVariable("plain-t", "t", Poly.one())
 VAR_EXP_NEG = TodaVariable("exp-neg-t", "u", Poly([0, -1]))
-VAR_TAN_HALF = TodaVariable("tan-half", "T", Poly([_Q(-1, 2), 0, _Q(-1, 2)]))
+VAR_TAN_HALF = TodaVariable("tan-half", "T", Poly([_Q(-1, 2), 0, _Q(-1, 2)]), _read_tan)
 
 
 @dataclass(frozen=True)
@@ -147,19 +158,24 @@ TODA_SOLUTIONS = {
 }
 
 
+def flow_index(point: ParamPoint, n: int) -> int:
+    """n, kept below the top index of a finite family: the flow at n reads c_(n+1)."""
+    top = FAMILIES[point.family].top(point)
+    return n if top is None else min(n, top - 1)
+
+
 def toda_residuals(sol: TodaSolution, n: int, point: ParamPoint):
     """Both lattice-equation residuals at index n, cleared of D; zero when solved.
 
     With b = B/D and c = C/D^2, D^3 r_c = chi (C' D - 2 C D') - C (B_(n-1) - B_n)
     and D^2 r_b = chi (B' D - B D') - (C_n - C_(n+1)), chi the chain-rule
-    factor; as D != 0 each is zero exactly when its equation holds.  The
-    b-equation uses c_(n+1), so for a finite family n must stay below the
-    top index.
+    factor; as D != 0 each is zero exactly when its equation holds.  n runs
+    from 1 to flow_index(point, n).
     """
     if n < 1:
         raise ValueError("toda_residuals needs n >= 1")
-    top = FAMILIES[point.family].top(point)
-    if top is not None and n + 1 > top:
+    if flow_index(point, n) < n:
+        top = FAMILIES[point.family].top(point)
         raise ValueError(f"index n={n} needs c_{n + 1} beyond the family size {top}")
     d = sol.den(point)
     if not d:
@@ -451,6 +467,6 @@ def toda_from_recurrence_crosscheck(point: ParamPoint, s, n: int):
     """
     rec = modified_recurrence(point, s, n)
     sol = TODA_SOLUTIONS[point.family]
-    v = deformation(point.family).flow_variable(point, _Q(s))
+    v = sol.variable.read(deformed_measure(point, s)[0], _Q(s))
     d = sol.den(point)(v)
     return rec.b[n] - sol.b(n, point)(v) / d, rec.c[n] - sol.c(n, point)(v) / (d * d)

@@ -186,6 +186,20 @@ def test_json_render_is_json_dumps_on_any_json_object(value):
     assert render_report(value, "json") == _dumped(value)
 
 
+def test_json_render_keeps_each_case_as_one_string_until_the_single_join():
+    # the renderer's memory design: the report's dicts and its cases list are
+    # spliced into one list of parts, each case rendered to exactly one string,
+    # so the whole text is built by one join and the cases text is copied once
+    report = run_verify(SuiteConfig(identities=["hermite-expansion", "toda-flows"], max_n=2, max_m=1))
+    parts = cli._json_parts(report, "\n", [])
+    for case in report["cases"]:
+        text = json.dumps(case, indent=2, sort_keys=True).replace("\n", "\n    ")
+        assert parts.count(text) == 1, case["id"]
+    # and the commas between cases are one shared string, not one copy per case
+    assert len({id(p) for p in parts if p == ",\n    "}) == 1
+    assert "".join(parts) + "\n" == _dumped(report)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
 def test_both_renders_keep_their_bytes_on_the_golden_configurations(name):
     # timed, so that every record also carries elapsed_ms
@@ -433,7 +447,7 @@ def test_python_dash_m_runs_the_cli():
     assert "carrier: even" in proc.stdout
 
 
-@pytest.mark.parametrize("where", ["missing-dir", "directory", "read-only-file"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "read-only-file", "empty"])
 def test_verify_unwritable_output_exits_2_before_running(where, tmp_path, monkeypatch, capsys):
     from askeykit import cli
 
@@ -445,6 +459,7 @@ def test_verify_unwritable_output_exits_2_before_running(where, tmp_path, monkey
         "missing-dir": tmp_path / "missing" / "r.json",
         "directory": tmp_path,
         "read-only-file": tmp_path / "r.json",
+        "empty": "",
     }[where]
     if where == "read-only-file":
         out.write_text("")

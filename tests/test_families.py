@@ -116,7 +116,7 @@ def test_chain_degree_growth():
         spec = FAMILIES[tag]
         pt = sample_point(tag, rng)
         for n in range(5):
-            assert spec.fdegree(raise_chain(pt, n)) == n
+            assert spec.carrier.degree(raise_chain(pt, n)) == n
 
 
 def test_adjoint_annihilation():
@@ -295,7 +295,7 @@ def test_weight_ratio_degree_bound():
                 if spec.carrier == "laurent":
                     deg = max(abs(ratio.degree), abs(ratio.low))
                 else:
-                    deg = spec.fdegree(ratio)
+                    deg = spec.carrier.degree(ratio)
                 assert deg <= 2 * k, (tag, var.name, k, deg)
 
 

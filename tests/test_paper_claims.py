@@ -91,9 +91,9 @@ NAMED = {
 
 # (claim, family, identity kind that would certify it, ROADMAP item that adds it)
 OPEN = [
-    ("every-family", "krawtchouk", "chain-expansion", "item 2: Krawtchouk declares no raising chain"),
-    ("toda-modification", "krawtchouk", "modified", "item 2: no krawtchouk-toda expansion"),
-    ("inverts-feldheim-watson", "hermite", "linearization", "item 7: the linearization side is unchecked"),
+    ("every-family", "krawtchouk", "chain-expansion", "item 3: Krawtchouk declares no raising chain"),
+    ("toda-modification", "krawtchouk", "modified", "item 3: no krawtchouk-toda expansion"),
+    ("inverts-feldheim-watson", "hermite", "linearization", "item 10: the linearization side is unchecked"),
 ]
 
 

@@ -13,6 +13,7 @@ from askeykit.toda import (
     MODIFIED_EXPANSIONS,
     TODA_SOLUTIONS,
     flow_coefficient_strs,
+    flow_index,
     modified_expansion_residual,
     modified_recurrence,
     toda_from_recurrence_crosscheck,
@@ -60,8 +61,7 @@ def test_a_wrong_numerator_gives_a_nonzero_residual(tag):
     # B_n + 1 at one index breaks c_n' = c_n (b_(n-1) - b_n) there
     sol = TODA_SOLUTIONS[tag]
     pt = sample_point(tag, Random(1313))
-    top = FAMILIES[tag].top(pt)
-    n = 1 if top is None else min(2, top - 1)
+    n = flow_index(pt, 2)
     wrong = dataclasses.replace(sol, b=lambda k, p: sol.b(k, p) + (1 if k == n else 0))
     rc, rb = toda_residuals(wrong, n, pt)
     assert rc, tag
@@ -94,6 +94,23 @@ def test_flow_index_bounds():
         toda_residuals(sol, 4, pt)  # needs c_5 beyond the family
     with pytest.raises(ValueError):
         toda_residuals(sol, 0, pt)
+
+
+@pytest.mark.parametrize("tag", sorted(TODA_SOLUTIONS))
+def test_flow_index_is_the_largest_index_toda_residuals_takes(tag):
+    # the one rule that cli and toda_residuals share: the flow at n reads c_(n+1)
+    sol = TODA_SOLUTIONS[tag]
+    pt = sample_point(tag, Random(1414))
+    top = FAMILIES[tag].top(pt)
+    for n in range(1, 13):
+        nn = flow_index(pt, n)
+        assert 1 <= nn <= n, (tag, n, nn)
+        assert toda_residuals(sol, nn, pt) == (Poly.zero(), Poly.zero()), (tag, n)
+        if top is not None and n >= top - 1:
+            with pytest.raises(ValueError, match="beyond the family size"):
+                toda_residuals(sol, nn + 1, pt)
+    if tag == "krawtchouk":
+        assert top is not None and top <= 12, top  # so the loop reached the top
 
 
 def test_hermite_toda_example():
@@ -180,9 +197,7 @@ def test_crosscheck_all_families():
         for _ in range(3):
             pt = sample_point(tag, rng)
             extra = sample_deformation(rng, pt)
-            top = FAMILIES[tag].top(pt)
-            nmax = 5 if top is None else min(5, top - 1)
-            for n in range(1, nmax + 1):
+            for n in range(1, flow_index(pt, 5) + 1):
                 bg, cg = toda_from_recurrence_crosscheck(pt, extra, n)
                 assert not bg and not cg, (tag, n)
 
@@ -206,7 +221,7 @@ def test_first_moment_routes_agree():
             pt = sample_point(tag, rng)
             s = sample_deformation(rng, pt)
             b_rec = modified_recurrence(pt, s, 1).b[0]
-            v = d.flow_variable(pt, s)
+            v = sol.variable.read(d.image(pt, s)[0], s)
             b_flow = sol.b(0, pt)(v) / sol.den(pt)(v)
             assert b_rec == b_flow, (tag, pt, s)
             if FAMILIES[tag].raising is not None:
