@@ -137,7 +137,7 @@ def _run_crosscheck(ident, family, n, m, rng):
 
 def _run_adjointness(ident, family, n, m, rng):
     point = sample_point(family, rng)
-    _, witness, failures = adjointness_check(point, max(n, 1), 6)
+    _, witness, failures = adjointness_check(point, n, 6)
     extras = {"rho": repr(witness.rho), "pairs": str(witness.samples)}
     return point.as_dict(), extras, tuple(value for *_, value in failures)
 

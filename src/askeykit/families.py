@@ -19,6 +19,11 @@ A family bundles everything the identity engines need:
   * for the six lattice families, the image of the weight deformation
     w(x) -> e^(-xt) w(x).
 
+A family that is another with some parameters set to zero is declared by
+_specialization, which reads every fact but the shift from the parent at
+the lifted point: big q-Laguerre is big q-Jacobi at b = 0 and continuous
+q-Hermite is Askey-Wilson at a = b = c = d = 0 (KLS sections 14.11, 14.26).
+
 Weight ratios are stored as closed-form polynomial steps, never as
 quotients of actual weights: the weights involve Gamma factors and infinite
 products, while the ratios and their steps are plain polynomials.
@@ -556,9 +561,10 @@ def _wilson_raise(pt):
     return DifferenceOperator(((plus, _HALF_DOWN, -1),), divisor=2 * GR_I)
 
 
-def _bqj_raise_abc(a, b, c, q):
+def _bqj_raise(pt):
     # ((1 - x/(aq))(1 - x/(cq)) f - (1 - x)(1 - bx/c) f(qx)) / ((1 - q)x), with
     # (1 - x/(aq))(1 - x/(cq)) = 1 - (a + c) x/(acq) + x^2/(acq^2)
+    a, b, c, q = pt.get("a"), pt.get("b"), pt.get("c"), pt.get("q")
     inv = (a * c * q).inverse()
     up = (1, -(a + c) * inv, inv / q)
     bc = b / c
@@ -566,30 +572,15 @@ def _bqj_raise_abc(a, b, c, q):
     return DifferenceOperator(((up, None), (dn, (q, 0))), divisor=1 - q)
 
 
-def _bqj_raise(pt):
-    return _bqj_raise_abc(pt.get("a"), pt.get("b"), pt.get("c"), pt.get("q"))
-
-
-def _bql_raise(pt):
-    return _bqj_raise_abc(pt.get("a"), _Q(0), pt.get("c"), pt.get("q"))
-
-
-def _aw_raise_vals(vals, p):
+def _aw_raise(pt):
     # (B(z) f(pz)/z - z^3 B(1/z) f(z/p)) / (1 - z^2) * (-2/(1 - q)), q = p^2, with
     # B(z) = prod (1 - e z) = 1 - e1 z + e2 z^2 - e3 z^3 + e4 z^4
-    e = _linear_product([_factor(1, v) for v in vals])  # prod (1 + e t) = sum_k e_k t^k
+    p = pt.get("p")
+    e = _linear_product([_factor(1, pt.get(k)) for k in "abcd"])  # prod (1 + e t) = sum_k e_k t^k
     _, e1, e2, e3, e4 = (e.coefficient(k) for k in range(5))
     up = (-1, (1, -e1, e2, -e3, e4))  # B(z)/z
     dn = (-1, (-e4, e3, -e2, e1, -1))  # -z^3 B(1/z)
     return LaurentOperator(p, ((up, 1), (dn, -1)), scale=-2 / (1 - p * p), divisor=(0, (1, 0, -1)))
-
-
-def _aw_raise(pt):
-    return _aw_raise_vals([pt.get(k) for k in ("a", "b", "c", "d")], pt.get("p"))
-
-
-def _cqh_raise(pt):
-    return _aw_raise_vals([_Q(0)] * 4, pt.get("p"))
 
 
 # weight steps: ratio_k = step_0 * ... * step_(k-1) ----------------------------
@@ -642,35 +633,24 @@ def _step_bqj_Tq(pt, j):
     return _linear_product([_factor(1, -qj), _factor(1, -b / c * qj)])
 
 
-def _step_bql_Tq(pt, j):
-    return _linear_product([_factor(1, -pt.get("q") ** j)])
-
-
 def _step_bqj_I(pt, j):
-    # shared by big q-Jacobi and big q-Laguerre: b drops out of this ratio
+    # b drops out of this ratio, so big q-Laguerre inherits it unchanged
     a, c, q = pt.get("a"), pt.get("c"), pt.get("q")
     qj1 = q ** (j + 1)
     return _linear_product([_factor(1, -1 / (a * qj1)), _factor(1, -1 / (c * qj1))])
 
 
-def _step_aw_vals(vals, p, j):
+def _step_aw(pt, j):
     # -p^(-(2j+1)) z^-2 prod_(e != 0) (1 - e q^j z) = c z^-2 sum_k (-q^j)^k e_k z^k, q = p^2
+    p = pt.get("p")
     qj = p ** (2 * j)
     c = -1 / (p * qj)
     coeffs = []
     # e_0, e_1, ...: prod (1 + e t) over the nonzero e has full degree
-    for ek in _linear_product([_factor(1, e) for e in vals if e]).coeffs:
+    for ek in _linear_product([_factor(1, e) for e in map(pt.get, "abcd") if e]).coeffs:
         coeffs.append(c * ek)
         c = -c * qj
     return Laurent(-2, coeffs)
-
-
-def _step_aw(pt, j):
-    return _step_aw_vals([pt.get(n) for n in ("a", "b", "c", "d")], pt.get("p"), j)
-
-
-def _step_cqh(pt, j):
-    return _step_aw_vals([], pt.get("p"), j)
 
 
 # lowering / adjoint operators ----------------------------------------------
@@ -771,6 +751,39 @@ FAMILIES: dict = {}
 
 def _register(spec: FamilySpec):
     FAMILIES[spec.tag] = spec
+
+
+# tag -> (parent tag, {fixed coordinate: value}) of each family declared by _specialization
+_SPECIALIZATIONS: dict = {}
+
+
+def _specialization(parent: str, fixed: dict, **declared) -> FamilySpec:
+    """The registered family `parent` with the coordinates in `fixed` held at
+    their values.
+
+    The domain is the parent's without the fixed names.  Every other fact is
+    the parent's, read at the lifted point make_point(parent, **pt, **fixed);
+    `declared` gives the tag, the shift rule and any fact that differs.  The
+    shift rule is never inherited, since the parent's acts on parent points;
+    nor are the deformation and the top.
+    """
+    spec = FAMILIES[parent]
+
+    def lift(fact):
+        return fact and (lambda pt, *args: fact(make_point(parent, **pt.as_dict(), **fixed), *args))
+
+    _SPECIALIZATIONS[declared["tag"]] = parent, fixed
+    return FamilySpec(**{
+        "domain": tuple(p for p in spec.domain if p.name not in fixed),
+        "raising": lift(spec.raising),
+        "variants": tuple(Variant(v.name, lift(v.op_spec), lift(v.weight_step)) for v in spec.variants),
+        "lowering": lift(spec.lowering),
+        "adjoint": lift(spec.adjoint),
+        "normalization": lift(spec.normalization),
+        "standard": lift(spec.standard),
+        "carrier": spec.carrier,
+        **declared,
+    })
 
 
 _register(FamilySpec(
@@ -898,20 +911,7 @@ _register(FamilySpec(
     standard=lambda pt, n: big_q_jacobi_poly(pt.get("a"), pt.get("b"), pt.get("c"), pt.get("q"), n),
 ))
 
-_register(FamilySpec(
-    tag="big-q-laguerre",
-    domain=(Param("q", 0, 1), Param("a", 0, _inv_q, window=(0, 2)), Param("c", None, 0, window=(-4, 0))),
-    shift_rule=_sh_mul("q", ("a", "c")),
-    raising=_bql_raise,
-    variants=(
-        Variant("Tq", lambda pt: ops.qderiv_Tq_spec(pt.get("q")), _step_bql_Tq),
-        Variant("I", lambda pt: ops.qderiv_I_spec(pt.get("q")), _step_bqj_I),
-    ),
-    lowering=_low_qinv,
-    adjoint=_low_qinv,
-    normalization=_norm_bqj,
-    standard=lambda pt, n: big_q_jacobi_poly(pt.get("a"), 0, pt.get("c"), pt.get("q"), n),
-))
+_register(_specialization("big-q-jacobi", {"b": 0}, tag="big-q-laguerre", shift_rule=_sh_mul("q", ("a", "c"))))
 
 _register(FamilySpec(
     tag="askey-wilson",
@@ -926,17 +926,12 @@ _register(FamilySpec(
     carrier=ops.LAURENT,
 ))
 
-_register(FamilySpec(
+_register(_specialization(
+    "askey-wilson",
+    dict.fromkeys("abcd", 0),
     tag="continuous-q-hermite",
-    domain=(Param("p", 0, 1),),
     shift_rule=None,
-    raising=_cqh_raise,
-    variants=(Variant("", lambda pt: ops.aw_spec(pt.get("p")), _step_cqh),),
-    lowering=_low_aw,
-    adjoint=None,
-    normalization=_norm_aw,
-    standard=lambda pt, n: cq_hermite_poly(pt.get("p"), n),
-    carrier=ops.LAURENT,
+    standard=lambda pt, n: cq_hermite_poly(pt.get("p"), n),  # the 4phi3 form needs a != 0
 ))
 
 _register(FamilySpec(

@@ -732,6 +732,21 @@ def test_shift_keeps_one_successor_per_point():
             assert shifted_point(pt, k) is expected, (tag, k)
 
 
+def test_a_specialization_shifts_as_its_parent_does():
+    # a specialization inherits every fact but its shift rule, so the rule is
+    # checked against the parent's: the fixed coordinates added to the k-th
+    # successor of a point give the parent's k-th successor of the lifted point
+    assert {"big-q-laguerre", "continuous-q-hermite"} <= set(families._SPECIALIZATIONS)
+    rng = Random(73)
+    for tag, (parent, fixed) in families._SPECIALIZATIONS.items():
+        for _ in range(3):
+            pt = sample_point(tag, rng)
+            lifted = make_point(parent, **pt.as_dict(), **fixed)
+            for k in range(5):
+                child = make_point(parent, **shifted_point(pt, k).as_dict(), **fixed)
+                assert child == shifted_point(lifted, k), (tag, pt, k)
+
+
 def test_one_case_builds_each_point_datum_once(monkeypatch):
     # raise_chain, operational_terms for every variant, then apply_chain: one
     # operational case builds each raising operator and evaluates each

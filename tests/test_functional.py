@@ -158,6 +158,36 @@ def test_adjointness_all_families():
     assert witness.rho == GaussianRational(1)
 
 
+def _sin_from_half(s):
+    return 2 * s / (1 + s * s)
+
+
+# rho_n = (mass at nu + n sigma) / (mass at nu), in closed form; big q-Jacobi
+# and big q-Laguerre fit a rho that is not their plain mass ratio
+CLOSED_MASS_RATIOS = {
+    "hermite": lambda v, n: Q(1),
+    "charlier": lambda v, n: Q(1),
+    "laguerre": lambda v, n: pochhammer(v["nu"] + 1, n),
+    "jacobi": lambda v, n: (
+        4 ** n * pochhammer(v["alpha"] + 1, n) * pochhammer(v["beta"] + 1, n)
+        / pochhammer(v["alpha"] + v["beta"] + 2, 2 * n)
+    ),
+    "meixner": lambda v, n: 1 / (1 - v["c"]) ** n,
+    "meixner-pollaczek": lambda v, n: pochhammer(2 * v["lam"], n) / (2 * _sin_from_half(v["phi"])) ** n,
+}
+
+
+def test_adjointness_rho_is_the_closed_form_mass_ratio():
+    rng = Random(83)
+    for tag, closed in CLOSED_MASS_RATIOS.items():
+        for _ in range(3):
+            pt = sample_point(tag, rng)
+            for n in range(1, 5):
+                ok, witness, failures = adjointness_check(pt, n, 6)
+                assert ok, (tag, n, failures[:2])
+                assert witness.rho == closed(pt.as_dict(), n), (tag, pt, n)
+
+
 def test_adjointness_builds_the_base_functional_to_degree_d_plus_n(monkeypatch):
     # (chain expansion of x^i) * x^j has degree i + n + j <= D + n, so the base
     # functional needs order D + n and the shifted one order D

@@ -17,6 +17,7 @@ GOLDEN_SHA256 = "3340cc8c1b7b2c53861ac7641638a96dce156f4687ab1f46019abbf2bc64d47
 DEEP_SHA256 = "dc78c3c28256ea06edaee492f2c250bf9e9cfd2641e86b61a69aa525db222064"
 SUITE_SHA256 = "720f68a2f5d22b50403589ed4534c983e48d07337a704ef732551c918af3f789"
 AW_DEEP_SHA256 = "bc3e9a20c88ed31513869311e84e891ed816d7d51e6602bad99bca848339209c"
+BIG_Q_DEEP_SHA256 = "b82e167f3f32d70c707b0a6c1268001dd47f901fa17529bf7d8042aff6b831a6"
 HELD_OUT_SHA256 = "40865180fc205fe482a2fe824477341b21daa219e2ef0ff19ee746d238bbba2e"
 # `askeykit toda --seed S`: each flow's b_n and c_n in lowest terms; seed 1
 # samples krawtchouk(p=16/41, N=8), whose b_4 reduces to the constant 4
@@ -76,6 +77,17 @@ def test_aw_deep_report_bytes():
     assert report["totals"] == {"cases": 272, "passed": 272, "failed": 0}
     text = render_report(report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == AW_DEEP_SHA256
+
+
+def test_big_q_deep_report_bytes():
+    # `verify --seed 7 --max-n 7 --max-m 7 --families big-q-jacobi
+    # big-q-laguerre`: big q-Laguerre chains up to degree 14, beyond every
+    # other pin
+    config = SuiteConfig(seed=7, families=["big-q-jacobi", "big-q-laguerre"], max_n=7, max_m=7)
+    report = run_verify(config)
+    assert report["totals"] == {"cases": 310, "passed": 310, "failed": 0}
+    text = render_report(report, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == BIG_Q_DEEP_SHA256
 
 
 @pytest.mark.parametrize("seed", sorted(TODA_SHA256))

@@ -22,6 +22,8 @@
   holds a string constant equal to a carrier's name, so none branches on
   one; and each Leibniz variant's operator acts on its family's carrier
   object itself.
+* Every module-level private function or class is named somewhere in the
+  package, so a helper left behind by a refactor does not linger unseen.
 """
 
 import ast
@@ -153,3 +155,26 @@ def test_each_variant_acts_on_its_family_carrier():
     for tag, spec in FAMILIES.items():
         point = sample_point(tag, rng)
         assert [v.name for v in spec.variants if v.op_spec(point).carrier is not spec.carrier] == [], tag
+
+
+def test_every_private_function_has_a_caller():
+    # a module-level private def or class is reached only through its name, so
+    # one that no module names (as a Name, an Attribute or an import) is dead
+    defined, named = [], set()
+    for name in MODULES:
+        module = importlib.import_module(name)
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        defined += [
+            (name, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update({node.name, node.asname})
+    assert [entry for entry in defined if entry[1] not in named] == []
