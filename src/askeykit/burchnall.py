@@ -8,9 +8,10 @@ Two layers deliberately coexist:
 
   * literal transcriptions of the closed-form expansion identities, one
     function per catalogued identity, written straight from the textbook
-    closed forms and *not* routed through the engine.  Each returns only
-    its k-terms; the left side they sum to is stated once per identity, as
-    `lhs_prefactor(n, m)` times the standard polynomial p_(n+m).
+    closed forms and *not* routed through the engine.  Each declares only
+    its k-th term; `Expansion.build` states the range k = 0 .. min(n, m) once,
+    and the left side the terms sum to is `lhs_prefactor(n, m)` times the
+    standard polynomial p_(n+m).
 
 Agreement between the two is itself a test: after the family normalization
 the engine must reproduce each literal expansion k-term by k-term.
@@ -134,8 +135,12 @@ class Expansion:
     id: str
     family: str
     variant: str  # the engine variant it must agree with
-    build: Callable  # (point, n, m) -> [terms]
+    term: Callable  # (point, n, m, k) -> the k-th term
     lhs_prefactor: Callable  # (n, m) -> scalar relating LHS to the standard polynomial
+
+    def build(self, point: ParamPoint, n: int, m: int) -> list:
+        """The k-terms, k = 0 .. min(n, m)."""
+        return [self.term(point, n, m, k) for k in range(min(n, m) + 1)]
 
     def lhs(self, point: ParamPoint, n: int, m: int):
         """The left side: lhs_prefactor(n, m) times the standard polynomial p_(n+m)."""
@@ -143,135 +148,108 @@ class Expansion:
         return p if pref == 1 else p * pref
 
 
-def _build_hermite(point, n, m):
-    terms = []
-    for r in range(min(n, m) + 1):
-        coef = _Q(binomial(n, r) * binomial(m, r) * (-2) ** r * factorial(r))
-        terms.append(hermite_poly(n - r) * hermite_poly(m - r) * coef)
-    return terms
+def _term_hermite(point, n, m, r):
+    coef = _Q(binomial(n, r) * binomial(m, r) * (-2) ** r * factorial(r))
+    return hermite_poly(n - r) * hermite_poly(m - r) * coef
 
 
-def _build_laguerre(point, n, m):
+def _term_laguerre(point, n, m, k):
     # ((m+1)_n / n!) L_(m+n) = sum_k ((-x)^k / k!) L_(n-k)^(nu+k) L_(m-k)^(nu+n+k)
-    terms = []
-    for k in range(min(n, m) + 1):
-        xs = Poly.monomial(k, _Q((-1) ** k) / factorial(k))
-        t = xs * standard_poly(shifted_point(point, k), n - k)
-        t = t * standard_poly(shifted_point(point, n + k), m - k)
-        terms.append(t)
-    return terms
+    xs = Poly.monomial(k, _Q((-1) ** k) / factorial(k))
+    t = xs * standard_poly(shifted_point(point, k), n - k)
+    t = t * standard_poly(shifted_point(point, n + k), m - k)
+    return t
 
 
-def _build_jacobi(point, n, m):
+def _term_jacobi(point, n, m, k):
     alpha, beta = point.get("alpha"), point.get("beta")
     quad = Poly([_Q(-1, 4), 0, _Q(1, 4)])  # (1-x^2)/(-4)
-    terms = []
-    for k in range(min(n, m) + 1):
-        coef = pochhammer(alpha + beta + 2 * n + m + 1, k) * _Q(1, factorial(k))
-        t = (quad ** k) * coef
-        t = t * standard_poly(shifted_point(point, k), n - k)
-        t = t * standard_poly(shifted_point(point, n + k), m - k)
-        terms.append(t)
-    return terms
+    coef = pochhammer(alpha + beta + 2 * n + m + 1, k) * _Q(1, factorial(k))
+    t = (quad ** k) * coef
+    t = t * standard_poly(shifted_point(point, k), n - k)
+    t = t * standard_poly(shifted_point(point, n + k), m - k)
+    return t
 
 
-def _build_meixner_eta1(point, n, m):
+def _term_meixner_eta1(point, n, m, k):
     beta, c = point.get("beta"), point.get("c")
-    terms = []
-    for k in range(min(n, m) + 1):
-        coef = (
-            pochhammer(-n, k) * pochhammer(-m, k)
-            * ((c - 1) / c) ** k
-            * (pochhammer(beta, k) * pochhammer(beta + n, k) * factorial(k)).inverse()
-        )
-        t = rising_poch_poly(beta, k) * coef
-        t = t * standard_poly(shifted_point(point, k), n - k)
-        t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(1, -n)
-        terms.append(t)
-    return terms
+    coef = (
+        pochhammer(-n, k) * pochhammer(-m, k)
+        * ((c - 1) / c) ** k
+        * (pochhammer(beta, k) * pochhammer(beta + n, k) * factorial(k)).inverse()
+    )
+    t = rising_poch_poly(beta, k) * coef
+    t = t * standard_poly(shifted_point(point, k), n - k)
+    t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(1, -n)
+    return t
 
 
-def _build_meixner_etaS(point, n, m):
+def _term_meixner_etaS(point, n, m, k):
     # coefficient ((1-c)/c^2)^k: the nabla = S Delta rewrite carries no sign
     beta, c = point.get("beta"), point.get("c")
-    terms = []
-    for k in range(min(n, m) + 1):
-        coef = (
-            pochhammer(-n, k) * pochhammer(-m, k)
-            * ((1 - c) / (c * c)) ** k
-            * (pochhammer(beta, k) * pochhammer(beta + n, k) * factorial(k)).inverse()
-        )
-        t = falling_poch_poly(k) * coef
-        t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(1, -k)
-        t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(1, -k)
-        terms.append(t)
-    return terms
+    coef = (
+        pochhammer(-n, k) * pochhammer(-m, k)
+        * ((1 - c) / (c * c)) ** k
+        * (pochhammer(beta, k) * pochhammer(beta + n, k) * factorial(k)).inverse()
+    )
+    t = falling_poch_poly(k) * coef
+    t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(1, -k)
+    t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(1, -k)
+    return t
 
 
-def _build_charlier_eta1(point, n, m):
+def _term_charlier_eta1(point, n, m, k):
     # coefficient (-n)_k (-m)_k / (k! (-a)^k): nabla^k C_m = (-m)_k a^-k S^k C_(m-k)
     a = point.get("a")
-    terms = []
-    for k in range(min(n, m) + 1):
-        coef = pochhammer(-n, k) * pochhammer(-m, k) * _Q(1, factorial(k)) / (-a) ** k
-        t = standard_poly(point, n - k) * coef
-        t = t * standard_poly(point, m - k).compose_affine(1, -n)
-        terms.append(t)
-    return terms
+    coef = pochhammer(-n, k) * pochhammer(-m, k) * _Q(1, factorial(k)) / (-a) ** k
+    t = standard_poly(point, n - k) * coef
+    t = t * standard_poly(point, m - k).compose_affine(1, -n)
+    return t
 
 
-def _build_charlier_etaS(point, n, m):
+def _term_charlier_etaS(point, n, m, k):
     # coefficient (-n)_k (-m)_k (-x)_k / (k! a^(2k)); the weight ratio keeps (-x)_k
     a = point.get("a")
-    terms = []
-    for k in range(min(n, m) + 1):
-        coef = pochhammer(-n, k) * pochhammer(-m, k) * _Q(1, factorial(k)) / a ** (2 * k)
-        t = falling_poch_poly(k) * coef
-        t = t * standard_poly(point, n - k).compose_affine(1, -k)
-        t = t * standard_poly(point, m - k).compose_affine(1, -k)
-        terms.append(t)
-    return terms
+    coef = pochhammer(-n, k) * pochhammer(-m, k) * _Q(1, factorial(k)) / a ** (2 * k)
+    t = falling_poch_poly(k) * coef
+    t = t * standard_poly(point, n - k).compose_affine(1, -k)
+    t = t * standard_poly(point, m - k).compose_affine(1, -k)
+    return t
 
 
-def _build_mp(point, n, m):
+def _term_mp(point, n, m, k):
     lam = point.get("lam")
     u = unit_phase(point.get("phi"))
     two_sin = _Q(2 * u.i, u.d)
-    terms = []
-    for k in range(min(n, m) + 1):
-        coef = (
-            ((-GR_I) ** k) * u.conjugate() ** k * _Q(two_sin ** k) * _Q(1, factorial(k))
-        )
-        t = rising_poch_poly(lam, k, GR_I) * coef
-        t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(
-            1, GR_HALF_I * (-k)
-        )
-        t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(
-            1, GR_HALF_I * (n - k)
-        )
-        terms.append(t)
-    return terms
+    coef = (
+        ((-GR_I) ** k) * u.conjugate() ** k * _Q(two_sin ** k) * _Q(1, factorial(k))
+    )
+    t = rising_poch_poly(lam, k, GR_I) * coef
+    t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(
+        1, GR_HALF_I * (-k)
+    )
+    t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(
+        1, GR_HALF_I * (n - k)
+    )
+    return t
 
 
-def _build_wilson(point, n, m):
-    vals = [point.get(k) for k in ("a", "b", "c", "d")]
+def _term_wilson(point, n, m, k):
+    vals = [point.get(name) for name in ("a", "b", "c", "d")]
     s1 = sum(vals)
-    terms = []
-    for k in range(min(n, m) + 1):
-        coef = (
-            pochhammer(-n, k) * pochhammer(-m, k)
-            * pochhammer(m + s1 + 2 * n - 1, k) * _Q(1, factorial(k))
-        )
-        prod = Poly.one()
-        for e in vals:
-            prod = prod * rising_poch_poly(e, k, GR_I)
-        t = prod * coef
-        t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(1, GR_HALF_I * (-k))
-        t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(
-            1, GR_HALF_I * (n - k)
-        )
-        terms.append(t)
-    return terms
+    coef = (
+        pochhammer(-n, k) * pochhammer(-m, k)
+        * pochhammer(m + s1 + 2 * n - 1, k) * _Q(1, factorial(k))
+    )
+    prod = Poly.one()
+    for e in vals:
+        prod = prod * rising_poch_poly(e, k, GR_I)
+    t = prod * coef
+    t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(1, GR_HALF_I * (-k))
+    t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(
+        1, GR_HALF_I * (n - k)
+    )
+    return t
 
 
 def _bqj_coef(a, b, c, q, n, m, k):
@@ -287,27 +265,21 @@ def _bqj_coef(a, b, c, q, n, m, k):
     return num * den.inverse() * ((a * c) ** k * q ** (k * (k + n + 2)))
 
 
-def _build_bqj_Tq(point, n, m):
-    a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
-    terms = []
-    for k in range(min(n, m) + 1):
-        t = q_poch_poly(1, q, k) * q_poch_poly(b / c, q, k) * _bqj_coef(a, b, c, q, n, m, k)
-        t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(q ** k, 0)
-        t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(q ** k, 0)
-        terms.append(t)
-    return terms
+def _term_bqj_Tq(point, n, m, k):
+    a, b, c, q = (point.get(name) for name in ("a", "b", "c", "q"))
+    t = q_poch_poly(1, q, k) * q_poch_poly(b / c, q, k) * _bqj_coef(a, b, c, q, n, m, k)
+    t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(q ** k, 0)
+    t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(q ** k, 0)
+    return t
 
 
-def _build_bqj_I(point, n, m):
-    a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
-    terms = []
-    for k in range(min(n, m) + 1):
-        qmk = _Q(1) / q ** k
-        t = q_poch_poly(qmk / a, q, k) * q_poch_poly(qmk / c, q, k) * _bqj_coef(a, b, c, q, n, m, k)
-        t = t * standard_poly(shifted_point(point, k), n - k)
-        t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(q ** n, 0)
-        terms.append(t)
-    return terms
+def _term_bqj_I(point, n, m, k):
+    a, b, c, q = (point.get(name) for name in ("a", "b", "c", "q"))
+    qmk = _Q(1) / q ** k
+    t = q_poch_poly(qmk / a, q, k) * q_poch_poly(qmk / c, q, k) * _bqj_coef(a, b, c, q, n, m, k)
+    t = t * standard_poly(shifted_point(point, k), n - k)
+    t = t * standard_poly(shifted_point(point, n + k), m - k).compose_affine(q ** n, 0)
+    return t
 
 
 def _aw_ratio_factor(vals, q, k) -> Laurent:
@@ -316,37 +288,34 @@ def _aw_ratio_factor(vals, q, k) -> Laurent:
     return Laurent.from_poly(product(1, *factors), -2 * k)
 
 
-def _build_aw_vals(point, vals, n, m):
+def _term_aw_vals(point, vals, n, m, k):
     p = point.get("p")
     q = p * p
     a, b, c, d = vals
-    terms = []
     qn = _Q(1) / q ** n
     qm = _Q(1) / q ** m
     abcd = a * b * c * d
-    for k in range(min(n, m) + 1):
-        coef = (
-            q_pochhammer(qn, q, k) * q_pochhammer(qm, q, k) * q_pochhammer(abcd * q ** (2 * n + m - 1), q, k)
-            * q_pochhammer(q, q, k).inverse()
-        )
-        # q^(-k^2 + k + nm/2 + km/2 + nk), integral in the base p
-        coef = coef * GaussianRational.coerce(p) ** (
-            -2 * k * k + 2 * k + n * m + k * m + 2 * n * k
-        )
-        t = _aw_ratio_factor(vals, q, k) * coef
-        t = t * aw_eta(standard_poly(shifted_point(point, k), n - k), p, k)
-        t = t * aw_eta(standard_poly(shifted_point(point, n + k), m - k), p, k - n)
-        terms.append(t)
-    return terms
+    coef = (
+        q_pochhammer(qn, q, k) * q_pochhammer(qm, q, k) * q_pochhammer(abcd * q ** (2 * n + m - 1), q, k)
+        * q_pochhammer(q, q, k).inverse()
+    )
+    # q^(-k^2 + k + nm/2 + km/2 + nk), integral in the base p
+    coef = coef * GaussianRational.coerce(p) ** (
+        -2 * k * k + 2 * k + n * m + k * m + 2 * n * k
+    )
+    t = _aw_ratio_factor(vals, q, k) * coef
+    t = t * aw_eta(standard_poly(shifted_point(point, k), n - k), p, k)
+    t = t * aw_eta(standard_poly(shifted_point(point, n + k), m - k), p, k - n)
+    return t
 
 
-def _build_aw(point, n, m):
-    return _build_aw_vals(point, [point.get(k) for k in ("a", "b", "c", "d")], n, m)
+def _term_aw(point, n, m, k):
+    return _term_aw_vals(point, [point.get(name) for name in ("a", "b", "c", "d")], n, m, k)
 
 
-def _build_cqh(point, n, m):
+def _term_cqh(point, n, m, k):
     # Askey-Wilson's expansion at a = b = c = d = 0
-    return _build_aw_vals(point, [_Q(0)] * 4, n, m)
+    return _term_aw_vals(point, [_Q(0)] * 4, n, m, k)
 
 
 def _pref_one(n, m):
@@ -364,19 +333,19 @@ def _reg(e: Expansion):
     EXPANSIONS[e.id] = e
 
 
-_reg(Expansion("hermite-expansion", "hermite", "", _build_hermite, _pref_one))
-_reg(Expansion("laguerre-expansion", "laguerre", "", _build_laguerre, _pref_binom))
-_reg(Expansion("jacobi-expansion", "jacobi", "", _build_jacobi, _pref_binom))
-_reg(Expansion("meixner-expansion-eta1", "meixner", "eta1", _build_meixner_eta1, _pref_one))
-_reg(Expansion("meixner-expansion-etaS", "meixner", "etaS", _build_meixner_etaS, _pref_one))
-_reg(Expansion("charlier-expansion-eta1", "charlier", "eta1", _build_charlier_eta1, _pref_one))
-_reg(Expansion("charlier-expansion-etaS", "charlier", "etaS", _build_charlier_etaS, _pref_one))
-_reg(Expansion("mp-expansion", "meixner-pollaczek", "", _build_mp, _pref_binom))
-_reg(Expansion("wilson-expansion", "wilson", "", _build_wilson, _pref_one))
-_reg(Expansion("bigqjacobi-expansion-Tq", "big-q-jacobi", "Tq", _build_bqj_Tq, _pref_one))
-_reg(Expansion("bigqjacobi-expansion-I", "big-q-jacobi", "I", _build_bqj_I, _pref_one))
-_reg(Expansion("aw-expansion", "askey-wilson", "", _build_aw, _pref_one))
-_reg(Expansion("cqhermite-expansion", "continuous-q-hermite", "", _build_cqh, _pref_one))
+_reg(Expansion("hermite-expansion", "hermite", "", _term_hermite, _pref_one))
+_reg(Expansion("laguerre-expansion", "laguerre", "", _term_laguerre, _pref_binom))
+_reg(Expansion("jacobi-expansion", "jacobi", "", _term_jacobi, _pref_binom))
+_reg(Expansion("meixner-expansion-eta1", "meixner", "eta1", _term_meixner_eta1, _pref_one))
+_reg(Expansion("meixner-expansion-etaS", "meixner", "etaS", _term_meixner_etaS, _pref_one))
+_reg(Expansion("charlier-expansion-eta1", "charlier", "eta1", _term_charlier_eta1, _pref_one))
+_reg(Expansion("charlier-expansion-etaS", "charlier", "etaS", _term_charlier_etaS, _pref_one))
+_reg(Expansion("mp-expansion", "meixner-pollaczek", "", _term_mp, _pref_binom))
+_reg(Expansion("wilson-expansion", "wilson", "", _term_wilson, _pref_one))
+_reg(Expansion("bigqjacobi-expansion-Tq", "big-q-jacobi", "Tq", _term_bqj_Tq, _pref_one))
+_reg(Expansion("bigqjacobi-expansion-I", "big-q-jacobi", "I", _term_bqj_I, _pref_one))
+_reg(Expansion("aw-expansion", "askey-wilson", "", _term_aw, _pref_one))
+_reg(Expansion("cqhermite-expansion", "continuous-q-hermite", "", _term_cqh, _pref_one))
 
 
 def closed_expansion_residual(identity: str, point: ParamPoint, n: int, m: int):
@@ -388,9 +357,10 @@ def closed_expansion_residual(identity: str, point: ParamPoint, n: int, m: int):
 def expansion_term_gaps(identity: str, point: ParamPoint, n: int, m: int) -> tuple:
     """Each literal k-term minus prefactor * normalization times the engine's k-term.
 
-    The literal sum stops at k = min(n, m); the engine's terms past it must
-    be zero and stand as they are.  All zero means the closed form and the generic engine write
-    the same sum term by term, not merely the same polynomial.
+    The literal k-terms run over the range `Expansion.build` states, k = 0 ..
+    min(n, m); the engine's terms past it must be zero and stand as they are.
+    All zero means the closed form and the generic engine write the same sum
+    term by term, not merely the same polynomial.
     """
     e = EXPANSIONS[identity]
     literal = e.build(point, n, m)

@@ -122,7 +122,7 @@ def _run_modified(ident, family, n, m, rng):
 
 def _run_toda(ident, family, n, m, rng):
     point = sample_point(family, rng)
-    nn = max(flow_index(point, n), 1)
+    nn = flow_index(point, n)
     res = toda_residuals(TODA_SOLUTIONS[family], nn, point)
     return point.as_dict(), {"n_used": str(nn)}, res
 
@@ -130,7 +130,7 @@ def _run_toda(ident, family, n, m, rng):
 def _run_crosscheck(ident, family, n, m, rng):
     point = sample_point(family, rng)
     s = sample_deformation(rng, point)
-    nn = max(flow_index(point, n), 1)
+    nn = flow_index(point, n)
     res = toda_from_recurrence_crosscheck(point, s, nn)
     return point.as_dict(), {**_deformation_record(point, s), "n_used": str(nn)}, res
 

@@ -3,9 +3,9 @@
     c_n' = c_n (b_(n-1) - b_n),      b_n' = c_n - c_(n+1)
 
 and the modified-weight polynomial expansions they come from.  Each
-expansion's build returns only its k-terms; the left side they sum to is
-the standard polynomial of the measure the expansion declares, by default
-the family's e^(-xt) deformation (ModifiedExpansion.lhs).
+expansion declares only its k-th term, and ModifiedExpansion.build states the
+range k = 0 .. n once; the terms sum to the standard polynomial of the measure
+the expansion declares, by default the family's e^(-xt) deformation (ModifiedExpansion.lhs).
 
 Time derivatives are never taken numerically.  Each solution is written in a
 substitution variable v (t itself, u = e^(-t), or T = tan(phi - t/2)), and
@@ -230,9 +230,13 @@ class ModifiedExpansion:
 
     id: str
     family: str
-    build: Callable  # (point, n, s) -> [terms]; s is the deformation scalar or None
+    term: Callable  # (point, n, s, k) -> the k-th term; s is the deformation scalar or None
     measure: Callable = deformed_measure
     scale: Callable | None = None
+
+    def build(self, point: ParamPoint, n: int, s) -> list:
+        """The k-terms, k = 0 .. n."""
+        return [self.term(point, n, s, k) for k in range(n + 1)]
 
     def lhs(self, point: ParamPoint, n: int, s):
         """The image point's standard polynomial read at x -> (x - beta)/alpha, times the scale."""
@@ -244,84 +248,66 @@ class ModifiedExpansion:
         return p if self.scale is None else p * self.scale(point, n)
 
 
-def _build_hermite_toda(point, n, t):
+def _term_hermite_toda(point, n, t, k):
     # H_n(x + t/2) = sum_k t^k binom(n,k) H_(n-k)(x)
     t = _Q(t)
-    terms = []
-    for k in range(n + 1):
-        coef = _Q(binomial(n, k)) * t ** k
-        terms.append(standard_poly(point, n - k) * coef)
-    return terms
+    coef = _Q(binomial(n, k)) * t ** k
+    return standard_poly(point, n - k) * coef
 
 
-def _build_laguerre_toda(point, n, t):
+def _term_laguerre_toda(point, n, t, k):
     # L_n^(nu)(x(1+t)) = sum_k ((-t)^k / k!) x^k L_(n-k)^(nu+k)(x)
     t = _Q(t)
-    terms = []
-    for k in range(n + 1):
-        coef = (-t) ** k / factorial(k)
-        terms.append(Poly.monomial(k, coef) * standard_poly(shifted_point(point, k), n - k))
-    return terms
+    coef = (-t) ** k / factorial(k)
+    return Poly.monomial(k, coef) * standard_poly(shifted_point(point, k), n - k)
 
 
-def _build_meixner_toda_eta1(point, n, u):
+def _term_meixner_toda_eta1(point, n, u, k):
     # M_n(x; beta, cu) = sum_k ((-n)_k (beta+x)_k / (k! (beta)_k)) M_(n-k)(x; beta+k, c) u^-n (1-u)^k
     beta = point.get("beta")
     u = _Q(u)
     un = _Q(1) / u ** n
-    terms = []
-    for k in range(n + 1):
-        coef = pochhammer(-n, k) * (
-            pochhammer(beta, k) * factorial(k)
-        ).inverse() * (un * (1 - u) ** k)
-        terms.append(
-            rising_poch_poly(beta, k) * coef * standard_poly(shifted_point(point, k), n - k)
-        )
-    return terms
+    coef = pochhammer(-n, k) * (
+        pochhammer(beta, k) * factorial(k)
+    ).inverse() * (un * (1 - u) ** k)
+    return (
+        rising_poch_poly(beta, k) * coef * standard_poly(shifted_point(point, k), n - k)
+    )
 
 
-def _build_meixner_toda_etaS(point, n, u):
+def _term_meixner_toda_etaS(point, n, u, k):
     # M_n(x; beta, cu) = sum_k ((-n)_k (-x)_k / (k! (beta)_k c^k)) M_(n-k)(x-k; beta+k, c) (1 - 1/u)^k
     beta, c = point.get("beta"), point.get("c")
     u = _Q(u)
-    terms = []
-    for k in range(n + 1):
-        coef = pochhammer(-n, k) * (
-            pochhammer(beta, k) * factorial(k)
-        ).inverse() * ((1 - 1 / u) ** k / c ** k)
-        terms.append(
-            falling_poch_poly(k) * coef
-            * standard_poly(shifted_point(point, k), n - k).compose_affine(1, -k)
-        )
-    return terms
+    coef = pochhammer(-n, k) * (
+        pochhammer(beta, k) * factorial(k)
+    ).inverse() * ((1 - 1 / u) ** k / c ** k)
+    return (
+        falling_poch_poly(k) * coef
+        * standard_poly(shifted_point(point, k), n - k).compose_affine(1, -k)
+    )
 
 
-def _build_charlier_toda_eta1(point, n, u):
+def _term_charlier_toda_eta1(point, n, u, k):
     # C_n(x; au) = sum_k ((-n)_k / k!) C_(n-k)(x; a) u^-n (1-u)^k
     u = _Q(u)
     un = _Q(1) / u ** n
-    terms = []
-    for k in range(n + 1):
-        coef = pochhammer(-n, k) * _Q(1, factorial(k)) * (un * (1 - u) ** k)
-        terms.append(standard_poly(point, n - k) * coef)
-    return terms
+    coef = pochhammer(-n, k) * _Q(1, factorial(k)) * (un * (1 - u) ** k)
+    return standard_poly(point, n - k) * coef
 
 
-def _build_charlier_toda_etaS(point, n, u):
+def _term_charlier_toda_etaS(point, n, u, k):
     # C_n(x; au) = sum_k ((-n)_k (-x)_k / k!) C_(n-k)(x-k; a) a^-k (1 - 1/u)^k
     a = point.get("a")
     u = _Q(u)
-    terms = []
-    for k in range(n + 1):
-        coef = pochhammer(-n, k) * _Q(1, factorial(k)) * ((1 - 1 / u) ** k / a ** k)
-        terms.append(
-            falling_poch_poly(k) * coef
-            * standard_poly(point, n - k).compose_affine(1, -k)
-        )
-    return terms
+    coef = pochhammer(-n, k) * _Q(1, factorial(k)) * ((1 - 1 / u) ** k / a ** k)
+    return (
+        falling_poch_poly(k) * coef
+        * standard_poly(point, n - k).compose_affine(1, -k)
+    )
 
 
-def _build_mp_toda(point, n, r):
+def _term_mp_toda(point, n, r, k):
     # P_n^(lam)(x; phi - t/2) = sum_k (i^k e^(-ik phi) / k!) (lam + ix)_k
     #     P_(n-k)^(lam+k/2)(x - ki/2; phi) (2 sin(t/2))^k e^(-i t (n-k)/2),
     # with r = tan(t/4) carrying the deformation exactly.
@@ -331,17 +317,14 @@ def _build_mp_toda(point, n, r):
     half_t = unit_phase(r)             # e^(i t/2)
     e_neg_half_t = half_t.conjugate()  # e^(-i t/2)
     two_sin = _Q(2 * half_t.i, half_t.d)  # 2 sin(t/2)
-    terms = []
-    for k in range(n + 1):
-        coef = (GR_I ** k) * u_phi.conjugate() ** k * _Q(1, factorial(k))
-        coef = coef * _Q(two_sin ** k) * e_neg_half_t ** (n - k)
-        terms.append(
-            rising_poch_poly(lam, k, GR_I) * coef
-            * standard_poly(shifted_point(point, k), n - k).compose_affine(
-                1, GR_HALF_I * (-k)
-            )
+    coef = (GR_I ** k) * u_phi.conjugate() ** k * _Q(1, factorial(k))
+    coef = coef * _Q(two_sin ** k) * e_neg_half_t ** (n - k)
+    return (
+        rising_poch_poly(lam, k, GR_I) * coef
+        * standard_poly(shifted_point(point, k), n - k).compose_affine(
+            1, GR_HALF_I * (-k)
         )
-    return terms
+    )
 
 
 def _bq_coef(a, c, q, n, k):
@@ -351,30 +334,24 @@ def _bq_coef(a, c, q, n, k):
     ).inverse()
 
 
-def _build_bqj_to_bql(point, n, s):
+def _term_bqj_to_bql(point, n, s, k):
     # sum_k ((q^-n, x; q)_k / (q, aq, cq; q)_k) (-abq^n)^k q^(k(k+3)/2)
     #     P_(n-k)(x q^k; a q^k, 0, c q^k; q)  =  P_n(x; a, b, c; q)
-    a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
-    terms = []
-    for k in range(n + 1):
-        coef = _bq_coef(a, c, q, n, k) * ((-a * b * q ** n) ** k * q ** (k * (k + 3) // 2))
-        t = q_poch_poly(1, q, k) * coef
-        t = t * big_q_jacobi_poly(a * q ** k, 0, c * q ** k, q, n - k).compose_affine(q ** k, 0)
-        terms.append(t)
-    return terms
+    a, b, c, q = (point.get(name) for name in ("a", "b", "c", "q"))
+    coef = _bq_coef(a, c, q, n, k) * ((-a * b * q ** n) ** k * q ** (k * (k + 3) // 2))
+    t = q_poch_poly(1, q, k) * coef
+    t = t * big_q_jacobi_poly(a * q ** k, 0, c * q ** k, q, n - k).compose_affine(q ** k, 0)
+    return t
 
 
-def _build_bql_inverse(point, n, s):
+def _term_bql_inverse(point, n, s, k):
     # sum_k ((q^-n, x; q)_k / (q, aq, cq; q)_k) (ab)^k q^(k(k+n+1))
     #     P_(n-k)(x q^k; a q^k, b q^k, c q^k; q)  =  P_n(x; a, 0, c; q)
-    a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
-    terms = []
-    for k in range(n + 1):
-        coef = _bq_coef(a, c, q, n, k) * ((a * b) ** k * q ** (k * (k + n + 1)))
-        t = q_poch_poly(1, q, k) * coef
-        t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(q ** k, 0)
-        terms.append(t)
-    return terms
+    a, b, c, q = (point.get(name) for name in ("a", "b", "c", "q"))
+    coef = _bq_coef(a, c, q, n, k) * ((a * b) ** k * q ** (k * (k + n + 1)))
+    t = q_poch_poly(1, q, k) * coef
+    t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(q ** k, 0)
+    return t
 
 
 def _measure_bql_inverse(point, s):
@@ -382,18 +359,15 @@ def _measure_bql_inverse(point, s):
     return make_point("big-q-laguerre", q=q, a=a, c=c), 1, 0
 
 
-def _build_bql_second(point, n, s):
+def _term_bql_second(point, n, s, k):
     # sum_k ((q^-n, xb/c; q)_k / (q, aq, cq; q)_k) (ac)^k q^(k(k+n+1))
     #     P_(n-k)(x q^k; a q^k, b q^k, c q^k; q)
     #   = (c/b)^n ((bq, abq/c; q)_n / (aq, cq; q)_n) P_n(x b/c; b, 0, ab/c; q)
-    a, b, c, q = (point.get(k) for k in ("a", "b", "c", "q"))
-    terms = []
-    for k in range(n + 1):
-        coef = _bq_coef(a, c, q, n, k) * ((a * c) ** k * q ** (k * (k + n + 1)))
-        t = q_poch_poly(b / c, q, k) * coef
-        t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(q ** k, 0)
-        terms.append(t)
-    return terms
+    a, b, c, q = (point.get(name) for name in ("a", "b", "c", "q"))
+    coef = _bq_coef(a, c, q, n, k) * ((a * c) ** k * q ** (k * (k + n + 1)))
+    t = q_poch_poly(b / c, q, k) * coef
+    t = t * standard_poly(shifted_point(point, k), n - k).compose_affine(q ** k, 0)
+    return t
 
 
 def _measure_bql_second(point, s):
@@ -417,19 +391,19 @@ def _reg(e: ModifiedExpansion):
     MODIFIED_EXPANSIONS[e.id] = e
 
 
-_reg(ModifiedExpansion("hermite-toda", "hermite", _build_hermite_toda))
-_reg(ModifiedExpansion("laguerre-toda", "laguerre", _build_laguerre_toda))
-_reg(ModifiedExpansion("meixner-toda-eta1", "meixner", _build_meixner_toda_eta1))
-_reg(ModifiedExpansion("meixner-toda-etaS", "meixner", _build_meixner_toda_etaS))
-_reg(ModifiedExpansion("charlier-toda-eta1", "charlier", _build_charlier_toda_eta1))
-_reg(ModifiedExpansion("charlier-toda-etaS", "charlier", _build_charlier_toda_etaS))
-_reg(ModifiedExpansion("mp-toda", "meixner-pollaczek", _build_mp_toda))
+_reg(ModifiedExpansion("hermite-toda", "hermite", _term_hermite_toda))
+_reg(ModifiedExpansion("laguerre-toda", "laguerre", _term_laguerre_toda))
+_reg(ModifiedExpansion("meixner-toda-eta1", "meixner", _term_meixner_toda_eta1))
+_reg(ModifiedExpansion("meixner-toda-etaS", "meixner", _term_meixner_toda_etaS))
+_reg(ModifiedExpansion("charlier-toda-eta1", "charlier", _term_charlier_toda_eta1))
+_reg(ModifiedExpansion("charlier-toda-etaS", "charlier", _term_charlier_toda_etaS))
+_reg(ModifiedExpansion("mp-toda", "meixner-pollaczek", _term_mp_toda))
 _reg(ModifiedExpansion(
-    "bigqjacobi-to-bigqlaguerre", "big-q-jacobi", _build_bqj_to_bql, lambda point, s: (point, 1, 0)
+    "bigqjacobi-to-bigqlaguerre", "big-q-jacobi", _term_bqj_to_bql, lambda point, s: (point, 1, 0)
 ))
-_reg(ModifiedExpansion("bigqlaguerre-inverse", "big-q-jacobi", _build_bql_inverse, _measure_bql_inverse))
+_reg(ModifiedExpansion("bigqlaguerre-inverse", "big-q-jacobi", _term_bql_inverse, _measure_bql_inverse))
 _reg(ModifiedExpansion(
-    "bigqlaguerre-second", "big-q-jacobi", _build_bql_second, _measure_bql_second, _scale_bql_second
+    "bigqlaguerre-second", "big-q-jacobi", _term_bql_second, _measure_bql_second, _scale_bql_second
 ))
 
 

@@ -299,7 +299,7 @@ def test_failing_case_gives_error_entry_and_exit_1(tmp_path, monkeypatch):
 
     broken = dataclasses.replace(
         burchnall.EXPANSIONS["hermite-expansion"],
-        build=lambda pt, n, m: (_ for _ in ()).throw(ValueError("inadmissible")),
+        term=lambda pt, n, m, k: (_ for _ in ()).throw(ValueError("inadmissible")),
     )
     monkeypatch.setitem(burchnall.EXPANSIONS, "hermite-expansion", broken)
     out = tmp_path / "r.json"

@@ -3,12 +3,16 @@
 edges of every family's parameter domain."""
 
 import hashlib
+from random import Random
 
 import pytest
 
-from askeykit.algebra import scalar
-from askeykit.cli import SuiteConfig, main, render_report, run_verify
+from askeykit.algebra import rational_str, scalar
+from askeykit.burchnall import EXPANSIONS
+from askeykit.cli import SuiteConfig, _subseed, main, render_report, run_verify
 from askeykit.families import FAMILIES, make_point
+from askeykit.sampling import sample_deformation, sample_point
+from askeykit.toda import MODIFIED_EXPANSIONS
 
 Q = scalar
 EPS = Q(1, 64)
@@ -27,6 +31,10 @@ TODA_SHA256 = {
 }
 # `askeykit list`: every family with its parameters and carrier, every identity
 LIST_SHA256 = "1b6501f6708e4f052661b80d8601b594ba6c3b1f671a9b2ea660fcb0a9e37806"
+# `askeykit expand ID --n 3 [--m 2]` for every identity of both registries, in
+# sorted order, at a point (and deformation scalar) sampled per identity:
+# every k-term of every literal expansion, 171 lines
+EXPAND_ALL_SHA256 = "f241106ab997200c681ad429b507b8724ac1bc9899d737a944eb28a5dacacac9"
 
 
 def test_golden_report_bytes():
@@ -101,6 +109,25 @@ def test_list_output_bytes(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == LIST_SHA256
+
+
+def test_expand_output_bytes(capsys):
+    out = []
+    for ident in sorted({**EXPANSIONS, **MODIFIED_EXPANSIONS}):
+        classical = ident in EXPANSIONS
+        e = EXPANSIONS.get(ident) or MODIFIED_EXPANSIONS[ident]
+        rng = Random(_subseed(7, f"expand/{ident}"))
+        point = sample_point(e.family, rng)
+        values = point.as_dict()
+        if not classical:
+            s = sample_deformation(rng, point)
+            if s is not None:
+                values[FAMILIES[e.family].deformation.scalar.name] = s
+        params = [a for name, v in values.items() for a in ("--param", f"{name}={rational_str(v)}")]
+        m = ["--m", "2"] if classical else []
+        assert main(["expand", ident, "--n", "3", *m, *params]) == 0
+        out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == EXPAND_ALL_SHA256
 
 
 # An interior point of each family; each row below moves one parameter.

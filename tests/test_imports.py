@@ -24,6 +24,10 @@
   object itself.
 * Every module-level private function or class is named somewhere in the
   package, so a helper left behind by a refactor does not linger unseen.
+* The literal transcriptions stay independent of the generic engine: no
+  expansion's k-th term, nor any module-level function it reaches, names a
+  raising chain, an operator or a normalization, since their agreement with
+  the engine is the test.
 """
 
 import ast
@@ -38,8 +42,10 @@ import pytest
 
 import askeykit
 from askeykit import ops
+from askeykit.burchnall import EXPANSIONS
 from askeykit.families import FAMILIES
 from askeykit.sampling import sample_point
+from askeykit.toda import MODIFIED_EXPANSIONS
 
 MODULES = ["askeykit"] + sorted(
     f"askeykit.{info.name}" for info in pkgutil.iter_modules(askeykit.__path__)
@@ -178,3 +184,36 @@ def test_every_private_function_has_a_caller():
             elif isinstance(node, ast.alias):
                 named.update({node.name, node.asname})
     assert [entry for entry in defined if entry[1] not in named] == []
+
+
+ENGINE_NAMES = {
+    "raise_chain", "apply_chain", "operational_terms", "raising_operator",
+    "op_spec", "weight_step", "ladder", "normalization",
+}
+
+
+def _names_reached(fn) -> set:
+    """Every Name and Attribute named in fn and in the module-level functions
+    of its module that it reaches by name."""
+    with open(inspect.getsourcefile(fn), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, seen, names = [fn.__name__], {fn.__name__}, set()
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        reached = {n for n in names if n in defs} - seen
+        seen |= reached
+        todo += reached
+    return names
+
+
+def test_literal_transcriptions_never_reach_the_engine():
+    reached = {
+        e.id: sorted(_names_reached(e.term) & ENGINE_NAMES)
+        for e in [*EXPANSIONS.values(), *MODIFIED_EXPANSIONS.values()]
+    }
+    assert {ident: names for ident, names in reached.items() if names} == {}
