@@ -11,13 +11,16 @@ positive denominator d with gcd(r, i, d) = 1 (the fmpq layout, extended to
 Q(i)); real products cross-cancel before they multiply, so they need no
 final gcd.  A Poly keeps integer numerators for the real and imaginary
 parts of its coefficients over one shared positive denominator, in a
-canonical form (content 1, top coefficient nonzero), so products, sums,
-affine substitutions and exact division run on Python ints and cancel
-common factors once per result instead of once per coefficient.  A Laurent
-polynomial wraps a Poly body and uses the same kernels; its subclass
-SymLaurent only marks one whose z <-> 1/z symmetry was checked when it was
-made, by one palindrome test on the integer numerators.  Coefficients are
-turned back into GaussianRational values only where they are read.
+canonical form (content 1, top coefficient nonzero), so products, sums
+and affine substitutions run on Python ints and cancel common factors once
+per result instead of once per coefficient.  The operators divide in their
+own integer kernels, so Poly.exact_div is plain long division over Q(i): it
+serves only cold paths, such as the lowest terms `askeykit toda` prints.
+A Laurent polynomial wraps a Poly body and uses the same kernels; its
+subclass SymLaurent only marks one whose z <-> 1/z symmetry was checked
+when it was made, by one palindrome test on the integer numerators.
+Coefficients are turned back into GaussianRational values only where they
+are read.
 
 A difference operator is a DifferenceOperator: a list of taps, each a
 multiplier polynomial times the identity, d/dx or a substitution
@@ -730,61 +733,14 @@ class Poly:
             self.den,
         )
 
-    def _divmod(self, other: "Poly") -> tuple:
-        """Quotient and remainder by pseudo-division on integer numerators.
-
-        A complex lead of the divisor is made real first by multiplying both
-        sides by its conjugate c.  With L the (real) lead and k the number of
-        quotient terms, |L|^k c N = Q' (c D) + R' has integer Q', R', and every
-        step divides the top coefficient by L exactly.
-        """
+    def exact_div(self, other: "Poly") -> "Poly":
+        """Exact quotient by long division; a nonzero remainder is a correctness tripwire."""
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        nr, ni, dr, di = self.re, self.im, other.re, other.im
-        d = len(dr) - 1
-        cr, ci = 1, 0
-        if di is not None and di[d]:
-            cr, ci = dr[d], -di[d]
-            nr, ni = _cmul(nr, ni, (cr,), (ci,))
-            dr, di = _cmul(dr, di, (cr,), (ci,))
-        lead = dr[d]
-        k = max(len(nr) - d, 0)
-        lk = abs(lead) ** k
-        nr = [c * lk for c in nr]
-        if ni is None and di is None:
-            q = [0] * k
-            for i in range(len(nr) - 1, d - 1, -1):
-                t = nr[i]
-                if t:
-                    t //= lead
-                    q[i - d] = t
-                    for j, c in enumerate(dr, i - d):
-                        nr[j] -= t * c
-            qi = ri = None
-        else:
-            ni = [c * lk for c in ni] if ni is not None else [0] * len(nr)
-            di = di or (0,) * (d + 1)
-            q, qi = [0] * k, [0] * k
-            for i in range(len(nr) - 1, d - 1, -1):
-                tr, ti = nr[i], ni[i]
-                if tr or ti:
-                    tr //= lead
-                    ti //= lead
-                    q[i - d], qi[i - d] = tr, ti
-                    for j, (c, s) in enumerate(zip(dr, di), i - d):
-                        nr[j] -= tr * c - ti * s
-                        ni[j] -= tr * s + ti * c
-            ri = ni[:d]
-        den, dd = self.den * lk, other.den
-        quot = _canon([c * dd for c in q], qi and [c * dd for c in qi], den)
-        rem = _canon(nr[:d], ri, den)
-        if rem and ci:
-            rem = rem * _gr(cr, ci, 1).inverse()
-        return quot, rem
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        """Exact quotient; a nonzero remainder is a correctness tripwire."""
-        quot, rem = self._divmod(other)
+        inv, quot, rem = other.lead.inverse(), _P_ZERO, self
+        while rem.degree >= other.degree:
+            term = Poly.monomial(rem.degree - other.degree, rem.lead * inv)
+            quot, rem = quot + term, rem - other * term
         if rem:
             raise ValueError(f"nonzero remainder in exact division: {rem}")
         return quot

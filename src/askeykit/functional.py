@@ -157,7 +157,8 @@ def hankel_determinant(L: MomentFunctional, size: int) -> GaussianRational:
     """det(moments[i+j])_{0<=i,j<size}, by exact Gaussian elimination."""
     if 2 * (size - 1) > L.order:
         raise ValueError("Hankel block exceeds the built moment order")
-    m = [[L.moments[i + j] for j in range(size)] for i in range(size)]
+    moments = L.moments
+    m = [[moments[i + j] for j in range(size)] for i in range(size)]
     det = GR_ONE
     for col in range(size):
         pivot = None
@@ -193,7 +194,7 @@ def gram_offdiagonal(point: ParamPoint, order: int) -> list:
     return out
 
 
-def adjointness_check(point: ParamPoint, n: int, D: int, variant: str | None = None):
+def adjointness_check(point: ParamPoint, n: int, D: int):
     """Integrated adjointness through normalized moment functionals.
 
     For monomial pairs f = x^i, g = x^j with i + j <= D, compares
@@ -223,7 +224,7 @@ def adjointness_check(point: ParamPoint, n: int, D: int, variant: str | None = N
             g = adj(g)
         lowered.append(g)
     monomials = [Poly.monomial(i) for i in range(D + 1)]
-    for i, terms in enumerate(operational_terms(point, n, monomials, variant)):
+    for i, terms in enumerate(operational_terms(point, n, monomials)):
         expansion = term_sum(terms)
         for j in range(D - i + 1):
             lhs = L_base.apply(expansion, j)

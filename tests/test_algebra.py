@@ -354,6 +354,20 @@ def test_kernel_exact_div_tripwire_paths():
         Poly([GR_I, 0, 1]).exact_div(Poly([1, GaussianRational(1, 1)]))  # lead 1 + i
 
 
+def test_division_error_paths():
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        Poly([1, 2]).exact_div(Poly.zero())
+    with pytest.raises(ZeroDivisionError, match="Laurent division by zero"):
+        Laurent(0, [1, 2]).exact_div(Laurent.zero())
+    with pytest.raises(ValueError, match="nonzero remainder"):
+        Laurent(-1, [1, 0, 1]).exact_div(Laurent(0, [1, 1]))
+    # a complex lead divided out through Laurent.exact_div
+    f = Laurent(-2, [1, GR_I, 3])
+    g = Laurent(-1, [2, scalar(1, 3), GR_I])
+    assert (f * g).exact_div(g) == f
+    assert (f * g).exact_div(f) == g
+
+
 def test_kernel_canonical_form_across_routes():
     x = Poly.x()
     pairs = [

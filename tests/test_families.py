@@ -167,85 +167,109 @@ def _big_q_jacobi_recurrence(a, b, c, q):
     return (lambda n: 1 - A(n) - C(n)), (lambda n: A(n - 1) * C(n))
 
 
-def test_recurrence_against_closed_forms():
-    # the monic b_n and c_n of Koekoek, Lesky and Swarttouw, n <= 8, for all
-    # twelve families (Krawtchouk at N = 9)
-    _assert_recurrence(make_point("hermite"), lambda n: 0, lambda n: Q(n, 2))
-    nu = Q(2, 3)
-    _assert_recurrence(make_point("laguerre", nu=nu), lambda n: 2 * n + nu + 1, lambda n: n * (n + nu))
-    a = Q(3, 4)
-    _assert_recurrence(make_point("charlier", a=a), lambda n: n + a, lambda n: n * a)
-    al, be = Q(1, 2), Q(-1, 3)
-
-    def jacobi_b(n):
+def _jacobi_recurrence(al, be):
+    def b(n):
         s = 2 * n + al + be
         return (be ** 2 - al ** 2) / (s * (s + 2)) if n else (be - al) / (al + be + 2)
 
-    def jacobi_c(n):
+    def c(n):
+        # c_1 with the factor n + al + be = s - 1 cancelled: al + be = -1 is admissible
         s = 2 * n + al + be
+        if n == 1:
+            return 4 * (1 + al) * (1 + be) / (s ** 2 * (s + 1))
         return 4 * n * (n + al) * (n + be) * (n + al + be) / (s ** 2 * (s + 1) * (s - 1))
 
-    _assert_recurrence(make_point("jacobi", alpha=al, beta=be), jacobi_b, jacobi_c)
-    b, c = Q(5, 2), Q(1, 3)
-    _assert_recurrence(
-        make_point("meixner", beta=b, c=c),
-        lambda n: (n + (n + b) * c) / (1 - c),
-        lambda n: n * (n + b - 1) * c / (1 - c) ** 2,
-    )
-    p, N = Q(1, 3), 9
-    _assert_recurrence(
-        make_point("krawtchouk", p=p, N=N),
-        lambda n: p * (N - n) + n * (1 - p),
-        lambda n: n * p * (1 - p) * (N + 1 - n),
-    )
-    lam, s = Q(4, 3), Q(2, 5)
-    u = unit_phase(s)
+    return b, c
+
+
+def _meixner_pollaczek_recurrence(lam, phi):
+    u = unit_phase(phi)
     cos, sin = scalar(u.r, u.d), scalar(u.i, u.d)
-    _assert_recurrence(
-        make_point("meixner-pollaczek", lam=lam, phi=s),
-        lambda n: -(n + lam) * cos / sin,
-        lambda n: n * (n + 2 * lam - 1) / (4 * sin ** 2),
-    )
-    p = Q(2, 3)
-    q = p * p
-    _assert_recurrence(make_point("continuous-q-hermite", p=p), lambda n: 0, lambda n: (1 - q ** n) / 4)
-    q, a, b, c = Q(1, 2), Q(1, 3), Q(1, 4), Q(-2, 3)
-    _assert_recurrence(make_point("big-q-jacobi", q=q, a=a, b=b, c=c), *_big_q_jacobi_recurrence(a, b, c, q))
-    _assert_recurrence(make_point("big-q-laguerre", q=q, a=a, c=c), *_big_q_jacobi_recurrence(a, 0, c, q))
-    # Wilson in the variable x^2
-    a, b, c, d = Q(1, 2), Q(1, 3), Q(1, 5), Q(3, 4)
+    return (lambda n: -(n + lam) * cos / sin), (lambda n: n * (n + 2 * lam - 1) / (4 * sin ** 2))
+
+
+def _wilson_recurrence(a, b, c, d):
+    # in the variable x^2
     s = a + b + c + d
 
-    def wilson_A(n):
+    def A(n):
         return (n + s - 1) * (n + a + b) * (n + a + c) * (n + a + d) / ((2 * n + s - 1) * (2 * n + s))
 
-    def wilson_C(n):
+    def C(n):
         return n * (n + b + c - 1) * (n + b + d - 1) * (n + c + d - 1) / ((2 * n + s - 2) * (2 * n + s - 1))
 
-    _assert_recurrence(
-        make_point("wilson", a=a, b=b, c=c, d=d),
-        lambda n: wilson_A(n) + wilson_C(n) - a * a,
-        lambda n: wilson_A(n - 1) * wilson_C(n),
-    )
-    # Askey-Wilson in the variable x = (z + 1/z)/2
-    a, b, c, d, p = Q(1, 3), Q(1, 5), Q(-1, 7), Q(1, 11), Q(2, 3)
+    return (lambda n: A(n) + C(n) - a * a), (lambda n: A(n - 1) * C(n))
+
+
+def _askey_wilson_recurrence(a, b, c, d, p):
+    # in the variable x = (z + 1/z)/2
     q, abcd = p * p, a * b * c * d
 
-    def aw_A(n):
+    def A(n):
         qn, q1 = q ** n, q ** n / q  # q^n, q^(n-1)
         num = (1 - a * b * qn) * (1 - a * c * qn) * (1 - a * d * qn) * (1 - abcd * q1)
         return num / (a * (1 - abcd * qn * q1) * (1 - abcd * qn * qn))
 
-    def aw_C(n):
+    def C(n):
         qn, q1 = q ** n, q ** n / q
         num = a * (1 - qn) * (1 - b * c * q1) * (1 - b * d * q1) * (1 - c * d * q1)
         return num / ((1 - abcd * q1 * q1) * (1 - abcd * qn * q1))
 
-    _assert_recurrence(
-        make_point("askey-wilson", a=a, b=b, c=c, d=d, p=p),
-        lambda n: (a + 1 / a - aw_A(n) - aw_C(n)) / 2,
-        lambda n: aw_A(n - 1) * aw_C(n) / 4,
-    )
+    return (lambda n: (a + 1 / a - A(n) - C(n)) / 2), (lambda n: A(n - 1) * C(n) / 4)
+
+
+# The monic b_n and c_n of Koekoek, Lesky and Swarttouw for all twelve
+# families, each read off a point as the pair (n -> b_n, n -> c_n).
+RECURRENCE_CLOSED_FORMS = {
+    "hermite": lambda g: ((lambda n: 0), (lambda n: Q(n, 2))),
+    "laguerre": lambda g: ((lambda n: 2 * n + g("nu") + 1), (lambda n: n * (n + g("nu")))),
+    "charlier": lambda g: ((lambda n: n + g("a")), (lambda n: n * g("a"))),
+    "jacobi": lambda g: _jacobi_recurrence(g("alpha"), g("beta")),
+    "meixner": lambda g: (
+        (lambda n: (n + (n + g("beta")) * g("c")) / (1 - g("c"))),
+        (lambda n: n * (n + g("beta") - 1) * g("c") / (1 - g("c")) ** 2),
+    ),
+    "krawtchouk": lambda g: (
+        (lambda n: g("p") * (g("N") - n) + n * (1 - g("p"))),
+        (lambda n: n * g("p") * (1 - g("p")) * (g("N") + 1 - n)),
+    ),
+    "meixner-pollaczek": lambda g: _meixner_pollaczek_recurrence(g("lam"), g("phi")),
+    "continuous-q-hermite": lambda g: ((lambda n: 0), (lambda n: (1 - g("p") ** (2 * n)) / 4)),
+    "big-q-jacobi": lambda g: _big_q_jacobi_recurrence(g("a"), g("b"), g("c"), g("q")),
+    "big-q-laguerre": lambda g: _big_q_jacobi_recurrence(g("a"), 0, g("c"), g("q")),
+    "wilson": lambda g: _wilson_recurrence(*map(g, "abcd")),
+    "askey-wilson": lambda g: _askey_wilson_recurrence(*map(g, "abcdp")),
+}
+
+
+def _assert_closed_forms(pt, N=8):
+    _assert_recurrence(pt, *RECURRENCE_CLOSED_FORMS[pt.family](pt.get), N)
+
+
+def test_recurrence_against_closed_forms():
+    # n <= 8 at one fixed point per family (Krawtchouk at N = 9)
+    _assert_closed_forms(make_point("hermite"))
+    _assert_closed_forms(make_point("laguerre", nu=Q(2, 3)))
+    _assert_closed_forms(make_point("charlier", a=Q(3, 4)))
+    _assert_closed_forms(make_point("jacobi", alpha=Q(1, 2), beta=Q(-1, 3)))
+    _assert_closed_forms(make_point("meixner", beta=Q(5, 2), c=Q(1, 3)))
+    _assert_closed_forms(make_point("krawtchouk", p=Q(1, 3), N=9))
+    _assert_closed_forms(make_point("meixner-pollaczek", lam=Q(4, 3), phi=Q(2, 5)))
+    _assert_closed_forms(make_point("continuous-q-hermite", p=Q(2, 3)))
+    q, a, b, c = Q(1, 2), Q(1, 3), Q(1, 4), Q(-2, 3)
+    _assert_closed_forms(make_point("big-q-jacobi", q=q, a=a, b=b, c=c))
+    _assert_closed_forms(make_point("big-q-laguerre", q=q, a=a, c=c))
+    _assert_closed_forms(make_point("wilson", a=Q(1, 2), b=Q(1, 3), c=Q(1, 5), d=Q(3, 4)))
+    _assert_closed_forms(make_point("askey-wilson", a=Q(1, 3), b=Q(1, 5), c=Q(-1, 7), d=Q(1, 11), p=Q(2, 3)))
+
+
+def test_recurrence_closed_forms_at_sampled_points():
+    assert set(RECURRENCE_CLOSED_FORMS) == set(FAMILIES)
+    for tag in RECURRENCE_CLOSED_FORMS:
+        rng = Random(f"recurrence/{tag}")
+        for _ in range(3):
+            pt = sample_point(tag, rng)
+            _assert_closed_forms(pt, pt.get("N") - 1 if tag == "krawtchouk" else 10)
 
 
 def test_recurrence_c_nonzero():
