@@ -746,20 +746,17 @@ class Poly:
         return quot
 
     def __repr__(self):
-        if not self.re:
-            return "0"
-        parts = []
-        for k in range(len(self.re) - 1, -1, -1):
-            c = self._coef(k)
-            if not c:
-                continue
-            if k == 0:
-                parts.append(f"{c}")
-            elif k == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{k}")
-        return " + ".join(parts)
+        return _terms_text(self, 0, "x")
+
+
+def _terms_text(body: Poly, low: int, var: str) -> str:
+    """var^low * body as its nonzero terms c*var^k from the top down, joined by " + "; "0" for zero."""
+    parts = []
+    for j in range(len(body.re) - 1, -1, -1):
+        c, k = body._coef(j), low + j
+        if c:
+            parts.append(f"{c}" if k == 0 else f"{c}*{var}" if k == 1 else f"{c}*{var}^{k}")
+    return " + ".join(parts) or "0"
 
 
 _P_ZERO = _poly((), None, 1)
@@ -781,11 +778,11 @@ class DifferenceOperator:
     The multipliers are put over one denominator, with 1/c folded in, when
     the operator is built, so an application runs on integer numerators: one
     raw substitution pass per tap, the tap products summed over one common
-    denominator, one canonical form.  On a real input, with alpha real and
-    1/c real or imaginary, f(alpha*x + conj beta) is the conjugate of
-    A = f(alpha*x + beta), so a declared pair is 2 Re(M A) or 2i Im(M A)
-    for the folded M and A is computed once.  A complex input takes both
-    taps.
+    denominator, one canonical form.  On a real input, with alpha real,
+    f(alpha*x + conj beta) is the conjugate of A = f(alpha*x + beta), so a
+    declared pair whose sum is 2 Re(M A) for the folded M (1/c real and
+    s = 1, or 1/c imaginary and s = -1) is computed from A once.  Any other
+    pair, and a complex input, takes both taps.
     """
 
     __slots__ = ("_taps", "_den", "_e", "_divisor")
@@ -802,11 +799,11 @@ class DifferenceOperator:
             if not sign:
                 flat.append((ps, sub, 0))
                 continue
-            # the folded pair is u M A + s u conj(M A): 2 Re or 2i Im of u M A
-            # when u = 1/c is real (flag s) or imaginary (flag -s)
+            # the folded pair is u M A + s u conj(M A), which is 2 Re(u M A)
+            # when u = 1/c is real and s = 1, or imaginary and s = -1
             s, (alpha, beta) = sign[0], sub
-            fold = 0 if _parts(alpha)[1] or (ur and ui) else -s if ui else s
-            flat.append((ps, sub, fold))
+            fold = not _parts(alpha)[1] and s == (-1 if ui else 1) and not (ur and ui)
+            flat.append((ps, sub, 1 if fold else 0))
             conj = (alpha, GaussianRational.coerce(beta).conjugate())
             flat.append(([(s * r, -s * i, d) for r, i, d in ps], conj, 2 if fold else 0))
         md = lcm(*(d for ps, _, _ in flat for _, _, d in ps))
@@ -852,16 +849,11 @@ class DifferenceOperator:
             else:
                 sr, si = _substitute(fr, fi, *sub)
             s = base ** n
-            if real and pair:
+            if real and pair:  # 2 Re(M A)
                 s *= 2
-                if pair == 1:  # 2 Re(M A)
-                    tr, ti = _conv(sr, mr), None
-                    if mi and si:
-                        tr = _axpy(tr, 1, _conv(si, mi), -1)
-                else:  # 2i Im(M A)
-                    tr, ti = None, _conv(sr, mi) if mi else []
-                    if si:
-                        ti = _axpy(ti, 1, _conv(si, mr), 1)
+                tr, ti = _conv(sr, mr), None
+                if mi and si:
+                    tr = _axpy(tr, 1, _conv(si, mi), -1)
             elif mi is None and len(mr) == 1:  # a real constant scales the sum
                 tr, ti = sr, si
                 s *= mr[0]
@@ -1096,20 +1088,7 @@ class Laurent:
         return f
 
     def __repr__(self):
-        if not self.body:
-            return "0"
-        parts = []
-        for i, c in reversed(list(enumerate(self.coeffs))):
-            if not c:
-                continue
-            k = self.low + i
-            if k == 0:
-                parts.append(f"{c}")
-            elif k == 1:
-                parts.append(f"{c}*z")
-            else:
-                parts.append(f"{c}*z^{k}")
-        return " + ".join(parts)
+        return _terms_text(self.body, self.low, "z")
 
 
 def _shift(p: Poly, k: int) -> Poly:

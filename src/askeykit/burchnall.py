@@ -43,7 +43,6 @@ from .families import (
     ParamPoint,
     expand_in_basis,
     falling_poch_poly,
-    hermite_poly,
     make_point,
     normalization,
     q_poch_poly,
@@ -150,7 +149,7 @@ class Expansion:
 
 def _term_hermite(point, n, m, r):
     coef = _Q(binomial(n, r) * binomial(m, r) * (-2) ** r * factorial(r))
-    return hermite_poly(n - r) * hermite_poly(m - r) * coef
+    return standard_poly(point, n - r) * standard_poly(point, m - r) * coef
 
 
 def _term_laguerre(point, n, m, k):
@@ -382,15 +381,13 @@ def feldheim_watson_coefficient(m: int, n: int, r: int) -> int:
 
 def hermite_linearization_oracle(m: int, n: int) -> tuple:
     """Coefficients of H_(m+n-2r) in H_m H_n, by brute-force basis expansion."""
-    basis = [hermite_poly(j) for j in range(m + n + 1)]
-    coeffs = expand_in_basis(hermite_poly(m) * hermite_poly(n), basis)
+    h = make_point("hermite")
+    basis = [standard_poly(h, j) for j in range(m + n + 1)]
+    coeffs = expand_in_basis(basis[m] * basis[n], basis)
     out = []
     for j, cf in enumerate(coeffs):
-        if (m + n - j) % 2 == 1:
-            if cf:
-                raise AssertionError("Hermite product expansion hit a parity-violating term")
-        elif j > m + n:
-            raise AssertionError("expansion degree overflow")
+        if (m + n - j) % 2 == 1 and cf:
+            raise AssertionError("Hermite product expansion hit a parity-violating term")
     for r in range(min(m, n) + 1):
         out.append(coeffs[m + n - 2 * r])
     if any(cf for j, cf in enumerate(coeffs) if j < m + n - 2 * min(m, n)):

@@ -640,10 +640,10 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run identity suites and emit a deterministic report")
     v.add_argument("--families", nargs="*", help="restrict to these family tags")
     v.add_argument("--identities", nargs="*", help="restrict to these identity ids")
-    v.add_argument("--max-n", type=int, default=3, dest="max_n")
-    v.add_argument("--max-m", type=int, default=3, dest="max_m")
-    v.add_argument("--trials", type=int, default=1, help="parameter samples per grid cell")
-    v.add_argument("--seed", type=int, default=1)
+    v.add_argument("--max-n", type=int, default=SuiteConfig.max_n, dest="max_n")
+    v.add_argument("--max-m", type=int, default=SuiteConfig.max_m, dest="max_m")
+    v.add_argument("--trials", type=int, default=SuiteConfig.trials, help="parameter samples per grid cell")
+    v.add_argument("--seed", type=int, default=SuiteConfig.seed)
     v.add_argument("--output", help="write the report here instead of stdout")
     v.add_argument("--format", choices=("json", "markdown"), default="json")
     v.add_argument(

@@ -14,10 +14,16 @@ A family bundles everything the identity engines need:
   * one or more Leibniz "variants", each pairing an operator scheme with the
     weight-ratio polynomial eta^k(w_{nu+k sigma}) / w_nu, given by its
     closed-form step from k to k+1,
-  * the scalar relating the raising chain applied to 1 to the standard
-    (basic) hypergeometric form of the polynomials,
+  * the standard (basic) hypergeometric form of the polynomials, and the
+    scalar relating the raising chain applied to 1 to it,
   * for the six lattice families, the image of the weight deformation
     w(x) -> e^(-xt) w(x).
+
+Every one of these facts, the closed forms included, is a function of the
+parameter point (`ParamPoint`), which reads its parameters off itself: a
+form is read at any values as standard_poly(make_point(tag, **values), n),
+Gaussian-rational values included, and no function takes the raw
+parameters instead.
 
 A family that is another with some parameters set to zero is declared by
 _specialization, which reads every fact but the shift from the parent at
@@ -80,17 +86,6 @@ __all__ = [
     "recurrence_extract",
     "lowering_constant_check",
     "expand_in_basis",
-    "hermite_poly",
-    "laguerre_poly",
-    "jacobi_poly",
-    "meixner_poly",
-    "charlier_poly",
-    "mp_poly",
-    "wilson_poly",
-    "big_q_jacobi_poly",
-    "askey_wilson_poly",
-    "cq_hermite_poly",
-    "krawtchouk_poly",
 ]
 
 _half = scalar(1, 2)
@@ -200,22 +195,20 @@ class Deformation:
 
     `scalar` names the number carrying t (t itself, u = e^(-t) or
     r = tan(t/4)) and gives its domain, whose bounds read the family's
-    parameters.  The deformed measure is the base measure at the point
-    `params(point, s)` pushed forward by x -> alpha x + beta, where
-    (alpha, beta) = `affine(point, s)`; a family uses one map or the other.
-    The variable of the closed-form lattice flow is read off the image point
-    by its `toda.TodaVariable`.
+    parameters.  `measure(point, s)` is (point', alpha, beta): the deformed
+    measure is the base measure at point' pushed forward by
+    x -> alpha x + beta.  The variable of the closed-form lattice flow is
+    read off the image point by its `toda.TodaVariable`.
     """
 
     scalar: Param
-    params: Callable = lambda point, s: point
-    affine: Callable = lambda point, s: (1, 0)
+    measure: Callable
 
     def image(self, point: ParamPoint, s) -> tuple:
         """(point', alpha, beta) for the deformation scalar s."""
         if not self.scalar.admits(s, point.as_dict()):
             raise ValueError(f"{self.scalar.name}={s} is outside the deformation domain at {point}")
-        return (self.params(point, s), *self.affine(point, s))
+        return self.measure(point, s)
 
 
 @dataclass(frozen=True)
@@ -310,7 +303,7 @@ _Q = scalar
 # closed hypergeometric forms
 # ---------------------------------------------------------------------------
 
-def hermite_poly(n: int) -> Poly:
+def _std_hermite(pt, n: int) -> Poly:
     """H_n(x) = sum_k (-1)^k n! (2x)^(n-2k) / (k! (n-2k)!)."""
     coeffs = [GR_ZERO] * (n + 1)
     sign = 1
@@ -365,7 +358,6 @@ def _rphis(n: int, q, tops, bottoms, z=1, xtops=(), arg=((1,), None, 1), c=1, lo
     and the factor arg prod (1 - s q^j z^e) over the x-parameters s*z^e
     (e = +-1), given as (s, e).  With `low` the result is z^low times the sum.
     """
-    q = _Q(q)
     if q.i:
         raise ValueError(f"the basic hypergeometric forms need a real base, got {q!r}")
     m = 1 + len(bottoms) - len(tops) - len(xtops)
@@ -387,15 +379,15 @@ def _rphis(n: int, q, tops, bottoms, z=1, xtops=(), arg=((1,), None, 1), c=1, lo
     return horner_series(steps, c, low)
 
 
-def laguerre_poly(nu, n: int) -> Poly:
+def _std_laguerre(pt, n: int) -> Poly:
     """L_n^(nu)(x) = ((nu+1)_n / n!) 1F1(-n; nu+1; x)."""
-    nu = _Q(nu)
+    nu = pt.get("nu")
     return _pfq(n, [-n], [nu + 1], arg=((0, 1), None, 1), c=pochhammer(nu + 1, n) * _Q(1, factorial(n)))
 
 
-def jacobi_poly(alpha, beta, n: int) -> Poly:
+def _std_jacobi(pt, n: int) -> Poly:
     """P_n^(alpha,beta)(x) = ((alpha+1)_n / n!) 2F1(-n, n+alpha+beta+1; alpha+1; (1-x)/2)."""
-    alpha, beta = _Q(alpha), _Q(beta)
+    alpha, beta = pt.get("alpha"), pt.get("beta")
     pref = pochhammer(alpha + 1, n) * _Q(1, factorial(n))
     return _pfq(n, [-n, n + alpha + beta + 1], [alpha + 1], arg=((1, -1), None, 2), c=pref)  # (1 - x)/2
 
@@ -405,14 +397,14 @@ def falling_poch_poly(n: int) -> Poly:
     return rising_poch_poly(0, n, -1)
 
 
-def meixner_poly(beta, c, n: int) -> Poly:
+def _std_meixner(pt, n: int) -> Poly:
     """M_n(x; beta, c) = 2F1(-n, -x; beta; 1 - 1/c)."""
-    return _pfq(n, [-n], [beta], 1 - 1 / _Q(c), xtops=[(0, -1)])
+    return _pfq(n, [-n], [pt.get("beta")], 1 - 1 / pt.get("c"), xtops=[(0, -1)])
 
 
-def charlier_poly(a, n: int) -> Poly:
+def _std_charlier(pt, n: int) -> Poly:
     """C_n(x; a) = 2F0(-n, -x; -; -1/a)."""
-    return _pfq(n, [-n], [], -1 / _Q(a), xtops=[(0, -1)])
+    return _pfq(n, [-n], [], -1 / pt.get("a"), xtops=[(0, -1)])
 
 
 def _linear_product(factors, c=1) -> Poly:
@@ -452,12 +444,12 @@ def q_poch_poly(scale, q, k) -> Poly:
     return _linear_product(factors)
 
 
-def mp_poly(lam, phi_s, n: int) -> Poly:
+def _std_mp(pt, n: int) -> Poly:
     """P_n^(lambda)(x; phi) = ((2 lambda)_n / n!) e^(i n phi)
     2F1(-n, lambda + ix; 2 lambda; 1 - e^(-2 i phi)), with phi given by its
     half-angle tangent.  The coefficients combine to real rationals."""
-    lam = _Q(lam)
-    u = unit_phase(phi_s)
+    lam = pt.get("lam")
+    u = unit_phase(pt.get("phi"))
     pref = pochhammer(2 * lam, n) * _Q(1, factorial(n)) * u ** n
     out = _pfq(n, [-n], [2 * lam], GR_ONE - u.conjugate() ** 2, xtops=[(lam, GR_I)], c=pref)
     if not out.is_real:
@@ -465,22 +457,22 @@ def mp_poly(lam, phi_s, n: int) -> Poly:
     return out
 
 
-def wilson_poly(a, b, c, d, n: int) -> Poly:
+def _std_wilson(pt, n: int) -> Poly:
     """W_n(x^2; a,b,c,d) as an even polynomial in x of degree 2n."""
-    a, b, c, d = map(_Q, (a, b, c, d))
+    a, b, c, d = map(pt.get, "abcd")
     pref = pochhammer(a + b, n) * pochhammer(a + c, n) * pochhammer(a + d, n)
     return _pfq(n, [-n, n + a + b + c + d - 1], [a + b, a + c, a + d], xtops=[(a, GR_I), (a, -GR_I)], c=pref)
 
 
-def big_q_jacobi_poly(a, b, c, q, n: int) -> Poly:
+def _std_big_q_jacobi(pt, n: int) -> Poly:
     """P_n(x; a, b, c; q) = 3phi2(q^-n, a b q^(n+1), x; aq, cq; q, q)."""
-    a, b, c, q = map(_Q, (a, b, c, q))
+    a, b, c, q = map(pt.get, "abcq")
     return _rphis(n, q, [q ** -n, a * b * q ** (n + 1)], [a * q, c * q], q, xtops=[(1, 1)])
 
 
-def askey_wilson_poly(a, b, c, d, p, n: int) -> SymLaurent:
+def _std_askey_wilson(pt, n: int) -> SymLaurent:
     """p_n(x; a,b,c,d | q) with q = p^2, as a symmetric Laurent polynomial."""
-    a, b, c, d, p = map(_Q, (a, b, c, d, p))
+    a, b, c, d, p = map(pt.get, "abcdp")
     if not a:
         raise ValueError("the 4phi3 form needs a != 0; use the continuous q-Hermite family")
     q = p * p
@@ -489,17 +481,19 @@ def askey_wilson_poly(a, b, c, d, p, n: int) -> SymLaurent:
     return _rphis(n, q, tops, [a * b, a * c, a * d], q, xtops=[(a, 1), (a, -1)], c=pref, low=0).to_sym()
 
 
-def cq_hermite_poly(p, n: int) -> SymLaurent:
-    """H_n(x | q) = z^-n 2phi0(q^-n, 0; -; q, q^n z^2), q = p^2."""
-    q = _Q(p) ** 2
+def _std_cq_hermite(pt, n: int) -> SymLaurent:
+    """H_n(x | q) = z^-n 2phi0(q^-n, 0; -; q, q^n z^2), q = p^2, in place of the
+    parent's Askey-Wilson 4phi3 form, which needs a != 0."""
+    q = pt.get("p") ** 2
     return _rphis(n, q, [q ** -n, 0], [], q ** n, arg=((0, 0, 1), None, 1), low=-n).to_sym()
 
 
-def krawtchouk_poly(pp, N: int, n: int) -> Poly:
+def _std_krawtchouk(pt, n: int) -> Poly:
     """K_n(x; p, N) = 2F1(-n, -x; -N; 1/p), for n <= N."""
+    N = pt.get("N")
     if n > N:
         raise ValueError("Krawtchouk needs n <= N")
-    return _pfq(n, [-n], [-N], 1 / _Q(pp), xtops=[(0, -1)])
+    return _pfq(n, [-n], [-N], 1 / pt.get("p"), xtops=[(0, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +737,7 @@ def _inv_q(values):
 
 def _krawtchouk_deformed(pt, u):
     p = pt.get("p")
-    return pt.replace(p=p * u / (1 + p * (u - 1)))
+    return pt.replace(p=p * u / (1 + p * (u - 1))), 1, 0
 
 
 FAMILIES: dict = {}
@@ -795,8 +789,8 @@ _register(FamilySpec(
     lowering=_low_derivative,
     adjoint=_adj_neg_derivative,
     normalization=_norm_hermite,
-    standard=lambda pt, n: hermite_poly(n),
-    deformation=Deformation(Param("t", window=(-2, 2)), affine=lambda pt, t: (1, -t / 2)),
+    standard=_std_hermite,
+    deformation=Deformation(Param("t", window=(-2, 2)), measure=lambda pt, t: (pt, 1, -t / 2)),
 ))
 
 _register(FamilySpec(
@@ -808,10 +802,8 @@ _register(FamilySpec(
     lowering=_low_derivative,
     adjoint=_adj_neg_derivative,
     normalization=_norm_laguerre,
-    standard=lambda pt, n: laguerre_poly(pt.get("nu"), n),
-    deformation=Deformation(
-        Param("t", -1, window=(_Q(-3, 4), 2)), affine=lambda pt, t: (1 / (1 + t), 0)
-    ),
+    standard=_std_laguerre,
+    deformation=Deformation(Param("t", -1, window=(_Q(-3, 4), 2)), measure=lambda pt, t: (pt, 1 / (1 + t), 0)),
 ))
 
 _register(FamilySpec(
@@ -823,7 +815,7 @@ _register(FamilySpec(
     lowering=_low_derivative,
     adjoint=_adj_neg_derivative,
     normalization=_norm_jacobi,
-    standard=lambda pt, n: jacobi_poly(pt.get("alpha"), pt.get("beta"), n),
+    standard=_std_jacobi,
 ))
 
 _register(FamilySpec(
@@ -838,10 +830,10 @@ _register(FamilySpec(
     lowering=_low_neg_forward,
     adjoint=_low_neg_forward,
     normalization=_norm_unit,
-    standard=lambda pt, n: meixner_poly(pt.get("beta"), pt.get("c"), n),
+    standard=_std_meixner,
     deformation=Deformation(
         Param("u", 0, lambda v: 1 / v["c"], window=(0, 3)),
-        params=lambda pt, u: pt.replace(c=pt.get("c") * u),
+        measure=lambda pt, u: (pt.replace(c=pt.get("c") * u), 1, 0),
     ),
 ))
 
@@ -857,9 +849,9 @@ _register(FamilySpec(
     lowering=_low_neg_forward,
     adjoint=_low_neg_forward,
     normalization=_norm_unit,
-    standard=lambda pt, n: charlier_poly(pt.get("a"), n),
+    standard=_std_charlier,
     deformation=Deformation(
-        Param("u", 0, window=(0, 3)), params=lambda pt, u: pt.replace(a=pt.get("a") * u)
+        Param("u", 0, window=(0, 3)), measure=lambda pt, u: (pt.replace(a=pt.get("a") * u), 1, 0)
     ),
 ))
 
@@ -872,12 +864,12 @@ _register(FamilySpec(
     lowering=_low_delta_x,
     adjoint=_adj_neg_delta_x,
     normalization=_norm_mp,
-    standard=lambda pt, n: mp_poly(pt.get("lam"), pt.get("phi"), n),
+    standard=_std_mp,
     # r = tan(t/4) keeps phi - t/2 in (0, pi); samples also avoid phi - t/2 = pi/2,
     # the pole of the flow variable T = tan(phi - t/2)
     deformation=Deformation(
         Param("r", lambda v: -1 / v["phi"], lambda v: v["phi"], skip=lambda v: tangent_subtract(v["phi"], 1)),
-        params=lambda pt, r: pt.replace(phi=tangent_subtract(pt.get("phi"), r)),
+        measure=lambda pt, r: (pt.replace(phi=tangent_subtract(pt.get("phi"), r)), 1, 0),
     ),
 ))
 
@@ -890,7 +882,7 @@ _register(FamilySpec(
     lowering=_low_delta_x2,
     adjoint=None,
     normalization=_norm_unit,
-    standard=lambda pt, n: wilson_poly(pt.get("a"), pt.get("b"), pt.get("c"), pt.get("d"), n),
+    standard=_std_wilson,
     carrier=ops.EVEN,
 ))
 
@@ -908,7 +900,7 @@ _register(FamilySpec(
     lowering=_low_qinv,
     adjoint=_low_qinv,
     normalization=_norm_bqj,
-    standard=lambda pt, n: big_q_jacobi_poly(pt.get("a"), pt.get("b"), pt.get("c"), pt.get("q"), n),
+    standard=_std_big_q_jacobi,
 ))
 
 _register(_specialization("big-q-jacobi", {"b": 0}, tag="big-q-laguerre", shift_rule=_sh_mul("q", ("a", "c"))))
@@ -922,7 +914,7 @@ _register(FamilySpec(
     lowering=_low_aw,
     adjoint=None,
     normalization=_norm_aw,
-    standard=lambda pt, n: askey_wilson_poly(pt.get("a"), pt.get("b"), pt.get("c"), pt.get("d"), pt.get("p"), n),
+    standard=_std_askey_wilson,
     carrier=ops.LAURENT,
 ))
 
@@ -931,7 +923,7 @@ _register(_specialization(
     dict.fromkeys("abcd", 0),
     tag="continuous-q-hermite",
     shift_rule=None,
-    standard=lambda pt, n: cq_hermite_poly(pt.get("p"), n),  # the 4phi3 form needs a != 0
+    standard=_std_cq_hermite,
 ))
 
 _register(FamilySpec(
@@ -943,8 +935,8 @@ _register(FamilySpec(
     lowering=_low_neg_forward,
     adjoint=None,
     normalization=_norm_unit,
-    standard=lambda pt, n: krawtchouk_poly(pt.get("p"), pt.get("N"), n),
-    deformation=Deformation(Param("u", 0, window=(0, 3)), params=_krawtchouk_deformed),
+    standard=_std_krawtchouk,
+    deformation=Deformation(Param("u", 0, window=(0, 3)), measure=_krawtchouk_deformed),
     top=lambda pt: pt.get("N"),
 ))
 

@@ -26,9 +26,9 @@ def sample_rational(rng: Random, lo, hi, skip=None) -> GaussianRational:
     """Uniform-ish real rational strictly inside (lo, hi) with small
     numerator/denominator, never equal to `skip`.
 
-    A candidate num/den is tested on integers (den > 0, so lo < num/den is
-    lo_r * den < num * lo_d), and the scalar is built only for the value
-    returned.
+    The numerator is drawn between the strict bounds floor(lo * den) + 1
+    and ceil(hi * den) - 1, computed on integer parts, and the scalar is
+    built only for the value returned.
     """
     lo_r, lo_i, lo_d = _parts(lo)
     hi_r, hi_i, hi_d = _parts(hi)
@@ -43,8 +43,6 @@ def sample_rational(rng: Random, lo, hi, skip=None) -> GaussianRational:
             continue
         num = rng.randrange(num_lo, num_hi + 1)
         if abs(num) > MAX_DEN:
-            continue
-        if not (lo_r * den < num * lo_d and num * hi_d < hi_r * den):
             continue
         if sk is not None and not sk[1] and num * sk[2] == sk[0] * den:
             continue

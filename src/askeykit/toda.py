@@ -41,7 +41,6 @@ from .families import (
     ParamPoint,
     MonicRecurrence,
     deformed_measure,
-    big_q_jacobi_poly,
     falling_poch_poly,
     make_point,
     q_poch_poly,
@@ -340,7 +339,8 @@ def _term_bqj_to_bql(point, n, s, k):
     a, b, c, q = (point.get(name) for name in ("a", "b", "c", "q"))
     coef = _bq_coef(a, c, q, n, k) * ((-a * b * q ** n) ** k * q ** (k * (k + 3) // 2))
     t = q_poch_poly(1, q, k) * coef
-    t = t * big_q_jacobi_poly(a * q ** k, 0, c * q ** k, q, n - k).compose_affine(q ** k, 0)
+    bql = make_point("big-q-laguerre", q=q, a=a, c=c)
+    t = t * standard_poly(shifted_point(bql, k), n - k).compose_affine(q ** k, 0)
     return t
 
 

@@ -35,17 +35,8 @@ from askeykit.families import (
     FamilySpec,
     Param,
     ParamPoint,
-    askey_wilson_poly,
-    big_q_jacobi_poly,
-    charlier_poly,
-    hermite_poly,
-    jacobi_poly,
-    krawtchouk_poly,
-    laguerre_poly,
     lowering_constant_check,
     make_point,
-    meixner_poly,
-    mp_poly,
     normalization,
     q_poch_poly,
     raise_chain,
@@ -53,9 +44,7 @@ from askeykit.families import (
     rising_poch_poly,
     shifted_point,
     standard_poly,
-    cq_hermite_poly,
     falling_poch_poly,
-    wilson_poly,
 )
 from askeykit.sampling import sample_point
 
@@ -73,11 +62,11 @@ def test_chain_first_steps():
 
 
 def test_standard_examples():
-    assert hermite_poly(2) == Poly([-2, 0, 4])
-    assert meixner_poly(Q(2), Q(1, 2), 1)(0) == GaussianRational(1)
-    assert cq_hermite_poly(Q(1, 2), 1).coefficient(1) == GaussianRational(1)
-    assert laguerre_poly(Q(0), 1) == Poly([1, -1])
-    assert krawtchouk_poly(Q(1, 2), 5, 0) == Poly.one()
+    assert standard_poly(make_point("hermite"), 2) == Poly([-2, 0, 4])
+    assert standard_poly(make_point("meixner", beta=Q(2), c=Q(1, 2)), 1)(0) == GaussianRational(1)
+    assert standard_poly(make_point("continuous-q-hermite", p=Q(1, 2)), 1).coefficient(1) == GaussianRational(1)
+    assert standard_poly(make_point("laguerre", nu=Q(0)), 1) == Poly([1, -1])
+    assert standard_poly(make_point("krawtchouk", p=Q(1, 2), N=5), 0) == Poly.one()
 
 
 def test_inadmissible_points_raise():
@@ -326,8 +315,8 @@ def test_weight_ratio_degree_bound():
 def test_jacobi_derivative_relation():
     a, b = Q(1, 3), Q(3, 4)
     n = 3
-    dP = jacobi_poly(a, b, n).derivative()
-    assert dP == jacobi_poly(a + 1, b + 1, n - 1) * Q(n + a + b + 1, 2)
+    dP = standard_poly(make_point("jacobi", alpha=a, beta=b), n).derivative()
+    assert dP == standard_poly(make_point("jacobi", alpha=a + 1, beta=b + 1), n - 1) * Q(n + a + b + 1, 2)
 
 
 def test_charlier_recurrence_crossref():
@@ -474,9 +463,11 @@ def test_q_closed_forms_match_the_pochhammer_forms():
         u = sample_point("askey-wilson", rng).as_dict()
         for n in range(7):
             for bq in ((v["a"], v["b"], v["c"], v["q"], n), (w["a"], 0, w["c"], w["q"], n)):
-                assert big_q_jacobi_poly(*bq) == _big_q_jacobi_by_pochhammers(*bq), bq
+                pt = make_point("big-q-jacobi", **dict(zip("abcq", bq)))
+                assert standard_poly(pt, n) == _big_q_jacobi_by_pochhammers(*bq), bq
             aw = (u["a"], u["b"], u["c"], u["d"], u["p"], n)
-            assert askey_wilson_poly(*aw) == _askey_wilson_by_pochhammers(*aw), (u, n)
+            pt = make_point("askey-wilson", **dict(zip("abcdp", aw)))
+            assert standard_poly(pt, n) == _askey_wilson_by_pochhammers(*aw), (u, n)
 
 
 # The closed forms as the sums of their KLS terms, each term a fresh product
@@ -545,25 +536,19 @@ def _cq_hermite_by_q_binomials(p, n):
     return out.to_sym()
 
 
-# tag: (closed form, its arguments from a point and n, the oracle)
+# tag: (the oracle's arguments from a point's values and n, the oracle)
 _CLOSED_FORMS = {
-    "laguerre": (laguerre_poly, lambda v, n: (v["nu"], n), _laguerre_by_pochhammers),
-    "jacobi": (jacobi_poly, lambda v, n: (v["alpha"], v["beta"], n), _jacobi_by_pochhammers),
-    "meixner": (meixner_poly, lambda v, n: (v["beta"], v["c"], n), _meixner_by_pochhammers),
-    "charlier": (charlier_poly, lambda v, n: (v["a"], n), _charlier_by_pochhammers),
-    "meixner-pollaczek": (mp_poly, lambda v, n: (v["lam"], v["phi"], n), _mp_by_pochhammers),
-    "wilson": (wilson_poly, lambda v, n: (v["a"], v["b"], v["c"], v["d"], n), _wilson_by_pochhammers),
-    "big-q-jacobi": (
-        big_q_jacobi_poly, lambda v, n: (v["a"], v["b"], v["c"], v["q"], n), _big_q_jacobi_by_pochhammers
-    ),
-    "big-q-laguerre": (
-        big_q_jacobi_poly, lambda v, n: (v["a"], 0, v["c"], v["q"], n), _big_q_jacobi_by_pochhammers
-    ),
-    "askey-wilson": (
-        askey_wilson_poly, lambda v, n: (v["a"], v["b"], v["c"], v["d"], v["p"], n), _askey_wilson_by_pochhammers
-    ),
-    "continuous-q-hermite": (cq_hermite_poly, lambda v, n: (v["p"], n), _cq_hermite_by_q_binomials),
-    "krawtchouk": (krawtchouk_poly, lambda v, n: (v["p"], v["N"], n), _krawtchouk_by_pochhammers),
+    "laguerre": (lambda v, n: (v["nu"], n), _laguerre_by_pochhammers),
+    "jacobi": (lambda v, n: (v["alpha"], v["beta"], n), _jacobi_by_pochhammers),
+    "meixner": (lambda v, n: (v["beta"], v["c"], n), _meixner_by_pochhammers),
+    "charlier": (lambda v, n: (v["a"], n), _charlier_by_pochhammers),
+    "meixner-pollaczek": (lambda v, n: (v["lam"], v["phi"], n), _mp_by_pochhammers),
+    "wilson": (lambda v, n: (v["a"], v["b"], v["c"], v["d"], n), _wilson_by_pochhammers),
+    "big-q-jacobi": (lambda v, n: (v["a"], v["b"], v["c"], v["q"], n), _big_q_jacobi_by_pochhammers),
+    "big-q-laguerre": (lambda v, n: (v["a"], 0, v["c"], v["q"], n), _big_q_jacobi_by_pochhammers),
+    "askey-wilson": (lambda v, n: (v["a"], v["b"], v["c"], v["d"], v["p"], n), _askey_wilson_by_pochhammers),
+    "continuous-q-hermite": (lambda v, n: (v["p"], n), _cq_hermite_by_q_binomials),
+    "krawtchouk": (lambda v, n: (v["p"], v["N"], n), _krawtchouk_by_pochhammers),
 }
 
 
@@ -573,10 +558,11 @@ def test_closed_forms_match_their_pochhammer_terms(seed):
     # the ten forms (big q-Jacobi also as big q-Laguerre, b = 0) at sampled
     # points, n <= 10 (Krawtchouk n <= N)
     rng = Random(seed)
-    for tag, (form, args, oracle) in _CLOSED_FORMS.items():
-        v = sample_point(tag, rng).as_dict()
+    for tag, (args, oracle) in _CLOSED_FORMS.items():
+        pt = sample_point(tag, rng)
+        v = pt.as_dict()
         for n in range(min(10, v.get("N", 10)) + 1):
-            assert form(*args(v, n)) == oracle(*args(v, n)), (tag, v, n)
+            assert standard_poly(pt, n) == oracle(*args(v, n)), (tag, v, n)
 
 
 _nonreal = st.builds(
@@ -591,24 +577,26 @@ def test_closed_forms_take_gaussian_parameters(vals, n, seed):
     # non-real parameters take the complex routes of both helpers
     a, b, c, d = vals
     q = sample_point("big-q-jacobi", Random(seed)).get("q")
+    # each point's values in its oracle's argument order
     cases = [
-        (laguerre_poly, (a, n), _laguerre_by_pochhammers),
-        (jacobi_poly, (a, b, n), _jacobi_by_pochhammers),
-        (meixner_poly, (a, b, n), _meixner_by_pochhammers),
-        (charlier_poly, (a, n), _charlier_by_pochhammers),
-        (wilson_poly, (a, b, c, d, n), _wilson_by_pochhammers),
-        (big_q_jacobi_poly, (a, b, c, q, n), _big_q_jacobi_by_pochhammers),
-        (big_q_jacobi_poly, (a, 0, c, q, n), _big_q_jacobi_by_pochhammers),
-        (askey_wilson_poly, (a, b, c, d, q, n), _askey_wilson_by_pochhammers),
+        ("laguerre", {"nu": a}, _laguerre_by_pochhammers),
+        ("jacobi", {"alpha": a, "beta": b}, _jacobi_by_pochhammers),
+        ("meixner", {"beta": a, "c": b}, _meixner_by_pochhammers),
+        ("charlier", {"a": a}, _charlier_by_pochhammers),
+        ("wilson", {"a": a, "b": b, "c": c, "d": d}, _wilson_by_pochhammers),
+        ("big-q-jacobi", {"a": a, "b": b, "c": c, "q": q}, _big_q_jacobi_by_pochhammers),
+        ("big-q-jacobi", {"a": a, "b": 0, "c": c, "q": q}, _big_q_jacobi_by_pochhammers),
+        ("askey-wilson", {"a": a, "b": b, "c": c, "d": d, "p": q}, _askey_wilson_by_pochhammers),
     ]
-    for form, args, oracle in cases:
+    for tag, values, oracle in cases:
+        pt = make_point(tag, **values)
         try:
-            expected = oracle(*args)
+            expected = oracle(*values.values(), n)
         except ZeroDivisionError:  # a bottom parameter met a pole
             with pytest.raises(ZeroDivisionError):
-                form(*args)
+                standard_poly(pt, n)
             continue
-        assert form(*args) == expected, (form.__name__, args)
+        assert standard_poly(pt, n) == expected, pt
 
 
 def _from_sympy(expr, x):
@@ -626,21 +614,22 @@ def test_classical_forms_match_sympy():
     x = sympy.Symbol("x")
     params = [Q(1, 2), Q(-1, 3), Q(7, 4), Q(5), Q(-3, 5)]
     for n in range(11):
-        assert hermite_poly(n) == _from_sympy(sympy.hermite_poly(n, x), x), n
+        assert standard_poly(make_point("hermite"), n) == _from_sympy(sympy.hermite_poly(n, x), x), n
         for nu in params:
             sym = sympy.laguerre_poly(n, x, sympy.Rational(nu.r, nu.d))
-            assert laguerre_poly(nu, n) == _from_sympy(sym, x), (nu, n)
+            assert standard_poly(make_point("laguerre", nu=nu), n) == _from_sympy(sym, x), (nu, n)
         for alpha, beta in zip(params, params[2:] + params[:2]):
             sa, sb = (sympy.Rational(t.r, t.d) for t in (alpha, beta))
             sym = sympy.jacobi_poly(n, sa, sb, x)
-            assert jacobi_poly(alpha, beta, n) == _from_sympy(sym, x), (alpha, beta, n)
+            pt = make_point("jacobi", alpha=alpha, beta=beta)
+            assert standard_poly(pt, n) == _from_sympy(sym, x), (alpha, beta, n)
 
 
 def test_closed_forms_canonicalize_once(monkeypatch):
     # each form sums its series in algebra.horner_series: no Poly built from
     # coefficients, no Poly or Laurent product, one canonical form
     rng = Random(73)
-    points = {tag: sample_point(tag, rng).as_dict() for tag in _CLOSED_FORMS}
+    points = {tag: sample_point(tag, rng) for tag in _CLOSED_FORMS}
     calls = {"init": 0, "mul": 0, "canon": 0}
     canon, init = algebra._canon, Poly.__init__
 
@@ -664,9 +653,9 @@ def test_closed_forms_canonicalize_once(monkeypatch):
         monkeypatch.setattr(cls, "__rmul__", counting(cls.__rmul__))
     monkeypatch.setattr(Poly, "__init__", counting_init)
     monkeypatch.setattr(algebra, "_canon", counting_canon)
-    for tag, (form, args, _) in _CLOSED_FORMS.items():
+    for tag in _CLOSED_FORMS:
         calls.update(init=0, mul=0, canon=0)
-        out = form(*args(points[tag], 3))
+        out = standard_poly(points[tag], 3)
         assert calls == {"init": 0, "mul": 0, "canon": 1}, (tag, calls)
         assert out.degree == (6 if tag == "wilson" else 3), tag
     monkeypatch.undo()
@@ -1043,9 +1032,10 @@ def test_esym_is_the_product_of_linear_factors(vals):
 # and evaluation alone.
 
 _SELF_DUAL = {
-    "charlier": lambda n: charlier_poly(Q(3, 7), n),  # C_n(x; a) = C_x(n; a)
-    "meixner": lambda n: meixner_poly(Q(5, 2), Q(2, 5), n),  # M_n(x; beta, c) = M_x(n; beta, c)
-    "krawtchouk": lambda n: krawtchouk_poly(Q(2, 7), 9, n),  # K_n(x; p, N) = K_x(n; p, N)
+    "charlier": lambda n: standard_poly(make_point("charlier", a=Q(3, 7)), n),  # C_n(x; a) = C_x(n; a)
+    # M_n(x; beta, c) = M_x(n; beta, c)
+    "meixner": lambda n: standard_poly(make_point("meixner", beta=Q(5, 2), c=Q(2, 5)), n),
+    "krawtchouk": lambda n: standard_poly(make_point("krawtchouk", p=Q(2, 7), N=9), n),  # K_n(x; p, N) = K_x(n; p, N)
 }
 
 

@@ -37,7 +37,8 @@ from askeykit.ops import (
     q_derivative_operator,
     translate,
 )
-from askeykit.sampling import sample_rational
+from askeykit.families import FAMILIES
+from askeykit.sampling import sample_point, sample_rational
 
 x = Poly.x()
 
@@ -279,7 +280,9 @@ def tap_lists(draw):
 
 
 # no divisor, and real, imaginary and mixed ones: a declared pair folds into
-# one tap on a real input exactly when 1/c is real or imaginary
+# one tap on a real input exactly when its sum is 2 Re(M A), that is when 1/c
+# is real and the sign is 1 or 1/c is imaginary and the sign is -1; every
+# other pair, of either sign, runs as its two taps
 divisors = st.one_of(
     st.none(), rationals.filter(bool), rationals.filter(bool).map(lambda r: r * GR_I), gaussians.filter(bool)
 )
@@ -307,6 +310,16 @@ def test_difference_operator_matches_its_taps(taps, c, f):
             op(f)
     else:
         assert op(f) == _by_x(num, c)
+
+
+def test_declared_conjugate_pairs_fold():
+    # each declared pair sums to 2 Re(M A), so on a real input it runs as one
+    # tap; unfolded it gives the same values, so no value check sees a lost fold
+    rng = Random(31)
+    paired = [delta_x, delta_x2]
+    for tag in ("meixner-pollaczek", "wilson"):
+        paired.append(FAMILIES[tag].raising_operator(sample_point(tag, rng)))
+    assert [sorted(tap[-1] for tap in op._taps if tap[-1]) for op in paired] == [[1, 2]] * 4
 
 
 def test_difference_operator_remainder_tripwire():

@@ -162,7 +162,7 @@ def test_the_left_side_reads_the_declared_deformation(monkeypatch, ident):
     # the deformation c -> c u is the only record of the Meixner left side,
     # so declaring c -> c u^2 instead must break both expansions
     spec = FAMILIES["meixner"]
-    wrong = dataclasses.replace(spec.deformation, params=lambda pt, u: pt.replace(c=pt.get("c") * u * u))
+    wrong = dataclasses.replace(spec.deformation, measure=lambda pt, u: (pt.replace(c=pt.get("c") * u * u), 1, 0))
     monkeypatch.setitem(FAMILIES, "meixner", dataclasses.replace(spec, deformation=wrong))
     pt = make_point("meixner", beta=Q(1), c=Q(1, 2))
     assert modified_expansion_residual(ident, pt, 1, Q(1, 2)), ident
