@@ -809,12 +809,8 @@ class DifferenceOperator:
         md = lcm(*(d for ps, _, _ in flat for _, _, d in ps))
         prepared = []
         for ps, sub, pair in flat:
-            mr = [r * (md // d) for r, _, d in ps]
-            mi = [i * (md // d) for _, i, d in ps]
-            if ui:
-                mr, mi = [a * ur - b * ui for a, b in zip(mr, mi)], [a * ui + b * ur for a, b in zip(mr, mi)]
-            elif ur != 1:
-                mr, mi = [a * ur for a in mr], [b * ur for b in mi]
+            mr = [(r * ur - i * ui) * (md // d) for r, i, d in ps]
+            mi = [(r * ui + i * ur) * (md // d) for r, i, d in ps]
             while mr and not mr[-1] and not mi[-1]:
                 mr.pop()
                 mi.pop()
@@ -870,8 +866,6 @@ class DifferenceOperator:
                 rem = _reduce(r0, i0, f.den * self._den * self._e ** n) * self._divisor
                 raise ValueError(f"nonzero remainder in exact division: {rem}")
             accr, acci = accr[1:], acci[1:]
-        if len(accr) < len(acci):
-            accr += [0] * (len(acci) - len(accr))
         if not any(acci):
             acci = None
         elif len(acci) < len(accr):
@@ -1192,13 +1186,9 @@ class LaurentOperator:
                 raise ValueError(f"a Laurent tap dilates by p or 1/p, got the power {k}")
             # every multiplier from z^_low up, so the tap products line up
             zeros = [0] * (low - self._low)
-            if ci or any(v for _, v, _ in ps):
-                mr = [u * (md // pd) for u, _, pd in ps]
-                mi = [v * (md // pd) for _, v, pd in ps]
-                mr, mi = [u * cr - v * ci for u, v in zip(mr, mi)], [u * ci + v * cr for u, v in zip(mr, mi)]
-                prepared.append((a, e, zeros + mr, zeros + mi if any(mi) else None))
-            else:
-                prepared.append((a, e, zeros + [u * (md // pd) * cr for u, _, pd in ps], None))
+            mr = [(u * cr - v * ci) * (md // pd) for u, v, pd in ps]
+            mi = [(u * ci + v * cr) * (md // pd) for u, v, pd in ps]
+            prepared.append((a, e, zeros + mr, zeros + mi if any(mi) else None))
         self._taps = tuple(prepared)
         self._den = md * cd
         self._rd = r * d

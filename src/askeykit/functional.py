@@ -7,9 +7,9 @@ p_n = R_nu p_(n-1)(nu+sigma) and the p_(n-1)(nu+sigma), n <= N, span the
 polynomials of degree < N, the chains p_1..p_N span the same space as
 R_nu x^k, k < N; so L is recovered exactly from L[R_nu x^k] = 0 by a
 triangular solve for its moments, with one raising operator and no chain.
-The solve runs fraction-free on integer parts (Bareiss, 1968): the moments
-are Gaussian-integer numerators over one denominator, and the result is the
-moment Poly itself, so applying L is an integer dot product.
+The solve runs fraction-free on integers (Bareiss, 1968): the moments are
+integer numerators over one denominator, and the result is the moment Poly
+itself, so applying L is an integer dot product.
 Total masses are never known, so adjointness across two measures is tested
 through a fitted constant whose constancy over all test pairs is itself the
 assertion.  A functional is built on each call and kept nowhere.
@@ -17,25 +17,26 @@ assertion.  A functional is built on each call and kept nowhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
 from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, _canon, term_sum
-from .families import FAMILIES, ParamPoint, deformed_measure, raise_chain, shifted_point
+from .families import FAMILIES, ParamPoint, deformed_measure, shifted_point
 from .burchnall import operational_terms
 from .toda import MODIFIED_EXPANSIONS
 
 __all__ = [
     "MomentFunctional",
-    "MassRatioWitness",
+    "PAIR_BUDGET",
     "build_functional",
     "hankel_determinant",
-    "gram_offdiagonal",
     "adjointness_check",
     "modified_functional",
     "toda_orthogonality_check",
 ]
+
+PAIR_BUDGET = 6  # adjointness pairs the monomials x^i, x^j with i + j <= PAIR_BUDGET
+
 
 def _dot(a, b) -> int:
     """Sum of a[k] * b[k] over the shorter of two integer sequences."""
@@ -52,15 +53,8 @@ class MomentFunctional:
 
     __slots__ = ("moment_poly", "order")
 
-    def __init__(self, moments: tuple):
-        self.moment_poly = Poly(moments)
-        self.order = len(moments) - 1
-
-    @classmethod
-    def _of(cls, poly: Poly, order: int) -> "MomentFunctional":
-        L = object.__new__(cls)
-        L.moment_poly, L.order = poly, order
-        return L
+    def __init__(self, moment_poly: Poly, order: int):
+        self.moment_poly, self.order = moment_poly, order
 
     @property
     def moments(self) -> tuple:
@@ -79,14 +73,6 @@ class MomentFunctional:
         return GaussianRational.from_parts(re, im, den)
 
 
-@dataclass(frozen=True)
-class MassRatioWitness:
-    """Single fitted constant rho with the number of pairs it survived."""
-
-    rho: GaussianRational
-    samples: int
-
-
 def build_functional(point: ParamPoint, order: int) -> MomentFunctional:
     """Moments of the functional L with L[p_0] = 1 and L[p_j] = 0 for j >= 1.
 
@@ -97,16 +83,18 @@ def build_functional(point: ParamPoint, order: int) -> MomentFunctional:
     solved in O(order^2) integer steps from order applications of one
     operator.
 
-    The moments are Gaussian-integer numerators M_j over one denominator D.
-    With r = R_nu x^k read as Gaussian-integer numerators r_j (its own
-    denominator cancels) and lead L = r_(k+1), the next moment is
-    -S conj(L) / (D |L|^2), S = sum_(j<=k) r_j M_j; for a real L, -S sgn(L)
-    / (D |L|).  The earlier numerators are rescaled by that |L|^2 (or |L|),
-    and since the content of D and the M_j is 1 before the step, one gcd of
-    the scale and the new numerator is all there is to divide out.
-    Orthogonality of the chains themselves is a separate check
-    (gram_offdiagonal).  Nothing is kept: no case asks for the same
-    functional twice.
+    The moments are integer numerators M_j over one denominator D.  With
+    r = R_nu x^k read as integer numerators r_j (its own denominator
+    cancels) and lead L = r_(k+1), the next moment is -S / (D L),
+    S = sum_(j<=k) r_j M_j.  The earlier numerators are rescaled by
+    |L| / gcd(L, S), and since the content of D and the M_j is 1 before the
+    step, that one gcd is all there is to divide out.  The moments are real
+    because an admissible point is real (only real coordinates are ordered)
+    and a raising operator maps a real monomial to a real polynomial, a
+    conjugate pair of taps folding to twice its real part; an image that is
+    not real, or not of degree k + 1, is an error.  Orthogonality of the
+    chains themselves is a separate check (tests/test_functional.py).
+    Nothing is kept: no case asks for the same functional twice.
     """
     spec = FAMILIES[point.family]
     if spec.carrier.variable != Poly.x():
@@ -116,41 +104,20 @@ def build_functional(point: ParamPoint, order: int) -> MomentFunctional:
     if not spec.admissible(point):
         raise ValueError(f"inadmissible parameter point {point}")
     raising = spec.raising_operator(point)
-    mr, mi, den = [1], None, 1  # moment k is (mr[k] + mi[k] i) / den; mi None while all are real
+    moments, den = [1], 1  # moment k is moments[k] / den
     for k in range(order):
         r = raising(Poly.monomial(k))
-        if r.degree != k + 1:
-            raise AssertionError(f"{point.family} raising operator maps x^{k} to degree {r.degree}")
-        rr, ri = r.re, r.im or ()
-        lr, li = rr[-1], ri[-1] if ri else 0
-        sr = _dot(rr, mr)
-        si = _dot(ri, mr)
-        if mi is not None:
-            sr -= _dot(ri, mi)
-            si += _dot(rr, mi)
-        if li:
-            scale = lr * lr + li * li
-            nr, ni = -(sr * lr + si * li), sr * li - si * lr
-        elif lr > 0:
-            scale, nr, ni = lr, -sr, -si
-        else:
-            scale, nr, ni = -lr, sr, si
-        g = gcd(scale, nr, ni)
-        if g != 1:
-            scale //= g
-            nr //= g
-            ni //= g
-        if scale != 1:
-            den *= scale
-            mr = [c * scale for c in mr]
-            if mi is not None:
-                mi = [c * scale for c in mi]
-        mr.append(nr)
-        if mi is not None:
-            mi.append(ni)
-        elif ni:
-            mi = [0] * (k + 1) + [ni]
-    return MomentFunctional._of(_canon(mr, mi, den), order)
+        if r.degree != k + 1 or r.im:
+            raise AssertionError(
+                f"{point.family} raising operator maps x^{k} to {r}, not to a real polynomial of degree {k + 1}"
+            )
+        lead = r.re[-1]
+        s = _dot(r.re, moments)
+        scale = abs(lead) // gcd(lead, s)
+        moments = [m * scale for m in moments]
+        moments.append(-s * scale // lead)
+        den *= scale
+    return MomentFunctional(_canon(moments, None, den), order)
 
 
 def hankel_determinant(L: MomentFunctional, size: int) -> GaussianRational:
@@ -182,41 +149,32 @@ def hankel_determinant(L: MomentFunctional, size: int) -> GaussianRational:
     return det
 
 
-def gram_offdiagonal(point: ParamPoint, order: int) -> list:
-    """All L[p_n p_m], n != m, n+m <= order; each must vanish exactly."""
-    L = build_functional(point, order)
-    out = []
-    for n in range(order + 1):
-        for m in range(n + 1, order - n + 1):
-            pn = raise_chain(point, n)
-            pm = raise_chain(point, m)
-            out.append((n, m, L.apply(pn * pm)))
-    return out
-
-
-def adjointness_check(point: ParamPoint, n: int, D: int):
+def adjointness_check(point: ParamPoint, n: int):
     """Integrated adjointness through normalized moment functionals.
 
-    For monomial pairs f = x^i, g = x^j with i + j <= D, compares
+    For monomial pairs f = x^i, g = x^j with i + j <= D = PAIR_BUDGET, compares
       LHS' = L_nu[(chain expansion of f) * g]   against
       RHS' = L_(nu+n sigma)[f * adj^n g],
     where adj is the family's exact adjoint lowering operator.  Demands
     (a) RHS' = 0 forces LHS' = 0 (in particular every g of degree < n), and
     (b) one constant rho fits LHS' = rho * RHS' across every remaining pair.
 
-    Returns (ok, witness, failures).  Each failure is (i, j, reason, value),
-    where the nonzero value is the stray LHS' or the ratio's drift from rho.
+    Returns (rho, pairs, failures): the fitted constant (0 when no pair fed
+    it), the number of pairs that did, and the failures, empty exactly when
+    the check passes.  Each failure is (i, j, reason, value), where the
+    nonzero value is the stray LHS' or the ratio's drift from rho.
     """
     spec = FAMILIES[point.family]
     if spec.adjoint is None:
         raise ValueError(f"{point.family} has no exact adjoint registered")
     adj = spec.adjoint(point)
+    D = PAIR_BUDGET
     pt_shift = shifted_point(point, n)
     L_base = build_functional(point, D + n)  # expansion * x^j has degree <= D + n
     L_shift = build_functional(pt_shift, D)
     failures = []
     rho = None
-    samples = 0
+    pairs = 0
     lowered = []  # adj^n x^j for j = 0..D
     for j in range(D + 1):
         g = Poly.monomial(j)
@@ -233,12 +191,12 @@ def adjointness_check(point: ParamPoint, n: int, D: int):
                 if lhs:
                     failures.append((i, j, "rhs vanished but lhs did not", lhs))
                 continue
-            samples += 1
+            pairs += 1
             if rho is None:
                 rho = lhs / rhs
             elif lhs != rho * rhs:  # exact, since rhs != 0
                 failures.append((i, j, "mass ratio drifted", lhs / rhs - rho))
-    return (not failures, MassRatioWitness(rho if rho is not None else GR_ZERO, samples), failures)
+    return (rho if rho is not None else GR_ZERO, pairs, failures)
 
 
 def modified_functional(point: ParamPoint, s, order: int, measure=deformed_measure) -> MomentFunctional:
@@ -252,7 +210,7 @@ def modified_functional(point: ParamPoint, s, order: int, measure=deformed_measu
     image, alpha, beta = measure(point, s)
     base = build_functional(image, order)
     x = Poly([beta, alpha])
-    return MomentFunctional(tuple(base.apply(x ** k) for k in range(order + 1)))
+    return MomentFunctional(Poly([base.apply(x ** k) for k in range(order + 1)]), order)
 
 
 def toda_orthogonality_check(identity: str, point: ParamPoint, n: int, s=None) -> list:

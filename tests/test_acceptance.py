@@ -164,11 +164,11 @@ def test_criterion_6_adjointness():
     for tag in fams:
         pt = sample_point(tag, rng)
         for n in (1, 2, 3):
-            ok, witness, fails = adjointness_check(pt, n, 6)
-            if not ok:
+            rho, pairs, fails = adjointness_check(pt, n)
+            if fails:
                 failures.append((tag, n, fails[:1]))
-            if tag == "laguerre" and witness.rho != pochhammer(pt.get("nu") + 1, n):
-                failures.append(("laguerre-rho", n, witness.rho))
+            if tag == "laguerre" and rho != pochhammer(pt.get("nu") + 1, n):
+                failures.append(("laguerre-rho", n, rho))
     _report("criterion 6: integrated adjointness, 7 families, D = 6", not failures, str(failures[:3]) if failures else "")
 
 

@@ -332,9 +332,9 @@ def test_failing_adjointness_names_its_residual(tmp_path, monkeypatch):
 
     real = cli.adjointness_check
 
-    def drifting(point, n, D):
-        _, witness, _ = real(point, n, D)
-        return False, witness, [(0, 1, "mass ratio drifted", scalar(5, 3))]
+    def drifting(point, n):
+        rho, pairs, _ = real(point, n)
+        return rho, pairs, [(0, 1, "mass ratio drifted", scalar(5, 3))]
 
     monkeypatch.setattr(cli, "adjointness_check", drifting)
     out = tmp_path / "r.json"
@@ -346,6 +346,27 @@ def test_failing_adjointness_names_its_residual(tmp_path, monkeypatch):
     case, = json.loads(out.read_text())["cases"]
     assert case["pass"] is False
     assert case["residual_summary"] == "nonzero: 5/3"
+
+
+@pytest.mark.parametrize("kind", ["poly", "laurent"])
+def test_a_polynomial_residual_names_its_leading_term(tmp_path, monkeypatch, kind):
+    # a nonzero Poly or Laurent residual reads as its degree and leading coefficient
+    from askeykit.algebra import Laurent, Poly, scalar
+
+    value, summary = {
+        "poly": (Poly([1, 0, scalar(-2, 3)]), "nonzero, leading term deg 2: -2/3"),
+        "laurent": (Laurent(-1, [3, 0, scalar(5, 2)]), "nonzero, leading term z^1: 5/2"),
+    }[kind]
+    real = cli.adjointness_check
+    monkeypatch.setattr(cli, "adjointness_check", lambda point, n: (*real(point, n)[:2], [(0, 1, "", value)]))
+    out = tmp_path / "r.json"
+    rc = main([
+        "verify", "--identities", "adjointness", "--families", "hermite",
+        "--max-n", "1", "--output", str(out),
+    ])
+    assert rc == 1
+    case, = json.loads(out.read_text())["cases"]
+    assert case["residual_summary"] == summary
 
 
 def test_bad_bounds_usage_error():

@@ -29,7 +29,7 @@ from askeykit.algebra import (
 )
 from askeykit import families, ops
 from askeykit.burchnall import apply_chain, operational_terms
-from askeykit.functional import build_functional
+from askeykit.functional import adjointness_check, build_functional
 from askeykit.families import (
     FAMILIES,
     FamilySpec,
@@ -884,6 +884,79 @@ def test_raising_tripwires():
         wilson(x)
     with pytest.raises(ValueError, match="nonzero remainder"):
         ops.delta_x2(x)
+
+
+def _declare(monkeypatch, tag, **fields):
+    """Replace fields of one family's declaration for the rest of the test."""
+    monkeypatch.setitem(FAMILIES, tag, dataclasses.replace(FAMILIES[tag], **fields))
+
+
+def _keeps_degree(pt):
+    return lambda f: f
+
+
+_BQJ = dict(a=Q(1, 3), b=Q(1, 4), c=Q(-2, 3))
+
+# Raise sites that no sampled case reaches: each row is a call (given
+# monkeypatch, to declare wrong family data where the site needs it), the
+# exception it raises and a fragment of its message.
+FAILURE_PATHS = {
+    "deformation outside its domain": (
+        lambda mp: families.deformed_measure(make_point("laguerre", nu=Q(1, 2)), -2),
+        ValueError, "outside the deformation domain",
+    ),
+    "basic hypergeometric form at a non-real base": (
+        lambda mp: standard_poly(make_point("big-q-jacobi", **_BQJ, q=GaussianRational(Q(1, 2), Q(1, 3))), 2),
+        ValueError, "need a real base",
+    ),
+    "Meixner-Pollaczek at a non-real lambda": (
+        lambda mp: standard_poly(make_point("meixner-pollaczek", lam=GaussianRational(1, 1), phi=Q(2, 5)), 2),
+        AssertionError, "came out non-real",
+    ),
+    "Askey-Wilson at a = 0": (
+        lambda mp: standard_poly(make_point("askey-wilson", a=0, b=Q(1, 2), c=Q(1, 3), d=Q(1, 5), p=Q(1, 2)), 1),
+        ValueError, "needs a != 0",
+    ),
+    "Krawtchouk above N": (
+        lambda mp: standard_poly(make_point("krawtchouk", p=Q(1, 3), N=2), 3),
+        ValueError, "needs n <= N",
+    ),
+    "a raising operator that keeps the degree": (
+        lambda mp: _declare(mp, "hermite", raising=_keeps_degree) or raise_chain(make_point("hermite"), 2),
+        AssertionError, "raising chain degree",
+    ),
+    "a basis missing a degree": (
+        lambda mp: families.expand_in_basis(Poly.monomial(2), [Poly.one(), Poly.x()]),
+        AssertionError, "no basis element of degree 2",
+    ),
+    "a basis with a stray recurrence component": (
+        # p_n = x^n + 1: x p_2 = p_3 + p_1 - 2 p_0
+        lambda mp: _declare(mp, "krawtchouk", standard=lambda pt, n: Poly.monomial(n) + 1 if n else Poly.one())
+        or recurrence_extract(make_point("krawtchouk", p=Q(1, 3), N=5), 3),
+        AssertionError, "x p_2 has a stray p_0 component",
+    ),
+    "a carrier whose monic form is wrong": (
+        # a lift lead of 2 with no lift: monic(p_1) = 2x, so x p_0 = p_1 / 2
+        lambda mp: _declare(mp, "hermite", carrier=ops.Carrier("poly", lead=2))
+        or recurrence_extract(make_point("hermite"), 2),
+        AssertionError, "x p_0 is not monic against p_1",
+    ),
+    "a lowering operator that keeps the degree": (
+        lambda mp: _declare(mp, "hermite", lowering=_keeps_degree) or lowering_constant_check(make_point("hermite"), 2),
+        AssertionError, "lowering did not drop the degree",
+    ),
+    "adjointness for a family with no adjoint": (
+        lambda mp: adjointness_check(make_point("wilson", a=1, b=1, c=1, d=1), 1),
+        ValueError, "no exact adjoint registered",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(FAILURE_PATHS))
+def test_failure_paths_raise_their_errors(monkeypatch, site):
+    call, error, fragment = FAILURE_PATHS[site]
+    with pytest.raises(error, match=fragment):
+        call(monkeypatch)
 
 
 # The Askey-Wilson and continuous q-Hermite raising steps against their
