@@ -148,4 +148,16 @@ ROWS = [
         "        moments.append(s * scale // lead)",
         REPORT,
     ),
+    Row(
+        "horner_sum: each level multiplied by the next step", "algebra.py",
+        "        t, s = terms[k], steps[k]",
+        "        t, s = terms[k], steps[k - 1]",
+        REPORT,
+    ),
+    Row(
+        "horner_sum: a Laurent step's offset left unaligned", "algebra.py",
+        "            t, tlow, s, low = t.body, t.low, s.body, low + s.low",
+        "            t, tlow, s, low = t.body, t.low, s.body, low",
+        REPORT,
+    ),
 ]

@@ -37,7 +37,9 @@ form per application.
 
 The closed hypergeometric forms, series sum_k prod_(j<k) rho_j phi_j with
 Gaussian-integer fractions rho_j and short integer polynomials phi_j, are
-summed by horner_series from the top with one canonical form.
+summed by horner_series from the top with one canonical form.  A sum
+sum_k X_k prod_(j<k) s_j of polynomial terms X_k and steps s_j, the form of
+the raising-chain expansion, is folded the same way by horner_sum.
 
 A point e^(i phi) on the unit circle is an ordinary GaussianRational,
 made by unit_phase from the half-angle tangent tan(phi/2); its inverse is its
@@ -65,6 +67,7 @@ __all__ = [
     "LaurentOperator",
     "product",
     "horner_series",
+    "horner_sum",
     "term_sum",
     "GR_ZERO",
     "GR_ONE",
@@ -927,6 +930,47 @@ def horner_series(steps, c=1, low=None):
     cr, ci, cd = _parts(c)
     body = _canon(*_cmul(pr, pi, (cr,), (ci,) if ci else None), den * cd)
     return body if low is None else _laurent(low - pos, body)
+
+
+def horner_sum(terms, steps):
+    """sum_k terms[k] prod_(j<k) steps[j] by Horner from the top,
+    terms[0] + steps[0] (terms[1] + steps[1] (terms[2] + ...)), with one canonical form.
+
+    The terms and steps are all Poly or all Laurent polynomials; steps[j] is
+    read for j < len(terms) - 1.  Each level multiplies the running integer
+    numerators by its step and adds its term over the common denominator,
+    both padded down to the lower of their Laurent offsets.  No terms sum to
+    the zero Poly.
+    """
+    if not terms:
+        return _P_ZERO
+    laurent = isinstance(terms[0], Laurent)
+    top = terms[-1]
+    b = top.body if laurent else top
+    re, im, den, low = b.re, b.im, b.den, top.low if laurent else 0
+    for k in range(len(terms) - 2, -1, -1):
+        t, s = terms[k], steps[k]
+        if laurent:
+            t, tlow, s, low = t.body, t.low, s.body, low + s.low
+        re, im = _cmul(s.re, s.im, re, im)
+        den *= s.den
+        tr, ti = t.re, t.im
+        if laurent and tlow != low:
+            pad = [0] * abs(tlow - low)
+            if tlow < low:
+                re, im, low = pad + re, im and pad + im, tlow
+            else:
+                tr, ti = pad + list(tr), ti and pad + list(ti)
+        g = gcd(den, t.den)
+        fa, fb = t.den // g, den // g
+        re = _axpy(re, fa, tr, fb)
+        if im is not None or ti is not None:
+            im = _axpy(im or (), fa, ti or (), fb)
+        den *= fa
+    if im is not None:
+        im = list(im) + [0] * (len(re) - len(im))
+    body = _canon(re, im, den)
+    return _laurent(low, body) if laurent else body
 
 
 def _laurent(low: int, body: Poly) -> "Laurent":

@@ -4,7 +4,13 @@ Two layers deliberately coexist:
 
   * a generic engine that evaluates the raising-chain expansion
         chain_n(f) = sum_k alpha(n,k) ratio_k eta^k(p_(n-k)) T_{k,n} f
-    directly from a family's registered data, and
+    directly from a family's registered data.  The k-th term is stated once,
+    as its piece alpha(n,k) eta^k(p_(n-k)) T_{k,n} f and the weight steps
+    with ratio_k = step_0 ... step_(k-1); operational_sum folds the pieces
+    from the top by Horner's rule in the steps,
+        piece_0 + step_0 (piece_1 + step_1 (piece_2 + ...)),
+    and operational_terms multiplies the ratios out for the termwise
+    comparison below, and
 
   * literal transcriptions of the closed-form expansion identities, one
     function per catalogued identity, written straight from the textbook
@@ -20,6 +26,8 @@ the engine must reproduce each literal expansion k-term by k-term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import Callable
 
 from .algebra import (
@@ -31,6 +39,7 @@ from .algebra import (
     Poly,
     binomial,
     factorial,
+    horner_sum,
     pochhammer,
     product,
     q_pochhammer,
@@ -55,6 +64,7 @@ from .ops import aw_eta, ladder
 
 __all__ = [
     "apply_chain",
+    "operational_sum",
     "operational_terms",
     "operational_residual",
     "chain_expansion_residual",
@@ -86,41 +96,64 @@ def apply_chain(point: ParamPoint, n: int, f):
     return out
 
 
-def operational_terms(point: ParamPoint, n: int, fs, variant: str | None = None) -> list:
-    """The n + 1 k-terms of the weight-ratio expansion of the n-step chain, for each f of fs.
+def _pieces(point: ParamPoint, n: int, fs, variant: str | None) -> tuple:
+    """(pieces, steps): for each f of fs its n + 1 pieces alpha(n,k) eta^k(p_(n-k)) T_(k,n) f,
+    and the variant's n weight steps, so that term k of the expansion is piece k times
+    ratio_k = steps[0] ... steps[k-1].
 
-    Term k is alpha(n, k) ratio_k eta^k(p_(n-k)) T_(k,n) f, with ratio_k =
-    eta^k(w_(nu+k sigma)) / w_nu built by one weight step per k.  The pieces
-    that do not depend on f (alpha, ratio_k and the eta-shifted chain) are
-    computed once per k for all of fs; each (k, f) term is one product.
+    The pieces that do not depend on f (alpha and the eta-shifted chain) are
+    computed once per k for all of fs; each (k, f) piece is one product.  A k
+    at which partial^k f = 0 for every f (every k past their degrees) has zero
+    pieces and computes nothing.
     """
     spec = FAMILIES[point.family]
     var = spec.variant(variant) if variant is not None else spec.variants[0]
     op = var.op_spec(point)
     ladders = [ladder(op.partial, f, n) for f in fs]
-    terms = [[] for _ in fs]
-    ratio = spec.carrier.one
-    pt_k = point
+    rows = []  # rows[k][i]: piece k of fs[i]
     for k in range(n + 1):
-        alpha = op.alpha(n, k)
-        eta_p = op.eta(raise_chain(pt_k, n - k), k)
-        for f_terms, f_ladder in zip(terms, ladders):
-            f_terms.append(product(alpha, ratio, eta_p, op.twist(f_ladder[k], k, n)))
-        if k < n:
-            ratio = ratio * var.weight_step(point, k)
-            pt_k = spec.shift(pt_k)
-    return terms
+        hs = [f_ladder[k] for f_ladder in ladders]
+        if any(hs):
+            alpha = op.alpha(n, k)
+            eta_p = op.eta(raise_chain(shifted_point(point, k), n - k), k)
+            hs = [product(alpha, eta_p, op.twist(h, k, n)) for h in hs]
+        rows.append(hs)
+    return list(zip(*rows)), [var.weight_step(point, j) for j in range(n)]
 
 
-def operational_residual(point: ParamPoint, n: int, f, variant: str | None = None):
-    """Chain applied to f minus the weight-ratio expansion; exactly zero."""
-    return apply_chain(point, n, f) - term_sum(operational_terms(point, n, [f], variant)[0])
+def operational_sum(point: ParamPoint, n: int, fs, variant: str | None = None) -> list:
+    """The weight-ratio expansion of the n-step chain applied to each f of fs,
+    its pieces folded from the top by horner_sum in the weight steps."""
+    pieces, steps = _pieces(point, n, fs, variant)
+    return [horner_sum(f_pieces, steps) for f_pieces in pieces]
+
+
+def operational_terms(point: ParamPoint, n: int, fs, variant: str | None = None) -> list:
+    """The n + 1 k-terms of the weight-ratio expansion of the n-step chain, for each f of fs.
+
+    Term k is alpha(n, k) ratio_k eta^k(p_(n-k)) T_(k,n) f: the piece of
+    operational_sum times the weight ratio ratio_k = eta^k(w_(nu+k sigma)) / w_nu,
+    multiplied out from the steps.  It serves the termwise comparison of
+    expansion_term_gaps; the residuals sum the same pieces by operational_sum.
+    """
+    pieces, steps = _pieces(point, n, fs, variant)
+    return [[p[0], *map(mul, accumulate(steps, mul), p[1:])] for p in pieces]
+
+
+def operational_residual(point: ParamPoint, n: int, f, variant: str | None = None, chain=None):
+    """Chain applied to f minus the weight-ratio expansion; exactly zero.
+
+    chain is apply_chain(point, n, f) when the caller has it already.
+    """
+    if chain is None:
+        chain = apply_chain(point, n, f)
+    return chain - operational_sum(point, n, [f], variant)[0]
 
 
 def chain_expansion_residual(point: ParamPoint, n: int, m: int, variant: str | None = None):
     """p_(n+m) minus the expansion with f = p_m at the n-shifted parameters."""
     f = raise_chain(shifted_point(point, n), m)
-    return raise_chain(point, n + m) - term_sum(operational_terms(point, n, [f], variant)[0])
+    return raise_chain(point, n + m) - operational_sum(point, n, [f], variant)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .algebra import (
 from .families import FAMILIES, deformation, make_point
 from .burchnall import (
     EXPANSIONS,
+    apply_chain,
     closed_expansion_residual,
     chain_expansion_residual,
     operational_residual,
@@ -146,7 +147,8 @@ def _run_operational(ident, family, n, m, rng):
     spec = FAMILIES[family]
     point = sample_point(family, rng)
     f = _random_poly(rng, 4, spec.carrier)
-    res = tuple(operational_residual(point, n, f, var.name) for var in spec.variants)
+    chain = apply_chain(point, n, f)
+    res = tuple(operational_residual(point, n, f, var.name, chain) for var in spec.variants)
     return point.as_dict(), {}, res
 
 

@@ -102,7 +102,8 @@ class ParamPoint:
     Everything derived from a point and reused by a case is kept in the
     point's one memo, through `derived`: its successor under the family
     shift, its admissibility verdict, its raising operator, its raising
-    chains and its standard forms.  The memo
+    chains, its standard forms, the lifted parent point of a specialization
+    and Askey-Wilson's product prod (1 + e t) over a, b, c, d.  The memo
     takes no part in equality, hashing or repr.  So the shifted points of a
     case are built once, each datum is computed once per point, and all of
     it is freed with the point; two equal points made separately share
@@ -173,7 +174,9 @@ class Param:
     skip: object = None
 
     def admits(self, v, values: dict) -> bool:
-        if self.integer and not isinstance(v, int):
+        """Whether v lies in the domain; a non-real value never does."""
+        s = _scalar(v)
+        if s is None or s.i or (self.integer and not isinstance(v, int)):
             return False
         lo = _bound(self.lo, values)
         hi = _bound(self.hi, values)
@@ -217,8 +220,8 @@ class Variant:
 
     The weight ratio ratio_k = eta^k(w_(nu+k sigma)) / w_nu is held in step
     form: ratio_0 is the carrier's 1 and ratio_(j+1) = ratio_j *
-    weight_step(point, j), so the k-sum builds every ratio it needs with one
-    product per k.
+    weight_step(point, j), so the k-sum never builds a ratio: it is folded
+    from the top by Horner's rule in the steps (burchnall.operational_sum).
     """
 
     name: str
@@ -570,15 +573,21 @@ def _aw_raise(pt):
     # (B(z) f(pz)/z - z^3 B(1/z) f(z/p)) / (1 - z^2) * (-2/(1 - q)), q = p^2, with
     # B(z) = prod (1 - e z) = 1 - e1 z + e2 z^2 - e3 z^3 + e4 z^4
     p = pt.get("p")
-    e = _linear_product([_factor(1, pt.get(k)) for k in "abcd"])  # prod (1 + e t) = sum_k e_k t^k
+    e = pt.derived("esym", _esym, pt)
     _, e1, e2, e3, e4 = (e.coefficient(k) for k in range(5))
     up = (-1, (1, -e1, e2, -e3, e4))  # B(z)/z
     dn = (-1, (-e4, e3, -e2, e1, -1))  # -z^3 B(1/z)
     return LaurentOperator(p, ((up, 1), (dn, -1)), scale=-2 / (1 - p * p), divisor=(0, (1, 0, -1)))
 
 
+def _esym(pt) -> Poly:
+    """prod (1 + e t) = sum_k e_k t^k over e = a, b, c, d; kept on the point as "esym"."""
+    return _linear_product([_factor(1, pt.get(k)) for k in "abcd"])
+
+
 # weight steps: ratio_k = step_0 * ... * step_(k-1) ----------------------------
-# each step is a constant or one _linear_product, with one canonical form
+# each step is a constant or one _linear_product, with one canonical form; the
+# expansion multiplies its running Horner sum by one step per level
 
 _ONE_MINUS_X2 = Poly([1, 0, -1])
 
@@ -640,8 +649,7 @@ def _step_aw(pt, j):
     qj = p ** (2 * j)
     c = -1 / (p * qj)
     coeffs = []
-    # e_0, e_1, ...: prod (1 + e t) over the nonzero e has full degree
-    for ek in _linear_product([_factor(1, e) for e in map(pt.get, "abcd") if e]).coeffs:
+    for ek in pt.derived("esym", _esym, pt).coeffs:  # e_0 .. e_d, d the number of nonzero e
         coeffs.append(c * ek)
         c = -c * qj
     return Laurent(-2, coeffs)
@@ -756,15 +764,19 @@ def _specialization(parent: str, fixed: dict, **declared) -> FamilySpec:
     their values.
 
     The domain is the parent's without the fixed names.  Every other fact is
-    the parent's, read at the lifted point make_point(parent, **pt, **fixed);
-    `declared` gives the tag, the shift rule and any fact that differs.  The
-    shift rule is never inherited, since the parent's acts on parent points;
-    nor are the deformation and the top.
+    the parent's, read at the lifted point make_point(parent, **pt, **fixed),
+    which is built once per point and kept in its memo as "lift"; `declared`
+    gives the tag, the shift rule and any fact that differs.  The shift rule
+    is never inherited, since the parent's acts on parent points; nor are the
+    deformation and the top.
     """
     spec = FAMILIES[parent]
 
+    def lifted(pt):
+        return make_point(parent, **pt.as_dict(), **fixed)
+
     def lift(fact):
-        return fact and (lambda pt, *args: fact(make_point(parent, **pt.as_dict(), **fixed), *args))
+        return fact and (lambda pt, *args: fact(pt.derived("lift", lifted, pt), *args))
 
     _SPECIALIZATIONS[declared["tag"]] = parent, fixed
     return FamilySpec(**{

@@ -22,7 +22,7 @@ from operator import mul
 
 from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, _canon, term_sum
 from .families import FAMILIES, ParamPoint, deformed_measure, shifted_point
-from .burchnall import operational_terms
+from .burchnall import operational_sum
 from .toda import MODIFIED_EXPANSIONS
 
 __all__ = [
@@ -182,8 +182,7 @@ def adjointness_check(point: ParamPoint, n: int):
             g = adj(g)
         lowered.append(g)
     monomials = [Poly.monomial(i) for i in range(D + 1)]
-    for i, terms in enumerate(operational_terms(point, n, monomials)):
-        expansion = term_sum(terms)
+    for i, expansion in enumerate(operational_sum(point, n, monomials)):
         for j in range(D - i + 1):
             lhs = L_base.apply(expansion, j)
             rhs = L_shift.apply(lowered[j], i)

@@ -232,7 +232,8 @@ DELTA_X2_SPEC = OperatorSpec(
 
 
 # The q-based specs are built on each call; an operational expansion builds
-# its variant's spec once for every f it expands (burchnall.operational_terms).
+# its variant's spec once, with the k-th pieces for every f it expands
+# (burchnall._pieces).
 def qderiv_Tq_spec(q) -> OperatorSpec:
     q = scalar(q)
     return OperatorSpec(

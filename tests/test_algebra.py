@@ -19,6 +19,7 @@ from askeykit.algebra import (
     chebyshev_lift,
     chebyshev_project,
     horner_series,
+    horner_sum,
     pochhammer,
     q_binomial,
     q_pochhammer,
@@ -28,6 +29,7 @@ from askeykit.algebra import (
     unit_phase,
 )
 from askeykit import algebra
+from askeykit.algebra import term_sum
 from askeykit.ops import aw_eta, leibniz_check, operator_catalog
 
 rationals = st.builds(scalar, st.integers(-20, 20), st.integers(1, 12))
@@ -711,6 +713,50 @@ def test_horner_series_matches_the_sum_of_its_terms(drawn, c, low):
     assert type(got) is (Poly if low is None else Laurent)
     assert got == _naive_series(steps, c, low)
     assert_canonical(got if low is None else got.body)
+
+
+# -- the expansion kernel against the multiplied-out terms --
+
+_coefficients = st.lists(st.one_of(st.integers(-5, 5), rationals, gaussians), max_size=5)
+_polys = st.builds(Poly, _coefficients)
+_laurents = st.builds(Laurent, st.integers(-4, 3), _coefficients)
+
+
+@st.composite
+def _horner_inputs(draw):
+    # n >= 1 terms and n - 1 steps, all Poly or all Laurent
+    values, n = draw(st.sampled_from([_polys, _laurents])), draw(st.integers(1, 5))
+    return draw(st.lists(values, min_size=n, max_size=n)), draw(st.lists(values, min_size=n - 1, max_size=n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_horner_inputs())
+def test_horner_sum_matches_the_multiplied_out_terms(drawn):
+    # real and complex Poly with differing denominators, zeros among them,
+    # one term, and Laurent values with differing lows
+    terms, steps = drawn
+    expanded, ratio = [terms[0]], None
+    for t, s in zip(terms[1:], steps):
+        ratio = s if ratio is None else ratio * s
+        expanded.append(t * ratio)
+    got = horner_sum(terms, steps)
+    assert type(got) is (Laurent if isinstance(terms[0], Laurent) else Poly)
+    assert got == term_sum(expanded)
+    assert_canonical(got.body if isinstance(got, Laurent) else got)
+
+
+def test_horner_sum_examples():
+    # 1 + x (2 + x (3)): one step per level, from the top
+    x = Poly.x()
+    assert horner_sum([Poly.one(), Poly.constant(2), Poly.constant(3)], [x, x]) == Poly([1, 2, 3])
+    assert horner_sum([Poly([0, GR_HALF_I])], []) == Poly([0, GR_HALF_I])
+    assert horner_sum([], []) == Poly.zero()
+    # z^-2 steps move the low offset down: 1 + z^-2 (z + z^-2 z^3) = 1 + 2 z^-1
+    zinv2 = Laurent.monomial(-2)
+    got = horner_sum([Laurent.one(), Laurent.monomial(1), Laurent.monomial(3)], [zinv2, zinv2])
+    assert got == Laurent(-1, [2, 1])
+    # a term below the running offset pads the sum instead
+    assert horner_sum([Laurent.monomial(-3), Laurent.one()], [Laurent.one()]) == Laurent(-3, [1, 0, 0, 1])
 
 
 def test_horner_series_examples():

@@ -19,6 +19,7 @@ from askeykit.burchnall import (
     feldheim_watson_coefficient,
     hermite_linearization_oracle,
     operational_residual,
+    operational_sum,
     operational_terms,
     zassenhaus_series_residual,
 )
@@ -68,6 +69,23 @@ def test_the_list_form_expands_each_f_as_its_own_call():
                 got = operational_terms(pt, n, fs, var.name)
                 assert got == expected and all(len(t) == n + 1 for t in got), (tag, var.name, n)
     assert operational_terms(make_point("hermite"), 2, []) == []
+
+
+def test_the_horner_sum_is_the_sum_of_the_terms():
+    # operational_sum folds the pieces by Horner's rule in the weight steps and
+    # operational_terms multiplies the ratios out: the two combiners of the one
+    # k-th term give the same polynomial, for several f at once and n = 0
+    rng = Random(404)
+    for tag, spec in FAMILIES.items():
+        if spec.raising is None:
+            continue
+        pt = sample_point(tag, rng)
+        fs = [_rand_f(rng, tag) for _ in range(2)]
+        for var in spec.variants:
+            for n in range(0, 5):
+                sums = operational_sum(pt, n, fs, var.name)
+                assert sums == [term_sum(t) for t in operational_terms(pt, n, fs, var.name)], (tag, var.name, n)
+    assert operational_sum(make_point("hermite"), 2, []) == []
 
 
 def test_chain_expansion_all_variants():

@@ -543,7 +543,7 @@ def test_every_point_memo_is_reused_by_the_suite(monkeypatch):
     # the counter sees only this process, so every case must run in it
     monkeypatch.setattr(cli, "_worker_count", lambda n_jobs: 1)
     run_verify(SuiteConfig(seed=7, max_n=3, max_m=3))
-    kinds = {"next", "admissible", "raising", "chain", "std"}
+    kinds = {"next", "admissible", "raising", "chain", "std", "lift", "esym"}
     assert set(misses) == kinds
     assert set(hits) == kinds, (hits, misses)
 

@@ -24,11 +24,10 @@ from askeykit.algebra import (
     pochhammer,
     q_pochhammer,
     scalar,
-    term_sum,
     unit_phase,
 )
 from askeykit import families, ops
-from askeykit.burchnall import apply_chain, operational_terms
+from askeykit.burchnall import apply_chain, operational_sum
 from askeykit.functional import adjointness_check, build_functional
 from askeykit.families import (
     FAMILIES,
@@ -75,6 +74,22 @@ def test_inadmissible_points_raise():
         raise_chain(pt, 1)
     with pytest.raises(ValueError):
         raise_chain(make_point("krawtchouk", p=Q(1, 2), N=4), 1)
+
+
+def test_a_non_real_value_is_outside_every_domain():
+    # the domains are real intervals: a non-real coordinate is inadmissible,
+    # never an ordering TypeError, so the engines raise their ValueError
+    for tag, values in (("laguerre", {"nu": 1 + GR_I}), ("charlier", {"a": 1 + GR_I})):
+        pt = make_point(tag, **values)
+        assert not FAMILIES[tag].admissible(pt), tag
+        with pytest.raises(ValueError, match="inadmissible parameter point"):
+            raise_chain(pt, 2)
+        with pytest.raises(ValueError, match="inadmissible parameter point"):
+            build_functional(pt, 2)
+    # the same for a deformation scalar, also where the domain is unbounded (Hermite's t)
+    for tag, values, s in (("charlier", {"a": 1}, 2 + GR_I), ("hermite", {}, GR_I)):
+        with pytest.raises(ValueError, match="outside the deformation domain"):
+            families.deformed_measure(make_point(tag, **values), s)
 
 
 def test_an_integer_parameter_given_as_a_scalar():
@@ -721,7 +736,7 @@ def test_engine_makes_no_fractions(monkeypatch):
     for tag, pt in points.items():
         raise_chain(pt, n)
         for var in FAMILIES[tag].variants:
-            term_sum(operational_terms(pt, n, [inputs[tag]], var.name)[0])
+            operational_sum(pt, n, [inputs[tag]], var.name)
         if FAMILIES[tag].carrier == "poly":
             build_functional(pt, 2 * n)
     monkeypatch.undo()
@@ -761,7 +776,7 @@ def test_a_specialization_shifts_as_its_parent_does():
 
 
 def test_one_case_builds_each_point_datum_once(monkeypatch):
-    # raise_chain, operational_terms for every variant, then apply_chain: one
+    # raise_chain, operational_sum for every variant, then apply_chain: one
     # operational case builds each raising operator and evaluates each
     # domain bound once per point of its lattice
     rng = Random(71)
@@ -789,7 +804,7 @@ def test_one_case_builds_each_point_datum_once(monkeypatch):
         admits[0] = 0
         raise_chain(pt, n)
         for var in spec.variants:
-            term_sum(operational_terms(pt, n, [f], var.name)[0])
+            operational_sum(pt, n, [f], var.name)
         apply_chain(pt, n, f)
         lattice = {}  # id -> first k; an identity shift gives one point
         for k in range(n + 1):

@@ -19,6 +19,7 @@ EPS = Q(1, 64)
 
 GOLDEN_SHA256 = "3340cc8c1b7b2c53861ac7641638a96dce156f4687ab1f46019abbf2bc64d47b"
 DEEP_SHA256 = "dc78c3c28256ea06edaee492f2c250bf9e9cfd2641e86b61a69aa525db222064"
+HELD_OUT_DEEP_SHA256 = "daf8d4b912b681387823e82ef378a7fc7a063280d0a70c305244cc397fbd03d2"
 SUITE_SHA256 = "720f68a2f5d22b50403589ed4534c983e48d07337a704ef732551c918af3f789"
 AW_DEEP_SHA256 = "bc3e9a20c88ed31513869311e84e891ed816d7d51e6602bad99bca848339209c"
 BIG_Q_DEEP_SHA256 = "b82e167f3f32d70c707b0a6c1268001dd47f901fa17529bf7d8042aff6b831a6"
@@ -56,6 +57,18 @@ def test_deep_chain_report_bytes():
     assert report["totals"] == {"cases": 405, "passed": 405, "failed": 0}
     text = render_report(report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == DEEP_SHA256
+
+
+def test_held_out_deep_chain_report_bytes():
+    # `verify --seed 2718 --identities chain-expansion operational leibniz
+    # --max-n 8 --max-m 2`: the deep-chain report at a seed that no other pin samples
+    config = SuiteConfig(
+        seed=2718, identities=["chain-expansion", "operational", "leibniz"], max_n=8, max_m=2
+    )
+    report = run_verify(config)
+    assert report["totals"] == {"cases": 405, "passed": 405, "failed": 0}
+    text = render_report(report, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == HELD_OUT_DEEP_SHA256
 
 
 def test_suite_report_bytes():

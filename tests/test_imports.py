@@ -187,8 +187,8 @@ def test_every_private_function_has_a_caller():
 
 
 ENGINE_NAMES = {
-    "raise_chain", "apply_chain", "operational_terms", "raising_operator",
-    "op_spec", "weight_step", "ladder", "normalization",
+    "raise_chain", "apply_chain", "operational_terms", "operational_sum", "_pieces",
+    "raising_operator", "op_spec", "weight_step", "ladder", "normalization",
 }
 
 
