@@ -160,4 +160,28 @@ ROWS = [
         "            t, tlow, s, low = t.body, t.low, s.body, low",
         REPORT,
     ),
+    Row(
+        "Carrier.power: the shift of a step added once, not j times", "ops.py",
+        "        return self.compose(f, scalar(a) ** j, j * b)",
+        "        return self.compose(f, scalar(a) ** j, b)",
+        REPORT,
+    ),
+    Row(
+        "BACKWARD_ETA1_SPEC: tau shifts x up, not down", "ops.py",
+        "twist_step=(1, -1)",
+        "twist_step=(1, 1)",
+        REPORT,
+    ),
+    Row(
+        "qderiv_I_spec: tau dilates by 1/q, not q", "ops.py",
+        "twist_step=(q, 0)",
+        "twist_step=(1 / q, 0)",
+        REPORT,
+    ),
+    Row(
+        "aw_spec: tau dilates z by p, not 1/p", "ops.py",
+        "twist_step=(1 / p, 0)",
+        "twist_step=(p, 0)",
+        REPORT,
+    ),
 ]

@@ -674,6 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact values are printed whole, past Python's default limit of 4300
+    # digits per integer string (3.10.0 to 3.10.6 have no limit)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

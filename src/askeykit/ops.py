@@ -8,8 +8,8 @@ one canonical form.  The fixed ones are bound at import; D_q is built for
 its base by `q_derivative_operator(q)`, in the q-based specs and the
 families' lowering factories.  The Askey-Wilson divided difference on
 symmetric Laurent polynomials is declared the same way as Laurent taps, an
-algebra.LaurentOperator (`aw_Dq_operator`); its spec's eta and twist are
-Laurent.scale_var dilations, as is `aw_eta`, which the literal
+algebra.LaurentOperator (`aw_Dq_operator`); its spec's steps are dilations
+of z, applied by Laurent.scale_var as `aw_eta` is, which the literal
 transcriptions call.
 
 Every carrier is a declared value too: POLY (polynomials in x), EVEN (even
@@ -21,12 +21,14 @@ Each Leibniz scheme is a factorization
 
     partial^n (f*g) = sum_k alpha(n,k) * eta^k(partial^(n-k) f) * (T_{k,n} g)
 
-with a multiplicative twist eta and T_{k,n} = twist_{k,n} o partial^k, where
-twist_{k,n} is a shift, a dilation or the identity.  So one ladder
-[g, partial g, ..., partial^n g] serves every k.  The schemes without a base
-are constants.  The backward-shift and q-derivative rules admit two
-inequivalent factorizations each, so the catalog carries eight entries over
-six underlying operators.
+with T_{k,n} = tau^(n-k) o partial^k, so one ladder [g, partial g, ...,
+partial^n g] serves every k.  In every scheme eta and tau are affine steps
+x |-> a*x + b with a = 1 or b = 0 (a shift, a dilation or the identity;
+z |-> a*z on the Laurent carrier), and a spec declares alpha and the two
+steps as values: `Carrier.power` applies any power of a step.  The schemes
+without a base are constants.  The backward-shift and q-derivative rules
+admit two inequivalent factorizations each, so the catalog carries eight
+entries over six underlying operators.
 """
 
 from __future__ import annotations
@@ -84,11 +86,16 @@ class Carrier(str):
     of `grade` (x^grade counts as degree 1), put through `lift`.  `one` and
     `variable` are the lifts of 1 and of x^grade, the recurrence variable.
     The lift takes x^d to `lead`^d z^d + ..., which `monic` divides out.
+    `compose(f, a, b)` is f(a*x + b); on the Laurent carrier it is f(a*z)
+    and b is 0.
     """
 
-    def __new__(cls, name: str, grade: int = 1, lift: Callable = lambda f: f, lead=1):
+    def __new__(
+        cls, name: str, grade: int = 1, lift: Callable = lambda f: f, lead=1,
+        compose: Callable = lambda f, a, b: f.compose_affine(a, b),
+    ):
         self = super().__new__(cls, name)
-        self.grade, self.lift, self.lead = grade, lift, scalar(lead)
+        self.grade, self.lift, self.lead, self.compose = grade, lift, scalar(lead), compose
         self.one = lift(Poly.one())
         self.variable = lift(Poly.monomial(grade))
         return self
@@ -105,10 +112,18 @@ class Carrier(str):
         """f scaled so that its x^degree coefficient is 1."""
         return f * (f.lead.inverse() * self.lead ** f.degree)
 
+    def power(self, f, step, j: int):
+        """f under the j-th power of the affine step (a, b), x |-> a^j*x + j*b
+        for a = 1 or b = 0; f itself for j = 0 or the identity step (1, 0)."""
+        a, b = step
+        if not j or (a == 1 and not b):
+            return f
+        return self.compose(f, scalar(a) ** j, j * b)
+
 
 POLY = Carrier("poly")
 EVEN = Carrier("even", grade=2)
-LAURENT = Carrier("laurent", lift=chebyshev_lift, lead=scalar(1, 2))
+LAURENT = Carrier("laurent", lift=chebyshev_lift, lead=scalar(1, 2), compose=lambda f, a, b: f.scale_var(a))
 
 
 def translate(f: Poly, c) -> Poly:
@@ -145,17 +160,26 @@ def aw_Dq_operator(p) -> LaurentOperator:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """One Leibniz factorization: the operator, its twist and its g-side operators.
+    """One Leibniz factorization: the operator, alpha and the affine steps (a, b) of eta and tau.
 
-    T_{k,n} = twist(., k, n) o partial^k: `twist(h, k, n)` is applied to
-    h = partial^k g, so the g side needs no more than one ladder.
+    eta^k is the k-th power of `eta_step` (k may be negative), and
+    T_{k,n} = tau^(n-k) o partial^k is applied to h = partial^k g, so the g
+    side needs no more than one ladder.  The identity step is (1, 0).
     """
 
     partial: Callable
-    eta: Callable  # eta(f, k): k-th power of the twist, k may be negative
     alpha: Callable[[int, int], object]  # alpha(n, k)
-    twist: Callable  # twist(h, k, n) = T_{k,n} g for h = partial^k g
+    eta_step: tuple = (1, 0)
+    twist_step: tuple = (1, 0)
     carrier: Carrier = POLY
+
+    def eta(self, f, k: int):
+        """eta^k f."""
+        return self.carrier.power(f, self.eta_step, k)
+
+    def twist(self, h, k: int, n: int):
+        """T_{k,n} g for h = partial^k g: tau^(n-k) h."""
+        return self.carrier.power(h, self.twist_step, n - k)
 
 
 def ladder(op: Callable, f, n: int) -> list:
@@ -178,97 +202,38 @@ def leibniz_check(spec: OperatorSpec, f, g, n: int):
     return lhs - rhs
 
 
-def _eta_identity(f, k):
-    return f
-
-
-def _twist_identity(h, k, n):
-    return h
-
-
-def _twist_half_i(h, k, n):
-    return translate(h, GR_HALF_I * (n - k))
-
-
-DERIVATIVE_SPEC = OperatorSpec(
-    partial=Poly.derivative,
-    eta=_eta_identity,
-    alpha=binomial,
-    twist=_twist_identity,
-)
+DERIVATIVE_SPEC = OperatorSpec(Poly.derivative, binomial)
 
 # nabla^n(fg) = sum binom(n,k) (nabla^(n-k) f) (S^(n-k) nabla^k g), S f = f(x-1)
-BACKWARD_ETA1_SPEC = OperatorSpec(
-    partial=backward_shift,
-    eta=_eta_identity,
-    alpha=binomial,
-    twist=lambda h, k, n: translate(h, -(n - k)),
-)
+BACKWARD_ETA1_SPEC = OperatorSpec(backward_shift, binomial, twist_step=(1, -1))
 
 # nabla^n(fg) = sum binom(n,k) (S^k nabla^(n-k) f) (nabla^k g)
-BACKWARD_ETAS_SPEC = OperatorSpec(
-    partial=backward_shift,
-    eta=lambda f, k: translate(f, -k),
-    alpha=binomial,
-    twist=_twist_identity,
-)
+BACKWARD_ETAS_SPEC = OperatorSpec(backward_shift, binomial, eta_step=(1, -1))
 
-# (d/dx)-analogue on a vertical strip; eta shifts x down by i/2.
-DELTA_X_SPEC = OperatorSpec(
-    partial=delta_x,
-    eta=lambda f, k: translate(f, GR_HALF_I * (-k)),
-    alpha=binomial,
-    twist=_twist_half_i,
-)
+# (d/dx)-analogue on a vertical strip; eta shifts x down by i/2, tau up.
+DELTA_X_SPEC = OperatorSpec(delta_x, binomial, eta_step=(1, -GR_HALF_I), twist_step=(1, GR_HALF_I))
 
 # Same shape for the Wilson operator, on even polynomials.
-DELTA_X2_SPEC = OperatorSpec(
-    carrier=EVEN,
-    partial=delta_x2,
-    eta=lambda f, k: translate(f, GR_HALF_I * (-k)),
-    alpha=binomial,
-    twist=_twist_half_i,
-)
+DELTA_X2_SPEC = OperatorSpec(delta_x2, binomial, eta_step=(1, -GR_HALF_I), twist_step=(1, GR_HALF_I), carrier=EVEN)
 
 
 # The q-based specs are built on each call; an operational expansion builds
 # its variant's spec once, with the k-th pieces for every f it expands
 # (burchnall._pieces).
 def qderiv_Tq_spec(q) -> OperatorSpec:
-    q = scalar(q)
-    return OperatorSpec(
-        partial=q_derivative_operator(q),
-        eta=lambda f, k: f.compose_affine(q ** k, 0),
-        alpha=lambda n, k: q_binomial(n, k, q),
-        twist=_twist_identity,
-    )
+    return OperatorSpec(q_derivative_operator(q), lambda n, k: q_binomial(n, k, q), eta_step=(q, 0))
 
 
 def qderiv_I_spec(q) -> OperatorSpec:
-    q = scalar(q)
-    return OperatorSpec(
-        partial=q_derivative_operator(q),
-        eta=_eta_identity,
-        alpha=lambda n, k: q_binomial(n, k, q),
-        twist=lambda h, k, n: h.compose_affine(q ** (n - k), 0),
-    )
+    return OperatorSpec(q_derivative_operator(q), lambda n, k: q_binomial(n, k, q), twist_step=(q, 0))
 
 
 def aw_spec(p) -> OperatorSpec:
+    # alpha: the q-binomial at q = p^2 times q^(k(k-n)/2), an integer power of the base p
     p = scalar(p)
-    q = p * p
-
-    def alpha(n, k):
-        # q-binomial times q^(k(k-n)/2), an integer power of the base p
-        return q_binomial(n, k, q) * p ** (k * (k - n))
-
-    # aw_eta's dilations by scale_var itself: the benchmark's tracer counts aw_eta calls
     return OperatorSpec(
-        carrier=LAURENT,
-        partial=aw_Dq_operator(p),
-        eta=lambda f, k: f.scale_var(p ** k),
-        alpha=alpha,
-        twist=lambda h, k, n: h.scale_var(p ** (k - n)),
+        aw_Dq_operator(p), lambda n, k: q_binomial(n, k, p * p) * p ** (k * (k - n)),
+        eta_step=(p, 0), twist_step=(1 / p, 0), carrier=LAURENT,
     )
 
 

@@ -242,6 +242,15 @@ def test_expand_modified_identity(capsys):
     assert out.splitlines()[0] == "identity: charlier-toda-eta1  point: charlier(a=3)  n=2 u=1/2"
 
 
+def test_expand_prints_integers_past_the_string_limit(capsys):
+    # t = 10^1500 gives coefficients longer than Python's default 4300 digits
+    rc = main(["expand", "hermite-toda", "--n", "3", "--param", "t=1e1500"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "residual: 0" in out
+    assert max(len(word) for word in out.split()) > 4300
+
+
 # `askeykit expand` stdout: both registries, a declared prefactor, a deformed
 # parameter, a deformed phase and big q-Laguerre's mapped measure times its scale
 EXPAND_SHA256 = {

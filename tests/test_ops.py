@@ -404,10 +404,36 @@ laurents = st.one_of(
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(laurents, real_bases, st.integers(-3, 3), st.integers(0, 4))
-def test_aw_eta_and_twist_are_aw_eta_dilations(f, p, k, n):
+# the elements a step acts on: any polynomial, an even one, any Laurent polynomial
+polys = st.one_of(real_polys, complex_polys)
+elements = {POLY: polys, EVEN: polys.map(_even), LAURENT: laurents}
+
+
+def _single_steps(carrier, f, step, j):
+    """f under j single steps (a, b), or -j inverse steps (1/a, -b/a) when j < 0."""
+    a, b = (scalar(v) for v in step)
+    if j < 0:
+        a, b, j = 1 / a, -b / a, -j
+    for _ in range(j):
+        f = f.scale_var(a) if carrier == LAURENT else f.compose_affine(a, b)
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), bases, real_bases, st.integers(-3, 3), st.integers(0, 4))
+def test_eta_and_twist_are_powers_of_their_steps(data, q, p, k, n):
+    # each step is a shift or a dilation, of z alone on the Laurent carrier,
+    # so that its j-th power x |-> a^j x + j b is j single steps
+    for name, spec in operator_catalog(q, p).items():
+        for a, b in (spec.eta_step, spec.twist_step):
+            assert a == 1 or b == 0, name
+            assert b == 0 or spec.carrier != LAURENT, name
+        f = data.draw(elements[spec.carrier], label=name)
+        for j in range(-2, 4):
+            assert spec.eta(f, j) == _single_steps(spec.carrier, f, spec.eta_step, j), (name, j)
+            assert spec.twist(f, k, k + j) == _single_steps(spec.carrier, f, spec.twist_step, j), (name, j)
     spec = aw_spec(p)
+    f = data.draw(laurents, label="aw")
     assert spec.eta(f, k) == aw_eta(f, p, k)
     assert spec.twist(f, k, n) == aw_eta(f, p, k - n)
 
