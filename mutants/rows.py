@@ -184,4 +184,16 @@ ROWS = [
         "twist_step=(p, 0)",
         REPORT,
     ),
+    Row(
+        "_pieces: the window ends one k early", "burchnall.py",
+        "[var.weight_step(point, j) for j in range(top)]",
+        "[var.weight_step(point, j) for j in range(top - 1)]",
+        REPORT,
+    ),
+    Row(
+        "leibniz_check: the top k of the window is dropped", "ops.py",
+        "    return lhs - term_sum(terms) if terms else lhs",
+        "    return lhs - term_sum(terms[:-1]) if terms[1:] else lhs",
+        REPORT,
+    ),
 ]

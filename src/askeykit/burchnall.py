@@ -6,11 +6,14 @@ Two layers deliberately coexist:
         chain_n(f) = sum_k alpha(n,k) ratio_k eta^k(p_(n-k)) T_{k,n} f
     directly from a family's registered data.  The k-th term is stated once,
     as its piece alpha(n,k) eta^k(p_(n-k)) T_{k,n} f and the weight steps
-    with ratio_k = step_0 ... step_(k-1); operational_sum folds the pieces
-    from the top by Horner's rule in the steps,
-        piece_0 + step_0 (piece_1 + step_1 (piece_2 + ...)),
-    and operational_terms multiplies the ratios out for the termwise
-    comparison below, and
+    with ratio_k = step_0 ... step_(k-1).  As in the paper's sum over
+    r <= m ^ n, a term whose partial^k f is zero vanishes, so the sum runs
+    over the window k = 0 .. top, top the last k with a nonzero partial^k f:
+    only the top steps are built, and operational_sum folds the window's
+    pieces from the top by Horner's rule in the steps,
+        piece_0 + step_0 (piece_1 + step_1 (... + step_(top-1) piece_top)),
+    while operational_terms multiplies the ratios out for the termwise
+    comparison below, all n + 1 of them, zero past the window, and
 
   * literal transcriptions of the closed-form expansion identities, one
     function per catalogued identity, written straight from the textbook
@@ -98,34 +101,38 @@ def apply_chain(point: ParamPoint, n: int, f):
 
 def _pieces(point: ParamPoint, n: int, fs, variant: str | None) -> tuple:
     """(pieces, steps): for each f of fs its n + 1 pieces alpha(n,k) eta^k(p_(n-k)) T_(k,n) f,
-    and the variant's n weight steps, so that term k of the expansion is piece k times
-    ratio_k = steps[0] ... steps[k-1].
+    and the variant's weight steps over the window, so that term k of the expansion
+    is piece k times ratio_k = steps[0] ... steps[k-1].
 
-    The pieces that do not depend on f (alpha and the eta-shifted chain) are
-    computed once per k for all of fs; each (k, f) piece is one product.  A k
-    at which partial^k f = 0 for every f (every k past their degrees) has zero
-    pieces and computes nothing.
+    The window is k = 0 .. top, where top = len(steps) is the last k at which
+    some partial^k f is nonzero (0 if none is); past it every piece is the
+    zero partial^k f itself and computes nothing, and no step j >= top is
+    built.  The pieces that do not depend on f (alpha and the eta-shifted
+    chain) are computed once per k for all of fs; each (k, f) piece is one
+    product.
     """
     spec = FAMILIES[point.family]
     var = spec.variant(variant) if variant is not None else spec.variants[0]
     op = var.op_spec(point)
     ladders = [ladder(op.partial, f, n) for f in fs]
     rows = []  # rows[k][i]: piece k of fs[i]
+    top = 0
     for k in range(n + 1):
         hs = [f_ladder[k] for f_ladder in ladders]
         if any(hs):
+            top = k
             alpha = op.alpha(n, k)
             eta_p = op.eta(raise_chain(shifted_point(point, k), n - k), k)
             hs = [product(alpha, eta_p, op.twist(h, k, n)) for h in hs]
         rows.append(hs)
-    return list(zip(*rows)), [var.weight_step(point, j) for j in range(n)]
+    return list(zip(*rows)), [var.weight_step(point, j) for j in range(top)]
 
 
 def operational_sum(point: ParamPoint, n: int, fs, variant: str | None = None) -> list:
-    """The weight-ratio expansion of the n-step chain applied to each f of fs,
-    its pieces folded from the top by horner_sum in the weight steps."""
+    """The weight-ratio expansion of the n-step chain applied to each f of fs:
+    the pieces of its window folded from the top by horner_sum in the weight steps."""
     pieces, steps = _pieces(point, n, fs, variant)
-    return [horner_sum(f_pieces, steps) for f_pieces in pieces]
+    return [horner_sum(f_pieces[: len(steps) + 1], steps) for f_pieces in pieces]
 
 
 def operational_terms(point: ParamPoint, n: int, fs, variant: str | None = None) -> list:
@@ -133,11 +140,12 @@ def operational_terms(point: ParamPoint, n: int, fs, variant: str | None = None)
 
     Term k is alpha(n, k) ratio_k eta^k(p_(n-k)) T_(k,n) f: the piece of
     operational_sum times the weight ratio ratio_k = eta^k(w_(nu+k sigma)) / w_nu,
-    multiplied out from the steps.  It serves the termwise comparison of
-    expansion_term_gaps; the residuals sum the same pieces by operational_sum.
+    multiplied out from the steps over the window and the zero piece itself
+    past it.  It serves the termwise comparison of expansion_term_gaps; the
+    residuals sum the same pieces by operational_sum.
     """
     pieces, steps = _pieces(point, n, fs, variant)
-    return [[p[0], *map(mul, accumulate(steps, mul), p[1:])] for p in pieces]
+    return [[p[0], *map(mul, accumulate(steps, mul), p[1:]), *p[len(steps) + 1:]] for p in pieces]
 
 
 def operational_residual(point: ParamPoint, n: int, f, variant: str | None = None, chain=None):

@@ -221,7 +221,8 @@ class Variant:
     The weight ratio ratio_k = eta^k(w_(nu+k sigma)) / w_nu is held in step
     form: ratio_0 is the carrier's 1 and ratio_(j+1) = ratio_j *
     weight_step(point, j), so the k-sum never builds a ratio: it is folded
-    from the top by Horner's rule in the steps (burchnall.operational_sum).
+    from the top by Horner's rule in the steps (burchnall.operational_sum),
+    over its nonzero window k <= top only, so no step j >= top is built.
     """
 
     name: str

@@ -48,6 +48,7 @@ from .algebra import (
     product,
     q_binomial,
     scalar,
+    term_sum,
 )
 
 __all__ = [
@@ -191,15 +192,19 @@ def ladder(op: Callable, f, n: int) -> list:
 
 
 def leibniz_check(spec: OperatorSpec, f, g, n: int):
-    """partial^n(fg) minus its Leibniz expansion; exactly zero when the rule holds."""
+    """partial^n(fg) minus its Leibniz expansion; exactly zero when the rule holds.
+
+    The expansion sums only its window, the k at which both partial^(n-k) f
+    and partial^k g are nonzero; every other term vanishes.
+    """
     lhs = ladder(spec.partial, f * g, n)[n]
     fs = ladder(spec.partial, f, n)
     gs = ladder(spec.partial, g, n)
-    rhs = None
-    for k in range(n + 1):
-        term = product(spec.alpha(n, k), spec.eta(fs[n - k], k), spec.twist(gs[k], k, n))
-        rhs = term if rhs is None else rhs + term
-    return lhs - rhs
+    terms = [
+        product(spec.alpha(n, k), spec.eta(fs[n - k], k), spec.twist(gs[k], k, n))
+        for k in range(n + 1) if fs[n - k] and gs[k]
+    ]
+    return lhs - term_sum(terms) if terms else lhs
 
 
 DERIVATIVE_SPEC = OperatorSpec(Poly.derivative, binomial)

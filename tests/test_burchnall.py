@@ -24,6 +24,7 @@ from askeykit.burchnall import (
     zassenhaus_series_residual,
 )
 from askeykit.families import FAMILIES, make_point, standard_poly
+from askeykit.ops import ladder
 from askeykit.sampling import sample_point, sample_rational
 
 Q = scalar
@@ -86,6 +87,50 @@ def test_the_horner_sum_is_the_sum_of_the_terms():
                 sums = operational_sum(pt, n, fs, var.name)
                 assert sums == [term_sum(t) for t in operational_terms(pt, n, fs, var.name)], (tag, var.name, n)
     assert operational_sum(make_point("hermite"), 2, []) == []
+
+
+def test_the_terms_past_the_window_are_zero():
+    # the k-sum is folded over its window only, k up to the last nonzero
+    # partial^k f, but operational_terms still gives all n + 1 terms: term k
+    # is nonzero exactly where partial^k f is, and past it the zero partial^k f,
+    # an element of the carrier (a SymLaurent zero among the Laurent terms)
+    rng = Random(505)
+    for tag, spec in FAMILIES.items():
+        if spec.raising is None:
+            continue
+        pt = sample_point(tag, rng)
+        f = spec.carrier.element([sample_rational(rng, -3, 3) for _ in range(3)])
+        for var in spec.variants:
+            for n in range(0, 6):
+                window = ladder(var.op_spec(pt).partial, f, n)
+                terms = operational_terms(pt, n, [f], var.name)[0]
+                assert len(terms) == n + 1, (tag, var.name, n)
+                assert [bool(t) for t in terms] == [bool(h) for h in window], (tag, var.name, n)
+                assert all(isinstance(t, type(terms[0])) for t in terms), (tag, var.name, n)
+
+
+def test_no_weight_step_is_built_past_the_window(monkeypatch):
+    # with f = p_m the window ends at k = min(n, m), so a variant whose
+    # weight_step raises at every j >= m still expands exactly
+    def guarded(step, m):
+        def weight_step(point, j):
+            if j >= m:
+                raise AssertionError(f"weight step {j} built past the window of p_{m}")
+            return step(point, j)
+        return weight_step
+
+    rng = Random(606)
+    for tag, spec in FAMILIES.items():
+        if spec.raising is None:
+            continue
+        pt = sample_point(tag, rng)
+        for m in range(0, 3):
+            variants = tuple(dataclasses.replace(v, weight_step=guarded(v.weight_step, m)) for v in spec.variants)
+            monkeypatch.setitem(FAMILIES, tag, dataclasses.replace(spec, variants=variants))
+            for var in variants:
+                for n in range(m, m + 4):
+                    assert not chain_expansion_residual(pt, n, m, var.name), (tag, var.name, n, m)
+        monkeypatch.setitem(FAMILIES, tag, spec)
 
 
 def test_chain_expansion_all_variants():

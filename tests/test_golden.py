@@ -24,6 +24,13 @@ SUITE_SHA256 = "720f68a2f5d22b50403589ed4534c983e48d07337a704ef732551c918af3f789
 AW_DEEP_SHA256 = "bc3e9a20c88ed31513869311e84e891ed816d7d51e6602bad99bca848339209c"
 BIG_Q_DEEP_SHA256 = "b82e167f3f32d70c707b0a6c1268001dd47f901fa17529bf7d8042aff6b831a6"
 HELD_OUT_SHA256 = "40865180fc205fe482a2fe824477341b21daa219e2ef0ff19ee746d238bbba2e"
+# `verify --seed S --identities adjointness --max-n 7 --max-m 7`: at n = 7 the
+# window of the adjointness expansion, k up to the top monomial degree
+# PAIR_BUDGET = 6, is shorter than the chain
+ADJOINTNESS_DEEP_SHA256 = {
+    7: "693e06cf7cef51594c5a37cb053f4cf01094eb099626c3827e0da5de393e897c",
+    2718: "7443c04db22b92229d23fb8a589e0b83c8ca88cef424e3d63e3005ec6ef37685",
+}
 # `askeykit toda --seed S`: each flow's b_n and c_n in lowest terms; seed 1
 # samples krawtchouk(p=16/41, N=8), whose b_4 reduces to the constant 4
 TODA_SHA256 = {
@@ -109,6 +116,15 @@ def test_big_q_deep_report_bytes():
     assert report["totals"] == {"cases": 310, "passed": 310, "failed": 0}
     text = render_report(report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == BIG_Q_DEEP_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(ADJOINTNESS_DEEP_SHA256))
+def test_adjointness_deep_report_bytes(seed):
+    config = SuiteConfig(seed=seed, identities=["adjointness"], max_n=7, max_m=7)
+    report = run_verify(config)
+    assert report["totals"] == {"cases": 56, "passed": 56, "failed": 0}
+    text = render_report(report, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == ADJOINTNESS_DEEP_SHA256[seed]
 
 
 @pytest.mark.parametrize("seed", sorted(TODA_SHA256))

@@ -171,6 +171,30 @@ def test_leibniz_all_schemes():
             assert not leibniz_check(spec, f, g, n), (name, n)
 
 
+def test_leibniz_check_sums_the_window_of_the_full_sum():
+    # leibniz_check forms only the k at which partial^(n-k) f and partial^k g
+    # are both nonzero; the full k = 0 .. n sum, written out here, gives the
+    # same residual, at every n until partial^n(fg) = 0, for the declared
+    # alpha and for a wrong one, whose residual is nonzero
+    rng = Random(36)
+    for name, spec in operator_catalog(scalar(2, 5), scalar(3, 7)).items():
+        wrong = dataclasses.replace(spec, alpha=lambda n, k, alpha=spec.alpha: alpha(n, k) + k)
+        grade = spec.carrier.grade
+        f = spec.carrier.element([sample_rational(rng, -3, 3) for _ in range(2 * grade + 1)])
+        g = spec.carrier.element([sample_rational(rng, -3, 3) for _ in range(3 * grade + 1)])
+        for s in (spec, wrong):
+            fs, gs, lhs, residuals = [f], [g], [f * g], []
+            for n in range(0, spec.carrier.degree(f) + spec.carrier.degree(g) + 2):
+                full = lhs[n] - sum(
+                    (product(s.alpha(n, k), s.eta(fs[n - k], k), s.twist(gs[k], k, n)) for k in range(n + 1)),
+                    start=lhs[n] * 0,
+                )
+                assert leibniz_check(s, f, g, n) == full, (name, n)
+                residuals.append(full)
+                fs, gs, lhs = fs + [s.partial(fs[-1])], gs + [s.partial(gs[-1])], lhs + [s.partial(lhs[-1])]
+            assert any(residuals) == (s is wrong), name
+
+
 def test_leibniz_trivial_cases():
     cat = operator_catalog(scalar(1, 2), scalar(1, 2))
     spec = cat["derivative"]

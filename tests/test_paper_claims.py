@@ -91,9 +91,9 @@ NAMED = {
 
 # (claim, family, identity kind that would certify it, ROADMAP item that adds it)
 OPEN = [
-    ("every-family", "krawtchouk", "chain-expansion", "item 3: Krawtchouk declares no raising chain"),
-    ("toda-modification", "krawtchouk", "modified", "item 3: no krawtchouk-toda expansion"),
-    ("inverts-feldheim-watson", "hermite", "linearization", "item 10: the linearization side is unchecked"),
+    ("every-family", "krawtchouk", "chain-expansion", "item 4: Krawtchouk declares no raising chain"),
+    ("toda-modification", "krawtchouk", "modified", "item 4: no krawtchouk-toda expansion"),
+    ("inverts-feldheim-watson", "hermite", "linearization", "item 13: the linearization side is unchecked"),
 ]
 
 
