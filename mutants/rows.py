@@ -125,6 +125,18 @@ ROWS = [
         "tests/test_ops.py::test_difference_operator_matches_its_taps",
     ),
     Row(
+        "_wilson_raise: the partner of the folded pair not marked as folded", "families.py",
+        "(_HALF_UP, 1, mr, (e4, 0, -e2, 0, e0), 2))",
+        "(_HALF_UP, 1, mr, (e4, 0, -e2, 0, e0), 0))",
+        REPORT,
+    ),
+    Row(
+        "_bqj_raise: the q-tap's base power E/e read as E", "families.py",
+        "((qr, 0, 0, 0, qd), 1, dn, None, 0)",
+        "((qr, 0, 0, 0, qd), qd, dn, None, 0)",
+        REPORT,
+    ),
+    Row(
         "hankel_determinant: a row swap keeps the sign", "functional.py",
         "            det = -det",
         "            det = det",

@@ -22,18 +22,17 @@ when it was made, by one palindrome test on the integer numerators.
 Coefficients are turned back into GaussianRational values only where they
 are read.
 
-A difference operator is a DifferenceOperator: a list of taps, each a
-multiplier polynomial times the identity, d/dx or a substitution
-x |-> alpha*x + beta, optionally divided exactly by c*x.  It is applied in
-one pass over integer numerators (one Taylor shift per substitution, the
-tap products summed over one common denominator) with one canonical form
-per application; `product` multiplies several factors with one canonical
-form in the same way.  Its Laurent form, LaurentOperator, acts on symmetric
+A difference operator is a DifferenceOperator: taps, each a multiplier
+polynomial times the identity, d/dx or a substitution x |-> alpha*x + beta,
+optionally divided exactly by c*x.  Its core holds them as integers, bound
+once per operator (from a point's integer parts, by a factory, or from
+declared scalars, by the constructor), and applies them in one pass over
+integer numerators with one canonical form; `product` multiplies several
+factors the same way.  Its Laurent form, LaurentOperator, acts on symmetric
 Laurent polynomials: each tap is a Laurent multiplier times a dilation
 z |-> p^(+-1) z, the sum is optionally divided exactly by a Laurent
-polynomial with unit top coefficient (synthetic division), and the input
-and the quotient are checked to be palindromes, again with one canonical
-form per application.
+polynomial with unit top coefficient, and the input and the quotient are
+checked to be palindromes.
 
 The closed hypergeometric forms, series sum_k prod_(j<k) rho_j phi_j with
 Gaussian-integer fractions rho_j and short integer polynomials phi_j, are
@@ -455,6 +454,14 @@ def _parts(c) -> tuple:
     return c.r, c.i, c.d
 
 
+def _real_parts(v) -> tuple:
+    """(r, d) with v = r/d and d > 0, for a real scalar v."""
+    r, i, d = _parts(v)
+    if i:
+        raise ValueError(f"expected a real scalar, got {v!r}")
+    return r, d
+
+
 def _poly(re: tuple, im, den: int) -> "Poly":
     """A Poly from parts already in canonical form."""
     p = Poly.__new__(Poly)
@@ -468,8 +475,8 @@ def _canon(re, im, den: int) -> "Poly":
     """The Poly (re + im*i)/den in canonical form.
 
     re and im are integer sequences of one length (im may be None) and
-    den > 0: trailing zeros go, an all-zero im becomes None and the content
-    gcd(den, *re, *im) is divided out, once for the whole polynomial.
+    den != 0: trailing zeros go, an all-zero im becomes None and the content
+    gcd(den, *re, *im), signed as den, is divided out once for the whole.
     """
     n = len(re)
     while n and not re[n - 1] and not (im and im[n - 1]):
@@ -481,7 +488,7 @@ def _canon(re, im, den: int) -> "Poly":
         im = im[:n]
         if not any(im):
             im = None
-    g = gcd(den, *re, *(im or ()))
+    g = gcd(den, *re, *(im or ())) if den > 0 else -gcd(den, *re, *(im or ()))
     if g == 1:
         return _poly(tuple(re), im and tuple(im), den)
     return _poly(tuple(c // g for c in re), im and tuple(c // g for c in im), den // g)
@@ -532,7 +539,7 @@ def _substitute(fr, fi, ar: int, ai: int, br: int, bi: int, e: int) -> tuple:
     """Numerators (re, im) of e^n f(alpha*x + beta); no canonical form.
 
     f = fr + fi*i has integer coefficient sequences (fi may be None) and
-    degree n >= 0; alpha = (ar + ai*i)/e and beta = (br + bi*i)/e with e > 0,
+    degree n >= 0; alpha = (ar + ai*i)/e and beta = (br + bi*i)/e with e != 0,
     so e^n f(alpha*x + beta) = sum_k F_k e^(n-k) (b + a*x)^k has integer
     coefficients.  The scaled F_k e^(n-k) are Taylor-shifted by b in place
     (y |-> y + b, by the repeated synthetic division of von zur Gathen and
@@ -770,45 +777,49 @@ _P_X = _poly((0, 1), None, 1)
 class DifferenceOperator:
     """The linear map f |-> (sum_t M_t(x) (S_t f)(x)) / (c*x) on Poly.
 
-    `taps` lists pairs (M, S): the multiplier M by its coefficients from x^0
-    up, and the substitution S, which is None (the identity), "d" (d/dx) or
-    (alpha, beta) for x |-> alpha*x + beta.  With `divisor` c the sum is
-    divided exactly by c*x; a nonzero constant term before that division is
-    the ValueError of Poly.exact_div.  A triple (M, (alpha, beta), s), with
-    s = 1 or -1, declares the conjugate pair of taps
-    M f(alpha*x + beta) + s conj(M) f(alpha*x + conj beta).
+    Declared by taps (M, S), M by its scalar coefficients from x^0 up and S
+    None (the identity), "d" (d/dx) or (alpha, beta) for x |-> alpha*x + beta,
+    by triples (M, (alpha, beta), s), s = +-1, for the conjugate pair
+    M f(alpha*x + beta) + s conj(M) f(alpha*x + conj beta), and by c, the
+    `divisor`.  The constructor prepares the integer core that `from_parts`
+    binds as given: taps (S, b, mr, mi, pair), S as the parts (ar, ai, br,
+    bi, e), e > 0, of x |-> ((ar + ai*i)x + br + bi*i)/e, b = E/e for E the
+    lcm of the e's (1 for None and "d"), mr and mi (None if real) the
+    numerators of M/c over one nonzero denominator, pair 1 for a folded pair,
+    2 for its partner, else 0; `by_x` divides by x, and a nonzero constant
+    term there is the ValueError of Poly.exact_div.
 
-    The multipliers are put over one denominator, with 1/c folded in, when
-    the operator is built, so an application runs on integer numerators: one
-    raw substitution pass per tap, the tap products summed over one common
-    denominator, one canonical form.  On a real input, with alpha real,
+    An application runs on integer numerators, one raw substitution pass per
+    tap, with one canonical form.  On a real input, with alpha real,
     f(alpha*x + conj beta) is the conjugate of A = f(alpha*x + beta), so a
-    declared pair whose sum is 2 Re(M A) for the folded M (1/c real and
-    s = 1, or 1/c imaginary and s = -1) is computed from A once.  Any other
-    pair, and a complex input, takes both taps.
+    pair whose sum is 2 Re(M A) (1/c real and s = 1, or imaginary and s = -1)
+    is computed from A once.
     """
 
-    __slots__ = ("_taps", "_den", "_e", "_divisor")
+    __slots__ = ("_taps", "_den", "_e", "_by_x")
+
+    @classmethod
+    def from_parts(cls, taps, den: int, e: int = 1, by_x: bool = False) -> "DifferenceOperator":
+        if not den:
+            raise ZeroDivisionError("an operator with a zero denominator")
+        op = _new(cls)
+        op._taps, op._den, op._e, op._by_x = taps, den, e, by_x
+        return op
 
     def __init__(self, taps, divisor=None):
-        ur, ui, ud = 1, 0, 1
-        if divisor is not None:
-            divisor = GaussianRational.coerce(divisor)
-            u = divisor.inverse()
-            ur, ui, ud = u.r, u.i, u.d
+        ur, ui, ud = (1, 0, 1) if divisor is None else _parts(GaussianRational.coerce(divisor).inverse())
         flat = []  # (multiplier parts, substitution, pair flag)
         for m, sub, *sign in taps:
             ps = [_parts(c) for c in m]
-            if not sign:
-                flat.append((ps, sub, 0))
-                continue
-            # the folded pair is u M A + s u conj(M A), which is 2 Re(u M A)
-            # when u = 1/c is real and s = 1, or imaginary and s = -1
-            s, (alpha, beta) = sign[0], sub
-            fold = not _parts(alpha)[1] and s == (-1 if ui else 1) and not (ur and ui)
-            flat.append((ps, sub, 1 if fold else 0))
-            conj = (alpha, GaussianRational.coerce(beta).conjugate())
-            flat.append(([(s * r, -s * i, d) for r, i, d in ps], conj, 2 if fold else 0))
+            fold = 0
+            if sign:
+                # the folded pair is u M A + s u conj(M A), which is 2 Re(u M A)
+                # when u = 1/c is real and s = 1, or imaginary and s = -1
+                s, (alpha, beta) = sign[0], sub
+                fold = int(not _parts(alpha)[1] and s == (-1 if ui else 1) and not (ur and ui))
+                conj = (alpha, GaussianRational.coerce(beta).conjugate())
+                flat.append(([(s * r, -s * i, d) for r, i, d in ps], conj, 2 * fold))
+            flat.append((ps, sub, fold))
         md = lcm(*(d for ps, _, _ in flat for _, _, d in ps))
         prepared = []
         for ps, sub, pair in flat:
@@ -825,10 +836,9 @@ class DifferenceOperator:
                 e = lcm(ad, bd)
                 sub = (ar * (e // ad), ai * (e // ad), br * (e // bd), bi * (e // bd), e)
             prepared.append((sub, e, tuple(mr), tuple(mi) if any(mi) else None, pair))
-        self._e = lcm(*(t[1] for t in prepared))
-        self._taps = tuple((sub, self._e // e, mr, mi, pair) for sub, e, mr, mi, pair in prepared)
-        self._den = md * ud
-        self._divisor = divisor
+        e = lcm(*(t[1] for t in prepared))
+        self._taps = tuple((sub, e // te, mr, mi, pair) for sub, te, mr, mi, pair in prepared)
+        self._den, self._e, self._by_x = md * ud, e, divisor is not None
 
     def __call__(self, f: Poly) -> Poly:
         fr, fi = f.re, f.im
@@ -862,11 +872,11 @@ class DifferenceOperator:
                 accr = _axpy(accr, 1, tr, s)
             if ti is not None:
                 acci = _axpy(acci, 1, ti, s)
-        if self._divisor is not None:
+        if self._by_x:
             r0 = accr[0] if accr else 0
             i0 = acci[0] if acci else 0
             if r0 or i0:
-                rem = _reduce(r0, i0, f.den * self._den * self._e ** n) * self._divisor
+                rem = _reduce(r0, i0, f.den * self._den * self._e ** n)
                 raise ValueError(f"nonzero remainder in exact division: {rem}")
             accr, acci = accr[1:], acci[1:]
         if not any(acci):
@@ -914,7 +924,7 @@ def horner_series(steps, c=1, low=None):
     for nr, ni, d, fr, fi, o in reversed(steps):
         if not d:
             raise ZeroDivisionError("hypergeometric term ratio with a zero denominator")
-        g = gcd(nr, ni, d) if d > 0 else -gcd(nr, ni, d)
+        g = gcd(nr, ni, d)
         nr, ni = nr // g, ni // g
         if ni or fi is not None:
             mr, mi = _cmul(fr, fi, (nr,), (ni,) if ni else None)
@@ -1164,26 +1174,16 @@ class SymLaurent(Laurent):
 SYM_X = SymLaurent([0, _gr(1, 0, 2)])  # the lift of x: (z + 1/z)/2
 
 
-def _real_base(p) -> GaussianRational:
-    p = GaussianRational.coerce(p)
-    if p.i or not p.r:
-        raise ValueError(f"a dilation needs a real base p != 0, got {p!r}")
-    return p
-
-
-def _unit_divide(num: list, dtaps: tuple, lead: int, m: int) -> None:
-    """num |-> num / (divisor of degree m, top coefficient lead = +-1), in place.
-
-    Synthetic division on integers: afterwards num[m:] is the quotient and
-    num[:m] the remainder; dtaps lists the divisor's other nonzero
-    coefficients as (index, coefficient).
-    """
+def _unit_divide(num: list, dc) -> None:
+    """num |-> num / D in place by synthetic division, for D's integer coefficients dc with the top
+    one +-1: afterwards num[m:] is the quotient and num[:m] the remainder, m the degree of D."""
+    m, lead = len(dc) - 1, dc[-1]
     for i in range(len(num) - 1, m - 1, -1):
         t = num[i] * lead  # lead is its own inverse
         num[i] = t
         if t:
-            for j, c in dtaps:
-                num[i - m + j] -= t * c
+            for j in range(m):
+                num[i - m + j] -= t * dc[j]
 
 
 class LaurentOperator:
@@ -1191,58 +1191,56 @@ class LaurentOperator:
 
         f |-> c * (sum_t M_t(z) f(p^(k_t) z)) / D(z)
 
-    for a real base p != 0.  `taps` lists pairs (M, k): the multiplier M as
-    (low, coefficients from z^low up) and k = 1 or -1.  `scale` is the scalar
-    c.  The optional `divisor` D, given as (low, integer coefficients) with a
-    nonzero constant and top coefficient 1 or -1, divides the sum exactly by
-    synthetic division; a nonzero remainder is the ValueError of
-    Laurent.exact_div.  The input and the quotient must be symmetric under
-    z <-> 1/z: each is checked by Laurent.to_sym, whose ValueError an
-    asymmetric or off-centre one raises, and the quotient is returned as a
-    SymLaurent.  Every tap is computed as written; none is derived from
-    another by mirroring.
+    for a real base p = r/d != 0.  Declared by taps (M, k), M as (low,
+    coefficients from z^low up) and k = 1 or -1, by the `scale` c and by an
+    optional `divisor` D, given as (low, integer coefficients) with a nonzero
+    constant and top coefficient 1 or -1, which divides the sum exactly (a
+    nonzero remainder is the ValueError of Laurent.exact_div).  The
+    constructor prepares the integer core that `from_parts` binds as given:
+    taps (a, e, mr, mi), the dilation z |-> (a/e) z, (r, d) for p and (d, r)
+    for 1/p, with the numerators of c M from z^low up over one nonzero
+    denominator; rd = r*d; D as declared.  The input and the quotient must be
+    symmetric under z <-> 1/z, each checked by Laurent.to_sym (whose
+    ValueError an asymmetric or off-centre one raises); every tap is computed
+    as written, none is mirrored from another.
 
-    With p = r/d and f symmetric of degree n, f(p^(+-1) z) is z^(-n) N(z) /
-    (r d)^n for the integer numerators N of one raw dilation of f's
-    numerators, so all taps share one denominator.  The multipliers go over
-    one denominator with c folded in when the operator is built, and an
-    application runs on integer numerators: one dilation and one product per
-    tap, their sum, the division, the palindrome check and one canonical
-    form.
+    With f symmetric of degree n, f((a/e) z) is z^(-n) N(z) / (rd)^n for the
+    integer numerators N of one raw dilation of f's numerators, as ae = rd:
+    all taps share one denominator, and an application runs on integer
+    numerators with one canonical form.
     """
 
     __slots__ = ("_taps", "_low", "_den", "_rd", "_divisor")
 
+    @classmethod
+    def from_parts(cls, taps, low: int, den: int, rd: int, divisor=None) -> "LaurentOperator":
+        if not den or not rd:
+            raise ZeroDivisionError("an operator with a zero denominator")
+        op = _new(cls)
+        op._taps, op._low, op._den, op._rd, op._divisor = taps, low, den, rd, divisor
+        return op
+
     def __init__(self, p, taps, scale=1, divisor=None):
-        p = _real_base(p)
-        r, d = p.r, p.d
+        p = GaussianRational.coerce(p)
+        if p.i or not p.r:
+            raise ValueError(f"a dilation needs a real base p != 0, got {p!r}")
         cr, ci, cd = _parts(scale)
         parts = [[_parts(c) for c in coeffs] for (_, coeffs), _ in taps]
         md = lcm(*(pd for ps in parts for _, _, pd in ps))
         self._low = min((low for (low, _), _ in taps), default=0)
         prepared = []
         for ((low, _), k), ps in zip(taps, parts):
-            if k == 1:
-                a, e = r, d
-            elif k == -1:  # 1/p = d/r with a positive denominator
-                a, e = (d, r) if r > 0 else (-d, -r)
-            else:
+            if k not in (1, -1):
                 raise ValueError(f"a Laurent tap dilates by p or 1/p, got the power {k}")
             # every multiplier from z^_low up, so the tap products line up
             zeros = [0] * (low - self._low)
             mr = [(u * cr - v * ci) * (md // pd) for u, v, pd in ps]
             mi = [(u * ci + v * cr) * (md // pd) for u, v, pd in ps]
-            prepared.append((a, e, zeros + mr, zeros + mi if any(mi) else None))
-        self._taps = tuple(prepared)
-        self._den = md * cd
-        self._rd = r * d
-        if divisor is not None:
-            dlow, dc = divisor
-            m = len(dc) - 1
-            if m < 0 or dc[m] not in (1, -1) or not dc[0] or any(type(c) is not int for c in dc):
-                raise ValueError(f"a Laurent divisor needs integers, a nonzero constant and top +-1, got {dc!r}")
-            divisor = (dlow, tuple((j, c) for j, c in enumerate(dc[:m]) if c), dc[m], m)
-        self._divisor = divisor
+            prepared.append(((p.r, p.d) if k == 1 else (p.d, p.r)) + (zeros + mr, zeros + mi if any(mi) else None))
+        dc = divisor and divisor[1]
+        if dc is not None and (not dc or dc[-1] not in (1, -1) or not dc[0] or any(type(c) is not int for c in dc)):
+            raise ValueError(f"a Laurent divisor needs integers, a nonzero constant and top +-1, got {dc!r}")
+        self._taps, self._den, self._rd, self._divisor = tuple(prepared), md * cd, p.r * p.d, divisor
 
     def __call__(self, f: Laurent) -> SymLaurent:
         b = f.to_sym().body
@@ -1251,23 +1249,21 @@ class LaurentOperator:
         # f's numerators from z^(-n) up, over the denominator f.den
         fr, fi, n = b.re, b.im, -f.low
         den = b.den * self._den * self._rd ** n
-        sign = 1
-        if den < 0:  # a negative base to an odd power
-            den, sign = -den, -1
         accr, acci = [], None
         for a, e, mr, mi in self._taps:
             tr, ti = _cmul(mr, mi, *_substitute(fr, fi, a, 0, 0, 0, e))
-            accr = _axpy(accr, 1, tr, sign)
+            accr = _axpy(accr, 1, tr, 1)
             if ti is not None:
-                acci = _axpy(acci or [], 1, ti, sign)
+                acci = _axpy(acci or [], 1, ti, 1)
         if acci is not None:
             acci += [0] * (len(accr) - len(acci))
         low = self._low - n  # the power of z at accr[0]
         if self._divisor is not None:
-            dlow, dtaps, lead, m = self._divisor
-            _unit_divide(accr, dtaps, lead, m)
+            dlow, dc = self._divisor
+            m = len(dc) - 1
+            _unit_divide(accr, dc)
             if acci is not None:
-                _unit_divide(acci, dtaps, lead, m)
+                _unit_divide(acci, dc)
             if any(accr[:m]) or (acci and any(acci[:m])):
                 rem = _laurent(low, _canon(accr[:m], acci and acci[:m], den))
                 raise ValueError(f"nonzero remainder in exact division: {rem}")

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .algebra import (
-    GR_HALF_I,
     GR_I,
     GR_ONE,
     GR_ZERO,
@@ -54,6 +53,7 @@ from .algebra import (
     _canon,
     _cmul,
     _parts,
+    _real_parts,
     _scalar,
     factorial,
     horner_series,
@@ -504,14 +504,11 @@ def _std_krawtchouk(pt, n: int) -> Poly:
 # family catalog
 # ---------------------------------------------------------------------------
 
-# Each raising operator is a list of taps (multiplier coefficients from x^0
-# up, substitution) and conjugate pairs (the same and a sign), built once per
-# point from the point's scalars; see algebra.DifferenceOperator.
-_DOWN = (1, -1)  # x |-> x - 1
-_HALF_UP = (1, GR_HALF_I)  # x |-> x + i/2
-_HALF_DOWN = (1, -GR_HALF_I)  # x |-> x - i/2
-
-
+# Each raising operator is bound from integer parts: its factory computes the core taps of a DifferenceOperator
+# or LaurentOperator from the integer parts of the point's coordinates (or esym's), with no scalar arithmetic.
+_DOWN = (1, 0, -1, 0, 1)  # x |-> x - 1
+_HALF_UP = (2, 0, 0, 1, 2)  # x |-> x + i/2
+_HALF_DOWN = (2, 0, 0, -1, 2)  # x |-> x - i/2
 _HERMITE_RAISE = DifferenceOperator((((1,), "d"), ((0, -2), None)))  # f' - 2x f
 
 
@@ -521,63 +518,69 @@ def _hermite_raise(pt):
 
 def _laguerre_raise(pt):
     # x f' + (nu + 1 - x) f
-    return DifferenceOperator((((0, 1), "d"), ((pt.get("nu") + 1, -1), None)))
+    r, d = _real_parts(pt.get("nu"))
+    return DifferenceOperator.from_parts((("d", 1, (0, d), None, 0), (None, 1, (r + d, -d), None, 0)), d)
 
 
 def _jacobi_raise(pt):
     # (1 - x^2) f' + (beta - alpha - (alpha + beta + 2) x) f
-    alpha, beta = pt.get("alpha"), pt.get("beta")
-    return DifferenceOperator((((1, 0, -1), "d"), ((beta - alpha, -(alpha + beta + 2)), None)))
+    (ar, ad), (br, bd) = _real_parts(pt.get("alpha")), _real_parts(pt.get("beta"))
+    d, u, v = ad * bd, br * ad, ar * bd
+    taps = (("d", 1, (d, 0, -d), None, 0), (None, 1, (u - v, -u - v - 2 * d), None, 0))
+    return DifferenceOperator.from_parts(taps, d)
 
 
 def _meixner_raise(pt):
     # (1 + x/beta) f - x/(c beta) f(x - 1)
-    ib = 1 / pt.get("beta")
-    return DifferenceOperator((((1, ib), None), ((0, -ib / pt.get("c")), _DOWN)))
+    (br, bd), (cr, cd) = _real_parts(pt.get("beta")), _real_parts(pt.get("c"))
+    taps = ((None, 1, (br * cr, bd * cr), None, 0), (_DOWN, 1, (0, -bd * cd), None, 0))
+    return DifferenceOperator.from_parts(taps, br * cr)
 
 
 def _charlier_raise(pt):
     # f - (x/a) f(x - 1)
-    return DifferenceOperator((((1,), None), ((0, -1 / pt.get("a")), _DOWN)))
+    r, d = _real_parts(pt.get("a"))
+    return DifferenceOperator.from_parts(((None, 1, (r,), None, 0), (_DOWN, 1, (0, -d), None, 0)), r)
 
 
 def _mp_raise(pt):
-    # -e^(i phi) (lambda - ix) f(x + i/2) - e^(-i phi) (lambda + ix) f(x - i/2): a conjugate pair
-    lam = pt.get("lam")
-    u = unit_phase(pt.get("phi"))
-    return DifferenceOperator((((-lam * u, GR_I * u), _HALF_UP, 1),))
+    # -e^(i phi) (lambda - ix) f(x + i/2) - e^(-i phi) (lambda + ix) f(x - i/2): a conjugate pair, folded
+    lr, ld = _real_parts(pt.get("lam"))
+    ur, ui, ud = _parts(unit_phase(pt.get("phi")))
+    mr = (-lr * ur, -ld * ui)
+    taps = ((_HALF_UP, 1, mr, (-lr * ui, ld * ur), 1), (_HALF_DOWN, 1, mr, (lr * ui, -ld * ur), 2))
+    return DifferenceOperator.from_parts(taps, ld * ud, 2)
 
 
 def _wilson_raise(pt):
-    # (prod (e + ix) f(x - i/2) - prod (e - ix) f(x + i/2)) / (2ix), with
-    # prod (e +- ix) = e4 +- i e3 x - e2 x^2 -+ i e1 x^3 + x^4, conjugate
-    # for the real parameters of the domain: a conjugate pair
-    e = pt.derived("esym", _esym, pt)
-    _, e1, e2, e3, e4 = (e.coefficient(k) for k in range(5))
-    plus = (e4, GR_I * e3, -e2, -GR_I * e1, 1)
-    return DifferenceOperator(((plus, _HALF_DOWN, -1),), divisor=2 * GR_I)
+    # (prod (e + ix) f(x - i/2) - prod (e - ix) f(x + i/2)) / (2ix), prod (e +- ix) = e4 +- i e3 x - e2 x^2
+    # -+ i e1 x^3 + x^4 conjugate for the real parameters of the domain: a folded pair, 1/(2i) = -i/2 taken in
+    e0, e1, e2, e3, e4 = (*pt.derived("esym", _esym, pt).re, 0, 0, 0, 0)[:5]  # e0 is esym's denominator
+    mr = (0, e3, 0, -e1, 0)
+    taps = ((_HALF_DOWN, 1, mr, (-e4, 0, e2, 0, -e0), 1), (_HALF_UP, 1, mr, (e4, 0, -e2, 0, e0), 2))
+    return DifferenceOperator.from_parts(taps, 2 * e0, 2, True)
 
 
 def _bqj_raise(pt):
-    # ((1 - x/(aq))(1 - x/(cq)) f - (1 - x)(1 - bx/c) f(qx)) / ((1 - q)x), with
-    # (1 - x/(aq))(1 - x/(cq)) = 1 - (a + c) x/(acq) + x^2/(acq^2)
-    a, b, c, q = pt.get("a"), pt.get("b"), pt.get("c"), pt.get("q")
-    inv = (a * c * q).inverse()
-    up = (1, -(a + c) * inv, inv / q)
-    bc = b / c
-    dn = (-1, 1 + bc, -bc)
-    return DifferenceOperator(((up, None), (dn, (q, 0))), divisor=1 - q)
+    # ((1 - x/(aq))(1 - x/(cq)) f - (1 - x)(1 - bx/c) f(qx)) / ((1 - q)x): the multipliers are
+    # (acq^2 - (a + c)q x + x^2)/(acq^2) and -(c - (b + c)x + bx^2)/c, each over 1 - q
+    (ar, ad), (br, bd), (cr, cd), (qr, qd) = (_real_parts(pt.get(k)) for k in "abcq")
+    t, u = ar * qr * qr, bd * qd
+    up = (u * t * cr, -u * (ar * cd + cr * ad) * qd * qr, u * ad * cd * qd * qd)
+    dn = (-u * t * cr, qd * t * (bd * cr + br * cd), -qd * t * br * cd)[: 3 if br else 2]
+    taps = ((None, qd, up, None, 0), ((qr, 0, 0, 0, qd), 1, dn, None, 0))
+    return DifferenceOperator.from_parts(taps, t * cr * bd * (qd - qr), qd, True)
 
 
 def _aw_raise(pt):
-    # (B(z) f(pz)/z - z^3 B(1/z) f(z/p)) / (1 - z^2) * (-2/(1 - q)), q = p^2, with
-    # B(z) = prod (1 - e z) = 1 - e1 z + e2 z^2 - e3 z^3 + e4 z^4
-    p = pt.get("p")
-    e = pt.derived("esym", _esym, pt)
-    _, e1, e2, e3, e4 = (e.coefficient(k) for k in range(5))
-    up = (-1, (1, -e1, e2, -e3, e4))  # B(z)/z
-    dn = (-1, (-e4, e3, -e2, e1, -1))  # -z^3 B(1/z)
-    return LaurentOperator(p, ((up, 1), (dn, -1)), scale=-2 / (1 - p * p), divisor=(0, (1, 0, -1)))
+    # (B(z) f(pz)/z - z^3 B(1/z) f(z/p)) / (1 - z^2) * (-2/(1 - q)), q = p^2, with B(z) =
+    # prod (1 - e z) = 1 - e1 z + e2 z^2 - e3 z^3 + e4 z^4 and -2/(1 - p^2) = -2d^2/(d^2 - r^2)
+    r, d = _real_parts(pt.get("p"))
+    e0, e1, e2, e3, e4 = (*pt.derived("esym", _esym, pt).re, 0, 0, 0, 0)[:5]
+    up = tuple(-2 * d * d * e for e in (e0, -e1, e2, -e3, e4))  # B(z)/z
+    dn = tuple(2 * d * d * e for e in (e4, -e3, e2, -e1, e0))  # -z^3 B(1/z)
+    taps = ((r, d, up, None), (d, r, dn, None))
+    return LaurentOperator.from_parts(taps, -1, e0 * (d * d - r * r), r * d, (0, (1, 0, -1)))  # over 1 - z^2
 
 
 def _esym(pt) -> Poly:
@@ -682,7 +685,8 @@ def _low_delta_x2(pt):
 
 
 def _low_qinv(pt):
-    return ops.q_derivative_operator(1 / pt.get("q"))
+    q = pt.get("q")
+    return ops.q_derivative_operator(_Q(q.d, q.r))  # D_(1/q)
 
 
 def _low_aw(pt):

@@ -2,15 +2,13 @@
 generalized Leibniz rules they satisfy.
 
 Every operator is a declared value.  Each partial on polynomials in x (the
-shifts, delta_x, delta_x2 and D_q) is a list of taps, an
-algebra.DifferenceOperator, applied in one pass over integer numerators with
-one canonical form.  The fixed ones are bound at import; D_q is built for
-its base by `q_derivative_operator(q)`, in the q-based specs and the
-families' lowering factories.  The Askey-Wilson divided difference on
-symmetric Laurent polynomials is declared the same way as Laurent taps, an
-algebra.LaurentOperator (`aw_Dq_operator`); its spec's steps are dilations
-of z, applied by Laurent.scale_var as `aw_eta` is, which the literal
-transcriptions call.
+shifts, delta_x, delta_x2 and D_q) is an algebra.DifferenceOperator, the
+Askey-Wilson divided difference on symmetric Laurent polynomials an
+algebra.LaurentOperator.  The fixed ones are declared as taps and bound at
+import; D_q and the Askey-Wilson D_q are bound for their base from its
+integer parts (`q_derivative_operator(q)`, `aw_Dq_operator(p)`).  The
+Askey-Wilson spec's steps are dilations of z, applied by Laurent.scale_var
+as `aw_eta` is, which the literal transcriptions call.
 
 Every carrier is a declared value too: POLY (polynomials in x), EVEN (even
 polynomials in x, graded by x^2) and LAURENT (symmetric Laurent polynomials
@@ -43,6 +41,7 @@ from .algebra import (
     Laurent,
     LaurentOperator,
     Poly,
+    _real_parts,
     binomial,
     chebyshev_lift,
     product,
@@ -142,9 +141,10 @@ delta_x2 = DifferenceOperator((((1,), (1, GR_HALF_I), -1),), divisor=2 * GR_I)  
 
 
 def q_derivative_operator(q) -> DifferenceOperator:
-    """D_q as taps: (f(x) - f(qx)) / ((1-q)x); sends x^n to [n]_q x^(n-1)."""
-    q = scalar(q)
-    return DifferenceOperator((((1,), None), ((-1,), (q, 0))), divisor=1 - q)
+    """D_q: (f(x) - f(qx)) / ((1-q)x), which sends x^n to [n]_q x^(n-1), bound from q = r/d."""
+    r, d = _real_parts(q)
+    taps = ((None, d, (d,), None, 0), ((r, 0, 0, 0, d), 1, (-d,), None, 0))
+    return DifferenceOperator.from_parts(taps, d - r, d, True)
 
 
 def aw_eta(f: Laurent, p, power: int = 1) -> Laurent:
@@ -153,10 +153,10 @@ def aw_eta(f: Laurent, p, power: int = 1) -> Laurent:
 
 
 def aw_Dq_operator(p) -> LaurentOperator:
-    """The Askey-Wilson D_q as Laurent taps: f(pz) and -f(z/p), divided
-    exactly by (1/2)(p - 1/p)(z - 1/z), with q = p^2."""
-    p = scalar(p)
-    return LaurentOperator(p, (((0, (1,)), 1), ((0, (-1,)), -1)), scale=2 / (p - 1 / p), divisor=(-1, (-1, 0, 1)))
+    """The Askey-Wilson D_q, q = p^2: (f(pz) - f(z/p)) / ((1/2)(p - 1/p)(z - 1/z)), bound from p = r/d."""
+    r, d = _real_parts(p)
+    taps = ((r, d, (2 * r * d,), None), (d, r, (-2 * r * d,), None))
+    return LaurentOperator.from_parts(taps, 0, r * r - d * d, r * d, (-1, (-1, 0, 1)))  # over z - 1/z
 
 
 @dataclass(frozen=True)
@@ -184,10 +184,10 @@ class OperatorSpec:
 
 
 def ladder(op: Callable, f, n: int) -> list:
-    """[f, op f, ..., op^n f]."""
+    """[f, op f, ..., op^n f]; op is never applied to a zero, which is repeated to the end."""
     out = [f]
     for _ in range(n):
-        out.append(op(out[-1]))
+        out.append(op(out[-1]) if out[-1] else out[-1])
     return out
 
 

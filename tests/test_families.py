@@ -960,6 +960,16 @@ FAILURE_PATHS = {
         lambda mp: _declare(mp, "hermite", lowering=_keeps_degree) or lowering_constant_check(make_point("hermite"), 2),
         AssertionError, "lowering did not drop the degree",
     ),
+    "a raising operator with a zero denominator": (
+        lambda mp: FAMILIES["charlier"].raising(make_point("charlier", a=0)),
+        ZeroDivisionError, "zero denominator",
+    ),
+    "a raising operator at a non-real coordinate": (
+        lambda mp: FAMILIES["laguerre"].raising(make_point("laguerre", nu=GR_I)),
+        ValueError, "expected a real scalar",
+    ),
+    "D_q at q = 1": (lambda mp: ops.q_derivative_operator(1), ZeroDivisionError, "zero denominator"),
+    "the Askey-Wilson D_q at p = -1": (lambda mp: ops.aw_Dq_operator(-1), ZeroDivisionError, "zero denominator"),
     "adjointness for a family with no adjoint": (
         lambda mp: adjointness_check(make_point("wilson", a=1, b=1, c=1, d=1), 1),
         ValueError, "no exact adjoint registered",
@@ -1100,6 +1110,47 @@ def test_operators_canonicalize_once(monkeypatch):
     assert algebra.product(aw.alpha(3, 1), eta, twist).degree == 10
     assert calls["canon"] == 3
     monkeypatch.undo()
+
+
+_SCALAR_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__pow__", "__neg__", "inverse",
+)
+
+
+def test_operators_are_bound_from_integer_parts(monkeypatch):
+    # every per-point operator (each family's raising and lowering operator,
+    # D_q at q and 1/q and the Askey-Wilson D_q at a sampled base) is
+    # computed from the integer parts of the point's coordinates: building
+    # one makes no GaussianRational arithmetic call
+    rng = Random(79)
+    points = [sample_point(tag, rng) for tag in FAMILIES for _ in range(3)]
+    bases = []
+    for _ in range(3):
+        q = sample_point("big-q-jacobi", rng).get("q")
+        bases.append((q, 1 / q, sample_point("askey-wilson", rng).get("p")))
+    calls = Counter()
+
+    def counting(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    for name in _SCALAR_ARITHMETIC:
+        monkeypatch.setattr(GaussianRational, name, counting(name, getattr(GaussianRational, name)))
+    built = []
+    for pt in points:
+        spec = FAMILIES[pt.family]
+        if spec.raising is not None:
+            built.append(spec.raising(pt))
+        built.append(spec.lowering(pt))
+    for q, q_inv, p in bases:
+        built += [ops.q_derivative_operator(q), ops.q_derivative_operator(q_inv), ops.aw_Dq_operator(p)]
+    assert not calls, dict(calls)
+    monkeypatch.undo()
+    assert len(built) == 3 * (len(FAMILIES) + len(CHAIN_FAMILIES) + 3)
 
 
 @settings(max_examples=40, deadline=None)

@@ -31,6 +31,12 @@ ADJOINTNESS_DEEP_SHA256 = {
     7: "693e06cf7cef51594c5a37cb053f4cf01094eb099626c3827e0da5de393e897c",
     2718: "7443c04db22b92229d23fb8a589e0b83c8ca88cef424e3d63e3005ec6ef37685",
 }
+# `verify --seed S --max-n 2 --max-m 2 --trials 6`, perfbench's small-many
+# workload: six sampled points per case, the one multi-trial report
+SMALL_MANY_SHA256 = {
+    7: "b377f493cc33b82677f0f31c68d14a374a75511882d68c8e48c412bdf54ca3e6",
+    2718: "5154361eb2a8e8888b26f452653c21579e3badf7b7b6ef0ac9b15e5b8f84baa9",
+}
 # `askeykit toda --seed S`: each flow's b_n and c_n in lowest terms; seed 1
 # samples krawtchouk(p=16/41, N=8), whose b_4 reduces to the constant 4
 TODA_SHA256 = {
@@ -125,6 +131,14 @@ def test_adjointness_deep_report_bytes(seed):
     assert report["totals"] == {"cases": 56, "passed": 56, "failed": 0}
     text = render_report(report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == ADJOINTNESS_DEEP_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(SMALL_MANY_SHA256))
+def test_small_many_report_bytes(seed):
+    report = run_verify(SuiteConfig(seed=seed, max_n=2, max_m=2, trials=6))
+    assert report["totals"] == {"cases": 1932, "passed": 1932, "failed": 0}
+    text = render_report(report, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == SMALL_MANY_SHA256[seed]
 
 
 @pytest.mark.parametrize("seed", sorted(TODA_SHA256))
