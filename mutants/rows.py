@@ -113,27 +113,33 @@ ROWS = [
         REPORT,
     ),
     Row(
-        "DifferenceOperator: the fold rule flipped to the pairs whose sum is 2i Im", "algebra.py",
-        "s == (-1 if ui else 1)",
-        "s == (1 if ui else -1)",
-        "tests/test_ops.py::test_declared_conjugate_pairs_fold",
-    ),
-    Row(
-        "DifferenceOperator: a pair folded as 2 Re whatever its sign", "algebra.py",
-        "s == (-1 if ui else 1)",
-        "s in (1, -1)",
+        "DifferenceOperator: a folded pair not doubled", "algebra.py",
+        "                s *= 2\n",
+        "",
         "tests/test_ops.py::test_difference_operator_matches_its_taps",
     ),
     Row(
-        "_wilson_raise: the partner of the folded pair not marked as folded", "families.py",
-        "(_HALF_UP, 1, mr, (e4, 0, -e2, 0, e0), 2))",
-        "(_HALF_UP, 1, mr, (e4, 0, -e2, 0, e0), 0))",
+        "DifferenceOperator: a tap's base power E // e read as E", "algebra.py",
+        "e // s[4] if",
+        "e if",
         REPORT,
     ),
     Row(
-        "_bqj_raise: the q-tap's base power E/e read as E", "families.py",
-        "((qr, 0, 0, 0, qd), 1, dn, None, 0)",
-        "((qr, 0, 0, 0, qd), qd, dn, None, 0)",
+        "delta_x: the partner's multiplier not conjugated", "ops.py",
+        "(_HALF_DOWN, (0,), (1,), 2)), 1)",
+        "(_HALF_DOWN, (0,), (-1,), 2)), 1)",
+        "tests/test_ops.py::test_folded_pairs_equal_their_two_taps",
+    ),
+    Row(
+        "aw_Dq_operator: the 1/p tap dilating by p", "ops.py",
+        "(d, r, (-2 * r * d,), None)",
+        "(r, d, (-2 * r * d,), None)",
+        REPORT,
+    ),
+    Row(
+        "_wilson_raise: the partner of the folded pair not marked as folded", "families.py",
+        "(_HALF_UP, mr, (e4, 0, -e2, 0, e0), 2))",
+        "(_HALF_UP, mr, (e4, 0, -e2, 0, e0), 0))",
         REPORT,
     ),
     Row(

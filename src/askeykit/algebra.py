@@ -24,15 +24,14 @@ are read.
 
 A difference operator is a DifferenceOperator: taps, each a multiplier
 polynomial times the identity, d/dx or a substitution x |-> alpha*x + beta,
-optionally divided exactly by c*x.  Its core holds them as integers, bound
-once per operator (from a point's integer parts, by a factory, or from
-declared scalars, by the constructor), and applies them in one pass over
-integer numerators with one canonical form; `product` multiplies several
-factors the same way.  Its Laurent form, LaurentOperator, acts on symmetric
-Laurent polynomials: each tap is a Laurent multiplier times a dilation
-z |-> p^(+-1) z, the sum is optionally divided exactly by a Laurent
-polynomial with unit top coefficient, and the input and the quotient are
-checked to be palindromes.
+over one denominator and optionally divided exactly by x.  It is built from
+integers only (the numerators of the multipliers and of the substitutions),
+once per operator, and applies its taps in one pass over integer numerators
+with one canonical form; `product` multiplies several factors the same way.
+Its Laurent form, LaurentOperator, acts on symmetric Laurent polynomials:
+each tap is a Laurent multiplier times a dilation z |-> p^(+-1) z, the sum
+is optionally divided exactly by a Laurent polynomial with unit top
+coefficient, and the input and the quotient are checked to be palindromes.
 
 The closed hypergeometric forms, series sum_k prod_(j<k) rho_j phi_j with
 Gaussian-integer fractions rho_j and short integer polynomials phi_j, are
@@ -775,70 +774,33 @@ _P_X = _poly((0, 1), None, 1)
 
 
 class DifferenceOperator:
-    """The linear map f |-> (sum_t M_t(x) (S_t f)(x)) / (c*x) on Poly.
+    """The linear map f |-> (sum_t M_t(x) (S_t f)(x)) / (den * x^by_x) on Poly.
 
-    Declared by taps (M, S), M by its scalar coefficients from x^0 up and S
-    None (the identity), "d" (d/dx) or (alpha, beta) for x |-> alpha*x + beta,
-    by triples (M, (alpha, beta), s), s = +-1, for the conjugate pair
-    M f(alpha*x + beta) + s conj(M) f(alpha*x + conj beta), and by c, the
-    `divisor`.  The constructor prepares the integer core that `from_parts`
-    binds as given: taps (S, b, mr, mi, pair), S as the parts (ar, ai, br,
-    bi, e), e > 0, of x |-> ((ar + ai*i)x + br + bi*i)/e, b = E/e for E the
-    lcm of the e's (1 for None and "d"), mr and mi (None if real) the
-    numerators of M/c over one nonzero denominator, pair 1 for a folded pair,
-    2 for its partner, else 0; `by_x` divides by x, and a nonzero constant
-    term there is the ValueError of Poly.exact_div.
+    Built from integers: taps (S, mr, mi, pair) and the nonzero denominator
+    `den`.  S is None (the identity), "d" (d/dx) or the parts (ar, ai, br,
+    bi, e), e != 0, of x |-> ((ar + ai*i)x + br + bi*i)/e; mr and mi (None if
+    real) are the numerators of M from x^0 up; pair is 1 for the first tap of
+    a folded conjugate pair, 2 for its partner, else 0.  The constructor
+    takes the common substitution denominator E, the lcm of the e's (1 for
+    None and "d"), and each tap's base power E/e.  With `by_x` the sum is
+    divided by x, and a nonzero constant term there is the ValueError of
+    Poly.exact_div.
 
     An application runs on integer numerators, one raw substitution pass per
-    tap, with one canonical form.  On a real input, with alpha real,
-    f(alpha*x + conj beta) is the conjugate of A = f(alpha*x + beta), so a
-    pair whose sum is 2 Re(M A) (1/c real and s = 1, or imaginary and s = -1)
-    is computed from A once.
+    tap, with one canonical form.  A folded pair is M f(alpha*x + beta) and
+    conj(M) f(alpha*x + conj beta) with alpha real: on a real input the
+    partner is the conjugate of the first tap's M A, A = f(alpha*x + beta),
+    so the pair is computed from A once, as 2 Re(M A).
     """
 
     __slots__ = ("_taps", "_den", "_e", "_by_x")
 
-    @classmethod
-    def from_parts(cls, taps, den: int, e: int = 1, by_x: bool = False) -> "DifferenceOperator":
+    def __init__(self, taps, den: int, by_x: bool = False):
         if not den:
             raise ZeroDivisionError("an operator with a zero denominator")
-        op = _new(cls)
-        op._taps, op._den, op._e, op._by_x = taps, den, e, by_x
-        return op
-
-    def __init__(self, taps, divisor=None):
-        ur, ui, ud = (1, 0, 1) if divisor is None else _parts(GaussianRational.coerce(divisor).inverse())
-        flat = []  # (multiplier parts, substitution, pair flag)
-        for m, sub, *sign in taps:
-            ps = [_parts(c) for c in m]
-            fold = 0
-            if sign:
-                # the folded pair is u M A + s u conj(M A), which is 2 Re(u M A)
-                # when u = 1/c is real and s = 1, or imaginary and s = -1
-                s, (alpha, beta) = sign[0], sub
-                fold = int(not _parts(alpha)[1] and s == (-1 if ui else 1) and not (ur and ui))
-                conj = (alpha, GaussianRational.coerce(beta).conjugate())
-                flat.append(([(s * r, -s * i, d) for r, i, d in ps], conj, 2 * fold))
-            flat.append((ps, sub, fold))
-        md = lcm(*(d for ps, _, _ in flat for _, _, d in ps))
-        prepared = []
-        for ps, sub, pair in flat:
-            mr = [(r * ur - i * ui) * (md // d) for r, i, d in ps]
-            mi = [(r * ui + i * ur) * (md // d) for r, i, d in ps]
-            while mr and not mr[-1] and not mi[-1]:
-                mr.pop()
-                mi.pop()
-            if not mr:
-                continue
-            e = 1
-            if sub is not None and sub != "d":
-                (ar, ai, ad), (br, bi, bd) = _parts(sub[0]), _parts(sub[1])
-                e = lcm(ad, bd)
-                sub = (ar * (e // ad), ai * (e // ad), br * (e // bd), bi * (e // bd), e)
-            prepared.append((sub, e, tuple(mr), tuple(mi) if any(mi) else None, pair))
-        e = lcm(*(t[1] for t in prepared))
-        self._taps = tuple((sub, e // te, mr, mi, pair) for sub, te, mr, mi, pair in prepared)
-        self._den, self._e, self._by_x = md * ud, e, divisor is not None
+        e = lcm(*[t[0][4] for t in taps if type(t[0]) is tuple])
+        self._taps = tuple([(s, e // s[4] if type(s) is tuple else e, mr, mi, pair) for s, mr, mi, pair in taps])
+        self._den, self._e, self._by_x = den, e, by_x
 
     def __call__(self, f: Poly) -> Poly:
         fr, fi = f.re, f.im
@@ -1189,20 +1151,19 @@ def _unit_divide(num: list, dc) -> None:
 class LaurentOperator:
     """The Laurent form of DifferenceOperator, on symmetric Laurent polynomials:
 
-        f |-> c * (sum_t M_t(z) f(p^(k_t) z)) / D(z)
+        f |-> (sum_t M_t(z) f(p^(+-1) z)) / (den * D(z))
 
-    for a real base p = r/d != 0.  Declared by taps (M, k), M as (low,
-    coefficients from z^low up) and k = 1 or -1, by the `scale` c and by an
-    optional `divisor` D, given as (low, integer coefficients) with a nonzero
-    constant and top coefficient 1 or -1, which divides the sum exactly (a
-    nonzero remainder is the ValueError of Laurent.exact_div).  The
-    constructor prepares the integer core that `from_parts` binds as given:
-    taps (a, e, mr, mi), the dilation z |-> (a/e) z, (r, d) for p and (d, r)
-    for 1/p, with the numerators of c M from z^low up over one nonzero
-    denominator; rd = r*d; D as declared.  The input and the quotient must be
-    symmetric under z <-> 1/z, each checked by Laurent.to_sym (whose
-    ValueError an asymmetric or off-centre one raises); every tap is computed
-    as written, none is mirrored from another.
+    for a real base p = r/d != 0.  Built from integers: taps (a, e, mr, mi),
+    the dilation z |-> (a/e) z, (r, d) for p and (d, r) for 1/p, with mr and
+    mi (None if real) the numerators of M from z^low up; the nonzero
+    denominator `den`; and an optional `divisor` D, given as (low, integer
+    coefficients) with a nonzero constant and top coefficient 1 or -1, which
+    divides the sum exactly (a nonzero remainder is the ValueError of
+    Laurent.exact_div).  The constructor reads rd = a*e = r*d off the taps,
+    and a tap that dilates by another base is a ValueError.  The input and
+    the quotient must be symmetric under z <-> 1/z, each checked by
+    Laurent.to_sym (whose ValueError an asymmetric or off-centre one raises);
+    every tap is computed as written, none is mirrored from another.
 
     With f symmetric of degree n, f((a/e) z) is z^(-n) N(z) / (rd)^n for the
     integer numerators N of one raw dilation of f's numerators, as ae = rd:
@@ -1212,35 +1173,14 @@ class LaurentOperator:
 
     __slots__ = ("_taps", "_low", "_den", "_rd", "_divisor")
 
-    @classmethod
-    def from_parts(cls, taps, low: int, den: int, rd: int, divisor=None) -> "LaurentOperator":
+    def __init__(self, taps, low: int, den: int, divisor=None):
+        rds = {a * e for a, e, _, _ in taps}
+        if len(rds) != 1:
+            raise ValueError(f"the taps of a Laurent operator dilate by one base p and by 1/p, got a*e in {rds}")
+        (rd,) = rds
         if not den or not rd:
             raise ZeroDivisionError("an operator with a zero denominator")
-        op = _new(cls)
-        op._taps, op._low, op._den, op._rd, op._divisor = taps, low, den, rd, divisor
-        return op
-
-    def __init__(self, p, taps, scale=1, divisor=None):
-        p = GaussianRational.coerce(p)
-        if p.i or not p.r:
-            raise ValueError(f"a dilation needs a real base p != 0, got {p!r}")
-        cr, ci, cd = _parts(scale)
-        parts = [[_parts(c) for c in coeffs] for (_, coeffs), _ in taps]
-        md = lcm(*(pd for ps in parts for _, _, pd in ps))
-        self._low = min((low for (low, _), _ in taps), default=0)
-        prepared = []
-        for ((low, _), k), ps in zip(taps, parts):
-            if k not in (1, -1):
-                raise ValueError(f"a Laurent tap dilates by p or 1/p, got the power {k}")
-            # every multiplier from z^_low up, so the tap products line up
-            zeros = [0] * (low - self._low)
-            mr = [(u * cr - v * ci) * (md // pd) for u, v, pd in ps]
-            mi = [(u * ci + v * cr) * (md // pd) for u, v, pd in ps]
-            prepared.append(((p.r, p.d) if k == 1 else (p.d, p.r)) + (zeros + mr, zeros + mi if any(mi) else None))
-        dc = divisor and divisor[1]
-        if dc is not None and (not dc or dc[-1] not in (1, -1) or not dc[0] or any(type(c) is not int for c in dc)):
-            raise ValueError(f"a Laurent divisor needs integers, a nonzero constant and top +-1, got {dc!r}")
-        self._taps, self._den, self._rd, self._divisor = tuple(prepared), md * cd, p.r * p.d, divisor
+        self._taps, self._low, self._den, self._rd, self._divisor = taps, low, den, rd, divisor
 
     def __call__(self, f: Laurent) -> SymLaurent:
         b = f.to_sym().body

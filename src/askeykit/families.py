@@ -64,6 +64,7 @@ from .algebra import (
     unit_phase,
 )
 from . import ops
+from .ops import _DOWN, _HALF_DOWN, _HALF_UP
 
 __all__ = [
     "ParamPoint",
@@ -504,12 +505,9 @@ def _std_krawtchouk(pt, n: int) -> Poly:
 # family catalog
 # ---------------------------------------------------------------------------
 
-# Each raising operator is bound from integer parts: its factory computes the core taps of a DifferenceOperator
-# or LaurentOperator from the integer parts of the point's coordinates (or esym's), with no scalar arithmetic.
-_DOWN = (1, 0, -1, 0, 1)  # x |-> x - 1
-_HALF_UP = (2, 0, 0, 1, 2)  # x |-> x + i/2
-_HALF_DOWN = (2, 0, 0, -1, 2)  # x |-> x - i/2
-_HERMITE_RAISE = DifferenceOperator((((1,), "d"), ((0, -2), None)))  # f' - 2x f
+# Each raising operator is built from integers: its factory computes the taps of a DifferenceOperator or
+# LaurentOperator from the integer parts of the point's coordinates (or esym's), with no scalar arithmetic.
+_HERMITE_RAISE = DifferenceOperator((("d", (1,), None, 0), (None, (0, -2), None, 0)), 1)  # f' - 2x f
 
 
 def _hermite_raise(pt):
@@ -519,28 +517,26 @@ def _hermite_raise(pt):
 def _laguerre_raise(pt):
     # x f' + (nu + 1 - x) f
     r, d = _real_parts(pt.get("nu"))
-    return DifferenceOperator.from_parts((("d", 1, (0, d), None, 0), (None, 1, (r + d, -d), None, 0)), d)
+    return DifferenceOperator((("d", (0, d), None, 0), (None, (r + d, -d), None, 0)), d)
 
 
 def _jacobi_raise(pt):
     # (1 - x^2) f' + (beta - alpha - (alpha + beta + 2) x) f
     (ar, ad), (br, bd) = _real_parts(pt.get("alpha")), _real_parts(pt.get("beta"))
     d, u, v = ad * bd, br * ad, ar * bd
-    taps = (("d", 1, (d, 0, -d), None, 0), (None, 1, (u - v, -u - v - 2 * d), None, 0))
-    return DifferenceOperator.from_parts(taps, d)
+    return DifferenceOperator((("d", (d, 0, -d), None, 0), (None, (u - v, -u - v - 2 * d), None, 0)), d)
 
 
 def _meixner_raise(pt):
     # (1 + x/beta) f - x/(c beta) f(x - 1)
     (br, bd), (cr, cd) = _real_parts(pt.get("beta")), _real_parts(pt.get("c"))
-    taps = ((None, 1, (br * cr, bd * cr), None, 0), (_DOWN, 1, (0, -bd * cd), None, 0))
-    return DifferenceOperator.from_parts(taps, br * cr)
+    return DifferenceOperator(((None, (br * cr, bd * cr), None, 0), (_DOWN, (0, -bd * cd), None, 0)), br * cr)
 
 
 def _charlier_raise(pt):
     # f - (x/a) f(x - 1)
     r, d = _real_parts(pt.get("a"))
-    return DifferenceOperator.from_parts(((None, 1, (r,), None, 0), (_DOWN, 1, (0, -d), None, 0)), r)
+    return DifferenceOperator(((None, (r,), None, 0), (_DOWN, (0, -d), None, 0)), r)
 
 
 def _mp_raise(pt):
@@ -548,8 +544,8 @@ def _mp_raise(pt):
     lr, ld = _real_parts(pt.get("lam"))
     ur, ui, ud = _parts(unit_phase(pt.get("phi")))
     mr = (-lr * ur, -ld * ui)
-    taps = ((_HALF_UP, 1, mr, (-lr * ui, ld * ur), 1), (_HALF_DOWN, 1, mr, (lr * ui, -ld * ur), 2))
-    return DifferenceOperator.from_parts(taps, ld * ud, 2)
+    taps = ((_HALF_UP, mr, (-lr * ui, ld * ur), 1), (_HALF_DOWN, mr, (lr * ui, -ld * ur), 2))
+    return DifferenceOperator(taps, ld * ud)
 
 
 def _wilson_raise(pt):
@@ -557,8 +553,8 @@ def _wilson_raise(pt):
     # -+ i e1 x^3 + x^4 conjugate for the real parameters of the domain: a folded pair, 1/(2i) = -i/2 taken in
     e0, e1, e2, e3, e4 = (*pt.derived("esym", _esym, pt).re, 0, 0, 0, 0)[:5]  # e0 is esym's denominator
     mr = (0, e3, 0, -e1, 0)
-    taps = ((_HALF_DOWN, 1, mr, (-e4, 0, e2, 0, -e0), 1), (_HALF_UP, 1, mr, (e4, 0, -e2, 0, e0), 2))
-    return DifferenceOperator.from_parts(taps, 2 * e0, 2, True)
+    taps = ((_HALF_DOWN, mr, (-e4, 0, e2, 0, -e0), 1), (_HALF_UP, mr, (e4, 0, -e2, 0, e0), 2))
+    return DifferenceOperator(taps, 2 * e0, True)
 
 
 def _bqj_raise(pt):
@@ -568,8 +564,7 @@ def _bqj_raise(pt):
     t, u = ar * qr * qr, bd * qd
     up = (u * t * cr, -u * (ar * cd + cr * ad) * qd * qr, u * ad * cd * qd * qd)
     dn = (-u * t * cr, qd * t * (bd * cr + br * cd), -qd * t * br * cd)[: 3 if br else 2]
-    taps = ((None, qd, up, None, 0), ((qr, 0, 0, 0, qd), 1, dn, None, 0))
-    return DifferenceOperator.from_parts(taps, t * cr * bd * (qd - qr), qd, True)
+    return DifferenceOperator(((None, up, None, 0), ((qr, 0, 0, 0, qd), dn, None, 0)), t * cr * bd * (qd - qr), True)
 
 
 def _aw_raise(pt):
@@ -580,7 +575,7 @@ def _aw_raise(pt):
     up = tuple(-2 * d * d * e for e in (e0, -e1, e2, -e3, e4))  # B(z)/z
     dn = tuple(2 * d * d * e for e in (e4, -e3, e2, -e1, e0))  # -z^3 B(1/z)
     taps = ((r, d, up, None), (d, r, dn, None))
-    return LaurentOperator.from_parts(taps, -1, e0 * (d * d - r * r), r * d, (0, (1, 0, -1)))  # over 1 - z^2
+    return LaurentOperator(taps, -1, e0 * (d * d - r * r), (0, (1, 0, -1)))  # over 1 - z^2
 
 
 def _esym(pt) -> Poly:

@@ -4,11 +4,13 @@ generalized Leibniz rules they satisfy.
 Every operator is a declared value.  Each partial on polynomials in x (the
 shifts, delta_x, delta_x2 and D_q) is an algebra.DifferenceOperator, the
 Askey-Wilson divided difference on symmetric Laurent polynomials an
-algebra.LaurentOperator.  The fixed ones are declared as taps and bound at
-import; D_q and the Askey-Wilson D_q are bound for their base from its
-integer parts (`q_derivative_operator(q)`, `aw_Dq_operator(p)`).  The
-Askey-Wilson spec's steps are dilations of z, applied by Laurent.scale_var
-as `aw_eta` is, which the literal transcriptions call.
+algebra.LaurentOperator, each built from integer taps.  The fixed ones are
+built once at import, over the shift substitutions stated here (_UP, _DOWN,
+_HALF_UP, _HALF_DOWN, which the raising operators of `families` share); D_q
+and the Askey-Wilson D_q are built for their base from its integer parts
+(`q_derivative_operator(q)`, `aw_Dq_operator(p)`).  The Askey-Wilson spec's
+steps are dilations of z, applied by Laurent.scale_var as `aw_eta` is, which
+the literal transcriptions call.
 
 Every carrier is a declared value too: POLY (polynomials in x), EVEN (even
 polynomials in x, graded by x^2) and LAURENT (symmetric Laurent polynomials
@@ -36,7 +38,6 @@ from typing import Callable
 
 from .algebra import (
     GR_HALF_I,
-    GR_I,
     DifferenceOperator,
     Laurent,
     LaurentOperator,
@@ -56,7 +57,6 @@ __all__ = [
     "EVEN",
     "LAURENT",
     "translate",
-    "forward_shift",
     "backward_shift",
     "neg_forward_shift",
     "delta_x",
@@ -131,20 +131,24 @@ def translate(f: Poly, c) -> Poly:
     return f.compose_affine(1, c)
 
 
-# The fixed difference operators, as taps (multiplier coefficients, substitution)
-# and conjugate pairs (M, substitution, sign).
-forward_shift = DifferenceOperator((((1,), (1, 1)), ((-1,), None)))  # Delta f = f(x+1) - f(x)
-backward_shift = DifferenceOperator((((1,), None), ((-1,), (1, -1))))  # Nabla f = f(x) - f(x-1)
-neg_forward_shift = DifferenceOperator((((-1,), (1, 1)), ((1,), None)))  # -Delta f = f(x) - f(x+1)
-delta_x = DifferenceOperator((((-GR_I,), (1, GR_HALF_I), 1),))  # (f(x + i/2) - f(x - i/2)) / i
-delta_x2 = DifferenceOperator((((1,), (1, GR_HALF_I), -1),), divisor=2 * GR_I)  # the same over 2x, on even f
+# The substitutions x |-> alpha*x + beta of the shifts, as parts (ar, ai, br, bi, e).
+_UP = (1, 0, 1, 0, 1)  # x |-> x + 1
+_DOWN = (1, 0, -1, 0, 1)  # x |-> x - 1
+_HALF_UP = (2, 0, 0, 1, 2)  # x |-> x + i/2
+_HALF_DOWN = (2, 0, 0, -1, 2)  # x |-> x - i/2
+
+# The fixed difference operators, as taps (substitution, multiplier numerators, pair flag) over a denominator.
+backward_shift = DifferenceOperator(((None, (1,), None, 0), (_DOWN, (-1,), None, 0)), 1)  # f(x) - f(x-1)
+neg_forward_shift = DifferenceOperator(((_UP, (-1,), None, 0), (None, (1,), None, 0)), 1)  # f(x) - f(x+1)
+# (f(x + i/2) - f(x - i/2)) / i = -i f(x + i/2) + i f(x - i/2), a folded pair
+delta_x = DifferenceOperator(((_HALF_UP, (0,), (-1,), 1), (_HALF_DOWN, (0,), (1,), 2)), 1)
+delta_x2 = DifferenceOperator(((_HALF_UP, (0,), (-1,), 1), (_HALF_DOWN, (0,), (1,), 2)), 2, True)  # the same over 2x
 
 
 def q_derivative_operator(q) -> DifferenceOperator:
-    """D_q: (f(x) - f(qx)) / ((1-q)x), which sends x^n to [n]_q x^(n-1), bound from q = r/d."""
+    """D_q: (f(x) - f(qx)) / ((1-q)x), which sends x^n to [n]_q x^(n-1), built from q = r/d."""
     r, d = _real_parts(q)
-    taps = ((None, d, (d,), None, 0), ((r, 0, 0, 0, d), 1, (-d,), None, 0))
-    return DifferenceOperator.from_parts(taps, d - r, d, True)
+    return DifferenceOperator(((None, (d,), None, 0), ((r, 0, 0, 0, d), (-d,), None, 0)), d - r, True)
 
 
 def aw_eta(f: Laurent, p, power: int = 1) -> Laurent:
@@ -153,10 +157,10 @@ def aw_eta(f: Laurent, p, power: int = 1) -> Laurent:
 
 
 def aw_Dq_operator(p) -> LaurentOperator:
-    """The Askey-Wilson D_q, q = p^2: (f(pz) - f(z/p)) / ((1/2)(p - 1/p)(z - 1/z)), bound from p = r/d."""
+    """The Askey-Wilson D_q, q = p^2: (f(pz) - f(z/p)) / ((1/2)(p - 1/p)(z - 1/z)), built from p = r/d."""
     r, d = _real_parts(p)
     taps = ((r, d, (2 * r * d,), None), (d, r, (-2 * r * d,), None))
-    return LaurentOperator.from_parts(taps, 0, r * r - d * d, r * d, (-1, (-1, 0, 1)))  # over z - 1/z
+    return LaurentOperator(taps, 0, r * r - d * d, (-1, (-1, 0, 1)))  # over z - 1/z
 
 
 @dataclass(frozen=True)

@@ -1083,7 +1083,6 @@ def test_operators_canonicalize_once(monkeypatch):
     carrier_input = {"poly": f, "even": even, "laurent": lifted}
     applications = [(tag, R, carrier_input[FAMILIES[tag].carrier]) for tag, R in built.items()]
     applications += [
-        ("forward_shift", ops.forward_shift, f),
         ("backward_shift", ops.backward_shift, f),
         ("neg_forward_shift", ops.neg_forward_shift, f),
         ("delta_x", ops.delta_x, f),

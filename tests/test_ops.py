@@ -30,7 +30,6 @@ from askeykit.ops import (
     backward_shift,
     delta_x,
     delta_x2,
-    forward_shift,
     leibniz_check,
     neg_forward_shift,
     operator_catalog,
@@ -53,8 +52,6 @@ def test_shift_examples():
     assert backward_shift(x) == Poly.one()
     assert backward_shift(x ** 2) == 2 * x - 1
     assert backward_shift(Poly.one()) == Poly.zero()
-    assert forward_shift(x) == Poly.one()
-    assert forward_shift(x ** 2) == 2 * x + 1
     assert neg_forward_shift(x ** 2) == -2 * x - 1
 
 
@@ -247,7 +244,6 @@ def _by_x(num, c):
 
 DEFINITIONS = (
     (backward_shift, lambda f: f - f.compose_affine(1, -1)),
-    (forward_shift, lambda f: f.compose_affine(1, 1) - f),
     (neg_forward_shift, lambda f: f - f.compose_affine(1, 1)),
     (delta_x, lambda f: (f.compose_affine(1, H) - f.compose_affine(1, -H)) * (-GR_I)),
 )
@@ -282,79 +278,124 @@ def _apply_tap(f, sub):
         return f
     if sub == "d":
         return f.derivative()
-    return f.compose_affine(*sub)
+    ar, ai, br, bi, e = (scalar(c) for c in sub)
+    return f.compose_affine(GaussianRational(ar, ai) / e, GaussianRational(br, bi) / e)
+
+
+small = st.integers(-9, 9)
+nonzero = small.filter(bool)
+
+
+@st.composite
+def multipliers(draw):
+    """Integer numerators (mr, mi) of a multiplier from x^0 up; mi is None for a real one."""
+    mr = draw(st.lists(small, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        return tuple(mr), None
+    return tuple(mr), tuple(draw(st.lists(small, min_size=len(mr), max_size=len(mr))))
 
 
 @st.composite
 def tap_lists(draw):
-    """Random taps and declared conjugate pairs, of either sign."""
+    """Integer taps (sub, mr, mi, pair), substitution denominators of either sign; a conjugate pair
+    is a tap M f(alpha*x + beta), alpha real, and its partner conj(M) f(alpha*x + conj beta), folded or not."""
     taps = []
     for _ in range(draw(st.integers(1, 3))):
-        m = draw(st.lists(st.one_of(rationals, gaussians), min_size=1, max_size=3))
+        mr, mi = draw(multipliers())
         kind = draw(st.sampled_from(["id", "d", "affine", "pair"]))
-        if kind == "id":
-            taps.append((m, None))
-        elif kind == "d":
-            taps.append((m, "d"))
+        if kind in ("id", "d"):
+            taps.append((None if kind == "id" else "d", mr, mi, 0))
+            continue
+        ar, br, bi, e = draw(nonzero), draw(small), draw(small), draw(nonzero)
+        if kind == "affine":
+            taps.append(((ar, draw(small), br, bi, e), mr, mi, 0))
         else:
-            alpha = draw(rationals.filter(bool))
-            alpha = draw(st.one_of(st.just(alpha), gaussians.filter(bool)))
-            beta = draw(gaussians)
-            if kind == "affine":
-                taps.append((m, (alpha, beta)))
-            else:
-                taps.append((m, (alpha, beta), draw(st.sampled_from([1, -1]))))
+            fold = draw(st.booleans())
+            conj = None if mi is None else tuple(-c for c in mi)
+            taps += [((ar, 0, br, bi, e), mr, mi, fold), ((ar, 0, br, -bi, e), mr, conj, 2 * fold)]
     return taps
 
 
-# no divisor, and real, imaginary and mixed ones: a declared pair folds into
-# one tap on a real input exactly when its sum is 2 Re(M A), that is when 1/c
-# is real and the sign is 1 or 1/c is imaginary and the sign is -1; every
-# other pair, of either sign, runs as its two taps
-divisors = st.one_of(
-    st.none(), rationals.filter(bool), rationals.filter(bool).map(lambda r: r * GR_I), gaussians.filter(bool)
-)
+def _times(cs, k):
+    return tuple(c * k for c in cs)
+
+
+def _tap_sum(taps, f):
+    """sum_t M_t S_t f in Poly arithmetic, every tap run as written."""
+    num = Poly.zero()
+    for sub, mr, mi, _ in taps:
+        m = Poly([GaussianRational(r, i) for r, i in zip(mr, mi or [0] * len(mr))])
+        num = num + m * _apply_tap(f, sub)
+    return num
 
 
 @settings(max_examples=150, deadline=None)
-@given(tap_lists(), divisors, st.one_of(real_polys, complex_polys))
-def test_difference_operator_matches_its_taps(taps, c, f):
-    num = Poly.zero()
-    for m, sub, *sign in taps:
-        num = num + Poly(m) * _apply_tap(f, sub)
-        if sign:  # the partner sign conj(M) f(alpha x + conj beta)
-            alpha, beta = sub
-            conj = [sign[0] * GaussianRational.coerce(v).conjugate() for v in m]
-            num = num + Poly(conj) * f.compose_affine(alpha, GaussianRational.coerce(beta).conjugate())
-    if c is not None and f.coefficient(0):
-        # one more identity tap cancels the constant term, so c*x divides the sum
+@given(tap_lists(), nonzero, st.booleans(), st.one_of(real_polys, complex_polys))
+def test_difference_operator_matches_its_taps(taps, den, by_x, f):
+    # a real input folds each folded pair into its first tap, a complex one runs both
+    num = _tap_sum(taps, f)
+    if by_x and f.coefficient(0):
+        # one more identity tap cancels the constant term, so x divides the sum
         k = -num.coefficient(0) / f.coefficient(0)
-        taps, num = [*taps, ((k,), None)], num + f * k
-    op = DifferenceOperator(taps, divisor=c)
-    if c is None:
-        assert op(f) == num
-    elif num.coefficient(0):
+        taps = [(sub, _times(mr, k.d), mi and _times(mi, k.d), pair) for sub, mr, mi, pair in taps]
+        taps, num, den = [*taps, (None, (k.r,), (k.i,), 0)], (num + f * k) * k.d, den * k.d
+    op = DifferenceOperator(taps, den, by_x)
+    expected = num * scalar(1, den)
+    if not by_x:
+        assert op(f) == expected
+    elif expected.coefficient(0):
         with pytest.raises(ValueError, match="nonzero remainder"):
             op(f)
     else:
-        assert op(f) == _by_x(num, c)
+        assert op(f) == _by_x(expected, 1)
+
+
+def _paired_operators():
+    """delta_x, delta_x2 and the Meixner-Pollaczek and Wilson raising operators at three sampled points each,
+    with the carrier of their inputs."""
+    rng = Random(31)
+    paired = [(delta_x, POLY), (delta_x2, EVEN)]
+    for tag in ("meixner-pollaczek", "wilson"):
+        spec = FAMILIES[tag]
+        paired += [(spec.raising_operator(sample_point(tag, rng)), spec.carrier) for _ in range(3)]
+    return paired
 
 
 def test_declared_conjugate_pairs_fold():
-    # each declared pair sums to 2 Re(M A), so on a real input it runs as one
-    # tap; unfolded it gives the same values, so no value check sees a lost fold
-    rng = Random(31)
-    paired = [delta_x, delta_x2]
-    for tag in ("meixner-pollaczek", "wilson"):
-        paired.append(FAMILIES[tag].raising_operator(sample_point(tag, rng)))
-    assert [sorted(tap[-1] for tap in op._taps if tap[-1]) for op in paired] == [[1, 2]] * 4
+    # each declared pair folds on a real input; a lost fold changes no value, so only this check sees it
+    assert [sorted(tap[-1] for tap in op._taps if tap[-1]) for op, _ in _paired_operators()] == [[1, 2]] * 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(real_polys, complex_polys)
+def test_folded_pairs_equal_their_two_taps(f_real, f_complex):
+    # a folded pair is only right when its partner is the conjugate of its first tap: then the fold on
+    # a real input and both taps on a complex one agree with the taps run unfolded
+    for op, carrier in _paired_operators():
+        unfolded = DifferenceOperator([(sub, mr, mi, 0) for sub, _, mr, mi, _ in op._taps], op._den, op._by_x)
+        for f in (f_real, f_complex):
+            g = _even(f) if carrier == EVEN else f
+            assert op(g) == unfolded(g), (op._taps, g)
+
+
+def test_laurent_divisors_suit_the_unit_division():
+    # _unit_divide divides by D with integer coefficients, a nonzero constant and a top +-1
+    rng = Random(5)
+    ops = [aw_Dq_operator(sample_rational(rng, 0, 9, 1)) for _ in range(3)]
+    for tag, spec in FAMILIES.items():
+        if spec.carrier == LAURENT:
+            ops += [spec.raising_operator(sample_point(tag, rng)) for _ in range(3)]
+    divisors = [op._divisor for op in ops if isinstance(op, LaurentOperator)]
+    assert len(divisors) == len(ops) > 3
+    for _, dc in divisors:
+        assert all(type(c) is int for c in dc) and dc[0] and dc[-1] in (1, -1), dc
 
 
 def test_difference_operator_remainder_tripwire():
     with pytest.raises(ValueError, match="nonzero remainder"):
         delta_x2(x)  # odd input: the difference is the constant i
     with pytest.raises(ValueError, match="nonzero remainder in exact division: 1"):
-        DifferenceOperator((((1,), None),), divisor=1)(Poly.one())
+        DifferenceOperator(((None, (1,), None, 0),), 1, True)(Poly.one())
 
 
 # The Laurent taps against their definition, composed here from scale_var,
@@ -365,11 +406,12 @@ complex_syms = st.lists(gaussians, min_size=1, max_size=6).map(SymLaurent).filte
 real_bases = st.builds(scalar, st.integers(-30, 30).filter(bool), st.integers(1, 12)).filter(lambda p: abs(p) != 1)
 
 
-def _laurent_taps_by_definition(p, taps, scale, divisor, f):
+def _laurent_taps_by_definition(p, taps, low, den, divisor, f):
     num = Laurent.zero()
-    for (low, m), k in taps:
-        num = num + Laurent(low, m) * f.scale_var(p ** k)
-    num = num * scale
+    for a, _, mr, mi in taps:
+        m = [GaussianRational(r, i) for r, i in zip(mr, mi or [0] * len(mr))]
+        num = num + Laurent(low, m) * f.scale_var(p if a == p.r else 1 / p)
+    num = num * scalar(1, den)
     if divisor is not None:
         num = num.exact_div(Laurent(*divisor))
     return num.to_sym()
@@ -381,29 +423,36 @@ def _aw_Dq_by_definition(f, p):
 
 
 @st.composite
-def laurent_tap_lists(draw):
-    """Taps (M(z), p) with the partner (+-M(1/z), 1/p), so the sum is symmetric
-    or antisymmetric, and a divisor to match; sometimes one stray tap."""
-    m = draw(st.lists(st.one_of(rationals, gaussians), min_size=1, max_size=4))
-    low = draw(st.integers(-3, 3))
+def laurent_tap_lists(draw, p):
+    """Integer taps: M(z) f(pz) and its partner +-M(1/z) f(z/p), so the sum is symmetric or
+    antisymmetric, from one low power of z; sometimes one stray tap; and a divisor to match."""
+    r, d = p.r, p.d
+    mr, mi = draw(multipliers())
+    top = draw(st.integers(-3, 3))  # M is z^top times a polynomial
+    low = min(top, -(top + len(mr) - 1))
     sign = draw(st.sampled_from([1, -1]))
-    taps = [((low, m), 1), ((-(low + len(m) - 1), [sign * c for c in reversed(m)]), -1)]
+
+    def aligned(cs, at):
+        return cs and (0,) * (at - low) + tuple(cs)
+
+    partner = [tuple(sign * c for c in reversed(cs)) if cs else None for cs in (mr, mi)]
+    taps = [(r, d, aligned(mr, top), aligned(mi, top)), (d, r, *(aligned(cs, -(top + len(mr) - 1)) for cs in partner))]
     symmetric = [None, (-1, (1, 0, 1)), (0, (1, 0, 1))]  # 1, z + 1/z, 1 + z^2
     antisymmetric = [(-1, (-1, 0, 1)), (0, (1, 0, -1))]  # z - 1/z, 1 - z^2
     divisor = draw(st.sampled_from(symmetric if sign == 1 else antisymmetric))
     if draw(st.integers(0, 4)) == 0:
-        taps.append(((draw(st.integers(-2, 2)), draw(st.lists(rationals, min_size=1, max_size=3))), 1))
-    return taps, divisor
+        taps.append((r, d, tuple(draw(st.lists(small, min_size=1, max_size=3))), None))
+    return taps, low, divisor
 
 
 @settings(max_examples=150, deadline=None)
-@given(laurent_tap_lists(), real_bases, gaussians.filter(bool), st.one_of(real_syms, complex_syms))
-def test_laurent_operator_matches_its_taps(tap_list, p, scale, f):
+@given(st.data(), real_bases, nonzero, st.one_of(real_syms, complex_syms))
+def test_laurent_operator_matches_its_taps(data, p, den, f):
     # the result, or the same tripwire (a remainder or an asymmetric quotient)
-    taps, divisor = tap_list
-    op = LaurentOperator(p, taps, scale=scale, divisor=divisor)
+    taps, low, divisor = data.draw(laurent_tap_lists(p))
+    op = LaurentOperator(taps, low, den, divisor)
     try:
-        expected = _laurent_taps_by_definition(p, taps, scale, divisor, f)
+        expected = _laurent_taps_by_definition(p, taps, low, den, divisor, f)
     except ValueError as exc:
         message = str(exc).split(":")[0]
         with pytest.raises(ValueError, match=message):
@@ -477,32 +526,29 @@ def test_product_of_laurent_factors_is_the_chained_product(factors, c):
 
 
 def test_laurent_operator_tripwires():
-    p = scalar(2, 3)
+    up, dn = (2, 3), (3, 2)  # z |-> (2/3) z and z |-> (3/2) z
     f = chebyshev_lift(Poly([1, -2, 0, 3]))
     # an asymmetric multiplier: z f(pz)
     with pytest.raises(ValueError, match="not z <-> 1/z symmetric"):
-        LaurentOperator(p, (((1, (1,)), 1),))(f)
+        LaurentOperator(((*up, (1,), None),), 1, 1)(f)
     # M(z) f(pz) + M(1/z) f(z/p) is symmetric; one partner coefficient changed, it is not
-    up = (-1, (1, 2, 3))
-    LaurentOperator(p, ((up, 1), ((-1, (3, 2, 1)), -1)))(f)
+    LaurentOperator(((*up, (1, 2, 3), None), (*dn, (3, 2, 1), None)), -1, 1)(f)
     with pytest.raises(ValueError, match="not z <-> 1/z symmetric"):
-        LaurentOperator(p, ((up, 1), ((-1, (3, 2, 2)), -1)))(f)
+        LaurentOperator(((*up, (1, 2, 3), None), (*dn, (3, 2, 2), None)), -1, 1)(f)
     # f(pz) + f(z/p) is 2 f(p) at z = 1, so z - 1/z leaves a remainder
+    both = ((*up, (1,), None), (*dn, (1,), None))
     with pytest.raises(ValueError, match="nonzero remainder in exact division"):
-        LaurentOperator(p, (((0, (1,)), 1), ((0, (1,)), -1)), divisor=(-1, (-1, 0, 1)))(f)
+        LaurentOperator(both, 0, 1, (-1, (-1, 0, 1)))(f)
     with pytest.raises(ValueError, match="nonzero remainder in exact division"):
         # i (z + 1/z): only the imaginary part leaves one
-        LaurentOperator(p, (((0, (1,)), 1), ((0, (1,)), -1)), divisor=(-1, (-1, 0, 1)))(SymLaurent([0, GR_I]))
+        LaurentOperator(both, 0, 1, (-1, (-1, 0, 1)))(SymLaurent([0, GR_I]))
     with pytest.raises(ValueError, match="nonzero remainder in exact division: 1"):
-        LaurentOperator(p, (((0, (1,)), 1),), divisor=(0, (1, 1)))(SymLaurent.one())
-    for bad in ((0, (2, 1, 2)), (0, (0, 1)), (0, (1, scalar(1, 2), 1))):
-        with pytest.raises(ValueError, match="a Laurent divisor needs"):
-            LaurentOperator(p, (), divisor=bad)
-    with pytest.raises(ValueError, match="dilates by p or 1/p"):
-        LaurentOperator(p, (((0, (1,)), 2),))
-    for base in (0, GR_I):
-        with pytest.raises(ValueError, match="real base"):
-            LaurentOperator(base, ())
+        LaurentOperator(((*up, (1,), None),), 0, 1, (0, (1, 1)))(SymLaurent.one())
+    # the taps share one denominator (rd)^n only when every tap dilates by p or 1/p
+    with pytest.raises(ValueError, match="dilate by one base"):
+        LaurentOperator(((*up, (1,), None), (1, 3, (1,), None)), 0, 1)
+    with pytest.raises(ZeroDivisionError):
+        LaurentOperator(both, 0, 0)
 
 
 def test_symmetric_inputs_are_checked_not_trusted():
